@@ -17,18 +17,17 @@ Byte-identity between the two strategies is asserted at every readout
 *before* anything is timed — the speedup is only meaningful if the cheap
 path returns the same bytes as the reference.
 
-The measured numbers are emitted as ``BENCH_aggregates.json`` in the repo
-root so CI runs leave a comparable artifact: ``{"benchmark", "window",
+The measured numbers are emitted as ``BENCH_aggregates.json`` under
+``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written): ``{"benchmark", "window",
 "churn_builds", "readouts", "groups", "incremental": {"best_pass_s"},
 "recompute": {"best_pass_s"}, "speedup", "trajectory": [...]}``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
+from conftest import emit_artifact
 from repro.core.aggregates import AggregateModule, AggregateState
 from repro.core.stem import SteM
 from repro.query.parser import parse_query
@@ -36,7 +35,7 @@ from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_aggregates.json"
+ARTIFACT = "BENCH_aggregates.json"
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 
@@ -137,23 +136,20 @@ def test_incremental_vs_recompute_speedup(benchmark):
             )
 
     speedup = best["recompute"] / best["incremental"]
-    ARTIFACT.write_text(
-        json.dumps(
-            {
-                "benchmark": "aggregates_incremental_ablation",
-                "window": WINDOW,
-                "churn_builds": CHURN_BUILDS,
-                "readouts": CHURN_BUILDS // READOUT_EVERY,
-                "groups": GROUPS,
-                "rounds": rounds,
-                "incremental": {"best_pass_s": best["incremental"]},
-                "recompute": {"best_pass_s": best["recompute"]},
-                "speedup": speedup,
-                "trajectory": trajectory,
-            },
-            indent=2,
-        )
-        + "\n"
+    emit_artifact(
+        ARTIFACT,
+        {
+            "benchmark": "aggregates_incremental_ablation",
+            "window": WINDOW,
+            "churn_builds": CHURN_BUILDS,
+            "readouts": CHURN_BUILDS // READOUT_EVERY,
+            "groups": GROUPS,
+            "rounds": rounds,
+            "incremental": {"best_pass_s": best["incremental"]},
+            "recompute": {"best_pass_s": best["recompute"]},
+            "speedup": speedup,
+            "trajectory": trajectory,
+        },
     )
     assert speedup >= 5.0, (
         f"incremental maintenance only {speedup:.2f}x recompute "
@@ -164,4 +160,4 @@ def test_incremental_vs_recompute_speedup(benchmark):
     benchmark.extra_info["speedup_vs_recompute"] = round(speedup, 2)
     benchmark.extra_info["window"] = WINDOW
     benchmark.extra_info["churn_builds"] = CHURN_BUILDS
-    benchmark.extra_info["artifact"] = ARTIFACT.name
+    benchmark.extra_info["artifact"] = ARTIFACT

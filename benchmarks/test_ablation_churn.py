@@ -18,21 +18,20 @@ admission/retirement workload:
   second) of the dynamic admit/retire engine stays within 10% of the
   static-fleet engine running the same queries declared up front.
 
-The measured numbers are emitted as ``BENCH_churn.json`` in the repo root
-so CI runs leave a comparable artifact.
+The measured numbers are emitted as ``BENCH_churn.json`` under
+``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
+from conftest import emit_artifact
 from repro.bench.workloads import churn_workload
 from repro.engine.multi import MultiQueryEngine, run_churn
 from repro.engine.stems_engine import run_stems
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_churn.json"
+ARTIFACT = "BENCH_churn.json"
 
 #: Workload shape shared by every test: ~8 Poisson arrivals over 30 virtual
 #: seconds on a 150-row R⨝T catalog.  ``seed`` fixes the timeline.
@@ -67,14 +66,6 @@ def reference_workload():
     return workload, references
 
 
-def emit_artifact(payload: dict) -> None:
-    existing = {}
-    if ARTIFACT.exists():
-        existing = json.loads(ARTIFACT.read_text())
-    existing.update(payload)
-    ARTIFACT.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-
-
 def test_churn_results_byte_identical_to_isolated_references(benchmark):
     """Sustained admit/retire churn: every query == its isolated run."""
     workload, references = reference_workload()
@@ -103,6 +94,7 @@ def test_churn_results_byte_identical_to_isolated_references(benchmark):
     benchmark.extra_info["queries"] = len(result.results)
     benchmark.extra_info["stems_reclaimed"] = stats["reclaimed"]
     emit_artifact(
+        ARTIFACT,
         {
             "correctness": {
                 "queries": len(result.results),
@@ -166,6 +158,7 @@ def test_windowed_churn_bounds_stem_memory(benchmark):
     benchmark.extra_info["window"] = WINDOW
     benchmark.extra_info["evictions"] = evictions
     emit_artifact(
+        ARTIFACT,
         {
             "bounded_memory": {
                 "window": WINDOW,
@@ -226,6 +219,7 @@ def test_churn_throughput_within_10pct_of_static_fleet(benchmark):
     benchmark.extra_info["churn_rows_per_s"] = round(churn_rate)
     benchmark.extra_info["throughput_ratio"] = round(ratio, 3)
     emit_artifact(
+        ARTIFACT,
         {
             "throughput": {
                 "static_rows_per_s": round(static_rate),

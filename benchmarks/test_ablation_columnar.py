@@ -23,19 +23,18 @@ Claims checked here:
   produces identical per-query result sets with the columnar plane on and
   off, shared SteMs included.
 
-The measured trajectory is emitted as ``BENCH_columnar.json`` in the repo
-root so CI runs leave a comparable artifact.
+The measured trajectory is emitted as ``BENCH_columnar.json`` under
+``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 import repro.core.stem as stem_module
+from conftest import emit_artifact
 from repro.bench.workloads import staggered_fleet_workload
 from repro.core.stem import SteM
 from repro.core.tuples import singleton_tuple
@@ -46,7 +45,7 @@ from repro.storage.columns import columnar_backend
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
+ARTIFACT = "BENCH_columnar.json"
 
 R_SCHEMA = Schema.of("key:int", "a:int", "b:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -169,22 +168,19 @@ def test_columnar_probe_loop_speedup(benchmark):
         )
 
     speedup = row_elapsed / max(columnar_elapsed, 1e-12)
-    ARTIFACT.write_text(
-        json.dumps(
-            {
-                "benchmark": "columnar_probe_ablation",
-                "backend": columnar_backend(),
-                "candidates_per_probe": ROWS_PER_KEY,
-                "probes_per_pass": PROBES,
-                "rounds": rounds,
-                "row_plane_total_s": row_elapsed,
-                "columnar_total_s": columnar_elapsed,
-                "speedup": speedup,
-                "trajectory": trajectory,
-            },
-            indent=2,
-        )
-        + "\n"
+    emit_artifact(
+        ARTIFACT,
+        {
+            "benchmark": "columnar_probe_ablation",
+            "backend": columnar_backend(),
+            "candidates_per_probe": ROWS_PER_KEY,
+            "probes_per_pass": PROBES,
+            "rounds": rounds,
+            "row_plane_total_s": row_elapsed,
+            "columnar_total_s": columnar_elapsed,
+            "speedup": speedup,
+            "trajectory": trajectory,
+        },
     )
     assert speedup >= 2.0, (
         f"columnar probe loop only {speedup:.2f}x faster than the compiled "
@@ -194,7 +190,7 @@ def test_columnar_probe_loop_speedup(benchmark):
     benchmark.pedantic(columnar_pass, rounds=5, iterations=2)
     benchmark.extra_info["speedup_vs_row_plane"] = round(speedup, 2)
     benchmark.extra_info["candidates_per_probe"] = ROWS_PER_KEY
-    benchmark.extra_info["artifact"] = ARTIFACT.name
+    benchmark.extra_info["artifact"] = ARTIFACT
 
 
 def _run_fleet(columnar):

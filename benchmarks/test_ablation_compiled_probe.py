@@ -22,17 +22,16 @@ Claims checked here:
   produces identical per-query result sets with the compiled path (the
   default) and with ``compiled_probes=False``, shared SteMs included.
 
-The measured trajectory is emitted as ``BENCH_probe.json`` in the repo
-root so CI runs leave a comparable artifact.
+The measured trajectory is emitted as ``BENCH_probe.json`` under
+``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import repro.core.stem as stem_module
+from conftest import emit_artifact
 from repro.bench.workloads import staggered_fleet_workload
 from repro.core.stem import SteM
 from repro.core.tuples import singleton_tuple
@@ -42,7 +41,7 @@ from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_probe.json"
+ARTIFACT = "BENCH_probe.json"
 
 R_SCHEMA = Schema.of("key:int", "a:int", "b:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -167,21 +166,18 @@ def test_compiled_probe_loop_speedup(benchmark):
         )
 
     speedup = interpreted_elapsed / max(compiled_elapsed, 1e-12)
-    ARTIFACT.write_text(
-        json.dumps(
-            {
-                "benchmark": "compiled_probe_ablation",
-                "candidates_per_probe": ROWS_PER_KEY,
-                "probes_per_pass": PROBES,
-                "rounds": rounds,
-                "interpreted_total_s": interpreted_elapsed,
-                "compiled_total_s": compiled_elapsed,
-                "speedup": speedup,
-                "trajectory": trajectory,
-            },
-            indent=2,
-        )
-        + "\n"
+    emit_artifact(
+        ARTIFACT,
+        {
+            "benchmark": "compiled_probe_ablation",
+            "candidates_per_probe": ROWS_PER_KEY,
+            "probes_per_pass": PROBES,
+            "rounds": rounds,
+            "interpreted_total_s": interpreted_elapsed,
+            "compiled_total_s": compiled_elapsed,
+            "speedup": speedup,
+            "trajectory": trajectory,
+        },
     )
     assert speedup >= 1.5, (
         f"compiled probe loop only {speedup:.2f}x faster than interpreted "
@@ -191,7 +187,7 @@ def test_compiled_probe_loop_speedup(benchmark):
     benchmark.pedantic(compiled_pass, rounds=5, iterations=2)
     benchmark.extra_info["speedup_vs_interpreted"] = round(speedup, 2)
     benchmark.extra_info["candidates_per_probe"] = ROWS_PER_KEY
-    benchmark.extra_info["artifact"] = ARTIFACT.name
+    benchmark.extra_info["artifact"] = ARTIFACT
 
 
 def _run_fleet(compiled_probes):

@@ -17,19 +17,18 @@ multi-query fleet workload:
   less wall-clock than re-running the whole workload from scratch, and the
   combined acked+recovered output equals the uninterrupted reference.
 
-The measured numbers are emitted as ``BENCH_recovery.json`` in the repo
-root so CI runs leave a comparable artifact.
+The measured numbers are emitted as ``BENCH_recovery.json`` under
+``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written).
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import shutil
 import time
 from collections import Counter
-from pathlib import Path
 
+from conftest import emit_artifact
 from repro.bench.workloads import staggered_fleet_workload
 from repro.engine.multi import MultiQueryEngine, run_multi
 from repro.recovery import (
@@ -41,7 +40,7 @@ from repro.recovery import (
 )
 from repro.recovery.harness import result_identity_counts, run_reference
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
+ARTIFACT = "BENCH_recovery.json"
 
 #: Fleet shape shared by the checkpoint and recovery tests: 3 staggered
 #: joins over 250-row sources.  Large enough that per-run fixed costs
@@ -55,14 +54,6 @@ FLEET_PARAMS = dict(n_queries=3, rows=250, seed=3, policy="naive")
 #: wider fleet also runs long enough (~0.5s) that timer noise stays small
 #: relative to the measured difference.
 OVERHEAD_PARAMS = dict(n_queries=8, rows=300, seed=3, policy="naive")
-
-
-def emit_artifact(payload: dict) -> None:
-    existing = {}
-    if ARTIFACT.exists():
-        existing = json.loads(ARTIFACT.read_text())
-    existing.update(payload)
-    ARTIFACT.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
 
 def test_wal_overhead_under_10pct(benchmark, tmp_path_factory):
@@ -147,6 +138,7 @@ def test_wal_overhead_under_10pct(benchmark, tmp_path_factory):
     benchmark.extra_info["overhead_ratio"] = round(ratio, 3)
     benchmark.extra_info["paired_rounds"] = rounds
     emit_artifact(
+        ARTIFACT,
         {
             "wal_overhead": {
                 "median_paired_ratio": round(ratio, 3),
@@ -191,6 +183,7 @@ def test_checkpoint_cost_scales_with_state(benchmark, tmp_path_factory):
     benchmark.extra_info["snapshot_bytes_small"] = size_series[0]
     benchmark.extra_info["snapshot_bytes_large"] = size_series[-1]
     emit_artifact(
+        ARTIFACT,
         {
             "checkpoint_cost": {
                 "points": [
@@ -271,6 +264,7 @@ def test_recovery_faster_than_rerun_and_exact(benchmark, tmp_path_factory):
     benchmark.extra_info["recovery_seconds"] = round(recovery_seconds, 4)
     benchmark.extra_info["rerun_seconds"] = round(rerun_seconds, 4)
     emit_artifact(
+        ARTIFACT,
         {
             "recovery_time": {
                 "recovery_seconds": round(recovery_seconds, 4),

@@ -15,30 +15,20 @@ the full oracle-and-scorecard program:
 
 The full payload (per-scenario differential records, best static plans,
 per-policy completion/regret/routing-share series) is written to
-``BENCH_gauntlet.json`` in the repo root so CI runs leave the scorecard
-as a comparable artifact.
+``BENCH_gauntlet.json`` under ``$REPRO_BENCH_OUT`` (unset, nothing is
+written).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+from conftest import emit_artifact
 from repro.bench.adversarial import GAUNTLET_POLICIES, run_gauntlet
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_gauntlet.json"
+ARTIFACT = "BENCH_gauntlet.json"
 
 #: Scenario families whose structure a policy can learn mid-run; the
 #: adaptive-beats-naive regret assertion applies to these.
 LEARNABLE = ("skew", "shift")
-
-
-def emit_artifact(payload: dict) -> None:
-    existing = {}
-    if ARTIFACT.exists():
-        existing = json.loads(ARTIFACT.read_text())
-    existing.update(payload)
-    ARTIFACT.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
 
 def test_gauntlet_full_scale(benchmark):
@@ -74,4 +64,4 @@ def test_gauntlet_full_scale(benchmark):
         assert shapes[policy]["completion"] is not None
         assert shapes[policy]["rows"] > 0
 
-    emit_artifact({"gauntlet": payload})
+    emit_artifact(ARTIFACT, {"gauntlet": payload})

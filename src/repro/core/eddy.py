@@ -49,7 +49,6 @@ from repro.core.modules.stem_module import SteMModule
 from repro.core.policies.base import RoutingPolicy
 from repro.core.tuples import EOTTuple, QTuple
 from repro.query.layout import PlanLayout
-from repro.sim.queues import BoundedQueue
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
 
@@ -131,7 +130,7 @@ class Eddy:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
         self.sim = simulator
         self.policy = policy
-        self.resolver = resolver
+        self.set_resolver(resolver)
         self.costs = cost_model or CostModel()
         self.strict_constraints = strict_constraints
         self.max_routing_steps = max_routing_steps
@@ -157,7 +156,9 @@ class Eddy:
         #: no longer accepts tuples and stray in-flight events become no-ops.
         self.live = True
 
-        self._ready: BoundedQueue[Routable] = BoundedQueue(None, name="eddy")
+        #: Tuples waiting for a routing decision, oldest first (unbounded:
+        #: backpressure lives on the module queues).
+        self._ready: deque[Routable] = deque()
         self._blocked: dict[str, deque[Routable]] = {}
         self._routing_scheduled = False
         #: Virtual time before which no routing event may fire: the routing
@@ -253,9 +254,11 @@ class Eddy:
         self._register(module)
         self.join_modules.append(module)
 
-    def set_resolver(self, resolver: DestinationResolver) -> None:
+    def set_resolver(self, resolver: DestinationResolver | None) -> None:
         """Attach the destination resolver (after modules are registered)."""
         self.resolver = resolver
+        #: The resolver's signature-cached lookup, when it keeps one.
+        self._resolve_signature = getattr(resolver, "destinations_for_signature", None)
 
     # -- EddyRuntime interface (used by modules) -----------------------------------
 
@@ -301,22 +304,23 @@ class Eddy:
 
     def to_eddy(self, item: Routable, source: Module | None = None) -> None:
         """Deliver a tuple (or EOT) into the eddy's dataflow."""
-        if source is not None and self.live:
-            # Production feedback for learning policies: consumption is
-            # observed in choose(), production here, and the difference is
-            # the selectivity signal (lottery's ticket escrow).
-            self.policy.on_producer_output(source, item, self)
         if not self.live:
             # The query was retired: whatever in-flight work still completes
             # (an outstanding index lookup, a busy module) has no dataflow
             # to return to.
             return
+        if source is not None:
+            # Production feedback for learning policies: consumption is
+            # observed in choose(), production here, and the difference is
+            # the selectivity signal (lottery's ticket escrow).
+            self.policy.on_producer_output(source, item, self)
         if isinstance(item, QTuple):
-            if self.layout is not None and item.layout is not self.layout:
+            layout = self.layout
+            if layout is not None and item.layout is not layout:
                 # First entry of a tuple created before the layout was known
                 # (or against the fallback space): re-encode its masks over
                 # this query's compiled layout.
-                item.bind_layout(self.layout)
+                item.bind_layout(layout)
             if self.query_id and not item.query_id:
                 item.query_id = self.query_id
             for preference in self.preferences:
@@ -326,12 +330,13 @@ class Eddy:
                     and preference.evaluate(item.components)
                 ):
                     item.priority = preference.priority
-            if not item.is_singleton and not item.visits:
+            if len(item.components) > 1 and not item.visits:
                 # Count each composite only on its first entry into the
                 # dataflow (bounce-backs would otherwise double-count it).
-                self.partial_series.setdefault(item.aliases, []).append(self.now)
-        self._ready.push(item)
-        self._schedule_routing()
+                self.partial_series.setdefault(item.aliases, []).append(self.sim.now)
+        self._ready.append(item)
+        if not self._routing_scheduled:
+            self._schedule_routing()
 
     def notify_idle(self, module: Module) -> None:
         """Retry offers that were blocked on the module's full queue."""
@@ -405,59 +410,68 @@ class Eddy:
         return self.sim.run(until=until)
 
     def _schedule_routing(self) -> None:
-        if not self.live or self._routing_scheduled or self._ready.is_empty:
+        if not self.live or self._routing_scheduled or not self._ready:
             return
         self._routing_scheduled = True
-        time = max(self.now + self.costs.route_cost, self._route_not_before)
-        self.sim.schedule_at(time, self._route_next, label="eddy:route")
+        sim = self.sim
+        time = sim.now + self.costs.route_cost
+        if time < self._route_not_before:
+            time = self._route_not_before
+        sim.schedule_at(time, self._route_next, "eddy:route")
 
     def _route_next(self) -> None:
         self._routing_scheduled = False
-        if not self.live or self._ready.is_empty:
+        ready = self._ready
+        if not self.live or not ready:
             return
-        batch: list[Routable] = [self._ready.pop()]
-        while len(batch) < self.batch_size and not self._ready.is_empty:
-            batch.append(self._ready.pop())
-        self.stats["route_events"] += 1
-        self.stats["routings"] += len(batch)
-        if self.stats["routings"] > self.max_routing_steps:
+        item = ready.popleft()
+        batch: list[Routable] | None = None
+        if ready and self.batch_size > 1:
+            batch = [item]
+            while len(batch) < self.batch_size and ready:
+                batch.append(ready.popleft())
+        stats = self.stats
+        stats["route_events"] += 1
+        stats["routings"] += 1 if batch is None else len(batch)
+        if stats["routings"] > self.max_routing_steps:
             raise ExecutionError(
                 f"exceeded {self.max_routing_steps} routing steps; "
                 "likely an infinite routing loop"
             )
-        decisions = self._route_batch(batch)
-        self.stats["route_decisions"] += decisions
+        if batch is not None:
+            decisions = self._route_batch(batch)
+        elif isinstance(item, EOTTuple):
+            self._route_eot(item)
+            decisions = 1
+        elif item.failed:
+            self._drop_failed(item)
+            decisions = 0
+        else:
+            # One tuple: no grouping to do, and the signature is only worth
+            # computing when the resolver keeps a signature cache.
+            signature = (
+                item.routing_signature() if self._resolve_signature is not None else None
+            )
+            self._route_group(signature, [item])
+            decisions = 1
+        stats["route_decisions"] += decisions
         # The batch consumed one route_cost per decision of virtual CPU
         # time; charge it by keeping the routing CPU busy until it has
         # elapsed — also across queue-empty gaps — preserving per-decision
         # virtual-time semantics (with batch_size=1 this is exactly the
         # per-tuple eddy's cadence).
-        self._route_not_before = self.now + self.costs.route_cost * max(decisions, 1)
-        self._schedule_routing()
+        self._route_not_before = self.sim.now + self.costs.route_cost * (decisions or 1)
+        if ready:
+            self._schedule_routing()
 
     def _route_batch(self, batch: Sequence[Routable]) -> int:
         """Route one drained batch; return the number of routing decisions.
 
         QTuples are grouped by routing signature; each group is one decision
         (EOTs are routed individually).  Within a group and across groups the
-        drain order is preserved, so batch_size=1 degenerates to the
+        drain order is preserved, so a batch of one degenerates to the
         original per-tuple router.
         """
-        if len(batch) == 1:
-            # Fast path: no grouping to do, and the signature is only worth
-            # computing when the resolver keeps a signature cache.
-            item = batch[0]
-            if isinstance(item, EOTTuple):
-                self._route_eot(item)
-                return 1
-            if item.failed:
-                self._drop_failed(item)
-                return 0
-            signature: tuple | None = None
-            if getattr(self.resolver, "destinations_for_signature", None) is not None:
-                signature = item.routing_signature()
-            self._route_group(signature, [item])
-            return 1
         pending: list[EOTTuple | tuple[tuple, list[QTuple]]] = []
         groups: dict[tuple, list[QTuple]] = {}
         for item in batch:
@@ -495,14 +509,23 @@ class Eddy:
             self._deliver(stem, eot)
 
     def _route_group(self, signature: tuple | None, group: list[QTuple]) -> None:
-        """Route one signature group with a single destination resolution."""
-        assert self.resolver is not None, "no destination resolver attached"
-        if self.resolver.ready_for_output(group[0]):
+        """Route one signature group with a single destination resolution.
+
+        ``signature`` is None only for a single tuple under a cache-less
+        resolver, where it would go unused.
+        """
+        resolver = self.resolver
+        assert resolver is not None, "no destination resolver attached"
+        exemplar = group[0]
+        if resolver.ready_for_output(exemplar):
             # Output readiness is signature-pure (span + done bits).
             for tuple_ in group:
                 self._emit(tuple_)
             return
-        destinations = self._destinations_for(signature, group[0])
+        if signature is not None and self._resolve_signature is not None:
+            destinations = self._resolve_signature(signature, exemplar)
+        else:
+            destinations = resolver.destinations(exemplar)
         if not destinations:
             for tuple_ in group:
                 self._retire(tuple_)
@@ -513,36 +536,22 @@ class Eddy:
                 f"policy {self.policy.name!r} returned {len(choices)} choices "
                 f"for a signature group of {len(group)} tuples"
             )
-        required = [d for d in destinations if d.required]
+        validate = self.strict_constraints and isinstance(resolver, ConstraintChecker)
+        trace = self.trace
         for tuple_, choice in zip(group, choices):
             if choice is None:
-                if required:
-                    # Policies may not decline required work.
-                    choice = required[0]
-                else:
+                # Policies may not decline required work.
+                choice = next((d for d in destinations if d.required), None)
+                if choice is None:
                     self._retire(tuple_)
                     continue
-            if self.strict_constraints and isinstance(self.resolver, ConstraintChecker):
-                self.resolver.validate(tuple_, choice)
-            if self.trace is not None:
-                self.trace.record(
-                    self.now, "route", (tuple_.tuple_id, choice.module.name)
-                )
-            tuple_.record_visit(choice.module.name)
-            self._deliver(choice.module, tuple_)
-
-    def _destinations_for(
-        self, signature: tuple | None, exemplar: QTuple
-    ) -> list[Destination]:
-        """Resolve legal destinations, through the signature cache if any.
-
-        ``signature`` is None only on the single-tuple fast path with a
-        cache-less resolver, where it would go unused.
-        """
-        resolve = getattr(self.resolver, "destinations_for_signature", None)
-        if resolve is not None and signature is not None:
-            return resolve(signature, exemplar)
-        return self.resolver.destinations(exemplar)
+            if validate:
+                resolver.validate(tuple_, choice)
+            module = choice.module
+            if trace is not None:
+                trace.record(self.sim.now, "route", (tuple_.tuple_id, module.name))
+            tuple_.record_visit(module.name)
+            self._deliver(module, tuple_)
 
     def _deliver(self, module: Module, item: Routable) -> None:
         if not module.offer(item):
@@ -559,18 +568,18 @@ class Eddy:
             if self.trace is not None:
                 self.trace.record(self.now, "output_suppressed", tuple_.tuple_id)
             return
-        self.outputs.append(OutputRecord(self.now, tuple_))
+        self.outputs.append(OutputRecord(self.sim.now, tuple_))
         if self.on_emit is not None:
             self.on_emit(tuple_)
         self.policy.on_output(tuple_, self)
         if self.trace is not None:
-            self.trace.record(self.now, "output", tuple_.tuple_id)
+            self.trace.record(self.sim.now, "output", tuple_.tuple_id)
 
     def _retire(self, tuple_: QTuple) -> None:
         self.stats["retired"] += 1
         self.policy.on_retire(tuple_, self)
         if self.trace is not None:
-            self.trace.record(self.now, "retire", tuple_.tuple_id)
+            self.trace.record(self.sim.now, "retire", tuple_.tuple_id)
 
     def quarantine_tuple(self, tuple_: QTuple, module: str, error: Exception) -> None:
         """Trap a poisoned tuple out of the dataflow (graceful degradation).

@@ -135,18 +135,20 @@ class ScanAMModule(Module):
 
     def _make_delivery(self, row):
         def deliver() -> None:
-            assert self.runtime is not None
+            runtime = self.runtime
+            assert runtime is not None
+            now = runtime.now
             self.delivered += 1
             self.stats["delivered"] += 1
-            self._last_delivery_time = self.runtime.now
+            self._last_delivery_time = now
             tuple_ = singleton_tuple(
                 self.alias,
                 row,
                 source=self.name,
-                created_at=self.runtime.now,
-                layout=getattr(self.runtime, "layout", None),
+                created_at=now,
+                layout=getattr(runtime, "layout", None),
             )
-            self.runtime.to_eddy(tuple_, source=self)
+            runtime.to_eddy(tuple_, self)
 
         return deliver
 

@@ -87,6 +87,9 @@ class Module(ABC):
         self.cost = cost
         self.queue = BoundedQueue[Routable](queue_capacity, name=name)
         self.busy = False
+        #: The item being serviced while ``busy`` (service is sequential, so
+        #: the completion event needs no per-item closure).
+        self._in_service: Routable | None = None
         self.runtime: EddyRuntime | None = None
         #: Static event label, precomputed once — service scheduling is a
         #: hot path and the label is needed whether or not a trace is
@@ -119,13 +122,9 @@ class Module(ABC):
         """Accept an item from the eddy if the input queue has room."""
         if not self.queue.offer(item):
             return False
-        self._maybe_start()
+        if not self.busy:
+            self._maybe_start()
         return True
-
-    @property
-    def queue_length(self) -> int:
-        """Number of items waiting in the input queue."""
-        return len(self.queue)
 
     @property
     def pending_work(self) -> int:
@@ -133,30 +132,34 @@ class Module(ABC):
         return len(self.queue) + (1 if self.busy else 0)
 
     def _maybe_start(self) -> None:
-        if self.busy or self.queue.is_empty or self.runtime is None:
+        runtime = self.runtime
+        if self.busy or not self.queue.items or runtime is None:
             return
-        item = self.queue.pop()
+        item = self._in_service = self.queue.pop()
         self.busy = True
         duration = self.service_time(item)
         self.stats["busy_time"] += duration
-        self.runtime.schedule(
-            duration, lambda: self._complete(item), label=self._service_label
-        )
+        runtime.schedule(duration, self._complete, self._service_label)
 
-    def _complete(self, item: Routable) -> None:
-        assert self.runtime is not None
+    def _complete(self) -> None:
+        runtime = self.runtime
+        assert runtime is not None
+        item, self._in_service = self._in_service, None
         self.busy = False
-        if not getattr(self.runtime, "live", True):
+        if not getattr(runtime, "live", True):
             # The query was retired while this item was in service: do not
             # process it — a retired query's builds must not keep mutating
             # SteM state other queries may share.
             return
         self.stats["items"] += 1
         outputs = self.process(item)
-        for output in outputs:
-            self.runtime.to_eddy(output, source=self)
-        self._maybe_start()
-        self.runtime.notify_idle(self)
+        if outputs:
+            to_eddy = runtime.to_eddy
+            for output in outputs:
+                to_eddy(output, self)
+        if self.queue.items:
+            self._maybe_start()
+        runtime.notify_idle(self)
 
     # -- behaviour ----------------------------------------------------------------
 

@@ -83,17 +83,15 @@ class SteMModule(Module):
         if isinstance(item, EOTTuple):
             return self.build_cost
         assert isinstance(item, QTuple)
-        if self._is_build(item):
-            return self.build_cost
-        return self.probe_cost
+        return self.build_cost if self._is_build(item) else self.probe_cost
 
     def _is_build(self, item: QTuple) -> bool:
         """A singleton of this SteM's table that has not been built yet."""
-        return (
-            item.is_singleton
-            and item.single_alias in self.aliases
-            and not item.has_built(item.single_alias)
-        )
+        components = item.components
+        if len(components) != 1:
+            return False
+        alias = next(iter(components))
+        return alias in self.aliases and not (item.built_mask and item.has_built(alias))
 
     def process(self, item: Routable) -> list[Routable]:
         assert self.runtime is not None

@@ -28,15 +28,25 @@ class NaivePolicy(RoutingPolicy):
     def __init__(self, greedy_optional: bool = True):
         self.greedy_optional = greedy_optional
 
+    def _pick(self, destinations: Sequence[Destination]) -> Destination | None:
+        """The choice: a pure function of the legal-destination list."""
+        pool = [d for d in destinations if d.required]
+        if not pool and self.greedy_optional:
+            pool = destinations  # nothing required: every destination is optional
+        if len(pool) > 1:
+            return order_by_action(pool)[0]
+        return pool[0] if pool else None
+
     def choose(
         self, tuple_: QTuple, destinations: Sequence[Destination], eddy
     ) -> Destination | None:
-        required, optional = split_required(destinations)
-        if required:
-            return order_by_action(required)[0]
-        if optional and self.greedy_optional:
-            return order_by_action(optional)[0]
-        return None
+        return self._pick(destinations)
+
+    def choose_batch(
+        self, tuples: Sequence[QTuple], destinations: Sequence[Destination], eddy
+    ) -> list[Destination | None]:
+        # One decision serves the whole signature group.
+        return [self._pick(destinations)] * len(tuples)
 
 
 class RandomPolicy(RoutingPolicy):

@@ -57,13 +57,6 @@ _module_slots: dict[str, int] = {}
 _MAX_VISITS_PER_MODULE = 255
 
 
-def _module_slot(module_name: str) -> int:
-    slot = _module_slots.get(module_name)
-    if slot is None:
-        slot = _module_slots[module_name] = len(_module_slots)
-    return slot
-
-
 class TupleIdAllocator:
     """Allocates the monotonically increasing ``tuple_id`` of each QTuple.
 
@@ -260,9 +253,10 @@ class QTuple:
     @property
     def single_alias(self) -> str:
         """The alias of a singleton tuple."""
-        if not self.is_singleton:
-            raise ExecutionError(f"tuple {self} spans {len(self.components)} aliases")
-        return next(iter(self.components))
+        components = self.components
+        if len(components) != 1:
+            raise ExecutionError(f"tuple {self} spans {len(components)} aliases")
+        return next(iter(components))
 
     @property
     def timestamp(self) -> float:
@@ -412,7 +406,10 @@ class QTuple:
                 "per module (BoundedRepetition bounds real traffic far below this)"
             )
         self.visits[module_name] = count
-        self.visits_token += 1 << (_module_slot(module_name) << 3)
+        slot = _module_slots.get(module_name)
+        if slot is None:
+            slot = _module_slots[module_name] = len(_module_slots)
+        self.visits_token += 1 << (slot << 3)
         self._signature = None
         return count
 

@@ -1,6 +1,5 @@
-"""Discrete-event simulation substrate: clock, events, latency models, queues."""
+"""Discrete-event simulation substrate: events, latency models, queues."""
 
-from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.latency import (
     AvailabilityModel,
@@ -28,5 +27,4 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "UniformLatency",
-    "VirtualClock",
 ]

@@ -7,38 +7,43 @@ earlier — this makes every simulation fully deterministic.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """The handle of a scheduled callback.
 
-    Ordering is by ``(time, sequence)``; the callback and its label do not
-    participate in comparisons.
+    The queue orders events by ``(time, sequence)``; the handle itself is
+    never compared.
     """
 
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: Set once the event has been popped and executed.  Cancelling a popped
-    #: event is a no-op — callers that keep handles to many scheduled events
-    #: (e.g. a scan AM tearing down on query retirement) may cancel them all
-    #: without tracking which already fired.
-    popped: bool = field(compare=False, default=False)
+    __slots__ = ("time", "sequence", "callback", "label", "cancelled", "popped")
 
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        self.cancelled = True
+    def __init__(
+        self, time: float, sequence: int, callback: Callable[[], None], label: str = ""
+    ):
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+        #: Set once the event has been popped and executed.  Cancelling a
+        #: popped event is a no-op — callers that keep handles to many
+        #: scheduled events (e.g. a scan AM tearing down on query retirement)
+        #: may cancel them all without tracking which already fired.
+        self.popped = False
+
+    def __repr__(self) -> str:
+        return f"Event({self.time!r}, #{self.sequence}, {self.label!r})"
 
 
 class EventQueue:
     """A priority queue of :class:`Event` objects.
+
+    Heap entries are plain ``(time, sequence, event)`` tuples, so the heap
+    compares them in C; sequence numbers are unique, so a comparison never
+    reaches the event.
 
     Cancellation is lazy — a cancelled event stays in the heap and is
     skipped when it reaches the top — but not *unbounded*: once cancelled
@@ -52,27 +57,38 @@ class EventQueue:
     _COMPACT_THRESHOLD = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._sequence = itertools.count()
+        self._heap: list[tuple[float, int, Event]] = []
+        self._sequence = 0
         self._live = 0
         #: Cancelled events still sitting in the heap.
         self._dead = 0
 
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule a callback at an absolute virtual time."""
-        event = Event(time=float(time), sequence=next(self._sequence),
-                      callback=callback, label=label)
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, sequence, callback, label)
+        heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event, or None."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+    def pop(self, until: float | None = None) -> Event | None:
+        """Remove and return the earliest non-cancelled event, or None.
+
+        With ``until``, an event later than ``until`` stays queued and None
+        is returned instead.
+        """
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
             if event.cancelled:
+                heappop(heap)
                 self._dead -= 1
                 continue
+            if until is not None and time > until:
+                return None
+            heappop(heap)
             self._live -= 1
             event.popped = True
             return event
@@ -80,17 +96,18 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """The time of the earliest non-cancelled event, or None if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
             self._dead -= 1
-        if not self._heap:
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (no-op once it has fired)."""
         if not event.cancelled and not event.popped:
-            event.cancel()
+            event.cancelled = True
             self._live -= 1
             self._dead += 1
             if (
@@ -105,8 +122,8 @@ class EventQueue:
         O(live) — amortised O(1) per cancellation, because a compaction
         only fires after at least half the heap has died.
         """
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        heapify(self._heap)
         self._dead = 0
 
     def __len__(self) -> int:

@@ -20,7 +20,7 @@ class BoundedQueue(Generic[ItemT]):
 
     Attributes:
         capacity: maximum number of items the queue holds; ``None`` means
-            unbounded (used for the eddy's own routing queue).
+            unbounded (a module declared without a queue bound).
     """
 
     def __init__(self, capacity: int | None = None, name: str = ""):
@@ -28,7 +28,9 @@ class BoundedQueue(Generic[ItemT]):
             raise ValueError("capacity must be at least 1 (or None for unbounded)")
         self.capacity = capacity
         self.name = name
-        self._items: deque[ItemT] = deque()
+        #: The queued items, oldest first.  Hot loops test it for emptiness
+        #: or length without a call; only the methods below mutate it.
+        self.items: deque[ItemT] = deque()
         #: Cumulative number of items ever enqueued (for statistics).
         self.total_enqueued = 0
         #: Number of enqueue attempts rejected because the queue was full.
@@ -39,40 +41,24 @@ class BoundedQueue(Generic[ItemT]):
     @property
     def is_full(self) -> bool:
         """True if no more items can be accepted."""
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return self.capacity is not None and len(self.items) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
         """True if the queue holds no items."""
-        return not self._items
+        return not self.items
 
     def offer(self, item: ItemT) -> bool:
         """Enqueue ``item`` if there is room; return whether it was accepted."""
-        if self.is_full:
+        items = self.items
+        if self.capacity is not None and len(items) >= self.capacity:
             self.rejected += 1
             return False
-        self._items.append(item)
+        items.append(item)
         self.total_enqueued += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._items))
+        if len(items) > self.max_occupancy:
+            self.max_occupancy = len(items)
         return True
-
-    def push(self, item: ItemT) -> None:
-        """Enqueue ``item`` unconditionally — unbounded queues only.
-
-        Raises:
-            ValueError: if the queue has a capacity.  Bounded queues must go
-                through :meth:`offer` so backpressure is observed; silently
-                exceeding the bound would defeat the head-of-line-blocking
-                model the paper's Figure 7 depends on.
-        """
-        if self.capacity is not None:
-            raise ValueError(
-                f"push() on bounded queue {self.name or 'queue'!r} "
-                f"(capacity={self.capacity}); use offer() so the bound holds"
-            )
-        self._items.append(item)
-        self.total_enqueued += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._items))
 
     def pop(self) -> ItemT:
         """Dequeue the oldest item.
@@ -80,11 +66,11 @@ class BoundedQueue(Generic[ItemT]):
         Raises:
             IndexError: if the queue is empty.
         """
-        return self._items.popleft()
+        return self.items.popleft()
 
     def peek(self) -> ItemT | None:
         """The oldest item without removing it, or None if empty."""
-        return self._items[0] if self._items else None
+        return self.items[0] if self.items else None
 
     def clear(self) -> int:
         """Drop every queued item; return how many were dropped.
@@ -92,16 +78,16 @@ class BoundedQueue(Generic[ItemT]):
         Used when a dataflow is torn down (query retirement): items still
         waiting for service belong to a query that no longer exists.
         """
-        dropped = len(self._items)
-        self._items.clear()
+        dropped = len(self.items)
+        self.items.clear()
         return dropped
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def __iter__(self) -> Iterator[ItemT]:
-        return iter(self._items)
+        return iter(self.items)
 
     def __repr__(self) -> str:
         cap = "∞" if self.capacity is None else str(self.capacity)
-        return f"BoundedQueue({self.name or 'queue'}, {len(self._items)}/{cap})"
+        return f"BoundedQueue({self.name or 'queue'}, {len(self.items)}/{cap})"

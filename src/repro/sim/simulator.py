@@ -1,6 +1,6 @@
 """The discrete-event simulator that drives all query execution.
 
-The simulator owns a virtual clock and an event queue.  Engine code
+The simulator owns the virtual time and an event queue.  Engine code
 schedules callbacks (``schedule``/``schedule_at``) and the simulator runs
 them in time order, advancing the clock.  Execution is single-threaded and
 fully deterministic; "asynchrony" in the paper's sense (concurrent module
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.tracing import TraceLog
 
@@ -33,7 +32,9 @@ class Simulator:
         trace: TraceLog | None = None,
         max_events: int = 50_000_000,
     ):
-        self.clock = VirtualClock(start_time)
+        #: Current virtual time.  Only the event loop moves it, and only
+        #: forwards.
+        self.now = float(start_time)
         self._queue = EventQueue()
         self.trace = trace
         self.max_events = max_events
@@ -47,11 +48,6 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.clock.now
-
     def schedule(
         self, delay: float, callback: Callable[[], None], label: str = ""
     ) -> Event:
@@ -64,11 +60,12 @@ class Simulator:
         self, time: float, callback: Callable[[], None], label: str = ""
     ) -> Event:
         """Schedule ``callback`` at an absolute virtual time (>= now)."""
-        if time < self.now - 1e-12:
+        now = self.now
+        if time < now - 1e-12:
             raise SimulationError(
-                f"cannot schedule in the past (now={self.now}, requested={time})"
+                f"cannot schedule in the past (now={now}, requested={time})"
             )
-        return self._queue.push(max(time, self.now), callback, label)
+        return self._queue.push(time if time > now else now, callback, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""
@@ -81,44 +78,57 @@ class Simulator:
 
     # -- execution ------------------------------------------------------------
 
+    def _execute(self, until: float | None, single: bool) -> bool:
+        """The event loop: pop, advance the clock, count, trace, call, hook.
+
+        Runs one event (``single``) or every event up to ``until``; returns
+        whether an event ran.
+        """
+        pop = self._queue.pop
+        while True:
+            event = pop(until)
+            if event is None:
+                # Drained, or the next event lies beyond ``until``: only
+                # then does the clock move to ``until`` — and never back.
+                if until is not None and until > self.now and self._queue:
+                    self.now = float(until)
+                return False
+            time = event.time
+            if time > self.now:
+                self.now = time
+            elif time < self.now - 1e-12:
+                raise SimulationError(
+                    f"cannot move the clock backwards (now={self.now}, requested={time})"
+                )
+            self.executed_events += 1
+            if self.executed_events > self.max_events:
+                raise SimulationError(
+                    f"exceeded {self.max_events} events; "
+                    "likely an infinite routing loop"
+                )
+            if self.trace is not None:
+                self.trace.record(self.now, "event", event.label)
+            event.callback()
+            if self.after_event_hook is not None:
+                self.after_event_hook(event)
+            if single:
+                return True
+
     def step(self) -> bool:
         """Execute the next event; return False if the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self.executed_events += 1
-        if self.executed_events > self.max_events:
-            raise SimulationError(
-                f"exceeded {self.max_events} events; "
-                "likely an infinite routing loop"
-            )
-        if self.trace is not None:
-            self.trace.record(self.now, "event", event.label)
-        event.callback()
-        hook = self.after_event_hook
-        if hook is not None:
-            hook(event)
-        return True
+        return self._execute(None, True)
 
     def run(self, until: float | None = None) -> float:
         """Run events until the queue drains (or virtual time ``until``).
 
-        Returns the final virtual time.
+        Returns the final virtual time.  An ``until`` behind the clock runs
+        nothing and leaves the time unchanged.
         """
         if self._running:
             raise SimulationError("the simulator is already running (re-entrant run)")
         self._running = True
         try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self.clock.advance_to(until)
-                    break
-                if not self.step():
-                    break
+            self._execute(until, False)
         finally:
             self._running = False
         return self.now

@@ -58,7 +58,7 @@ class TestExecutionMechanics:
         engine = small_engine()
         engine.run()
         assert engine.simulator.pending_events == 0
-        assert engine.eddy._ready.is_empty
+        assert not engine.eddy._ready
         for module in engine.eddy.modules.values():
             assert module.pending_work == 0
 

@@ -73,7 +73,7 @@ class TestBoundedQueue:
     def test_fifo_order(self):
         queue = BoundedQueue[int]()
         for value in range(5):
-            queue.push(value)
+            queue.offer(value)
         assert [queue.pop() for _ in range(5)] == list(range(5))
 
     def test_capacity_and_rejection(self):
@@ -102,23 +102,9 @@ class TestBoundedQueue:
         queue = BoundedQueue[int]()
         assert queue.peek() is None
         assert queue.is_empty
-        queue.push(7)
+        queue.offer(7)
         assert queue.peek() == 7
         assert len(queue) == 1
         with pytest.raises(IndexError):
             BoundedQueue[int]().pop()
 
-    def test_push_rejected_on_bounded_queue(self):
-        """push() must not silently exceed a configured capacity."""
-        queue = BoundedQueue[int](capacity=2, name="module")
-        with pytest.raises(ValueError, match="bounded"):
-            queue.push(1)
-        # offer() is the bounded entry point and still works.
-        assert queue.offer(1) and queue.offer(2)
-        assert not queue.offer(3)
-
-    def test_push_still_unconditional_on_unbounded_queue(self):
-        queue = BoundedQueue[int]()
-        for value in range(100):
-            queue.push(value)
-        assert len(queue) == 100

@@ -4,25 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import Counter, TraceLog
-
-
-class TestVirtualClock:
-    def test_monotonic_advance(self):
-        clock = VirtualClock()
-        clock.advance_to(5.0)
-        clock.advance_by(2.5)
-        assert clock.now == 7.5
-
-    def test_backwards_rejected(self):
-        clock = VirtualClock(10.0)
-        with pytest.raises(SimulationError):
-            clock.advance_to(5.0)
-        with pytest.raises(SimulationError):
-            clock.advance_by(-1.0)
 
 
 class TestEventQueue:
@@ -92,6 +76,22 @@ class TestEventHeapCompaction:
         assert len(queue._heap) == 10
         assert queue.peek_time() == 8.0
 
+    def test_handles_from_before_a_compaction_still_cancel_after_it(self):
+        queue = EventQueue()
+        events = [queue.push(float(i), lambda: None) for i in range(200)]
+        for event in events[:150]:
+            queue.cancel(event)
+        assert queue._dead < 150  # at least one compaction happened
+        survivor, doomed = events[150], events[151]
+        queue.cancel(doomed)
+        queue.cancel(doomed)  # idempotent
+        queue.cancel(events[0])  # compacted away long ago: still a no-op
+        assert len(queue) == 49
+        assert queue.pop() is survivor
+        assert queue.pop() is events[152]
+        queue.cancel(survivor)  # already fired: no-op
+        assert len(queue) == 47
+
     def test_peek_and_pop_keep_the_dead_count_exact(self):
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
@@ -137,6 +137,33 @@ class TestSimulator:
         assert sim.pending_events == 1
         sim.run()
         assert seen == [1.0, 2.0, 10.0]
+
+    def test_run_until_in_the_past_is_a_no_op(self):
+        sim = Simulator()
+        seen = []
+        for delay in (12.0, 20.0):
+            sim.schedule(delay, lambda d=delay: seen.append(d))
+        sim.run(until=12.0)
+        assert sim.run(until=5.0) == 12.0  # used to raise "clock backwards"
+        assert sim.now == 12.0
+        assert seen == [12.0]
+        assert sim.pending_events == 1
+
+    def test_clock_never_moves_backwards(self):
+        sim = Simulator(start_time=10.0)
+        sim._queue.push(4.0, lambda: None)  # bypasses schedule_at's check
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.run()
+
+    def test_step_runs_exactly_one_event(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(1))
+        sim.schedule(2.0, lambda: seen.append(2))
+        assert sim.step() and seen == [1] and sim.now == 1.0
+        assert sim.step() and seen == [1, 2]
+        assert not sim.step()
+        assert sim.executed_events == 2
 
     def test_run_for(self):
         sim = Simulator()
@@ -220,3 +247,61 @@ def test_events_always_fire_in_time_order(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
+
+
+#: push at one of a few times (so ties are common), cancel the k-th handle
+#: ever returned (live, fired or already cancelled), or pop.
+_QUEUE_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([0.0, 1.0, 1.0, 2.5, 7.0])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=400)),
+        st.tuples(st.just("pop"), st.none()),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations=_QUEUE_OPERATIONS, mass_cancel=st.booleans())
+def test_event_queue_matches_a_sorted_list_model(operations, mass_cancel):
+    """Property: the heap behaves like a sorted list of live (time, seq)."""
+    queue = EventQueue()
+    handles = []
+    model = []  # live (time, sequence) pairs
+
+    def push(time):
+        handles.append(queue.push(time, lambda: None))
+        model.append((time, len(handles) - 1))
+
+    def cancel(handle):
+        queue.cancel(handle)
+        if (handle.time, handle.sequence) in model:
+            model.remove((handle.time, handle.sequence))
+
+    if mass_cancel:
+        # Enough dead entries to force compactions under the operations.
+        for position in range(3 * EventQueue._COMPACT_THRESHOLD):
+            push(float(position % 5))
+        for handle in handles[: 2 * EventQueue._COMPACT_THRESHOLD + 8]:
+            cancel(handle)
+    for action, argument in operations:
+        if action == "push":
+            push(argument)
+        elif action == "cancel" and handles:
+            cancel(handles[argument % len(handles)])
+        elif action == "pop":
+            event = queue.pop()
+            expected = min(model) if model else None
+            assert (event and (event.time, event.sequence)) == expected
+            if event is not None:
+                model.remove(expected)
+                assert event.popped and not event.cancelled
+        assert len(queue) == len(model) and bool(queue) == bool(model)
+        assert queue._dead == len(queue._heap) - len(model)
+    assert queue.peek_time() == (min(model)[0] if model else None)
+    drained = []
+    while queue:
+        event = queue.pop()
+        drained.append((event.time, event.sequence))
+    assert drained == sorted(model)
+    assert queue.pop() is None and not queue._heap
