@@ -2,16 +2,27 @@
 
 PR 10 hangs an :class:`~repro.core.aggregates.AggregateModule` off a SteM's
 build/evict listeners: each insertion applies a +delta, each eviction a
--delta (with exact ``Fraction`` arithmetic for SUM/AVG and a counter
+-delta (with exact int + ``Fraction`` arithmetic for SUM/AVG and a counter
 multiset with bounded recompute for MIN/MAX), so a dashboard readout is a
 walk of the live group table instead of a pass over the window.  The claim
 measured here:
 
 * **Incremental maintenance beats recompute under churn.**  A
   count-bounded SteM (sliding window) absorbing a long build stream with a
-  readout every ``READOUT_EVERY`` builds: maintaining the deltas and
-  reading the group table must be at least **5x** faster than recomputing
-  the aggregate from ``state_entries()`` at every readout.
+  readout every ``READOUT_EVERY`` builds: maintaining the deltas costs at
+  least **10x fewer** aggregate row-operations than recomputing the
+  aggregate from ``state_entries()`` at every readout (exact counts,
+  asserted), and is at least **3x** faster on the wall clock (median of
+  the ratios paired within each round).
+
+The gate is stated in operations first because the wall-clock ratio drifts
+with the kernel: both sides run the same ``AggregateState.insert``, but
+the recompute side is *only* that call while the incremental side also
+pays the SteM's build/evict floor — so every speed-up of the aggregate
+kernel shrinks the ratio while both absolute times improve (6.1x at
+0.57 s / 3.44 s per pass before the positional kernel of PR 14, 4.3x at
+0.43 s / 1.81 s after it, same host).  The artifact therefore carries both
+absolute pass times; read those across PRs, not the ratio.
 
 Byte-identity between the two strategies is asserted at every readout
 *before* anything is timed — the speedup is only meaningful if the cheap
@@ -19,12 +30,14 @@ path returns the same bytes as the reference.
 
 The measured numbers are emitted as ``BENCH_aggregates.json`` under
 ``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written): ``{"benchmark", "window",
-"churn_builds", "readouts", "groups", "incremental": {"best_pass_s"},
-"recompute": {"best_pass_s"}, "speedup", "trajectory": [...]}``.
+"churn_builds", "readouts", "groups", "incremental": {"best_pass_s",
+"row_operations"}, "recompute": {"best_pass_s", "row_operations"},
+"speedup", "trajectory": [...]}``.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import emit_artifact
@@ -67,7 +80,8 @@ def encoded(rows):
 
 def incremental_pass(rows):
     """Churn through a windowed SteM with the module attached; readouts are
-    group-table walks.  Returns the per-readout encoded outputs."""
+    group-table walks.  Returns the per-readout encoded outputs and the
+    aggregate row-operations (inserts + retractions) the pass performed."""
     stem = SteM(
         "R", aliases=("R",), join_columns=(), max_size=WINDOW, columnar=False
     )
@@ -86,56 +100,73 @@ def incremental_pass(rows):
         if (position + 1) % READOUT_EVERY == 0:
             outputs.append(encoded(module.result_rows()))
     module.detach()
-    return outputs
+    return outputs, module.state.inserts + module.state.retractions
 
 
 def recompute_pass(rows):
-    """Same churn, but every readout recomputes from the surviving window."""
+    """Same churn, but every readout recomputes from the surviving window
+    (one insert per surviving row per readout)."""
     stem = SteM(
         "R", aliases=("R",), join_columns=(), max_size=WINDOW, columnar=False
     )
     outputs = []
+    operations = 0
     for position, row in enumerate(rows):
         stem.build(row, float(position + 1))
         if (position + 1) % READOUT_EVERY == 0:
+            window = [entry for entry, _ in stem.state_entries()]
+            operations += len(window)
             outputs.append(
                 encoded(
-                    AggregateState.recompute(
-                        QUERY.group_by,
-                        QUERY.aggregates,
-                        (entry for entry, _ in stem.state_entries()),
-                    )
+                    AggregateState.recompute(QUERY.group_by, QUERY.aggregates, window)
                 )
             )
-    return outputs
+    return outputs, operations
 
 
 def test_incremental_vs_recompute_speedup(benchmark):
-    """Incremental maintenance >= 5x recompute-per-readout, byte-identical."""
+    """Incremental maintenance: byte-identical, >= 10x fewer row-operations
+    and >= 3x faster than recompute-per-readout."""
     rows = churn_rows()
 
     # Byte-identity at every readout before anything is timed.
-    oracle = recompute_pass(rows)
+    oracle, recompute_operations = recompute_pass(rows)
     assert len(oracle) == CHURN_BUILDS // READOUT_EVERY
-    assert incremental_pass(rows) == oracle
+    outputs, incremental_operations = incremental_pass(rows)
+    assert outputs == oracle
+
+    # The deterministic half of the claim: every build inserts, every build
+    # past the window also retracts; recompute re-inserts the whole window
+    # at every readout.
+    assert incremental_operations == 2 * CHURN_BUILDS - WINDOW
+    assert recompute_operations == sum(
+        min(built, WINDOW)
+        for built in range(READOUT_EVERY, CHURN_BUILDS + 1, READOUT_EVERY)
+    )
+    assert recompute_operations >= 10 * incremental_operations
 
     rounds = 3
     best = {"incremental": float("inf"), "recompute": float("inf")}
     trajectory = []
+    round_ratios = []
     for round_index in range(rounds):
+        elapsed = {}
         for name, strategy in (
             ("incremental", incremental_pass),
             ("recompute", recompute_pass),
         ):
             start = time.perf_counter()
             strategy(rows)
-            elapsed = time.perf_counter() - start
-            best[name] = min(best[name], elapsed)
+            elapsed[name] = time.perf_counter() - start
+            best[name] = min(best[name], elapsed[name])
             trajectory.append(
-                {"round": round_index, "strategy": name, "pass_s": elapsed}
+                {"round": round_index, "strategy": name, "pass_s": elapsed[name]}
             )
+        round_ratios.append(elapsed["recompute"] / elapsed["incremental"])
 
-    speedup = best["recompute"] / best["incremental"]
+    # Judged on ratios paired within a round: both passes ran back to back,
+    # so a slow phase of the host hits both.
+    speedup = statistics.median(round_ratios)
     emit_artifact(
         ARTIFACT,
         {
@@ -145,13 +176,19 @@ def test_incremental_vs_recompute_speedup(benchmark):
             "readouts": CHURN_BUILDS // READOUT_EVERY,
             "groups": GROUPS,
             "rounds": rounds,
-            "incremental": {"best_pass_s": best["incremental"]},
-            "recompute": {"best_pass_s": best["recompute"]},
+            "incremental": {
+                "best_pass_s": best["incremental"],
+                "row_operations": incremental_operations,
+            },
+            "recompute": {
+                "best_pass_s": best["recompute"],
+                "row_operations": recompute_operations,
+            },
             "speedup": speedup,
             "trajectory": trajectory,
         },
     )
-    assert speedup >= 5.0, (
+    assert speedup >= 3.0, (
         f"incremental maintenance only {speedup:.2f}x recompute "
         f"({best['incremental']:.4f}s vs {best['recompute']:.4f}s per pass)"
     )

@@ -18,10 +18,11 @@ Deltas must be *exact* under retraction or incremental state drifts from
 the window (the differential suites pin byte-identity against
 recompute-from-scratch):
 
-* ``SUM``/``AVG`` keep the finite part of the sum as an exact
-  :class:`~fractions.Fraction` (float arithmetic is not associative; exact
-  rationals make insert-then-retract a true identity), plus counters for
-  NaN/±inf occurrences so hostile values are representable and retractable;
+* ``SUM``/``AVG`` keep the finite part of the sum exactly — ints in a Python
+  ``int``, finite floats in a :class:`~fractions.Fraction` (float arithmetic
+  is not associative; exact arithmetic makes insert-then-retract a true
+  identity) — plus counters for NaN/±inf occurrences so hostile values are
+  representable and retractable;
 * ``MIN``/``MAX`` keep a per-group counter multiset over the value domain:
   retracting the current extreme marks the cached extreme dirty and the
   next read recomputes it over the surviving distinct values — a bounded
@@ -49,13 +50,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, Literal
 from repro.query.predicates import Comparison, InList, Predicate
 from repro.query.query import AggregateSpec, Query
 from repro.storage.row import Row
+from repro.storage.schema import Schema
 
 __all__ = [
     "AggregateModule",
@@ -153,19 +155,22 @@ class _CountState:
 
 
 class _SumState:
-    """SUM/AVG(col): exact rational sum of the finite part + hostile counters.
+    """SUM/AVG(col): exact sum of the finite part + hostile counters.
 
-    Floating addition is not associative, so ``(s + x) - x`` drifts; every
-    finite value is carried as an exact :class:`Fraction` instead (floats
-    convert exactly), making retraction a true inverse.  NaN and ±inf are
-    not representable as rationals and are counted — the readout projects
-    the counters back onto IEEE semantics (any NaN poisons the sum;
-    opposing infinities are NaN; one-sided infinities win).
+    Floating addition is not associative, so ``(s + x) - x`` drifts; the
+    finite part is carried exactly instead, making retraction a true
+    inverse: ints and bools in the Python int ``ints``, finite floats (which
+    convert exactly) in the :class:`Fraction` ``exact``.  Readouts round the
+    one rational ``exact + ints``.  NaN and ±inf are not representable as
+    rationals and are counted — the readout projects the counters back onto
+    IEEE semantics (any NaN poisons the sum; opposing infinities are NaN;
+    one-sided infinities win).
     """
 
-    __slots__ = ("exact", "floats", "nans", "pos_inf", "neg_inf", "nonnull")
+    __slots__ = ("ints", "exact", "floats", "nans", "pos_inf", "neg_inf", "nonnull")
 
     def __init__(self) -> None:
+        self.ints = 0
         self.exact = Fraction(0)
         self.floats = 0
         self.nans = 0
@@ -177,10 +182,8 @@ class _SumState:
         if value is None:
             return
         kind = type(value)
-        if kind is bool:
-            self.exact += sign * int(value)
-        elif kind is int:
-            self.exact += sign * value
+        if kind is int or kind is bool:
+            self.ints += sign * value
         elif kind is float:
             if math.isnan(value):
                 self.nans += sign
@@ -221,8 +224,8 @@ class _SumState:
         if special is not None:
             return special
         if self.floats:
-            return float(self.exact)
-        return int(self.exact)
+            return float(self.exact + self.ints)
+        return int(self.exact + self.ints)
 
     def avg_value(self) -> Any:
         if not self.nonnull:
@@ -230,7 +233,7 @@ class _SumState:
         special = self._special()
         if special is not None:
             return special
-        return float(self.exact / self.nonnull)
+        return float((self.exact + self.ints) / self.nonnull)
 
 
 class _AvgState(_SumState):
@@ -365,30 +368,52 @@ class AggregateState:
             spec.column.column if spec.column is not None else None
             for spec in self.aggregates
         )
+        #: Column positions of the grouping / aggregated columns in rows of
+        #: ``_schema`` (resolved on the first row of each schema).
+        self._schema: Schema | None = None
+        self._group_positions: tuple[int, ...] = ()
+        self._agg_positions: tuple[int | None, ...] = ()
         self._groups: dict[tuple, _GroupState] = {}
         self.inserts = 0
         self.retractions = 0
 
-    def _group_of(self, row: Row) -> tuple[tuple, tuple]:
-        values = tuple(row[column] for column in self._group_columns)
-        return (
-            tuple(_value_key(value) for value in values),
-            tuple(_canonical_value(value) for value in values),
-        )
+    def _resolve(self, schema: Schema) -> None:
+        """Resolve column names to positions; an unknown column raises here."""
+        if schema != self._schema:
+            position = schema.position
+            self._group_positions, self._agg_positions = (
+                tuple(position(column) for column in self._group_columns),
+                tuple(
+                    None if column is None else position(column)
+                    for column in self._agg_columns
+                ),
+            )
+        # Equal schemas share positions (restored rows carry a decoded copy
+        # of the catalog's schema); remember the latest for the identity test.
+        self._schema = schema
 
     def insert(self, row: Row) -> None:
-        key, rep_values = self._group_of(row)
+        if row.schema is not self._schema:
+            self._resolve(row.schema)
+        values = row.values
+        key = tuple([_value_key(values[p]) for p in self._group_positions])
         group = self._groups.get(key)
         if group is None:
+            rep_values = tuple(
+                _canonical_value(values[p]) for p in self._group_positions
+            )
             group = self._groups[key] = _GroupState(rep_values, self.aggregates)
         group.count_star += 1
-        for state, column in zip(group.states, self._agg_columns):
+        for state, position in zip(group.states, self._agg_positions):
             if state is not None:
-                state.insert(row[column])
+                state.insert(values[position])
         self.inserts += 1
 
     def retract(self, row: Row) -> None:
-        key, _ = self._group_of(row)
+        if row.schema is not self._schema:
+            self._resolve(row.schema)
+        values = row.values
+        key = tuple([_value_key(values[p]) for p in self._group_positions])
         group = self._groups.get(key)
         if group is None or group.count_star <= 0:
             raise ExecutionError(
@@ -396,9 +421,9 @@ class AggregateState:
                 "(build/evict listener streams out of sync)"
             )
         group.count_star -= 1
-        for state, column in zip(group.states, self._agg_columns):
+        for state, position in zip(group.states, self._agg_positions):
             if state is not None:
-                state.retract(row[column])
+                state.retract(values[position])
         if group.count_star == 0:
             del self._groups[key]
         self.retractions += 1
@@ -534,6 +559,8 @@ class AggregateModule:
         return self._attached
 
     def _passes(self, row: Row) -> bool:
+        if not self.predicates:
+            return True
         components = {self.alias: row}
         for predicate in self.predicates:
             try:

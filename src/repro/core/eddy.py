@@ -63,7 +63,7 @@ class DestinationResolver(Protocol):
         """True if the tuple is a finished query result."""
 
 
-@dataclass
+@dataclass(slots=True)
 class OutputRecord:
     """One emitted result tuple, with the virtual time it was produced."""
 
@@ -202,11 +202,9 @@ class Eddy:
 
         #: Results and statistics.
         self.outputs: list[OutputRecord] = []
-        #: Times at which composite (partial-result) tuples of each span
-        #: first entered the dataflow — the "partial results" the paper's
-        #: interactive/FFF setting cares about (section 3.4's motivation for
-        #: adaptive spanning trees).
-        self.partial_series: dict[frozenset[str], list[float]] = {}
+        #: ``spanned_mask -> (aliases, entry times)`` of the composite
+        #: tuples that entered the dataflow; see :attr:`partial_series`.
+        self._partial: dict[int, tuple[frozenset[str], list[float]]] = {}
         self.stats: dict[str, int] = {
             "routings": 0,
             "route_events": 0,
@@ -330,10 +328,13 @@ class Eddy:
                     and preference.evaluate(item.components)
                 ):
                     item.priority = preference.priority
-            if len(item.components) > 1 and not item.visits:
+            if not item.visits_token and len(item.components) > 1:
                 # Count each composite only on its first entry into the
                 # dataflow (bounce-backs would otherwise double-count it).
-                self.partial_series.setdefault(item.aliases, []).append(self.sim.now)
+                entry = self._partial.get(item.spanned_mask)
+                if entry is None:
+                    entry = self._partial[item.spanned_mask] = (item.aliases, [])
+                entry[1].append(self.sim.now)
         self._ready.append(item)
         if not self._routing_scheduled:
             self._schedule_routing()
@@ -518,9 +519,28 @@ class Eddy:
         assert resolver is not None, "no destination resolver attached"
         exemplar = group[0]
         if resolver.ready_for_output(exemplar):
-            # Output readiness is signature-pure (span + done bits).
+            # Output readiness is signature-pure (span + done bits): the
+            # whole group is emitted, at one virtual time.
+            now = self.sim.now
+            emit_filter, on_emit, trace = self.emit_filter, self.on_emit, self.trace
+            on_output = self.policy.on_output
+            append = self.outputs.append
             for tuple_ in group:
-                self._emit(tuple_)
+                if emit_filter is not None and not emit_filter(tuple_):
+                    # Already acknowledged before a crash: keep the policy
+                    # feedback (behavioural identity with the uninterrupted
+                    # run) but do not expose or re-acknowledge the result.
+                    self.stats["suppressed_emits"] += 1
+                    on_output(tuple_, self)
+                    if trace is not None:
+                        trace.record(now, "output_suppressed", tuple_.tuple_id)
+                    continue
+                append(OutputRecord(now, tuple_))
+                if on_emit is not None:
+                    on_emit(tuple_)
+                on_output(tuple_, self)
+                if trace is not None:
+                    trace.record(now, "output", tuple_.tuple_id)
             return
         if signature is not None and self._resolve_signature is not None:
             destinations = self._resolve_signature(signature, exemplar)
@@ -557,23 +577,6 @@ class Eddy:
         if not module.offer(item):
             self.stats["blocked_offers"] += 1
             self._blocked.setdefault(module.name, deque()).append(item)
-
-    def _emit(self, tuple_: QTuple) -> None:
-        if self.emit_filter is not None and not self.emit_filter(tuple_):
-            # Already acknowledged before a crash: keep the policy feedback
-            # (behavioural identity with the uninterrupted run) but do not
-            # expose or re-acknowledge the result.
-            self.stats["suppressed_emits"] += 1
-            self.policy.on_output(tuple_, self)
-            if self.trace is not None:
-                self.trace.record(self.now, "output_suppressed", tuple_.tuple_id)
-            return
-        self.outputs.append(OutputRecord(self.sim.now, tuple_))
-        if self.on_emit is not None:
-            self.on_emit(tuple_)
-        self.policy.on_output(tuple_, self)
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "output", tuple_.tuple_id)
 
     def _retire(self, tuple_: QTuple) -> None:
         self.stats["retired"] += 1
@@ -613,6 +616,14 @@ class Eddy:
             self.trace.record(self.now, "drop_failed", tuple_.tuple_id)
 
     # -- results ---------------------------------------------------------------------
+
+    @property
+    def partial_series(self) -> dict[frozenset[str], list[float]]:
+        """Times at which composite (partial-result) tuples of each span
+        first entered the dataflow, spans in first-appearance order — the
+        "partial results" the paper's interactive/FFF setting cares about
+        (section 3.4's motivation for adaptive spanning trees)."""
+        return dict(self._partial.values())
 
     @property
     def result_tuples(self) -> list[QTuple]:

@@ -24,6 +24,7 @@ from typing import Any, Sequence
 from repro.core.modules.base import Module, Routable
 from repro.core.tuples import EOTTuple, QTuple
 from repro.query.expressions import ColumnRef
+from repro.query.layout import done_mask_of
 from repro.query.predicates import Comparison, Predicate
 from repro.query.probeplan import bind_key_from_sources, compile_bind_sources
 from repro.storage.row import Row
@@ -57,7 +58,7 @@ def _merge_tuples(
         created_at=min(left.created_at, right.created_at),
         layout=left.layout,
     )
-    result.done_mask = done_mask | sum(1 << p.predicate_id for p in pending)
+    result.done_mask = done_mask | done_mask_of(pending)
     if left.layout is right.layout:
         result.built_mask = left.built_mask | right.built_mask
     else:
@@ -234,7 +235,7 @@ class IndexJoinModule(Module):
             for predicate in self.predicates
             if not item.is_done(predicate) and predicate.can_evaluate(available)
         ]
-        done_ids = [predicate.predicate_id for predicate in pending]
+        done_mask = done_mask_of(pending)
         for row in rows:
             components = dict(item.components)
             components[self.inner_alias] = row
@@ -244,7 +245,7 @@ class IndexJoinModule(Module):
                 self.inner_alias,
                 row,
                 row_timestamp=0.0,
-                extra_done=done_ids,
+                extra_done=done_mask,
             )
             self.stats["results"] += 1
             results.append(merged)

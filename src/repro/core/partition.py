@@ -74,6 +74,7 @@ from repro.core.stem import (
     make_eviction_policy,
 )
 from repro.core.tuples import EOTTuple, QTuple
+from repro.query.layout import done_mask_of
 from repro.query.predicates import Predicate
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
@@ -543,13 +544,12 @@ class PartitionedSteM:
             ]
             matches = self._merge([m for m, _ in collected])
             examined = sum(count for _, count in collected)
-        done_ids = [p.predicate_id for p in predicates]
         return self._finalize(
             probe,
             target_alias,
             matches,
             examined,
-            done_ids,
+            done_mask_of(predicates),
             self.covers(bindings),
             enforce_timestamp,
             update_last_match,
@@ -590,7 +590,7 @@ class PartitionedSteM:
             target_alias,
             matches,
             examined,
-            plan.done_ids,
+            plan.done_mask,
             self.covers(plan.bindings_mapping(binding_values)),
             enforce_timestamp,
             update_last_match,
@@ -669,7 +669,7 @@ class PartitionedSteM:
                     plan.target_alias,
                     matches,
                     examined,
-                    plan.done_ids,
+                    plan.done_mask,
                     self.covers(plan.bindings_mapping(bindings[position])),
                     enforce_timestamp,
                     update_last_match,
@@ -742,7 +742,7 @@ class PartitionedSteM:
         target_alias: str,
         matches: Sequence[tuple[Row, float]],
         examined: int,
-        done_ids,
+        done_mask: int,
         all_matches_known: bool,
         enforce_timestamp: bool,
         update_last_match: bool,
@@ -760,7 +760,7 @@ class PartitionedSteM:
                 suppressed += 1
                 continue
             results.append(
-                extended(target_alias, row, row_timestamp, extra_done=done_ids)
+                extended(target_alias, row, row_timestamp, done_mask)
             )
         outcome.candidates_examined = examined
         outcome.suppressed_by_timestamp = suppressed
@@ -769,7 +769,7 @@ class PartitionedSteM:
         if update_last_match:
             max_timestamp = self.max_timestamp
             if max_timestamp is not None:
-                probe.last_match_ts[self.name] = max(floor, max_timestamp)
+                probe.set_last_match(self.name, max(floor, max_timestamp))
         return outcome
 
     # -- EOT coverage -------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Comparison, Predicate
 from repro.query import probeplan as _probeplan
+from repro.query.layout import done_mask_of
 from repro.query.probeplan import ProbePlan
 from repro.storage.columns import ColumnStore, columnar_enabled
 from repro.storage.indexes import RowIndex, build_index
@@ -538,7 +539,7 @@ class SteM:
         floor = probe.last_match_ts.get(self.name, float("-inf"))
         probe_timestamp = probe.timestamp
 
-        done_ids = [p.predicate_id for p in predicates]
+        done_mask = done_mask_of(predicates)
         hook = self._reference_hook
         matched_rows: list[Row] | None = [] if hook is not None else None
         for row in candidates:
@@ -554,7 +555,7 @@ class SteM:
                 outcome.suppressed_by_timestamp += 1
                 continue
             outcome.results.append(
-                probe.extended(target_alias, row, row_timestamp, extra_done=done_ids)
+                probe.extended(target_alias, row, row_timestamp, done_mask)
             )
             if matched_rows is not None:
                 matched_rows.append(row)
@@ -572,7 +573,7 @@ class SteM:
         if update_last_match:
             max_timestamp = self.max_timestamp
             if max_timestamp is not None:
-                probe.last_match_ts[self.name] = max(floor, max_timestamp)
+                probe.set_last_match(self.name, max(floor, max_timestamp))
         return outcome
 
     def probe_with_plan(
@@ -626,7 +627,7 @@ class SteM:
         cmp_bound = plan.bind_checks(components) if checks else ()
         in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
         generic = plan.generic_predicates
-        done_ids = plan.done_ids
+        done_mask = plan.done_mask
         results = outcome.results
         hook = self._reference_hook
         matched_rows: list[Row] | None = [] if hook is not None else None
@@ -669,7 +670,7 @@ class SteM:
                 suppressed += 1
                 continue
             results.append(
-                probe.extended(target_alias, row, row_timestamp, extra_done=done_ids)
+                probe.extended(target_alias, row, row_timestamp, done_mask)
             )
             if matched_rows is not None:
                 matched_rows.append(row)
@@ -688,7 +689,7 @@ class SteM:
         if update_last_match:
             max_timestamp = self.max_timestamp
             if max_timestamp is not None:
-                probe.last_match_ts[self.name] = max(floor, max_timestamp)
+                probe.set_last_match(self.name, max(floor, max_timestamp))
         return outcome
 
     def probe_batch(
@@ -1025,7 +1026,7 @@ class SteM:
             survivors = kept
 
         results = outcome.results
-        done_ids = plan.done_ids
+        done_mask = plan.done_mask
         suppressed = 0
         ts = store.ts
         row_refs = store.rows
@@ -1037,7 +1038,7 @@ class SteM:
                 suppressed += 1
                 continue
             results.append(
-                extended(target_alias, row_refs[slot], row_timestamp, extra_done=done_ids)
+                extended(target_alias, row_refs[slot], row_timestamp, done_mask)
             )
         outcome.candidates_examined = examined
         outcome.suppressed_by_timestamp = suppressed
@@ -1049,7 +1050,7 @@ class SteM:
         if update_last_match:
             max_timestamp = self.max_timestamp
             if max_timestamp is not None:
-                probe.last_match_ts[self.name] = max(floor, max_timestamp)
+                probe.set_last_match(self.name, max(floor, max_timestamp))
         return outcome
 
     def _plan_candidates(self, plan: ProbePlan, binding_values) -> Iterable[Row]:

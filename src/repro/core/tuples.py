@@ -32,10 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ExecutionError
-from repro.query.layout import FALLBACK_ALIAS_SPACE, AliasSpace, bit_positions
+from repro.query.layout import (
+    FALLBACK_ALIAS_SPACE,
+    AliasSpace,
+    bit_positions,
+    done_mask_of,
+)
 from repro.query.predicates import Predicate
 from repro.storage.row import Row
 
@@ -55,6 +61,10 @@ _module_slots: dict[str, int] = {}
 
 #: Highest per-module visit count the packed ``visits_token`` can encode.
 _MAX_VISITS_PER_MODULE = 255
+
+#: ``last_match_ts`` of every tuple that never recorded one (read-only: the
+#: probe paths replace it with a dict of the tuple's own on the first write).
+_NO_LAST_MATCH: Mapping[str, float] = MappingProxyType({})
 
 
 class TupleIdAllocator:
@@ -98,17 +108,6 @@ def install_id_allocator(
     return _id_allocator
 
 
-def _done_mask_of(predicates: Iterable[Predicate | int]) -> int:
-    """The done-bit mask of predicates given as objects or raw ids."""
-    mask = 0
-    for predicate in predicates:
-        if isinstance(predicate, int):
-            mask |= 1 << predicate
-        else:
-            mask |= 1 << predicate.predicate_id
-    return mask
-
-
 class QTuple:
     """A (possibly composite) tuple flowing through the eddy.
 
@@ -137,7 +136,6 @@ class QTuple:
         "done_mask",
         "source",
         "_priority",
-        "visits",
         "visits_token",
         "layout",
         "spanned_mask",
@@ -181,13 +179,12 @@ class QTuple:
         #: Bit per spanned alias (paper definition 1).
         self.spanned_mask: int = self.layout.mask_of(self.components)
         #: The done bits: bit ``predicate_id`` set once verified (§2.1).
-        self.done_mask: int = _done_mask_of(done)
+        self.done_mask: int = done_mask_of(done)
         self.source = source
         self._priority = priority
         #: Number of times this tuple has been routed to each module
-        #: (BoundedRepetition constraint), plus the equivalent packed-int
-        #: encoding consumed by the routing signature.
-        self.visits: dict[str, int] = {}
+        #: (BoundedRepetition constraint), one byte per module slot; also an
+        #: element of the routing signature.  :attr:`visits` decodes it.
         self.visits_token: int = 0
         #: Bit per alias whose component has been built into its SteM.
         self.built_mask: int = 0
@@ -206,9 +203,9 @@ class QTuple:
         #: When this tuple is a "prior prober" (paper definition 3), the
         #: alias of its probe completion table; None otherwise.
         self._probe_completion_alias: str | None = None
-        #: Per-target-alias LastMatchTimeStamp, used when the BuildFirst
-        #: constraint is relaxed and repeated probes are allowed.
-        self.last_match_ts: dict[str, float] = {}
+        #: Per-SteM LastMatchTimeStamp, used when the BuildFirst constraint
+        #: is relaxed and repeated probes are allowed (:meth:`set_last_match`).
+        self.last_match_ts: Mapping[str, float] = _NO_LAST_MATCH
         self.created_at = created_at
         #: Set when a predicate evaluated to false; the tuple is then dropped.
         self.failed = False
@@ -385,7 +382,7 @@ class QTuple:
 
     def mark_done(self, predicates: Iterable[Predicate | int]) -> None:
         """Record that predicates have been verified on this tuple."""
-        mask = self.done_mask | _done_mask_of(predicates)
+        mask = self.done_mask | done_mask_of(predicates)
         if mask != self.done_mask:
             self.done_mask = mask
             self._signature = None
@@ -396,7 +393,11 @@ class QTuple:
 
     def record_visit(self, module_name: str) -> int:
         """Record a routing of this tuple to a module; return the new count."""
-        count = self.visits.get(module_name, 0) + 1
+        slot = _module_slots.get(module_name)
+        if slot is None:
+            slot = _module_slots[module_name] = len(_module_slots)
+        shift = slot << 3
+        count = ((self.visits_token >> shift) & _MAX_VISITS_PER_MODULE) + 1
         if count > _MAX_VISITS_PER_MODULE:
             # The packed token gives each module one byte; a carry into the
             # next module's byte would silently collide routing signatures.
@@ -405,17 +406,32 @@ class QTuple:
                 f"signature encodes at most {_MAX_VISITS_PER_MODULE} visits "
                 "per module (BoundedRepetition bounds real traffic far below this)"
             )
-        self.visits[module_name] = count
-        slot = _module_slots.get(module_name)
-        if slot is None:
-            slot = _module_slots[module_name] = len(_module_slots)
-        self.visits_token += 1 << (slot << 3)
+        self.visits_token += 1 << shift
         self._signature = None
         return count
 
     def visit_count(self, module_name: str) -> int:
         """How many times this tuple has been routed to the module."""
-        return self.visits.get(module_name, 0)
+        slot = _module_slots.get(module_name)
+        if slot is None:
+            return 0
+        return (self.visits_token >> (slot << 3)) & _MAX_VISITS_PER_MODULE
+
+    @property
+    def visits(self) -> dict[str, int]:
+        """Per-module visit counts (a decoded copy of :attr:`visits_token`)."""
+        token = self.visits_token
+        return {
+            name: count
+            for name, slot in _module_slots.items()
+            if (count := (token >> (slot << 3)) & _MAX_VISITS_PER_MODULE)
+        }
+
+    def set_last_match(self, stem_name: str, timestamp: float) -> None:
+        """Record the LastMatchTimeStamp of a probe into the named SteM."""
+        if self.last_match_ts is _NO_LAST_MATCH:
+            self.last_match_ts = {}
+        self.last_match_ts[stem_name] = timestamp
 
     def mark_built(self, alias: str, timestamp: float) -> None:
         """Record that the component for ``alias`` was built at ``timestamp``."""
@@ -452,32 +468,43 @@ class QTuple:
         alias: str,
         row: Row,
         row_timestamp: float,
-        extra_done: Iterable[int] = (),
+        extra_done: int = 0,
         created_at: float | None = None,
     ) -> "QTuple":
         """A new tuple with an additional base-table component.
 
-        The new tuple inherits the done bits, priority, source and layout of
-        this tuple; per-module visit counts and resolution state start fresh
-        (the concatenated tuple is a new unit of routing work).
+        The new tuple inherits the done bits (plus the ``extra_done`` mask),
+        priority, source and layout of this tuple; per-module visit counts
+        and resolution state start fresh (the concatenated tuple is a new
+        unit of routing work).  Every slot is set here, from this tuple's
+        masks, rather than re-derived through ``__init__``: this is the
+        per-result path of every probe.
         """
-        if alias in self.components:
+        components = self.components
+        if alias in components:
             raise ExecutionError(f"tuple already spans alias {alias!r}")
-        components = dict(self.components)
-        components[alias] = row
-        timestamps = dict(self.timestamps)
-        timestamps[alias] = row_timestamp
-        result = QTuple(
-            components,
-            timestamps=timestamps,
-            source=self.source,
-            priority=self._priority,
-            created_at=self.created_at if created_at is None else created_at,
-            query_id=self.query_id,
-            layout=self.layout,
-        )
-        result.done_mask = self.done_mask | _done_mask_of(extra_done)
-        result.built_mask = self.built_mask | result.layout.bit_of(alias)
+        result = object.__new__(QTuple)
+        result.tuple_id = _id_allocator.allocate()
+        layout = self.layout
+        bit = layout.bit_of(alias)
+        result.query_id = self.query_id
+        result.components = {**components, alias: row}
+        result.timestamps = {**self.timestamps, alias: row_timestamp}
+        result.done_mask = self.done_mask | extra_done
+        result.source = self.source
+        result._priority = self._priority
+        result.visits_token = 0
+        result.layout = layout
+        result.spanned_mask = self.spanned_mask | bit
+        result.built_mask = self.built_mask | bit
+        result.resolved_mask = 0
+        result.exhausted_mask = 0
+        result._stop_stem_probes = False
+        result._probe_completion_alias = None
+        result.last_match_ts = _NO_LAST_MATCH
+        result.created_at = self.created_at if created_at is None else created_at
+        result.failed = False
+        result._signature = None
         return result
 
     def __repr__(self) -> str:

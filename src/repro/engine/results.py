@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from repro.core.tuples import QTuple
@@ -32,13 +33,8 @@ class Series:
 
     def count_at(self, time: float) -> int:
         """Cumulative count at a given virtual time."""
-        if not self.points:
-            return 0
-        times = [point[0] for point in self.points]
-        position = bisect.bisect_right(times, time)
-        if position == 0:
-            return 0
-        return self.points[position - 1][1]
+        position = bisect.bisect_right(self.points, time, key=itemgetter(0))
+        return self.points[position - 1][1] if position else 0
 
     def time_to_count(self, count: int) -> float | None:
         """Earliest time at which the cumulative count reaches ``count``."""

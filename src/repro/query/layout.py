@@ -31,6 +31,7 @@ from typing import Iterable
 
 from repro.errors import QueryError
 from repro.query.joingraph import JoinGraph
+from repro.query.predicates import Predicate
 from repro.query.query import Query
 
 
@@ -42,6 +43,17 @@ def bit_positions(mask: int) -> list[int]:
         positions.append(low.bit_length() - 1)
         mask ^= low
     return positions
+
+
+def done_mask_of(predicates: Iterable[Predicate | int]) -> int:
+    """The done-bit mask of predicates given as objects or raw ids."""
+    mask = 0
+    for predicate in predicates:
+        if isinstance(predicate, int):
+            mask |= 1 << predicate
+        else:
+            mask |= 1 << predicate.predicate_id
+    return mask
 
 
 class AliasSpace:

@@ -20,7 +20,7 @@ signature — and lowers it to integer positions over the rows' value tuples:
   :meth:`repro.core.stem.SteM.probe_with_plan` (``IN`` lists become
   membership tests against their frozenset); anything that is not a plain
   comparison keeps a **generic fallback** through ``Predicate.evaluate``;
-* the precomputed ``done_ids`` the concatenated results are stamped with.
+* the precomputed ``done_mask`` the concatenated results are stamped with.
 
 NULL semantics match the interpreted path exactly: a comparison with a
 ``None`` operand (or a ``TypeError`` from the operator) is false, and ``IN``
@@ -47,6 +47,7 @@ import os
 from typing import Any, Mapping, Sequence
 
 from repro.query.expressions import ColumnRef, Expression, Literal
+from repro.query.layout import done_mask_of
 from repro.query.predicates import (
     _OPERATORS as COMPARISON_OPS,
     Comparison,
@@ -119,7 +120,7 @@ class ProbePlan:
     __slots__ = (
         "target_alias",
         "predicates",
-        "done_ids",
+        "done_mask",
         "binding_columns",
         "binding_getters",
         "generic_predicates",
@@ -136,7 +137,8 @@ class ProbePlan:
     def __init__(self, target_alias: str, predicates: Sequence[Predicate]):
         self.target_alias = target_alias
         self.predicates: tuple[Predicate, ...] = tuple(predicates)
-        self.done_ids: tuple[int, ...] = tuple(p.predicate_id for p in self.predicates)
+        #: Done bits of the plan's predicates, OR-ed into every result.
+        self.done_mask: int = done_mask_of(self.predicates)
         #: Equality-binding extractors: target column names (first-occurrence
         #: order) and, aligned, their probe-side getters (last write wins,
         #: like the interpreted bindings dict).

@@ -26,7 +26,7 @@ class Row:
         validate: when True, values are checked against the schema.
     """
 
-    __slots__ = ("table", "schema", "values", "rid")
+    __slots__ = ("table", "schema", "values", "rid", "_hash")
 
     def __init__(
         self,
@@ -47,6 +47,9 @@ class Row:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "rid", rid)
+        #: Memoized ``hash((table, values))``: computed on first use, so an
+        #: unhashable value raises where the row is first hashed.
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Row objects are immutable")
@@ -105,7 +108,11 @@ class Row:
         return self.table == other.table and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.table, self.values))
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.table, self.values))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __repr__(self) -> str:
         pairs = ", ".join(

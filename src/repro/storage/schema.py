@@ -52,7 +52,7 @@ class Schema:
         key: optional sequence of column names forming the primary key.
     """
 
-    __slots__ = ("_columns", "_by_name", "_key")
+    __slots__ = ("_columns", "_names", "_by_name", "_key")
 
     def __init__(
         self,
@@ -69,6 +69,7 @@ class Schema:
             if key_column not in by_name:
                 raise UnknownColumnError(key_column, tuple(by_name))
         self._columns = cols
+        self._names = tuple(by_name)
         self._by_name = by_name
         self._key = tuple(key)
 
@@ -113,7 +114,7 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         """The column names, in declaration order."""
-        return tuple(column.name for column in self._columns)
+        return self._names
 
     @property
     def key(self) -> tuple[str, ...]:

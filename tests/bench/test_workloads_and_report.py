@@ -83,6 +83,23 @@ class TestSeries:
         assert series.count_at(3.0) == 25
         assert series.count_at(10.0) == 60
 
+    def test_count_at_equals_a_linear_scan(self):
+        """``count_at`` bisects the points in place (it used to copy every
+        time out of them per call); the step function is unchanged."""
+
+        def scan(points, time):
+            count = 0
+            for point_time, value in points:
+                if point_time <= time:
+                    count = value
+            return count
+
+        stepped = [(1.0, 1), (1.0, 2), (1.0, 3), (2.5, 4), (4.0, 5), (4.0, 6)]
+        for points in ([], stepped[:1], stepped):
+            series = Series.from_points(points)
+            for time in (-1.0, 0.0, 0.999, 1.0, 1.001, 2.5, 3.0, 4.0, 4.001, 1e9):
+                assert series.count_at(time) == scan(points, time), (points, time)
+
     def test_final_and_time_to_count(self):
         series = self.make()
         assert series.final_count == 60

@@ -3,15 +3,31 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
-from repro.core.tuples import EOTTuple, QTuple, UNBUILT, singleton_tuple
+from repro.core.eddy import OutputRecord
+from repro.core.tuples import (
+    EOTTuple,
+    QTuple,
+    TupleIdAllocator,
+    UNBUILT,
+    install_id_allocator,
+    singleton_tuple,
+)
+from repro.query.layout import PlanLayout, bit_positions, done_mask_of
+from repro.query.parser import parse_query
 from repro.query.predicates import equi_join, selection
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
+T_SCHEMA = Schema.of("key:int")
+
+THREE_WAY = parse_query(
+    "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key AND S.y < 10"
+)
 
 
 def r_row(key=1, a=10):
@@ -76,6 +92,10 @@ class TestTupleState:
         assert tuple_.record_visit("stem:S") == 1
         assert tuple_.record_visit("stem:S") == 2
         assert tuple_.visit_count("stem:S") == 2
+        # The packed token is the only record; ``visits`` decodes it.
+        assert tuple_.record_visit("am:T_idx") == 1
+        assert tuple_.visits == {"stem:S": 2, "am:T_idx": 1}
+        assert tuple_.visit_count("never-routed-to") == 0
 
     def test_visit_counts_beyond_the_token_byte_are_rejected(self):
         # The packed visits_token gives each module one byte; a silent carry
@@ -83,11 +103,13 @@ class TestTupleState:
         from repro.core.tuples import _MAX_VISITS_PER_MODULE
 
         tuple_ = singleton_tuple("R", r_row())
+        tuple_.record_visit("stem:T")
         for _ in range(_MAX_VISITS_PER_MODULE):
             tuple_.record_visit("stem:S")
         with pytest.raises(ExecutionError):
             tuple_.record_visit("stem:S")
-        assert tuple_.visit_count("stem:S") == _MAX_VISITS_PER_MODULE
+        # Checked before the increment: nothing carried into another byte.
+        assert tuple_.visits == {"stem:T": 1, "stem:S": _MAX_VISITS_PER_MODULE}
 
     def test_mark_built_updates_timestamp(self):
         tuple_ = singleton_tuple("R", r_row())
@@ -107,7 +129,7 @@ class TestExtension:
         base = singleton_tuple("R", r_row(a=5))
         base.mark_built("R", 3.0)
         predicate = equi_join("R.a", "S.x")
-        extended = base.extended("S", s_row(x=5), 7.0, extra_done=[predicate.predicate_id])
+        extended = base.extended("S", s_row(x=5), 7.0, extra_done=1 << predicate.predicate_id)
         assert extended.aliases == {"R", "S"}
         assert extended.timestamp == 7.0
         assert extended.timestamps["R"] == 3.0
@@ -129,6 +151,119 @@ class TestExtension:
         extended = base.extended("S", s_row(), 1.0)
         assert extended.priority == 2.5
         assert extended.visit_count("stem:S") == 0
+
+
+class TestExtendedMatchesConstructor:
+    """``extended`` sets every slot itself instead of going through
+    ``__init__``; this holds it, slot for slot, to what the constructor plus
+    the documented inheritance rules give.  A slot added to ``QTuple`` and
+    forgotten in ``extended`` fails here (``getattr`` on an unset slot)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        composite_parent=st.booleans(),
+        compiled_layout=st.booleans(),
+        priority=st.sampled_from([0.0, 0.5, 3.0]),
+        done=st.sets(st.integers(0, 9)),
+        extra_done=st.sets(st.integers(0, 9)),
+        built=st.booleans(),
+        resolved=st.booleans(),
+        exhausted=st.booleans(),
+        query_id=st.sampled_from(["", "q7"]),
+        visits=st.integers(0, 3),
+        created_at=st.none() | st.floats(0.0, 50.0),
+    )
+    def test_every_slot(
+        self, composite_parent, compiled_layout, priority, done, extra_done,
+        built, resolved, exhausted, query_id, visits, created_at,
+    ):
+        layout = PlanLayout(THREE_WAY) if compiled_layout else None
+        components = {"R": r_row()}
+        if composite_parent:
+            components["S"] = s_row()
+        parent = QTuple(
+            components,
+            timestamps={"R": 2.0},
+            done=done,
+            source="am:R_scan",
+            priority=priority,
+            created_at=1.5,
+            query_id=query_id,
+            layout=layout,
+        )
+        # Everything a parent can carry that its extensions must NOT inherit.
+        if built:
+            parent.mark_built("R", 4.0)
+        if resolved:
+            parent.mark_resolved("T")
+        if exhausted:
+            parent.mark_exhausted("T")
+        for _ in range(visits):
+            parent.record_visit("stem:T")
+        parent.stop_stem_probes = True
+        parent.probe_completion_alias = "T"
+        parent.set_last_match("stem:T", 3.0)
+        parent.failed = True
+        parent.routing_signature()
+
+        row = Row("T", T_SCHEMA, (1,))
+        extra_mask = done_mask_of(extra_done)
+        install_id_allocator(TupleIdAllocator(start=50))
+        try:
+            result = parent.extended("T", row, 7.0, extra_mask, created_at)
+            again = parent.extended("T", row, 8.0)
+            assert (result.tuple_id, again.tuple_id) == (50, 51)
+            reference = QTuple(
+                {**parent.components, "T": row},
+                timestamps={**parent.timestamps, "T": 7.0},
+                done=bit_positions(parent.done_mask | extra_mask),
+                source=parent.source,
+                priority=parent.priority,
+                created_at=1.5 if created_at is None else created_at,
+                query_id=parent.query_id,
+                layout=parent.layout,
+            )
+        finally:
+            install_id_allocator()  # leave a fresh default for other tests
+        # Inherited beyond the constructor's arguments: the built bits, plus
+        # the new component's (a SteM only returns rows it holds).
+        reference.built_mask = parent.built_mask | parent.layout.bit_of("T")
+        for slot in QTuple.__slots__:
+            if slot != "tuple_id":
+                assert getattr(result, slot) == getattr(reference, slot), slot
+        assert result.layout is parent.layout
+        assert result.visits == {} and result.visit_count("stem:T") == 0
+        assert list(result.components) == list(reference.components)
+        with pytest.raises(ExecutionError):
+            result.extended("T", row, 9.0)
+        with pytest.raises(ExecutionError):
+            parent.extended("R", r_row(), 9.0)
+
+
+class TestHotObjectsAreLean:
+    def test_no_instance_dicts(self):
+        tuple_ = singleton_tuple("R", r_row())
+        for instance in (
+            r_row(),
+            tuple_,
+            tuple_.extended("S", s_row(), 1.0),
+            OutputRecord(0.0, tuple_),
+        ):
+            assert not hasattr(instance, "__dict__"), type(instance).__name__
+
+    def test_equal_rows_hash_equal(self):
+        first = Row("R", R_SCHEMA, (1, 10), rid=0)
+        second = Row("R", Schema.of("key:int", "a:int"), [1, 10], rid=7)
+        assert first == second
+        assert hash(first) == hash(second) == hash(first)
+        assert len({first, second}) == 1
+        assert hash(first) != hash(Row("S", R_SCHEMA, (1, 10)))
+
+    def test_unhashable_value_raises_on_hash_not_on_construction(self):
+        row = Row("R", R_SCHEMA, (1, [10]))
+        for _ in range(2):  # a failed hash is not remembered as a hash
+            with pytest.raises(TypeError):
+                hash(row)
 
 
 class TestEOT:
