@@ -16,7 +16,8 @@ admission/retirement workload:
   the full table.
 * **Churn is cheap.**  Steady-state throughput (result rows per wall-clock
   second) of the dynamic admit/retire engine stays within 10% of the
-  static-fleet engine running the same queries declared up front.
+  static-fleet engine running the same queries declared up front (median
+  of the ratios paired within each round).
 
 The measured numbers are emitted as ``BENCH_churn.json`` under
 ``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written).
@@ -24,6 +25,7 @@ The measured numbers are emitted as ``BENCH_churn.json`` under
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import emit_artifact
@@ -184,37 +186,33 @@ def test_churn_throughput_within_10pct_of_static_fleet(benchmark):
     def churn_run():
         return run_churn(workload.events, workload.catalog)
 
-    # Interleave the two configurations so transient machine-load noise
-    # hits both equally, and keep each side's best (cleanest) sample.  A
-    # fixed sample count is flaky on busy machines — one stray clean
-    # static sample can outrun several noisy churn ones — so after the
-    # base rounds keep sampling until the bound holds with margin or the
-    # round budget runs out.  Extra rounds only ever *raise* each side's
-    # best, so a genuine churn regression still fails.
+    # Judged on the median of ratios paired within a round: the two
+    # configurations run back to back, so a slow phase of the host hits
+    # both, and one stray sample on either side moves nothing (each sample
+    # is ~0.1 s — a best-of-rounds comparison let a single clean static
+    # sample outrun every churn one).  The best rate of each side is
+    # reported, not judged.
+    rounds = 7
     static_rate = churn_rate = 0.0
     static_result = churn_result = None
-    for round_index in range(10):
+    round_ratios = []
+    for _ in range(rounds):
         start = time.perf_counter()
         static_result = static_run()
-        static_rate = max(
-            static_rate, static_result.total_rows / (time.perf_counter() - start)
-        )
+        static = static_result.total_rows / (time.perf_counter() - start)
         start = time.perf_counter()
         churn_result = churn_run()
-        churn_rate = max(
-            churn_rate, churn_result.total_rows / (time.perf_counter() - start)
-        )
-        if round_index >= 3 and churn_rate > 0.92 * static_rate:
-            break
+        churn = churn_result.total_rows / (time.perf_counter() - start)
+        static_rate = max(static_rate, static)
+        churn_rate = max(churn_rate, churn)
+        round_ratios.append(churn / static)
     benchmark.pedantic(churn_run, rounds=1, iterations=1)
 
     # Same queries, same per-query answers.
     assert churn_result.same_results(static_result)
-    ratio = churn_rate / static_rate
-    assert ratio > 0.9, (
-        f"churn throughput regressed {100 * (1 - ratio):.1f}% "
-        f"({churn_rate:.0f} vs {static_rate:.0f} rows/s)"
-    )
+    ratio = statistics.median(round_ratios)
+    print(f"churn/static throughput, median of {rounds} paired rounds: {ratio:.3f}")
+    assert ratio > 0.9
     benchmark.extra_info["static_rows_per_s"] = round(static_rate)
     benchmark.extra_info["churn_rows_per_s"] = round(churn_rate)
     benchmark.extra_info["throughput_ratio"] = round(ratio, 3)
@@ -225,6 +223,7 @@ def test_churn_throughput_within_10pct_of_static_fleet(benchmark):
                 "static_rows_per_s": round(static_rate),
                 "churn_rows_per_s": round(churn_rate),
                 "ratio": round(ratio, 3),
+                "round_ratios": [round(value, 3) for value in round_ratios],
                 "total_rows": churn_result.total_rows,
             }
         }

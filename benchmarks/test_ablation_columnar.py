@@ -109,7 +109,9 @@ def _count_stem_dict_constructions(run) -> int:
 
 def test_kernel_path_allocates_no_per_candidate_objects():
     stem, probes, plan = build_probe_situation(columnar=True)
-    assert stem._col is not None
+    assert stem._col is None  # no probe yet: builds alone keep no mirror
+    stem.probe_with_plan(probes[1], plan)  # kernel-sized: builds the mirror
+    assert stem._col is not None and stem.stats["columnar_probes"] == 1
     probe = probes[0]
 
     constructed = _count_stem_dict_constructions(

@@ -154,6 +154,19 @@ class _CountState:
         return self.n
 
 
+def _nearest_double(total: Fraction) -> float:
+    """Round an exact rational to the nearest double.
+
+    Past the double range that is ±inf (IEEE round-to-nearest overflow),
+    where ``float(Fraction)`` raises instead — and one such group would
+    take ``result_rows()`` down for every group.
+    """
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 class _SumState:
     """SUM/AVG(col): exact sum of the finite part + hostile counters.
 
@@ -224,7 +237,7 @@ class _SumState:
         if special is not None:
             return special
         if self.floats:
-            return float(self.exact + self.ints)
+            return _nearest_double(self.exact + self.ints)
         return int(self.exact + self.ints)
 
     def avg_value(self) -> Any:
@@ -233,7 +246,7 @@ class _SumState:
         special = self._special()
         if special is not None:
             return special
-        return float((self.exact + self.ints) / self.nonnull)
+        return _nearest_double((self.exact + self.ints) / self.nonnull)
 
 
 class _AvgState(_SumState):

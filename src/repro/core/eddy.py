@@ -266,12 +266,20 @@ class Eddy:
         return self.sim.now
 
     def schedule(self, delay: float, callback, label: str = ""):
-        """Schedule a callback on the simulator; returns the Event handle.
-
-        Modules that must be cancellable on retirement (scan deliveries)
-        keep the returned handle and pass it back to :meth:`cancel`.
-        """
+        """Schedule a callback on the simulator; returns the Event handle."""
         return self.sim.schedule(delay, callback, label)
+
+    def reserve(self, delays):
+        """Reserve the slots :meth:`schedule` would give these delays now."""
+        return self.sim.reserve(delays)
+
+    def schedule_reserved(self, slot, callback, label: str = ""):
+        """Schedule a callback in a reserved slot; returns the Event handle.
+
+        Modules that must be cancellable on retirement (a scan's armed
+        delivery) keep the returned handle and pass it back to :meth:`cancel`.
+        """
+        return self.sim.schedule_reserved(slot, callback, label)
 
     def cancel(self, event) -> None:
         """Cancel a scheduled event (no-op once it has fired)."""

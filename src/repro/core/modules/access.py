@@ -17,6 +17,7 @@ join-module and SteM architectures.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Any, Sequence
 
 from repro.core.modules.base import Module, Routable
@@ -57,13 +58,18 @@ class ScanAMModule(Module):
         # per row, and the labels are needed whether or not a trace exists.
         self._deliver_label = f"{self.name}:deliver"
         self._eot_label = f"{self.name}:eot"
-        #: Handles of the scheduled delivery/EOT events, kept so a retiring
-        #: query can cancel the rows its scan would still have streamed.
-        self._scheduled_events: list = []
+        #: The delivery stream: ``((time, sequence), row)`` in firing order,
+        #: the scan EOT last with ``None`` for its row (built by ``start``,
+        #: dropped once nothing of it can fire any more).
+        self._stream: list = []
+        self._position = 0
+        #: Handle of the one armed event, so a retiring query can cancel
+        #: the rows its scan would still have streamed.
+        self._armed = None
         self.stats.update({"delivered": 0, "seed_probes": 0, "cancelled": 0})
 
     def start(self) -> None:
-        """Schedule every row delivery plus the final scan EOT.
+        """Fix every row delivery plus the final scan EOT, and arm the first.
 
         Offsets are relative to the moment the module starts, so a query
         admitted mid-simulation (multi-query staggered arrivals) streams at
@@ -76,6 +82,10 @@ class ScanAMModule(Module):
         out at the window's end (unlike ``stall_at``, which shifts every
         later delivery), and per-row ``jitter``, which perturbs delivery
         times enough to reorder rows relative to physical storage order.
+
+        All instants are reserved on the simulator now, as if every delivery
+        were scheduled now, but only one event is ever armed: each firing
+        arms its successor in that successor's reserved slot.
         """
         assert self.runtime is not None
         rate = max(self.spec.rate, 1e-9)
@@ -87,8 +97,10 @@ class ScanAMModule(Module):
         jitter_rng = (
             random.Random(self.spec.jitter_seed) if self.spec.jitter > 0 else None
         )
+        rows = list(self.table)
+        offsets = []
         last_offset = self.spec.initial_delay
-        for position, row in enumerate(self.table):
+        for position in range(len(rows)):
             offset = self.spec.initial_delay + (position + 1) / rate
             if self.spec.stall_at is not None and offset >= self.spec.stall_at:
                 offset += self.spec.stall_duration
@@ -97,64 +109,65 @@ class ScanAMModule(Module):
             if outages is not None:
                 offset = outages.next_available(offset)
             last_offset = max(last_offset, offset)
-            self._note_scheduled(
-                self.runtime.schedule(
-                    offset,
-                    self._make_delivery(row),
-                    label=self._deliver_label,
-                )
-            )
-        self._note_scheduled(
-            self.runtime.schedule(
-                last_offset + 1e-9,
-                self._deliver_eot,
-                label=self._eot_label,
-            )
-        )
+            offsets.append(offset)
+        offsets.append(last_offset + 1e-9)
+        rows.append(None)
+        # Jitter and stall bursts make the instants non-monotone and tied:
+        # firing order is the heap's, (time, sequence).
+        self._stream = sorted(zip(self.runtime.reserve(offsets), rows))
+        self._arm()
 
-    def _note_scheduled(self, event) -> None:
-        if event is not None:
-            self._scheduled_events.append(event)
+    def _arm(self) -> None:
+        """Arm the stream's current entry in its reserved slot."""
+        assert self.runtime is not None
+        slot, row = self._stream[self._position]
+        if row is None:
+            callback, label = self._deliver_eot, self._eot_label
+        else:
+            callback, label = self._deliver_next, self._deliver_label
+        self._armed = self.runtime.schedule_reserved(slot, callback, label)
 
     def stop(self) -> None:
         """Cancel the deliveries (and EOT) this scan would still perform.
 
-        Called on query retirement; fired events are skipped (cancellation
-        of a popped event is a no-op), so no per-delivery bookkeeping is
-        needed.
+        Called on query retirement; the armed event may already have fired
+        (cancellation of a popped event is a no-op).
         """
         assert self.runtime is not None
         cancel = getattr(self.runtime, "cancel", None)
-        if cancel is not None:
-            for event in self._scheduled_events:
-                cancel(event)
+        if cancel is not None and self._armed is not None:
+            cancel(self._armed)
+            self._stream = []  # cancelled: none of it will fire any more
         # Rows this scan will now never deliver (the EOT event is not a row).
         self.stats["cancelled"] += max(0, self.total - self.delivered)
-        self._scheduled_events.clear()
+        self._armed = None
         self.finished = True
 
-    def _make_delivery(self, row):
-        def deliver() -> None:
-            runtime = self.runtime
-            assert runtime is not None
-            now = runtime.now
-            self.delivered += 1
-            self.stats["delivered"] += 1
-            self._last_delivery_time = now
-            tuple_ = singleton_tuple(
-                self.alias,
-                row,
-                source=self.name,
-                created_at=now,
-                layout=getattr(runtime, "layout", None),
-            )
-            runtime.to_eddy(tuple_, self)
-
-        return deliver
+    def _deliver_next(self) -> None:
+        runtime = self.runtime
+        assert runtime is not None
+        row = self._stream[self._position][1]
+        self._position += 1
+        # Successor first: a retirement reached from inside this delivery
+        # finds a live handle to cancel, and nothing re-arms a stopped scan.
+        self._arm()
+        now = runtime.now
+        self.delivered += 1
+        self.stats["delivered"] += 1
+        self._last_delivery_time = now
+        tuple_ = singleton_tuple(
+            self.alias,
+            row,
+            source=self.name,
+            created_at=now,
+            layout=getattr(runtime, "layout", None),
+        )
+        runtime.to_eddy(tuple_, self)
 
     def _deliver_eot(self) -> None:
         assert self.runtime is not None
         self.finished = True
+        self._stream = []
         notice = getattr(self.runtime, "notice_liveness_change", None)
         if notice is not None:
             # The scan finishing is a liveness change: destination caches
@@ -256,7 +269,7 @@ class IndexAMModule(Module):
         self._retry_label = f"{self.name}:retry"
         self._pending_keys: set[tuple[Any, ...]] = set()
         self._completed_keys: set[tuple[Any, ...]] = set()
-        self._lookup_queue: list[tuple[Any, ...]] = []
+        self._lookup_queue: deque[tuple[Any, ...]] = deque()
         self._active_lookups = 0
         # Flaky-source model (seeded per-attempt failure draws).  Imported
         # lazily: the fault helpers live in the recovery package, which
@@ -319,7 +332,7 @@ class IndexAMModule(Module):
         if item.priority > 0:
             # Prioritised probes jump the lookup queue so their matches (and
             # hence the user-interesting results) surface earlier (§4.1).
-            self._lookup_queue.insert(0, key)
+            self._lookup_queue.appendleft(key)
         else:
             self._lookup_queue.append(key)
         self._start_lookups()
@@ -330,7 +343,7 @@ class IndexAMModule(Module):
     def _start_lookups(self) -> None:
         assert self.runtime is not None
         while self._active_lookups < self.spec.concurrency and self._lookup_queue:
-            key = self._lookup_queue.pop(0)
+            key = self._lookup_queue.popleft()
             self._active_lookups += 1
             self.stats["lookups"] += 1
             self.lookup_series.append((self.runtime.now, int(self.stats["lookups"])))

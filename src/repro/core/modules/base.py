@@ -47,6 +47,15 @@ class EddyRuntime(Protocol):
         (see :class:`~repro.core.eddy.Eddy.cancel`); bare test runtimes may
         return None, so modules treat the handle as opaque and optional."""
 
+    def reserve(self, delays) -> list:
+        """Reserve, in order, the ``(time, sequence)`` slots that
+        :meth:`schedule` called now with each delay would occupy (see
+        :meth:`~repro.sim.simulator.Simulator.reserve`)."""
+
+    def schedule_reserved(self, slot, callback, label: str = ""):
+        """Schedule a callback in a slot from :meth:`reserve`; the handle
+        is as optional as :meth:`schedule`'s."""
+
     def to_eddy(self, item: Routable, source: "Module") -> None:
         """Deliver a tuple back into the eddy's dataflow."""
 

@@ -681,7 +681,11 @@ class PartitionedSteM:
     def _parallel_eligible(self, plan: ProbePlan) -> bool:
         """Concurrent shard collection is worth it only when the shard
         kernels release the GIL (numpy columnar) and the plan has no
-        generic per-element predicates (those run interpreted Python)."""
+        generic per-element predicates (those run interpreted Python).
+
+        A shard builds its mirror at its first kernel-sized collection; the
+        pool is used only once every shard holds one, so a mirror is never
+        built off the calling thread."""
         if plan.generic_predicates:
             return False
         return all(
@@ -862,12 +866,18 @@ class PartitionedSteM:
             "matches": self._local_stats["matches"],
             "evictions": 0,
             "eot_builds": self._local_stats["eot_builds"],
+            # Counted per shard collection: a fan-out probe adds one per shard.
+            "row_probes": 0,
+            "columnar_probes": 0,
+            "mirror_builds": 0,
         }
         for shard in self._shards:
             stats = shard.stats
-            totals["builds"] += stats["builds"]
-            totals["duplicates"] += stats["duplicates"]
-            totals["evictions"] += stats["evictions"]
+            for name in (
+                "builds", "duplicates", "evictions",
+                "row_probes", "columnar_probes", "mirror_builds",
+            ):
+                totals[name] += stats[name]
         totals["shards"] = self.shards
         return totals
 
@@ -911,7 +921,7 @@ class PartitionedSteM:
         union of the shard stores is the logical SteM's insertion order;
         rebuilding an empty partitioned SteM by calling :meth:`build` over
         these entries reproduces every shard (routing is a pure function of
-        the row) and its columnar mirror exactly.
+        the row), and with it any columnar mirror a shard later builds.
         """
         entries: list[tuple[float, int, Row]] = []
         for shard_id, shard in enumerate(self._shards):

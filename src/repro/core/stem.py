@@ -261,10 +261,12 @@ class SteM:
             eviction (the historical sliding-window behaviour).
         eviction: optional :class:`EvictionPolicy` (or policy name resolved
             through :func:`make_eviction_policy`) bounding the stored state.
-        columnar: maintain the columnar mirror
+        columnar: allow the columnar mirror
             (:class:`~repro.storage.columns.ColumnStore`) beside the row
-            store and serve compiled probes through the vectorized path.
-            None (the default) follows the process-wide
+            store.  It is built by the first compiled probe whose candidate
+            bucket reaches ``KERNEL_MIN_CANDIDATES`` and maintained from
+            then on; such probes run the vectorized path, smaller ones the
+            row loop.  None (the default) follows the process-wide
             ``REPRO_COLUMNAR_BACKEND`` setting.
         name: module name used in routing traces.
     """
@@ -285,11 +287,11 @@ class SteM:
         self.join_columns = tuple(join_columns)
         self.index_kind = index_kind
         self.max_size = max_size
-        #: Columnar mirror (created lazily on the first build).  The flag
-        #: must exist before :meth:`set_eviction` runs: reference-tracking
-        #: policies reorder the row store, which the slot-aligned mirror
-        #: cannot follow, so installing one switches the SteM to the row
-        #: plane.
+        #: Columnar mirror (built on demand, see :meth:`_materialise_mirror`).
+        #: The flag must exist before :meth:`set_eviction` runs:
+        #: reference-tracking policies reorder the row store, which the
+        #: slot-aligned mirror cannot follow, so installing one switches the
+        #: SteM to the row plane.
         self.columnar = columnar_enabled() if columnar is None else bool(columnar)
         self._col: ColumnStore | None = None
         #: Why the columnar mirror is unavailable (None while it is live).
@@ -341,6 +343,11 @@ class SteM:
             "matches": 0,
             "evictions": 0,
             "eot_builds": 0,
+            # Which plane served each probe, and how often a mirror was
+            # built (plane-dependent: not part of cross-plane identity).
+            "row_probes": 0,
+            "columnar_probes": 0,
+            "mirror_builds": 0,
         }
         self.set_eviction(make_eviction_policy(eviction, max_size=max_size))
 
@@ -449,13 +456,8 @@ class SteM:
             index.insert(row)
         if self._row_schema is None:
             self._row_schema = row.schema
-        if self.columnar:
-            store = self._col
-            if store is None:
-                store = self._col = ColumnStore(
-                    row.schema, indexed_columns=tuple(self._indexes)
-                )
-            store.append(row, timestamp)
+        if self._col is not None:
+            self._col.append(row, timestamp)
         if self._min_timestamp is None or timestamp < self._min_timestamp:
             self._min_timestamp = timestamp
         if self._max_timestamp is None or timestamp > self._max_timestamp:
@@ -568,6 +570,7 @@ class SteM:
         # raising generic predicate must leave the counters untouched so the
         # quarantine path can retry or drop the probe without skew.
         self.stats["probes"] += 1
+        self.stats["row_probes"] += 1
         self.stats["matches"] += len(outcome.results)
         outcome.all_matches_known = self.covers(bindings)
         if update_last_match:
@@ -605,85 +608,103 @@ class SteM:
             raise ExecutionError(
                 f"alias {target_alias!r} is not served by {self.name}"
             )
-        if self._col is not None and self._reference_hook is None:
-            return self._probe_columnar(
-                probe, plan, enforce_timestamp, update_last_match
-            )
         outcome = ProbeOutcome()
 
         components = probe.components
         binding_values = plan.bind_values(components)
-        candidates = self._plan_candidates(plan, binding_values)
-        rows = self._rows
+        candidates, chosen = self._plan_candidates(plan, binding_values)
         floor = probe.last_match_ts.get(self.name, float("-inf"))
         probe_timestamp = probe.timestamp
 
-        checks = plan.cmp_checks
-        if checks is None and self._row_schema is not None:
+        if plan.cmp_checks is None and self._row_schema is not None:
             # Lazy finish: target positions need the stored rows' schema,
             # unknown while the SteM was empty at compile time.
             plan.finish(self._row_schema)
-            checks = plan.cmp_checks
-        cmp_bound = plan.bind_checks(components) if checks else ()
-        in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
-        generic = plan.generic_predicates
         done_mask = plan.done_mask
         results = outcome.results
-        hook = self._reference_hook
-        matched_rows: list[Row] | None = [] if hook is not None else None
-        examined = 0
         suppressed = 0
-        for row in candidates:
-            examined += 1
-            row_timestamp = rows[row]
-            if row_timestamp <= floor:
-                continue
-            values = row.values
-            passed = True
-            for op, l_pos, l_val, r_pos, r_val in cmp_bound:
-                left = values[l_pos] if l_pos >= 0 else l_val
-                right = values[r_pos] if r_pos >= 0 else r_val
-                if left is None or right is None:
-                    passed = False
-                    break
-                try:
-                    if not op(left, right):
-                        passed = False
-                        break
-                except TypeError:
-                    passed = False
-                    break
-            if passed and in_bound:
-                for pos, bound_value, members in in_bound:
-                    if (values[pos] if pos >= 0 else bound_value) not in members:
-                        passed = False
-                        break
-            if passed and generic:
-                merged = {**components, target_alias: row}
-                for predicate in generic:
-                    if not predicate.evaluate(merged):
-                        passed = False
-                        break
-            if not passed:
-                continue
-            if enforce_timestamp and not probe_timestamp > row_timestamp:
-                suppressed += 1
-                continue
-            results.append(
-                probe.extended(target_alias, row, row_timestamp, done_mask)
+        survivors = None
+        if len(candidates) >= _probeplan.KERNEL_MIN_CANDIDATES and self.columnar:
+            survivors = self._columnar_survivors(
+                probe, plan, binding_values, chosen, floor
             )
-            if matched_rows is not None:
-                matched_rows.append(row)
-        if matched_rows:
-            # As in :meth:`probe`: reorder the row store only after the
-            # candidate iteration has finished.
-            for row in matched_rows:
-                hook.on_match(self, row)
+        if survivors is not None:
+            # The vectorized plane: :class:`Row` objects are touched only
+            # here, at the eddy boundary.
+            plane = "columnar_probes"
+            store, slots, examined = survivors
+            ts = store.ts
+            row_refs = store.rows
+            extended = probe.extended
+            for slot in slots:
+                row_timestamp = ts[slot]
+                if enforce_timestamp and not probe_timestamp > row_timestamp:
+                    suppressed += 1
+                    continue
+                results.append(
+                    extended(target_alias, row_refs[slot], row_timestamp, done_mask)
+                )
+        else:
+            plane = "row_probes"
+            rows = self._rows
+            cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
+            in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
+            generic = plan.generic_predicates
+            hook = self._reference_hook
+            matched_rows: list[Row] | None = [] if hook is not None else None
+            examined = 0
+            for row in candidates:
+                examined += 1
+                row_timestamp = rows[row]
+                if row_timestamp <= floor:
+                    continue
+                values = row.values
+                passed = True
+                for op, l_pos, l_val, r_pos, r_val in cmp_bound:
+                    left = values[l_pos] if l_pos >= 0 else l_val
+                    right = values[r_pos] if r_pos >= 0 else r_val
+                    if left is None or right is None:
+                        passed = False
+                        break
+                    try:
+                        if not op(left, right):
+                            passed = False
+                            break
+                    except TypeError:
+                        passed = False
+                        break
+                if passed and in_bound:
+                    for pos, bound_value, members in in_bound:
+                        if (values[pos] if pos >= 0 else bound_value) not in members:
+                            passed = False
+                            break
+                if passed and generic:
+                    merged = {**components, target_alias: row}
+                    for predicate in generic:
+                        if not predicate.evaluate(merged):
+                            passed = False
+                            break
+                if not passed:
+                    continue
+                if enforce_timestamp and not probe_timestamp > row_timestamp:
+                    suppressed += 1
+                    continue
+                results.append(
+                    probe.extended(target_alias, row, row_timestamp, done_mask)
+                )
+                if matched_rows is not None:
+                    matched_rows.append(row)
+            if matched_rows:
+                # As in :meth:`probe`: reorder the row store only after the
+                # candidate iteration has finished.
+                for row in matched_rows:
+                    hook.on_match(self, row)
         outcome.candidates_examined = examined
         outcome.suppressed_by_timestamp = suppressed
         # Stats commit after the loop (see :meth:`probe`): a raising generic
         # predicate leaves the counters untouched.
         self.stats["probes"] += 1
+        self.stats[plane] += 1
         self.stats["matches"] += len(results)
         outcome.all_matches_known = self.covers(plan.bindings_mapping(binding_values))
         if update_last_match:
@@ -720,12 +741,13 @@ class SteM:
     # matches (timestamp-ascending — insertion order) plus the candidates
     # examined, and the wrapper merges, applies the TimeStamp tail, and
     # extends on the calling thread so tuple-id allocation stays
-    # deterministic.  No stats are touched (the wrapper accounts probes and
-    # matches once per logical probe) and the compiled variants never use
-    # the plan's ``resolve_indexes`` memo — it is keyed to a single SteM and
-    # N shards would thrash it on every call.  These methods must be safe to
-    # run off-thread against a finished, warmed plan: they only read plan
-    # state and this shard's own stores.
+    # deterministic.  Of the stats only the plane counters are touched (the
+    # wrapper accounts probes and matches once per logical probe) and the
+    # compiled variant never uses the plan's ``resolve_indexes`` memo — it
+    # is keyed to a single SteM and N shards would thrash it on every call.
+    # These methods must be safe to run off-thread against a finished,
+    # warmed plan, one thread per shard: they only read plan state and touch
+    # this shard's own stores.
 
     def collect_probe_matches(
         self,
@@ -755,6 +777,7 @@ class SteM:
             if not all(predicate.evaluate(merged) for predicate in predicates):
                 continue
             matches.append((row, row_timestamp))
+        self.stats["row_probes"] += 1
         return matches, examined
 
     def collect_plan_matches(
@@ -763,21 +786,27 @@ class SteM:
         plan: ProbePlan,
         floor: float = float("-inf"),
     ) -> tuple[list[tuple[Row, float]], int]:
-        """Compiled-path shard collection (see the section note above)."""
+        """Compiled-path shard collection (see the section note above).
+
+        Chooses the plane like :meth:`probe_with_plan`; a mirror is only
+        ever built here on the calling thread, because the wrapper fans out
+        to its pool only once every shard already holds one.
+        """
         if plan.cmp_checks is None and self._row_schema is not None:
             plan.finish(self._row_schema)
-        if self._col is not None and self._reference_hook is None:
-            return self._collect_columnar(probe, plan, floor)
-        return self._collect_rows(probe, plan, floor)
-
-    def _collect_rows(
-        self, probe: QTuple, plan: ProbePlan, floor: float
-    ) -> tuple[list[tuple[Row, float]], int]:
-        """Row-plane collection: :meth:`probe_with_plan`'s candidate loop
-        with inline smallest-bucket index selection."""
         components = probe.components
         binding_values = plan.bind_values(components)
-        candidates = self._inline_plan_candidates(plan, binding_values)
+        candidates, chosen = self._plan_candidates(plan, binding_values, memo=False)
+        if len(candidates) >= _probeplan.KERNEL_MIN_CANDIDATES and self.columnar:
+            survivors = self._columnar_survivors(
+                probe, plan, binding_values, chosen, floor
+            )
+            if survivors is not None:
+                store, slots, examined = survivors
+                ts = store.ts
+                row_refs = store.rows
+                self.stats["columnar_probes"] += 1
+                return [(row_refs[slot], ts[slot]) for slot in slots], examined
         rows = self._rows
         cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
         in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
@@ -819,70 +848,64 @@ class SteM:
             if not passed:
                 continue
             matches.append((row, row_timestamp))
+        self.stats["row_probes"] += 1
         return matches, examined
 
-    def _inline_plan_candidates(self, plan: ProbePlan, binding_values):
-        """:meth:`_plan_candidates` without the per-stem index memo: same
-        smallest-bucket choice (first-seen wins ties), resolved against the
-        live index table on every call."""
-        if binding_values is not None:
-            mirror = self._col
-            indexes = self._indexes
-            best = None
-            for position, column in enumerate(plan.binding_columns):
-                index = indexes.get(column)
-                if index is None:
-                    continue
-                value = binding_values[position]
-                if mirror is not None:
-                    stats = mirror.column_stats.get(column)
-                    if stats is not None and stats.excludes(value):
-                        return ()
-                bucket = index.lookup_readonly((value,))
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            if best is not None:
-                return best
-        return self._rows
+    def _materialise_mirror(self) -> ColumnStore:
+        """Build the columnar mirror from the row store.
 
-    def _collect_columnar(
-        self, probe: QTuple, plan: ProbePlan, floor: float
-    ) -> tuple[list[tuple[Row, float]], int]:
-        """Columnar collection: :meth:`_probe_columnar` minus the eddy
-        boundary, with inline posting-list selection."""
+        Slots follow ``_rows`` order with the recorded build timestamps and
+        the posting lists cover the secondary indexes of this moment, so
+        every posting list enumerates its index bucket in bucket order —
+        whatever was evicted before.
+        """
+        assert self._row_schema is not None
+        store = self._col = ColumnStore(
+            self._row_schema, indexed_columns=tuple(self._indexes)
+        )
+        for row, timestamp in self._rows.items():
+            store.append(row, timestamp)
+        self.stats["mirror_builds"] += 1
+        return store
+
+    def _columnar_survivors(
+        self,
+        probe: QTuple,
+        plan: ProbePlan,
+        binding_values,
+        chosen: int | None,
+        floor: float,
+    ) -> tuple[ColumnStore, Iterable[int], int] | None:
+        """A kernel-sized probe on the columnar mirror (built if absent).
+
+        ``chosen`` is the binding whose index bucket the row plane selected
+        (None: every stored row); its posting list is that bucket's
+        slot-wise image, so the candidate order is the row plane's.  The
+        plan's comparison/IN checks run as whole-batch kernels producing a
+        selection vector, then the generic-fallback predicates run per
+        survivor.  Returns ``(store, surviving slots, candidates examined)``
+        — byte-identical to the row loop's verdicts — or None when the
+        mirror cannot serve the probe and the row loop must.
+        """
         store = self._col
-        assert store is not None
-        components = probe.components
-        binding_values = plan.bind_values(components)
-
-        slots: Sequence[int] | range | None = None
+        if store is None:
+            if self._row_schema is None:
+                return None  # never built into: nothing to mirror
+            store = self._materialise_mirror()
+        slots: Sequence[int] | range
         chosen_column: str | None = None
         chosen_value: Any = None
-        if binding_values is not None:
-            indexes = self._indexes
-            best = None
-            for position, column in enumerate(plan.binding_columns):
-                if column not in indexes:
-                    continue
-                value = binding_values[position]
-                stats = store.column_stats.get(column)
-                if stats is not None and stats.excludes(value):
-                    best = ()
-                    chosen_column = None
-                    break
-                bucket = store.posting_slots(column, value)
-                if bucket is None:
-                    # Mirror lacks the posting list (should not happen):
-                    # collect on the row plane rather than diverge.
-                    return self._collect_rows(probe, plan, floor)
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-                    chosen_column = column
-                    chosen_value = value
-            if best is not None:
-                slots = best
-        if slots is None:
+        if chosen is None:
             slots = store.live_slots()
+        else:
+            chosen_column = plan.binding_columns[chosen]
+            chosen_value = binding_values[chosen]
+            bucket = store.posting_slots(chosen_column, chosen_value)
+            if bucket is None:
+                # Mirror lacks the posting list (should not happen): serve
+                # the probe on the row plane rather than diverge.
+                return None
+            slots = bucket
 
         examined = len(slots)
         if examined and floor != float("-inf"):
@@ -890,6 +913,7 @@ class SteM:
             slots = [slot for slot in slots if ts[slot] > floor]
             chosen_column = None  # filtered list: not the cached bucket
 
+        components = probe.components
         cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
         in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
 
@@ -907,8 +931,8 @@ class SteM:
             )
 
         generic = plan.generic_predicates
-        target_alias = plan.target_alias
         if generic and survivors:
+            target_alias = plan.target_alias
             row_refs = store.rows
             kept = []
             for slot in survivors:
@@ -916,172 +940,54 @@ class SteM:
                 if all(predicate.evaluate(merged) for predicate in generic):
                     kept.append(slot)
             survivors = kept
+        return store, survivors, examined
 
-        ts = store.ts
-        row_refs = store.rows
-        matches = [(row_refs[slot], ts[slot]) for slot in survivors]
-        return matches, examined
+    def _plan_candidates(
+        self, plan: ProbePlan, binding_values, memo: bool = True
+    ) -> tuple[Sequence[Row] | Mapping[Row, float], int | None]:
+        """Candidate rows for a compiled probe, and the binding that chose them.
 
-    def _probe_columnar(
-        self,
-        probe: QTuple,
-        plan: ProbePlan,
-        enforce_timestamp: bool,
-        update_last_match: bool,
-    ) -> ProbeOutcome:
-        """:meth:`probe_with_plan` on the columnar mirror.
+        The smallest bucket among the indexed bindings wins (first seen
+        wins ties); the second element is that binding's position in
+        ``plan.binding_columns``, or None when every stored row is a
+        candidate.  Uses the indexes' read-only lookups: the returned bucket
+        aliases index internals and is only iterated, never kept or mutated.
 
-        The vectorized plane: candidate slots come from the mirror's
-        posting lists (slot-wise images of the secondary-index buckets, so
-        the smallest-bucket choice and the candidate order are the row
-        plane's), the plan's comparison/IN checks run as whole-batch
-        kernels producing a selection vector, and :class:`Row` objects are
-        touched only at the eddy boundary — generic-fallback predicates
-        and the surviving matches handed to ``probe.extended``.  Byte
-        identical to the row path: same results in the same order, same
-        ``candidates_examined``/``suppressed_by_timestamp`` accounting,
-        same coverage verdict.
-        """
-        store = self._col
-        assert store is not None
-        target_alias = plan.target_alias
-        outcome = ProbeOutcome()
-
-        components = probe.components
-        binding_values = plan.bind_values(components)
-
-        slots: Sequence[int] | range | None = None
-        chosen_column: str | None = None
-        chosen_value: Any = None
-        if binding_values is not None:
-            if plan.indexes_stale(self):
-                plan.resolve_indexes(self)
-            best = None
-            for position, _index in plan.indexed_bindings:
-                column = plan.binding_columns[position]
-                value = binding_values[position]
-                stats = store.column_stats.get(column)
-                if stats is not None and stats.excludes(value):
-                    # Provably-empty binding: its (empty) bucket is the
-                    # minimum the row plane would select.
-                    best = ()
-                    chosen_column = None
-                    break
-                bucket = store.posting_slots(column, value)
-                if bucket is None:
-                    # Mirror lacks the posting list (should not happen):
-                    # fall back to the row plane rather than diverge.  No
-                    # stats to roll back — counters commit only at the end.
-                    mirror, self._col = self._col, None
-                    try:
-                        return self.probe_with_plan(
-                            probe, plan, enforce_timestamp, update_last_match
-                        )
-                    finally:
-                        self._col = mirror
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-                    chosen_column = column
-                    chosen_value = value
-            if best is not None:
-                slots = best
-        if slots is None:
-            slots = store.live_slots()
-
-        examined = len(slots)
-        floor = probe.last_match_ts.get(self.name, float("-inf"))
-        if examined and floor != float("-inf"):
-            ts = store.ts
-            slots = [slot for slot in slots if ts[slot] > floor]
-            chosen_column = None  # filtered list: not the cached bucket
-
-        checks = plan.cmp_checks
-        if checks is None and self._row_schema is not None:
-            plan.finish(self._row_schema)
-            checks = plan.cmp_checks
-        cmp_bound = plan.bind_checks(components) if checks else ()
-        in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
-
-        survivors: Iterable[int] = slots
-        if (cmp_bound or in_bound) and slots:
-            index_array = None
-            if (
-                store.backend == "numpy"
-                and len(slots) >= _probeplan.KERNEL_MIN_CANDIDATES
-                and not (isinstance(slots, range) and len(slots) == len(store.rows))
-            ):
-                index_array = store.np_index_for(slots, chosen_column, chosen_value)
-            survivors = plan.vector().select(
-                store, slots, index_array, cmp_bound, in_bound
-            )
-
-        generic = plan.generic_predicates
-        if generic and survivors:
-            row_refs = store.rows
-            kept = []
-            for slot in survivors:
-                merged = {**components, target_alias: row_refs[slot]}
-                if all(predicate.evaluate(merged) for predicate in generic):
-                    kept.append(slot)
-            survivors = kept
-
-        results = outcome.results
-        done_mask = plan.done_mask
-        suppressed = 0
-        ts = store.ts
-        row_refs = store.rows
-        probe_timestamp = probe.timestamp
-        extended = probe.extended
-        for slot in survivors:
-            row_timestamp = ts[slot]
-            if enforce_timestamp and not probe_timestamp > row_timestamp:
-                suppressed += 1
-                continue
-            results.append(
-                extended(target_alias, row_refs[slot], row_timestamp, done_mask)
-            )
-        outcome.candidates_examined = examined
-        outcome.suppressed_by_timestamp = suppressed
-        # Stats commit after the loop (see :meth:`probe`): a raising generic
-        # predicate leaves the counters untouched.
-        self.stats["probes"] += 1
-        self.stats["matches"] += len(results)
-        outcome.all_matches_known = self.covers(plan.bindings_mapping(binding_values))
-        if update_last_match:
-            max_timestamp = self.max_timestamp
-            if max_timestamp is not None:
-                probe.set_last_match(self.name, max(floor, max_timestamp))
-        return outcome
-
-    def _plan_candidates(self, plan: ProbePlan, binding_values) -> Iterable[Row]:
-        """Candidate rows for a compiled probe (most selective index wins).
-
-        Uses the indexes' read-only lookups: the returned bucket aliases
-        index internals and is only iterated, never kept or mutated.
+        ``memo=False`` (shard collection) resolves the bindings against the
+        live index table instead of the plan's per-stem memo, which N shards
+        would thrash.
         """
         if binding_values is not None:
-            if plan.indexes_stale(self):
-                plan.resolve_indexes(self)
+            if memo:
+                if plan.indexes_stale(self):
+                    plan.resolve_indexes(self)
+                indexed = plan.indexed_bindings
+            else:
+                indexes = self._indexes
+                indexed = [
+                    (position, indexes[column])
+                    for position, column in enumerate(plan.binding_columns)
+                    if column in indexes
+                ]
             mirror = self._col
             best = None
-            for position, index in plan.indexed_bindings:
+            chosen = None
+            for position, index in indexed:
+                value = binding_values[position]
                 if mirror is not None:
                     # Incremental min/max feed: a binding value provably
                     # outside the column's observed range has an empty
                     # bucket — the minimum — so selection can stop here.
-                    stats = mirror.column_stats.get(
-                        plan.binding_columns[position]
-                    )
-                    if stats is not None and stats.excludes(
-                        binding_values[position]
-                    ):
-                        return ()
-                bucket = index.lookup_readonly((binding_values[position],))
+                    stats = mirror.column_stats.get(plan.binding_columns[position])
+                    if stats is not None and stats.excludes(value):
+                        return (), position
+                bucket = index.lookup_readonly((value,))
                 if best is None or len(bucket) < len(best):
                     best = bucket
+                    chosen = position
             if best is not None:
-                return best
-        return self._rows
+                return best, chosen
+        return self._rows, None
 
     def _probe_bindings(
         self,
@@ -1245,8 +1151,10 @@ class SteM:
 
         The snapshot unit for the durability layer: rebuilding an empty SteM
         by calling :meth:`build` over these entries (in order, with the
-        recorded timestamps) reproduces the row store, secondary indexes and
-        columnar mirror exactly.
+        recorded timestamps) reproduces the row store and secondary indexes
+        exactly — and with them the columnar mirror, which is itself built
+        from the row store (:meth:`_materialise_mirror`) and so has no
+        state of its own to snapshot.
         """
         return list(self._rows.items())
 

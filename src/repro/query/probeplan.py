@@ -345,9 +345,12 @@ _ALL_FALSE = "all-false"
 #: on the numpy backend: array construction, fancy indexing, and ufunc
 #: dispatch cost more than a handful of scalar comparisons, so tiny
 #: posting-list buckets (the common case in build-heavy workloads) would
-#: pay a fixed kernel tax for no win.  Both paths are semantically
-#: identical; tests pin this to 0 to force the kernels onto small
-#: fixtures.
+#: pay a fixed kernel tax for no win.  It is also the candidate count at
+#: which a SteM builds its columnar mirror and below which a probe runs
+#: the compiled row loop (``SteM.probe_with_plan``): a SteM no probe of
+#: this size ever reaches keeps no mirror at all.  Both paths are
+#: semantically identical; tests pin this to 0 to force the mirror and
+#: the kernels onto small fixtures.
 KERNEL_MIN_CANDIDATES = 32
 
 
@@ -358,7 +361,7 @@ class VectorProbePlan:
     :class:`~repro.storage.columns.ColumnStore`: :meth:`select` consumes
     the plan's per-probe bound checks and returns the **selection vector**
     — the candidate slots that survive every comparison and IN check, in
-    candidate order.  The caller (``SteM._probe_columnar``) applies the
+    candidate order.  The caller (``SteM._columnar_survivors``) applies the
     remaining row-plane semantics (floor skip before, generic predicates
     and the TimeStamp constraint after) around it.
 

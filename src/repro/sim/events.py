@@ -29,9 +29,9 @@ class Event:
         self.label = label
         self.cancelled = False
         #: Set once the event has been popped and executed.  Cancelling a
-        #: popped event is a no-op — callers that keep handles to many
-        #: scheduled events (e.g. a scan AM tearing down on query retirement)
-        #: may cancel them all without tracking which already fired.
+        #: popped event is a no-op — a caller tearing down (e.g. a scan AM on
+        #: query retirement) may cancel the handle it holds without tracking
+        #: whether it already fired.
         self.popped = False
 
     def __repr__(self) -> str:
@@ -62,12 +62,30 @@ class EventQueue:
         self._live = 0
         #: Cancelled events still sitting in the heap.
         self._dead = 0
+        #: One-shot: a reserved sequence number the next :meth:`push` takes
+        #: in place of a fresh one.  ``Simulator.schedule_reserved`` sets it
+        #: around the single push it makes; it is None at all other times.
+        self.next_sequence: int | None = None
+
+    def reserve(self, count: int) -> int:
+        """Set aside ``count`` consecutive sequence numbers; returns the first.
+
+        No later push is issued a reserved number: it is used only by a push
+        made while :attr:`next_sequence` names it.
+        """
+        first = self._sequence
+        self._sequence = first + count
+        return first
 
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule a callback at an absolute virtual time."""
         time = float(time)
-        sequence = self._sequence
-        self._sequence = sequence + 1
+        sequence = self.next_sequence
+        if sequence is None:
+            sequence = self._sequence
+            self._sequence = sequence + 1
+        else:
+            self.next_sequence = None
         event = Event(time, sequence, callback, label)
         heappush(self._heap, (time, sequence, event))
         self._live += 1

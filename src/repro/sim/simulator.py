@@ -67,6 +67,44 @@ class Simulator:
             )
         return self._queue.push(time if time > now else now, callback, label)
 
+    def reserve(self, delays: Iterable[float]) -> list[tuple[float, int]]:
+        """Reserve the slots ``schedule(delay, ...)`` would occupy, in order.
+
+        For each delay in turn: the absolute time and the sequence number a
+        :meth:`schedule` call made now would get, with nothing scheduled.  A
+        source that knows all its instants up front (a scan) reserves them
+        in one step and keeps one event armed through
+        :meth:`schedule_reserved`; because the sequence numbers — the
+        tie-break between same-instant events — are the ones eager
+        scheduling would have drawn, the heap order is the same.
+        """
+        now = self.now
+        times = []
+        for delay in delays:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule with negative delay {delay}")
+            times.append(now + delay)
+        first = self._queue.reserve(len(times))
+        return list(zip(times, range(first, first + len(times))))
+
+    def schedule_reserved(
+        self, slot: tuple[float, int], callback: Callable[[], None], label: str = ""
+    ) -> Event:
+        """Schedule ``callback`` in a slot :meth:`reserve` returned (once).
+
+        The event goes through :meth:`schedule_at` like any other — its
+        guard, and whatever wraps it, see every event — so the slot's
+        sequence number travels as one-shot queue state that the push made
+        by this very call consumes.
+        """
+        time, sequence = slot
+        queue = self._queue
+        queue.next_sequence = sequence
+        try:
+            return self.schedule_at(time, callback, label)
+        finally:
+            queue.next_sequence = None
+
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""
         self._queue.cancel(event)

@@ -19,8 +19,9 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.partition import PartitionedSteM
 from repro.core.stem import SteM, make_eviction_policy
-from repro.core.tuples import QTuple, singleton_tuple
+from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
 from repro.query.predicates import (
     Comparison,
     Conjunction,
@@ -42,14 +43,14 @@ BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @contextmanager
-def _backend(name: str):
+def _backend(name: str, cutoff: int = 0):
     """Force one columnar kernel backend for the enclosed block, and pin
-    the small-batch cutoff to 0 so these deliberately tiny fixtures run
-    the vector kernels instead of the per-element fallback."""
+    the small-batch cutoff to 0 so these deliberately tiny fixtures build
+    the mirror and run the vector kernels instead of the row loop."""
     previous = os.environ.get("REPRO_COLUMNAR_BACKEND")
     os.environ["REPRO_COLUMNAR_BACKEND"] = name
     saved_cutoff = probeplan_module.KERNEL_MIN_CANDIDATES
-    probeplan_module.KERNEL_MIN_CANDIDATES = 0
+    probeplan_module.KERNEL_MIN_CANDIDATES = cutoff
     try:
         yield
     finally:
@@ -357,6 +358,13 @@ class TestDeterministicEquivalence:
         with _backend(backend):
             stem = SteM("S", aliases=("S",), join_columns=("x",), columnar=True)
             stem.build(s_row(1, 1), 1.0)
+            assert stem._col is None  # built by a probe, not by a build
+            warm = singleton_tuple("R", r_row(0, 1))
+            warm.mark_built("R", 20.0)
+            stem.probe_with_plan(warm, ProbePlan.compile(
+                [equi_join("R.a", "S.x")], "S", warm.components,
+                target_schema=stem.row_schema,
+            ))
             assert stem._col is not None
             stem.set_eviction(make_eviction_policy("reference-window", max_size=4))
             assert stem._col is None and not stem.columnar
@@ -428,3 +436,296 @@ class TestDeterministicEquivalence:
         row_plane, columnar = both_planes(backend, rows, probe_maker, predicates)
         assert outcome_facts(columnar) == outcome_facts(row_plane)
         assert len(row_plane.results) == 4
+
+
+# -- the mirror on demand -----------------------------------------------------------
+
+DEFAULT_CUTOFF = probeplan_module.KERNEL_MIN_CANDIDATES
+
+#: Probe situations: keyed, keyed + residual, full scan (no equality
+#: binding: every stored row is a candidate), two bindings (the smaller
+#: bucket wins; ``y`` is indexed only while ``ensure_join_columns`` holds).
+PROBE_PREDICATES = [
+    [equi_join("R.a", "S.x")],
+    [equi_join("R.a", "S.x"), Comparison("R.b", "<", "S.y")],
+    [Comparison("R.b", "<", "S.y")],
+    [equi_join("R.a", "S.x"), equi_join("R.b", "S.y")],
+]
+
+_probe_operations = st.tuples(
+    st.just("probe"),
+    st.integers(0, len(PROBE_PREDICATES) - 1),  # situation
+    st.integers(0, 3),    # which long-lived probe tuple
+    st.integers(-1, 2),   # R.a
+    st.integers(0, 120),  # R.b
+    st.booleans(),        # update_last_match
+)
+_build_operations = st.tuples(
+    st.just("build"), st.integers(0, 2), st.integers(0, 120)
+)
+stem_operations = st.lists(
+    st.one_of(
+        _probe_operations,
+        _probe_operations,
+        _probe_operations,
+        _build_operations,
+        _build_operations,
+        st.tuples(st.just("evict"), st.integers(0, 200)),
+        st.tuples(st.just("ensure"), st.just("y")),
+        st.tuples(st.just("drop"), st.just("y")),
+        st.tuples(st.just("scan_eot")),
+    ),
+    min_size=4,
+    max_size=40,
+)
+#: Rows built (into two buckets) before the drawn operations start: none,
+#: and either side of the default threshold per bucket and per full scan.
+prefills = st.sampled_from([0, 1, 30, 33, 60, 62, 63, 64, 66, 90])
+
+
+def assert_mirror_is_the_row_store(stem):
+    """ROADMAP 5(b)'s structural invariant: live slots in ``_rows`` order,
+    ``store.ts`` ≡ the recorded timestamps, every posting list ≡ its
+    secondary-index bucket, in bucket order."""
+    store = stem._col
+    live = list(store.live_slots())
+    assert [store.rows[slot] for slot in live] == list(stem._rows)
+    assert [store.ts[slot] for slot in live] == list(stem._rows.values())
+    assert len(store) == len(stem._rows)
+    assert set(store.postings) == set(stem._indexes)
+    for column, index in stem._indexes.items():
+        postings = store.postings[column]
+        assert sum(len(slots) for slots in postings.values()) == len(index)
+        for value, slots in postings.items():
+            assert [store.rows[slot] for slot in slots] == list(
+                index.lookup_readonly((value,))
+            )
+
+
+class MirrorTwins:
+    """One operation sequence applied to a columnar-enabled SteM and to its
+    ``columnar=False`` twin, comparing everything a probe can observe."""
+
+    def __init__(self, make_stem):
+        self.twins = [make_stem(False), make_stem(True)]
+        #: Long-lived probe tuples per twin: repeated probes carry their
+        #: LastMatchTimeStamp floor from one probe to the next.
+        self.probes = [{}, {}]
+        self.clock = 0.0
+
+    def apply(self, operation):
+        """Apply one operation to both twins; a probe returns the number of
+        candidates examined (equal on both, like everything else)."""
+        kind = operation[0]
+        if kind == "probe":
+            return self.probe(*operation[1:])
+        if kind == "build":
+            self.clock += 1.0
+            for stem in self.twins:
+                stem.build(s_row(operation[1], operation[2]), self.clock)
+        elif kind == "evict":
+            rows = [row for row, _ in self.twins[0].state_entries()]
+            if rows:
+                for stem in self.twins:
+                    assert stem.evict(rows[operation[1] % len(rows)])
+        elif kind == "ensure":
+            for stem in self.twins:
+                stem.ensure_join_columns([operation[1]])
+        elif kind == "drop":
+            for stem in self.twins:
+                stem.drop_join_column(operation[1])
+        elif kind == "scan_eot":
+            for stem in self.twins:
+                stem.build_eot(EOTTuple(table="S", alias="S", am_name="scan"))
+        return None
+
+    def probe(self, situation, which, a, b, update_last_match=False):
+        self.clock += 1.0
+        facts = []
+        for stem, probes in zip(self.twins, self.probes):
+            probe = probes.get((which, a, b))
+            if probe is None:
+                # Stamped once: rows built later are suppressed by the
+                # TimeStamp constraint when this tuple probes again.
+                probe = probes[(which, a, b)] = singleton_tuple("R", r_row(which, a, b))
+                probe.mark_built("R", self.clock)
+            plan = ProbePlan.compile(
+                PROBE_PREDICATES[situation], "S", probe.components,
+                target_schema=stem.row_schema,
+            )
+            outcome = stem.probe_with_plan(
+                probe, plan, update_last_match=update_last_match
+            )
+            facts.append((outcome_facts(outcome), dict(probe.last_match_ts)))
+        assert facts[1] == facts[0]
+        return outcome.candidates_examined
+
+
+def plain_twins():
+    return MirrorTwins(
+        lambda columnar: SteM(
+            "S", aliases=("S",), join_columns=("x",), columnar=columnar
+        )
+    )
+
+
+@pytest.mark.parametrize("cutoff", [DEFAULT_CUTOFF, 0])
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMirrorOnDemand:
+    @given(prefill=prefills, operations=stem_operations)
+    @settings(max_examples=60, deadline=None)
+    def test_sequences_crossing_the_threshold_match_the_row_plane(
+        self, backend, cutoff, prefill, operations
+    ):
+        """Build / evict / probe / index changes in any order, the mirror
+        appearing wherever the first kernel-sized probe falls: every probe
+        equals the ``columnar=False`` twin's, the mirror exists exactly when
+        such a probe has happened, and once it exists it is the row store."""
+        with _backend(backend, cutoff):
+            twins = plain_twins()
+            plain, stem = twins.twins
+            kernel_sized = small = 0
+            for position in range(prefill):
+                twins.apply(("build", position % 2, position))
+            # After the drawn prefix, whatever state it left: one bucket
+            # grows past the default threshold between two rounds of probes,
+            # then half of everything is evicted and probed again.
+            every_probe = [
+                ("probe", situation, 3, a, 60, True)
+                for situation in range(len(PROBE_PREDICATES))
+                for a in (0, 1)
+            ]
+            epilogue = (
+                every_probe
+                + [("build", 0, 200 + position) for position in range(DEFAULT_CUTOFF)]
+                + every_probe
+                + [("evict", 2 * position) for position in range(DEFAULT_CUTOFF)]
+                + every_probe
+            )
+            for operation in operations + epilogue:
+                examined = twins.apply(operation)
+                if examined is not None:
+                    # The row loop examines every candidate it is given, so
+                    # the count is the size of the bucket the rule looks at.
+                    if examined >= cutoff and stem.row_schema is not None:
+                        kernel_sized += 1
+                    else:
+                        small += 1
+                assert (stem._col is not None) == (kernel_sized > 0)
+                if stem._col is not None:
+                    assert_mirror_is_the_row_store(stem)
+            assert stem.stats["columnar_probes"] == kernel_sized
+            assert stem.stats["row_probes"] == small
+            assert stem.stats["mirror_builds"] == min(kernel_sized, 1)
+            assert plain.stats["row_probes"] == kernel_sized + small
+            assert plain._col is None and plain.stats["mirror_builds"] == 0
+            shared = ("builds", "duplicates", "probes", "matches", "evictions")
+            assert [stem.stats[name] for name in shared] == [
+                plain.stats[name] for name in shared
+            ]
+
+    @given(prefill=prefills, operations=stem_operations)
+    @settings(max_examples=25, deadline=None)
+    def test_four_shards_match_their_row_plane_twin(
+        self, backend, cutoff, prefill, operations
+    ):
+        """Each shard decides on its own candidates and builds its own
+        mirror; the wrapper's merged outcome equals the row-plane twin's."""
+        with _backend(backend, cutoff):
+            twins = MirrorTwins(
+                lambda columnar: PartitionedSteM(
+                    "S", aliases=("S",), join_columns=("x",), columnar=columnar,
+                    shards=4,
+                )
+            )
+            plain, stem = twins.twins
+            for position in range(4 * prefill):
+                twins.apply(("build", position % 3, position))
+            for operation in operations:
+                twins.apply(operation)
+                for shard in stem.shard_modules:
+                    if shard._col is not None:
+                        assert_mirror_is_the_row_store(shard)
+            stats = stem.stats
+            assert stats["mirror_builds"] == sum(
+                shard._col is not None for shard in stem.shard_modules
+            )
+            assert (stats["mirror_builds"] > 0) == (stats["columnar_probes"] > 0)
+            assert plain.stats["columnar_probes"] == plain.stats["mirror_builds"] == 0
+            assert (
+                stats["row_probes"] + stats["columnar_probes"]
+                == plain.stats["row_probes"]
+            )
+
+    def test_an_empty_stem_never_builds_a_mirror(self, backend, cutoff):
+        """Nothing was ever built, so there is no schema to mirror — also
+        when the threshold is 0 and an empty bucket is "kernel-sized"."""
+        with _backend(backend, cutoff):
+            twins = plain_twins()
+            for situation in range(len(PROBE_PREDICATES)):
+                assert twins.probe(situation, 0, 1, 1, update_last_match=True) == 0
+            stem = twins.twins[1]
+            assert stem._col is None and stem.stats["row_probes"] == 4
+            # Emptied again is not the same as never built into.
+            twins.apply(("build", 1, 1))
+            twins.apply(("evict", 0))
+            assert twins.probe(0, 0, 1, 1) == 0
+            assert (stem._col is not None) == (cutoff == 0)
+
+    def test_small_probes_alone_leave_no_mirror(self, backend, cutoff):
+        with _backend(backend, cutoff):
+            twins = plain_twins()
+            for position in range(3 * (DEFAULT_CUTOFF - 1)):
+                twins.apply(("build", position % 3, position))
+            for a in (0, 1, 2, 7):
+                examined = twins.probe(1, 0, a, 5)
+                assert examined in (0, DEFAULT_CUTOFF - 1)
+            stem = twins.twins[1]
+            if cutoff:
+                assert stem._col is None and stem.stats["row_probes"] == 4
+                # One more row in a bucket: its next probe builds the mirror,
+                # a probe of another bucket still runs the row loop.
+                twins.apply(("build", 0, 1000))
+                assert twins.probe(1, 0, 0, 5) == DEFAULT_CUTOFF
+                assert stem.stats["mirror_builds"] == stem.stats["columnar_probes"] == 1
+                twins.probe(1, 0, 1, 5)
+                assert stem.stats["row_probes"] == 5
+            else:
+                assert stem.stats["columnar_probes"] == 4
+            assert_mirror_is_the_row_store(stem)
+
+    @pytest.mark.parametrize("installed", ["before", "after"])
+    def test_reference_window_policy_keeps_the_row_plane(
+        self, backend, cutoff, installed
+    ):
+        """LRU eviction reorders the row store: installed before the first
+        kernel-sized probe no mirror is ever built, installed after one the
+        mirror is dropped — loudly — and never comes back."""
+        with _backend(backend, cutoff):
+            twins = plain_twins()
+            plain, stem = twins.twins
+            for position in range(80):
+                twins.apply(("build", position % 2, position))
+
+            def install():
+                for twin in twins.twins:
+                    twin.set_eviction(
+                        make_eviction_policy("reference-window", max_size=70)
+                    )
+
+            if installed == "before":
+                install()
+            assert twins.probe(1, 0, 1, 30) == 40
+            assert (stem._col is not None) == (installed == "after")
+            if installed == "after":
+                install()
+            assert stem._col is None and not stem.columnar
+            assert "reorders" in stem.stats["columnar_disabled_reason"]
+            assert "columnar_disabled_reason" not in plain.stats
+            for position in range(80, 100):  # evicts the least recently matched
+                twins.apply(("build", position % 2, position))
+            assert twins.probe(1, 1, 1, 30, update_last_match=True) >= DEFAULT_CUTOFF
+            assert twins.probe(2, 1, 0, 30) == 70  # full scan
+            assert stem._col is None
+            assert stem.stats["mirror_builds"] == (installed == "after")
+            assert list(stem._rows) == list(plain._rows)

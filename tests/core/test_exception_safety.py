@@ -53,6 +53,12 @@ class BareRuntime:
     def schedule(self, delay, callback, label=""):
         self.sim.schedule(delay, callback, label)
 
+    def reserve(self, delays):
+        return self.sim.reserve(delays)
+
+    def schedule_reserved(self, slot, callback, label=""):
+        self.sim.schedule_reserved(slot, callback, label)
+
     def to_eddy(self, item, source=None):
         self.delivered.append(item)
 

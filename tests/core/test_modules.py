@@ -41,6 +41,12 @@ class FakeRuntime:
     def schedule(self, delay, callback, label=""):
         self.sim.schedule(delay, callback, label)
 
+    def reserve(self, delays):
+        return self.sim.reserve(delays)
+
+    def schedule_reserved(self, slot, callback, label=""):
+        self.sim.schedule_reserved(slot, callback, label)
+
     def to_eddy(self, item, source=None):
         self.delivered.append(item)
 
@@ -208,6 +214,32 @@ class TestIndexAM:
         lookup_order = [i.bound_values[0] for i in runtime.delivered
                         if isinstance(i, EOTTuple)]
         assert lookup_order.index(3) < lookup_order.index(2)
+
+    def test_backlog_is_fifo_except_for_prioritised_keys(self):
+        """One lookup at a time and a backlog: plain keys are issued in
+        arrival order, each prioritised key goes to the head of what is
+        still queued (so the latest urgent key is issued first), and
+        ``stop()`` forgets whatever was not issued yet."""
+        runtime = FakeRuntime()
+        module = self.make_module(runtime, latency=1.0, concurrency=1)
+        module.process(r_tuple(key=0, a=10))  # issued at once; the rest queue
+        for a, priority in [(11, 0), (12, 0), (13, 5.0), (14, 0), (15, 2.0)]:
+            probe = r_tuple(key=a, a=a)
+            probe.priority = priority
+            module.process(probe)
+        assert module.outstanding_lookups == 6
+        assert list(module._lookup_queue) == [(15,), (13,), (11,), (12,), (14,)]
+        runtime.sim.run(until=3.5)
+        issued = [i.bound_values[0] for i in runtime.delivered
+                  if isinstance(i, EOTTuple)]
+        assert issued == [10, 15, 13]
+        assert module.outstanding_lookups == 3  # key 11 in flight, two queued
+        module.stop()
+        assert module.outstanding_lookups == 1
+        runtime.sim.run()
+        issued = [i.bound_values[0] for i in runtime.delivered
+                  if isinstance(i, EOTTuple)]
+        assert issued == [10, 15, 13, 11]
 
 
 class TestSteMModule:

@@ -212,6 +212,114 @@ class TestSimulator:
         assert seen == [1, 2]
 
 
+class TestReservedSlots:
+    """``reserve`` + ``schedule_reserved``: one armed event per series,
+    heap order as if the whole series had been scheduled up front."""
+
+    def test_reserved_slots_are_the_ones_eager_scheduling_would_take(self):
+        eager, lazy = Simulator(start_time=2.0), Simulator(start_time=2.0)
+        delays = [0.5, 0.25, 0.5, 0.0]
+        for sim in (eager, lazy):
+            sim.schedule(0.5, lambda: None, label="before")
+        handles = [eager.schedule(delay, lambda: None) for delay in delays]
+        slots = lazy.reserve(delays)
+        assert slots == [(event.time, event.sequence) for event in handles]
+        assert lazy.pending_events == 1  # reserving schedules nothing
+        # A push after the reservation draws past the reserved block.
+        after = [sim.schedule(0.5, lambda: None, label="after") for sim in (eager, lazy)]
+        assert after[0].sequence == after[1].sequence == handles[-1].sequence + 1
+
+    def test_series_fires_in_the_eager_order_with_one_event_pending(self):
+        def run(streamed: bool):
+            sim = Simulator()
+            fired = []
+            delays = [1.0, 1.0, 0.5, 2.0, 1.0]
+
+            def note(label):
+                fired.append((sim.now, label))
+
+            sim.schedule(1.0, lambda: note("before"))
+            if streamed:
+                stream = sorted(zip(sim.reserve(delays), range(len(delays))))
+
+                def fire(position=0):
+                    if position + 1 < len(stream):
+                        sim.schedule_reserved(
+                            stream[position + 1][0], lambda: fire(position + 1)
+                        )
+                    # One of the series at most, beside "before" and "after".
+                    assert sim.pending_events <= 3
+                    note(stream[position][1])
+
+                sim.schedule_reserved(stream[0][0], fire)
+            else:
+                for index, delay in enumerate(delays):
+                    sim.schedule(delay, lambda index=index: note(index))
+            sim.schedule(1.0, lambda: note("after"))
+            sim.run()
+            return fired
+
+        assert run(streamed=True) == run(streamed=False)
+        assert [label for _, label in run(streamed=True)] == [
+            2, "before", 0, 1, 4, "after", 3,
+        ]
+
+    def test_reserved_number_is_used_once_and_never_reissued(self):
+        sim = Simulator()
+        (slot,) = sim.reserve([1.0])
+        event = sim.schedule_reserved(slot, lambda: None)
+        assert (event.time, event.sequence) == slot
+        assert sim._queue.next_sequence is None  # consumed by that push
+        later = [sim.schedule(1.0, lambda: None) for _ in range(3)]
+        assert slot[1] not in [other.sequence for other in later]
+        assert len({event.sequence, *(other.sequence for other in later)}) == 4
+
+    def test_guards_still_apply_and_leave_no_claim_behind(self):
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.reserve([0.0, -0.1])
+        (slot,) = sim.reserve([1.0])
+        sim.schedule(2.0, lambda: None)
+        sim.run()  # the clock passes the reserved instant
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.schedule_reserved(slot, lambda: None)
+        assert sim._queue.next_sequence is None
+        assert sim.schedule(0.0, lambda: None).sequence != slot[1]
+
+    def test_cancel_of_the_armed_event(self):
+        sim = Simulator()
+        fired = []
+        slots = sim.reserve([1.0, 2.0])
+        armed = sim.schedule_reserved(slots[0], lambda: fired.append("armed"))
+        sim.schedule(3.0, lambda: fired.append("other"))
+        assert sim.pending_events == 2
+        sim.cancel(armed)
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["other"] and sim.now == 3.0
+        sim.cancel(armed)  # and again, after the fact: a no-op
+        assert sim.pending_events == 0
+
+    def test_compaction_keeps_a_live_series_in_place(self):
+        sim = Simulator()
+        fired = []
+        slots = sim.reserve([1.0, 1.0])
+        doomed = [sim.schedule(1.0, lambda: fired.append("dead")) for _ in range(200)]
+        sim.schedule_reserved(slots[0], lambda: (
+            fired.append("first"),
+            sim.schedule_reserved(slots[1], lambda: fired.append("second")),
+        ))
+        sim.schedule(1.0, lambda: fired.append("tail"))
+        for event in doomed:
+            sim.cancel(event)  # crosses the compaction threshold
+        assert sim.pending_events == 2
+        assert len(sim._queue._heap) < 100  # compacted at least once
+        sim.run()
+        # Both reserved numbers precede the tail's, though one was armed
+        # after the compaction and after the tail was pushed.
+        assert fired == ["first", "second", "tail"]
+
+
 class TestTracingHelpers:
     def test_counter_series(self):
         counter = Counter("probes", keep_series=True)
