@@ -193,15 +193,16 @@ class Eddy:
         #: result was already durably acknowledged before the crash.  A
         #: suppressed tuple still feeds the policy's output feedback (the
         #: replayed run must make the same adaptive decisions as the
-        #: original), but is not appended to :attr:`outputs` and does not
+        #: original), but is not appended to the output columns and does not
         #: reach :attr:`on_emit` again.
         self.emit_filter = None
         #: Poisoned tuples trapped out of the dataflow (raising predicate
         #: or extractor), in trap order.
         self.quarantine: list[QuarantineRecord] = []
 
-        #: Results and statistics.
-        self.outputs: list[OutputRecord] = []
+        #: Results as two aligned columns, in output order (:attr:`outputs` zips them).
+        self.output_times: list[float] = []
+        self.output_tuples: list[QTuple] = []
         #: ``spanned_mask -> (aliases, entry times)`` of the composite
         #: tuples that entered the dataflow; see :attr:`partial_series`.
         self._partial: dict[int, tuple[frozenset[str], list[float]]] = {}
@@ -310,42 +311,52 @@ class Eddy:
 
     def to_eddy(self, item: Routable, source: Module | None = None) -> None:
         """Deliver a tuple (or EOT) into the eddy's dataflow."""
+        self.to_eddy_all((item,), source)
+
+    def to_eddy_all(self, items: Sequence[Routable], source: Module | None = None) -> None:
+        """Deliver what one producer call produced — a probe returns the *set*
+        of its matches (paper §2.1.2) — in order, in one hand-off: each item
+        takes the steps of a single delivery, on admission state read once."""
         if not self.live:
             # The query was retired: whatever in-flight work still completes
             # (an outstanding index lookup, a busy module) has no dataflow
             # to return to.
             return
-        if source is not None:
-            # Production feedback for learning policies: consumption is
-            # observed in choose(), production here, and the difference is
-            # the selectivity signal (lottery's ticket escrow).
-            self.policy.on_producer_output(source, item, self)
-        if isinstance(item, QTuple):
-            layout = self.layout
-            if layout is not None and item.layout is not layout:
-                # First entry of a tuple created before the layout was known
-                # (or against the fallback space): re-encode its masks over
-                # this query's compiled layout.
-                item.bind_layout(layout)
-            if self.query_id and not item.query_id:
-                item.query_id = self.query_id
-            for preference in self.preferences:
-                if (
-                    preference.priority > item.priority
-                    and preference.can_evaluate(item.aliases)
-                    and preference.evaluate(item.components)
-                ):
-                    item.priority = preference.priority
-            if not item.visits_token and len(item.components) > 1:
-                # Count each composite only on its first entry into the
-                # dataflow (bounce-backs would otherwise double-count it).
-                entry = self._partial.get(item.spanned_mask)
-                if entry is None:
-                    entry = self._partial[item.spanned_mask] = (item.aliases, [])
-                entry[1].append(self.sim.now)
-        self._ready.append(item)
-        if not self._routing_scheduled:
-            self._schedule_routing()
+        # Production feedback for learning policies: consumption is observed
+        # in choose(), production here, and the difference is the
+        # selectivity signal (lottery's ticket escrow).
+        policy = None if source is None else self.policy
+        layout, query_id, preferences = self.layout, self.query_id, self.preferences
+        ready, armed = self._ready, self._routing_scheduled
+        for item in items:
+            if policy is not None:
+                policy.on_producer_output(source, item, self)
+            if isinstance(item, QTuple):
+                if layout is not None and item.layout is not layout:
+                    # First entry of a tuple created before the layout was
+                    # known (or against the fallback space): re-encode its
+                    # masks over this query's compiled layout.
+                    item.bind_layout(layout)
+                if query_id and not item.query_id:
+                    item.query_id = query_id
+                for preference in preferences:
+                    if (
+                        preference.priority > item.priority
+                        and preference.can_evaluate(item.aliases)
+                        and preference.evaluate(item.components)
+                    ):
+                        item.priority = preference.priority
+                if not item.visits_token and len(item.components) > 1:
+                    # Count each composite only on its first entry into the
+                    # dataflow (bounce-backs would otherwise double-count it).
+                    entry = self._partial.get(item.spanned_mask)
+                    if entry is None:
+                        entry = self._partial[item.spanned_mask] = (item.aliases, [])
+                    entry[1].append(self.sim.now)
+            ready.append(item)
+            if not armed:
+                self._schedule_routing()
+                armed = True
 
     def notify_idle(self, module: Module) -> None:
         """Retry offers that were blocked on the module's full queue."""
@@ -532,7 +543,7 @@ class Eddy:
             now = self.sim.now
             emit_filter, on_emit, trace = self.emit_filter, self.on_emit, self.trace
             on_output = self.policy.on_output
-            append = self.outputs.append
+            append_time, append_tuple = self.output_times.append, self.output_tuples.append
             for tuple_ in group:
                 if emit_filter is not None and not emit_filter(tuple_):
                     # Already acknowledged before a crash: keep the policy
@@ -543,7 +554,8 @@ class Eddy:
                     if trace is not None:
                         trace.record(now, "output_suppressed", tuple_.tuple_id)
                     continue
-                append(OutputRecord(now, tuple_))
+                append_time(now)
+                append_tuple(tuple_)
                 if on_emit is not None:
                     on_emit(tuple_)
                 on_output(tuple_, self)
@@ -634,23 +646,27 @@ class Eddy:
         return dict(self._partial.values())
 
     @property
+    def outputs(self) -> list[OutputRecord]:
+        """The results as ``(time, tuple)`` records: a fresh list zipped
+        from :attr:`output_times` and :attr:`output_tuples` on every read."""
+        return list(map(OutputRecord, self.output_times, self.output_tuples))
+
+    @property
     def result_tuples(self) -> list[QTuple]:
         """The emitted result tuples, in output order."""
-        return [record.tuple for record in self.outputs]
+        return list(self.output_tuples)
 
     def output_series(self) -> list[tuple[float, int]]:
         """Cumulative (time, result count) series — the paper's y-axis."""
-        return [(record.time, position + 1) for position, record in enumerate(self.outputs)]
+        return list(zip(self.output_times, itertools.count(1)))
 
     @property
     def completion_time(self) -> float | None:
         """Virtual time of the last output, or None if nothing was produced."""
-        if not self.outputs:
-            return None
-        return self.outputs[-1].time
+        return self.output_times[-1] if self.output_times else None
 
     def __repr__(self) -> str:
         return (
             f"Eddy(policy={self.policy.name}, modules={len(self.modules)}, "
-            f"outputs={len(self.outputs)})"
+            f"outputs={len(self.output_tuples)})"
         )

@@ -452,15 +452,11 @@ class IndexAMModule(Module):
             matches = matches[: self.spec.matches_per_probe]
         self.stats["matches"] += len(matches)
         layout = getattr(self.runtime, "layout", None)
-        for row in matches:
-            tuple_ = singleton_tuple(
-                self.alias,
-                row,
-                source=self.name,
-                created_at=self.runtime.now,
-                layout=layout,
-            )
-            self.runtime.to_eddy(tuple_, source=self)
+        now = self.runtime.now
+        tuples = [
+            singleton_tuple(self.alias, row, source=self.name, created_at=now, layout=layout)
+            for row in matches
+        ]
         eot = EOTTuple(
             table=self.table.name,
             alias=self.alias,
@@ -468,7 +464,7 @@ class IndexAMModule(Module):
             bound_columns=tuple(self.spec.columns),
             bound_values=key,
         )
-        self.runtime.to_eddy(eot, source=self)
+        self.runtime.to_eddy_all([*tuples, eot], self)
         self._start_lookups()
         self.runtime.notify_idle(self)
 

@@ -16,7 +16,7 @@ head-of-line blocking behaviour that motivates SteMs (paper section 4.2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Protocol, Union
+from typing import Protocol, Sequence, Union
 
 from repro.core.tuples import EOTTuple, QTuple
 from repro.sim.queues import BoundedQueue
@@ -58,6 +58,9 @@ class EddyRuntime(Protocol):
 
     def to_eddy(self, item: Routable, source: "Module") -> None:
         """Deliver a tuple back into the eddy's dataflow."""
+
+    def to_eddy_all(self, items: Sequence[Routable], source: "Module") -> None:
+        """Deliver, in order, what one producer call produced (as one :meth:`to_eddy` each)."""
 
     def next_timestamp(self) -> float:
         """The next global build timestamp (monotonically increasing)."""
@@ -163,9 +166,7 @@ class Module(ABC):
         self.stats["items"] += 1
         outputs = self.process(item)
         if outputs:
-            to_eddy = runtime.to_eddy
-            for output in outputs:
-                to_eddy(output, self)
+            runtime.to_eddy_all(outputs, self)
         if self.queue.items:
             self._maybe_start()
         runtime.notify_idle(self)

@@ -236,19 +236,16 @@ class IndexJoinModule(Module):
             if not item.is_done(predicate) and predicate.can_evaluate(available)
         ]
         done_mask = done_mask_of(pending)
+        extend = None  # the probe's extension template, taken at the first match
         for row in rows:
             components = dict(item.components)
             components[self.inner_alias] = row
             if not all(predicate.evaluate(components) for predicate in pending):
                 continue
-            merged = item.extended(
-                self.inner_alias,
-                row,
-                row_timestamp=0.0,
-                extra_done=done_mask,
-            )
+            if extend is None:
+                extend = item.extender(self.inner_alias, done_mask)
             self.stats["results"] += 1
-            results.append(merged)
+            results.append(extend(row, 0.0))
         return results
 
     @property

@@ -200,9 +200,8 @@ class SteMModule(Module):
             # has been probed into an access method on the target table
             # (ProbeCompletion constraint, paper section 3.4).
             item.probe_completion_alias = target
-        outputs: list[Routable] = list(outcome.results)
-        outputs.append(item)
-        return outputs
+        outcome.results.append(item)
+        return outcome.results
 
     def _probe_target(self, item: QTuple) -> str | None:
         for alias in self.aliases:

@@ -22,7 +22,7 @@ global monotone counter, so each shard's matches are timestamp-ascending,
 and a timestamp-ordered k-way merge (ties broken by shard id) reproduces
 the single-shard candidate order exactly.  Shard workers return raw
 ``(row, build_timestamp)`` matches only; the TimeStamp-constraint tail and
-``probe.extended`` (which allocates tuple ids from the per-run global
+``probe.extender`` (which allocates tuple ids from the per-run global
 allocator) run on the caller's thread in merged order — results *and*
 traces are byte-identical to the single-shard engine no matter how shard
 work is scheduled.
@@ -757,15 +757,15 @@ class PartitionedSteM:
         outcome = ProbeOutcome()
         results = outcome.results
         probe_timestamp = probe.timestamp
-        extended = probe.extended
+        extend = None  # the probe's extension template, taken at the first match
         suppressed = 0
         for row, row_timestamp in matches:
             if enforce_timestamp and not probe_timestamp > row_timestamp:
                 suppressed += 1
                 continue
-            results.append(
-                extended(target_alias, row, row_timestamp, done_mask)
-            )
+            if extend is None:
+                extend = probe.extender(target_alias, done_mask)
+            results.append(extend(row, row_timestamp))
         outcome.candidates_examined = examined
         outcome.suppressed_by_timestamp = suppressed
         outcome.all_matches_known = all_matches_known

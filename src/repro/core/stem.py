@@ -544,6 +544,7 @@ class SteM:
         done_mask = done_mask_of(predicates)
         hook = self._reference_hook
         matched_rows: list[Row] | None = [] if hook is not None else None
+        extend = None  # the probe's extension template, taken at the first match
         for row in candidates:
             outcome.candidates_examined += 1
             row_timestamp = self._rows[row]
@@ -556,9 +557,9 @@ class SteM:
             if enforce_timestamp and not probe_timestamp > row_timestamp:
                 outcome.suppressed_by_timestamp += 1
                 continue
-            outcome.results.append(
-                probe.extended(target_alias, row, row_timestamp, done_mask)
-            )
+            if extend is None:
+                extend = probe.extender(target_alias, done_mask)
+            outcome.results.append(extend(row, row_timestamp))
             if matched_rows is not None:
                 matched_rows.append(row)
         if matched_rows:
@@ -622,6 +623,7 @@ class SteM:
             plan.finish(self._row_schema)
         done_mask = plan.done_mask
         results = outcome.results
+        extend = None  # the probe's extension template, taken at the first match
         suppressed = 0
         survivors = None
         if len(candidates) >= _probeplan.KERNEL_MIN_CANDIDATES and self.columnar:
@@ -635,15 +637,14 @@ class SteM:
             store, slots, examined = survivors
             ts = store.ts
             row_refs = store.rows
-            extended = probe.extended
             for slot in slots:
                 row_timestamp = ts[slot]
                 if enforce_timestamp and not probe_timestamp > row_timestamp:
                     suppressed += 1
                     continue
-                results.append(
-                    extended(target_alias, row_refs[slot], row_timestamp, done_mask)
-                )
+                if extend is None:
+                    extend = probe.extender(target_alias, done_mask)
+                results.append(extend(row_refs[slot], row_timestamp))
         else:
             plane = "row_probes"
             rows = self._rows
@@ -689,9 +690,9 @@ class SteM:
                 if enforce_timestamp and not probe_timestamp > row_timestamp:
                     suppressed += 1
                     continue
-                results.append(
-                    probe.extended(target_alias, row, row_timestamp, done_mask)
-                )
+                if extend is None:
+                    extend = probe.extender(target_alias, done_mask)
+                results.append(extend(row, row_timestamp))
                 if matched_rows is not None:
                     matched_rows.append(row)
             if matched_rows:

@@ -463,6 +463,60 @@ class QTuple:
 
     # -- derivation -------------------------------------------------------------
 
+    def extender(self, alias: str, extra_done: int = 0, created_at: float | None = None):
+        """The extension template of one probe: ``extend(row, row_timestamp)``.
+
+        Every match of a probe extends this tuple by the same alias, so the
+        alias check, the child masks and the child's routing signature (as
+        :meth:`routing_signature` builds it; shared by the siblings until a
+        mutation clears it on one) are worked out once.  ``extend`` sets every
+        slot itself: it is the per-result path of every probe.  Done bits (plus
+        ``extra_done``), priority, source and layout are inherited; visit
+        counts and resolution state start fresh (a new unit of routing work).
+        """
+        components = self.components
+        if alias in components:
+            raise ExecutionError(f"tuple already spans alias {alias!r}")
+        layout = self.layout
+        bit = layout.bit_of(alias)
+        query_id = self.query_id
+        timestamps = self.timestamps
+        done_mask = self.done_mask | extra_done
+        source = self.source
+        priority = self._priority
+        spanned_mask = self.spanned_mask | bit
+        built_mask = self.built_mask | bit
+        if created_at is None:
+            created_at = self.created_at
+        signature = (spanned_mask, done_mask, 0, built_mask, 0, 0, False, None, priority > 0.0)
+        allocate = _id_allocator.allocate
+        new = object.__new__
+
+        def extend(row: Row, row_timestamp: float) -> "QTuple":
+            result = new(QTuple)
+            result.tuple_id = allocate()
+            result.query_id = query_id
+            result.components = {**components, alias: row}
+            result.timestamps = {**timestamps, alias: row_timestamp}
+            result.done_mask = done_mask
+            result.source = source
+            result._priority = priority
+            result.visits_token = 0
+            result.layout = layout
+            result.spanned_mask = spanned_mask
+            result.built_mask = built_mask
+            result.resolved_mask = 0
+            result.exhausted_mask = 0
+            result._stop_stem_probes = False
+            result._probe_completion_alias = None
+            result.last_match_ts = _NO_LAST_MATCH
+            result.created_at = created_at
+            result.failed = False
+            result._signature = signature
+            return result
+
+        return extend
+
     def extended(
         self,
         alias: str,
@@ -471,41 +525,8 @@ class QTuple:
         extra_done: int = 0,
         created_at: float | None = None,
     ) -> "QTuple":
-        """A new tuple with an additional base-table component.
-
-        The new tuple inherits the done bits (plus the ``extra_done`` mask),
-        priority, source and layout of this tuple; per-module visit counts
-        and resolution state start fresh (the concatenated tuple is a new
-        unit of routing work).  Every slot is set here, from this tuple's
-        masks, rather than re-derived through ``__init__``: this is the
-        per-result path of every probe.
-        """
-        components = self.components
-        if alias in components:
-            raise ExecutionError(f"tuple already spans alias {alias!r}")
-        result = object.__new__(QTuple)
-        result.tuple_id = _id_allocator.allocate()
-        layout = self.layout
-        bit = layout.bit_of(alias)
-        result.query_id = self.query_id
-        result.components = {**components, alias: row}
-        result.timestamps = {**self.timestamps, alias: row_timestamp}
-        result.done_mask = self.done_mask | extra_done
-        result.source = self.source
-        result._priority = self._priority
-        result.visits_token = 0
-        result.layout = layout
-        result.spanned_mask = self.spanned_mask | bit
-        result.built_mask = self.built_mask | bit
-        result.resolved_mask = 0
-        result.exhausted_mask = 0
-        result._stop_stem_probes = False
-        result._probe_completion_alias = None
-        result.last_match_ts = _NO_LAST_MATCH
-        result.created_at = self.created_at if created_at is None else created_at
-        result.failed = False
-        result._signature = None
-        return result
+        """A new tuple with one more base-table component (see :meth:`extender`)."""
+        return self.extender(alias, extra_done, created_at)(row, row_timestamp)
 
     def __repr__(self) -> str:
         span = ",".join(sorted(self.components))

@@ -385,8 +385,8 @@ def _partial_series(eddy: Eddy) -> dict[str, Series]:
     series: dict[str, Series] = {}
     for span, times in eddy.partial_series.items():
         key = "+".join(sorted(span))
-        points = [(time, position + 1) for position, time in enumerate(sorted(times))]
-        series[key] = Series.from_points(points, name=key)
+        # Entry times are appended under the simulator's monotone clock.
+        series[key] = Series.from_points(zip(times, range(1, len(times) + 1)), name=key)
     return series
 
 

@@ -23,8 +23,9 @@ Backend selection
 Two kernel backends exist.  The stdlib baseline ("python") evaluates
 per-element over plain lists and is always available; the "numpy" backend
 lowers eligible comparisons to whole-array operations.  The active backend
-is auto-detected at import (numpy if importable) and can be forced with the
-``REPRO_COLUMNAR_BACKEND`` environment variable:
+is auto-detected (numpy if installed; imported when the first :class:`ColumnStore`
+is built, which a SteM does at its first kernel-sized probe) and can be forced
+with the ``REPRO_COLUMNAR_BACKEND`` environment variable:
 
 * ``auto`` (or unset) — numpy when importable, else the python baseline;
 * ``numpy`` — force the numpy kernels (falls back to python if numpy is
@@ -45,6 +46,7 @@ baseline with NULL/TypeError semantics identical to the row plane
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -54,10 +56,8 @@ from repro.storage.schema import Schema
 from repro.storage.statistics import IncrementalColumnStats
 from repro.storage.table import Table
 
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: numpy once :func:`numpy_module` imported it; False until asked for, None if that failed.
+_np: Any = False
 
 #: Column kind tags (typed-kernel eligibility).
 KIND_INT = 0
@@ -71,12 +71,18 @@ FLOAT_EXACT_INT = 2**53
 
 
 def numpy_available() -> bool:
-    """True when the numpy kernel backend is importable."""
-    return _np is not None
+    """True when the numpy kernel backend is installed (found, not imported)."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 def numpy_module():
-    """The numpy module when available (the kernel backend), else None."""
+    """numpy (the kernel backend), imported at the first call; None if that fails."""
+    global _np
+    if _np is False:
+        try:
+            import numpy as _np
+        except ImportError:
+            _np = None
     return _np
 
 
@@ -92,10 +98,8 @@ def columnar_backend() -> str:
         return "off"
     if raw in ("python", "list", "baseline"):
         return "python"
-    if raw in ("numpy", "np"):
-        return "numpy" if _np is not None else "python"
-    # "auto", "", "on", or anything unrecognised: best available kernel.
-    return "numpy" if _np is not None else "python"
+    # "numpy", "auto", "", "on", or anything unrecognised: best available kernel.
+    return "numpy" if numpy_available() else "python"
 
 
 def columnar_enabled() -> bool:
@@ -254,8 +258,8 @@ class ColumnStore:
         #: Kernel backend resolved at creation ("numpy" or "python"; an
         #: "off" process never constructs a store).
         self.backend = columnar_backend()
-        if self.backend == "off":
-            self.backend = "python" if _np is None else "numpy"
+        if self.backend != "python":  # "numpy", or "off": the best that imports
+            self.backend = "python" if numpy_module() is None else "numpy"
         #: numpy array cache, versioned: bumped on any mutation.
         self._version = 0
         self._np_version = -1
@@ -388,7 +392,7 @@ class ColumnStore:
     def _sync_arrays(self) -> None:
         if self._np_version == self._version:
             return
-        assert _np is not None
+        assert _np, "callers check numpy_module() first"
         arrays: list[Any] = []
         for position, values in enumerate(self.cols):
             kind = self.kinds[position]
@@ -404,7 +408,7 @@ class ColumnStore:
 
     def np_column(self, position: int):
         """The typed numpy array of one column, or None (obj/NULL column)."""
-        if _np is None:
+        if numpy_module() is None:
             return None
         self._sync_arrays()
         assert self._np_cols is not None
@@ -412,7 +416,7 @@ class ColumnStore:
 
     def np_ts(self):
         """The build-timestamp column as a float64 array."""
-        if _np is None:
+        if numpy_module() is None:
             return None
         self._sync_arrays()
         return self._np_ts
@@ -424,7 +428,7 @@ class ColumnStore:
         When the slots are a posting-list bucket, pass its ``(column,
         value)`` so the conversion is cached until the next mutation.
         """
-        if _np is None:
+        if numpy_module() is None:
             return None
         if column is not None:
             key = (column, value)

@@ -207,3 +207,161 @@ class TestFailedTupleDrops:
             for record in trace.filter(kind)
         }
         assert routed_ids <= departed_ids
+
+
+class TestBulkHandOff:
+    """``to_eddy_all`` of k items is indistinguishable from k ``to_eddy``s."""
+
+    QUERY = "SELECT * FROM R, T WHERE R.key = T.key"
+
+    def _eddy(self, policy_name):
+        from repro.core.policies import make_policy
+        from repro.query.layout import PlanLayout
+        from repro.query.parser import parse_query
+
+        calls = []
+        policy = make_policy(policy_name)
+        hook = policy.on_producer_output
+
+        def recording(module, item, eddy):
+            calls.append((module.name, getattr(item, "tuple_id", item), eddy.now))
+            hook(module, item, eddy)
+
+        policy.on_producer_output = recording
+        eddy = Eddy(
+            Simulator(), policy, query_id="q1", layout=PlanLayout(parse_query(self.QUERY))
+        )
+        eddy.preferences = [selection("R.a", "<", 1, priority=3.0)]
+        source = SelectionModule(selection("R.a", "<", 99), name="sm")
+        eddy.register_selection(source)
+        # Off the origin: the hand-off reads the clock and the event counter.
+        eddy.sim.schedule(1.5, lambda: None, "warm-up")
+        eddy.sim.run()
+        return eddy, source, calls
+
+    def _items(self):
+        from repro.core.tuples import (
+            EOTTuple, QTuple, TupleIdAllocator, install_id_allocator,
+        )
+
+        install_id_allocator(TupleIdAllocator(start=100))
+        try:
+            r_rows = make_source_r(4, 2, seed=3).rows
+            t_rows = make_source_t(4, seed=4).rows
+            routed = singleton_tuple("R", r_rows[2])
+            routed.record_visit("sm")  # a bounce-back: no partial-series entry
+            return [
+                singleton_tuple("R", r_rows[0]),  # fallback space: bound on entry
+                QTuple({"R": r_rows[1], "T": t_rows[1]}),
+                EOTTuple(table="T", alias="T", am_name="am:T_scan"),
+                QTuple({"R": r_rows[3], "T": t_rows[3]}),
+                routed,
+            ]
+        finally:
+            install_id_allocator()
+
+    @staticmethod
+    def _observed(eddy, calls):
+        return {
+            "hook calls": calls,
+            "ready": [getattr(item, "tuple_id", item) for item in eddy._ready],
+            "partial": eddy.partial_series,
+            "wake-ups": [(e[0], e[1], e[2].label) for e in eddy.sim._queue._heap],
+            "state": [
+                (item.query_id, item.priority, item.layout is eddy.layout)
+                for item in eddy._ready
+                if hasattr(item, "tuple_id")
+            ],
+        }
+
+    @pytest.mark.parametrize("policy_name", ["naive", "lottery", "benefit"])
+    def test_same_as_single_hand_offs(self, policy_name):
+        one_by_one, source, single_calls = self._eddy(policy_name)
+        for item in self._items():
+            one_by_one.to_eddy(item, source)
+        bulk, source, bulk_calls = self._eddy(policy_name)
+        bulk.to_eddy_all(self._items(), source)
+        expected = self._observed(one_by_one, single_calls)
+        assert self._observed(bulk, bulk_calls) == expected
+        assert len(expected["hook calls"]) == 5
+        assert len(expected["wake-ups"]) == 1  # armed once, at the first append
+        assert list(expected["partial"].values()) == [[1.5, 1.5]]
+        assert {priority for _, priority, _ in expected["state"]} == {0.0, 3.0}
+        # An eddy whose routing is already armed arms nothing more.
+        bulk.to_eddy_all(self._items(), source)
+        assert len(bulk.sim._queue._heap) == 1
+
+    def test_no_op_on_a_retired_eddy(self):
+        eddy, source, calls = self._eddy("lottery")
+        eddy.shutdown()
+        eddy.to_eddy_all(self._items(), source)
+        eddy.to_eddy(self._items()[0], source)
+        assert not calls and not eddy._ready and not eddy.sim._queue._heap
+        assert eddy.partial_series == {}
+
+
+class TestOutputColumns:
+    """Results are kept as two columns; ``outputs`` is a view over them."""
+
+    def test_outputs_view_agrees_with_the_columns(self):
+        engine = small_engine()
+        engine.run()
+        eddy = engine.eddy
+        times, tuples = eddy.output_times, eddy.output_tuples
+        outputs = eddy.outputs
+        assert len(outputs) == len(times) == len(tuples) == 30
+        assert [(r.time, r.tuple) for r in outputs] == list(zip(times, tuples))
+        assert [r.tuple for r in outputs[:7]] == tuples[:7]
+        assert [r.time for r in outputs[10:20:3]] == times[10:20:3]
+        assert (outputs[-1].time, outputs[-1].tuple) == (times[-1], tuples[-1])
+        assert eddy.result_tuples == tuples and eddy.result_tuples is not tuples
+        assert eddy.output_series() == [(t, n + 1) for n, t in enumerate(times)]
+        assert eddy.completion_time == times[-1]
+        # A view, not the store: editing it edits nothing.
+        outputs.clear()
+        assert len(eddy.outputs) == 30
+        assert Eddy(Simulator(), NaivePolicy()).completion_time is None
+
+    def test_suppressed_emits_reach_neither_column(self):
+        engine = small_engine()
+        suppressed = []
+
+        def emit_filter(tuple_):
+            if len(suppressed) < 12:
+                suppressed.append(tuple_)
+                return False
+            return True
+
+        engine.eddy.emit_filter = emit_filter
+        result = engine.run()
+        eddy = engine.eddy
+        assert eddy.stats["suppressed_emits"] == 12
+        assert len(eddy.output_times) == len(eddy.output_tuples) == 18
+        assert result.row_count == 18 and len(eddy.outputs) == 18
+        assert not {id(t) for t in suppressed} & {id(t) for t in eddy.output_tuples}
+
+    @pytest.mark.parametrize("policy", ["naive", "lottery", "benefit"])
+    @pytest.mark.parametrize("batch_size", [1, 8], ids=lambda b: f"batch={b}")
+    def test_series_need_no_sort(self, policy, batch_size):
+        """Output and partial-result times are appended under the
+        simulator's monotone clock, so the collect path zips them with a
+        counter instead of sorting (``Series.count_at`` bisects them)."""
+        catalog = Catalog()
+        catalog.add_table(make_source_r(40, 8, seed=5))
+        catalog.add_table(make_source_t(40, seed=6))
+        catalog.add_scan("R", rate=200.0)
+        catalog.add_scan("T", rate=50.0)
+        catalog.add_index("T", ["key"], latency=0.02)
+        engine = StemsEngine(
+            "SELECT * FROM R, T, R AS R2 WHERE R.key = T.key AND T.key = R2.key",
+            catalog, policy=policy, batch_size=batch_size,
+        )
+        result = engine.run()
+        eddy = engine.eddy
+        assert result.row_count and len(eddy.partial_series) >= 2
+        assert eddy.output_times == sorted(eddy.output_times)
+        for span, times in eddy.partial_series.items():
+            assert times == sorted(times), span
+            series = result.partial_series["+".join(sorted(span))]
+            assert series.points == tuple((t, n + 1) for n, t in enumerate(times))
+        assert result.output_series.points == tuple(sorted(result.output_series.points))

@@ -62,6 +62,9 @@ class BareRuntime:
     def to_eddy(self, item, source=None):
         self.delivered.append(item)
 
+    def to_eddy_all(self, items, source=None):
+        self.delivered.extend(items)
+
     def next_timestamp(self):
         return float(next(self._timestamps))
 

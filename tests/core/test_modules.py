@@ -50,6 +50,9 @@ class FakeRuntime:
     def to_eddy(self, item, source=None):
         self.delivered.append(item)
 
+    def to_eddy_all(self, items, source=None):
+        self.delivered.extend(items)
+
     def next_timestamp(self):
         return float(next(self._timestamps))
 

@@ -116,6 +116,10 @@ class Runtime:
             if self.on_delivery is not None:
                 self.on_delivery(source)
 
+    def to_eddy_all(self, items, source=None):
+        for item in items:
+            self.to_eddy(item, source)
+
     def _after_event(self, event):
         self.firings.append((event.time, event.sequence, event.label, self._inbox))
         self._inbox = []

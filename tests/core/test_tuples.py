@@ -1,5 +1,6 @@
 """Tests for dataflow tuples (QTuple), TupleState, and EOT tuples."""
 
+import gc
 import math
 
 import pytest
@@ -153,11 +154,13 @@ class TestExtension:
         assert extended.visit_count("stem:S") == 0
 
 
-class TestExtendedMatchesConstructor:
-    """``extended`` sets every slot itself instead of going through
-    ``__init__``; this holds it, slot for slot, to what the constructor plus
-    the documented inheritance rules give.  A slot added to ``QTuple`` and
-    forgotten in ``extended`` fails here (``getattr`` on an unset slot)."""
+class TestExtensionMatchesConstructor:
+    """The extension template (``extender``; ``extended`` is its one-match
+    spelling) sets every slot itself instead of going through ``__init__``;
+    this holds every sibling, slot for slot, to what the constructor plus
+    the documented inheritance rules give — the precomputed routing
+    signature included.  A slot added to ``QTuple`` and forgotten in the
+    template fails here (``getattr`` on an unset slot)."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -172,10 +175,12 @@ class TestExtendedMatchesConstructor:
         query_id=st.sampled_from(["", "q7"]),
         visits=st.integers(0, 3),
         created_at=st.none() | st.floats(0.0, 50.0),
+        matches=st.lists(st.floats(0.0, 9.0), min_size=1, max_size=4),
+        mutation=st.sampled_from(["record_visit", "mark_resolved", "priority"]),
     )
-    def test_every_slot(
+    def test_every_slot_of_every_sibling(
         self, composite_parent, compiled_layout, priority, done, extra_done,
-        built, resolved, exhausted, query_id, visits, created_at,
+        built, resolved, exhausted, query_id, visits, created_at, matches, mutation,
     ):
         layout = PlanLayout(THREE_WAY) if compiled_layout else None
         components = {"R": r_row()}
@@ -206,36 +211,62 @@ class TestExtendedMatchesConstructor:
         parent.failed = True
         parent.routing_signature()
 
-        row = Row("T", T_SCHEMA, (1,))
+        rows = [Row("T", T_SCHEMA, (key,)) for key in range(len(matches))]
         extra_mask = done_mask_of(extra_done)
         install_id_allocator(TupleIdAllocator(start=50))
         try:
-            result = parent.extended("T", row, 7.0, extra_mask, created_at)
-            again = parent.extended("T", row, 8.0)
-            assert (result.tuple_id, again.tuple_id) == (50, 51)
-            reference = QTuple(
-                {**parent.components, "T": row},
-                timestamps={**parent.timestamps, "T": 7.0},
-                done=bit_positions(parent.done_mask | extra_mask),
-                source=parent.source,
-                priority=parent.priority,
-                created_at=1.5 if created_at is None else created_at,
-                query_id=parent.query_id,
-                layout=parent.layout,
-            )
+            extend = parent.extender("T", extra_mask, created_at)
+            siblings = [extend(row, ts) for row, ts in zip(rows, matches)]
+            single = parent.extended("T", rows[0], matches[0], extra_mask, created_at)
+            ids = [sibling.tuple_id for sibling in siblings] + [single.tuple_id]
+            assert ids == list(range(50, 50 + len(ids)))  # match order
+            references = [
+                QTuple(
+                    {**parent.components, "T": row},
+                    timestamps={**parent.timestamps, "T": ts},
+                    done=bit_positions(parent.done_mask | extra_mask),
+                    source=parent.source,
+                    priority=parent.priority,
+                    created_at=1.5 if created_at is None else created_at,
+                    query_id=parent.query_id,
+                    layout=parent.layout,
+                )
+                for row, ts in zip(rows, matches)
+            ]
         finally:
             install_id_allocator()  # leave a fresh default for other tests
-        # Inherited beyond the constructor's arguments: the built bits, plus
-        # the new component's (a SteM only returns rows it holds).
-        reference.built_mask = parent.built_mask | parent.layout.bit_of("T")
-        for slot in QTuple.__slots__:
-            if slot != "tuple_id":
-                assert getattr(result, slot) == getattr(reference, slot), slot
-        assert result.layout is parent.layout
-        assert result.visits == {} and result.visit_count("stem:T") == 0
-        assert list(result.components) == list(reference.components)
+        for result, reference in zip(siblings + [single], references + references[:1]):
+            # Inherited beyond the constructor's arguments: the built bits,
+            # plus the new component's (a SteM only returns rows it holds).
+            reference.built_mask = parent.built_mask | parent.layout.bit_of("T")
+            # The template's precomputed signature is what a tuple in that
+            # state builds for itself, field for field.
+            assert result._signature == reference.routing_signature()
+            for slot in QTuple.__slots__:
+                if slot != "tuple_id":
+                    assert getattr(result, slot) == getattr(reference, slot), slot
+            assert result.layout is parent.layout
+            assert result.visits == {} and result.visit_count("stem:T") == 0
+            assert list(result.components) == list(reference.components)
+        # One signature object per template, shared by the siblings until a
+        # mutation clears it — on the mutated sibling alone.
+        shared = siblings[0]._signature
+        assert all(sibling.routing_signature() is shared for sibling in siblings)
+        mutated = siblings[0]
+        if mutation == "priority":
+            mutated.priority = 7.0
+        else:
+            getattr(mutated, mutation)("stem:S" if mutation == "record_visit" else "S")
+        assert mutated._signature is None
+        fresh = mutated.routing_signature()
+        assert fresh is not shared
+        # (a priority change within the "prioritised" class keeps the value)
+        assert fresh != shared or (mutation == "priority" and priority > 0.0)
+        assert all(sibling._signature is shared for sibling in siblings[1:])
         with pytest.raises(ExecutionError):
-            result.extended("T", row, 9.0)
+            siblings[-1].extender("T")
+        with pytest.raises(ExecutionError):
+            parent.extender("R")
         with pytest.raises(ExecutionError):
             parent.extended("R", r_row(), 9.0)
 
@@ -250,6 +281,48 @@ class TestHotObjectsAreLean:
             OutputRecord(0.0, tuple_),
         ):
             assert not hasattr(instance, "__dict__"), type(instance).__name__
+
+    @staticmethod
+    def _fanout_join(distinct):
+        """A 60 x 60 row join on a ``distinct``-valued column, and how many
+        GC-tracked objects the run left alive."""
+        from repro.engine.stems_engine import StemsEngine
+        from repro.storage.catalog import Catalog
+        from repro.storage.table import Table
+
+        gc.collect()
+        records = sum(type(o) is OutputRecord for o in gc.get_objects())
+        tracked = len(gc.get_objects())
+        catalog = Catalog()
+        for name in ("A", "B"):
+            table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
+            table.insert_many((i, i % distinct) for i in range(60))
+            catalog.add_scan(name, rate=100.0)
+        engine = StemsEngine(
+            "SELECT * FROM A, B WHERE A.value = B.value", catalog, policy="naive"
+        )
+        result = engine.run()
+        gc.collect()
+        tracked = len(gc.get_objects()) - tracked
+        records = sum(type(o) is OutputRecord for o in gc.get_objects()) - records
+        return engine, result, tracked, records
+
+    def test_a_retained_result_is_two_tracked_containers(self):
+        """A kept result costs its ``QTuple`` and its ``components`` dict:
+        no ``OutputRecord``, a signature shared by the probe's matches, and
+        a ``timestamps`` dict (str -> float) the collector does not track."""
+        small = self._fanout_join(distinct=12)
+        large = self._fanout_join(distinct=3)  # same rows, 4x the results
+        (_, small_result, small_tracked, _), (engine, result, tracked, records) = small, large
+        assert result.row_count == 4 * small_result.row_count == 1200
+        assert records == 0 and len(engine.eddy.outputs) == 1200
+        assert not any(gc.is_tracked(t.timestamps) for t in result.tuples)
+        assert all(gc.is_tracked(t.components) for t in result.tuples)
+        signatures = {id(t.routing_signature()) for t in result.tuples}
+        probes = sum(module.stats["probes"] for module in engine.eddy.stems.values())
+        assert len(signatures) <= probes == 120  # one per probe with matches
+        extra_results = result.row_count - small_result.row_count
+        assert tracked - small_tracked <= 2 * extra_results + 64
 
     def test_equal_rows_hash_equal(self):
         first = Row("R", R_SCHEMA, (1, 10), rid=0)

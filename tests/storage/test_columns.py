@@ -204,6 +204,74 @@ class TestBackendSelection:
         assert ColumnStore(SCHEMA).backend in ("python", "numpy")
 
 
+#: Run in a fresh interpreter: prints whether numpy is loaded after
+#: ``import repro``, after a small shared-SteM fleet whose probes all stay
+#: under ``KERNEL_MIN_CANDIDATES``, and after a fan-out join whose probes do not.
+_IMPORT_PROBE = """
+import sys
+import repro
+from repro.engine.multi import MultiQueryEngine
+from repro.engine.stems_engine import run_stems
+from repro.storage import Catalog, Schema, Table
+from repro.storage.datagen import make_source_r, make_source_t
+
+loaded = ["numpy" in sys.modules]
+catalog = Catalog()
+catalog.add_table(make_source_r(40, 10, seed=11))
+catalog.add_table(make_source_t(40, seed=12))
+catalog.add_scan("R", rate=100.0)
+catalog.add_scan("T", rate=80.0)
+sql = "SELECT * FROM R, T WHERE R.key = T.key"
+fleet = MultiQueryEngine([sql, sql + " AND R.a < 5"], catalog, shared_stems=True)
+rows = sum(result.row_count for _, result in fleet.run().items())
+mirrors = sum(stem.stats["mirror_builds"] for stem in fleet.registry.stems.values())
+loaded.append("numpy" in sys.modules)
+
+catalog = Catalog()
+for name in ("A", "B"):
+    table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
+    table.insert_many((i, i % 2) for i in range(150))
+    catalog.add_scan(name, rate=100.0)
+fanout = run_stems("SELECT * FROM A, B WHERE A.value = B.value AND A.id < B.id", catalog)
+loaded.append("numpy" in sys.modules)
+print(loaded, rows > 0, mirrors, fanout.row_count)
+"""
+
+
+class TestNumpyOnDemand:
+    @pytest.mark.skipif(not numpy_available(), reason="numpy backend absent")
+    def test_imported_at_the_first_kernel_probe_and_not_before(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_COLUMNAR_BACKEND"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == "[False, False, True] True 0 5550".split()
+
+    def test_a_failed_deferred_import_falls_back_to_python(self, monkeypatch):
+        from repro.storage import columns
+
+        monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", "numpy")
+        monkeypatch.setattr(columns, "numpy_available", lambda: True)
+        monkeypatch.setattr(columns, "_np", False)  # not asked for yet
+        monkeypatch.setitem(__import__("sys").modules, "numpy", None)  # import raises
+        assert columnar_backend() == "numpy"  # installed, as far as anyone has looked
+        store = ColumnStore(SCHEMA, indexed_columns=["x"])
+        assert store.backend == "python" and columns.numpy_module() is None
+        store.append(srow(0, 1), 1.0)
+        assert store.np_index_for(store.posting_slots("x", 0), "x", 0) is None
+        assert store.np_column(0) is None and store.np_ts() is None
+
+
 class TestColumnarTable:
     def test_insert_maintains_columns_and_stats(self):
         table = ColumnarTable("S", SCHEMA)
