@@ -14,7 +14,7 @@ Usage::
     python -m repro multi --checkpoint-dir /tmp/ckpt --checkpoint-interval 5
                                             # durable run: WAL + periodic snapshots
     python -m repro recover /tmp/ckpt       # inspect a checkpoint directory
-    python -m repro recover /tmp/ckpt --run --mode resume
+    python -m repro recover /tmp/ckpt --run # ...and resume the run from its cut
                                             # restore the engine and run it on
     python -m repro gauntlet                # the adversarial workload gauntlet
     python -m repro gauntlet --scenario skew --smoke --json out.json
@@ -214,32 +214,36 @@ def _run_recover(args: argparse.Namespace) -> None:
 
     state = recover_state(args.checkpoint_dir)
     stored_rows = sum(len(table.rows) for table in state.tables.values())
+    held = state.cut_counts()
+    in_flight = sum(held[kind] for kind in ("ready", "blocked", "queued", "in_service"))
     print(f"Checkpoint directory: {args.checkpoint_dir}")
-    print(f"  snapshot generation: {state.snapshot_seq}")
-    print(f"  WAL records replayed: {state.wal_records_applied} "
-          f"(torn tail records truncated: {state.torn_wal_records})")
-    print(f"  torn snapshots skipped: {state.torn_snapshots}")
+    print(f"  snapshot generation: {state.snapshot_seq} "
+          f"(torn snapshots skipped: {state.torn_snapshots})")
+    print(f"  cut at virtual time: {state.cut_time:g} "
+          f"(next build timestamp {state.next_timestamp})")
     print(f"  shared SteMs: {len(state.tables)} holding {stored_rows} rows")
     print(f"  admissions logged: {len(state.admissions)} "
-          f"({len(state.retired)} retired)")
-    print(f"  results acknowledged: {state.total_emitted()}")
-    print(f"  next build timestamp: {state.next_timestamp}")
+          f"({len(state.queries)} started by the cut, {len(state.retired)} retired)")
+    print(f"  in-flight items in the cut: {in_flight} "
+          f"({held['ready']} ready, {held['queued']} queued, "
+          f"{held['in_service']} in service, {held['blocked']} blocked)")
+    print(f"  pending lookups in the cut: {held['lookups_in_flight']} in flight, "
+          f"{held['queued_keys']} queued")
+    print(f"  results acknowledged: {state.total_emitted()} "
+          f"({state.total_tail_acks()} in the WAL tail past the cut; "
+          f"torn tail records truncated: {state.torn_wal_records})")
     if not args.run:
         return
     workload = _recover_workload(args)
-    churn_events = (
-        workload.events if args.churn and args.mode == "replay" else ()
-    )
     restored = restore_engine(
         state,
         workload.catalog,
-        mode=args.mode,
-        churn_events=churn_events,
+        churn_events=workload.events if args.churn else (),
         batch_size=args.batch_size,
         shards=args.shards,
     )
     result = restored.run()
-    print(f"\nRecovered run ({args.mode} mode):")
+    print(f"\nRecovered run (resumed from the cut at {state.cut_time:g}):")
     print(result.summary())
     suppressed = sum(
         res.eddy_stats.get("suppressed_emits", 0)
@@ -385,15 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     recover_parser.add_argument("checkpoint_dir",
                                 help="checkpoint directory of a durable multi run")
     recover_parser.add_argument("--run", action="store_true",
-                                help="restore the engine and run it (default: "
-                                     "only print the recovered-state summary)")
-    recover_parser.add_argument("--mode", default="resume",
-                                choices=["resume", "replay"],
-                                help="resume: continue service with restored "
-                                     "state; replay: deterministically re-run "
-                                     "the whole logged workload (crash "
-                                     "recovery), suppressing already-"
-                                     "acknowledged results in both modes")
+                                help="restore the engine at the cut and run "
+                                     "it on, suppressing the results "
+                                     "acknowledged after the cut (default: "
+                                     "only print the recovered cut)")
     recover_parser.add_argument("--queries", type=int, default=8,
                                 help="original workload: number of queries")
     recover_parser.add_argument("--stagger", type=float, default=4.0,

@@ -155,6 +155,9 @@ class Eddy:
         #: False once :meth:`shutdown` ran (query retirement): the dataflow
         #: no longer accepts tuples and stray in-flight events become no-ops.
         self.live = True
+        #: Virtual time :meth:`start` ran at (None before): every scan's
+        #: delivery stream is relative to it.
+        self.started_at: float | None = None
 
         #: Tuples waiting for a routing decision, oldest first (unbounded:
         #: backpressure lives on the module queues).
@@ -270,9 +273,10 @@ class Eddy:
         """Schedule a callback on the simulator; returns the Event handle."""
         return self.sim.schedule(delay, callback, label)
 
-    def reserve(self, delays):
-        """Reserve the slots :meth:`schedule` would give these delays now."""
-        return self.sim.reserve(delays)
+    def reserve(self, delays, base: float | None = None):
+        """Reserve the slots :meth:`schedule` would give these delays now
+        (or would have given them at ``base``)."""
+        return self.sim.reserve(delays, base)
 
     def schedule_reserved(self, slot, callback, label: str = ""):
         """Schedule a callback in a reserved slot; returns the Event handle.
@@ -402,8 +406,44 @@ class Eddy:
         """
         if not self.live:
             return
+        self.started_at = self.sim.now
         for module in self.modules.values():
             module.start()
+        self._schedule_routing()
+
+    def cut(self) -> dict:
+        """Where this dataflow stands, read between two events.
+
+        Everything a later :meth:`restore` needs to carry on from here and
+        still produce every result exactly once: when the scans started,
+        each module's :meth:`~repro.core.modules.base.Module.cut`, and every
+        routable the eddy itself holds (ready deque, blocked offers), in
+        order.  Policy state, the destination cache, statistics and tuple
+        ids are deliberately absent — they start afresh, because any routing
+        the constraints allow is a right one (paper §3).
+        """
+        return {
+            "started_at": self.started_at,
+            "ready": list(self._ready),
+            "blocked": {name: list(items) for name, items in self._blocked.items() if items},
+            "modules": {name: module.cut() for name, module in self.modules.items()},
+        }
+
+    def restore(self, cut: dict) -> None:
+        """Put a :meth:`cut` back on the freshly wired eddy, in place of
+        :meth:`start`: every item returns to the very deque or queue it was
+        taken from, and whatever was armed is armed again."""
+        self.started_at = cut["started_at"]
+        if set(cut["modules"]) != set(self.modules) or set(cut["blocked"]) - set(self.modules):
+            raise ExecutionError(
+                f"the cut of query {self.query_id!r} was taken over modules "
+                f"{sorted(cut['modules'])}, this query has {sorted(self.modules)}"
+            )
+        for name, module in self.modules.items():
+            module.restore(cut["modules"][name])
+        for name, items in cut["blocked"].items():
+            self._blocked[name] = deque(items)
+        self._ready.extend(cut["ready"])
         self._schedule_routing()
 
     def shutdown(self) -> None:

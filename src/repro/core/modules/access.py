@@ -20,6 +20,7 @@ import random
 from collections import deque
 from typing import Any, Sequence
 
+from repro.errors import ExecutionError
 from repro.core.modules.base import Module, Routable
 from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
 from repro.query.predicates import Predicate
@@ -87,6 +88,12 @@ class ScanAMModule(Module):
         were scheduled now, but only one event is ever armed: each firing
         arms its successor in that successor's reserved slot.
         """
+        self._open_stream()
+
+    def _open_stream(self, started_at: float | None = None, cursor: int = 0) -> None:
+        """Derive the stream as of ``started_at`` (None: now) and arm entry
+        ``cursor`` — the arithmetic is seeded, so a restored scan gets the
+        very instants and order the original had."""
         assert self.runtime is not None
         rate = max(self.spec.rate, 1e-9)
         outages = (
@@ -114,8 +121,27 @@ class ScanAMModule(Module):
         rows.append(None)
         # Jitter and stall bursts make the instants non-monotone and tied:
         # firing order is the heap's, (time, sequence).
-        self._stream = sorted(zip(self.runtime.reserve(offsets), rows))
+        slots = (
+            self.runtime.reserve(offsets)
+            if started_at is None
+            else self.runtime.reserve(offsets, started_at)
+        )
+        self._stream = sorted(zip(slots, rows))
+        self._position = cursor
         self._arm()
+
+    def cut(self) -> dict:
+        """The stream cursor; the stream itself is re-derived on restore."""
+        return {**super().cut(), "state": (self._position, self.finished)}
+
+    def restore(self, cut: dict) -> None:
+        assert self.runtime is not None
+        super().restore(cut)
+        self._position, self.finished = cut["state"]
+        self.delivered = min(self._position, self.total)
+        self._last_delivery_time = self.runtime.now
+        if not self.finished:
+            self._open_stream(self.runtime.started_at, self._position)
 
     def _arm(self) -> None:
         """Arm the stream's current entry in its reserved slot."""
@@ -270,7 +296,8 @@ class IndexAMModule(Module):
         self._pending_keys: set[tuple[Any, ...]] = set()
         self._completed_keys: set[tuple[Any, ...]] = set()
         self._lookup_queue: deque[tuple[Any, ...]] = deque()
-        self._active_lookups = 0
+        #: Issued, unanswered keys -> ``(next step, attempt, due time)``.
+        self._in_flight: dict[tuple[Any, ...], tuple[str, int, float]] = {}
         # Flaky-source model (seeded per-attempt failure draws).  Imported
         # lazily: the fault helpers live in the recovery package, which
         # imports the engine — a module-level import would be circular.
@@ -342,12 +369,24 @@ class IndexAMModule(Module):
 
     def _start_lookups(self) -> None:
         assert self.runtime is not None
-        while self._active_lookups < self.spec.concurrency and self._lookup_queue:
+        while len(self._in_flight) < self.spec.concurrency and self._lookup_queue:
             key = self._lookup_queue.popleft()
-            self._active_lookups += 1
             self.stats["lookups"] += 1
             self.lookup_series.append((self.runtime.now, int(self.stats["lookups"])))
             self._issue_attempt(key, 1)
+
+    def _arm(self, step, key: tuple[Any, ...], attempt: int, delay: float) -> None:
+        """Schedule the lookup's next step (one of this module's methods)
+        and note it in flight: the key holds its concurrency slot until it
+        completes or is abandoned, and a checkpoint reads what it is waiting
+        for here."""
+        assert self.runtime is not None
+        self._in_flight[key] = (step.__name__, attempt, self.runtime.now + delay)
+        self.runtime.schedule(
+            delay,
+            lambda: step(key, attempt),
+            label=self._retry_label if step == self._issue_attempt else self._lookup_label,
+        )
 
     def _issue_attempt(self, key: tuple[Any, ...], attempt: int) -> None:
         """Issue one lookup attempt; the key's concurrency slot stays held."""
@@ -358,25 +397,19 @@ class IndexAMModule(Module):
         if timeout is not None and completion - self.runtime.now > timeout:
             # The attempt would land past its deadline; give up on it *at*
             # the deadline instead of waiting out the stall.
-            self.runtime.schedule(
-                timeout,
-                lambda key=key, attempt=attempt: self._attempt_timed_out(
-                    key, attempt
-                ),
-                label=self._lookup_label,
-            )
-            return
-        self.runtime.schedule(
-            completion - self.runtime.now,
-            lambda key=key, attempt=attempt: self._attempt_completed(key, attempt),
-            label=self._lookup_label,
-        )
+            self._arm(self._attempt_timed_out, key, attempt, timeout)
+        else:
+            self._arm(self._attempt_completed, key, attempt, completion - self.runtime.now)
+
+    def _release(self, key: tuple[Any, ...]) -> None:
+        """Free the key's concurrency slot; it is no longer pending."""
+        del self._in_flight[key]
+        self._pending_keys.discard(key)
 
     def _attempt_timed_out(self, key: tuple[Any, ...], attempt: int) -> None:
         assert self.runtime is not None
         if not getattr(self.runtime, "live", True):
-            self._active_lookups -= 1
-            self._pending_keys.discard(key)
+            self._release(key)
             return
         self.stats["lookup_timeouts"] += 1
         self._attempt_failed(key, attempt)
@@ -385,8 +418,7 @@ class IndexAMModule(Module):
         if self._fault_model is not None:
             assert self.runtime is not None
             if not getattr(self.runtime, "live", True):
-                self._active_lookups -= 1
-                self._pending_keys.discard(key)
+                self._release(key)
                 return
             if self._fault_model(attempt):
                 self.stats["lookup_failures"] += 1
@@ -402,13 +434,7 @@ class IndexAMModule(Module):
         self.stats["lookup_retries"] += 1
         backoff = self.spec.retry_backoff * (2 ** (attempt - 1))
         if backoff > 0:
-            self.runtime.schedule(
-                backoff,
-                lambda key=key, attempt=attempt: self._issue_attempt(
-                    key, attempt + 1
-                ),
-                label=self._retry_label,
-            )
+            self._arm(self._issue_attempt, key, attempt + 1, backoff)
         else:
             self._issue_attempt(key, attempt + 1)
 
@@ -423,8 +449,7 @@ class IndexAMModule(Module):
         """
         assert self.runtime is not None
         self.stats["lookups_abandoned"] += 1
-        self._active_lookups -= 1
-        self._pending_keys.discard(key)
+        self._release(key)
         self._start_lookups()
         self.runtime.notify_idle(self)
 
@@ -439,13 +464,10 @@ class IndexAMModule(Module):
 
     def _complete_lookup(self, key: tuple[Any, ...]) -> None:
         assert self.runtime is not None
+        self._release(key)
         if not getattr(self.runtime, "live", True):
             # Retired mid-lookup: the answer has no dataflow to enter.
-            self._active_lookups -= 1
-            self._pending_keys.discard(key)
             return
-        self._active_lookups -= 1
-        self._pending_keys.discard(key)
         self._completed_keys.add(key)
         matches = self.table.lookup(self.spec.columns, key)
         if self.spec.matches_per_probe is not None:
@@ -468,16 +490,51 @@ class IndexAMModule(Module):
         self._start_lookups()
         self.runtime.notify_idle(self)
 
+    # -- checkpoints ------------------------------------------------------------------
+
+    def cut(self) -> dict:
+        """Answered keys, queued keys in order, and each lookup in flight as
+        ``(step, key, attempt, due time)``."""
+        in_flight = tuple(
+            (step, key, attempt, due)
+            for key, (step, attempt, due) in self._in_flight.items()
+        )
+        state = (
+            tuple(sorted(self._completed_keys, key=repr)),
+            tuple(self._lookup_queue),
+            in_flight,
+        )
+        return {**super().cut(), "state": state}
+
+    def restore(self, cut: dict) -> None:
+        """Re-queue the queued keys and re-arm every lookup in flight at its
+        saved step, attempt number and due time (latency and fault draws
+        start afresh: any answer time is a legal one)."""
+        assert self.runtime is not None
+        super().restore(cut)
+        completed, queued, in_flight = cut["state"]
+        self._completed_keys.update(completed)
+        for step, key, attempt, due in in_flight:
+            if step not in ("_attempt_completed", "_attempt_timed_out", "_issue_attempt"):
+                raise ExecutionError(f"{self.name}: unknown lookup step {step!r} in the cut")
+            self._pending_keys.add(key)
+            self._arm(getattr(self, step), key, attempt, max(due - self.runtime.now, 0.0))
+            # now + (due - now) may be an ulp off: keep the saved instant.
+            self._in_flight[key] = (step, attempt, due)
+        self._pending_keys.update(queued)
+        self._lookup_queue.extend(queued)
+        self._start_lookups()
+
     # -- introspection ----------------------------------------------------------------
 
     @property
     def pending_work(self) -> int:
-        return super().pending_work + len(self._lookup_queue) + self._active_lookups
+        return super().pending_work + len(self._lookup_queue) + len(self._in_flight)
 
     @property
     def outstanding_lookups(self) -> int:
         """Lookups queued or in flight (used by cost-aware policies)."""
-        return len(self._lookup_queue) + self._active_lookups
+        return len(self._lookup_queue) + len(self._in_flight)
 
     def expected_lookup_delay(self) -> float:
         """Expected time for a *new* probe to be answered by this index."""

@@ -47,10 +47,10 @@ class EddyRuntime(Protocol):
         (see :class:`~repro.core.eddy.Eddy.cancel`); bare test runtimes may
         return None, so modules treat the handle as opaque and optional."""
 
-    def reserve(self, delays) -> list:
+    def reserve(self, delays, base: float | None = None) -> list:
         """Reserve, in order, the ``(time, sequence)`` slots that
-        :meth:`schedule` called now with each delay would occupy (see
-        :meth:`~repro.sim.simulator.Simulator.reserve`)."""
+        :meth:`schedule` called now (or at ``base``) with each delay would
+        occupy (see :meth:`~repro.sim.simulator.Simulator.reserve`)."""
 
     def schedule_reserved(self, slot, callback, label: str = ""):
         """Schedule a callback in a slot from :meth:`reserve`; the handle
@@ -170,6 +170,32 @@ class Module(ABC):
         if self.queue.items:
             self._maybe_start()
         runtime.notify_idle(self)
+
+    # -- checkpoints --------------------------------------------------------------
+
+    def cut(self) -> dict:
+        """What a checkpoint taken between two events must carry to put this
+        module back: the item in service and the queue, in order, plus a
+        module-specific ``state`` of plain values (tuples and scalars)."""
+        return {
+            "kind": self.kind,
+            "in_service": self._in_service,
+            "queue": list(self.queue.items),
+            "state": (),
+        }
+
+    def restore(self, cut: dict) -> None:
+        """Put :meth:`cut` back on the freshly wired module.
+
+        Queued items return to the queue itself, not to the eddy: they were
+        charged their visit when they were routed here, and routing them
+        again would trip BoundedRepetition.  The item in service heads the
+        queue, so its service restarts.
+        """
+        if cut["in_service"] is not None:
+            self.queue.items.append(cut["in_service"])
+        self.queue.items.extend(cut["queue"])
+        self._maybe_start()
 
     # -- behaviour ----------------------------------------------------------------
 

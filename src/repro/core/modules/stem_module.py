@@ -266,6 +266,12 @@ class SteMModule(Module):
         self._probe_plans.clear()
         self._plans_layout = None
 
+    def cut(self) -> dict:
+        """A private SteM (a self-join alias) belongs to its query's cut: the
+        SteM itself rides under ``stem`` for the checkpoint to persist like
+        a shared table, and is reinstalled before :meth:`restore` runs."""
+        return {**super().cut(), "stem": self.stem}
+
     def _covers_probe(self, item: QTuple, target: str, outcome) -> bool:
         """Whether the probe outcome proves *this query* got every match.
 
@@ -366,6 +372,26 @@ class SharedSteMModule(SteMModule):
         super().detach()
         self.stem.remove_evict_listener(self._evict_callback)
         self._carried.clear()
+
+    def cut(self) -> dict:
+        """The carried set as build timestamps (every carried row is stored:
+        the evict listener forgets the ones that left)."""
+        timestamp_of = self.stem.timestamp_of
+        carried = tuple(sorted(int(timestamp_of(row)) for row in self._carried))
+        # Module.cut, not the private wrapper's: a shared SteM is persisted
+        # once, with the registry's tables.
+        return {**Module.cut(self), "state": carried}
+
+    def restore(self, cut: dict) -> None:
+        super().restore(cut)
+        rows = {timestamp: row for row, timestamp in self.stem.state_entries()}
+        try:
+            self._carried.update(rows[timestamp] for timestamp in cut["state"])
+        except KeyError as missing:
+            raise ExecutionError(
+                f"{self.name}: the cut carries build timestamp {missing} "
+                f"but the restored SteM on {self.stem.table!r} holds no such row"
+            ) from None
 
     def _handle_build(self, item: QTuple) -> list[Routable]:
         assert self.runtime is not None

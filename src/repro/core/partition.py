@@ -943,8 +943,8 @@ class PartitionedSteM:
         scan_complete: Iterable[str],
         eot_keys: Mapping[tuple[str, ...], Iterable[tuple[Any, ...]]],
     ) -> None:
-        """Reinstall wrapper-level EOT coverage (resume-mode restore only;
-        see :meth:`repro.core.stem.SteM.restore_coverage`)."""
+        """Reinstall wrapper-level EOT coverage (see
+        :meth:`repro.core.stem.SteM.restore_coverage`)."""
         self._scan_complete.update(scan_complete)
         for columns, values in eot_keys.items():
             self._eot_keys.setdefault(tuple(columns), set()).update(

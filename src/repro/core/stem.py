@@ -328,8 +328,7 @@ class SteM:
         #: being mistaken for a still-stored duplicate.
         self._evict_listeners: list = []
         #: Callbacks invoked after every :meth:`build` with
-        #: ``(row, timestamp, duplicate)`` — duplicates included, so a WAL
-        #: replaying the stream reproduces the duplicate counters too.
+        #: ``(row, timestamp, duplicate)`` — duplicates included.
         self._build_listeners: list = []
         #: Callbacks invoked after every :meth:`build_eot` with the EOT.
         self._eot_listeners: list = []
@@ -1061,8 +1060,7 @@ class SteM:
         """Register a callback invoked after every build.
 
         Called as ``callback(row, timestamp, duplicate)`` — duplicates
-        included, so a durability log replaying the build stream reproduces
-        the duplicate counters exactly.
+        included.
         """
         self._build_listeners.append(callback)
 
@@ -1171,12 +1169,8 @@ class SteM:
         scan_complete: Iterable[str],
         eot_keys: Mapping[tuple[str, ...], Iterable[tuple[Any, ...]]],
     ) -> None:
-        """Reinstall EOT coverage from a snapshot (resume-mode restore only).
-
-        Replay-mode recovery must NOT call this: restored coverage would
-        short-circuit index-AM lookups whose re-delivered singletons the
-        replay needs, so coverage is left to redevelop during replay.
-        """
+        """Reinstall EOT coverage from a snapshot, beside the rows it covers
+        (a restore puts both back, with the lookups that were under way)."""
         self._scan_complete.update(scan_complete)
         for columns, values in eot_keys.items():
             self._eot_keys.setdefault(tuple(columns), set()).update(

@@ -141,10 +141,6 @@ class SteMRegistry:
         #: Counters of SteMs torn down by :meth:`release`, keyed by SteM
         #: name, so run-level totals survive reclamation.
         self.reclaimed_stats: dict[str, dict[str, int]] = {}
-        #: Callbacks invoked with ``(table, stem)`` whenever :meth:`stem_for`
-        #: creates a SteM.  The durability layer uses this to attach its
-        #: build/evict/EOT listeners to lazily-created shared state.
-        self._create_listeners: list = []
         self.stats: dict[str, int] = {
             "stems": 0,
             "attachments": 0,
@@ -215,8 +211,6 @@ class SteMRegistry:
             )
             self._stems[table] = stem
             self.stats["stems"] += 1
-            for listener in self._create_listeners:
-                listener(table, stem)
         else:
             stem.add_alias(alias)
             stem.ensure_join_columns(columns)
@@ -295,24 +289,6 @@ class SteMRegistry:
                     del alias_refs[name]
                     stem.remove_alias(name)
         return reclaimed
-
-    def add_create_listener(self, callback) -> None:
-        """Register a ``(table, stem)`` callback fired on SteM creation.
-
-        Already-live SteMs are announced immediately, so an observer that
-        attaches mid-run still sees every shared SteM exactly once.
-        """
-        self._create_listeners.append(callback)
-        for table, stem in self._stems.items():
-            callback(table, stem)
-
-    def remove_create_listener(self, callback) -> bool:
-        """Unregister a creation listener; True when it was registered."""
-        try:
-            self._create_listeners.remove(callback)
-        except ValueError:
-            return False
-        return True
 
     def refcount(self, table: str) -> int:
         """Owner-attributed references currently held on a table's SteM."""

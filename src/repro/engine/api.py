@@ -131,33 +131,29 @@ def execute(
 def recover_multi(
     checkpoint_dir: str,
     catalog: Catalog,
-    mode: str = "resume",
     churn_events: Sequence = (),
     until: float | None = None,
     **engine_kwargs,
 ):
     """Recover a durable multi-query run from its checkpoint directory.
 
-    Loads the latest valid snapshot plus the WAL tail written by a run that
-    used ``checkpoint_dir`` (see the ``checkpoint_dir`` option of
-    :func:`repro.engine.multi.run_multi`), rebuilds the engine in the given
-    mode, and runs it to completion.
+    Loads the latest valid snapshot — a consistent cut of the run — plus
+    the WAL tail written after it by a run that used ``checkpoint_dir``
+    (see the ``checkpoint_dir`` option of
+    :func:`repro.engine.multi.run_multi`), rebuilds the engine standing at
+    the cut, and runs it to completion: the union of the results
+    acknowledged before the crash and the ones this run emits equals an
+    uninterrupted run's, each exactly once.
 
     Args:
         checkpoint_dir: the directory the original run checkpointed into.
         catalog: the catalog the original run executed against (the base
             tables are re-streamed; they are not part of the checkpoint).
-        mode: ``"resume"`` (continue service: restored state and coverage,
-            active queries only, already-acknowledged results suppressed) or
-            ``"replay"`` (crash recovery: deterministic re-run of the whole
-            logged workload with acknowledged results suppressed — the
-            union of pre-crash and post-restore outputs equals an
-            uninterrupted run).
-        churn_events: in replay mode, the original churn schedule; the
-            portion already reflected in the log is skipped.
+        churn_events: the original churn schedule; the portion already
+            reflected in the log is skipped.
         until: virtual-time bound for the recovered run.
         engine_kwargs: engine configuration, which must match the original
-            run's for replay identity.
+            run's.
 
     Returns:
         The recovered run's :class:`~repro.engine.results.MultiQueryResult`.
@@ -168,6 +164,6 @@ def recover_multi(
 
     state = recover_state(checkpoint_dir)
     restored = restore_engine(
-        state, catalog, mode=mode, churn_events=churn_events, **engine_kwargs
+        state, catalog, churn_events=churn_events, **engine_kwargs
     )
     return restored.run(until=until)

@@ -161,8 +161,8 @@ class _TimestampCounter:
 
     Behaves like ``itertools.count(start)`` for the eddies drawing from it,
     but exposes :attr:`next_value` so a checkpoint can persist *where the
-    counter is* — a restored engine resuming service continues the total
-    order instead of re-issuing timestamps already assigned to stored rows.
+    counter is* — a restored engine continues the total order instead of
+    re-issuing timestamps already assigned to stored rows.
     """
 
     __slots__ = ("next_value",)
@@ -246,9 +246,11 @@ class MultiQueryEngine:
             service mode; queries arrive later via :meth:`admit` or a
             churn schedule).
         timestamp_start: first value of the global build-timestamp counter.
-            1 for fresh runs; a resume-mode restore passes the persisted
-            next value so the total order over builds continues where the
-            previous incarnation stopped.
+            1 for fresh runs; a restore passes the persisted next value so
+            the total order over builds continues where the previous
+            incarnation stopped.
+        start_time: virtual time the simulator starts at.  0 for fresh
+            runs; a restore passes the time of the checkpoint it resumes.
     """
 
     def __init__(
@@ -268,6 +270,7 @@ class MultiQueryEngine:
         shards: int | None = None,
         continuous: bool = False,
         timestamp_start: int = 1,
+        start_time: float = 0.0,
     ):
         self.catalog = catalog
         self.costs = cost_model or CostModel()
@@ -281,7 +284,7 @@ class MultiQueryEngine:
         self.compiled_probes = compiled_probes
         self.columnar = columnar
         self.shards = shards
-        self.simulator = Simulator()
+        self.simulator = Simulator(start_time=start_time)
         self.registry: SteMRegistry | None = (
             SteMRegistry(
                 index_kind=stem_index_kind,
@@ -303,8 +306,8 @@ class MultiQueryEngine:
         )
         #: One build-timestamp source for every eddy: the TimeStamp
         #: constraint requires a total order over builds across queries.
-        #: ``timestamp_start`` lets a resume-mode restore continue the
-        #: persisted total order instead of re-issuing assigned timestamps.
+        #: ``timestamp_start`` lets a restore continue the persisted total
+        #: order instead of re-issuing assigned timestamps.
         self._timestamps = _TimestampCounter(timestamp_start)
         #: Durability hooks: called as ``cb(query_id, admission, query,
         #: start_time, eddy)`` after every successful admission, and
@@ -411,6 +414,14 @@ class MultiQueryEngine:
         for listener in self._admission_listeners:
             listener(query_id, admission, query, start_time, eddy)
         return query_id
+
+    def resume(self, query_id: str, cut: dict) -> None:
+        """Put a query admitted before :meth:`run` back where a checkpoint
+        found it (:meth:`Eddy.restore <repro.core.eddy.Eddy.restore>`), in
+        place of starting it."""
+        ctx = self._ctx(query_id)
+        ctx.started = True
+        ctx.eddy.restore(cut)
 
     def add_admission_listener(self, callback) -> None:
         """Register a callback invoked after every successful admission.

@@ -6,21 +6,23 @@ recoverable state survive a crash:
 * :mod:`~repro.recovery.codec` — an exact, hostile-value-safe serialization
   layer (tagged JSON: NaN/±inf/-0.0 round-trip via ``float.hex``, big ints,
   bytes, bool-vs-int) plus the CRC-framed record format shared by snapshots
-  and the WAL, and the :func:`~repro.recovery.codec.query_to_sql` unparser
-  that lets admissions round-trip through the log.
-* :mod:`~repro.recovery.wal` — an append-only write-ahead log of
-  build/evict/EOT/admit/retire/emit events with tiered durability
-  (admissions flush inline; result acknowledgements group-commit — batched
-  per commit window into ``emits`` records and flushed once; bulk build
-  traffic is group-flushed) and torn-tail detection on replay.
+  and the WAL, the dataflow-item codec that carries in-flight tuples with
+  their whole TupleState, and the :func:`~repro.recovery.codec.query_to_sql`
+  unparser that lets admissions round-trip through the log.
+* :mod:`~repro.recovery.wal` — an append-only write-ahead log of what the
+  world was told and asked for: admit/retire records (flushed inline) and
+  result acknowledgements (group-committed — batched per commit window into
+  ``emits`` records and flushed once), with torn-tail detection on replay.
 * :mod:`~repro.recovery.snapshot` — atomic checksummed snapshots with
   generation retention: a torn snapshot is detected and recovery falls back
-  to the previous generation plus a longer WAL replay.
+  to the previous generation's cut plus a longer WAL tail.
 * :mod:`~repro.recovery.manager` — the :class:`CheckpointManager` that
-  observes a live :class:`~repro.engine.multi.MultiQueryEngine` through
-  listener hooks, plus :func:`recover_state` / :func:`restore_engine` which
-  rebuild an engine from disk in ``replay`` (crash recovery with
-  exactly-once emission) or ``resume`` (service restart) mode.
+  writes a *consistent cut* of a live
+  :class:`~repro.engine.multi.MultiQueryEngine` at each checkpoint (SteM
+  rows and coverage, scan cursors, pending lookups, in-flight tuples) and
+  logs acknowledgements and lifecycle in between, plus
+  :func:`recover_state` / :func:`restore_engine` which rebuild an engine
+  standing at the last cut and resume it, with exactly-once emission.
 * :mod:`~repro.recovery.faults` — deterministic fault injection: crashes at
   exact event boundaries, torn snapshot writes, and seeded index-lookup
   failure models for the graceful-degradation paths.

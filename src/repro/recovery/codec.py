@@ -37,16 +37,20 @@ import zlib
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ExecutionError
+from repro.core.tuples import EOTTuple, QTuple
 from repro.query.expressions import ColumnRef, Literal
+from repro.query.layout import bit_positions
 from repro.query.predicates import Comparison, InList, Predicate
 from repro.query.query import Query
 from repro.storage.row import Row
 from repro.storage.schema import Column, DataType, Schema
 
 __all__ = [
+    "decode_item",
     "decode_row",
     "decode_schema",
     "decode_value",
+    "encode_item",
     "encode_row",
     "encode_schema",
     "encode_value",
@@ -170,6 +174,96 @@ def decode_row(encoded: Mapping[str, Any], table: str, schema: Schema) -> Row:
         values=tuple(decode_value(value) for value in encoded["v"]),
         rid=int(encoded["rid"]),
     )
+
+
+# -- dataflow items ----------------------------------------------------------------
+
+
+def encode_item(item: QTuple | EOTTuple) -> dict:
+    """Encode one routable held by a running dataflow (a checkpoint's cut).
+
+    A :class:`QTuple` carries every TupleState slot, with the masks spelt as
+    alias names, predicate ids and per-module visit counts — bit positions
+    and visit-slot numbers are assigned per process, names are not.  The
+    tuple id is left out: the restored tuple draws a fresh one.
+    """
+    if isinstance(item, EOTTuple):
+        return {
+            "eot": [item.table, item.alias, item.am_name, list(item.bound_columns)],
+            "vals": encode_value(tuple(item.bound_values)),
+        }
+    return {
+        "rows": [
+            [alias, row.table, encode_row(row), encode_value(item.timestamps[alias])]
+            for alias, row in item.components.items()
+        ],
+        "done": bit_positions(item.done_mask),
+        "built": sorted(item.built),
+        "resolved": sorted(item.resolved),
+        "exhausted": sorted(item.exhausted),
+        "visits": item.visits,
+        "stop": item.stop_stem_probes,
+        "pc": item.probe_completion_alias,
+        "lm": [[name, encode_value(ts)] for name, ts in item.last_match_ts.items()],
+        "prio": encode_value(item.priority),
+        "src": item.source,
+        "q": item.query_id,
+        "at": encode_value(item.created_at),
+        "failed": item.failed,
+    }
+
+
+def decode_item(encoded: Mapping[str, Any], layout, schema_of, modules) -> QTuple | EOTTuple:
+    """Invert :func:`encode_item` into the restored query's dataflow.
+
+    ``layout`` is the query's compiled layout, ``schema_of(table)`` the
+    catalog's schema for a base table and ``modules`` the query's module
+    names.  A name the query does not have (alias, predicate id, module)
+    raises :class:`~repro.errors.ExecutionError`: a piece of the cut that
+    cannot be placed must not be dropped.
+    """
+    if "eot" in encoded:
+        table, alias, am_name, columns = encoded["eot"]
+        return EOTTuple(table, alias, am_name, tuple(columns), decode_value(encoded["vals"]))
+    names = set(encoded["built"]) | set(encoded["resolved"]) | set(encoded["exhausted"])
+    names.update(alias for alias, _, _, _ in encoded["rows"])
+    if encoded["pc"] is not None:
+        names.add(encoded["pc"])
+    unknown = sorted(
+        [name for name in names if name not in layout.alias_bits]
+        + [str(i) for i in encoded["done"] if i not in layout.predicate_bits]
+        + [name for name in encoded["visits"] if name not in modules]
+    )
+    if unknown:
+        raise ExecutionError(
+            f"an in-flight tuple of the cut names aliases, predicate ids or "
+            f"modules the restored query does not have: {unknown}"
+        )
+    item = QTuple(
+        {
+            alias: decode_row(row, table, schema_of(table))
+            for alias, table, row, _ in encoded["rows"]
+        },
+        {alias: decode_value(ts) for alias, _, _, ts in encoded["rows"]},
+        done=encoded["done"],
+        source=encoded["src"],
+        priority=decode_value(encoded["prio"]),
+        created_at=decode_value(encoded["at"]),
+        query_id=encoded["q"],
+        layout=layout,
+    )
+    item.built_mask = layout.mask_of(encoded["built"])
+    item.resolved_mask = layout.mask_of(encoded["resolved"])
+    item.exhausted_mask = layout.mask_of(encoded["exhausted"])
+    for name, count in encoded["visits"].items():
+        for _ in range(count):
+            item.record_visit(name)
+    item.stop_stem_probes = encoded["stop"]
+    item.probe_completion_alias = encoded["pc"]
+    for name, timestamp in encoded["lm"]:
+        item.set_last_match(name, decode_value(timestamp))
+    item.failed = encoded["failed"]
+    return item
 
 
 # -- record framing ----------------------------------------------------------------

@@ -14,22 +14,25 @@ workload and one crash boundary:
    attached and a :class:`~repro.recovery.faults.CrashInjector` armed, let
    the injected crash kill it, and drop the WAL's unflushed buffer exactly
    as a real crash would;
-3. recover from disk, rebuild the engine in ``replay`` mode, run it to
-   completion;
+3. recover from disk, rebuild the engine standing at the last cut, run it
+   to completion;
 4. compare, per query: acked-before-crash + emitted-after-restore vs
    reference.
 
 Runs are deterministic (virtual-time simulator, seeded workloads), so the
 reference and the crashed run execute identical event sequences up to the
 crash — which is what makes sweeping the boundary over every event index
-an exhaustive check rather than a probabilistic one.
+an exhaustive check rather than a probabilistic one.  Periodic checkpoints
+fall where little is in flight; ``checkpoint_after_events`` cuts at an
+arbitrary boundary instead, so a sweep can see queues, service slots and
+lookups that are not empty.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.engine.multi import ChurnEvent, MultiQueryEngine, QueryAdmission
 from repro.engine.results import MultiQueryResult
@@ -93,6 +96,8 @@ def crash_recovery_oracle(
     checkpoint_interval: float | None = None,
     until: float | None = None,
     tear_final_snapshot: bool = False,
+    checkpoint_after_events: int | None = None,
+    reference: dict[str, Counter] | None = None,
     **engine_kwargs,
 ) -> dict[str, Any]:
     """Crash one run at an event boundary, recover, and verify exactly-once.
@@ -106,14 +111,19 @@ def crash_recovery_oracle(
             boundaries past the workload's end make it complete cleanly
             (``crashed`` is False in the report and the oracle still holds).
         churn_events: optional live admission/retirement schedule; the
-            restore replays whatever portion the crash pre-empted.
-        checkpoint_interval: virtual-time checkpoint cadence (None: WAL-only
-            recovery from an empty snapshot store).
+            restore applies whatever portion the crash pre-empted.
+        checkpoint_interval: virtual-time checkpoint cadence (None: no
+            periodic snapshot — recovery from the empty cut and the WAL).
         until: virtual-time bound passed to every run.
         tear_final_snapshot: additionally simulate the crash landing
             mid-checkpoint — a snapshot of the at-crash state is written and
             then torn (truncated on disk), so recovery must detect the bad
             CRC and fall back to the previous generation + longer WAL tail.
+        checkpoint_after_events: additionally take one checkpoint by hand
+            right after this many events (and before the crash check of the
+            same boundary), wherever the dataflow happens to stand.
+        reference: the identity counts :func:`run_reference` returns for
+            this workload, when a sweep has already computed them.
         engine_kwargs: engine configuration (batch size, shards, ...),
             identical across all three runs.
 
@@ -122,15 +132,26 @@ def crash_recovery_oracle(
     count differs from the reference (positive delta = duplicate, negative
     = loss).
     """
-    _, reference_keys = run_reference(
-        admissions, catalog, churn_events, until=until, **engine_kwargs
-    )
+    reference_keys = reference
+    if reference_keys is None:
+        _, reference_keys = run_reference(
+            admissions, catalog, churn_events, until=until, **engine_kwargs
+        )
 
     engine = _build_engine(admissions, catalog, churn_events, **engine_kwargs)
     manager = CheckpointManager.attach(
         engine, checkpoint_dir, interval=checkpoint_interval
     )
     injector = CrashInjector(engine.simulator, crash_after_events).arm()
+    if checkpoint_after_events is not None:
+        crash_check = engine.simulator.after_event_hook
+
+        def checkpoint_then_crash_check(event) -> None:
+            if injector.seen + 1 == checkpoint_after_events:
+                manager.take_checkpoint()
+            crash_check(event)
+
+        engine.simulator.after_event_hook = checkpoint_then_crash_check
     crashed = False
     crash_time = None
     try:
@@ -139,7 +160,7 @@ def crash_recovery_oracle(
         crashed = True
         crash_time = crash.time
     finally:
-        injector.disarm()
+        engine.simulator.after_event_hook = None
     if crashed:
         if tear_final_snapshot:
             _write_torn_snapshot(manager)
@@ -155,7 +176,7 @@ def crash_recovery_oracle(
     }
 
     restored = restore_engine(
-        state, catalog, mode="replay", churn_events=churn_events, **engine_kwargs
+        state, catalog, churn_events=churn_events, **engine_kwargs
     )
     restored_result = restored.run(until=until)
     post_restore = result_identity_counts(restored_result)
@@ -194,8 +215,11 @@ def crash_recovery_oracle(
         ),
         "torn_wal_records": state.torn_wal_records,
         "torn_snapshots": state.torn_snapshots,
-        "wal_records_applied": state.wal_records_applied,
         "snapshot_seq": state.snapshot_seq,
+        "cut_time": state.cut_time,
+        "cut_counts": state.cut_counts(),
+        "tail_acks": state.total_tail_acks(),
+        "restored_events": restored.simulator.executed_events,
     }
 
 

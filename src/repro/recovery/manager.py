@@ -1,38 +1,51 @@
 """Checkpoint/WAL durability for the multi-query engine, and recovery.
 
-:class:`CheckpointManager` observes a live
-:class:`~repro.engine.multi.MultiQueryEngine` through listener hooks — SteM
-creation/build/evict/EOT from the registry, admissions/retirements from the
-engine, result emission from each eddy — writing every recoverable state
-change to a :class:`~repro.recovery.wal.WriteAheadLog` and periodically
-folding the full state into a :class:`~repro.recovery.snapshot.SnapshotStore`
-generation.  :func:`recover_state` inverts the pair (latest valid snapshot +
-WAL tail replay, torn tails truncated), and :func:`restore_engine` rebuilds
-a runnable engine from the recovered state in one of two modes:
+SteMs hold all inter-operator state (paper §2.1.4), so a *consistent cut* of
+a running fleet is small: the SteM rows and coverage, where each source
+stands, and the few items in flight between modules.  A checkpoint — one
+synchronous event, :meth:`CheckpointManager.take_checkpoint` — gathers that
+cut by walking the engine at an event boundary (nothing is recorded along
+the way) and writes it as one :class:`~repro.recovery.snapshot.SnapshotStore`
+generation:
 
-``replay`` (crash recovery, the differential-oracle mode)
-    Re-runs the *whole* workload from virtual time zero with the persisted
-    shared-SteM rows pre-installed at their original build timestamps and
-    the timestamp counter reset.  Correctness rests on the paper's own
-    TimeStamp machinery: counter draws are monotone in event-execution
-    order, so the replay assigns every build attempt the same timestamp as
-    the original run, restored rows are absorbed as duplicates *with their
-    original timestamps* (the shared-SteM bounce-back still fires, because
-    each query's carried-set starts empty), and probe results — which
-    depend only on rows with ``ts < probe_ts`` — are identical.  Private
-    per-query SteMs are deliberately *not* restored (a restored private row
-    would absorb its replayed build without bounce-back and lose results),
-    and EOT coverage is *not* restored (it would short-circuit index-AM
-    lookups whose re-delivered singletons the replay needs); both redevelop
-    identically during replay.  Acknowledged results are suppressed through
-    each eddy's ``emit_filter`` — the exactly-once half of the protocol.
+* per shared SteM: schema, rows with their build timestamps, EOT coverage;
+* the virtual time, the build-timestamp cursor, admissions, retirements and
+  every acknowledged result identity;
+* per started query (:meth:`Eddy.cut <repro.core.eddy.Eddy.cut>`): when its
+  scans started and each scan's stream position; each index AM's answered
+  keys, queued keys and lookups in flight (step, attempt, due time); each
+  shared-SteM module's carried set as build timestamps; each *private* SteM
+  (self-join aliases) in the per-table form; and every routable held by the
+  ready deque, the blocked-offer lists and each module's queue and service
+  slot, in order (:func:`~repro.recovery.codec.encode_item`).
 
-``resume`` (service restart)
-    Continues the service: full shared state including coverage is
-    reinstalled, the timestamp counter resumes from its persisted next
-    value, only still-active queries are re-admitted (as a fresh segment —
-    their sources re-stream), and emit filters again suppress already-
-    acknowledged results across the restart boundary.
+Between checkpoints the :class:`~repro.recovery.wal.WriteAheadLog` records
+only what the cut cannot know about the time after it: results
+acknowledged (``emit``/``emits``) and queries admitted or retired.
+
+:func:`recover_state` reads the latest valid snapshot (torn generations
+skipped) plus the WAL tail past its cut (torn tails truncated);
+:func:`restore_engine` rebuilds an engine *standing at the cut*: simulator
+at the cut's time, counter at the persisted cursor, rows reinstalled through
+:meth:`SteM.build <repro.core.stem.SteM.build>` with their original
+timestamps, coverage reinstalled, every query admitted once and — if it had
+started — put back where it was (:meth:`MultiQueryEngine.resume
+<repro.engine.multi.MultiQueryEngine.resume>`).  Admissions and retirements
+of the tail are applied at their own virtual times, and each query's
+``emit_filter`` suppresses, by identity, the results acknowledged between
+cut and crash when the restored run regenerates them.  A directory without a
+valid snapshot restores the empty cut at time zero: a fresh run under the
+emit filter, the same code path.
+
+Why resuming is right: each event is atomic, so a cut between two events
+has no half-done work in it, and the restored dataflow holds exactly the
+tuples, SteM contents and TupleState the original held.  What it does
+*next* may differ — policy state, destination caches and statistics start
+afresh, in-service items restart their service, latency draws are new — but
+the paper's constraints (§3: BuildFirst, BounceBack, TimeStamp,
+ProbeCompletion) make every routing they allow produce every result exactly
+once.  Virtual times after the cut may therefore differ from the
+uninterrupted run's; each query's result multiset may not.
 """
 
 from __future__ import annotations
@@ -40,17 +53,19 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ExecutionError
 from repro.engine.multi import ChurnEvent, MultiQueryEngine, QueryAdmission
 from repro.recovery.codec import (
     canonical_json,
     decode_coverage,
+    decode_item,
     decode_row,
     decode_schema,
     decode_value,
     encode_coverage,
+    encode_item,
     encode_row,
     encode_schema,
     encode_value,
@@ -59,7 +74,6 @@ from repro.recovery.codec import query_to_sql
 from repro.recovery.snapshot import SnapshotStore
 from repro.recovery.wal import WriteAheadLog, replay_wal_file, wal_generations
 from repro.storage.row import Row
-from repro.storage.schema import Schema
 
 __all__ = [
     "CheckpointManager",
@@ -127,32 +141,28 @@ def _make_emit_filter(remaining: dict[str, int]):
 
 @dataclass
 class RecoveredTable:
-    """One shared SteM's persisted content."""
+    """One SteM's persisted content (a shared table, or a private alias)."""
 
     table: str
     aliases: tuple[str, ...]
     join_columns: tuple[str, ...]
-    schema: Schema | None = None
-    #: Encoded-row-key -> (row, build timestamp); dict so an evict record
-    #: can remove exactly its row, insertion order irrelevant (restore
-    #: sorts by timestamp).
-    rows: dict[str, tuple[Row, float]] = field(default_factory=dict)
+    #: ``(row, build timestamp)`` in the SteM's own storage order.
+    rows: list[tuple[Row, float]] = field(default_factory=list)
     scan_complete: set = field(default_factory=set)
     eot_keys: dict = field(default_factory=dict)
-
-    def ordered_rows(self) -> list[tuple[Row, float]]:
-        return sorted(self.rows.values(), key=lambda entry: entry[1])
 
 
 @dataclass
 class RecoveredAdmission:
-    """One logged admission (replay re-admits it verbatim)."""
+    """One logged admission."""
 
     query_id: str
     sql: str | None
     policy: str
     arrival_time: float
     recoverable: bool = True
+    #: Logged in the WAL tail: the query was admitted after the cut.
+    after_cut: bool = False
 
 
 @dataclass
@@ -160,22 +170,30 @@ class RecoveredState:
     """Everything :func:`recover_state` reads back from a checkpoint dir."""
 
     directory: str
+    #: Virtual time of the cut (0.0 for the empty cut).
+    cut_time: float = 0.0
     tables: dict[str, RecoveredTable] = field(default_factory=dict)
+    #: Every logged admission, in log order (cut first, then the tail).
     admissions: list[RecoveredAdmission] = field(default_factory=list)
-    #: Query id -> retirement virtual time.
+    #: Query id -> retirement virtual time (cut and tail alike).
     retired: dict[str, float] = field(default_factory=dict)
-    #: Query id -> {identity key: acknowledged count}.
+    #: The retirements logged in the WAL tail, i.e. after the cut.
+    retired_after_cut: set[str] = field(default_factory=set)
+    #: Query id -> the still-encoded cut of each query started by the cut.
+    queries: dict[str, dict] = field(default_factory=dict)
+    #: Query id -> {identity key: acknowledged count}, cut and tail alike.
     emitted: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: The acknowledgements of the WAL tail alone: what a restored run will
+    #: regenerate and must suppress.
+    tail_acks: dict[str, dict[str, int]] = field(default_factory=dict)
     #: Query id -> {"labels": [...], "rows": [(...), ...]} — the aggregate
     #: output the last snapshot observed.  Verification data only: restores
-    #: re-derive aggregate state from the rebuilt SteMs, and WAL records
-    #: after the snapshot cut are not reflected here.
+    #: re-derive aggregate state from the rebuilt SteMs.
     aggregates: dict[str, dict] = field(default_factory=dict)
     next_timestamp: int = 1
     #: Diagnostics: torn WAL lines truncated, torn snapshots skipped.
     torn_wal_records: int = 0
     torn_snapshots: int = 0
-    wal_records_applied: int = 0
     snapshot_seq: int | None = None
 
     def emitted_counts(self, query_id: str) -> dict[str, int]:
@@ -184,6 +202,113 @@ class RecoveredState:
 
     def total_emitted(self) -> int:
         return sum(sum(c.values()) for c in self.emitted.values())
+
+    def total_tail_acks(self) -> int:
+        return sum(sum(c.values()) for c in self.tail_acks.values())
+
+    def cut_counts(self) -> dict[str, int]:
+        """What the cut holds in flight, summed over its queries."""
+        counts = dict.fromkeys(
+            ("ready", "blocked", "queued", "in_service", "queued_keys", "lookups_in_flight"), 0
+        )
+        for query in self.queries.values():
+            counts["ready"] += len(query["ready"])
+            counts["blocked"] += sum(len(items) for items in query["blocked"].values())
+            for module in query["modules"].values():
+                counts["queued"] += len(module["queue"])
+                counts["in_service"] += module["in_service"] is not None
+                if module["kind"] == "index_am":
+                    _, queued, in_flight = decode_value(module["state"])
+                    counts["queued_keys"] += len(queued)
+                    counts["lookups_in_flight"] += len(in_flight)
+        return counts
+
+
+def _encode_stem(stem) -> dict:
+    """One SteM in the per-table snapshot form."""
+    schema = stem.row_schema
+    return {
+        "t": stem.table,
+        "aliases": list(stem.aliases),
+        "join": list(stem.join_columns),
+        "schema": None if schema is None else encode_schema(schema),
+        "rows": [[encode_row(row), timestamp] for row, timestamp in stem.state_entries()],
+        "coverage": encode_coverage(*stem.coverage_state()),
+    }
+
+
+def _decode_stem(encoded: dict) -> RecoveredTable:
+    """Invert :func:`_encode_stem`."""
+    table = encoded["t"]
+    schema = None if encoded["schema"] is None else decode_schema(encoded["schema"])
+    scan_complete, eot_keys = decode_coverage(encoded["coverage"])
+    return RecoveredTable(
+        table=table,
+        aliases=tuple(encoded["aliases"]),
+        join_columns=tuple(encoded["join"]),
+        rows=[
+            (decode_row(row, table, schema), float(timestamp))
+            for row, timestamp in encoded["rows"]
+        ],
+        scan_complete=scan_complete,
+        eot_keys=eot_keys,
+    )
+
+
+def _install_stem(stem, recovered: RecoveredTable) -> None:
+    """Rows (through ``build``, original timestamps and order) and coverage."""
+    for row, timestamp in recovered.rows:
+        stem.build(row, timestamp)
+    stem.restore_coverage(recovered.scan_complete, recovered.eot_keys)
+
+
+def _map_cut(cut: dict, item, state, stem) -> dict:
+    """A query's cut (:meth:`~repro.core.eddy.Eddy.cut`, live or encoded)
+    with every routable through ``item``, every module's state through
+    ``state`` and a private SteM through ``stem(module name, it)``."""
+    modules = {}
+    for name, held in cut["modules"].items():
+        in_service = held["in_service"]
+        modules[name] = entry = {
+            "kind": held["kind"],
+            "in_service": None if in_service is None else item(in_service),
+            "queue": [item(queued) for queued in held["queue"]],
+            "state": state(held["state"]),
+        }
+        if "stem" in held:
+            entry["stem"] = stem(name, held["stem"])
+    return {
+        "started_at": cut["started_at"],
+        "ready": [item(ready) for ready in cut["ready"]],
+        "blocked": {
+            name: [item(blocked) for blocked in items]
+            for name, items in cut["blocked"].items()
+        },
+        "modules": modules,
+    }
+
+
+def _resume_query(engine: MultiQueryEngine, query_id: str, encoded: dict, catalog) -> None:
+    """Decode one query's cut against its freshly admitted eddy and resume it."""
+    eddy = engine.eddy_of(query_id)
+
+    def schema_of(table):
+        return catalog.table(table).schema
+
+    def install(name, stem):
+        # A module the query does not have is Eddy.restore's to report.
+        if name in eddy.modules:
+            _install_stem(eddy.modules[name].stem, _decode_stem(stem))
+
+    engine.resume(
+        query_id,
+        _map_cut(
+            encoded,
+            lambda item: decode_item(item, eddy.layout, schema_of, eddy.modules),
+            decode_value,
+            install,
+        ),
+    )
 
 
 # -- the checkpoint manager --------------------------------------------------------
@@ -201,15 +326,13 @@ class CheckpointManager:
         engine: MultiQueryEngine,
         directory: str,
         interval: float | None = None,
-        flush_every: int = 256,
         retain: int = 2,
         commit_latency: float = 0.25,
     ):
         if engine.registry is None:
             raise ExecutionError(
                 "durability requires shared SteMs (shared_stems=True): "
-                "private per-query state is rebuilt by replay, but the "
-                "recoverable state lives in the registry"
+                "the recoverable state lives in the registry"
             )
         if commit_latency < 0:
             raise ExecutionError(
@@ -227,7 +350,6 @@ class CheckpointManager:
         self.generation = generations[-1][0] + 1 if generations else 1
         self.wal = WriteAheadLog(
             os.path.join(directory, f"wal-{self.generation:06d}.log"),
-            flush_every=flush_every,
             group_commit=True,
         )
         #: Group-commit window in *virtual* seconds: durable records wait
@@ -235,8 +357,6 @@ class CheckpointManager:
         self.commit_latency = commit_latency
         #: True while a group-commit event is queued.
         self._commit_scheduled = False
-        #: Tables whose schema record has been written this incarnation.
-        self._schema_written: set[str] = set()
         #: In-memory mirror of acknowledged identities (snapshot source).
         self._emitted: dict[str, dict[str, int]] = {}
         #: Admissions observed (for snapshots), in admission order.
@@ -259,27 +379,22 @@ class CheckpointManager:
         engine: MultiQueryEngine,
         directory: str,
         interval: float | None = None,
-        flush_every: int = 256,
         retain: int = 2,
         commit_latency: float = 0.25,
     ) -> "CheckpointManager":
         """Create a manager and wire it onto the engine's hooks.
 
         Queries admitted before the attach are logged immediately (their
-        eddies get the emission hook), and already-created shared SteMs are
-        announced through the registry's create-listener contract, so
-        attaching at any point before :meth:`MultiQueryEngine.run` captures
-        the complete state history.
+        eddies get the emission hook); state needs no hook — a checkpoint
+        reads it off the engine.
         """
         manager = cls(
             engine,
             directory,
             interval=interval,
-            flush_every=flush_every,
             retain=retain,
             commit_latency=commit_latency,
         )
-        engine.registry.add_create_listener(manager._on_stem_created)
         engine.add_admission_listener(manager._on_admit)
         engine.add_retire_listener(manager._on_retire)
         for ctx in engine._queries:
@@ -297,54 +412,6 @@ class CheckpointManager:
         return manager
 
     # -- engine listeners ------------------------------------------------------
-
-    def _on_stem_created(self, table: str, stem) -> None:
-        self._append(
-            "stem",
-            {
-                "t": table,
-                "aliases": list(stem.aliases),
-                "join": list(stem.join_columns),
-            },
-        )
-        stem.add_build_listener(
-            lambda row, ts, dup, table=table: self._on_build(table, row, ts, dup)
-        )
-        stem.add_eot_listener(
-            lambda eot, table=table: self._on_eot(table, eot)
-        )
-        stem.add_evict_listener(
-            lambda row, table=table: self._on_evict(table, row)
-        )
-
-    def _on_build(self, table: str, row: Row, timestamp: float, duplicate: bool) -> None:
-        if table not in self._schema_written:
-            self._schema_written.add(table)
-            self._append("schema", {"t": table, "s": encode_schema(row.schema)})
-        if duplicate:
-            # No state change, but the tick keeps the logged timestamp
-            # horizon moving so a resumed counter stays monotone.  The WAL
-            # holds only the latest pending tick and materializes it at
-            # the next flush — see ``WriteAheadLog.note_duplicate_build``.
-            self.wal.note_duplicate_build(table, timestamp)
-            return
-        self._append("build", {"t": table, "r": encode_row(row), "ts": timestamp})
-
-    def _on_evict(self, table: str, row: Row) -> None:
-        self._append("evict", {"t": table, "r": encode_row(row)})
-
-    def _on_eot(self, table: str, eot) -> None:
-        self._append(
-            "eot",
-            {
-                "t": table,
-                "alias": eot.alias,
-                "am": eot.am_name,
-                "scan": bool(eot.is_scan_eot),
-                "cols": list(eot.bound_columns),
-                "vals": encode_value(tuple(eot.bound_values)),
-            },
-        )
 
     def _on_admit(self, query_id, admission, query, start_time, eddy) -> None:
         self._record_admission(query_id, admission, query, start_time, eddy)
@@ -410,8 +477,6 @@ class CheckpointManager:
     def _append(self, kind: str, body: dict) -> None:
         self.stats["wal_records"] += 1
         self.wal.append(kind, body)
-        if self.wal.needs_commit and not self._commit_scheduled:
-            self._schedule_commit()
 
     def _schedule_commit(self) -> None:
         # Group commit: flush once per commit window instead of per
@@ -444,41 +509,31 @@ class CheckpointManager:
             )
 
     def take_checkpoint(self) -> str:
-        """Fold the engine's full recoverable state into a new snapshot.
+        """Write the engine's consistent cut as a new snapshot generation.
 
-        One synchronous event on the simulator — routing resumes right
-        after, so a checkpoint never blocks the dataflow for more than the
-        single event boundary it occupies.  The WAL is flushed first so the
-        snapshot's ``wal_position`` cut is on durable ground.
+        One synchronous event on the simulator (or a call between two
+        events) — routing resumes right after, so a checkpoint never blocks
+        the dataflow for more than the single event boundary it occupies,
+        and because events are atomic the cut holds no half-done work.  The
+        WAL is flushed first so the snapshot's ``wal_position`` cut is on
+        durable ground and every acknowledgement so far is in it.  Nothing
+        here was recorded along the way: the cut is read off the engine.
         """
         if self._closed:
             raise ExecutionError("the durability manager is closed")
         started = _time.perf_counter()
         self.wal.flush()
-        tables = []
-        for table, stem in sorted(self.engine.registry.stems.items()):
-            schema = stem.row_schema
-            scan_complete, eot_keys = stem.coverage_state()
-            tables.append(
-                {
-                    "t": table,
-                    "aliases": list(stem.aliases),
-                    "join": list(stem.join_columns),
-                    "schema": None if schema is None else encode_schema(schema),
-                    "rows": [
-                        [encode_row(row), timestamp]
-                        for row, timestamp in stem.state_entries()
-                    ],
-                    "coverage": encode_coverage(scan_complete, eot_keys),
-                }
-            )
+        engine = self.engine
         state = {
             "kind": "repro-snapshot",
-            "version": 1,
+            "version": 2,
             "wal_gen": self.generation,
             "wal_position": self.wal.position,
-            "next_timestamp": self.engine.next_build_timestamp,
-            "tables": tables,
+            "time": engine.simulator.now,
+            "next_timestamp": engine.next_build_timestamp,
+            "tables": [
+                _encode_stem(stem) for _, stem in sorted(engine.registry.stems.items())
+            ],
             "admissions": [
                 {
                     "q": a.query_id,
@@ -491,8 +546,17 @@ class CheckpointManager:
             ],
             "retired": dict(self._retire_times),
             "emitted": {q: dict(counts) for q, counts in self._emitted.items()},
+            # Queries not yet started hold nothing: they restart from their
+            # admission record alone.
+            "queries": {
+                query_id: _map_cut(
+                    eddy.cut(), encode_item, encode_value, lambda _, stem: _encode_stem(stem)
+                )
+                for query_id in engine.active
+                if (eddy := engine.eddy_of(query_id)).started_at is not None
+            },
             # Aggregate output is *derived* state (it re-bootstraps from the
-            # restored SteM rows), so restores never replay this section —
+            # restored SteM rows), so restores never read this section —
             # it rides along so recovery tests can verify the rebuilt
             # modules against what the lost process had materialised.
             "aggregates": {
@@ -503,9 +567,7 @@ class CheckpointManager:
                         for row in entry["rows"]
                     ],
                 }
-                for query_id, entry in sorted(
-                    self.engine.aggregate_snapshot().items()
-                )
+                for query_id, entry in sorted(engine.aggregate_snapshot().items())
             },
         }
         path = self.snapshots.write(state)
@@ -541,8 +603,9 @@ class CheckpointManager:
 def recover_state(directory: str) -> RecoveredState:
     """Read a checkpoint directory back into a :class:`RecoveredState`.
 
-    Latest valid snapshot (torn generations skipped) plus replay of every
-    WAL record after its cut, torn tails truncated.
+    The cut of the latest valid snapshot (torn generations skipped; none at
+    all is the empty cut at time zero) plus every WAL record after it, torn
+    tails truncated.
     """
     snapshots = SnapshotStore(directory)
     state = RecoveredState(directory=directory)
@@ -551,40 +614,23 @@ def recover_state(directory: str) -> RecoveredState:
     cut_generation = 0
     cut_position = 0
     if snapshot is not None:
+        if snapshot.get("version") != 2:
+            raise ExecutionError(
+                f"snapshot format {snapshot.get('version')!r} in {directory!r} is not "
+                "a consistent cut (format 2); it cannot be resumed"
+            )
         cut_generation = int(snapshot["wal_gen"])
         cut_position = int(snapshot["wal_position"])
         state.snapshot_seq = int(snapshot["snapshot_seq"])
+        state.cut_time = float(snapshot["time"])
         state.next_timestamp = int(snapshot["next_timestamp"])
-        for encoded in snapshot["tables"]:
-            table = encoded["t"]
-            recovered = RecoveredTable(
-                table=table,
-                aliases=tuple(encoded["aliases"]),
-                join_columns=tuple(encoded["join"]),
-                schema=(
-                    None
-                    if encoded["schema"] is None
-                    else decode_schema(encoded["schema"])
-                ),
-            )
-            for encoded_row, timestamp in encoded["rows"]:
-                row = decode_row(encoded_row, table, recovered.schema)
-                recovered.rows[_row_key(encoded_row)] = (row, float(timestamp))
-            scan_complete, eot_keys = decode_coverage(encoded["coverage"])
-            recovered.scan_complete = scan_complete
-            recovered.eot_keys = eot_keys
-            state.tables[table] = recovered
+        state.tables = {
+            encoded["t"]: _decode_stem(encoded) for encoded in snapshot["tables"]
+        }
         for entry in snapshot["admissions"]:
-            state.admissions.append(
-                RecoveredAdmission(
-                    query_id=entry["q"],
-                    sql=entry["sql"],
-                    policy=entry["policy"],
-                    arrival_time=float(entry["at"]),
-                    recoverable=bool(entry["ok"]),
-                )
-            )
+            _apply_wal_record(state, dict(entry, k="admit"), after_cut=False)
         state.retired = {q: float(t) for q, t in snapshot["retired"].items()}
+        state.queries = snapshot["queries"]
         state.aggregates = {
             query_id: {
                 "labels": tuple(entry["labels"]),
@@ -593,7 +639,7 @@ def recover_state(directory: str) -> RecoveredState:
                     for row in entry["rows"]
                 ],
             }
-            for query_id, entry in snapshot.get("aggregates", {}).items()
+            for query_id, entry in snapshot["aggregates"].items()
         }
         state.emitted = {
             q: {key: int(count) for key, count in counts.items()}
@@ -607,93 +653,38 @@ def recover_state(directory: str) -> RecoveredState:
         start = cut_position if generation == cut_generation else 0
         for record in records[start:]:
             _apply_wal_record(state, record)
-            state.wal_records_applied += 1
     return state
 
 
-def _row_key(encoded_row: dict) -> str:
-    return canonical_json(encoded_row["v"])
-
-
-def _apply_wal_record(state: RecoveredState, record: dict) -> None:
+def _apply_wal_record(state: RecoveredState, record: dict, after_cut: bool = True) -> None:
     kind = record.get("k")
-    if kind == "stem":
-        table = record["t"]
-        recovered = state.tables.get(table)
-        if recovered is None:
-            state.tables[table] = RecoveredTable(
-                table=table,
-                aliases=tuple(record["aliases"]),
-                join_columns=tuple(record["join"]),
+    if kind == "admit":
+        # A manager attached to a restored engine logs the queries it finds
+        # again; the first record of an id is the admission.
+        if all(a.query_id != record["q"] for a in state.admissions):
+            state.admissions.append(
+                RecoveredAdmission(
+                    query_id=record["q"],
+                    sql=record["sql"],
+                    policy=record["policy"],
+                    arrival_time=float(record["at"]),
+                    recoverable=bool(record["ok"]),
+                    after_cut=after_cut,
+                )
             )
-        else:
-            for alias in record["aliases"]:
-                if alias not in recovered.aliases:
-                    recovered.aliases = recovered.aliases + (alias,)
-            for column in record["join"]:
-                if column not in recovered.join_columns:
-                    recovered.join_columns = recovered.join_columns + (column,)
-    elif kind == "schema":
-        recovered = _require_table(state, record["t"])
-        recovered.schema = decode_schema(record["s"])
-    elif kind == "build":
-        timestamp = float(record["ts"])
-        if timestamp >= state.next_timestamp:
-            state.next_timestamp = int(timestamp) + 1
-        if record.get("d"):
-            return
-        recovered = _require_table(state, record["t"])
-        if recovered.schema is None:
-            raise ExecutionError(
-                f"WAL build record for {record['t']!r} precedes its schema"
-            )
-        row = decode_row(record["r"], record["t"], recovered.schema)
-        recovered.rows[_row_key(record["r"])] = (row, timestamp)
-    elif kind == "evict":
-        recovered = _require_table(state, record["t"])
-        recovered.rows.pop(_row_key(record["r"]), None)
-        # Mirrors SteM.evict: dropped data invalidates coverage.
-        recovered.scan_complete.clear()
-        recovered.eot_keys.clear()
-    elif kind == "eot":
-        recovered = _require_table(state, record["t"])
-        if record["scan"]:
-            recovered.scan_complete.add(record["am"])
-        else:
-            recovered.eot_keys.setdefault(tuple(record["cols"]), set()).add(
-                decode_value(record["vals"])
-            )
-    elif kind == "admit":
-        state.admissions.append(
-            RecoveredAdmission(
-                query_id=record["q"],
-                sql=record["sql"],
-                policy=record["policy"],
-                arrival_time=float(record["at"]),
-                recoverable=bool(record["ok"]),
-            )
-        )
     elif kind == "retire":
         state.retired[record["q"]] = float(record["at"])
-    elif kind == "emit":
-        bucket = state.emitted.setdefault(record["q"], {})
-        key = record["id"]
-        bucket[key] = bucket.get(key, 0) + 1
-    elif kind == "emits":
-        bucket = state.emitted.setdefault(record["q"], {})
-        for key in record["ids"]:
-            bucket[key] = bucket.get(key, 0) + 1
+        state.retired_after_cut.add(record["q"])
+    elif kind in ("emit", "emits"):
+        keys = record["ids"] if kind == "emits" else (record["id"],)
+        for bucket in (
+            state.emitted.setdefault(record["q"], {}),
+            state.tail_acks.setdefault(record["q"], {}),
+        ):
+            for key in keys:
+                bucket[key] = bucket.get(key, 0) + 1
     else:
         raise ExecutionError(f"unknown WAL record kind {kind!r}")
-
-
-def _require_table(state: RecoveredState, table: str) -> RecoveredTable:
-    recovered = state.tables.get(table)
-    if recovered is None:
-        raise ExecutionError(
-            f"WAL record references table {table!r} before its stem record"
-        )
-    return recovered
 
 
 def restore_engine(
@@ -703,24 +694,26 @@ def restore_engine(
     churn_events: Sequence[ChurnEvent] = (),
     **engine_kwargs,
 ) -> MultiQueryEngine:
-    """Rebuild a runnable engine from recovered state (see module docstring).
+    """Rebuild a runnable engine standing at the recovered cut.
 
     Args:
         source: a :class:`RecoveredState` or a checkpoint directory path.
         catalog: the catalog the original engine ran against (sources are
             re-streamed from it; the data plane itself is not checkpointed).
-        mode: ``"replay"`` (crash recovery: full re-run from virtual time
-            zero, retired queries re-admitted, retirements re-scheduled,
-            counter reset, coverage redeveloped, acked results suppressed)
-            or ``"resume"`` (service restart: full state incl. coverage,
-            counter continued, active queries only).
-        churn_events: in replay mode, the portion of the original churn
-            schedule not yet reflected in the log — admissions/retirements
-            the crashed run never reached.  Events whose query id the log
-            already recorded (for the same action) are skipped.
+        mode: ``"replay"`` or ``"resume"`` — two names kept for callers that
+            pass one; there is one behaviour (see the module docstring).
+        churn_events: the original churn schedule, or the part of it the
+            log does not reflect — admissions/retirements the lost run never
+            reached.  Events whose query id the log already recorded (for
+            the same action) are skipped.
         engine_kwargs: engine configuration, which must match the original
-            run's for replay identity (batch size, shards, policies come
-            from the admissions themselves).
+            run's (policies come from the admissions themselves).
+
+    Policy state, destination caches, statistics and tuple ids start
+    afresh: any routing the constraints allow is a right one, so the
+    restored run may order its work differently and still emits every
+    result exactly once.  A piece of the cut that cannot be placed (an
+    unknown module, alias or predicate id) raises :class:`ExecutionError`.
     """
     if mode not in ("replay", "resume"):
         raise ExecutionError(f"unknown restore mode {mode!r}")
@@ -729,11 +722,22 @@ def restore_engine(
         [],
         catalog,
         continuous=True,
-        timestamp_start=1 if mode == "replay" else state.next_timestamp,
+        timestamp_start=state.next_timestamp,
+        start_time=state.cut_time,
         **engine_kwargs,
     )
     if engine.registry is None:
         raise ExecutionError("restore requires shared SteMs (shared_stems=True)")
+
+    def arm_emit_filter(query_id, admission, query, start_time, eddy) -> None:
+        # Only the tail: a result acknowledged before the cut left the
+        # dataflow before it, and the restored run never produces it again
+        # (a bounded SteM may legitimately emit an equal identity anew).
+        acked = state.tail_acks.get(query_id)
+        if acked:
+            eddy.emit_filter = _make_emit_filter(dict(acked))
+
+    engine.add_admission_listener(arm_emit_filter)
     for recovered in state.tables.values():
         aliases = recovered.aliases or (recovered.table,)
         stem = engine.registry.stem_for(
@@ -741,50 +745,47 @@ def restore_engine(
         )
         for alias in aliases[1:]:
             stem.add_alias(alias)
-        for row, timestamp in recovered.ordered_rows():
-            stem.build(row, timestamp)
-        if mode == "resume":
-            stem.restore_coverage(recovered.scan_complete, recovered.eot_keys)
+        _install_stem(stem, recovered)
+    events: list[ChurnEvent] = []
     for admission in state.admissions:
-        if mode == "resume" and admission.query_id in state.retired:
+        query_id = admission.query_id
+        if query_id in state.retired and query_id not in state.retired_after_cut:
             continue
         if not admission.recoverable or admission.sql is None:
             raise ExecutionError(
-                f"admission {admission.query_id!r} was logged as "
-                "unrecoverable (preferences or a non-SQL-expressible query); "
-                "it cannot be restored"
+                f"admission {query_id!r} was logged as unrecoverable "
+                "(preferences or a non-SQL-expressible query); it cannot "
+                "be restored"
             )
-        engine.admit(
-            QueryAdmission(
-                query=admission.sql,
-                query_id=admission.query_id,
-                policy=admission.policy,
-                arrival_time=admission.arrival_time if mode == "replay" else 0.0,
-            )
+        entry = QueryAdmission(
+            query=admission.sql,
+            query_id=query_id,
+            policy=admission.policy,
+            arrival_time=admission.arrival_time,
         )
-        acked = state.emitted_counts(admission.query_id)
-        if acked:
-            engine.eddy_of(admission.query_id).emit_filter = _make_emit_filter(acked)
-    if mode == "replay":
-        for query_id, at in sorted(state.retired.items(), key=lambda kv: kv[1]):
-            engine.simulator.schedule_at(
-                at,
-                lambda q=query_id: engine.retire(q),
-                label=f"recover:retire:{query_id}",
+        if admission.after_cut:
+            events.append(ChurnEvent(admission.arrival_time, "admit", admission=entry))
+            continue
+        engine.admit(entry)
+        if query_id in state.queries:
+            _resume_query(engine, query_id, state.queries[query_id], catalog)
+    events.extend(
+        ChurnEvent(at, "retire", query_id=query_id)
+        for query_id, at in state.retired.items()
+        if query_id in state.retired_after_cut
+    )
+    logged_admits = {a.query_id for a in state.admissions}
+    events.extend(
+        event
+        for event in churn_events
+        if not (
+            (
+                event.action == "admit"
+                and event.admission is not None
+                and event.admission.query_id in logged_admits
             )
-        if churn_events:
-            logged_admits = {a.query_id for a in state.admissions}
-            remaining = [
-                event
-                for event in churn_events
-                if not (
-                    (
-                        event.action == "admit"
-                        and event.admission is not None
-                        and event.admission.query_id in logged_admits
-                    )
-                    or (event.action == "retire" and event.query_id in state.retired)
-                )
-            ]
-            engine.schedule_churn(remaining)
+            or (event.action == "retire" and event.query_id in state.retired)
+        )
+    )
+    engine.schedule_churn(sorted(events, key=lambda event: event.time))
     return engine

@@ -1,9 +1,9 @@
 """Atomic, checksummed snapshots with generation retention.
 
 A snapshot is one CRC-framed JSON record (the same framing as WAL lines —
-see :mod:`repro.recovery.codec`) holding the engine's full recoverable
-state plus the WAL cut (``wal``, ``wal_position``) it is consistent with:
-restore = load snapshot + replay the WAL tail after the cut.
+see :mod:`repro.recovery.codec`) holding a consistent cut of the engine
+plus the WAL position (``wal_gen``, ``wal_position``) it is consistent
+with: restore = reinstall the cut + apply the WAL tail after it.
 
 Writes are crash-safe: the payload goes to a temp file, is flushed and
 fsynced, then renamed into place — a crash mid-checkpoint leaves either the

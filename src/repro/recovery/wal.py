@@ -1,36 +1,30 @@
-"""The append-only write-ahead log of engine state changes.
+"""The append-only write-ahead log: what the world was told and asked for.
 
 One WAL file per engine incarnation (``wal-<generation>.log`` inside the
 checkpoint directory), one CRC-framed JSON record per line (see
-:mod:`repro.recovery.codec`).  Record kinds:
+:mod:`repro.recovery.codec`).  The *state* of a run lives in its snapshots
+(:mod:`repro.recovery.manager`); the log keeps only what a snapshot cannot
+know about the time after it was taken:
 
-=========  ====================================================================
-``build``  a row built into a shared SteM (non-duplicates only — a duplicate
-           build changes no recoverable state)
-``evict``  a row evicted from a shared SteM
-``eot``    an EOT built into a shared SteM (scan seal or index-key coverage)
-``admit``  a query admitted (SQL text, policy name, arrival time)
-``retire`` a query retired (virtual time)
-``emit``   a result durably acknowledged to a query's output (its identity)
-``emits``  a group-commit window's acknowledgements for one query, batched
-           (identity keys in ack order; written only under group commit)
-=========  ====================================================================
+==========  ===================================================================
+``admit``   a query admitted (SQL text, policy name, arrival time)
+``retire``  a query retired (virtual time)
+``emit``    a result durably acknowledged to a query's output (its identity)
+``emits``   a group-commit window's acknowledgements for one query, batched
+            (identity keys in ack order; written only under group commit)
+==========  ===================================================================
 
-**Tiered durability.**  ``emit``/``admit``/``retire`` records are *durable*:
-losing one would violate exactly-once (a re-emitted duplicate) or lose a
-query, so they define the ack frontier.  ``admit``/``retire`` flush inline.
-Emits — the hot stream — either flush inline or, under ``group_commit``,
-wait for one shared flush per commit window (the owner schedules it; see
+Every record is *durable*: losing one would violate exactly-once (a
+re-emitted duplicate) or lose a query, so they define the ack frontier.
+``admit``/``retire`` flush inline.  Emits — the hot stream — either flush
+inline or, under ``group_commit``, wait for one shared flush per commit
+window (the owner schedules it; see
 :class:`~repro.recovery.manager.CheckpointManager.commit_latency`), batched
 into ``emits`` records.  "Acked" *is defined by the flushed WAL*, so the
 window never breaks exactness: a crash inside it un-acks the burst and
-recovery re-emits it.  Bulk ``build``/``evict``/``eot`` traffic is buffered
-and group-flushed every ``flush_every`` records — losing the unflushed tail
-is *safe*: replay-mode recovery rebuilds those rows by re-running the
-sources, and resume-mode recovery simply restarts from slightly older
-state.  The class keeps its own buffer (rather than relying on the file
-object's) so a simulated crash can honestly drop exactly the records a real
-crash would lose.
+recovery re-emits it.  The class keeps its own buffer (rather than relying
+on the file object's) so a simulated crash can honestly drop exactly the
+records a real crash would lose.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ from repro.recovery.codec import frame_record_bytes, parse_record
 
 __all__ = ["WriteAheadLog", "replay_wal_file", "wal_generations"]
 
-#: Record kinds that must hit the OS before the append returns.
+#: The record kinds :meth:`WriteAheadLog.append` takes; each flushes inline.
 DURABLE_KINDS = frozenset({"emit", "admit", "retire"})
 
 
@@ -95,31 +89,22 @@ class WriteAheadLog:
     Args:
         path: the WAL file (created; appending to an existing incarnation's
             file is a protocol error — each restart opens a new generation).
-        flush_every: group-flush threshold for buffered (non-durable)
-            records.
-        group_commit: when True, durable appends do not flush inline;
-            they set :attr:`needs_commit` and the owner flushes once per
-            commit point (the engine uses a zero-virtual-delay event, so
-            every emit in the same instant shares one write).  Exactness
-            is unaffected — "acked" is *defined* by what the flushed WAL
-            holds, so a crash before the commit point simply un-acks the
-            batch and recovery re-emits it.
+        group_commit: when True, :meth:`log_emit` does not flush inline; it
+            sets :attr:`needs_commit` and the owner flushes once per commit
+            point (the engine uses a virtual-time window, so every emit in
+            it shares one write).  Exactness is unaffected — "acked" is
+            *defined* by what the flushed WAL holds, so a crash before the
+            commit point simply un-acks the batch and recovery re-emits it.
     """
 
-    def __init__(self, path: str, flush_every: int = 64, group_commit: bool = False):
-        if flush_every < 1:
-            raise ExecutionError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path: str, group_commit: bool = False):
         self.path = path
-        self.flush_every = flush_every
         self.group_commit = group_commit
-        self._durable_pending = False
         # A raw descriptor: flushes are one os.write each, skipping the
         # TextIOWrapper/BufferedWriter layers on the durable hot path.
         self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        #: Records appended but not yet flushed — exactly what a crash loses.
+        #: Records framed but not yet flushed — exactly what a crash loses.
         self._buffer: list[bytes] = []
-        #: Latest unmaterialized duplicate-build tick ``(table, ts)``.
-        self._pending_tick: tuple[str, float] | None = None
         #: Unmaterialized acknowledgements ``(query_id, identity key)``
         #: awaiting the group-commit flush (see :meth:`log_emit`).
         self._pending_emits: list[tuple[str, str]] = []
@@ -133,8 +118,8 @@ class WriteAheadLog:
 
     # -- appending -------------------------------------------------------------
 
-    def append(self, kind: str, body: dict[str, Any], durable: bool | None = None) -> None:
-        """Append one record; flush immediately when the kind is durable.
+    def append(self, kind: str, body: dict[str, Any]) -> None:
+        """Append one record and flush it (with any queued acknowledgements).
 
         Takes ownership of ``body``: the kind tag is written into it in
         place rather than into a copy — every producer builds a fresh dict
@@ -142,28 +127,18 @@ class WriteAheadLog:
         """
         if self._closed:
             raise ExecutionError(f"WAL {self.path!r} is closed")
+        if kind not in DURABLE_KINDS:
+            raise ExecutionError(f"unknown WAL record kind {kind!r}")
         body["k"] = kind
         self._buffer.append(frame_record_bytes(body))
         self.appended_records += 1
-        if durable is None:
-            durable = kind in DURABLE_KINDS
-        if durable:
-            self.stats["durable_appends"] += 1
-            if self.group_commit and kind == "emit":
-                # Only the hot emit stream group-commits.  ``admit`` and
-                # ``retire`` are per-query rare and flush inline: losing an
-                # un-flushed admission would lose the whole query, which no
-                # ack-latency window excuses.
-                self._durable_pending = True
-            else:
-                self.flush()
-        elif len(self._buffer) >= self.flush_every:
-            self.flush()
+        self.stats["durable_appends"] += 1
+        self.flush()
 
     @property
     def needs_commit(self) -> bool:
-        """True when a durable record awaits a group-commit flush."""
-        return self._durable_pending
+        """True when an acknowledgement awaits a group-commit flush."""
+        return bool(self._pending_emits)
 
     def log_emit(self, query_id: str, key: str) -> None:
         """Log one acknowledged result identity.
@@ -182,36 +157,11 @@ class WriteAheadLog:
                 raise ExecutionError(f"WAL {self.path!r} is closed")
             self._pending_emits.append((query_id, key))
             self.stats["durable_appends"] += 1
-            self._durable_pending = True
         else:
             self.append("emit", {"q": query_id, "id": key})
 
-    def note_duplicate_build(self, table: str, timestamp: float) -> None:
-        """Record a duplicate-build counter tick without framing a record.
-
-        A duplicate build changes no SteM state; its only replay effect is
-        raising the monotone timestamp horizon.  Ticks arrive in timestamp
-        order, so only the *latest* unflushed tick matters — it is held
-        here and materialized as a single ``build``/``d`` record by the
-        next :meth:`flush`.  Crash semantics stay exact: a lost pending
-        tick is lost together with the (also unflushed) work that drew it,
-        and recovery re-draws the same timestamps deterministically.
-        Shared-plan workloads make most builds duplicates, so this sheds
-        the bulk of their WAL framing cost and volume.
-        """
-        if self._closed:
-            raise ExecutionError(f"WAL {self.path!r} is closed")
-        self._pending_tick = (table, timestamp)
-
     def flush(self) -> None:
         """Write the buffered records out and flush to the OS."""
-        if self._pending_tick is not None:
-            table, timestamp = self._pending_tick
-            self._pending_tick = None
-            self._buffer.append(
-                frame_record_bytes({"t": table, "ts": timestamp, "d": 1, "k": "build"})
-            )
-            self.appended_records += 1
         if self._pending_emits:
             # One record per query, identities in ack order.  Queries are
             # independent buckets on replay, so inter-query order within
@@ -230,7 +180,6 @@ class WriteAheadLog:
         os.write(self._fd, b"".join(self._buffer))
         self.flushed_records += len(self._buffer)
         self._buffer.clear()
-        self._durable_pending = False
         self.stats["flushes"] += 1
 
     @property
@@ -255,15 +204,9 @@ class WriteAheadLog:
         flushed stays on disk, everything buffered is gone.  Returns the
         number of records lost.
         """
-        lost = (
-            len(self._buffer)
-            + len(self._pending_emits)
-            + (1 if self._pending_tick is not None else 0)
-        )
+        lost = len(self._buffer) + len(self._pending_emits)
         self._buffer.clear()
-        self._pending_tick = None
         self._pending_emits.clear()
-        self._durable_pending = False
         os.close(self._fd)
         self._closed = True
         self._crashed = True

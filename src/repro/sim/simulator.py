@@ -67,7 +67,9 @@ class Simulator:
             )
         return self._queue.push(time if time > now else now, callback, label)
 
-    def reserve(self, delays: Iterable[float]) -> list[tuple[float, int]]:
+    def reserve(
+        self, delays: Iterable[float], base: float | None = None
+    ) -> list[tuple[float, int]]:
         """Reserve the slots ``schedule(delay, ...)`` would occupy, in order.
 
         For each delay in turn: the absolute time and the sequence number a
@@ -76,9 +78,12 @@ class Simulator:
         in one step and keeps one event armed through
         :meth:`schedule_reserved`; because the sequence numbers — the
         tie-break between same-instant events — are the ones eager
-        scheduling would have drawn, the heap order is the same.
+        scheduling would have drawn, the heap order is the same.  ``base``
+        stands in for "now": a scan restored from a checkpoint re-derives
+        its instants from its original start time (the slots of instants
+        already past are simply never scheduled).
         """
-        now = self.now
+        now = self.now if base is None else base
         times = []
         for delay in delays:
             if delay < 0:

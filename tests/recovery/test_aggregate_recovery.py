@@ -5,12 +5,12 @@ verification, and a restore re-bootstraps every module from the rebuilt
 SteM window (:meth:`AggregateModule.attach` walks ``state_entries()``).
 The contracts:
 
-* a crash at an arbitrary event boundary followed by a replay-mode
-  restore ends with aggregate output byte-identical (through the durable
+* a crash at an arbitrary event boundary followed by a restore from the
+  last cut ends with aggregate output byte-identical (through the durable
   codec) to an uninterrupted run;
-* a resume-mode restore reconstructs exactly the group table the closing
-  checkpoint recorded — the ``RecoveredState.aggregates`` section is the
-  witness;
+* a restore reconstructs, before a single new source row streams, exactly
+  the group table the closing checkpoint recorded — the
+  ``RecoveredState.aggregates`` section is the witness;
 * windowed (count-evicting) state recovers the same way: the rebuilt
   window drives the rebuilt aggregate.
 """
@@ -110,8 +110,8 @@ class TestCrashReplay:
         )
         result = resumed.run()
         module = resumed.eddy_of("agg").aggregate_module
-        # The surviving window drove the rebuilt aggregate: every build the
-        # replay re-delivered passed through the module again.
+        # The surviving window drove the rebuilt aggregate: bootstrapped
+        # from the restored rows, then fed by the builds after the cut.
         assert module.stats["inserted"] + module.stats["bootstrapped"] > 0
         for query_id, expected in reference.items():
             assert encoded(result[query_id].aggregate_rows) == expected, query_id
@@ -135,9 +135,7 @@ class TestResumeAndSnapshot:
                 final[query_id].aggregate_rows
             )
 
-    def test_pre_aggregate_snapshot_still_recovers(self, tmp_path):
-        # Snapshots written before the aggregates section existed must keep
-        # recovering — the field just stays empty.
+    def test_fleet_without_aggregates_has_an_empty_section(self, tmp_path):
         engine = MultiQueryEngine(
             [admissions()[2]], build_catalog(), continuous=True
         )

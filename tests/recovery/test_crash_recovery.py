@@ -1,11 +1,13 @@
 """Crash-at-any-event-boundary recovery: the differential oracle.
 
-The contract under test (the tentpole's acceptance criterion): for a crash
-at *any* event boundary, acked-before-crash + emitted-after-restore equals
-an uninterrupted run, per query, as a multiset of result identities — no
-duplicates, no losses — across routing policies, batch sizes, and shard
-counts, with and without live churn, and with the crash landing
-mid-checkpoint (torn snapshot).
+The contract under test: for a crash at *any* event boundary, with the last
+checkpoint cut at *any* earlier boundary, acked-before-crash +
+emitted-after-restore equals an uninterrupted run, per query, as a multiset
+of result identities — no duplicates, no losses — across routing policies,
+batch sizes, and shard counts, with and without live churn, and with the
+crash landing mid-checkpoint (torn snapshot).  The restored run starts at
+the cut: it regenerates, and suppresses, only what was acknowledged after
+it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.workloads import churn_workload, staggered_fleet_workload
-from repro.engine.multi import MultiQueryEngine
+from repro.bench.workloads import (
+    bursty_join_workload,
+    churn_workload,
+    q1_workload,
+    shared_tables_mixed_workload,
+    staggered_fleet_workload,
+)
+from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.errors import ExecutionError
 from repro.recovery import (
     CheckpointManager,
@@ -28,8 +36,9 @@ from repro.recovery import (
 from repro.recovery.harness import result_identity_counts, run_reference
 
 #: Event boundaries swept by the smoke grid: one almost immediately, one
-#: mid-stream, one deep into the run (runs are a few thousand events).
-BOUNDARIES = (7, 150, 900)
+#: mid-stream, two deep into the run — before the first periodic checkpoint
+#: (virtual 5.0: the empty cut) and after it (runs are ~2,500 events).
+BOUNDARIES = (7, 150, 900, 1500)
 
 #: The CI smoke seeds (see .github/workflows/ci.yml crash-recovery leg).
 SMOKE_SEEDS = (3, 11, 29)
@@ -55,8 +64,31 @@ class TestCrashRecoveryOracle:
         assert report["passed"], report["mismatches"]
         combined = report["pre_crash_emitted"] + report["post_restore_emitted"]
         assert combined == report["reference_emitted"] > 0
-        # Everything acked pre-crash was suppressed, not re-emitted.
-        assert report["suppressed_emits"] == report["pre_crash_emitted"]
+        # What was acked after the cut is regenerated and suppressed; what
+        # was acked before it is never produced again.
+        assert (
+            report["suppressed_emits"]
+            == report["tail_acks"]
+            <= report["pre_crash_emitted"]
+        )
+        if boundary == 1500:
+            assert report["cut_time"] == 5.0
+            assert 0 < report["tail_acks"] < report["pre_crash_emitted"]
+
+    @pytest.mark.parametrize("policy", ["naive", "lottery", "benefit"])
+    def test_crash_at_the_checkpoint_boundary_suppresses_nothing(self, tmp_path, policy):
+        workload = small_fleet(policy=policy)
+        report = crash_recovery_oracle(
+            workload.admissions,
+            workload.catalog,
+            str(tmp_path / "ckpt"),
+            1500,
+            checkpoint_after_events=1500,
+        )
+        assert report["crashed"] and report["passed"], report["mismatches"]
+        assert report["pre_crash_emitted"] > 0
+        assert report["suppressed_emits"] == report["tail_acks"] == 0
+        assert report["cut_time"] == report["crash_time"]
 
     @pytest.mark.parametrize("batch_size", [1, 8])
     @pytest.mark.parametrize("shards", [1, 4])
@@ -115,8 +147,10 @@ class TestCrashRecoveryOracle:
         assert report["crashed"]
         # The torn generation was detected and skipped...
         assert report["torn_snapshots"] == 1
-        # ...and recovery from the previous generation still satisfies the
-        # oracle exactly.
+        # ...and recovery from the previous generation's cut, with the
+        # longer ack tail that goes with it, still satisfies the oracle.
+        assert report["cut_time"] < report["crash_time"]
+        assert report["tail_acks"] > 0
         assert report["passed"], report["mismatches"]
 
     def test_wal_only_recovery_without_any_checkpoint(self, tmp_path):
@@ -129,8 +163,12 @@ class TestCrashRecoveryOracle:
             checkpoint_interval=None,  # no periodic snapshots at all
         )
         assert report["crashed"]
+        # The empty cut at time zero: a fresh run under the emit filter,
+        # every pre-crash ack in the tail.
         assert report["snapshot_seq"] is None
-        assert report["wal_records_applied"] > 0
+        assert report["cut_time"] == 0.0
+        assert report["tail_acks"] == report["pre_crash_emitted"] > 0
+        assert report["suppressed_emits"] == report["tail_acks"]
         assert report["passed"], report["mismatches"]
 
     def test_boundary_past_end_means_clean_run(self, tmp_path):
@@ -143,12 +181,15 @@ class TestCrashRecoveryOracle:
             checkpoint_interval=5.0,
         )
         assert not report["crashed"]
-        # Everything was acked; the replay emits nothing new.
+        # Everything was acked; the restored run emits nothing new.
         assert report["post_restore_emitted"] == 0
         assert report["passed"], report["mismatches"]
 
 
 class TestResumeMode:
+    """A clean ``close()`` is a cut at the stop point; restoring it is the
+    same path a crash takes, with an empty tail."""
+
     def test_clean_restart_continues_exactly_once(self, tmp_path):
         workload = small_fleet()
         _, reference = run_reference(workload.admissions, workload.catalog)
@@ -166,9 +207,13 @@ class TestResumeMode:
         pre = {q: Counter(state.emitted_counts(q)) for q in state.emitted}
         assert sum(sum(c.values()) for c in pre.values()) > 0
 
-        resumed = restore_engine(state, workload.catalog, mode="resume")
+        assert state.cut_time == 6.0 and not state.tail_acks
+        resumed = restore_engine(state, workload.catalog)
         result = resumed.run()
         post = result_identity_counts(result)
+        assert not any(
+            res.eddy_stats["suppressed_emits"] for res in result.results.values()
+        )
 
         for query_id in set(reference) | set(pre) | set(post):
             combined = pre.get(query_id, Counter()) + post.get(
@@ -198,8 +243,9 @@ class TestResumeMode:
 
         state = recover_state(str(tmp_path / "ckpt"))
         assert state.next_timestamp == counter_at_close
-        resumed = restore_engine(state, workload.catalog, mode="resume")
+        resumed = restore_engine(state, workload.catalog)
         assert resumed.next_build_timestamp == counter_at_close
+        assert resumed.simulator.now == 8.0
         for table, rows in stored.items():
             restored_stem = resumed.registry.stems[table]
             restored_rows = dict(restored_stem.state_entries())
@@ -219,8 +265,9 @@ class TestResumeMode:
 
         state = recover_state(str(tmp_path / "ckpt"))
         assert state.retired  # the workload actually retired queries
-        resumed = restore_engine(state, workload.catalog, mode="resume")
-        assert set(resumed.active).isdisjoint(state.retired)
+        for mode in ("resume", "replay"):  # two names, one behaviour
+            resumed = restore_engine(state, workload.catalog, mode=mode)
+            assert set(resumed.active).isdisjoint(state.retired)
 
 
 class TestRestoreValidation:
@@ -252,3 +299,221 @@ class TestRestoreValidation:
             CrashInjector(engine.simulator, 9).arm()
         with pytest.raises(InjectedCrash):
             engine.run()
+
+
+# -- cuts that are not empty -----------------------------------------------------
+
+#: Crash this many events after the cut: at it, right after it, well past it.
+CRASH_OFFSETS = (0, 1, 40)
+
+
+#: The places a cut can hold work in flight (``RecoveredState.cut_counts``).
+HELD_KINDS = ("ready", "queued", "in_service", "queued_keys", "lookups_in_flight")
+
+
+def _dry_run(tmp_path, admissions, catalog, churn_events=(), **engine_kwargs):
+    """Run the workload durably (the commit events count as boundaries)
+    without a crash; returns its event count and, per kind of in-flight
+    state, the event boundaries at which some query held any."""
+    engine = MultiQueryEngine(
+        list(admissions), catalog, continuous=True, **engine_kwargs
+    )
+    engine.schedule_churn(list(churn_events))
+    CheckpointManager.attach(engine, str(tmp_path / "dry-run"))
+    simulator = engine.simulator
+    holding: dict[str, list[int]] = {kind: [] for kind in HELD_KINDS}
+
+    def note(event) -> None:
+        held = dict.fromkeys(HELD_KINDS, 0)
+        for query_id in engine.active:
+            eddy = engine.eddy_of(query_id)
+            held["ready"] += len(eddy._ready)
+            for module in eddy.modules.values():
+                held["queued"] += len(module.queue)
+                held["in_service"] += module.busy
+                if module.kind == "index_am":
+                    held["queued_keys"] += len(module._lookup_queue)
+                    held["lookups_in_flight"] += len(module._in_flight)
+        for kind, count in held.items():
+            if count:
+                holding[kind].append(simulator.executed_events)
+
+    simulator.after_event_hook = note
+    engine.run()
+    return simulator.executed_events, holding
+
+
+def _boundaries(events: int, holding: dict[str, list[int]], count: int = 8) -> list[int]:
+    """``count`` boundaries spread evenly over the run, plus — per kind of
+    in-flight state the run ever holds — the middle boundary that holds it,
+    so that no sweep depends on an even spread happening to hit one."""
+    spread = {max(1, events * (2 * i + 1) // (2 * count)) for i in range(count)}
+    spread.update(at[len(at) // 2] for at in holding.values() if at)
+    return sorted(spread)
+
+
+def sweep_cuts(tmp_path, admissions, catalog, boundaries, churn_events=(), **engine_kwargs):
+    """Checkpoint at each boundary, crash at, just after and well after it.
+
+    Every oracle must pass, suppress exactly the acks made after the cut
+    (none for a crash at the cut itself); returns, per kind of in-flight
+    state, the most any swept cut held — so a caller can assert the sweep
+    saw cuts that were not empty.
+    """
+    _, reference = run_reference(admissions, catalog, churn_events, **engine_kwargs)
+    held: Counter = Counter()
+    for boundary in boundaries:
+        for offset in CRASH_OFFSETS:
+            report = crash_recovery_oracle(
+                admissions,
+                catalog,
+                str(tmp_path / f"ckpt-{boundary}-{offset}"),
+                boundary + offset,
+                churn_events=churn_events,
+                checkpoint_after_events=boundary,
+                reference=reference,
+                **engine_kwargs,
+            )
+            where = (boundary, offset, report["cut_counts"])
+            assert report["passed"], (where, report["mismatches"])
+            assert report["suppressed_emits"] == report["tail_acks"], where
+            if report["crashed"]:
+                assert report["snapshot_seq"] == 1, where
+                if offset == 0:
+                    assert report["tail_acks"] == 0, where
+                    assert report["cut_time"] == report["crash_time"], where
+            for kind, count in report["cut_counts"].items():
+                held[kind] = max(held[kind], count)
+    return held
+
+
+def _fleet(**kwargs):
+    workload = staggered_fleet_workload(**kwargs)
+    return workload.admissions, workload.catalog, (), {}
+
+
+def _index_only():
+    """The Q1 shape twice: S is reachable only through its index, so cuts
+    fall inside a lookup's flight and with keys waiting behind it."""
+    workload = q1_workload(r_rows=40, distinct_a=16, s_index_latency=0.3)
+    admissions = (
+        QueryAdmission(workload.query, query_id="all", policy="naive"),
+        QueryAdmission(
+            "SELECT * FROM R, S WHERE R.a = S.x AND R.key < 25",
+            query_id="some",
+            policy="naive",
+            arrival_time=0.31,
+        ),
+    )
+    return admissions, workload.catalog, (), {}
+
+
+def _three_way():
+    workload = shared_tables_mixed_workload(rows=24, stagger=0.3)
+    return workload.admissions, workload.catalog, (), {}
+
+
+def _self_join():
+    """A self-join keeps a private SteM per alias beside the shared ones."""
+    workload = staggered_fleet_workload(n_queries=2, rows=20, seed=3, stagger=0.3)
+    self_join = QueryAdmission(
+        "SELECT * FROM R r1, R r2 WHERE r1.a = r2.a AND r1.key < 12",
+        query_id="self",
+        policy="naive",
+        arrival_time=0.1,
+    )
+    return (*workload.admissions, self_join), workload.catalog, (), {}
+
+
+def _bursty():
+    """Stalls and jitter: scan streams that are not monotone in row order."""
+    workload = bursty_join_workload(rows=36, seed=2)
+    admissions = (
+        QueryAdmission(workload.query, query_id="b0", policy="naive"),
+        QueryAdmission(workload.query, query_id="b1", policy="naive", arrival_time=0.7),
+    )
+    return admissions, workload.catalog, (), {"cost_model": workload.cost_model}
+
+
+def _bounded():
+    """One query over a count-bounded SteM: T comes by scan and by index, so
+    an evicted row is delivered, built and joined again — equal identities
+    on both sides of a cut, which only a tail-armed filter tells apart."""
+    workload = staggered_fleet_workload(n_queries=1, rows=40, seed=3)
+    options = {"stem_eviction": "count", "stem_max_size": 10}
+    return workload.admissions, workload.catalog, (), options
+
+
+def _churn():
+    workload = churn_workload(
+        duration=12.0, arrival_rate=0.5, mean_lifetime=4.0, rows=30, seed=5
+    )
+    return (), workload.catalog, workload.events, {}
+
+
+SWEPT_WORKLOADS = {
+    "index_only": _index_only,
+    "three_way": _three_way,
+    "self_join": _self_join,
+    "bursty": _bursty,
+    "bounded": _bounded,
+    "churn": _churn,
+    "lottery": lambda: _fleet(n_queries=3, rows=24, seed=3, policy="lottery", stagger=0.3),
+    "benefit": lambda: _fleet(n_queries=3, rows=24, seed=3, policy="benefit", stagger=0.3),
+}
+
+
+class TestCutSweeps:
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_exhaustive_tiny_fleet(self, tmp_path, batch_size):
+        """A checkpoint at *every* event boundary of a tiny fleet."""
+        admissions, catalog, _, _ = _fleet(n_queries=2, rows=3, seed=3, stagger=0.1)
+        events, _ = _dry_run(tmp_path, admissions, catalog, batch_size=batch_size)
+        held = sweep_cuts(
+            tmp_path, admissions, catalog, range(1, events + 1), batch_size=batch_size
+        )
+        assert all(held[kind] > 0 for kind in HELD_KINDS), held
+
+    @pytest.mark.parametrize("name", sorted(SWEPT_WORKLOADS))
+    def test_spread_boundaries(self, tmp_path, name):
+        admissions, catalog, churn_events, options = SWEPT_WORKLOADS[name]()
+        events, holding = _dry_run(tmp_path, admissions, catalog, churn_events, **options)
+        # Every workload here has an index AM and, at some boundary, work in
+        # each place a cut can hold it; the sweep must have cut there.
+        assert all(holding.values()), holding
+        held = sweep_cuts(
+            tmp_path,
+            admissions,
+            catalog,
+            _boundaries(events, holding),
+            churn_events,
+            **options,
+        )
+        assert all(held[kind] > 0 for kind in HELD_KINDS), held
+
+    def test_churn_cuts_fall_on_every_side_of_the_lifecycle(self, tmp_path):
+        """Before an admission, between admission and retirement, after a
+        retirement — by the cut's own record of who was live."""
+        _, catalog, churn_events, _ = _churn()
+        events, holding = _dry_run(tmp_path, (), catalog, churn_events)
+        seen = set()
+        for boundary in _boundaries(events, holding):
+            directory = str(tmp_path / f"ckpt-{boundary}")
+            crash_recovery_oracle(
+                (), catalog, directory, boundary,
+                churn_events=churn_events, checkpoint_after_events=boundary,
+            )
+            state = recover_state(directory)
+            admitted = {a.query_id for a in state.admissions}
+            if any(
+                e.action == "admit" and e.admission.query_id not in admitted
+                for e in churn_events
+            ):
+                seen.add("before an admission")
+            if admitted - set(state.retired):
+                seen.add("between admission and retirement")
+            if state.retired:
+                seen.add("after a retirement")
+                restored = restore_engine(state, catalog, churn_events=churn_events)
+                assert set(restored.active).isdisjoint(state.retired)
+        assert len(seen) == 3, seen

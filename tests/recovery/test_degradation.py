@@ -10,6 +10,8 @@ produces.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.bench.workloads import churn_workload
@@ -126,6 +128,55 @@ class TestLookupRetries:
         )
         assert plain.canonical_identities() == explicit.canonical_identities()
         assert plain.final_time == explicit.final_time
+
+
+class TestCutDuringBackoff:
+    def test_attempt_number_survives_a_cut_taken_during_a_backoff(self, tmp_path):
+        """A failed lookup waiting out its backoff is in flight: the cut
+        carries the attempt it will make next and when, and the restored
+        AM makes that attempt then — not a first one, not at once."""
+        from repro.engine.multi import MultiQueryEngine, QueryAdmission
+        from repro.recovery import CheckpointManager, recover_state, restore_engine
+        from repro.recovery.harness import result_identity_counts, run_reference
+
+        def catalog():
+            return rs_catalog(
+                failure_rate=0.4, failure_seed=3, max_retries=12, retry_backoff=0.05
+            )
+
+        admissions = [QueryAdmission(SQL, query_id="q", policy="naive")]
+        _, reference = run_reference(admissions, catalog())
+        engine = MultiQueryEngine(admissions, catalog(), continuous=True)
+        manager = CheckpointManager.attach(engine, str(tmp_path / "ckpt"))
+        (am,) = engine.eddy_of("q").index_ams["S"]
+
+        class Stop(Exception):
+            pass
+
+        def stop_in_second_backoff(event) -> None:
+            if any(
+                step == "_issue_attempt" and attempt >= 3
+                for step, attempt, _ in am._in_flight.values()
+            ):
+                raise Stop
+
+        engine.simulator.after_event_hook = stop_in_second_backoff
+        with pytest.raises(Stop):
+            engine.run()
+        waiting = dict(am._in_flight)
+        manager.take_checkpoint()
+        manager.simulate_crash()
+
+        state = recover_state(str(tmp_path / "ckpt"))
+        assert state.cut_counts()["lookups_in_flight"] == len(waiting)
+        restored = restore_engine(state, catalog())
+        (restored_am,) = restored.eddy_of("q").index_ams["S"]
+        assert restored_am._in_flight == waiting
+        assert restored_am.stats["lookup_retries"] == 0  # nothing re-failed yet
+        acked = Counter(state.emitted_counts("q"))
+        post = result_identity_counts(restored.run())["q"]
+        assert acked and post + acked == reference["q"]
+        assert restored_am.stats["lookups_abandoned"] == 0
 
 
 class TestFaultModelAndSpecValidation:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.stem import SteM
 from repro.recovery.codec import (
+    canonical_json,
     decode_row,
     decode_schema,
     decode_value,
@@ -105,7 +106,7 @@ class TestRowAndFramingProperties:
     @given(payload=st.dictionaries(st.text(min_size=1, max_size=8), scalars, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_framed_record_round_trip(self, payload):
-        body = {"k": "build", "p": encode_value(tuple(payload.items()))}
+        body = {"k": "emit", "p": encode_value(tuple(payload.items()))}
         assert parse_record(frame_record(body)) == body
 
     @given(
@@ -122,21 +123,27 @@ class TestRowAndFramingProperties:
 class TestWalAndSnapshotProperties:
     @given(
         ids=st.lists(values, min_size=1, max_size=12),
-        flush_every=st.integers(min_value=1, max_value=8),
+        window=st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=60, deadline=None)
     def test_wal_replay_returns_exactly_what_was_flushed(
-        self, tmp_path_factory, ids, flush_every
+        self, tmp_path_factory, ids, window
     ):
+        # Hostile identities acked under group commit, the owner flushing
+        # every ``window`` acks: replay returns every key, in ack order.
         path = str(tmp_path_factory.mktemp("wal") / "wal-000001.log")
-        with WriteAheadLog(path, flush_every=flush_every) as wal:
-            for i, identity in enumerate(ids):
-                wal.append("build", {"t": "T", "r": encode_value(identity), "ts": i})
+        keys = [canonical_json(encode_value(identity)) for identity in ids]
+        with WriteAheadLog(path, group_commit=True) as wal:
+            for i, key in enumerate(keys, start=1):
+                wal.log_emit("q0", key)
+                if i % window == 0:
+                    wal.flush()
         records, torn = replay_wal_file(path)
         assert torn == 0
-        assert len(records) == len(ids)
-        for record, identity in zip(records, ids):
-            assert equivalent(decode_value(record["r"]), identity)
+        replayed = [key for record in records for key in record["ids"]]
+        assert replayed == keys
+        for key, identity in zip(replayed, ids):
+            assert equivalent(decode_value(json.loads(key)), identity)
 
     @given(
         ids=st.lists(values, min_size=1, max_size=8),

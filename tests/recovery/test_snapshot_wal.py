@@ -70,46 +70,62 @@ class TestSnapshotStore:
 
 
 class TestWriteAheadLog:
-    def test_durable_kinds_flush_immediately(self, tmp_path):
+    def test_lifecycle_and_inline_emits_flush_immediately(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        wal = WriteAheadLog(path, flush_every=1000)
-        wal.append("build", {"x": 1})
-        assert wal.position == 0  # buffered
-        wal.append("emit", {"q": "q0", "id": "k"})
-        assert wal.position == 2  # durable append flushed everything before it
-        assert wal.stats["durable_appends"] == 1
+        wal = WriteAheadLog(path)
+        wal.append("admit", {"q": "q0"})
+        assert wal.position == 1
+        wal.log_emit("q0", "k")  # no group commit: exactly append("emit")
+        assert wal.position == 2
+        assert wal.stats["durable_appends"] == 2
         wal.close()
         records, torn = replay_wal_file(path)
         assert torn == 0
-        assert [r["k"] for r in records] == ["build", "emit"]
+        assert [r["k"] for r in records] == ["admit", "emit"]
 
-    def test_group_flush_threshold(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path / "wal-000001.log"), flush_every=4)
-        for i in range(3):
-            wal.append("build", {"i": i})
-        assert wal.position == 0
-        wal.append("build", {"i": 3})
-        assert wal.position == 4
-        wal.close()
-
-    def test_simulated_crash_drops_exactly_the_buffer(self, tmp_path):
+    def test_group_commit_batches_acks_until_the_owner_flushes(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        wal = WriteAheadLog(path, flush_every=100)
+        wal = WriteAheadLog(path, group_commit=True)
+        for key in ("a", "b"):
+            wal.log_emit("q0", key)
+        wal.log_emit("q1", "c")
+        assert wal.position == 0 and wal.needs_commit  # queued, not acked
+        wal.flush()
+        assert wal.position == 2 and not wal.needs_commit
+        wal.close()
+        records, _ = replay_wal_file(path)
+        assert [(r["k"], r["q"], r["ids"]) for r in records] == [
+            ("emits", "q0", ["a", "b"]),
+            ("emits", "q1", ["c"]),
+        ]
+
+    def test_lifecycle_record_carries_queued_acks_with_it(self, tmp_path):
+        path = str(tmp_path / "wal-000001.log")
+        wal = WriteAheadLog(path, group_commit=True)
+        wal.log_emit("q0", "a")
+        wal.append("retire", {"q": "q0", "at": 1.0})  # flushes inline
+        assert wal.position == 2 and not wal.needs_commit
+        wal.close()
+        assert [r["k"] for r in replay_wal_file(path)[0]] == ["retire", "emits"]
+
+    def test_simulated_crash_drops_exactly_the_unflushed_acks(self, tmp_path):
+        path = str(tmp_path / "wal-000001.log")
+        wal = WriteAheadLog(path, group_commit=True)
         wal.append("admit", {"q": "q0"})  # durable
         for i in range(5):
-            wal.append("build", {"i": i})  # buffered
+            wal.log_emit("q0", str(i))  # waiting for the commit window
         lost = wal.simulate_crash()
         assert lost == 5
         records, _ = replay_wal_file(path)
         assert [r["k"] for r in records] == ["admit"]
         with pytest.raises(ExecutionError):
-            wal.append("build", {})
+            wal.append("admit", {})
 
     def test_torn_tail_truncated_on_replay(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        wal = WriteAheadLog(path, flush_every=1)
+        wal = WriteAheadLog(path)
         for i in range(4):
-            wal.append("build", {"i": i})
+            wal.log_emit("q0", str(i))
         wal.close()
         with open(path, "r+", encoding="utf-8") as handle:
             content = handle.read()
@@ -118,7 +134,7 @@ class TestWriteAheadLog:
             handle.truncate()
         records, torn = replay_wal_file(path)
         assert torn == 1
-        assert [r["i"] for r in records] == [0, 1, 2]
+        assert [r["id"] for r in records] == ["0", "1", "2"]
 
     def test_generations_enumeration(self, tmp_path):
         for gen in (3, 1, 2):
@@ -128,18 +144,19 @@ class TestWriteAheadLog:
         assert [g for g, _ in generations] == [1, 2, 3]
         assert wal_generations(str(tmp_path / "missing")) == []
 
-    def test_flush_every_floor(self, tmp_path):
-        with pytest.raises(ExecutionError):
-            WriteAheadLog(str(tmp_path / "w.log"), flush_every=0)
-
-    def test_emission_acks_are_durable_by_contract(self):
-        # The exactly-once protocol depends on these three kinds never
-        # sitting in the buffer; losing an emit ack would re-emit a result.
-        assert {"emit", "admit", "retire"} <= set(DURABLE_KINDS)
+    def test_state_record_kinds_are_gone(self, tmp_path):
+        # The snapshot is the state; the log is acks and lifecycle, all of
+        # it durable.  A stray state record is a protocol error, not data.
+        assert DURABLE_KINDS == {"emit", "admit", "retire"}
+        with WriteAheadLog(str(tmp_path / "w.log")) as wal:
+            for kind in ("build", "evict", "eot", "stem", "schema"):
+                with pytest.raises(ExecutionError, match="unknown WAL record kind"):
+                    wal.append(kind, {})
+            assert wal.position == 0
 
     def test_context_manager_closes(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        with WriteAheadLog(path) as wal:
-            wal.append("build", {"i": 1})
+        with WriteAheadLog(path, group_commit=True) as wal:
+            wal.log_emit("q0", "a")
         records, _ = replay_wal_file(path)
         assert len(records) == 1

@@ -67,6 +67,29 @@ def test_multi_command_private_mode(capsys):
     assert "Shared vs private" not in captured
 
 
+def test_recover_command_prints_the_cut_and_resumes_it(capsys, tmp_path):
+    fleet = ["--queries", "3", "--rows", "60", "--stagger", "2.0"]
+    directory = str(tmp_path / "ckpt")
+    assert main(["multi", *fleet, "--checkpoint-dir", directory,
+                 "--checkpoint-interval", "3"]) == 0
+    capsys.readouterr()
+    assert main(["recover", directory, *fleet, "--run"]) == 0
+    captured = capsys.readouterr().out
+    assert "cut at virtual time:" in captured
+    assert "3 started by the cut" in captured
+    assert "in-flight items in the cut: 0" in captured
+    assert "pending lookups in the cut: 0 in flight, 0 queued" in captured
+    assert "0 in the WAL tail past the cut" in captured
+    # A clean close is a cut at the end: resuming it has nothing left to do.
+    assert "Recovered run (resumed from the cut at" in captured
+    assert "already-acknowledged results suppressed: 0" in captured
+
+
+def test_recover_command_has_no_mode_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["recover", str(tmp_path), "--mode", "replay"])
+
+
 def test_gauntlet_command_smoke_with_json(capsys, tmp_path):
     out_path = tmp_path / "gauntlet.json"
     exit_code = main([
