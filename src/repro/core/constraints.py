@@ -73,6 +73,25 @@ class Destination:
         return f"Destination({self.action}->{self.module.name}, {flag})"
 
 
+#: :attr:`RoutePlan.choice` until the eddy has asked its policy.
+UNCHOSEN = object()
+
+
+class RoutePlan:
+    """How every tuple of one routing signature is routed: output readiness
+    and legal destinations are functions of the TupleState alone (Table 2),
+    so one exemplar decides them.  ``choice`` is the policy's
+    ``fixed_choice`` among the destinations, filled in by the eddy at first
+    use (None: the policy decides per group)."""
+
+    __slots__ = ("output", "destinations", "choice")
+
+    def __init__(self, resolver, exemplar: QTuple):
+        self.output = resolver.ready_for_output(exemplar)
+        self.destinations = tuple(resolver.destinations(exemplar))
+        self.choice = UNCHOSEN
+
+
 class ConstraintChecker:
     """Computes the legal destinations of a tuple under the Table 2 rules.
 
@@ -118,13 +137,12 @@ class ConstraintChecker:
         self._aggregate_build_mask = (
             self.layout.bit_of(query.aggregate_alias) if query.is_aggregate else 0
         )
-        #: Destination-signature cache: routing signature -> legal
-        #: destinations.  Valid because destination legality is a pure
-        #: function of the signature given the (static) module structure; the
-        #: cache is dropped whenever module liveness changes (see
-        #: :meth:`notice_liveness_change`) so future liveness-dependent rules
-        #: stay safe.
-        self._destination_cache: dict[tuple, tuple[Destination, ...]] = {}
+        #: Route-plan cache: routing signature -> :class:`RoutePlan`.  Valid
+        #: because output readiness and destination legality are pure
+        #: functions of the signature given the (static) module structure;
+        #: every plan, choice included, is dropped whenever module liveness
+        #: changes (:meth:`notice_liveness_change`).
+        self._plans: dict[tuple, RoutePlan] = {}
         self.cache_stats: dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -133,31 +151,28 @@ class ConstraintChecker:
 
     # -- destination computation -----------------------------------------------
 
-    def destinations_for_signature(
-        self, signature: tuple, exemplar: QTuple
-    ) -> list[Destination]:
-        """Legal destinations for all tuples sharing a routing signature.
-
-        ``exemplar`` is any tuple with that signature; its destinations are
-        computed once and memoized, so the batched eddy resolves each
-        signature group with at most one full constraint evaluation.
-        """
-        cached = self._destination_cache.get(signature)
-        if cached is not None:
+    def route_plan(self, signature: tuple, exemplar: QTuple) -> RoutePlan:
+        """The plan of every tuple sharing a routing signature, computed from
+        ``exemplar`` (any tuple with it) once and memoized."""
+        plan = self._plans.get(signature)
+        if plan is not None:
             self.cache_stats["hits"] += 1
-            return list(cached)
-        result = self.destinations(exemplar)
-        if exemplar.failed:
+            return plan
+        plan = RoutePlan(self, exemplar)
+        if not exemplar.failed:
             # The failed flag is not part of the routing signature (failed
             # tuples never reach routing); never cache a failed exemplar's
-            # empty list under a signature live tuples share.
-            return result
-        self.cache_stats["misses"] += 1
-        self._destination_cache[signature] = tuple(result)
-        return result
+            # empty plan under a signature live tuples share.
+            self.cache_stats["misses"] += 1
+            self._plans[signature] = plan
+        return plan
+
+    def destinations_for_signature(self, signature: tuple, exemplar: QTuple) -> list[Destination]:
+        """A copy of the legal destinations of :meth:`route_plan`."""
+        return list(self.route_plan(signature, exemplar).destinations)
 
     def notice_liveness_change(self) -> None:
-        """Drop the destination cache: a module's liveness changed.
+        """Drop every route plan: a module's liveness changed.
 
         Called (through the eddy) when a scan finishes or a SteM seals.
         Today's Table 2 rules are liveness-independent, so this is purely
@@ -165,7 +180,7 @@ class ConstraintChecker:
         (e.g. retiring probes early once a source is known dead) are added.
         """
         self.cache_stats["invalidations"] += 1
-        self._destination_cache.clear()
+        self._plans.clear()
 
     def destinations(self, tuple_: QTuple) -> list[Destination]:
         """All legal destinations for the tuple, required ones first."""

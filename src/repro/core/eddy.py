@@ -17,13 +17,13 @@ The eddy here is deliberately *mechanism only*:
 * the eddy executes the choices on the discrete-event simulator, handles
   module backpressure, collects outputs, and detects termination.
 
-With ``batch_size > 1`` the eddy additionally *amortises* routing: each
-simulator event drains up to ``batch_size`` ready tuples, groups them by
-routing signature (:meth:`~repro.core.tuples.QTuple.routing_signature`),
-resolves legal destinations once per signature (memoized by the
-:class:`~repro.core.constraints.ConstraintChecker` until module liveness
-changes), and asks the policy for one decision per group via
-:meth:`~repro.core.policies.base.RoutingPolicy.choose_batch`.  Routing
+Every decision goes through the :class:`~repro.core.constraints.RoutePlan`
+of a routing signature (:meth:`~repro.core.tuples.QTuple.routing_signature`):
+output test, legal destinations and the policy's fixed choice, if it has
+one, memoized by the constraint checker until module liveness changes;
+only without a fixed choice is the policy's ``choose_batch`` asked.  With
+``batch_size > 1`` each event drains up to ``batch_size`` ready tuples
+and makes one decision per signature group.  Routing
 remains semantically per-tuple — visit bookkeeping, strict validation and
 tracing are still applied to every tuple — so a *complete* run produces a
 result set identical to per-tuple routing.  Intermediate timing does
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence
 
 from repro.errors import ExecutionError
-from repro.core.constraints import ConstraintChecker, Destination
+from repro.core.constraints import UNCHOSEN, ConstraintChecker, Destination, RoutePlan
 from repro.core.costs import CostModel
 from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.modules.base import Module, Routable
@@ -61,6 +61,9 @@ class DestinationResolver(Protocol):
 
     def ready_for_output(self, tuple_: QTuple) -> bool:
         """True if the tuple is a finished query result."""
+
+    def route_plan(self, signature: tuple, exemplar: QTuple) -> RoutePlan:
+        """The plan of every tuple with this routing signature (cached or not)."""
 
 
 @dataclass(slots=True)
@@ -259,8 +262,6 @@ class Eddy:
     def set_resolver(self, resolver: DestinationResolver | None) -> None:
         """Attach the destination resolver (after modules are registered)."""
         self.resolver = resolver
-        #: The resolver's signature-cached lookup, when it keeps one.
-        self._resolve_signature = getattr(resolver, "destinations_for_signature", None)
 
     # -- EddyRuntime interface (used by modules) -----------------------------------
 
@@ -507,12 +508,8 @@ class Eddy:
             self._drop_failed(item)
             decisions = 0
         else:
-            # One tuple: no grouping to do, and the signature is only worth
-            # computing when the resolver keeps a signature cache.
-            signature = (
-                item.routing_signature() if self._resolve_signature is not None else None
-            )
-            self._route_group(signature, [item])
+            # One tuple: no grouping to do.
+            self._route_group(item.routing_signature(), [item])
             decisions = 1
         stats["route_decisions"] += decisions
         # The batch consumed one route_cost per decision of virtual CPU
@@ -568,16 +565,11 @@ class Eddy:
         if stem is not None:
             self._deliver(stem, eot)
 
-    def _route_group(self, signature: tuple | None, group: list[QTuple]) -> None:
-        """Route one signature group with a single destination resolution.
-
-        ``signature`` is None only for a single tuple under a cache-less
-        resolver, where it would go unused.
-        """
+    def _route_group(self, signature: tuple, group: list[QTuple]) -> None:
+        """Route one signature group by its route plan."""
         resolver = self.resolver
-        assert resolver is not None, "no destination resolver attached"
-        exemplar = group[0]
-        if resolver.ready_for_output(exemplar):
+        plan = resolver.route_plan(signature, group[0])
+        if plan.output:
             # Output readiness is signature-pure (span + done bits): the
             # whole group is emitted, at one virtual time.
             now = self.sim.now
@@ -602,20 +594,23 @@ class Eddy:
                 if trace is not None:
                     trace.record(now, "output", tuple_.tuple_id)
             return
-        if signature is not None and self._resolve_signature is not None:
-            destinations = self._resolve_signature(signature, exemplar)
-        else:
-            destinations = resolver.destinations(exemplar)
+        destinations = plan.destinations
         if not destinations:
             for tuple_ in group:
                 self._retire(tuple_)
             return
-        choices = self.policy.choose_batch(group, destinations, self)
-        if len(choices) != len(group):
-            raise ExecutionError(
-                f"policy {self.policy.name!r} returned {len(choices)} choices "
-                f"for a signature group of {len(group)} tuples"
-            )
+        choice = plan.choice
+        if choice is UNCHOSEN:
+            choice = plan.choice = self.policy.fixed_choice(destinations)
+        if choice is not None:
+            choices = (choice,) * len(group)
+        else:
+            choices = self.policy.choose_batch(group, destinations, self)
+            if len(choices) != len(group):
+                raise ExecutionError(
+                    f"policy {self.policy.name!r} returned {len(choices)} choices "
+                    f"for a signature group of {len(group)} tuples"
+                )
         validate = self.strict_constraints and isinstance(resolver, ConstraintChecker)
         trace = self.trace
         for tuple_, choice in zip(group, choices):

@@ -44,14 +44,14 @@ each shard applies the same window to its own rows — expiry being lazy
 (it runs at build time), a shard's floor trails the global floor until
 its next build, which only ever *keeps extra* rows the single shard
 would already have dropped, never drops rows it would keep.
-Byte-identity with the single-shard engine holds for unbounded SteMs
-(the acceptance bar the identity suites pin); bounded SteMs evict the
-same *number* of rows per shard but in per-shard order, a different
-(equally valid) choice of victims than the global order.
-Reference-window (LRU) eviction reorders the row store in ways the
-slot-aligned shards cannot mirror, so the factory keeps such tables on a
-single shard and :meth:`PartitionedSteM.set_eviction` rejects
-reference-tracking policies outright.
+Bounded shards evict the same *number* of rows per shard but in per-shard
+order, a different choice of victims than the global order — so a SteM
+with an answer that depends on its victims would depend on the shard
+count.  :func:`partitioned_stem` therefore builds every bounded SteM (any
+eviction policy) as a single plain SteM; only unbounded SteMs are
+partitioned, and for those results and traces are byte-identical to the
+single shard.  :meth:`PartitionedSteM.set_eviction` rejects
+reference-tracking (LRU) policies outright.
 """
 
 from __future__ import annotations
@@ -1001,10 +1001,11 @@ def partitioned_stem(
 ) -> SteM | PartitionedSteM:
     """SteM factory honouring a shard count.
 
-    ``shards`` of None resolves through :func:`default_shards`; 1 (or a
-    reference-window eviction policy, which needs the single-shard row
-    plane) returns a plain :class:`SteM` with zero wrapper overhead —
-    the exact PR 7 code path.
+    ``shards`` of None resolves through :func:`default_shards`; 1 returns a
+    plain :class:`SteM` with zero wrapper overhead.  So does any bounded
+    SteM (an eviction policy set): each shard would evict against its own
+    bound or window and choose other victims than the one SteM, and the
+    answer must not depend on the shard count.
     """
     if shards is None:
         shards = default_shards()
@@ -1013,7 +1014,7 @@ def partitioned_stem(
         if isinstance(eviction, EvictionPolicy)
         else make_eviction_policy(eviction, max_size=max_size, window=window)
     )
-    if shards <= 1 or (policy is not None and policy.tracks_references):
+    if shards <= 1 or policy is not None:
         return SteM(
             table=table,
             aliases=aliases,

@@ -71,6 +71,14 @@ class RoutingPolicy(ABC):
         """
         return [self.choose(tuple_, destinations, eddy) for tuple_ in tuples]
 
+    def fixed_choice(self, destinations: Sequence[Destination]) -> Destination | None:
+        """What :meth:`choose` returns for *every* tuple with these legal
+        destinations, whatever its priority class and the module state, with
+        nothing to record (no RNG draw, no module read, no ticket) — or None
+        to be asked per group.  The eddy asks once per route plan.  A
+        subclass that overrides :meth:`choose` must override this too."""
+        return None
+
     def on_output(self, tuple_: QTuple, eddy: "Eddy") -> None:
         """Hook called when a result tuple is emitted (for learning policies)."""
 

@@ -155,6 +155,12 @@ class BenefitPolicy(RoutingPolicy):
             else 0.0,
         )
 
+    def fixed_choice(self, destinations: Sequence[Destination]) -> Destination | None:
+        """The sole required destination, if there is exactly one: the argmax
+        over one candidate needs no score (and scoring records nothing)."""
+        required = [destination for destination in destinations if destination.required]
+        return required[0] if len(required) == 1 else None
+
     def choose_batch(
         self, tuples: Sequence[QTuple], destinations: Sequence[Destination], eddy
     ) -> list[Destination | None]:

@@ -42,11 +42,7 @@ class NaivePolicy(RoutingPolicy):
     ) -> Destination | None:
         return self._pick(destinations)
 
-    def choose_batch(
-        self, tuples: Sequence[QTuple], destinations: Sequence[Destination], eddy
-    ) -> list[Destination | None]:
-        # One decision serves the whole signature group.
-        return [self._pick(destinations)] * len(tuples)
+    fixed_choice = _pick
 
 
 class RandomPolicy(RoutingPolicy):
@@ -104,11 +100,15 @@ class StaticOrderPolicy(RoutingPolicy):
             if destination.action in DEFAULT_ACTION_ORDER else len(DEFAULT_ACTION_ORDER)
         return (listed, action_rank)
 
+    def _pick(self, destinations: Sequence[Destination]) -> Destination | None:
+        """The choice: a pure function of the legal-destination list."""
+        required, optional = split_required(destinations)
+        pool = required if required else (optional if self.take_optional else [])
+        return min(pool, key=self._score) if pool else None
+
     def choose(
         self, tuple_: QTuple, destinations: Sequence[Destination], eddy
     ) -> Destination | None:
-        required, optional = split_required(destinations)
-        pool = required if required else (optional if self.take_optional else [])
-        if not pool:
-            return None
-        return min(pool, key=self._score)
+        return self._pick(destinations)
+
+    fixed_choice = _pick

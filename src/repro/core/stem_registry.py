@@ -106,8 +106,8 @@ class SteMRegistry:
         shards: hash-partition every shared SteM across this many shard
             SteMs (:class:`~repro.core.partition.PartitionedSteM`).  None
             follows the ``REPRO_SHARDS`` environment setting; 1 keeps the
-            plain single-shard SteM.  Tables under reference-window
-            eviction always stay single-shard.
+            plain single-shard SteM.  Bounded tables (any eviction policy)
+            always stay single-shard.
     """
 
     def __init__(

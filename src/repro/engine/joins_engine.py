@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ExecutionError, QueryError
-from repro.core.constraints import Destination
+from repro.core.constraints import Destination, RoutePlan
 from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.access import ScanAMModule
@@ -142,6 +142,10 @@ class JoinPlanResolver:
         if tuple_.layout is not self.layout:
             tuple_.bind_layout(self.layout)
         return self.layout.is_complete(tuple_.spanned_mask, tuple_.done_mask)
+
+    def route_plan(self, signature: tuple, exemplar: QTuple) -> RoutePlan:
+        """A fresh plan per decision: this resolver keeps no signature cache."""
+        return RoutePlan(self, exemplar)
 
 
 class EddyJoinsEngine:

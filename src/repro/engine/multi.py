@@ -326,6 +326,8 @@ class MultiQueryEngine:
         #: Stats snapshots of retired queries' *private* SteMs (shared ones
         #: stay live in the registry or fold into its reclaimed totals).
         self._retired_stem_stats: dict[str, dict[str, int]] = {}
+        #: The ``RecoveredState`` a restore built this engine from, or None.
+        self.recovered_from = None
         for entry in admissions:
             self.admit(entry)
         if not self._queries and not continuous:

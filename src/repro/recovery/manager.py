@@ -386,7 +386,9 @@ class CheckpointManager:
 
         Queries admitted before the attach are logged immediately (their
         eddies get the emission hook); state needs no hook — a checkpoint
-        reads it off the engine.
+        reads it off the engine.  On a restored engine the earlier
+        incarnations' acks, and the queries retired before the cut (not
+        admitted again), carry over into every later snapshot.
         """
         manager = cls(
             engine,
@@ -395,6 +397,11 @@ class CheckpointManager:
             retain=retain,
             commit_latency=commit_latency,
         )
+        if (state := engine.recovered_from) is not None:
+            gone = {q: t for q, t in state.retired.items() if q not in state.retired_after_cut}
+            manager._emitted = {q: dict(counts) for q, counts in state.emitted.items()}
+            manager._retire_times = gone
+            manager._admissions = [a for a in state.admissions if a.query_id in gone]
         engine.add_admission_listener(manager._on_admit)
         engine.add_retire_listener(manager._on_retire)
         for ctx in engine._queries:
@@ -728,6 +735,7 @@ def restore_engine(
     )
     if engine.registry is None:
         raise ExecutionError("restore requires shared SteMs (shared_stems=True)")
+    engine.recovered_from = state
 
     def arm_emit_filter(query_id, admission, query, start_time, eddy) -> None:
         # Only the tail: a result acknowledged before the cut left the

@@ -16,8 +16,9 @@ import weakref
 
 import pytest
 
+from repro.bench.workloads import churn_workload
 from repro.errors import ExecutionError
-from repro.core.partition import PartitionedSteM
+from repro.core.partition import PartitionedSteM, partitioned_stem
 from repro.engine.api import execute
 from repro.engine.multi import (
     ChurnEvent,
@@ -214,6 +215,40 @@ class TestChurnEngineIdentity:
         single, sharded = run(1), run(4)
         assert single["late"].row_count > 0
         assert sharded["late"].identities() == single["late"].identities()
+
+
+class TestBoundedSteMsStaySingleShard:
+    """Per-shard eviction picks other victims than one SteM, and over a
+    bounded SteM the victims shape the answer — so ``partitioned_stem``
+    never partitions a bounded SteM, and the answer ignores ``shards``."""
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"stem_eviction": "count", "stem_max_size": 24},
+            {"stem_eviction": "time-window", "stem_window": 2.0},
+        ],
+        ids=["count", "time-window"],
+    )
+    def test_churn_answers_equal_the_single_shard(self, bound):
+        workload = churn_workload(duration=20.0, rows=60, seed=3)
+        sharded = run_churn(workload.events, workload.catalog, shards=4, **bound)
+        single = run_churn(workload.events, workload.catalog, shards=1, **bound)
+        assert set(sharded.results) == set(single.results)
+        for query_id in single.results:
+            assert sharded[query_id].identities() == single[query_id].identities(), query_id
+        assert sum(stats["evictions"] for stats in single.stem_stats.values()) > 0
+
+    def test_factory_keeps_bounded_stems_whole(self):
+        for bound in (
+            {"eviction": "count", "max_size": 8},
+            {"eviction": "time-window", "window": 2.0},
+            {"max_size": 8},
+        ):
+            stem = partitioned_stem("S", aliases=("S",), join_columns=("x",), shards=4, **bound)
+            assert not isinstance(stem, PartitionedSteM), bound
+        unbounded = partitioned_stem("S", aliases=("S",), join_columns=("x",), shards=4)
+        assert isinstance(unbounded, PartitionedSteM)
 
 
 class TestPartitionedRetirement:

@@ -34,6 +34,7 @@ from repro.recovery import (
     restore_engine,
 )
 from repro.recovery.harness import result_identity_counts, run_reference
+from repro.recovery.wal import replay_wal_file, wal_generations
 
 #: Event boundaries swept by the smoke grid: one almost immediately, one
 #: mid-stream, two deep into the run — before the first periodic checkpoint
@@ -268,6 +269,79 @@ class TestResumeMode:
         for mode in ("resume", "replay"):  # two names, one behaviour
             resumed = restore_engine(state, workload.catalog, mode=mode)
             assert set(resumed.active).isdisjoint(state.retired)
+
+
+def _acked_per_generation(directory: str) -> list[dict[str, Counter]]:
+    """Per WAL generation (= engine incarnation), the acks its flushed
+    records hold, per query."""
+    generations = []
+    for _, path in wal_generations(directory):
+        acked: dict[str, Counter] = {}
+        for record in replay_wal_file(path)[0]:
+            if record["k"] in ("emit", "emits"):
+                keys = record["ids"] if record["k"] == "emits" else (record["id"],)
+                acked.setdefault(record["q"], Counter()).update(keys)
+        generations.append(acked)
+    return generations
+
+
+def _crash_incarnation(engine, directory, kill_after, cut_after=None):
+    """Attach a manager, cut once — ``cut_after`` events in, or at the first
+    boundary after a retirement when None — and crash ``kill_after`` events
+    in; returns what recovery reads back."""
+    manager = CheckpointManager.attach(engine, directory)
+    injector = CrashInjector(engine.simulator, kill_after).arm()
+    crash_check = engine.simulator.after_event_hook
+    retired, cut = [], []
+    engine.add_retire_listener(lambda query_id, now: retired.append(query_id))
+
+    def cut_then_crash_check(event) -> None:
+        if not cut and (retired if cut_after is None else injector.seen + 1 == cut_after):
+            cut.append(manager.take_checkpoint())
+        crash_check(event)
+
+    engine.simulator.after_event_hook = cut_then_crash_check
+    with pytest.raises(InjectedCrash):
+        engine.run()
+    manager.simulate_crash()
+    assert cut
+    return recover_state(directory)
+
+
+class TestSecondCrash:
+    """A manager attached to a restored engine carries the earlier
+    incarnations' acks, retirements and retired admissions into its own
+    snapshots, so a second crash recovers all of them."""
+
+    def test_acks_and_retirements_survive_a_second_crash(self, tmp_path):
+        _, catalog, churn_events, _ = _churn()
+        _, reference = run_reference((), catalog, churn_events)
+        directory = str(tmp_path / "ckpt")
+
+        engine = MultiQueryEngine([], catalog, continuous=True)
+        engine.schedule_churn(list(churn_events))
+        first = _crash_incarnation(engine, directory, kill_after=1000)
+        assert first.retired and not first.retired_after_cut
+
+        restored = restore_engine(first, catalog, churn_events=churn_events)
+        second = _crash_incarnation(restored, directory, kill_after=400, cut_after=200)
+        assert second.cut_time > first.cut_time and second.tail_acks
+
+        acked = _acked_per_generation(directory)
+        assert len(acked) == 2 and all(acked)
+        summed: dict[str, Counter] = {}
+        for generation in acked:
+            for query_id, counts in generation.items():
+                summed.setdefault(query_id, Counter()).update(counts)
+        assert {q: Counter(counts) for q, counts in second.emitted.items()} == summed
+        assert first.retired.items() <= second.retired.items()
+        assert {a.query_id for a in first.admissions} <= {a.query_id for a in second.admissions}
+
+        final = restore_engine(second, catalog, churn_events=churn_events).run()
+        post = result_identity_counts(final)
+        for query_id in set(reference) | set(post) | set(second.emitted):
+            combined = Counter(second.emitted.get(query_id, {})) + post.get(query_id, Counter())
+            assert combined == reference.get(query_id, Counter()), query_id
 
 
 class TestRestoreValidation:

@@ -227,8 +227,13 @@ class TestRestoreThenCheckpoint:
         _, second = recheckpoint(tmp_path, directory, catalog, churn_events, options)
         for section in CUT_SECTIONS:
             assert second[section] == first[section], section
+        # Queries retired before the cut are not admitted again, yet stay
+        # listed (ahead of the live ones), with their retirements and acks.
+        retired = [a for a in first["admissions"] if a["q"] in first["retired"]]
         live = [a for a in first["admissions"] if a["q"] not in first["retired"]]
-        assert second["admissions"] == live
+        assert second["admissions"] == retired + live
+        assert second["retired"] == first["retired"]
+        assert second["emitted"] == first["emitted"]
 
     def test_the_comparison_sees_dropped_lookup_state_and_coverage(self, tmp_path):
         # Dropping completed keys or coverage costs only repeated lookups,
