@@ -103,94 +103,12 @@ def _print_extensions() -> None:
           f"{prioritized.notes['mean_priority_output_time[prioritized]']}s")
 
 
-def _run_churn(args: argparse.Namespace) -> None:
-    workload = churn_workload(
-        duration=args.duration,
-        arrival_rate=args.arrival_rate,
-        mean_lifetime=args.mean_lifetime,
-        rows=args.rows,
-        policy=args.policy,
-        seed=args.seed,
-    )
-    result = run_churn(
-        workload.events,
-        workload.catalog,
-        shared_stems=not args.private_stems,
-        batch_size=args.batch_size,
-        columnar=False if args.row_plane else None,
-        shards=args.shards,
-        stem_eviction=args.eviction,
-        stem_max_size=args.window if args.eviction in ("count", "reference-window")
-        else None,
-        stem_window=args.window if args.eviction == "time-window" else None,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-    )
-    print(result.summary())
-    stats = result.registry_stats
-    if stats:
-        print(
-            f"Registry churn: {stats['stems']} SteMs created, "
-            f"{stats['reclaimed']} reclaimed on retirement, "
-            f"{stats['indexes_dropped']} per-query indexes dropped, "
-            f"{stats['releases']} releases"
-        )
-    evictions = sum(
-        stem.get("evictions", 0) for stem in result.stem_stats.values()
-    )
-    if args.eviction:
-        print(f"Window eviction ({args.eviction}, {args.window}): "
-              f"{evictions} rows evicted")
+def _workload(args: argparse.Namespace):
+    """The workload the ``multi``/``recover`` workload flags describe.
 
-
-def _run_multi(args: argparse.Namespace) -> None:
-    if args.churn:
-        _run_churn(args)
-        return
-    workload = staggered_fleet_workload(
-        n_queries=args.queries,
-        stagger=args.stagger,
-        rows=args.rows,
-        policy=args.policy,
-    )
-    columnar = False if args.row_plane else None
-    result = run_multi(
-        workload.admissions,
-        workload.catalog,
-        shared_stems=not args.private_stems,
-        batch_size=args.batch_size,
-        columnar=columnar,
-        shards=args.shards,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-    )
-    print(result.summary())
-    if not args.private_stems and not args.no_baseline:
-        # Show the sharing win against the private-SteM baseline.
-        baseline = run_multi(
-            workload.admissions,
-            workload.catalog,
-            shared_stems=False,
-            batch_size=args.batch_size,
-            columnar=columnar,
-            shards=args.shards,
-        )
-        shared_inserts = result.stem_totals["insertions"]
-        private_inserts = baseline.stem_totals["insertions"]
-        print(
-            f"Shared vs private SteMs: {shared_inserts} vs {private_inserts} "
-            f"insertions ({private_inserts / max(shared_inserts, 1):.1f}x saved), "
-            f"results identical: "
-            f"{result.same_results(baseline)}"
-        )
-
-
-def _recover_workload(args: argparse.Namespace):
-    """Rebuild the workload a durable ``multi`` run executed.
-
-    The checkpoint holds the engine's state, not the base tables: sources
-    are re-streamed from the catalog, so recovery needs the same workload
-    knobs (``--rows``, ``--seed``, ...) the original run used.
+    A checkpoint holds the engine's state, not the base tables: ``recover
+    --run`` re-streams the sources, so it rebuilds the workload from the
+    same flags the original ``multi`` run was given.
     """
     if args.churn:
         return churn_workload(
@@ -207,6 +125,84 @@ def _recover_workload(args: argparse.Namespace):
         rows=args.rows,
         policy=args.policy,
     )
+
+
+def _stem_bound(args: argparse.Namespace) -> dict:
+    """The SteM bound ``--eviction/--window`` name, as engine keywords."""
+    return {
+        "stem_eviction": args.eviction,
+        "stem_max_size": args.window
+        if args.eviction in ("count", "reference-window") else None,
+        "stem_window": args.window if args.eviction == "time-window" else None,
+    }
+
+
+def _print_evictions(args: argparse.Namespace, result) -> None:
+    if args.eviction:
+        evictions = sum(
+            stem.get("evictions", 0) for stem in result.stem_stats.values()
+        )
+        print(f"Window eviction ({args.eviction}, {args.window}): "
+              f"{evictions} rows evicted")
+
+
+def _run_churn(args: argparse.Namespace) -> None:
+    workload = _workload(args)
+    result = run_churn(
+        workload.events,
+        workload.catalog,
+        shared_stems=not args.private_stems,
+        batch_size=args.batch_size,
+        columnar=False if args.row_plane else None,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_interval=args.checkpoint_interval,
+        **_stem_bound(args),
+    )
+    print(result.summary())
+    stats = result.registry_stats
+    if stats:
+        print(
+            f"Registry churn: {stats['stems']} SteMs created, "
+            f"{stats['reclaimed']} reclaimed on retirement, "
+            f"{stats['indexes_dropped']} per-query indexes dropped, "
+            f"{stats['releases']} releases"
+        )
+    _print_evictions(args, result)
+
+
+def _run_multi(args: argparse.Namespace) -> None:
+    if args.churn:
+        _run_churn(args)
+        return
+    workload = _workload(args)
+    options = {
+        "batch_size": args.batch_size,
+        "columnar": False if args.row_plane else None,
+        **_stem_bound(args),
+    }
+    result = run_multi(
+        workload.admissions,
+        workload.catalog,
+        shared_stems=not args.private_stems,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_interval=args.checkpoint_interval,
+        **options,
+    )
+    print(result.summary())
+    _print_evictions(args, result)
+    if not args.private_stems and not args.no_baseline:
+        # Show the sharing win against the private-SteM baseline.
+        baseline = run_multi(
+            workload.admissions, workload.catalog, shared_stems=False, **options
+        )
+        shared_inserts = result.stem_totals["insertions"]
+        private_inserts = baseline.stem_totals["insertions"]
+        print(
+            f"Shared vs private SteMs: {shared_inserts} vs {private_inserts} "
+            f"insertions ({private_inserts / max(shared_inserts, 1):.1f}x saved), "
+            f"results identical: "
+            f"{result.same_results(baseline)}"
+        )
 
 
 def _run_recover(args: argparse.Namespace) -> None:
@@ -234,17 +230,18 @@ def _run_recover(args: argparse.Namespace) -> None:
           f"torn tail records truncated: {state.torn_wal_records})")
     if not args.run:
         return
-    workload = _recover_workload(args)
+    workload = _workload(args)
     restored = restore_engine(
         state,
         workload.catalog,
         churn_events=workload.events if args.churn else (),
         batch_size=args.batch_size,
-        shards=args.shards,
+        **_stem_bound(args),
     )
     result = restored.run()
     print(f"\nRecovered run (resumed from the cut at {state.cut_time:g}):")
     print(result.summary())
+    _print_evictions(args, result)
     suppressed = sum(
         res.eddy_stats.get("suppressed_emits", 0)
         for res in result.results.values()
@@ -274,7 +271,6 @@ def _run_query(args: argparse.Namespace) -> None:
         policy=args.policy,
         batch_size=args.batch_size,
         columnar=False if args.row_plane else None,
-        shards=args.shards,
     )
     print(result.summary())
     if result.completion_time:
@@ -297,20 +293,54 @@ def _run_query(args: argparse.Namespace) -> None:
             print(f"  {row}")
 
 
+_BATCH_HELP = (
+    "tuples the eddy routes per simulator event (1 = per-tuple routing; "
+    ">1 batches by routing signature)"
+)
+
+
+def _add_workload_args(parser: argparse.ArgumentParser) -> None:
+    """The workload flags ``multi`` runs with and ``recover --run`` rebuilds
+    from (see :func:`_workload`)."""
+    parser.add_argument("--queries", type=int, default=8,
+                        help="number of concurrent queries to admit")
+    parser.add_argument("--stagger", type=float, default=4.0,
+                        help="virtual seconds between query arrivals")
+    parser.add_argument("--rows", type=int, default=250,
+                        help="rows per base table")
+    parser.add_argument("--policy", default="naive",
+                        choices=["benefit", "naive", "lottery", "random"])
+    parser.add_argument("--batch-size", type=int, default=1, help=_BATCH_HELP)
+    parser.add_argument("--churn", action="store_true",
+                        help="continuous-query mode: Poisson query arrivals "
+                             "and lifetimes, dynamic admission and retirement "
+                             "over the shared SteMs")
+    parser.add_argument("--duration", type=float, default=40.0,
+                        help="churn: virtual seconds of query arrivals")
+    parser.add_argument("--arrival-rate", type=float, default=0.25,
+                        help="churn: Poisson query-arrival rate (1/s)")
+    parser.add_argument("--mean-lifetime", type=float, default=15.0,
+                        help="churn: mean exponential query lifetime (s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="churn: workload RNG seed")
+    parser.add_argument("--eviction", default=None,
+                        choices=["count", "time-window", "reference-window"],
+                        help="bound every SteM's state with this eviction policy")
+    parser.add_argument("--window", type=int, default=200,
+                        help="eviction bound (rows for count/reference-window, "
+                             "build-timestamp ticks for time-window)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SteMs / adaptive query processing reproduction (ICDE 2003)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    batch_help = (
-        "tuples the eddy routes per simulator event (1 = per-tuple routing; "
-        ">1 batches by routing signature)"
-    )
     figure7_parser = subparsers.add_parser("figure7", help="regenerate paper Figure 7")
-    figure7_parser.add_argument("--batch-size", type=int, default=1, help=batch_help)
+    figure7_parser.add_argument("--batch-size", type=int, default=1, help=_BATCH_HELP)
     figure8_parser = subparsers.add_parser("figure8", help="regenerate paper Figure 8")
-    figure8_parser.add_argument("--batch-size", type=int, default=1, help=batch_help)
+    figure8_parser.add_argument("--batch-size", type=int, default=1, help=_BATCH_HELP)
     subparsers.add_parser("extensions", help="run the extension experiments")
     query_parser = subparsers.add_parser("query", help="run a query on the demo catalog")
     query_parser.add_argument("sql", help="SELECT ... FROM ... WHERE ... text")
@@ -320,59 +350,24 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=["benefit", "naive", "lottery", "random"])
     query_parser.add_argument("--show-rows", type=int, default=0,
                               help="print the first N result rows")
-    query_parser.add_argument("--batch-size", type=int, default=1, help=batch_help)
+    query_parser.add_argument("--batch-size", type=int, default=1, help=_BATCH_HELP)
     row_plane_help = (
         "force the row-at-a-time data plane (disables the columnar "
         "mirror/kernels; default is REPRO_COLUMNAR_BACKEND or auto-detect)"
     )
-    shards_help = (
-        "hash-partition every SteM across N shard SteMs with parallel "
-        "probe collection (results and traces stay byte-identical; "
-        "default is REPRO_SHARDS or 1)"
-    )
     query_parser.add_argument("--row-plane", action="store_true", help=row_plane_help)
-    query_parser.add_argument("--shards", type=int, default=None, help=shards_help)
     multi_parser = subparsers.add_parser(
         "multi",
         help="run N staggered queries concurrently over shared SteMs (§2.1.4)",
     )
-    multi_parser.add_argument("--queries", type=int, default=8,
-                              help="number of concurrent queries to admit")
-    multi_parser.add_argument("--stagger", type=float, default=4.0,
-                              help="virtual seconds between query arrivals")
-    multi_parser.add_argument("--rows", type=int, default=250,
-                              help="rows per base table")
-    multi_parser.add_argument("--policy", default="naive",
-                              choices=["benefit", "naive", "lottery", "random"])
+    _add_workload_args(multi_parser)
     multi_parser.add_argument("--private-stems", action="store_true",
                               help="give every query private SteMs (the ablation "
                                    "baseline) instead of sharing per table")
     multi_parser.add_argument("--no-baseline", action="store_true",
                               help="skip the private-SteM comparison run (which "
                                    "otherwise doubles the simulation work)")
-    multi_parser.add_argument("--batch-size", type=int, default=1, help=batch_help)
-    multi_parser.add_argument("--churn", action="store_true",
-                              help="continuous-query mode: Poisson query "
-                                   "arrivals and lifetimes, dynamic admission "
-                                   "and retirement over the shared SteMs")
-    multi_parser.add_argument("--duration", type=float, default=40.0,
-                              help="churn: virtual seconds of query arrivals")
-    multi_parser.add_argument("--arrival-rate", type=float, default=0.25,
-                              help="churn: Poisson query-arrival rate (1/s)")
-    multi_parser.add_argument("--mean-lifetime", type=float, default=15.0,
-                              help="churn: mean exponential query lifetime (s)")
-    multi_parser.add_argument("--eviction", default=None,
-                              choices=["count", "time-window", "reference-window"],
-                              help="churn: bound shared SteM state with this "
-                                   "eviction policy")
-    multi_parser.add_argument("--window", type=int, default=200,
-                              help="churn: eviction bound (rows for count/"
-                                   "reference-window, build-timestamp ticks "
-                                   "for time-window)")
-    multi_parser.add_argument("--seed", type=int, default=0,
-                              help="churn: workload RNG seed")
     multi_parser.add_argument("--row-plane", action="store_true", help=row_plane_help)
-    multi_parser.add_argument("--shards", type=int, default=None, help=shards_help)
     multi_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                               help="make the run durable: write-ahead log every "
                                    "state change (and snapshot periodically) "
@@ -393,23 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "it on, suppressing the results "
                                      "acknowledged after the cut (default: "
                                      "only print the recovered cut)")
-    recover_parser.add_argument("--queries", type=int, default=8,
-                                help="original workload: number of queries")
-    recover_parser.add_argument("--stagger", type=float, default=4.0,
-                                help="original workload: arrival stagger")
-    recover_parser.add_argument("--rows", type=int, default=250,
-                                help="original workload: rows per base table")
-    recover_parser.add_argument("--policy", default="naive",
-                                choices=["benefit", "naive", "lottery", "random"])
-    recover_parser.add_argument("--churn", action="store_true",
-                                help="the original run was a --churn run")
-    recover_parser.add_argument("--duration", type=float, default=40.0)
-    recover_parser.add_argument("--arrival-rate", type=float, default=0.25)
-    recover_parser.add_argument("--mean-lifetime", type=float, default=15.0)
-    recover_parser.add_argument("--seed", type=int, default=0,
-                                help="original workload RNG seed")
-    recover_parser.add_argument("--batch-size", type=int, default=1, help=batch_help)
-    recover_parser.add_argument("--shards", type=int, default=None, help=shards_help)
+    _add_workload_args(recover_parser)
     gauntlet_parser = subparsers.add_parser(
         "gauntlet",
         help="run the adversarial workload gauntlet (hostile generators, "

@@ -502,14 +502,14 @@ class AggregateModule:
 
     Not an eddy module: aggregate maintenance happens *above* the eddy, on
     the SteM's own build/evict announcements, so it costs no routing steps
-    and is independent of policy, batching and sharding.  On attach the
+    and is independent of policy and batching.  On attach the
     module bootstraps from the SteM's current contents — which makes late
     admissions see the shared window, and makes crash recovery free (the
     restore path rebuilds SteMs before re-admitting queries).
 
     Args:
         name: report name (``aggregate:<table>…``).
-        stem: the (possibly partitioned, possibly shared) SteM to listen on.
+        stem: the (possibly shared) SteM to listen on.
         alias: the alias predicates are evaluated under.
         group_by / aggregates: the grouping signature.
         predicates: the query's WHERE predicates; rows failing them never

@@ -216,35 +216,6 @@ class ProbeOutcome:
     suppressed_by_timestamp: int = 0
 
 
-def derive_probe_bindings(
-    probe: QTuple,
-    target_alias: str,
-    predicates: Sequence[Predicate],
-) -> dict[str, Any] | None:
-    """Equality bindings (target column -> value) implied by a probe.
-
-    A pure function of the probe and predicate list (it touches no SteM
-    state), shared by the interpreted probe path and the partitioned
-    wrapper's shard router.  Returns None when no equality binding can be
-    derived, in which case candidate enumeration falls back to a full scan.
-    """
-    bindings: dict[str, Any] = {}
-    for predicate in predicates:
-        if not isinstance(predicate, Comparison) or predicate.op not in ("=", "=="):
-            continue
-        target_ref = predicate.column_for(target_alias)
-        if target_ref is None or target_ref.alias != target_alias:
-            continue
-        other = predicate.other_side(target_alias)
-        if isinstance(other, ColumnRef):
-            if other.alias not in probe.components:
-                continue
-            bindings[target_ref.column] = probe.value(other.alias, other.column)
-        else:
-            bindings[target_ref.column] = other.evaluate(probe.components)
-    return bindings or None
-
-
 class SteM:
     """A State Module over one base table.
 
@@ -734,123 +705,6 @@ class SteM:
             for item in probes
         ]
 
-    # -- shard collection ---------------------------------------------------------
-    #
-    # The raw probe paths behind ``repro.core.partition.PartitionedSteM``:
-    # each shard returns its predicate-passing ``(row, build_timestamp)``
-    # matches (timestamp-ascending — insertion order) plus the candidates
-    # examined, and the wrapper merges, applies the TimeStamp tail, and
-    # extends on the calling thread so tuple-id allocation stays
-    # deterministic.  Of the stats only the plane counters are touched (the
-    # wrapper accounts probes and matches once per logical probe) and the
-    # compiled variant never uses the plan's ``resolve_indexes`` memo — it
-    # is keyed to a single SteM and N shards would thrash it on every call.
-    # These methods must be safe to run off-thread against a finished,
-    # warmed plan, one thread per shard: they only read plan state and touch
-    # this shard's own stores.
-
-    def collect_probe_matches(
-        self,
-        probe: QTuple,
-        target_alias: str,
-        predicates: Sequence[Predicate],
-        floor: float = float("-inf"),
-        bindings: Mapping[str, Any] | None = None,
-    ) -> tuple[list[tuple[Row, float]], int]:
-        """Interpreted-path shard collection (see the section note above).
-
-        ``bindings`` is the wrapper-derived equality mapping (so N shards
-        don't re-derive it); pass None to derive locally.
-        """
-        if bindings is None:
-            bindings = derive_probe_bindings(probe, target_alias, predicates)
-        matches: list[tuple[Row, float]] = []
-        examined = 0
-        rows = self._rows
-        for row in self._candidate_rows(bindings):
-            examined += 1
-            row_timestamp = rows[row]
-            if row_timestamp <= floor:
-                continue
-            merged = dict(probe.components)
-            merged[target_alias] = row
-            if not all(predicate.evaluate(merged) for predicate in predicates):
-                continue
-            matches.append((row, row_timestamp))
-        self.stats["row_probes"] += 1
-        return matches, examined
-
-    def collect_plan_matches(
-        self,
-        probe: QTuple,
-        plan: ProbePlan,
-        floor: float = float("-inf"),
-    ) -> tuple[list[tuple[Row, float]], int]:
-        """Compiled-path shard collection (see the section note above).
-
-        Chooses the plane like :meth:`probe_with_plan`; a mirror is only
-        ever built here on the calling thread, because the wrapper fans out
-        to its pool only once every shard already holds one.
-        """
-        if plan.cmp_checks is None and self._row_schema is not None:
-            plan.finish(self._row_schema)
-        components = probe.components
-        binding_values = plan.bind_values(components)
-        candidates, chosen = self._plan_candidates(plan, binding_values, memo=False)
-        if len(candidates) >= _probeplan.KERNEL_MIN_CANDIDATES and self.columnar:
-            survivors = self._columnar_survivors(
-                probe, plan, binding_values, chosen, floor
-            )
-            if survivors is not None:
-                store, slots, examined = survivors
-                ts = store.ts
-                row_refs = store.rows
-                self.stats["columnar_probes"] += 1
-                return [(row_refs[slot], ts[slot]) for slot in slots], examined
-        rows = self._rows
-        cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
-        in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
-        generic = plan.generic_predicates
-        target_alias = plan.target_alias
-        matches: list[tuple[Row, float]] = []
-        examined = 0
-        for row in candidates:
-            examined += 1
-            row_timestamp = rows[row]
-            if row_timestamp <= floor:
-                continue
-            values = row.values
-            passed = True
-            for op, l_pos, l_val, r_pos, r_val in cmp_bound:
-                left = values[l_pos] if l_pos >= 0 else l_val
-                right = values[r_pos] if r_pos >= 0 else r_val
-                if left is None or right is None:
-                    passed = False
-                    break
-                try:
-                    if not op(left, right):
-                        passed = False
-                        break
-                except TypeError:
-                    passed = False
-                    break
-            if passed and in_bound:
-                for pos, bound_value, members in in_bound:
-                    if (values[pos] if pos >= 0 else bound_value) not in members:
-                        passed = False
-                        break
-            if passed and generic:
-                merged = {**components, target_alias: row}
-                for predicate in generic:
-                    if not predicate.evaluate(merged):
-                        passed = False
-                        break
-            if not passed:
-                continue
-            matches.append((row, row_timestamp))
-        self.stats["row_probes"] += 1
-        return matches, examined
-
     def _materialise_mirror(self) -> ColumnStore:
         """Build the columnar mirror from the row store.
 
@@ -943,7 +797,7 @@ class SteM:
         return store, survivors, examined
 
     def _plan_candidates(
-        self, plan: ProbePlan, binding_values, memo: bool = True
+        self, plan: ProbePlan, binding_values
     ) -> tuple[Sequence[Row] | Mapping[Row, float], int | None]:
         """Candidate rows for a compiled probe, and the binding that chose them.
 
@@ -952,23 +806,11 @@ class SteM:
         ``plan.binding_columns``, or None when every stored row is a
         candidate.  Uses the indexes' read-only lookups: the returned bucket
         aliases index internals and is only iterated, never kept or mutated.
-
-        ``memo=False`` (shard collection) resolves the bindings against the
-        live index table instead of the plan's per-stem memo, which N shards
-        would thrash.
         """
         if binding_values is not None:
-            if memo:
-                if plan.indexes_stale(self):
-                    plan.resolve_indexes(self)
-                indexed = plan.indexed_bindings
-            else:
-                indexes = self._indexes
-                indexed = [
-                    (position, indexes[column])
-                    for position, column in enumerate(plan.binding_columns)
-                    if column in indexes
-                ]
+            if plan.indexes_stale(self):
+                plan.resolve_indexes(self)
+            indexed = plan.indexed_bindings
             mirror = self._col
             best = None
             chosen = None
@@ -1000,7 +842,21 @@ class SteM:
         Returns None when no equality binding can be derived, in which case
         candidate enumeration falls back to a full scan of the SteM.
         """
-        return derive_probe_bindings(probe, target_alias, predicates)
+        bindings: dict[str, Any] = {}
+        for predicate in predicates:
+            if not isinstance(predicate, Comparison) or predicate.op not in ("=", "=="):
+                continue
+            target_ref = predicate.column_for(target_alias)
+            if target_ref is None or target_ref.alias != target_alias:
+                continue
+            other = predicate.other_side(target_alias)
+            if isinstance(other, ColumnRef):
+                if other.alias not in probe.components:
+                    continue
+                bindings[target_ref.column] = probe.value(other.alias, other.column)
+            else:
+                bindings[target_ref.column] = other.evaluate(probe.components)
+        return bindings or None
 
     def _candidate_rows(self, bindings: Mapping[str, Any] | None) -> Iterable[Row]:
         """Rows worth examining for a probe with the given bindings.

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.partition import partitioned_stem
 from repro.core.stem import EvictionPolicy, SteM, make_eviction_policy
 
 
@@ -103,11 +102,6 @@ class SteMRegistry:
         window: build-timestamp window width for ``eviction="time-window"``.
         columnar: maintain the columnar mirror on every shared SteM (None
             follows the ``REPRO_COLUMNAR_BACKEND`` environment setting).
-        shards: hash-partition every shared SteM across this many shard
-            SteMs (:class:`~repro.core.partition.PartitionedSteM`).  None
-            follows the ``REPRO_SHARDS`` environment setting; 1 keeps the
-            plain single-shard SteM.  Bounded tables (any eviction policy)
-            always stay single-shard.
     """
 
     def __init__(
@@ -117,12 +111,10 @@ class SteMRegistry:
         eviction: str | None = None,
         window: float | None = None,
         columnar: bool | None = None,
-        shards: int | None = None,
     ):
         self.index_kind = index_kind
         self.max_size = max_size
         self.columnar = columnar
-        self.shards = shards
         self._default_eviction = EvictionConfig(eviction, max_size, window)
         self._eviction_overrides: dict[str, EvictionConfig] = {}
         self._stems: dict[str, SteM] = {}
@@ -197,17 +189,15 @@ class SteMRegistry:
         config = self.eviction_config(table)
         stem = self._stems.get(table)
         if stem is None:
-            stem = partitioned_stem(
+            stem = SteM(
                 table=table,
                 aliases=(alias,),
                 join_columns=columns,
                 index_kind=self.index_kind,
                 max_size=config.max_size,
                 eviction=config.build_policy(),
-                window=config.window,
                 columnar=self.columnar,
                 name=f"stem:{table}",
-                shards=self.shards,
             )
             self._stems[table] = stem
             self.stats["stems"] += 1

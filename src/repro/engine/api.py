@@ -35,7 +35,6 @@ def execute(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    shards: int | None = None,
     compiled_probes: bool | None = None,
     columnar: bool | None = None,
     trace: TraceLog | None = None,
@@ -67,10 +66,6 @@ def execute(
             only).
         stem_window: build-timestamp window width for
             ``stem_eviction="time-window"`` (``stems`` engine only).
-        shards: hash-partition every SteM across this many shard SteMs
-            with parallel probe collection (``stems`` engine only;
-            byte-identical results and traces at any shard count).  None
-            follows the ``REPRO_SHARDS`` environment setting.
         compiled_probes: route SteM probes through compiled
             :class:`~repro.query.probeplan.ProbePlan`\\ s (the default) or
             the interpreted predicate walk (``stems`` engine only; both
@@ -113,7 +108,6 @@ def execute(
             stem_max_size=stem_max_size,
             stem_eviction=stem_eviction,
             stem_window=stem_window,
-            shards=shards,
             compiled_probes=compiled_probes,
             columnar=columnar,
             trace=trace,

@@ -234,14 +234,8 @@ class MultiQueryEngine:
             vectorized plane (None follows ``REPRO_COLUMNAR_BACKEND``).
             Both planes produce byte-identical per-query results and
             traces.
-        shards: hash-partition every SteM — shared and private alike —
-            across this many shard SteMs with parallel probe collection
-            (:class:`~repro.core.partition.PartitionedSteM`); None follows
-            the ``REPRO_SHARDS`` environment setting, 1 keeps plain
-            single-shard SteMs.  Per-query results and traces are
-            byte-identical at any shard count; a late admission's first
-            probe sees all shards' pre-existing state, exactly as it sees
-            a single shared SteM's.
+        shards: accepted as None or 1 only; any other value raises
+            :class:`~repro.errors.ExecutionError`.
         continuous: allow starting with zero admissions (continuous-query
             service mode; queries arrive later via :meth:`admit` or a
             churn schedule).
@@ -272,6 +266,11 @@ class MultiQueryEngine:
         timestamp_start: int = 1,
         start_time: float = 0.0,
     ):
+        # The e2e harness still passes shards=1; ROADMAP item 8(ii) drops both.
+        if shards not in (None, 1):
+            raise ExecutionError(
+                f"shards={shards!r}: hash-partitioned SteMs were removed"
+            )
         self.catalog = catalog
         self.costs = cost_model or CostModel()
         self.shared_stems = shared_stems
@@ -283,7 +282,6 @@ class MultiQueryEngine:
         self.batch_size = batch_size
         self.compiled_probes = compiled_probes
         self.columnar = columnar
-        self.shards = shards
         self.simulator = Simulator(start_time=start_time)
         self.registry: SteMRegistry | None = (
             SteMRegistry(
@@ -292,7 +290,6 @@ class MultiQueryEngine:
                 eviction=stem_eviction,
                 window=stem_window,
                 columnar=columnar,
-                shards=shards,
             )
             if shared_stems
             else None
@@ -474,7 +471,6 @@ class MultiQueryEngine:
             window=self.stem_window,
             compiled_probes=self.compiled_probes,
             columnar=self.columnar,
-            shards=self.shards,
         )
 
     def _make_aggregate_module(
@@ -752,7 +748,6 @@ def run_multi(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    shards: int | None = None,
     compiled_probes: bool | None = None,
     columnar: bool | None = None,
     checkpoint_dir: str | None = None,
@@ -786,7 +781,6 @@ def run_multi(
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,
-        shards=shards,
         compiled_probes=compiled_probes,
         columnar=columnar,
     )
@@ -835,7 +829,6 @@ def run_churn(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    shards: int | None = None,
     compiled_probes: bool | None = None,
     columnar: bool | None = None,
     checkpoint_dir: str | None = None,
@@ -871,7 +864,6 @@ def run_churn(
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,
-        shards=shards,
         compiled_probes=compiled_probes,
         columnar=columnar,
         continuous=True,

@@ -3,7 +3,7 @@
 :func:`~repro.engine.api.execute`, :func:`~repro.engine.multi.run_multi`
 and :func:`~repro.engine.multi.run_churn` accept one common engine keyword
 set (cost model, batching, SteM configuration — index kind, size bound,
-eviction policy/window, shard count — and the compiled/columnar plane
+eviction policy/window — and the compiled/columnar plane
 switches).  Historically each wrapper named a different subset, so an
 option that worked on one entry point died as a bare ``TypeError`` (or was
 silently impossible to reach, as with ``multi --churn``) on the next.  Now
@@ -30,7 +30,6 @@ SHARED_ENGINE_OPTIONS: tuple[str, ...] = (
     "stem_max_size",
     "stem_eviction",
     "stem_window",
-    "shards",
     "compiled_probes",
     "columnar",
 )

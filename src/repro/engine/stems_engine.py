@@ -31,9 +31,8 @@ from repro.core.eddy import Eddy
 from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
-from repro.core.partition import partitioned_stem
 from repro.core.policies import RoutingPolicy, make_policy
-from repro.core.stem import make_eviction_policy
+from repro.core.stem import SteM, make_eviction_policy
 from repro.core.tuples import install_id_allocator
 from repro.engine.results import ExecutionResult, Series
 from repro.query.binding import validate_bindings
@@ -187,7 +186,6 @@ def make_private_stem_module(
     window: float | None = None,
     compiled_probes: bool | None = None,
     columnar: bool | None = None,
-    shards: int | None = None,
 ) -> SteMModule:
     """A private SteM (and its module) for one FROM-clause entry.
 
@@ -199,21 +197,16 @@ def make_private_stem_module(
     ``eviction``/``window`` select a named eviction policy (the multi
     engine forwards its registry-level configuration so private SteMs honour
     the same bound); the default keeps count-FIFO iff ``max_size`` is set.
-    ``shards`` > 1 hash-partitions the SteM
-    (:class:`~repro.core.partition.PartitionedSteM`); None follows the
-    ``REPRO_SHARDS`` environment setting.
     """
-    stem = partitioned_stem(
+    stem = SteM(
         table=ref.table,
         aliases=(ref.alias,),
         join_columns=query.join_columns_of(ref.alias),
         index_kind=index_kind,
         max_size=max_size,
         eviction=make_eviction_policy(eviction, max_size=max_size, window=window),
-        window=window,
         columnar=columnar,
         name=f"stem:{ref.alias}",
-        shards=shards,
     )
     return SteMModule(
         stem,
@@ -282,12 +275,6 @@ class StemsEngine:
             None keeps count-FIFO iff ``stem_max_size`` is set.
         stem_window: build-timestamp window width for
             ``stem_eviction="time-window"``.
-        shards: hash-partition every SteM across this many shard SteMs with
-            parallel probe collection
-            (:class:`~repro.core.partition.PartitionedSteM`); None follows
-            the ``REPRO_SHARDS`` environment setting, 1 keeps the plain
-            single-shard SteM.  Results and traces are byte-identical
-            either way.
         batch_size: ready tuples drained per eddy routing event (1 =
             per-tuple routing; >1 enables signature-batched routing).
         columnar: serve compiled probes from the columnar mirror's
@@ -316,7 +303,6 @@ class StemsEngine:
         stem_max_size: int | None = None,
         stem_eviction: str | None = None,
         stem_window: float | None = None,
-        shards: int | None = None,
         preferences: Sequence = (),
         batch_size: int = 1,
         compiled_probes: bool | None = None,
@@ -332,7 +318,6 @@ class StemsEngine:
         self.stem_max_size = stem_max_size
         self.stem_eviction = stem_eviction
         self.stem_window = stem_window
-        self.shards = shards
         self.compiled_probes = compiled_probes
         self.columnar = columnar
 
@@ -368,7 +353,6 @@ class StemsEngine:
             window=self.stem_window,
             compiled_probes=self.compiled_probes,
             columnar=self.columnar,
-            shards=self.shards,
         )
 
     # -- execution ---------------------------------------------------------------
@@ -401,7 +385,6 @@ def run_stems(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    shards: int | None = None,
     preferences: Sequence = (),
     batch_size: int = 1,
     compiled_probes: bool | None = None,
@@ -419,7 +402,6 @@ def run_stems(
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,
-        shards=shards,
         preferences=preferences,
         batch_size=batch_size,
         compiled_probes=compiled_probes,

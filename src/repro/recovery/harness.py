@@ -124,7 +124,7 @@ def crash_recovery_oracle(
             same boundary), wherever the dataflow happens to stand.
         reference: the identity counts :func:`run_reference` returns for
             this workload, when a sweep has already computed them.
-        engine_kwargs: engine configuration (batch size, shards, ...),
+        engine_kwargs: engine configuration (batch size, eviction, ...),
             identical across all three runs.
 
     Returns a report dict; ``report["passed"]`` is the oracle verdict and

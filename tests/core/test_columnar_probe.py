@@ -19,7 +19,6 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partition import PartitionedSteM
 from repro.core.stem import SteM, make_eviction_policy
 from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
 from repro.query.predicates import (
@@ -624,38 +623,43 @@ class TestMirrorOnDemand:
                 plain.stats[name] for name in shared
             ]
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"eviction": "count", "max_size": 40},
+            {"eviction": make_eviction_policy("time-window", window=45)},
+        ],
+        ids=["count", "time-window"],
+    )
     @given(prefill=prefills, operations=stem_operations)
     @settings(max_examples=25, deadline=None)
-    def test_four_shards_match_their_row_plane_twin(
-        self, backend, cutoff, prefill, operations
+    def test_bounded_sequences_match_the_row_plane(
+        self, backend, cutoff, bound, prefill, operations
     ):
-        """Each shard decides on its own candidates and builds its own
-        mirror; the wrapper's merged outcome equals the row-plane twin's."""
+        """The window's own evictions, interleaved with explicit ones, keep
+        the mirror equal to the row store and every probe equal to the
+        ``columnar=False`` twin's."""
         with _backend(backend, cutoff):
             twins = MirrorTwins(
-                lambda columnar: PartitionedSteM(
+                lambda columnar: SteM(
                     "S", aliases=("S",), join_columns=("x",), columnar=columnar,
-                    shards=4,
+                    **bound,
                 )
             )
             plain, stem = twins.twins
-            for position in range(4 * prefill):
+            for position in range(prefill):
                 twins.apply(("build", position % 3, position))
             for operation in operations:
                 twins.apply(operation)
-                for shard in stem.shard_modules:
-                    if shard._col is not None:
-                        assert_mirror_is_the_row_store(shard)
-            stats = stem.stats
-            assert stats["mirror_builds"] == sum(
-                shard._col is not None for shard in stem.shard_modules
-            )
-            assert (stats["mirror_builds"] > 0) == (stats["columnar_probes"] > 0)
-            assert plain.stats["columnar_probes"] == plain.stats["mirror_builds"] == 0
-            assert (
-                stats["row_probes"] + stats["columnar_probes"]
-                == plain.stats["row_probes"]
-            )
+                assert list(stem._rows.items()) == list(plain._rows.items())
+                if stem._col is not None:
+                    assert_mirror_is_the_row_store(stem)
+            shared = ("builds", "duplicates", "probes", "matches", "evictions")
+            assert [stem.stats[name] for name in shared] == [
+                plain.stats[name] for name in shared
+            ]
+            if prefill >= 60:
+                assert stem.stats["evictions"] > 0
 
     def test_an_empty_stem_never_builds_a_mirror(self, backend, cutoff):
         """Nothing was ever built, so there is no schema to mirror — also

@@ -1,30 +1,18 @@
-"""Exception safety of the eddy modules and shard-pool lifecycle.
+"""Exception safety of the eddy modules.
 
-Two failure-hardening contracts ride with the durability layer:
-
-* Module stats commit only after a service succeeds, and a raising user
-  predicate (or unhashable poison value) is quarantined through the
-  runtime — never silently counted, never allowed to wedge the run.
-  Wiring errors (:class:`~repro.errors.ExecutionError`) are engine bugs
-  and must still propagate.
-* The process-wide shard pool is explicitly shut-downable (and registered
-  with atexit), rebuilt lazily, and never kept alive by dead references.
+Module stats commit only after a service succeeds, and a raising user
+predicate (or unhashable poison value) is quarantined through the runtime —
+never silently counted, never allowed to wedge the run.  Wiring errors
+(:class:`~repro.errors.ExecutionError`) are engine bugs and must still
+propagate.
 """
 
 from __future__ import annotations
-
-import gc
-import weakref
 
 import pytest
 
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
-from repro.core.partition import (
-    configure_shard_pool,
-    shard_pool,
-    shutdown_shard_pool,
-)
 from repro.core.stem import SteM
 from repro.core.tuples import singleton_tuple
 from repro.errors import ExecutionError
@@ -231,60 +219,3 @@ class TestSteMModuleExceptionSafety:
         poison = singleton_tuple("S", Row("S", schema, ([1, 2], 0)))
         with pytest.raises(TypeError):
             module.process(poison)
-
-
-@pytest.fixture
-def pool_sandbox():
-    """Isolate pool configuration; restore the default afterwards."""
-    shutdown_shard_pool()
-    try:
-        yield
-    finally:
-        configure_shard_pool(None)
-        shutdown_shard_pool()
-
-
-class TestShardPoolLifecycle:
-    def test_shutdown_without_pool_is_a_noop(self, pool_sandbox):
-        assert shutdown_shard_pool() is False
-
-    def test_shutdown_and_lazy_rebuild(self, pool_sandbox):
-        configure_shard_pool(2)
-        first = shard_pool()
-        assert first is not None
-        assert shutdown_shard_pool() is True
-        second = shard_pool()
-        assert second is not None and second is not first
-
-    def test_reconfigure_shuts_down_old_pool(self, pool_sandbox):
-        configure_shard_pool(2)
-        old = shard_pool()
-        ref = weakref.ref(old)
-        configure_shard_pool(3)
-        del old
-        gc.collect()
-        # The resized-away executor is unreachable: no thread leak, no
-        # module-global keeping it alive.
-        assert ref() is None
-        assert shard_pool()._max_workers == 3
-
-    def test_shutdown_releases_last_reference(self, pool_sandbox):
-        configure_shard_pool(2)
-        ref = weakref.ref(shard_pool())
-        shutdown_shard_pool()
-        gc.collect()
-        assert ref() is None
-
-    def test_single_worker_never_builds_a_pool(self, pool_sandbox):
-        configure_shard_pool(1)
-        assert shard_pool() is None
-        assert shutdown_shard_pool() is False
-
-    def test_repeated_shutdown_is_idempotent(self, pool_sandbox):
-        # The atexit guard calls shutdown unconditionally; a second call
-        # (explicit teardown followed by interpreter exit) must be a no-op.
-        configure_shard_pool(2)
-        shard_pool()
-        assert shutdown_shard_pool() is True
-        assert shutdown_shard_pool() is False
-        assert shutdown_shard_pool() is False

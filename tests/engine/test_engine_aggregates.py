@@ -6,7 +6,7 @@ The engine-level contract of PR 10's incremental aggregation:
   GROUP BY over the base table (windowless) — and, windowed, a recompute
   over the rows that survived eviction;
 * the output is **byte-identical** (through the durable codec) across
-  routing policies × batch sizes × shard counts;
+  routing policies × batch sizes;
 * in a multi-query run, admissions with the same grouping signature share
   one :class:`~repro.core.aggregates.AggregateModule`, retirement snapshots
   the output and releases the module, and nothing leaks;
@@ -71,39 +71,42 @@ class TestSingleQueryAggregates:
         assert result.aggregate_table()[0]["count(*)"] >= 1
         assert "groups" in result.summary()
 
-    def test_byte_identity_across_policy_batch_shards(self):
-        # The acceptance matrix: naive/lottery/benefit × batch 1/8 ×
-        # shards 1/4 — one oracle, every configuration byte-identical.
+    def test_byte_identity_across_policy_batch(self):
+        # The acceptance matrix: naive/lottery/benefit × batch 1/8 — one
+        # oracle, every configuration byte-identical.
         oracle = None
         for policy in ("naive", "lottery", "benefit"):
             for batch_size in (1, 8):
-                for shards in (1, 4):
-                    result = run_stems(
-                        AGG_SQL,
-                        build_catalog(),
-                        policy=policy,
-                        batch_size=batch_size,
-                        shards=shards,
-                    )
-                    rendered = encoded(result.aggregate_rows)
-                    if oracle is None:
-                        oracle = rendered
-                    assert rendered == oracle, (
-                        f"aggregate output diverged at policy={policy} "
-                        f"batch={batch_size} shards={shards}"
-                    )
+                result = run_stems(
+                    AGG_SQL,
+                    build_catalog(),
+                    policy=policy,
+                    batch_size=batch_size,
+                )
+                rendered = encoded(result.aggregate_rows)
+                if oracle is None:
+                    oracle = rendered
+                assert rendered == oracle, (
+                    f"aggregate output diverged at policy={policy} "
+                    f"batch={batch_size}"
+                )
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_windowed_run_equals_recompute_over_survivors(self, shards):
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"stem_eviction": "count", "stem_max_size": 16},
+            {"stem_eviction": "time-window", "stem_window": 20},
+        ],
+        ids=["count", "time-window"],
+    )
+    def test_windowed_run_equals_recompute_over_survivors(self, bound):
         from repro.core.aggregates import AggregateState
 
         engine = StemsEngine(
             AGG_SQL,
             build_catalog(),
             policy="naive",
-            stem_eviction="count",
-            stem_max_size=16,
-            shards=shards,
+            **bound,
         )
         result = engine.run()
         module = engine.eddy.aggregate_module

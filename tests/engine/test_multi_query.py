@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.bench.workloads import churn_workload, staggered_fleet_workload
 from repro.errors import ExecutionError
+from repro.core.costs import CostModel
 from repro.core.stem_registry import SteMRegistry
-from repro.engine.multi import MultiQueryEngine, QueryAdmission, run_multi
+from repro.engine.api import execute
+from repro.engine.multi import (
+    ChurnEvent,
+    MultiQueryEngine,
+    QueryAdmission,
+    run_churn,
+    run_multi,
+)
+from repro.engine.options import SHARED_ENGINE_OPTIONS
 from repro.engine.stems_engine import run_stems
+from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 
@@ -233,13 +246,9 @@ class TestSteMRegistry:
             stem.build(row, float(position + 1))
         stem2 = registry.stem_for("R", "R2", ("a",))
         # The new index was backfilled: an a-bound probe uses it and finds
-        # the pre-existing rows.  Under REPRO_SHARDS the registry hands out
-        # a partitioned SteM whose indexes live in the shards.
+        # the pre-existing rows.
         wanted = table.rows[0]["a"]
-        shards = getattr(stem2, "shard_modules", (stem2,))
-        matches = [
-            row for shard in shards for row in shard._indexes["a"].lookup((wanted,))
-        ]
+        matches = stem2._indexes["a"].lookup((wanted,))
         assert matches and all(row["a"] == wanted for row in matches)
 
     def test_broadcast_reaches_every_attached_runtime(self):
@@ -258,3 +267,193 @@ class TestSteMRegistry:
         registry.broadcast_liveness_change()
         assert [runtime.notices for runtime in runtimes] == [1, 1]
         assert registry.stats["broadcasts"] == 1
+
+
+class TestEngineOptions:
+    def test_execute_unknown_option_fails_clearly(self):
+        with pytest.raises(ExecutionError, match="execute.*batch.*batch_size"):
+            execute(JOIN_SQL, build_catalog(), batch=4)
+
+    def test_unknown_option_fails_clearly(self):
+        with pytest.raises(ExecutionError, match="run_multi.*bogus"):
+            run_multi([QueryAdmission(JOIN_SQL, query_id="a")], build_catalog(),
+                      bogus=1)
+        with pytest.raises(ExecutionError, match="run_churn.*stem_windw"):
+            run_churn([], build_catalog(), stem_windw=5)
+
+    def test_run_multi_accepts_the_shared_option_set(self):
+        # Regression for the option-plumbing gap: stem_eviction/stem_window
+        # used to be impossible to reach through run_multi.
+        result = run_multi(
+            [QueryAdmission(JOIN_SQL, query_id="a", policy="naive")],
+            build_catalog(),
+            stem_eviction="count", stem_max_size=16, stem_window=None,
+        )
+        assert result["a"].row_count >= 0
+
+    def test_retired_stats_fold_with_annotation_entries(self):
+        # merge_stats must carry string annotations (the
+        # columnar_disabled_reason note) without trying to int-sum them.
+        engine = MultiQueryEngine(
+            [
+                QueryAdmission(JOIN_SQL, query_id="keep", policy="naive"),
+                QueryAdmission(JOIN_SQL, query_id="churned", policy="naive",
+                               arrival_time=0.4),
+            ],
+            build_catalog(),
+            stem_eviction="count",
+            stem_max_size=32,
+        )
+        engine.run()
+        engine.retire("churned")
+        result = engine.run()
+        for stats in result.stem_stats.values():
+            for name, value in stats.items():
+                assert isinstance(value, (int, str)), (name, value)
+
+    def test_option_table_names_the_shared_set(self):
+        assert set(OPTION_SETTINGS) == set(SHARED_ENGINE_OPTIONS)
+        assert len(SHARED_ENGINE_OPTIONS) == 9
+
+    @pytest.mark.parametrize("name", SHARED_ENGINE_OPTIONS)
+    def test_every_entry_point_accepts_the_option(self, name):
+        # Each shared option reaches all three entry points with a
+        # non-default value; only the SteM bounds may shrink the answer.
+        options = OPTION_SETTINGS[name]
+        full = identity(execute(JOIN_SQL, build_catalog(), policy="naive"))
+        answers = [
+            identity(execute(JOIN_SQL, build_catalog(), policy="naive", **options)),
+            identity(run_multi(
+                [QueryAdmission(JOIN_SQL, query_id="a", policy="naive")],
+                build_catalog(), **options,
+            )["a"]),
+            identity(run_churn(
+                [ChurnEvent(time=0.0, action="admit",
+                            admission=QueryAdmission(JOIN_SQL, query_id="a",
+                                                     policy="naive"))],
+                build_catalog(), **options,
+            )["a"]),
+        ]
+        bounded = name in ("stem_max_size", "stem_eviction")
+        for answer in answers:
+            assert answer, options
+            if bounded:
+                assert set(answer) < set(full), options
+            else:
+                assert answer == full, options
+
+
+#: One non-default, valid setting per shared engine option (the eviction
+#: policy needs its bound beside it).
+OPTION_SETTINGS = {
+    "cost_model": {"cost_model": CostModel(route_cost=0.0005)},
+    "strict_constraints": {"strict_constraints": True},
+    "batch_size": {"batch_size": 8},
+    "stem_index_kind": {"stem_index_kind": "sorted"},
+    "stem_max_size": {"stem_max_size": 12},
+    "stem_eviction": {"stem_eviction": "time-window", "stem_window": 12},
+    "stem_window": {"stem_window": 12},
+    "compiled_probes": {"compiled_probes": False},
+    "columnar": {"columnar": False},
+}
+
+
+class TestBoundedAnswers:
+    """A bounded SteM forgets rows but never invents a match: every result
+    of a bounded run belongs to its query's complete answer.  (A row that
+    left the window and is delivered again may join again, so a windowed
+    answer can repeat a result.)"""
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"stem_eviction": "count", "stem_max_size": 24},
+            {"stem_eviction": "time-window", "stem_window": 24},
+        ],
+        ids=["count", "time-window"],
+    )
+    @pytest.mark.parametrize("entry", ["run_multi", "run_churn"])
+    def test_bounded_answers_are_sound(self, entry, bound):
+        if entry == "run_multi":
+            workload = staggered_fleet_workload(n_queries=3, stagger=2.0,
+                                                rows=60, seed=3)
+            admissions = list(workload.admissions)
+            bounded = run_multi(admissions, workload.catalog, **bound)
+        else:
+            workload = churn_workload(duration=20.0, rows=60, seed=3)
+            admissions = [event.admission for event in workload.events
+                          if event.action == "admit"]
+            bounded = run_churn(workload.events, workload.catalog, **bound)
+        assert sum(stats["evictions"] for stats in bounded.stem_stats.values()) > 0
+        assert {a.query_id for a in admissions} == set(bounded.results)
+        assert bounded.total_rows > 0
+        for admission in admissions:
+            complete = set(identity(run_stems(admission.query, workload.catalog,
+                                              policy="naive")))
+            answer = set(identity(bounded[admission.query_id]))
+            assert answer <= complete, admission.query_id
+
+
+def fleet_digest(result) -> str:
+    text = repr([
+        (query_id, result[query_id].identities(), result[query_id].completion_time)
+        for query_id in sorted(result.results)
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRemovedSharding:
+    """Hash-partitioned SteMs are gone; ``shards`` survives only as the
+    ``MultiQueryEngine`` keyword the e2e harness passes, and it accepts
+    nothing but None or 1."""
+
+    def test_shards_one_equals_the_default(self):
+        def run(**options):
+            admissions = [
+                QueryAdmission(JOIN_SQL, query_id="a", policy="naive",
+                               trace=TraceLog()),
+                QueryAdmission(f"{JOIN_SQL} AND R.a < 6", query_id="b",
+                               policy="benefit", arrival_time=0.3,
+                               trace=TraceLog()),
+            ]
+            result = MultiQueryEngine(admissions, build_catalog(), **options).run()
+            traces = [
+                [(record.time, record.kind, record.detail) for record in a.trace]
+                for a in admissions
+            ]
+            return result, traces
+
+        (one, one_traces), (default, default_traces) = run(shards=1), run()
+        assert default["a"].row_count > 0
+        for query_id in ("a", "b"):
+            assert one[query_id].identities() == default[query_id].identities()
+        assert one_traces == default_traces
+
+    @pytest.mark.parametrize("shards", [0, 2, 4])
+    def test_any_other_shard_count_raises(self, shards):
+        with pytest.raises(ExecutionError, match=f"shards={shards}.*removed"):
+            MultiQueryEngine([JOIN_SQL], build_catalog(), shards=shards)
+
+    def test_entry_points_reject_shards_as_unknown(self):
+        admission = QueryAdmission(JOIN_SQL, query_id="a")
+        with pytest.raises(ExecutionError, match=r"execute\(\) got unknown option\(s\): shards"):
+            execute(JOIN_SQL, build_catalog(), shards=1)
+        with pytest.raises(ExecutionError, match=r"run_multi\(\) got unknown option\(s\): shards"):
+            run_multi([admission], build_catalog(), shards=1)
+        with pytest.raises(ExecutionError, match=r"run_churn\(\) got unknown option\(s\): shards"):
+            run_churn([], build_catalog(), shards=1)
+
+    def test_repro_shards_env_changes_nothing(self, monkeypatch):
+        def digest():
+            workload = staggered_fleet_workload(n_queries=3, stagger=2.0, rows=60)
+            return fleet_digest(run_multi(workload.admissions, workload.catalog))
+
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        default = digest()
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        assert digest() == default
+
+    def test_shutdown_shard_pool_has_nothing_to_stop(self):
+        from repro.core.partition import shutdown_shard_pool
+
+        assert shutdown_shard_pool() is False

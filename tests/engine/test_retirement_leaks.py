@@ -22,6 +22,7 @@ from __future__ import annotations
 import gc
 import weakref
 
+from repro.core.stem import SteM
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
@@ -113,6 +114,25 @@ class TestRetirementLeavesNoReferences:
             == first.canonical_identities()
         )
         assert engine.registry.refcount("R") == 2  # keep + churned2
+
+    def test_stems_rebuilt_after_the_last_owner_left_are_collected(self):
+        # Once every owner has retired the registry reclaims its SteMs; a
+        # re-admission builds fresh ones, and retiring it again must leave
+        # nothing pinning them.
+        engine = build_engine()
+        engine.run()
+        engine.retire("churned")
+        engine.retire("keep")
+        assert len(engine.registry) == 0
+        engine.admit(QueryAdmission(SQL, query_id="again", policy="naive"))
+        engine.run()
+        stems = list(engine.registry.stems.values())
+        assert stems and all(type(stem) is SteM for stem in stems)
+        refs = [weakref.ref(stem) for stem in stems]
+        engine.retire("again")
+        del stems
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_churned_result_snapshot_survives_collection(self):
         engine = build_engine()

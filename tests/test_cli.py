@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
+from repro.bench.workloads import churn_workload
 from repro.cli import build_parser, demo_catalog, main
+from repro.engine.multi import MultiQueryEngine
+from repro.recovery import CheckpointManager, CrashInjector, InjectedCrash
 
 
 def test_demo_catalog_matches_table3():
@@ -83,6 +88,44 @@ def test_recover_command_prints_the_cut_and_resumes_it(capsys, tmp_path):
     # A clean close is a cut at the end: resuming it has nothing left to do.
     assert "Recovered run (resumed from the cut at" in captured
     assert "already-acknowledged results suppressed: 0" in captured
+
+
+def evicted_rows(output: str) -> int:
+    match = re.search(r"Window eviction \(time-window, 50\): (\d+) rows evicted", output)
+    assert match, output
+    return int(match.group(1))
+
+
+def test_recover_command_restores_the_churn_window(capsys, tmp_path):
+    # A time-window churn run killed mid-way, then resumed through the CLI:
+    # the restored SteMs must carry the run's bound, not come back unbounded.
+    directory = str(tmp_path / "ckpt")
+    workload = churn_workload(rows=250, policy="naive", seed=0)  # the CLI defaults
+    engine = MultiQueryEngine(
+        [], workload.catalog, continuous=True,
+        stem_eviction="time-window", stem_window=50,
+    )
+    engine.schedule_churn(workload.events)
+    CheckpointManager.attach(engine, directory, interval=5.0)
+    CrashInjector(engine.simulator, 3000).arm()
+    with pytest.raises(InjectedCrash):
+        engine.run()
+    assert main(["recover", directory, "--churn", "--eviction", "time-window",
+                 "--window", "50", "--run"]) == 0
+    assert evicted_rows(capsys.readouterr().out) > 0
+
+
+def test_multi_command_bounds_a_fleet_run_too(capsys):
+    assert main(["multi", "--queries", "2", "--rows", "60", "--no-baseline",
+                 "--eviction", "time-window", "--window", "50"]) == 0
+    assert evicted_rows(capsys.readouterr().out) > 0
+
+
+def test_shards_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["query", "SELECT * FROM R, T WHERE R.key = T.key", "--shards", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
 
 
 def test_recover_command_has_no_mode_flag(tmp_path):
