@@ -1,37 +1,45 @@
 """Ablation: incremental GROUP BY maintenance vs recompute-from-scratch.
 
 PR 10 hangs an :class:`~repro.core.aggregates.AggregateModule` off a SteM's
-build/evict listeners: each insertion applies a +delta, each eviction a
--delta (with exact int + ``Fraction`` arithmetic for SUM/AVG and a counter
-multiset with bounded recompute for MIN/MAX), so a dashboard readout is a
-walk of the live group table instead of a pass over the window.  The claim
-measured here:
+build/evict listeners: each insertion records a +delta, each eviction a
+-delta, a +delta and the -delta of the same row cancel, and what is left
+is applied at the next readout (with exact int + ``Fraction`` arithmetic
+for SUM/AVG and a counter multiset with bounded recompute for MIN/MAX), so
+a dashboard readout is a walk of the live group table instead of a pass
+over the window.  Two readout cadences over one count-bounded SteM
+(sliding window) absorbing a long build stream:
 
-* **Incremental maintenance beats recompute under churn.**  A
-  count-bounded SteM (sliding window) absorbing a long build stream with a
-  readout every ``READOUT_EVERY`` builds: maintaining the deltas costs at
-  least **10x fewer** aggregate row-operations than recomputing the
-  aggregate from ``state_entries()`` at every readout (exact counts,
-  asserted), and is at least **3x** faster on the wall clock (median of
-  the ratios paired within each round).
+* **Dense: per-readout maintenance.**  A readout every ``READOUT_EVERY``
+  builds, far fewer than the window, so nothing cancels: every build
+  inserts and every build past the window retracts.  Maintaining the
+  deltas costs at least **10x fewer** aggregate row-operations than
+  recomputing the aggregate from ``state_entries()`` at every readout
+  (exact counts, asserted), and is at least **3x** faster on the wall
+  clock (median of the ratios paired within each round).
+* **Sparse: cancellation.**  A readout every ``SPARSE_EVERY`` (two
+  windows) builds: a row built and evicted between two readouts never
+  reaches the group table, so each readout applies one window of
+  insertions and one of retractions, whatever the stream length between
+  them (exact count, asserted).
 
-The gate is stated in operations first because the wall-clock ratio drifts
-with the kernel: both sides run the same ``AggregateState.insert``, but
-the recompute side is *only* that call while the incremental side also
+The dense gate is stated in operations first because the wall-clock ratio
+drifts with the kernel: both sides run the same ``AggregateState.insert``,
+but the recompute side is *only* that call while the incremental side also
 pays the SteM's build/evict floor — so every speed-up of the aggregate
 kernel shrinks the ratio while both absolute times improve (6.1x at
 0.57 s / 3.44 s per pass before the positional kernel of PR 14, 4.3x at
 0.43 s / 1.81 s after it, same host).  The artifact therefore carries both
 absolute pass times; read those across PRs, not the ratio.
 
-Byte-identity between the two strategies is asserted at every readout
-*before* anything is timed — the speedup is only meaningful if the cheap
-path returns the same bytes as the reference.
+Byte-identity between the two strategies is asserted at every readout of
+both cadences *before* anything is timed — the speedup is only meaningful
+if the cheap path returns the same bytes as the reference.
 
 The measured numbers are emitted as ``BENCH_aggregates.json`` under
 ``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written): ``{"benchmark", "window",
 "churn_builds", "readouts", "groups", "incremental": {"best_pass_s",
 "row_operations"}, "recompute": {"best_pass_s", "row_operations"},
+"sparse": {"readout_every", "readouts", "row_operations", "cancelled"},
 "speedup", "trajectory": [...]}``.
 """
 
@@ -57,6 +65,7 @@ R_SCHEMA = Schema.of("key:int", "a:int")
 WINDOW = 3_000
 CHURN_BUILDS = 18_000
 READOUT_EVERY = 150
+SPARSE_EVERY = 2 * WINDOW
 GROUPS = 120
 
 QUERY = parse_query(
@@ -78,10 +87,11 @@ def encoded(rows):
     return canonical_json([encode_value(tuple(row)) for row in rows])
 
 
-def incremental_pass(rows):
+def incremental_pass(rows, every=READOUT_EVERY):
     """Churn through a windowed SteM with the module attached; readouts are
-    group-table walks.  Returns the per-readout encoded outputs and the
-    aggregate row-operations (inserts + retractions) the pass performed."""
+    group-table walks.  Returns the per-readout encoded outputs, the
+    aggregate row-operations (inserts + retractions) the pass performed and
+    the module's stats."""
     stem = SteM(
         "R", aliases=("R",), join_columns=(), max_size=WINDOW, columnar=False
     )
@@ -97,10 +107,11 @@ def incremental_pass(rows):
     outputs = []
     for position, row in enumerate(rows):
         stem.build(row, float(position + 1))
-        if (position + 1) % READOUT_EVERY == 0:
+        if (position + 1) % every == 0:
             outputs.append(encoded(module.result_rows()))
     module.detach()
-    return outputs, module.state.inserts + module.state.retractions
+    operations = module.state.inserts + module.state.retractions
+    return outputs, operations, module.stats_snapshot()
 
 
 def recompute_pass(rows):
@@ -132,18 +143,33 @@ def test_incremental_vs_recompute_speedup(benchmark):
     # Byte-identity at every readout before anything is timed.
     oracle, recompute_operations = recompute_pass(rows)
     assert len(oracle) == CHURN_BUILDS // READOUT_EVERY
-    outputs, incremental_operations = incremental_pass(rows)
+    outputs, incremental_operations, _ = incremental_pass(rows)
     assert outputs == oracle
 
-    # The deterministic half of the claim: every build inserts, every build
-    # past the window also retracts; recompute re-inserts the whole window
-    # at every readout.
+    # The deterministic half of the claim: a row outlives many readouts, so
+    # nothing cancels — every build inserts, every build past the window
+    # also retracts; recompute re-inserts the whole window at every readout.
     assert incremental_operations == 2 * CHURN_BUILDS - WINDOW
     assert recompute_operations == sum(
         min(built, WINDOW)
         for built in range(READOUT_EVERY, CHURN_BUILDS + 1, READOUT_EVERY)
     )
     assert recompute_operations >= 10 * incremental_operations
+
+    # The sparse cadence: between two readouts the window turns over twice,
+    # so the first readout inserts one window, each later one inserts the
+    # new window and retracts the old, and everything else cancelled.  Its
+    # readouts fall on dense ones, whose recomputes are the oracle.
+    sparse_readouts = CHURN_BUILDS // SPARSE_EVERY
+    stride = SPARSE_EVERY // READOUT_EVERY
+    assert stride * READOUT_EVERY == SPARSE_EVERY
+    sparse_outputs, sparse_operations, sparse_stats = incremental_pass(
+        rows, SPARSE_EVERY
+    )
+    assert len(sparse_outputs) == sparse_readouts
+    assert sparse_outputs == oracle[stride - 1 :: stride]
+    assert sparse_operations == (2 * sparse_readouts - 1) * WINDOW
+    assert sparse_stats["cancelled"] == CHURN_BUILDS - sparse_readouts * WINDOW
 
     rounds = 3
     best = {"incremental": float("inf"), "recompute": float("inf")}
@@ -183,6 +209,12 @@ def test_incremental_vs_recompute_speedup(benchmark):
             "recompute": {
                 "best_pass_s": best["recompute"],
                 "row_operations": recompute_operations,
+            },
+            "sparse": {
+                "readout_every": SPARSE_EVERY,
+                "readouts": sparse_readouts,
+                "row_operations": sparse_operations,
+                "cancelled": sparse_stats["cancelled"],
             },
             "speedup": speedup,
             "trajectory": trajectory,

@@ -12,7 +12,10 @@ DBSP-style incremental view maintenance:
   a **+delta** to its group;
 * an eviction of a row that passed applies a **−delta**, retracting exactly
   what the insertion contributed;
-* a group whose last row retracts disappears.
+* a group whose last row retracts disappears;
+* deltas are consolidated before they are applied (a Z-set): a build and
+  the eviction of the same row cancel, and what is left reaches the state
+  once, at the next readout (:class:`AggregateModule`).
 
 Deltas must be *exact* under retraction or incremental state drifts from
 the window (the differential suites pin byte-identity against
@@ -507,6 +510,15 @@ class AggregateModule:
     admissions see the shared window, and makes crash recovery free (the
     restore path rebuilds SteMs before re-admitting queries).
 
+    The listeners only record, keyed by object identity: a build is a
+    pending ``+row``, an eviction a pending ``-row``, and the two cancel.
+    :meth:`_flush` applies the rest at the next readout.  Identity, not
+    ``Row`` equality (``1 == 1.0 == True``), pairs them, as the SteM
+    announces the object it stored; group state is order-free, so the bytes
+    are a per-event apply's.  A state error (a non-numeric SUM, or the
+    retraction out of sync that a direct ``SteM.evict`` with an equal but
+    distinct row can cause) raises at the next readout, not in the SteM.
+
     Args:
         name: report name (``aggregate:<table>…``).
         stem: the (possibly shared) SteM to listen on.
@@ -533,13 +545,14 @@ class AggregateModule:
         self.name = name
         self.stem = stem
         self.alias = alias
-        self.state = AggregateState(group_by, aggregates)
+        self._spec = (tuple(group_by), tuple(aggregates))
         self.predicates = tuple(predicates)
         self.stats: dict[str, int] = {
             "inserted": 0,
             "retracted": 0,
             "filtered": 0,
             "bootstrapped": 0,
+            "cancelled": 0,
         }
         self._attached = False
         self.attach()
@@ -547,9 +560,15 @@ class AggregateModule:
     # -- listener plumbing -----------------------------------------------------
 
     def attach(self) -> None:
-        """Subscribe to the SteM and bootstrap from its current contents."""
+        """Subscribe to the SteM and bootstrap from its current contents.
+
+        Every attach starts from a fresh state and no pending deltas: after
+        a :meth:`detach` the old state missed the SteM's changes since.
+        """
         if self._attached:
             return
+        self.state = AggregateState(*self._spec)
+        self._built, self._evicted = {}, {}  # id(row) -> row
         self.stem.add_build_listener(self._on_build)
         self.stem.add_evict_listener(self._on_evict)
         self._attached = True
@@ -586,32 +605,50 @@ class AggregateModule:
         return True
 
     def _on_build(self, row: Row, timestamp: float, duplicate: bool) -> None:
-        if duplicate:
-            # The SteM did not store a second copy; the window is a set.
-            return
-        if self._passes(row):
-            self.state.insert(row)
-            self.stats["inserted"] += 1
-        else:
-            self.stats["filtered"] += 1
+        # A duplicate was not stored a second time: the window is a set.
+        if not duplicate:
+            if self._evicted.pop(id(row), None) is None:
+                self._built[id(row)] = row
+            else:
+                self.stats["cancelled"] += 1
 
     def _on_evict(self, row: Row) -> None:
-        if self._passes(row):
-            self.state.retract(row)
-            self.stats["retracted"] += 1
+        if self._built.pop(id(row), None) is None:
+            self._evicted[id(row)] = row
+        else:
+            self.stats["cancelled"] += 1
+
+    def _flush(self) -> None:
+        """Apply the pending delta; insertions first, so retractions find theirs."""
+        built, evicted = self._built.values(), self._evicted.values()
+        self._built, self._evicted = {}, {}
+        stats, state = self.stats, self.state
+        for row in built:
+            if self._passes(row):
+                state.insert(row)
+                stats["inserted"] += 1
+            else:
+                stats["filtered"] += 1
+        for row in evicted:
+            if self._passes(row):
+                state.retract(row)
+                stats["retracted"] += 1
 
     # -- readout ---------------------------------------------------------------
 
     def result_rows(self) -> list[tuple]:
+        self._flush()
         return self.state.result_rows()
 
     def stats_snapshot(self) -> dict[str, int]:
+        self._flush()
         snapshot = dict(self.stats)
         snapshot["groups"] = self.state.group_count
         snapshot["minmax_recomputes"] = self.state.minmax_recomputes
         return snapshot
 
     def __repr__(self) -> str:
+        self._flush()
         return (
             f"AggregateModule({self.name}, {self.state.group_count} groups, "
             f"{'attached' if self._attached else 'detached'})"

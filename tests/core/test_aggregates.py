@@ -264,9 +264,11 @@ class TestAggregateModule:
         module = make_module(stem)
         for k in range(10):
             stem.build(r_row(k, k % 2), float(k + 1))
-        assert module.stats["inserted"] == 10
-        assert module.stats["retracted"] == 6
         assert encoded(module.result_rows()) == encoded(reference(stem))
+        # The six rows built and evicted between readouts cancelled before
+        # touching the state; only the four survivors were inserted.
+        stats = module.stats_snapshot()
+        assert (stats["inserted"], stats["retracted"], stats["cancelled"]) == (4, 0, 6)
 
     def test_duplicate_build_not_double_counted(self):
         stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
@@ -274,8 +276,8 @@ class TestAggregateModule:
         row = r_row(1, 1)
         stem.build(row, 1.0)
         stem.build(r_row(1, 1), 2.0)  # equal row: duplicate, absorbed
-        assert module.stats["inserted"] == 1
         assert module.result_rows() == [(1, 1, 1, 1, 1.0, 1, 1)]
+        assert module.stats_snapshot()["inserted"] == 1
 
     def test_predicates_filter_symmetrically(self):
         query = parse_query(
@@ -289,7 +291,7 @@ class TestAggregateModule:
         for k in range(10):
             stem.build(r_row(k, 0), float(k + 1))
         # Every surviving row (7, 8, 9) fails the predicate; the evictions
-        # of the passing rows must have retracted cleanly.
+        # of the passing rows must have left nothing behind.
         assert module.result_rows() == []
         assert module.stats["filtered"] > 0
 
@@ -317,8 +319,45 @@ class TestAggregateModule:
         assert module.detach()
         assert not module.detach()
         stem.build(r_row(2, 2), 2.0)
-        assert module.stats["inserted"] == 1
+        assert module.result_rows() == [(1, 1, 1, 1, 1.0, 1, 1)]
+        assert module.stats_snapshot()["inserted"] == 1
         assert not module.attached
+
+    def test_reattach_after_detach_starts_fresh(self):
+        # Re-attaching used to bootstrap the SteM's contents on top of the
+        # stale state, counting every surviving row twice.
+        query = parse_query("SELECT a, count(*), sum(key) FROM R GROUP BY a")
+        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        module = make_module(stem, query)
+        rows = [r_row(k, k % 2) for k in range(4)]
+        for k, row in enumerate(rows):
+            stem.build(row, float(k + 1))
+        assert module.result_rows() == [(0, 2, 2), (1, 2, 4)]
+        module.detach()
+        stem.evict(rows[0])
+        module.attach()
+        assert module.result_rows() == [(0, 1, 2), (1, 2, 4)]
+        assert encoded(module.result_rows()) == encoded(reference(stem, query))
+        stem.build(r_row(5, 1), 5.0)
+        assert module.result_rows() == [(0, 1, 2), (1, 3, 9)]
+        # Stats accumulate across attaches: 4 + 1 inserted, 3 bootstrapped.
+        stats = module.stats_snapshot()
+        assert (stats["inserted"], stats["bootstrapped"]) == (5, 3)
+
+    def test_pending_delta_pairs_rows_by_identity_not_equality(self):
+        # (1, 1) == (True, 1.0) as Rows, but their groups differ byte-wise:
+        # the build of one must not cancel the eviction of the other.
+        query = parse_query("SELECT a, count(*), sum(key) FROM R GROUP BY a")
+        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        module = make_module(stem, query)
+        resident = r_row(1, 1)
+        stem.build(resident, 1.0)
+        assert module.result_rows() == [(1, 1, 1)]
+        stem.evict(resident)
+        stem.build(r_row(True, 1.0), 2.0)
+        assert encoded(module.result_rows()) == encoded(reference(stem, query))
+        assert repr(module.result_rows()) == repr([(1.0, 1, 1)])
+        assert module.stats_snapshot()["cancelled"] == 0
 
 
 # -- unit: signatures and the shared registry ---------------------------------
@@ -436,6 +475,82 @@ def test_incremental_equals_recompute_under_churn(
         stem.evict(row)
         assert encoded(module.result_rows()) == encoded(reference(stem))
     module.detach()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, len(GROUP_POOL) - 1),
+            st.integers(0, len(VALUE_POOL) - 1),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    policy=st.sampled_from(sorted(POLICIES)),
+    attach_fraction=st.floats(0.0, 1.0),
+    evict_reads=st.lists(st.booleans(), max_size=30),
+)
+def test_consolidated_deltas_equal_recompute_at_sparse_reads(
+    steps, policy, attach_fraction, evict_reads
+):
+    """Reads only at drawn steps, so builds and evictions pile up (and
+    cancel) between reads: each read still equals the recompute over the
+    surviving window byte for byte, and the stats balance — every
+    announcement since attach reached the state or cancelled."""
+    stem = SteM(
+        "R", aliases=("R",), join_columns=(),
+        eviction=POLICIES[policy](), columnar=False,
+    )
+    attach_at = int(len(steps) * attach_fraction)
+    module = None
+
+    def announced():
+        """Stored builds and evictions so far: the listeners' calls."""
+        stats = stem.stats
+        return stats["builds"] - stats["duplicates"], stats["evictions"]
+
+    def read():
+        assert encoded(module.result_rows()) == encoded(reference(stem))
+        stats = module.stats_snapshot()
+        assert module.state.inserts == stats["inserted"] + stats["bootstrapped"]
+        assert module.state.retractions == stats["retracted"]
+        builds, evictions = (now - then for now, then in zip(announced(), before))
+        assert builds == stats["inserted"] + stats["cancelled"]
+        assert evictions == stats["retracted"] + stats["cancelled"]
+
+    for position, (g, v, read_here) in enumerate(steps):
+        if position == attach_at:
+            module, before = make_module(stem), announced()
+        stem.build(r_row(VALUE_POOL[v], GROUP_POOL[g]), float(position + 1))
+        if module is not None and read_here:
+            read()
+    if module is None:
+        module, before = make_module(stem), announced()
+    entries = list(stem.state_entries())
+    for (row, _), read_here in zip(entries, evict_reads):
+        stem.evict(row)
+        if read_here:
+            read()
+    read()
+    module.detach()
+
+
+def test_full_drain_cancels_everything_built_since_the_last_read():
+    stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+    module = make_module(stem)
+    for k in range(6):
+        stem.build(r_row(k, k % 2), float(k + 1))
+    assert module.result_rows() == reference(stem)
+    for k in range(6, 10):
+        stem.build(r_row(k, k % 2), float(k + 1))
+    for row, _ in stem.state_entries():
+        stem.evict(row)
+    assert module.result_rows() == []
+    stats = module.stats_snapshot()
+    assert (stats["inserted"], stats["retracted"], stats["cancelled"]) == (6, 6, 4)
+    assert stats["groups"] == 0
 
 
 @settings(max_examples=25, deadline=None)

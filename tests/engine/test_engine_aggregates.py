@@ -117,7 +117,7 @@ class TestSingleQueryAggregates:
             (row for row, _ in stem.state_entries()),
         )
         assert encoded(result.aggregate_rows) == encoded(expected)
-        assert module.stats["retracted"] > 0  # the window actually slid
+        assert stem.stats["evictions"] > 0  # the window actually slid
 
     def test_unknown_aggregate_column_rejected(self):
         with pytest.raises(QueryError, match="names no column"):
