@@ -93,7 +93,7 @@ def incremental_pass(rows, every=READOUT_EVERY):
     aggregate row-operations (inserts + retractions) the pass performed and
     the module's stats."""
     stem = SteM(
-        "R", aliases=("R",), join_columns=(), max_size=WINDOW, columnar=False
+        "R", aliases=("R",), join_columns=(), max_size=WINDOW
     )
     module = AggregateModule(
         name="aggregate:R",
@@ -118,7 +118,7 @@ def recompute_pass(rows):
     """Same churn, but every readout recomputes from the surviving window
     (one insert per surviving row per readout)."""
     stem = SteM(
-        "R", aliases=("R",), join_columns=(), max_size=WINDOW, columnar=False
+        "R", aliases=("R",), join_columns=(), max_size=WINDOW
     )
     outputs = []
     operations = 0

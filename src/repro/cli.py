@@ -153,7 +153,6 @@ def _run_churn(args: argparse.Namespace) -> None:
         workload.catalog,
         shared_stems=not args.private_stems,
         batch_size=args.batch_size,
-        columnar=False if args.row_plane else None,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         **_stem_bound(args),
@@ -177,7 +176,6 @@ def _run_multi(args: argparse.Namespace) -> None:
     workload = _workload(args)
     options = {
         "batch_size": args.batch_size,
-        "columnar": False if args.row_plane else None,
         **_stem_bound(args),
     }
     result = run_multi(
@@ -270,7 +268,6 @@ def _run_query(args: argparse.Namespace) -> None:
         engine=args.engine,
         policy=args.policy,
         batch_size=args.batch_size,
-        columnar=False if args.row_plane else None,
     )
     print(result.summary())
     if result.completion_time:
@@ -351,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--show-rows", type=int, default=0,
                               help="print the first N result rows")
     query_parser.add_argument("--batch-size", type=int, default=1, help=_BATCH_HELP)
-    row_plane_help = (
-        "force the row-at-a-time data plane (disables the columnar "
-        "mirror/kernels; default is REPRO_COLUMNAR_BACKEND or auto-detect)"
-    )
-    query_parser.add_argument("--row-plane", action="store_true", help=row_plane_help)
     multi_parser = subparsers.add_parser(
         "multi",
         help="run N staggered queries concurrently over shared SteMs (§2.1.4)",
@@ -367,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     multi_parser.add_argument("--no-baseline", action="store_true",
                               help="skip the private-SteM comparison run (which "
                                    "otherwise doubles the simulation work)")
-    multi_parser.add_argument("--row-plane", action="store_true", help=row_plane_help)
     multi_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                               help="make the run durable: write-ahead log every "
                                    "state change (and snapshot periodically) "

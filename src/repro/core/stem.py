@@ -33,10 +33,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Comparison, Predicate
-from repro.query import probeplan as _probeplan
 from repro.query.layout import done_mask_of
 from repro.query.probeplan import ProbePlan
-from repro.storage.columns import ColumnStore, columnar_enabled
 from repro.storage.indexes import RowIndex, build_index
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -232,13 +230,6 @@ class SteM:
             eviction (the historical sliding-window behaviour).
         eviction: optional :class:`EvictionPolicy` (or policy name resolved
             through :func:`make_eviction_policy`) bounding the stored state.
-        columnar: allow the columnar mirror
-            (:class:`~repro.storage.columns.ColumnStore`) beside the row
-            store.  It is built by the first compiled probe whose candidate
-            bucket reaches ``KERNEL_MIN_CANDIDATES`` and maintained from
-            then on; such probes run the vectorized path, smaller ones the
-            row loop.  None (the default) follows the process-wide
-            ``REPRO_COLUMNAR_BACKEND`` setting.
         name: module name used in routing traces.
     """
 
@@ -250,7 +241,6 @@ class SteM:
         index_kind: str = "hash",
         max_size: int | None = None,
         eviction: EvictionPolicy | str | None = None,
-        columnar: bool | None = None,
         name: str | None = None,
     ):
         self.table = table
@@ -258,17 +248,6 @@ class SteM:
         self.join_columns = tuple(join_columns)
         self.index_kind = index_kind
         self.max_size = max_size
-        #: Columnar mirror (built on demand, see :meth:`_materialise_mirror`).
-        #: The flag must exist before :meth:`set_eviction` runs:
-        #: reference-tracking policies reorder the row store, which the
-        #: slot-aligned mirror cannot follow, so installing one switches the
-        #: SteM to the row plane.
-        self.columnar = columnar_enabled() if columnar is None else bool(columnar)
-        self._col: ColumnStore | None = None
-        #: Why the columnar mirror is unavailable (None while it is live).
-        #: Also surfaced in :attr:`stats` so benchmark harnesses can detect
-        #: a silently row-plane SteM instead of measuring the wrong plane.
-        self.columnar_disabled_reason: str | None = None
         self.name = name or f"stem:{table}"
         # Primary storage: insertion-ordered mapping row -> build timestamp.
         # Row equality is over (table, values), giving set semantics for free.
@@ -303,21 +282,14 @@ class SteM:
         self._build_listeners: list = []
         #: Callbacks invoked after every :meth:`build_eot` with the EOT.
         self._eot_listeners: list = []
-        #: Operational statistics.  Values are ints except the optional
-        #: ``columnar_disabled_reason`` note (folding consumers must skip
-        #: non-int entries).
-        self.stats: dict[str, Any] = {
+        #: Operational statistics (every value is an int).
+        self.stats: dict[str, int] = {
             "builds": 0,
             "duplicates": 0,
             "probes": 0,
             "matches": 0,
             "evictions": 0,
             "eot_builds": 0,
-            # Which plane served each probe, and how often a mirror was
-            # built (plane-dependent: not part of cross-plane identity).
-            "row_probes": 0,
-            "columnar_probes": 0,
-            "mirror_builds": 0,
         }
         self.set_eviction(make_eviction_policy(eviction, max_size=max_size))
 
@@ -330,23 +302,6 @@ class SteM:
         self._reference_hook = (
             policy if (policy is not None and policy.tracks_references) else None
         )
-        if self._reference_hook is not None:
-            # LRU reorders the row store on matches; the slot-aligned
-            # columnar mirror cannot follow, so this SteM stays on the
-            # row plane (the byte-identity oracle order is the row store's).
-            if self.columnar or self._col is not None:
-                # The mirror was on and is being turned off: make the
-                # downgrade loud, or benchmark runs would unknowingly
-                # measure the row plane.
-                reason = (
-                    f"{policy.name} eviction tracks references and reorders "
-                    "the row store; the slot-aligned columnar mirror cannot "
-                    "follow"
-                )
-                self.columnar_disabled_reason = reason
-                self.stats["columnar_disabled_reason"] = reason
-            self.columnar = False
-            self._col = None
 
     # -- sharing ----------------------------------------------------------------
 
@@ -382,8 +337,6 @@ class SteM:
             self.index_epoch += 1
             if column not in self.join_columns:
                 self.join_columns = self.join_columns + (column,)
-            if self._col is not None:
-                self._col.add_posting_column(column)
 
     def drop_join_column(self, column: str) -> bool:
         """Drop the secondary index on ``column`` (query retirement).
@@ -397,8 +350,6 @@ class SteM:
         del self._indexes[column]
         self.index_epoch += 1
         self.join_columns = tuple(c for c in self.join_columns if c != column)
-        if self._col is not None:
-            self._col.drop_posting_column(column)
         return True
 
     # -- build ------------------------------------------------------------------
@@ -426,8 +377,6 @@ class SteM:
             index.insert(row)
         if self._row_schema is None:
             self._row_schema = row.schema
-        if self._col is not None:
-            self._col.append(row, timestamp)
         if self._min_timestamp is None or timestamp < self._min_timestamp:
             self._min_timestamp = timestamp
         if self._max_timestamp is None or timestamp > self._max_timestamp:
@@ -541,7 +490,6 @@ class SteM:
         # raising generic predicate must leave the counters untouched so the
         # quarantine path can retry or drop the probe without skew.
         self.stats["probes"] += 1
-        self.stats["row_probes"] += 1
         self.stats["matches"] += len(outcome.results)
         outcome.all_matches_known = self.covers(bindings)
         if update_last_match:
@@ -583,7 +531,7 @@ class SteM:
 
         components = probe.components
         binding_values = plan.bind_values(components)
-        candidates, chosen = self._plan_candidates(plan, binding_values)
+        candidates = self._plan_candidates(plan, binding_values)
         floor = probe.last_match_ts.get(self.name, float("-inf"))
         probe_timestamp = probe.timestamp
 
@@ -595,87 +543,64 @@ class SteM:
         results = outcome.results
         extend = None  # the probe's extension template, taken at the first match
         suppressed = 0
-        survivors = None
-        if len(candidates) >= _probeplan.KERNEL_MIN_CANDIDATES and self.columnar:
-            survivors = self._columnar_survivors(
-                probe, plan, binding_values, chosen, floor
-            )
-        if survivors is not None:
-            # The vectorized plane: :class:`Row` objects are touched only
-            # here, at the eddy boundary.
-            plane = "columnar_probes"
-            store, slots, examined = survivors
-            ts = store.ts
-            row_refs = store.rows
-            for slot in slots:
-                row_timestamp = ts[slot]
-                if enforce_timestamp and not probe_timestamp > row_timestamp:
-                    suppressed += 1
-                    continue
-                if extend is None:
-                    extend = probe.extender(target_alias, done_mask)
-                results.append(extend(row_refs[slot], row_timestamp))
-        else:
-            plane = "row_probes"
-            rows = self._rows
-            cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
-            in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
-            generic = plan.generic_predicates
-            hook = self._reference_hook
-            matched_rows: list[Row] | None = [] if hook is not None else None
-            examined = 0
-            for row in candidates:
-                examined += 1
-                row_timestamp = rows[row]
-                if row_timestamp <= floor:
-                    continue
-                values = row.values
-                passed = True
-                for op, l_pos, l_val, r_pos, r_val in cmp_bound:
-                    left = values[l_pos] if l_pos >= 0 else l_val
-                    right = values[r_pos] if r_pos >= 0 else r_val
-                    if left is None or right is None:
+        rows = self._rows
+        cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
+        in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
+        generic = plan.generic_predicates
+        hook = self._reference_hook
+        matched_rows: list[Row] | None = [] if hook is not None else None
+        examined = 0
+        for row in candidates:
+            examined += 1
+            row_timestamp = rows[row]
+            if row_timestamp <= floor:
+                continue
+            values = row.values
+            passed = True
+            for op, l_pos, l_val, r_pos, r_val in cmp_bound:
+                left = values[l_pos] if l_pos >= 0 else l_val
+                right = values[r_pos] if r_pos >= 0 else r_val
+                if left is None or right is None:
+                    passed = False
+                    break
+                try:
+                    if not op(left, right):
                         passed = False
                         break
-                    try:
-                        if not op(left, right):
-                            passed = False
-                            break
-                    except TypeError:
+                except TypeError:
+                    passed = False
+                    break
+            if passed and in_bound:
+                for pos, bound_value, members in in_bound:
+                    if (values[pos] if pos >= 0 else bound_value) not in members:
                         passed = False
                         break
-                if passed and in_bound:
-                    for pos, bound_value, members in in_bound:
-                        if (values[pos] if pos >= 0 else bound_value) not in members:
-                            passed = False
-                            break
-                if passed and generic:
-                    merged = {**components, target_alias: row}
-                    for predicate in generic:
-                        if not predicate.evaluate(merged):
-                            passed = False
-                            break
-                if not passed:
-                    continue
-                if enforce_timestamp and not probe_timestamp > row_timestamp:
-                    suppressed += 1
-                    continue
-                if extend is None:
-                    extend = probe.extender(target_alias, done_mask)
-                results.append(extend(row, row_timestamp))
-                if matched_rows is not None:
-                    matched_rows.append(row)
-            if matched_rows:
-                # As in :meth:`probe`: reorder the row store only after the
-                # candidate iteration has finished.
-                for row in matched_rows:
-                    hook.on_match(self, row)
+            if passed and generic:
+                merged = {**components, target_alias: row}
+                for predicate in generic:
+                    if not predicate.evaluate(merged):
+                        passed = False
+                        break
+            if not passed:
+                continue
+            if enforce_timestamp and not probe_timestamp > row_timestamp:
+                suppressed += 1
+                continue
+            if extend is None:
+                extend = probe.extender(target_alias, done_mask)
+            results.append(extend(row, row_timestamp))
+            if matched_rows is not None:
+                matched_rows.append(row)
+        if matched_rows:
+            # As in :meth:`probe`: reorder the row store only after the
+            # candidate iteration has finished.
+            for row in matched_rows:
+                hook.on_match(self, row)
         outcome.candidates_examined = examined
         outcome.suppressed_by_timestamp = suppressed
         # Stats commit after the loop (see :meth:`probe`): a raising generic
         # predicate leaves the counters untouched.
         self.stats["probes"] += 1
-        self.stats[plane] += 1
         self.stats["matches"] += len(results)
         outcome.all_matches_known = self.covers(plan.bindings_mapping(binding_values))
         if update_last_match:
@@ -705,131 +630,27 @@ class SteM:
             for item in probes
         ]
 
-    def _materialise_mirror(self) -> ColumnStore:
-        """Build the columnar mirror from the row store.
-
-        Slots follow ``_rows`` order with the recorded build timestamps and
-        the posting lists cover the secondary indexes of this moment, so
-        every posting list enumerates its index bucket in bucket order —
-        whatever was evicted before.
-        """
-        assert self._row_schema is not None
-        store = self._col = ColumnStore(
-            self._row_schema, indexed_columns=tuple(self._indexes)
-        )
-        for row, timestamp in self._rows.items():
-            store.append(row, timestamp)
-        self.stats["mirror_builds"] += 1
-        return store
-
-    def _columnar_survivors(
-        self,
-        probe: QTuple,
-        plan: ProbePlan,
-        binding_values,
-        chosen: int | None,
-        floor: float,
-    ) -> tuple[ColumnStore, Iterable[int], int] | None:
-        """A kernel-sized probe on the columnar mirror (built if absent).
-
-        ``chosen`` is the binding whose index bucket the row plane selected
-        (None: every stored row); its posting list is that bucket's
-        slot-wise image, so the candidate order is the row plane's.  The
-        plan's comparison/IN checks run as whole-batch kernels producing a
-        selection vector, then the generic-fallback predicates run per
-        survivor.  Returns ``(store, surviving slots, candidates examined)``
-        — byte-identical to the row loop's verdicts — or None when the
-        mirror cannot serve the probe and the row loop must.
-        """
-        store = self._col
-        if store is None:
-            if self._row_schema is None:
-                return None  # never built into: nothing to mirror
-            store = self._materialise_mirror()
-        slots: Sequence[int] | range
-        chosen_column: str | None = None
-        chosen_value: Any = None
-        if chosen is None:
-            slots = store.live_slots()
-        else:
-            chosen_column = plan.binding_columns[chosen]
-            chosen_value = binding_values[chosen]
-            bucket = store.posting_slots(chosen_column, chosen_value)
-            if bucket is None:
-                # Mirror lacks the posting list (should not happen): serve
-                # the probe on the row plane rather than diverge.
-                return None
-            slots = bucket
-
-        examined = len(slots)
-        if examined and floor != float("-inf"):
-            ts = store.ts
-            slots = [slot for slot in slots if ts[slot] > floor]
-            chosen_column = None  # filtered list: not the cached bucket
-
-        components = probe.components
-        cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
-        in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
-
-        survivors: Iterable[int] = slots
-        if (cmp_bound or in_bound) and slots:
-            index_array = None
-            if (
-                store.backend == "numpy"
-                and len(slots) >= _probeplan.KERNEL_MIN_CANDIDATES
-                and not (isinstance(slots, range) and len(slots) == len(store.rows))
-            ):
-                index_array = store.np_index_for(slots, chosen_column, chosen_value)
-            survivors = plan.vector().select(
-                store, slots, index_array, cmp_bound, in_bound
-            )
-
-        generic = plan.generic_predicates
-        if generic and survivors:
-            target_alias = plan.target_alias
-            row_refs = store.rows
-            kept = []
-            for slot in survivors:
-                merged = {**components, target_alias: row_refs[slot]}
-                if all(predicate.evaluate(merged) for predicate in generic):
-                    kept.append(slot)
-            survivors = kept
-        return store, survivors, examined
-
     def _plan_candidates(
         self, plan: ProbePlan, binding_values
-    ) -> tuple[Sequence[Row] | Mapping[Row, float], int | None]:
-        """Candidate rows for a compiled probe, and the binding that chose them.
+    ) -> Sequence[Row] | Mapping[Row, float]:
+        """Candidate rows for a compiled probe.
 
         The smallest bucket among the indexed bindings wins (first seen
-        wins ties); the second element is that binding's position in
-        ``plan.binding_columns``, or None when every stored row is a
-        candidate.  Uses the indexes' read-only lookups: the returned bucket
+        wins ties); every stored row is a candidate when no binding is
+        indexed.  Uses the indexes' read-only lookups: the returned bucket
         aliases index internals and is only iterated, never kept or mutated.
         """
         if binding_values is not None:
             if plan.indexes_stale(self):
                 plan.resolve_indexes(self)
-            indexed = plan.indexed_bindings
-            mirror = self._col
             best = None
-            chosen = None
-            for position, index in indexed:
-                value = binding_values[position]
-                if mirror is not None:
-                    # Incremental min/max feed: a binding value provably
-                    # outside the column's observed range has an empty
-                    # bucket — the minimum — so selection can stop here.
-                    stats = mirror.column_stats.get(plan.binding_columns[position])
-                    if stats is not None and stats.excludes(value):
-                        return (), position
-                bucket = index.lookup_readonly((value,))
+            for position, index in plan.indexed_bindings:
+                bucket = index.lookup_readonly((binding_values[position],))
                 if best is None or len(bucket) < len(best):
                     best = bucket
-                    chosen = position
             if best is not None:
-                return best, chosen
-        return self._rows, None
+                return best
+        return self._rows
 
     def _probe_bindings(
         self,
@@ -868,16 +689,11 @@ class SteM:
         Buckets come from the read-only lookup path and are only iterated.
         """
         if bindings:
-            mirror = self._col
             best = None
             for column, value in bindings.items():
                 index = self._indexes.get(column)
                 if index is None:
                     continue
-                if mirror is not None:
-                    stats = mirror.column_stats.get(column)
-                    if stats is not None and stats.excludes(value):
-                        return ()
                 bucket = index.lookup_readonly((value,))
                 if best is None or len(bucket) < len(best):
                     best = bucket
@@ -964,8 +780,6 @@ class SteM:
         timestamp = self._rows.pop(row)
         for index in self._indexes.values():
             index.remove(row)
-        if self._col is not None:
-            self._col.evict(row)
         if not self._rows:
             self._min_timestamp = self._max_timestamp = None
             self._timestamps_stale = False
@@ -1007,9 +821,7 @@ class SteM:
         The snapshot unit for the durability layer: rebuilding an empty SteM
         by calling :meth:`build` over these entries (in order, with the
         recorded timestamps) reproduces the row store and secondary indexes
-        exactly — and with them the columnar mirror, which is itself built
-        from the row store (:meth:`_materialise_mirror`) and so has no
-        state of its own to snapshot.
+        exactly.
         """
         return list(self._rows.items())
 

@@ -100,8 +100,6 @@ class SteMRegistry:
         eviction: default eviction-policy name applied to every table that
             has no :meth:`configure_table` override.
         window: build-timestamp window width for ``eviction="time-window"``.
-        columnar: maintain the columnar mirror on every shared SteM (None
-            follows the ``REPRO_COLUMNAR_BACKEND`` environment setting).
     """
 
     def __init__(
@@ -110,11 +108,9 @@ class SteMRegistry:
         max_size: int | None = None,
         eviction: str | None = None,
         window: float | None = None,
-        columnar: bool | None = None,
     ):
         self.index_kind = index_kind
         self.max_size = max_size
-        self.columnar = columnar
         self._default_eviction = EvictionConfig(eviction, max_size, window)
         self._eviction_overrides: dict[str, EvictionConfig] = {}
         self._stems: dict[str, SteM] = {}
@@ -196,7 +192,6 @@ class SteMRegistry:
                 index_kind=self.index_kind,
                 max_size=config.max_size,
                 eviction=config.build_policy(),
-                columnar=self.columnar,
                 name=f"stem:{table}",
             )
             self._stems[table] = stem
@@ -252,15 +247,8 @@ class SteMRegistry:
             if remaining <= 0:
                 # Last reference: reclaim the whole SteM (rows, indexes,
                 # EOT state).  Its counters fold into the reclaimed totals.
-                counters = {
-                    key: value
-                    for key, value in stem.stats.items()
-                    if isinstance(value, int)
-                }
-                bucket = self.reclaimed_stats.setdefault(
-                    stem.name, {key: 0 for key in counters}
-                )
-                for key, value in counters.items():
+                bucket = self.reclaimed_stats.setdefault(stem.name, {})
+                for key, value in stem.stats.items():
                     bucket[key] = bucket.get(key, 0) + value
                 del self._stems[table]
                 self._table_refs.pop(table, None)

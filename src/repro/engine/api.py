@@ -36,7 +36,6 @@ def execute(
     stem_eviction: str | None = None,
     stem_window: float | None = None,
     compiled_probes: bool | None = None,
-    columnar: bool | None = None,
     trace: TraceLog | None = None,
     **options,
 ) -> ExecutionResult:
@@ -71,9 +70,6 @@ def execute(
             the interpreted predicate walk (``stems`` engine only; both
             paths produce byte-identical results and traces).  None
             resolves from the ``REPRO_INTERPRETED_PROBES`` env var.
-        columnar: serve compiled SteM probes from the columnar plane's
-            vectorized kernels (``stems`` engine only; byte-identical to
-            the row plane).  None resolves from ``REPRO_COLUMNAR_BACKEND``.
         trace: optional :class:`~repro.sim.tracing.TraceLog` recording the
             adaptive engines' route/output/retire events.  Identical calls
             produce identical traces, tuple ids included.  The ``static``
@@ -109,7 +105,6 @@ def execute(
             stem_eviction=stem_eviction,
             stem_window=stem_window,
             compiled_probes=compiled_probes,
-            columnar=columnar,
             trace=trace,
         )
     if engine == "eddy-joins":

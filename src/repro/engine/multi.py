@@ -229,11 +229,8 @@ class MultiQueryEngine:
             the interpreted predicate walk.  Each query's modules keep
             their own plan cache over their own layout, so shared SteMs
             never mix plans across queries.
-        columnar: maintain the columnar mirror on every SteM — shared and
-            private alike — and serve compiled probes through the
-            vectorized plane (None follows ``REPRO_COLUMNAR_BACKEND``).
-            Both planes produce byte-identical per-query results and
-            traces.
+        columnar: accepted as None or False only; any other value raises
+            :class:`~repro.errors.ExecutionError`.
         shards: accepted as None or 1 only; any other value raises
             :class:`~repro.errors.ExecutionError`.
         continuous: allow starting with zero admissions (continuous-query
@@ -266,7 +263,10 @@ class MultiQueryEngine:
         timestamp_start: int = 1,
         start_time: float = 0.0,
     ):
-        # The e2e harness still passes shards=1; ROADMAP item 8(ii) drops both.
+        # The e2e harness still passes columnar=False and shards=1; ROADMAP
+        # item 8(ii) drops them, and these two checks with them.
+        if columnar not in (None, False):
+            raise ExecutionError("the columnar data plane was removed")
         if shards not in (None, 1):
             raise ExecutionError(
                 f"shards={shards!r}: hash-partitioned SteMs were removed"
@@ -281,7 +281,6 @@ class MultiQueryEngine:
         self.stem_window = stem_window
         self.batch_size = batch_size
         self.compiled_probes = compiled_probes
-        self.columnar = columnar
         self.simulator = Simulator(start_time=start_time)
         self.registry: SteMRegistry | None = (
             SteMRegistry(
@@ -289,7 +288,6 @@ class MultiQueryEngine:
                 max_size=stem_max_size,
                 eviction=stem_eviction,
                 window=stem_window,
-                columnar=columnar,
             )
             if shared_stems
             else None
@@ -470,7 +468,6 @@ class MultiQueryEngine:
             eviction=self.stem_eviction,
             window=self.stem_window,
             compiled_probes=self.compiled_probes,
-            columnar=self.columnar,
         )
 
     def _make_aggregate_module(
@@ -660,17 +657,12 @@ class MultiQueryEngine:
                 results[query_id] = collect_stems_result(
                     ctx.eddy, ctx.query, final_time, engine="stems", query_id=query_id
                 )
-        stem_stats: dict[str, dict] = {}
+        stem_stats: dict[str, dict[str, int]] = {}
 
-        def merge_stats(key: str, stats: dict) -> None:
+        def merge_stats(key: str, stats: dict[str, int]) -> None:
             bucket = stem_stats.setdefault(key, {})
             for name, value in stats.items():
-                if isinstance(value, int):
-                    bucket[name] = bucket.get(name, 0) + value
-                else:
-                    # Annotation entries (e.g. columnar_disabled_reason) are
-                    # strings — carry the latest one through, never sum.
-                    bucket[name] = value
+                bucket[name] = bucket.get(name, 0) + value
 
         distinct: dict[int, SteM] = {}
         for ctx in self._queries:
@@ -749,7 +741,6 @@ def run_multi(
     stem_eviction: str | None = None,
     stem_window: float | None = None,
     compiled_probes: bool | None = None,
-    columnar: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
     **options,
@@ -782,7 +773,6 @@ def run_multi(
         stem_eviction=stem_eviction,
         stem_window=stem_window,
         compiled_probes=compiled_probes,
-        columnar=columnar,
     )
     return _run_durably(engine, until, checkpoint_dir, checkpoint_interval)
 
@@ -830,7 +820,6 @@ def run_churn(
     stem_eviction: str | None = None,
     stem_window: float | None = None,
     compiled_probes: bool | None = None,
-    columnar: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
     **options,
@@ -865,7 +854,6 @@ def run_churn(
         stem_eviction=stem_eviction,
         stem_window=stem_window,
         compiled_probes=compiled_probes,
-        columnar=columnar,
         continuous=True,
     )
     engine.schedule_churn(events)

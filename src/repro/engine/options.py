@@ -3,13 +3,12 @@
 :func:`~repro.engine.api.execute`, :func:`~repro.engine.multi.run_multi`
 and :func:`~repro.engine.multi.run_churn` accept one common engine keyword
 set (cost model, batching, SteM configuration — index kind, size bound,
-eviction policy/window — and the compiled/columnar plane
-switches).  Historically each wrapper named a different subset, so an
-option that worked on one entry point died as a bare ``TypeError`` (or was
-silently impossible to reach, as with ``multi --churn``) on the next.  Now
-every wrapper funnels its ``**kwargs`` remainder through
-:func:`reject_unknown_options`, which fails with the accepted names
-spelled out.
+eviction policy/window — and the compiled-probe switch).  Historically
+each wrapper named a different subset, so an option that worked on one
+entry point died as a bare ``TypeError`` (or was silently impossible to
+reach, as with ``multi --churn``) on the next.  Now every wrapper funnels
+its ``**kwargs`` remainder through :func:`reject_unknown_options`, which
+fails with the accepted names spelled out.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ SHARED_ENGINE_OPTIONS: tuple[str, ...] = (
     "stem_eviction",
     "stem_window",
     "compiled_probes",
-    "columnar",
 )
 
 #: Durability keywords accepted by the multi-query entry points

@@ -250,18 +250,12 @@ class MultiQueryResult:
         """A short human-readable multi-line summary."""
         mode = "shared" if self.shared_stems else "private"
         churn = f", {len(self.retired)} retired" if self.retired else ""
-        row_probes, columnar_probes, mirror_builds = (
-            sum(stats.get(name, 0) for stats in self.stem_stats.values())
-            for name in ("row_probes", "columnar_probes", "mirror_builds")
-        )
         lines = [
             f"[multi/{mode}-stems] {len(self.results)} queries{churn}, "
             f"{self.total_rows} rows, quiesced at {self.final_time:.1f}s, "
             f"{self.stem_totals.get('insertions', 0)} stem insertions "
             f"({self.stem_totals.get('duplicates', 0)} duplicate builds "
-            f"coalesced), {self.stem_totals.get('probes', 0)} probes "
-            f"({row_probes} row-plane, {columnar_probes} columnar, "
-            f"{mirror_builds} mirrors built)"
+            f"coalesced), {self.stem_totals.get('probes', 0)} probes"
         ]
         for query_id, result in self.results.items():
             flag = (

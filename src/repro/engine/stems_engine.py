@@ -126,16 +126,6 @@ def instantiate_stems_query(
         stem_module = eddy.stems[query.aggregate_alias]
         factory = make_aggregate_module or make_private_aggregate_module
         eddy.aggregate_module = factory(query, stem_module)
-    if eddy.trace is not None:
-        # A SteM whose columnar mirror auto-disabled (reference-window
-        # eviction) silently serves the row plane; note it in the trace so
-        # benchmark runs can't unknowingly measure the wrong plane.
-        for module in eddy.stems.values():
-            reason = getattr(module.stem, "columnar_disabled_reason", None)
-            if reason:
-                eddy.trace.record(
-                    0.0, "columnar-disabled", f"{module.stem.name}: {reason}"
-                )
     # Selection modules.
     for predicate in query.selection_predicates:
         eddy.register_selection(
@@ -185,7 +175,6 @@ def make_private_stem_module(
     eviction: str | None = None,
     window: float | None = None,
     compiled_probes: bool | None = None,
-    columnar: bool | None = None,
 ) -> SteMModule:
     """A private SteM (and its module) for one FROM-clause entry.
 
@@ -205,7 +194,6 @@ def make_private_stem_module(
         index_kind=index_kind,
         max_size=max_size,
         eviction=make_eviction_policy(eviction, max_size=max_size, window=window),
-        columnar=columnar,
         name=f"stem:{ref.alias}",
     )
     return SteMModule(
@@ -277,11 +265,6 @@ class StemsEngine:
             ``stem_eviction="time-window"``.
         batch_size: ready tuples drained per eddy routing event (1 =
             per-tuple routing; >1 enables signature-batched routing).
-        columnar: serve compiled probes from the columnar mirror's
-            vectorized kernels (None, the default, follows the
-            ``REPRO_COLUMNAR_BACKEND`` environment setting; ``off``
-            disables the mirror and keeps every probe on the row plane).
-            Both planes produce byte-identical results and traces.
         compiled_probes: route SteM probes through compiled
             :class:`~repro.query.probeplan.ProbePlan`\\ s (the default) or
             the interpreted predicate walk; None resolves from the
@@ -306,7 +289,6 @@ class StemsEngine:
         preferences: Sequence = (),
         batch_size: int = 1,
         compiled_probes: bool | None = None,
-        columnar: bool | None = None,
         trace: TraceLog | None = None,
     ):
         self.query = parse_query(query) if isinstance(query, str) else query
@@ -319,7 +301,6 @@ class StemsEngine:
         self.stem_eviction = stem_eviction
         self.stem_window = stem_window
         self.compiled_probes = compiled_probes
-        self.columnar = columnar
 
         self.simulator = Simulator()
         self.eddy = Eddy(
@@ -352,7 +333,6 @@ class StemsEngine:
             eviction=self.stem_eviction,
             window=self.stem_window,
             compiled_probes=self.compiled_probes,
-            columnar=self.columnar,
         )
 
     # -- execution ---------------------------------------------------------------
@@ -388,7 +368,6 @@ def run_stems(
     preferences: Sequence = (),
     batch_size: int = 1,
     compiled_probes: bool | None = None,
-    columnar: bool | None = None,
     trace: TraceLog | None = None,
 ) -> ExecutionResult:
     """Convenience wrapper: build a :class:`StemsEngine` and run it."""
@@ -405,7 +384,6 @@ def run_stems(
         preferences=preferences,
         batch_size=batch_size,
         compiled_probes=compiled_probes,
-        columnar=columnar,
         trace=trace,
     )
     return engine.run(until=until)

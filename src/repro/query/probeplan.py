@@ -55,13 +55,6 @@ from repro.query.predicates import (
     Predicate,
     TruePredicate,
 )
-from repro.storage.columns import (
-    FLOAT_EXACT_INT,
-    KIND_INT,
-    KIND_OBJ,
-    _INT64_SAFE,
-    numpy_module,
-)
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
@@ -131,7 +124,6 @@ class ProbePlan:
         "_resolved_stem",
         "_resolved_epoch",
         "indexed_bindings",
-        "_vector",
     )
 
     def __init__(self, target_alias: str, predicates: Sequence[Predicate]):
@@ -156,7 +148,6 @@ class ProbePlan:
         self._resolved_stem: object | None = None
         self._resolved_epoch: int = -1
         self.indexed_bindings: tuple[tuple[int, object], ...] = ()
-        self._vector: "VectorProbePlan | None" = None
 
     # -- compilation ------------------------------------------------------------
 
@@ -321,13 +312,6 @@ class ProbePlan:
             or self._resolved_epoch != stem.index_epoch
         )
 
-    def vector(self) -> "VectorProbePlan":
-        """This plan's (lazily built) columnar evaluator."""
-        evaluator = self._vector
-        if evaluator is None:
-            evaluator = self._vector = VectorProbePlan(self)
-        return evaluator
-
     def __repr__(self) -> str:
         return (
             f"ProbePlan(target={self.target_alias!r}, "
@@ -335,251 +319,6 @@ class ProbePlan:
             f"cmp={len(self._cmp_symbolic)}, in={len(self._in_symbolic)}, "
             f"generic={len(self.generic_predicates)})"
         )
-
-
-#: :meth:`VectorProbePlan` kernel sentinel: the check is false for every
-#: candidate, so the whole probe's selection vector is empty.
-_ALL_FALSE = "all-false"
-
-#: Candidate sets smaller than this stay on the per-element baseline even
-#: on the numpy backend: array construction, fancy indexing, and ufunc
-#: dispatch cost more than a handful of scalar comparisons, so tiny
-#: posting-list buckets (the common case in build-heavy workloads) would
-#: pay a fixed kernel tax for no win.  It is also the candidate count at
-#: which a SteM builds its columnar mirror and below which a probe runs
-#: the compiled row loop (``SteM.probe_with_plan``): a SteM no probe of
-#: this size ever reaches keeps no mirror at all.  Both paths are
-#: semantically identical; tests pin this to 0 to force the mirror and
-#: the kernels onto small fixtures.
-KERNEL_MIN_CANDIDATES = 32
-
-
-class VectorProbePlan:
-    """A compiled plan's checks lowered to whole-batch columnar kernels.
-
-    The bridge between a finished :class:`ProbePlan` and a SteM's
-    :class:`~repro.storage.columns.ColumnStore`: :meth:`select` consumes
-    the plan's per-probe bound checks and returns the **selection vector**
-    — the candidate slots that survive every comparison and IN check, in
-    candidate order.  The caller (``SteM._columnar_survivors``) applies the
-    remaining row-plane semantics (floor skip before, generic predicates
-    and the TimeStamp constraint after) around it.
-
-    Kernel dispatch is per check, per probe: a check runs as a whole-array
-    numpy kernel only when the store's column kinds and the probe-bound
-    value provably evaluate identically to the row plane's per-element
-    semantics (``None`` operand → false, ``TypeError`` → false, exact
-    int/float comparison); everything else — object columns, out-of-range
-    integers, inexact int→float64 promotions, non-numeric operands —
-    drops to the per-element python baseline, which is also the whole
-    evaluator when the store's backend is ``"python"``.
-    """
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan: ProbePlan):
-        self.plan = plan
-
-    def select(self, store, slots, index_array, cmp_bound, in_bound):
-        """The surviving candidate slots, in candidate order.
-
-        Args:
-            store: the SteM's :class:`~repro.storage.columns.ColumnStore`.
-            slots: candidate slots (a ``range`` when scanning a dense
-                store, else a list — e.g. a posting-list bucket).
-            index_array: the slots as an ``intp`` fancy-index array, or
-                None when ``slots`` is the whole dense store.
-            cmp_bound: :meth:`ProbePlan.bind_checks` output for this probe.
-            in_bound: :meth:`ProbePlan.bind_in_checks` output.
-        """
-        if not cmp_bound and not in_bound:
-            return slots
-        if store.backend == "numpy" and len(slots) >= KERNEL_MIN_CANDIDATES:
-            return self._select_numpy(store, slots, index_array, cmp_bound, in_bound)
-        return self._filter_python(store, slots, cmp_bound, in_bound)
-
-    # -- numpy kernels ----------------------------------------------------------
-
-    def _select_numpy(self, store, slots, index_array, cmp_bound, in_bound):
-        np_ = numpy_module()
-        mask = None
-        residual_cmp: list[tuple] = []
-        residual_in: list[tuple] = []
-        for check in cmp_bound:
-            op, l_pos, l_val, r_pos, r_val = check
-            if l_pos < 0 and r_pos < 0:
-                # Probe-only comparison: constant across candidates (the
-                # row plane evaluates it per candidate with the same result).
-                if l_val is None or r_val is None:
-                    return ()
-                try:
-                    if not op(l_val, r_val):
-                        return ()
-                except TypeError:
-                    return ()
-                continue
-            kernel = self._cmp_kernel(store, index_array, op, l_pos, l_val, r_pos, r_val)
-            if kernel is None:
-                residual_cmp.append(check)
-            elif kernel is _ALL_FALSE:
-                return ()
-            else:
-                mask = kernel if mask is None else mask & kernel
-        for check in in_bound:
-            pos, bound, members = check
-            if pos < 0:
-                if bound not in members:
-                    return ()
-                continue
-            kernel = self._in_kernel(store, np_, index_array, pos, members)
-            if kernel is None:
-                residual_in.append(check)
-            elif kernel is _ALL_FALSE:
-                return ()
-            else:
-                mask = kernel if mask is None else mask & kernel
-        if mask is None:
-            survivors = slots
-        elif index_array is None:
-            survivors = np_.nonzero(mask)[0].tolist()
-        else:
-            survivors = index_array[mask].tolist()
-        if residual_cmp or residual_in:
-            survivors = self._filter_python(store, survivors, residual_cmp, residual_in)
-        return survivors
-
-    @staticmethod
-    def _cmp_kernel(store, index_array, op, l_pos, l_val, r_pos, r_val):
-        """One comparison as a boolean mask, ``_ALL_FALSE``, or None.
-
-        None means the check is not kernel-eligible and must run on the
-        per-element baseline.  Eligibility is exactly the set of cases
-        where int64/float64 array semantics equal Python's arbitrary
-        precision comparison: no object columns, no ``None`` operands
-        (those fold to ``_ALL_FALSE``), no integers beyond ``±2**62``, and
-        no int→float64 promotion unless every promoted value is exactly
-        representable (the store's ``exact_float`` flag / ``2**53`` bound).
-        """
-        kinds = store.kinds
-        if l_pos >= 0 and r_pos >= 0:
-            l_kind, r_kind = kinds[l_pos], kinds[r_pos]
-            if l_kind == KIND_OBJ or r_kind == KIND_OBJ:
-                return None
-            if l_kind != r_kind:
-                int_pos = l_pos if l_kind == KIND_INT else r_pos
-                if not store.exact_float[int_pos]:
-                    return None
-            left = store.np_column(l_pos)
-            right = store.np_column(r_pos)
-            if index_array is not None:
-                left = left[index_array]
-                right = right[index_array]
-            return op(left, right)
-        if l_pos >= 0:
-            pos, bound, column_is_left = l_pos, r_val, True
-        else:
-            pos, bound, column_is_left = r_pos, l_val, False
-        if bound is None:
-            return _ALL_FALSE
-        kind = kinds[pos]
-        if kind == KIND_OBJ:
-            return None
-        if isinstance(bound, bool) or type(bound) is int:
-            if not -_INT64_SAFE <= bound <= _INT64_SAFE:
-                return None
-            if kind != KIND_INT and abs(bound) > FLOAT_EXACT_INT:
-                return None
-        elif type(bound) is float:
-            if kind == KIND_INT and not store.exact_float[pos] and bound == bound:
-                # Inexact int→float64 promotion could flip the verdict
-                # (NaN bounds compare the same either way, so they pass).
-                return None
-        else:
-            return None
-        column = store.np_column(pos)
-        if index_array is not None:
-            column = column[index_array]
-        return op(column, bound) if column_is_left else op(bound, column)
-
-    @staticmethod
-    def _in_kernel(store, np_, index_array, pos, members):
-        """One IN check as a boolean mask, ``_ALL_FALSE``, or None.
-
-        Only int64 columns are lowered (``np.isin``); members that can
-        never equal an int64-held value (strings, out-of-range integers)
-        are dropped, float members require the column's values to be
-        exactly float64-representable, and anything with nontrivial
-        cross-type equality (NaN, Decimal, …) forces the baseline.
-        """
-        if store.kinds[pos] != KIND_INT:
-            return None
-        ints: list = []
-        floats: list = []
-        for member in members:
-            if isinstance(member, bool) or type(member) is int:
-                if -_INT64_SAFE <= member <= _INT64_SAFE:
-                    ints.append(member)
-                # else: the column cannot hold a matching value; drop it.
-            elif type(member) is float:
-                if member != member:
-                    return None
-                floats.append(member)
-            elif type(member) in (str, bytes):
-                continue  # never equal to an int
-            else:
-                return None
-        if floats:
-            # Mixed member list promotes to float64: the column must be
-            # exactly representable, and int members beyond 2**53 (which
-            # would *round onto* representable values) cannot match a
-            # <= 2**53 column value anyway, so they drop out.
-            if not store.exact_float[pos]:
-                return None
-            values = [
-                m for m in ints if -FLOAT_EXACT_INT <= m <= FLOAT_EXACT_INT
-            ] + floats
-        else:
-            values = ints
-        if not values:
-            return _ALL_FALSE
-        column = store.np_column(pos)
-        if index_array is not None:
-            column = column[index_array]
-        return np_.isin(column, values)
-
-    # -- per-element baseline ---------------------------------------------------
-
-    @staticmethod
-    def _filter_python(store, slots, cmp_bound, in_bound):
-        """The baseline evaluator: row-plane semantics over column lists."""
-        cols = store.cols
-        out = []
-        for slot in slots:
-            passed = True
-            for op, l_pos, l_val, r_pos, r_val in cmp_bound:
-                left = cols[l_pos][slot] if l_pos >= 0 else l_val
-                right = cols[r_pos][slot] if r_pos >= 0 else r_val
-                if left is None or right is None:
-                    passed = False
-                    break
-                try:
-                    if not op(left, right):
-                        passed = False
-                        break
-                except TypeError:
-                    passed = False
-                    break
-            if passed and in_bound:
-                for pos, bound, members in in_bound:
-                    if (cols[pos][slot] if pos >= 0 else bound) not in members:
-                        passed = False
-                        break
-            if passed:
-                out.append(slot)
-        return out
-
-    def __repr__(self) -> str:
-        return f"VectorProbePlan({self.plan!r})"
 
 
 def compile_bind_sources(

@@ -1,15 +1,6 @@
 """Storage substrate: schemas, rows, tables, indexes, catalog, data generators."""
 
 from repro.storage.catalog import AccessMethodSpec, Catalog, IndexSpec, ScanSpec
-from repro.storage.columns import (
-    ColumnBatch,
-    ColumnStore,
-    ColumnarTable,
-    as_columnar,
-    columnar_backend,
-    columnar_enabled,
-    numpy_available,
-)
 from repro.storage.indexes import (
     AdaptiveIndex,
     HashIndex,
@@ -22,7 +13,6 @@ from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.statistics import (
     ColumnStatistics,
-    IncrementalColumnStats,
     TableStatistics,
     analyze_column,
     analyze_table,
@@ -37,13 +27,9 @@ __all__ = [
     "AdaptiveIndex",
     "Catalog",
     "Column",
-    "ColumnBatch",
     "ColumnStatistics",
-    "ColumnStore",
-    "ColumnarTable",
     "DataType",
     "HashIndex",
-    "IncrementalColumnStats",
     "IndexSpec",
     "ListIndex",
     "Row",
@@ -55,12 +41,8 @@ __all__ = [
     "TableStatistics",
     "analyze_column",
     "analyze_table",
-    "as_columnar",
     "build_index",
-    "columnar_backend",
-    "columnar_enabled",
     "estimate_join_cardinality",
     "estimate_join_selectivity",
-    "numpy_available",
     "table_from_dicts",
 ]

@@ -12,21 +12,8 @@ import random
 import string
 from typing import Any, Callable, Sequence
 
-from repro.storage.columns import ColumnarTable
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-
-
-def _new_table(name: str, schema: Schema, columnar: bool) -> Table:
-    """Row- or column-resident backing store for a generated table.
-
-    With ``columnar=True`` the generator appends through the columnar path
-    (:class:`ColumnarTable`): per-column value lists and incremental
-    statistics are maintained as the data is produced, not recomputed after.
-    """
-    if columnar:
-        return ColumnarTable(name, schema)
-    return Table(name, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +25,6 @@ def make_source_r(
     distinct_a: int = 250,
     seed: int = 0,
     name: str = "R",
-    columnar: bool = False,
 ) -> Table:
     """Source R of paper Table 3.
 
@@ -50,7 +36,7 @@ def make_source_r(
     """
     rng = random.Random(seed)
     schema = Schema.of("key:int", "a:int", key=["key"])
-    table = _new_table(name, schema, columnar)
+    table = Table(name, schema)
     values = list(range(distinct_a))
     assignments: list[int] = []
     if cardinality >= distinct_a:
@@ -68,7 +54,6 @@ def make_source_s(
     cardinality: int = 250,
     seed: int = 1,
     name: str = "S",
-    columnar: bool = False,
 ) -> Table:
     """Source S of paper Table 3.
 
@@ -79,7 +64,7 @@ def make_source_s(
     """
     del seed  # deterministic by construction; kept for interface symmetry
     schema = Schema.of("x:int", "y:int", key=["x"])
-    table = _new_table(name, schema, columnar)
+    table = Table(name, schema)
     for value in range(cardinality):
         table.insert((value, value))
     return table
@@ -89,7 +74,6 @@ def make_source_t(
     cardinality: int = 1000,
     seed: int = 2,
     name: str = "T",
-    columnar: bool = False,
 ) -> Table:
     """Source T of paper Table 3.
 
@@ -99,7 +83,7 @@ def make_source_t(
     """
     rng = random.Random(seed)
     schema = Schema.of("key:int", key=["key"])
-    table = _new_table(name, schema, columnar)
+    table = Table(name, schema)
     keys = list(range(cardinality))
     rng.shuffle(keys)
     for key in keys:
@@ -118,13 +102,12 @@ def make_uniform_table(
     value_range: int = 1000,
     seed: int = 0,
     with_key: bool = True,
-    columnar: bool = False,
 ) -> Table:
     """A table with a sequential ``id`` column and uniform random integers."""
     rng = random.Random(seed)
     specs = [f"{columns[0]}:int"] + [f"{c}:int" for c in columns[1:]]
     schema = Schema.of(*specs, key=[columns[0]] if with_key else [])
-    table = _new_table(name, schema, columnar)
+    table = Table(name, schema)
     for row_id in range(cardinality):
         values = [row_id] + [rng.randrange(value_range) for _ in columns[1:]]
         table.insert(values)

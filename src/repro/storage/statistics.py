@@ -7,14 +7,7 @@ the paper), but they are used by:
   cardinality and selectivity estimates to choose a join order, and
 * the benchmark harness, to report properties of generated workloads.
 
-The columnar data plane additionally maintains
-:class:`IncrementalColumnStats` — count/NULLs/distinct/min/max folded in
-O(1) on every columnar append (and folded out again on eviction) — so
-statistics reads over :class:`~repro.storage.columns.ColumnarTable` and
-SteM column stores cost nothing per call, and the SteM's
-smallest-posting-list candidate selection can prune provably-empty
-equality bindings (:meth:`IncrementalColumnStats.excludes`) before any
-index lookup.
+Every read is a full recompute over the table's rows.
 """
 
 from __future__ import annotations
@@ -63,16 +56,7 @@ class TableStatistics:
 
 
 def analyze_column(table: Table, column: str, top_k: int = 5) -> ColumnStatistics:
-    """Compute statistics for one column of a table.
-
-    Columnar tables maintain :class:`IncrementalColumnStats` on append, so
-    for them this is a snapshot rather than a full recompute.
-    """
-    incremental = getattr(table, "incremental_column_stats", None)
-    if incremental is not None:
-        stats = incremental(column)
-        if stats is not None:
-            return stats.snapshot(column, top_k=top_k)
+    """Compute statistics for one column of a table."""
     values = [row[column] for row in table]
     non_null = [value for value in values if value is not None]
     counter = Counter(non_null)
@@ -129,159 +113,3 @@ def _comparable(values: list[Any]) -> list[Any]:
         return values
     return [value for value in values if isinstance(value, first_type)]
 
-
-class IncrementalColumnStats:
-    """Per-column count/NULLs/distinct/min/max folded in on every append.
-
-    ``add`` is O(1); ``discard`` is O(1) except when it removes the current
-    extreme, which marks min/max stale for a lazy O(distinct) recompute over
-    the surviving distinct values on the next read.  Mixed-type columns fall
-    back to the same comparable-subset rule as :func:`analyze_column`, so
-    ``snapshot`` of an insert-only column equals a full recompute.
-    """
-
-    __slots__ = (
-        "column",
-        "counts",
-        "null_count",
-        "_non_null",
-        "_min",
-        "_max",
-        "_stale",
-        "_mixed",
-    )
-
-    def __init__(self, column: str = ""):
-        self.column = column
-        #: Distinct non-NULL value -> multiplicity, in first-seen order.
-        self.counts: dict[Any, int] = {}
-        self.null_count = 0
-        self._non_null = 0
-        self._min: Any = None
-        self._max: Any = None
-        self._stale = False
-        self._mixed = False
-
-    # -- maintenance ------------------------------------------------------------
-
-    def add(self, value: Any) -> None:
-        """Fold one appended value in."""
-        if value is None:
-            self.null_count += 1
-            return
-        multiplicity = self.counts.get(value)
-        self.counts[value] = 1 if multiplicity is None else multiplicity + 1
-        self._non_null += 1
-        if self._mixed or self._stale:
-            self._stale = True
-            return
-        if self._non_null == 1:
-            self._min = value
-            self._max = value
-            return
-        try:
-            if value < self._min:
-                self._min = value
-            elif value > self._max:
-                self._max = value
-        except TypeError:
-            # First incomparable pair: from here on min/max follow the
-            # comparable-subset rule, recomputed lazily.
-            self._mixed = True
-            self._stale = True
-
-    def discard(self, value: Any) -> None:
-        """Fold one evicted value out."""
-        if value is None:
-            self.null_count -= 1
-            return
-        multiplicity = self.counts.get(value)
-        if multiplicity is None:
-            return
-        if multiplicity == 1:
-            del self.counts[value]
-            try:
-                if value == self._min or value == self._max:
-                    self._stale = True
-            except Exception:
-                self._stale = True
-        else:
-            self.counts[value] = multiplicity - 1
-        self._non_null -= 1
-
-    def _refresh(self) -> None:
-        if not (self._stale or self._mixed):
-            return
-        keys = list(self.counts)
-        comparable = _comparable(keys)
-        self._min = min(comparable) if comparable else None
-        self._max = max(comparable) if comparable else None
-        self._mixed = len(comparable) != len(keys)
-        self._stale = False
-
-    # -- reads ------------------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        """Stored values, NULLs included."""
-        return self._non_null + self.null_count
-
-    @property
-    def distinct(self) -> int:
-        """Distinct non-NULL values currently stored."""
-        return len(self.counts)
-
-    @property
-    def min_value(self) -> Any:
-        self._refresh()
-        return self._min
-
-    @property
-    def max_value(self) -> Any:
-        self._refresh()
-        return self._max
-
-    def excludes(self, value: Any) -> bool:
-        """True when provably *no* stored value equals ``value``.
-
-        The pruning feed for equality bindings: an excluded value's index
-        bucket / posting list is necessarily empty, so a lookup for it can
-        short-circuit without touching the store.  Conservative — any
-        uncertainty (mixed types, incomparable probe value) returns False.
-        """
-        if value is None:
-            return self.null_count == 0
-        if not self.counts:
-            return True
-        self._refresh()
-        if self._mixed:
-            # min/max only bound the comparable subset; values outside it
-            # (other types) could still equal the probe value.
-            return False
-        low, high = self._min, self._max
-        if low is None:
-            return False
-        try:
-            return bool(value < low) or bool(value > high)
-        except TypeError:
-            return False
-
-    def snapshot(self, column: str | None = None, top_k: int = 5) -> ColumnStatistics:
-        """The current state as a :class:`ColumnStatistics`."""
-        self._refresh()
-        counter = Counter(self.counts)
-        return ColumnStatistics(
-            column=column if column is not None else self.column,
-            count=self.count,
-            distinct=len(self.counts),
-            null_count=self.null_count,
-            min_value=self._min,
-            max_value=self._max,
-            most_common=tuple(counter.most_common(top_k)),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"IncrementalColumnStats({self.column!r}, count={self.count}, "
-            f"distinct={self.distinct}, nulls={self.null_count})"
-        )

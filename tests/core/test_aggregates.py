@@ -245,7 +245,7 @@ class TestAggregateState:
 
 class TestAggregateModule:
     def test_bootstrap_from_prior_stem_contents(self):
-        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R",), join_columns=())
         for k in range(6):
             stem.build(r_row(k, k % 2), float(k + 1))
         module = make_module(stem)
@@ -259,7 +259,7 @@ class TestAggregateModule:
     def test_eviction_retracts(self):
         stem = SteM(
             "R", aliases=("R",), join_columns=(),
-            eviction=CountEviction(4), columnar=False,
+            eviction=CountEviction(4),
         )
         module = make_module(stem)
         for k in range(10):
@@ -271,7 +271,7 @@ class TestAggregateModule:
         assert (stats["inserted"], stats["retracted"], stats["cancelled"]) == (4, 0, 6)
 
     def test_duplicate_build_not_double_counted(self):
-        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R",), join_columns=())
         module = make_module(stem)
         row = r_row(1, 1)
         stem.build(row, 1.0)
@@ -285,7 +285,7 @@ class TestAggregateModule:
         )
         stem = SteM(
             "R", aliases=("R",), join_columns=(),
-            eviction=CountEviction(3), columnar=False,
+            eviction=CountEviction(3),
         )
         module = make_module(stem, query)
         for k in range(10):
@@ -301,7 +301,7 @@ class TestAggregateModule:
         )
         stem = SteM(
             "R", aliases=("R",), join_columns=(),
-            eviction=CountEviction(2), columnar=False,
+            eviction=CountEviction(2),
         )
         module = make_module(stem, query)
         # "text" < 5 raises TypeError inside the predicate: the row is
@@ -313,7 +313,7 @@ class TestAggregateModule:
         assert module.result_rows() == [(1, 2)]
 
     def test_detach_is_idempotent_and_stops_listening(self):
-        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R",), join_columns=())
         module = make_module(stem)
         stem.build(r_row(1, 1), 1.0)
         assert module.detach()
@@ -327,7 +327,7 @@ class TestAggregateModule:
         # Re-attaching used to bootstrap the SteM's contents on top of the
         # stale state, counting every surviving row twice.
         query = parse_query("SELECT a, count(*), sum(key) FROM R GROUP BY a")
-        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R",), join_columns=())
         module = make_module(stem, query)
         rows = [r_row(k, k % 2) for k in range(4)]
         for k, row in enumerate(rows):
@@ -348,7 +348,7 @@ class TestAggregateModule:
         # (1, 1) == (True, 1.0) as Rows, but their groups differ byte-wise:
         # the build of one must not cancel the eviction of the other.
         query = parse_query("SELECT a, count(*), sum(key) FROM R GROUP BY a")
-        stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R",), join_columns=())
         module = make_module(stem, query)
         resident = r_row(1, 1)
         stem.build(resident, 1.0)
@@ -386,7 +386,7 @@ class TestAggregateRegistry:
 
     def test_same_signature_shares_one_module(self):
         qa, qb, qc = self.queries()
-        stem = SteM("R", aliases=("R", "x"), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R", "x"), join_columns=())
         registry = AggregateRegistry()
         module_a = registry.module_for(qa, stem, owner="q1")
         module_b = registry.module_for(qb, stem, owner="q2")
@@ -398,7 +398,7 @@ class TestAggregateRegistry:
 
     def test_release_detaches_at_zero_owners(self):
         qa, qb, _ = self.queries()
-        stem = SteM("R", aliases=("R", "x"), join_columns=(), columnar=False)
+        stem = SteM("R", aliases=("R", "x"), join_columns=())
         registry = AggregateRegistry()
         module = registry.module_for(qa, stem, owner="q1")
         registry.module_for(qb, stem, owner="q2")
@@ -457,7 +457,7 @@ def test_incremental_equals_recompute_under_churn(
     across eviction policies, hostile values, and bootstrap points."""
     stem = SteM(
         "R", aliases=("R",), join_columns=(),
-        eviction=POLICIES[policy](), columnar=False,
+        eviction=POLICIES[policy](),
     )
     attach_at = int(len(steps) * attach_fraction)
     module = None
@@ -501,7 +501,7 @@ def test_consolidated_deltas_equal_recompute_at_sparse_reads(
     announcement since attach reached the state or cancelled."""
     stem = SteM(
         "R", aliases=("R",), join_columns=(),
-        eviction=POLICIES[policy](), columnar=False,
+        eviction=POLICIES[policy](),
     )
     attach_at = int(len(steps) * attach_fraction)
     module = None
@@ -538,7 +538,7 @@ def test_consolidated_deltas_equal_recompute_at_sparse_reads(
 
 
 def test_full_drain_cancels_everything_built_since_the_last_read():
-    stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+    stem = SteM("R", aliases=("R",), join_columns=())
     module = make_module(stem)
     for k in range(6):
         stem.build(r_row(k, k % 2), float(k + 1))
@@ -557,7 +557,7 @@ def test_full_drain_cancels_everything_built_since_the_last_read():
 @given(steps=steps)
 def test_full_drain_returns_to_empty(steps):
     """Evicting everything retracts everything: no residue, no desync."""
-    stem = SteM("R", aliases=("R",), join_columns=(), columnar=False)
+    stem = SteM("R", aliases=("R",), join_columns=())
     module = make_module(stem)
     for position, (g, v) in enumerate(steps):
         stem.build(r_row(VALUE_POOL[v], GROUP_POOL[g]), float(position + 1))

@@ -276,18 +276,3 @@ def test_property_probe_finds_exactly_matching_builds(build_keys, probe_key):
     outcome = stem.probe(probe, "S", [JOIN])
     assert len(outcome.results) == expected
 
-
-class TestColumnarDisabledReason:
-    def test_reference_window_records_reason(self):
-        stem = SteM("S", aliases=("S",), join_columns=("x",),
-                    eviction="reference-window", max_size=8, columnar=True)
-        reason = stem.stats.get("columnar_disabled_reason")
-        assert reason is not None
-        assert "reference" in reason and "columnar" in reason
-        assert stem.columnar_disabled_reason == reason
-
-    def test_plain_policies_record_no_reason(self):
-        for kwargs in ({}, {"eviction": "count", "max_size": 8}):
-            stem = SteM("S", aliases=("S",), join_columns=("x",), **kwargs)
-            assert stem.columnar_disabled_reason is None
-            assert "columnar_disabled_reason" not in stem.stats

@@ -5,17 +5,20 @@ properties the engines lean on are pinned here against independent
 references: a nested-loop join over the rows stored so far, the interpreted
 probe against the compiled one, one-at-a-time probes against
 :meth:`~repro.core.stem.SteM.probe_batch`, and a plain list model of each
-eviction window.
+eviction window.  Hostile values (NULLs, NaN, ±inf, integers past the
+exact-float range, mixed-type columns) and operation sequences are checked
+three ways: compiled ≡ interpreted ≡ the reference, on an indexed and an
+unindexed (scan) layout, which take different candidate-selection branches.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.query.probeplan as probeplan_module
 from repro.core.stem import (
     CountEviction,
     ReferenceWindowEviction,
@@ -23,9 +26,16 @@ from repro.core.stem import (
     TimeWindowEviction,
     make_eviction_policy,
 )
-from repro.core.tuples import EOTTuple, singleton_tuple
+from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
 from repro.errors import ExecutionError
-from repro.query.predicates import equi_join
+from repro.query.predicates import (
+    Comparison,
+    Conjunction,
+    InList,
+    TruePredicate,
+    equi_join,
+    selection,
+)
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -71,17 +81,6 @@ def compiled_probe(stem, probe, predicates=(JOIN,), **options):
     return stem.probe_with_plan(probe, plan, **options)
 
 
-@contextmanager
-def kernel_cutoff(cutoff):
-    """Let probes of any size take the columnar plane when it is enabled."""
-    saved = probeplan_module.KERNEL_MIN_CANDIDATES
-    probeplan_module.KERNEL_MIN_CANDIDATES = cutoff
-    try:
-        yield
-    finally:
-        probeplan_module.KERNEL_MIN_CANDIDATES = saved
-
-
 def nested_loop(entries, key, probe_timestamp):
     """The reference answer: stored rows with ``x == key`` in build order,
     split by the TimeStamp constraint into results and suppressed matches."""
@@ -123,20 +122,16 @@ def replay(stem, history):
 
 
 class TestProbeAgainstNestedLoop:
-    @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
     @pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "scan"])
     @settings(max_examples=40, deadline=None)
     @given(history=stem_histories, key=st.integers(0, 6),
            probe_timestamp=st.integers(0, 60))
     def test_compiled_probe_matches_nested_loop(
-        self, indexed, columnar, history, key, probe_timestamp
+        self, indexed, history, key, probe_timestamp
     ):
-        with kernel_cutoff(0):
-            stem = SteM("S", aliases=("S",),
-                        join_columns=("x",) if indexed else (),
-                        columnar=columnar)
-            entries = replay(stem, history)
-            outcome = compiled_probe(stem, r_probe(0, key, float(probe_timestamp)))
+        stem = SteM("S", aliases=("S",), join_columns=("x",) if indexed else ())
+        entries = replay(stem, history)
+        outcome = compiled_probe(stem, r_probe(0, key, float(probe_timestamp)))
         results, suppressed = nested_loop(entries, key, probe_timestamp)
         assert matched_rows(outcome) == results
         assert outcome.suppressed_by_timestamp == suppressed
@@ -177,41 +172,35 @@ class TestProbeAgainstNestedLoop:
                 assert a.candidates_examined == b.candidates_examined
                 assert left.last_match_ts == right.last_match_ts
 
-    @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
-    def test_probe_batch_equals_probes_one_at_a_time(self, columnar):
-        with kernel_cutoff(0):
-            one, batched = (
-                SteM("S", aliases=("S",), join_columns=("x",), columnar=columnar)
-                for _ in range(2)
-            )
-            for ts in range(80):
-                one.build(s_row(ts % 17, ts % 5), float(ts))
-                batched.build(s_row(ts % 17, ts % 5), float(ts))
-            probes = [r_probe(i, i % 19, 40.0 + i) for i in range(24)]
-            plan = ProbePlan.compile([JOIN], "S", probes[0].components,
-                                     target_schema=batched.row_schema)
-            expected = [
-                outcome_key(compiled_probe(one, r_probe(i, i % 19, 40.0 + i)))
-                for i in range(24)
-            ]
-            got = [outcome_key(o) for o in batched.probe_batch(probes, plan)]
+    def test_probe_batch_equals_probes_one_at_a_time(self):
+        one, batched = (
+            SteM("S", aliases=("S",), join_columns=("x",)) for _ in range(2)
+        )
+        for ts in range(80):
+            one.build(s_row(ts % 17, ts % 5), float(ts))
+            batched.build(s_row(ts % 17, ts % 5), float(ts))
+        probes = [r_probe(i, i % 19, 40.0 + i) for i in range(24)]
+        plan = ProbePlan.compile([JOIN], "S", probes[0].components,
+                                 target_schema=batched.row_schema)
+        expected = [
+            outcome_key(compiled_probe(one, r_probe(i, i % 19, 40.0 + i)))
+            for i in range(24)
+        ]
+        got = [outcome_key(o) for o in batched.probe_batch(probes, plan)]
         assert got == expected
         assert any(key[0] for key in got) and any(key[1] for key in got)
 
-    @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
-    def test_equal_values_of_other_numeric_types_match(self, columnar):
+    def test_equal_values_of_other_numeric_types_match(self):
         # 1 == 1.0 == True: a row built under one representation must answer
-        # a probe bound under another, through the index and the kernels.
-        with kernel_cutoff(0):
-            stem = SteM("S", aliases=("S",), join_columns=("x",),
-                        columnar=columnar)
-            for ts, x in enumerate([0, 1, 2, 1, 3]):
-                stem.build(s_row(x, ts), float(ts))
-            for value in (1, 1.0, True):
-                outcome = compiled_probe(stem, r_probe(0, value, 100.0))
-                assert [row["y"] for row in matched_rows(outcome)] == [1, 3]
-                interpreted = stem.probe(r_probe(0, value, 100.0), "S", [JOIN])
-                assert outcome_key(interpreted) == outcome_key(outcome)
+        # a probe bound under another, through the index.
+        stem = SteM("S", aliases=("S",), join_columns=("x",))
+        for ts, x in enumerate([0, 1, 2, 1, 3]):
+            stem.build(s_row(x, ts), float(ts))
+        for value in (1, 1.0, True):
+            outcome = compiled_probe(stem, r_probe(0, value, 100.0))
+            assert [row["y"] for row in matched_rows(outcome)] == [1, 3]
+            interpreted = stem.probe(r_probe(0, value, 100.0), "S", [JOIN])
+            assert outcome_key(interpreted) == outcome_key(outcome)
 
     def test_compiled_probe_rejects_an_alias_it_does_not_serve(self):
         stem = SteM("S", aliases=("S",), join_columns=("x",))
@@ -224,25 +213,23 @@ class TestProbeAgainstNestedLoop:
 
 
 class TestCountWindow:
-    @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
     @pytest.mark.parametrize("max_size", [1, 7, 10, 16])
-    def test_keeps_exactly_the_newest_rows(self, max_size, columnar):
-        with kernel_cutoff(0):
-            stem = SteM("S", aliases=("S",), join_columns=("x",),
-                        eviction="count", max_size=max_size, columnar=columnar)
-            built: list[Row] = []
-            for ts in range(50):
-                row = s_row(ts % 5, ts)
-                stem.build(row, float(ts))
-                built.append(row)
-                window = built[-max_size:]
-                assert list(stem) == window
-                assert stem.stats["evictions"] == len(built) - len(window)
-                assert stem.min_timestamp == float(ts - len(window) + 1)
-                outcome = compiled_probe(stem, r_probe(0, ts % 5, 100.0))
-                assert matched_rows(outcome) == [
-                    row for row in window if row["x"] == ts % 5
-                ]
+    def test_keeps_exactly_the_newest_rows(self, max_size):
+        stem = SteM("S", aliases=("S",), join_columns=("x",),
+                    eviction="count", max_size=max_size)
+        built: list[Row] = []
+        for ts in range(50):
+            row = s_row(ts % 5, ts)
+            stem.build(row, float(ts))
+            built.append(row)
+            window = built[-max_size:]
+            assert list(stem) == window
+            assert stem.stats["evictions"] == len(built) - len(window)
+            assert stem.min_timestamp == float(ts - len(window) + 1)
+            outcome = compiled_probe(stem, r_probe(0, ts % 5, 100.0))
+            assert matched_rows(outcome) == [
+                row for row in window if row["x"] == ts % 5
+            ]
 
     def test_duplicates_do_not_slide_the_window(self):
         stem = SteM("S", aliases=("S",), join_columns=("x",), max_size=3)
@@ -483,3 +470,442 @@ class TestSteMState:
         assert not stem.drop_join_column("y")
         assert stem.index_epoch == epoch + 2 and stem.join_columns == ("x",)
         assert stem.probe(r_probe(0, 2, 100.0), "S", [unindexed]).candidates_examined == 33
+
+
+# -- hostile inputs: compiled ≡ interpreted ≡ the nested-loop reference ----------
+
+R3_SCHEMA = Schema.of("key:int", "a:int", "b:int")
+
+#: SteM layouts: an index on the join column, or none (every probe scans).
+LAYOUTS = {"indexed": ("x",), "scan": ()}
+
+
+def r3_row(key, a, b=0):
+    return Row("R", R3_SCHEMA, (key, a, b))
+
+
+def holds(op, left, right):
+    """The reference comparison: NULL operands and type errors are false."""
+    if left is None or right is None:
+        return False
+    try:
+        return bool(op(left, right))
+    except TypeError:
+        return False
+
+
+def check(op, left, right):
+    """A reference check over ``(probe R row, stored S row)``.  ``left`` and
+    ``right`` name ``"R.col"``/``"S.col"``, or are literals."""
+
+    def side(spec, r, s):
+        if isinstance(spec, str) and spec[:2] in ("R.", "S."):
+            return (r if spec[0] == "R" else s)[spec[2:]]
+        return spec
+
+    return lambda r, s: holds(op, side(left, r, s), side(right, r, s))
+
+
+#: Probe-situation predicates, each beside its reference check.
+HOSTILE_POOL = [
+    (equi_join("R.a", "S.x"), check(operator.eq, "R.a", "S.x")),
+    (equi_join("R.b", "S.y"), check(operator.eq, "R.b", "S.y")),
+    (Comparison("R.b", "<", "S.y"), check(operator.lt, "R.b", "S.y")),
+    (Comparison("S.y", ">=", "R.a"), check(operator.ge, "S.y", "R.a")),
+    (Comparison("S.x", "<", "S.y"), check(operator.lt, "S.x", "S.y")),
+    (selection("S.y", "<", 4), check(operator.lt, "S.y", 4)),
+    (selection("S.x", "!=", 2), check(operator.ne, "S.x", 2)),
+    (Comparison("S.x", "=", 1), check(operator.eq, "S.x", 1)),
+    (InList("S.y", [0, 1, 2, None]), lambda r, s: s["y"] in {0, 1, 2, None}),
+    (InList("S.x", [2**53 + 1, 3.0, 1, "a"]),
+     lambda r, s: s["x"] in {2**53 + 1, 3.0, 1, "a"}),
+    (TruePredicate(), lambda r, s: True),
+    (Conjunction([selection("S.y", ">", -3), selection("S.x", "<=", 5)]),
+     lambda r, s: holds(operator.gt, s["y"], -3) and holds(operator.le, s["x"], 5)),
+]
+
+small_values = st.one_of(st.integers(min_value=-3, max_value=5), st.none())
+#: Values on every boundary a typed fast path could trip over: the int64
+#: and exact-float64 ranges, NaN/inf, strings, floats equal to ints.
+hostile_values = st.one_of(
+    st.integers(min_value=-3, max_value=5),
+    st.sampled_from([
+        2**53 - 1, 2**53, 2**53 + 1, -(2**53 + 1),
+        2**62, 2**62 + 1, 2**63, -(2**63) - 1,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from(["a", "b", ""]),
+    st.sampled_from([0.0, -0.0, 2.0, 2.5, float(2**53)]),
+    st.booleans(),
+    st.none(),
+)
+
+
+def reference_probe(entries, probe_row, probe_timestamp, checks,
+                    enforce_timestamp=True, floor=-math.inf):
+    """Stored ``(row, timestamp)`` pairs a probe returns, in build order,
+    and the count the TimeStamp constraint suppresses."""
+    results, suppressed = [], 0
+    for row, timestamp in entries:
+        if timestamp <= floor or not all(c(probe_row, row) for c in checks):
+            continue
+        if enforce_timestamp and not probe_timestamp > timestamp:
+            suppressed += 1
+        else:
+            results.append((row, timestamp))
+    return results, suppressed
+
+
+def probe_facts(outcome):
+    """Everything a probe outcome exposes, in result order."""
+    return (
+        [(t.identity(), t.done_mask, dict(t.timestamps)) for t in outcome.results],
+        outcome.all_matches_known,
+        outcome.candidates_examined,
+        outcome.suppressed_by_timestamp,
+    )
+
+
+def three_ways(layout, entries, probe_row, probe_timestamp, pool,
+               enforce_timestamp=True, evict=()):
+    """Probe one SteM per path with the same situation; assert compiled ≡
+    interpreted ≡ reference and return the compiled outcome."""
+    predicates = [predicate for predicate, _ in pool]
+    outcomes = []
+    for path in ("compiled", "interpreted"):
+        stem = SteM("S", aliases=("S",), join_columns=LAYOUTS[layout])
+        for row, timestamp in entries:
+            stem.build(row, timestamp)
+        for row in evict:
+            assert stem.evict(row)
+        probe = singleton_tuple("R", probe_row)
+        probe.mark_built("R", probe_timestamp)
+        if path == "compiled":
+            outcome = compiled_probe(stem, probe, predicates,
+                                     enforce_timestamp=enforce_timestamp)
+        else:
+            outcome = stem.probe(probe, "S", predicates,
+                                 enforce_timestamp=enforce_timestamp)
+        outcomes.append(outcome)
+    compiled, interpreted = outcomes
+    assert probe_facts(compiled) == probe_facts(interpreted)
+    resident = [(row, ts) for row, ts in distinct_entries_of(entries)
+                if row not in set(evict)]
+    results, suppressed = reference_probe(
+        resident, probe_row, probe_timestamp, [c for _, c in pool],
+        enforce_timestamp,
+    )
+    assert [(t.components["S"], t.timestamps["S"]) for t in compiled.results] == results
+    assert compiled.suppressed_by_timestamp == suppressed
+    return compiled
+
+
+def distinct_entries_of(entries):
+    """What a SteM stores of these builds: a row equal to an earlier one
+    (``2**63 == float(2**63)``) is a duplicate build and stores nothing."""
+    kept, seen = [], set()
+    for row, timestamp in entries:
+        if row not in seen:
+            seen.add(row)
+            kept.append((row, timestamp))
+    return kept
+
+
+def distinct_entries(pairs):
+    """Stored rows built at timestamps 1, 2, ..., duplicates dropped."""
+    return distinct_entries_of(
+        [(s_row(x, y), float(position + 1)) for position, (x, y) in enumerate(pairs)]
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+class TestHostileProbeProperties:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_probe_situations(self, layout, data):
+        stored = data.draw(st.lists(st.tuples(small_values, small_values),
+                                    max_size=12), label="stored rows")
+        chosen = data.draw(st.lists(st.sampled_from(range(len(HOSTILE_POOL))),
+                                    max_size=5, unique=True), label="predicates")
+        probe_row = r3_row(data.draw(small_values), data.draw(small_values),
+                           data.draw(small_values))
+        three_ways(
+            layout, distinct_entries(stored), probe_row,
+            data.draw(st.floats(0.0, 50.0), label="probe timestamp"),
+            [HOSTILE_POOL[index] for index in sorted(chosen)],
+            enforce_timestamp=data.draw(st.booleans(), label="enforce"),
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_type_columns(self, layout, data):
+        stored = data.draw(st.lists(st.tuples(hostile_values, hostile_values),
+                                    max_size=10), label="stored rows")
+        chosen = data.draw(st.lists(st.sampled_from(range(len(HOSTILE_POOL))),
+                                    min_size=1, max_size=4, unique=True),
+                           label="predicates")
+        probe_row = r3_row(0, data.draw(hostile_values), data.draw(hostile_values))
+        three_ways(layout, distinct_entries(stored), probe_row, 25.0,
+                   [HOSTILE_POOL[index] for index in sorted(chosen)])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_evictions(self, layout, data):
+        stored = data.draw(st.lists(st.tuples(small_values, small_values),
+                                    min_size=1, max_size=10, unique=True),
+                           label="stored rows")
+        entries = distinct_entries(stored)
+        victims = data.draw(st.lists(st.sampled_from(range(len(entries))),
+                                     unique=True), label="evictions")
+        pool = [HOSTILE_POOL[0], (selection("S.y", ">=", 0),
+                                  check(operator.ge, "S.y", 0))]
+        three_ways(layout, entries, r3_row(0, data.draw(small_values)), 30.0,
+                   pool, evict=[entries[index][0] for index in victims])
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+class TestHostileProbes:
+    @pytest.mark.parametrize("member, matched", [
+        (2**53 - 1, 2**53 - 1), (2**53 + 1, 2**53 + 1), (2**63, float(2**63)),
+    ])
+    def test_in_list_members_past_the_exact_float_range(self, layout, member, matched):
+        # float(2**53 + 1) == 2.0**53, so a member promoted to float would
+        # match the stored 2.0**53; Python's exact int/float equality must
+        # not.  The stored 2**63 equals the stored 2.0**63: one row.
+        stored = [float(2**53), 2**53 - 1, 2**53 + 1, float(2**63), 2**63, 3.0]
+        entries = [(s_row(x, 0), float(ts + 1)) for ts, x in enumerate(stored)]
+        outcome = three_ways(layout, entries, r3_row(0, 0), 10.0,
+                             [(InList("S.x", [member, 3.0]),
+                               lambda r, s: s["x"] in {member, 3.0})])
+        assert [t.components["S"]["x"] for t in outcome.results] == [matched, 3.0]
+
+    def test_nan_and_none_operands(self, layout):
+        entries = [(s_row(float("nan"), 1), 1.0), (s_row(None, 2), 2.0),
+                   (s_row(1, 3), 3.0)]
+        pool = [(Comparison("S.x", "<", 5), check(operator.lt, "S.x", 5)),
+                (selection("S.y", ">", 0), check(operator.gt, "S.y", 0))]
+        outcome = three_ways(layout, entries, r3_row(0, 0), 10.0, pool)
+        # NaN < 5 and None < 5 are both false: only the int row survives.
+        assert len(outcome.results) == 1 and outcome.candidates_examined == 3
+
+    def test_nan_probe_bound(self, layout):
+        entries = [(s_row(i, i), float(i + 1)) for i in range(4)]
+        pool = [(Comparison("S.x", "<", "R.a"), check(operator.lt, "S.x", "R.a"))]
+        outcome = three_ways(layout, entries, r3_row(0, float("nan")), 10.0, pool)
+        assert outcome.results == []  # x < NaN is false everywhere
+
+    def test_infinite_bounds(self, layout):
+        entries = [(s_row(i, i), float(i + 1)) for i in range(4)]
+        pool = [(selection("S.x", "<", math.inf), check(operator.lt, "S.x", math.inf)),
+                (selection("S.y", ">", -math.inf), check(operator.gt, "S.y", -math.inf))]
+        outcome = three_ways(layout, entries, r3_row(0, 0), 10.0, pool)
+        assert len(outcome.results) == 4
+
+    @pytest.mark.parametrize("probe_timestamp", [5.0, 25.0, 60.0])
+    def test_timestamp_suppression_counts(self, layout, probe_timestamp):
+        entries = [(s_row(1, i), float(10 * (i + 1))) for i in range(5)]
+        outcome = three_ways(layout, entries, r3_row(0, 1), probe_timestamp,
+                             [HOSTILE_POOL[0]])
+        assert len(outcome.results) + outcome.suppressed_by_timestamp == 5
+
+    def test_self_join(self, layout):
+        # Both aliases read one SteM; the probe fills r2 against r1.
+        predicates = [equi_join("r1.a", "r2.a"), Comparison("r1.key", "<", "r2.key")]
+        rows = [(r3_row(k, k % 3), float(k + 1)) for k in range(8)]
+        probe_row = r3_row(2, 2)
+        columns = ("a",) if layout == "indexed" else ()
+        outcomes = []
+        for path in ("compiled", "interpreted"):
+            stem = SteM("R", aliases=("r1", "r2"), join_columns=columns)
+            for row, ts in rows:
+                stem.build(row, ts)
+            probe = QTuple({"r1": probe_row})
+            probe.mark_built("r1", 20.0)
+            if path == "compiled":
+                plan = ProbePlan.compile(predicates, "r2", probe.components,
+                                         target_schema=stem.row_schema)
+                outcomes.append(stem.probe_with_plan(probe, plan))
+            else:
+                outcomes.append(stem.probe(probe, "r2", predicates))
+        assert probe_facts(outcomes[0]) == probe_facts(outcomes[1])
+        expected = [row for row, _ in rows
+                    if row["a"] == probe_row["a"] and probe_row["key"] < row["key"]]
+        assert [t.components["r2"] for t in outcomes[0].results] == expected
+        assert expected
+
+
+# -- operation sequences under each eviction policy, against a list model --------
+
+#: Probe situations: keyed, keyed + residual, full scan (no equality
+#: binding), two bindings (the smaller bucket wins while ``y`` is indexed).
+SITUATIONS = [
+    [(equi_join("R.a", "S.x"), check(operator.eq, "R.a", "S.x"))],
+    [(equi_join("R.a", "S.x"), check(operator.eq, "R.a", "S.x")),
+     (Comparison("R.b", "<", "S.y"), check(operator.lt, "R.b", "S.y"))],
+    [(Comparison("R.b", "<", "S.y"), check(operator.lt, "R.b", "S.y"))],
+    [(equi_join("R.a", "S.x"), check(operator.eq, "R.a", "S.x")),
+     (equi_join("R.b", "S.y"), check(operator.eq, "R.b", "S.y"))],
+]
+
+_probe_operations = st.tuples(
+    st.just("probe"),
+    st.integers(0, len(SITUATIONS) - 1),
+    st.integers(0, 3),    # which long-lived probe tuple
+    st.integers(-1, 2),   # R.a
+    st.integers(0, 120),  # R.b
+    st.booleans(),        # update_last_match
+)
+_build_operations = st.tuples(st.just("build"), st.integers(0, 2), st.integers(0, 120))
+stem_operations = st.lists(
+    st.one_of(
+        _probe_operations, _probe_operations, _probe_operations,
+        _build_operations, _build_operations,
+        st.tuples(st.just("evict"), st.integers(0, 200)),
+        st.tuples(st.just("ensure"), st.just("y")),
+        st.tuples(st.just("drop"), st.just("y")),
+        st.tuples(st.just("scan_eot")),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+def keep_last(limit):
+    """List-model update after a build: keep the ``limit`` newest entries."""
+    def slide(model, now):
+        del model[:max(len(model) - limit, 0)]
+    return slide
+
+
+def keep_window(window):
+    """List-model update after a build at ``now``: keep the window."""
+    def slide(model, now):
+        model[:] = [entry for entry in model if entry[1] > now - window]
+    return slide
+
+
+#: name -> (SteM eviction spec, list-model window update after a build).
+SEQUENCE_POLICIES = {
+    "none": ({}, lambda model, now: None),
+    "count": ({"eviction": "count", "max_size": 40}, keep_last(40)),
+    "time-window": ({"eviction": make_eviction_policy("time-window", window=45)},
+                    keep_window(45)),
+    "reference-window": ({"eviction": "reference-window", "max_size": 40},
+                         keep_last(40)),
+}
+
+
+class SequenceTwins:
+    """One operation sequence applied to a compiled-probe SteM and an
+    interpreted-probe SteM, and to a list model of the row store."""
+
+    def __init__(self, layout, policy):
+        spec, self.slide = SEQUENCE_POLICIES[policy]
+        self.lru = policy == "reference-window"
+        self.twins = [SteM("S", aliases=("S",), join_columns=LAYOUTS[layout], **spec)
+                      for _ in range(2)]
+        #: Long-lived probe tuples per twin: repeated probes carry their
+        #: LastMatchTimeStamp floor from one probe to the next.
+        self.probes = [{}, {}]
+        self.model: list[tuple[Row, float]] = []
+        self.floors: dict = {}
+        self.covered = False
+        self.clock = 0.0
+
+    def apply(self, operation):
+        kind = operation[0]
+        if kind == "probe":
+            self.probe(*operation[1:])
+        elif kind == "build":
+            self.clock += 1.0
+            row = s_row(operation[1], operation[2])
+            duplicates = {stem.build(row, self.clock).duplicate for stem in self.twins}
+            assert duplicates == {any(r == row for r, _ in self.model)}
+            if not duplicates.pop():
+                self.model.append((row, self.clock))
+                before = len(self.model)
+                self.slide(self.model, self.clock)
+                if len(self.model) < before:
+                    self.covered = False  # an eviction drops coverage
+        elif kind == "evict" and self.model:
+            row, _ = self.model.pop(operation[1] % len(self.model))
+            for stem in self.twins:
+                assert stem.evict(row)
+            self.covered = False
+        elif kind == "ensure":
+            for stem in self.twins:
+                stem.ensure_join_columns([operation[1]])
+        elif kind == "drop":
+            for stem in self.twins:
+                stem.drop_join_column(operation[1])
+        elif kind == "scan_eot":
+            for stem in self.twins:
+                stem.build_eot(EOTTuple(table="S", alias="S", am_name="scan"))
+            self.covered = True
+        for stem in self.twins:
+            assert stem.state_entries() == self.model
+
+    def probe(self, situation, which, a, b, update_last_match=False):
+        self.clock += 1.0
+        key = (which, a, b)
+        pool = SITUATIONS[situation]
+        outcomes = []
+        for path, stem, probes in zip(("compiled", "interpreted"), self.twins, self.probes):
+            probe = probes.get(key)
+            if probe is None:
+                # Stamped once: rows built later are suppressed by the
+                # TimeStamp constraint when this tuple probes again.
+                probe = probes[key] = singleton_tuple("R", r3_row(which, a, b))
+                probe.mark_built("R", self.clock)
+            predicates = [predicate for predicate, _ in pool]
+            if path == "compiled":
+                outcome = compiled_probe(stem, probe, predicates,
+                                         update_last_match=update_last_match)
+            else:
+                outcome = stem.probe(probe, "S", predicates,
+                                     update_last_match=update_last_match)
+            outcomes.append((probe_facts(outcome), dict(probe.last_match_ts)))
+        assert outcomes[0] == outcomes[1]
+        stamped = self.probes[0][key].timestamp
+        floor = self.floors.get(key, -math.inf)
+        results, suppressed = reference_probe(
+            self.model, r3_row(which, a, b), stamped, [c for _, c in pool],
+            floor=floor,
+        )
+        (facts, _, _, got_suppressed), _ = outcomes[0]
+        got = [(ident[-1][2], stamps["S"]) for ident, _, stamps in facts]
+        assert sorted(got, key=lambda item: item[1]) == [
+            (row.values, ts) for row, ts in results
+        ]
+        assert got_suppressed == suppressed
+        assert outcomes[0][0][1] == self.covered
+        if update_last_match and self.model:
+            self.floors[key] = max(floor, max(ts for _, ts in self.model))
+        if self.lru:
+            # Matched rows become the most recently used, in result order.
+            matched = [values for values, _ in got]
+            kept = [entry for entry in self.model if entry[0].values not in matched]
+            moved = {entry[0].values: entry for entry in self.model}
+            self.model[:] = kept + [moved[values] for values in matched]
+            for stem in self.twins:
+                assert stem.state_entries() == self.model
+
+
+@pytest.mark.parametrize("policy", sorted(SEQUENCE_POLICIES))
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@given(prefill=st.sampled_from([0, 1, 30, 45, 60, 90]), operations=stem_operations)
+@settings(max_examples=30, deadline=None)
+def test_operation_sequences_match_the_list_model(layout, policy, prefill, operations):
+    """Build / evict / probe / index changes in any order: both probe paths
+    return the reference's matches over the list model, the same coverage
+    verdict and LastMatchTimeStamp floors, and the row store stays the
+    model — including every window's own evictions."""
+    twins = SequenceTwins(layout, policy)
+    for position in range(prefill):
+        twins.apply(("build", position % 3, position))
+    every_probe = [("probe", situation, 3, a, 60, True)
+                   for situation in range(len(SITUATIONS)) for a in (0, 1)]
+    for operation in operations + every_probe:
+        twins.apply(operation)
+    compiled, interpreted = twins.twins
+    assert compiled.stats == interpreted.stats

@@ -291,9 +291,9 @@ class TestEngineOptions:
         )
         assert result["a"].row_count >= 0
 
-    def test_retired_stats_fold_with_annotation_entries(self):
-        # merge_stats must carry string annotations (the
-        # columnar_disabled_reason note) without trying to int-sum them.
+    def test_retired_stats_fold_to_int_counters(self):
+        # Every SteM counter is an int, live and retired ones alike, so
+        # merge_stats only ever sums.
         engine = MultiQueryEngine(
             [
                 QueryAdmission(JOIN_SQL, query_id="keep", policy="naive"),
@@ -309,11 +309,11 @@ class TestEngineOptions:
         result = engine.run()
         for stats in result.stem_stats.values():
             for name, value in stats.items():
-                assert isinstance(value, (int, str)), (name, value)
+                assert type(value) is int, (name, value)
 
     def test_option_table_names_the_shared_set(self):
         assert set(OPTION_SETTINGS) == set(SHARED_ENGINE_OPTIONS)
-        assert len(SHARED_ENGINE_OPTIONS) == 9
+        assert len(SHARED_ENGINE_OPTIONS) == 8
 
     @pytest.mark.parametrize("name", SHARED_ENGINE_OPTIONS)
     def test_every_entry_point_accepts_the_option(self, name):
@@ -354,7 +354,6 @@ OPTION_SETTINGS = {
     "stem_eviction": {"stem_eviction": "time-window", "stem_window": 12},
     "stem_window": {"stem_window": 12},
     "compiled_probes": {"compiled_probes": False},
-    "columnar": {"columnar": False},
 }
 
 
@@ -457,3 +456,106 @@ class TestRemovedSharding:
         from repro.core.partition import shutdown_shard_pool
 
         assert shutdown_shard_pool() is False
+
+
+class TestRemovedColumnarPlane:
+    """The columnar data plane is gone; ``columnar`` survives only as the
+    ``MultiQueryEngine`` keyword the e2e harness passes, and it accepts
+    nothing but None or False."""
+
+    def test_columnar_false_equals_the_default(self):
+        def run(**options):
+            admissions = [
+                QueryAdmission(JOIN_SQL, query_id="a", policy="naive",
+                               trace=TraceLog()),
+                QueryAdmission(f"{JOIN_SQL} AND R.a < 6", query_id="b",
+                               policy="lottery", arrival_time=0.3,
+                               trace=TraceLog()),
+            ]
+            result = MultiQueryEngine(
+                admissions, build_catalog(), batch_size=4, **options
+            ).run()
+            traces = [
+                [(record.time, record.kind, record.detail) for record in a.trace]
+                for a in admissions
+            ]
+            return result, traces
+
+        (off, off_traces), (default, default_traces) = run(columnar=False), run()
+        assert default["a"].row_count > 0
+        for query_id in ("a", "b"):
+            assert off[query_id].identities() == default[query_id].identities()
+        assert off_traces == default_traces
+        assert off.stem_stats == default.stem_stats
+
+    def test_columnar_true_raises(self):
+        with pytest.raises(ExecutionError, match="columnar data plane was removed"):
+            MultiQueryEngine([JOIN_SQL], build_catalog(), columnar=True)
+
+    def test_entry_points_reject_columnar_as_unknown(self):
+        admission = QueryAdmission(JOIN_SQL, query_id="a")
+        unknown = r"\(\) got unknown option\(s\): columnar"
+        with pytest.raises(ExecutionError, match="execute" + unknown):
+            execute(JOIN_SQL, build_catalog(), columnar=False)
+        with pytest.raises(ExecutionError, match="run_multi" + unknown):
+            run_multi([admission], build_catalog(), columnar=False)
+        with pytest.raises(ExecutionError, match="run_churn" + unknown):
+            run_churn([], build_catalog(), columnar=False)
+
+    def test_columnar_backend_env_changes_nothing(self, monkeypatch):
+        def digest():
+            workload = staggered_fleet_workload(n_queries=3, stagger=2.0, rows=60)
+            return fleet_digest(run_multi(workload.admissions, workload.catalog))
+
+        monkeypatch.delenv("REPRO_COLUMNAR_BACKEND", raising=False)
+        default = digest()
+        monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", "numpy")
+        assert digest() == default
+
+    def test_numpy_is_never_imported(self):
+        # A fresh interpreter: ``import repro``, a shared-SteM fleet and a
+        # fan-out join (75 matches per probe) leave numpy unloaded.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == "[False, False, False] True 5550".split()
+
+
+_IMPORT_PROBE = """
+import sys
+import repro
+from repro.engine.multi import MultiQueryEngine
+from repro.engine.stems_engine import run_stems
+from repro.storage import Catalog, Schema, Table
+from repro.storage.datagen import make_source_r, make_source_t
+
+loaded = ["numpy" in sys.modules]
+catalog = Catalog()
+catalog.add_table(make_source_r(40, 10, seed=11))
+catalog.add_table(make_source_t(40, seed=12))
+catalog.add_scan("R", rate=100.0)
+catalog.add_scan("T", rate=80.0)
+sql = "SELECT * FROM R, T WHERE R.key = T.key"
+fleet = MultiQueryEngine([sql, sql + " AND R.a < 5"], catalog, shared_stems=True)
+rows = sum(result.row_count for _, result in fleet.run().items())
+loaded.append("numpy" in sys.modules)
+
+catalog = Catalog()
+for name in ("A", "B"):
+    table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
+    table.insert_many((i, i % 2) for i in range(150))
+    catalog.add_scan(name, rate=100.0)
+fanout = run_stems("SELECT * FROM A, B WHERE A.value = B.value AND A.id < B.id", catalog)
+loaded.append("numpy" in sys.modules)
+print(loaded, rows > 0, fanout.row_count)
+"""

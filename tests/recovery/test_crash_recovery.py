@@ -91,11 +91,8 @@ class TestCrashRecoveryOracle:
         assert report["suppressed_emits"] == report["tail_acks"] == 0
         assert report["cut_time"] == report["crash_time"]
 
-    @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
     @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_batch_grid(self, tmp_path, batch_size, columnar):
-        # The columnar mirror is rebuilt from the restored row store, so
-        # both data planes must pass the oracle from the same snapshot.
+    def test_batch_grid(self, tmp_path, batch_size):
         workload = small_fleet(policy="lottery")
         report = crash_recovery_oracle(
             workload.admissions,
@@ -104,7 +101,6 @@ class TestCrashRecoveryOracle:
             400,
             checkpoint_interval=5.0,
             batch_size=batch_size,
-            columnar=columnar,
         )
         assert report["crashed"]
         assert report["passed"], report["mismatches"]

@@ -128,6 +128,17 @@ def test_shards_flag_is_gone(capsys):
     assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["query", "SELECT * FROM R, T WHERE R.key = T.key"],
+    ["multi", "--queries", "2", "--rows", "20", "--no-baseline"],
+])
+def test_row_plane_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--row-plane"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --row-plane" in capsys.readouterr().err
+
+
 def test_recover_command_has_no_mode_flag(tmp_path):
     with pytest.raises(SystemExit):
         main(["recover", str(tmp_path), "--mode", "replay"])
