@@ -1,7 +1,9 @@
 """Ablation: compiled ProbePlans vs the interpreted SteM probe loop.
 
-Every result tuple the system emits is born inside ``SteM.probe``, and the
-interpreted loop paid Python-object tax per candidate row: a fresh
+Every result tuple the system emits is born inside a SteM probe, and the
+interpreted loop (kept as the test oracle in
+``tests/reference/interpreted_probe.py``) pays Python-object tax per
+candidate row: a fresh
 ``dict(probe.components)``, predicate trees resolving column names through
 ``Schema.position`` per access, and equality bindings re-derived per probe
 via isinstance dispatch.  The compiled path
@@ -13,14 +15,16 @@ reads.
 Claims checked here:
 
 * **Zero per-candidate dict allocations.**  With the ``dict`` name in
-  ``repro.core.stem`` shadowed by a counting subclass, an interpreted probe
-  over N candidates constructs N dicts; the compiled probe constructs none.
+  ``repro.core.stem`` and in the reference module shadowed by a counting
+  subclass, an interpreted probe over N candidates constructs N dicts; the
+  compiled probe constructs none.
 * **Measured wall-clock speedup.**  On a probe-dominated situation (large
   skewed posting lists, an equality binding plus an inequality residual),
-  the compiled loop is at least 1.5x faster than the interpreted loop.
-* **Byte-identical execution.**  The heavy staggered multi-query fleet
-  produces identical per-query result sets with the compiled path (the
-  default) and with ``compiled_probes=False``, shared SteMs included.
+  the compiled ``probe_batch`` is at least 1.5x faster than the interpreted
+  loop.
+
+``tests/engine/test_probe_path_identity.py`` checks that whole engines run
+byte-identically on either loop.
 
 The measured trajectory is emitted as ``BENCH_probe.json`` under
 ``$REPRO_BENCH_OUT`` (CI sets it; unset, nothing is written).
@@ -31,24 +35,20 @@ from __future__ import annotations
 import time
 
 import repro.core.stem as stem_module
+import tests.reference.interpreted_probe as reference_module
 from conftest import emit_artifact
-from repro.bench.workloads import staggered_fleet_workload
 from repro.core.stem import SteM
 from repro.core.tuples import singleton_tuple
-from repro.engine.multi import run_multi
 from repro.query.predicates import Comparison, equi_join
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.reference.interpreted_probe import interpreted_probe
 
 ARTIFACT = "BENCH_probe.json"
 
 R_SCHEMA = Schema.of("key:int", "a:int", "b:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
-
-#: Heavy-traffic fleet (same shape as the bitmask-state ablation): 6
-#: staggered R⨝T queries over one pair of shared SteMs.
-FLEET_PARAMS = dict(n_queries=6, stagger=2.0, rows=200, policy="naive")
 
 #: Probe-dominated microbenchmark: every probe lands in a posting list of
 #: ``ROWS_PER_KEY`` candidates and must run the residual inequality on each.
@@ -84,8 +84,9 @@ def build_probe_situation():
 
 
 class _CountingDict(dict):
-    """dict subclass counting constructions (installed over stem.py's
-    module-global ``dict`` name, shadowing the builtin)."""
+    """dict subclass counting constructions (installed over the module-global
+    ``dict`` name of stem.py and of the reference module, shadowing the
+    builtin)."""
 
     constructions = 0
 
@@ -94,13 +95,13 @@ class _CountingDict(dict):
         super().__init__(*args, **kwargs)
 
 
-def _count_stem_dict_constructions(run) -> int:
+def _count_dict_constructions(run) -> int:
     _CountingDict.constructions = 0
-    stem_module.dict = _CountingDict
+    stem_module.dict = reference_module.dict = _CountingDict
     try:
         run()
     finally:
-        del stem_module.dict
+        del stem_module.dict, reference_module.dict
     return _CountingDict.constructions
 
 
@@ -109,17 +110,17 @@ def test_compiled_loop_allocates_no_per_candidate_dicts():
     probe = probes[0]
     candidates = ROWS_PER_KEY
 
-    interpreted = _count_stem_dict_constructions(
-        lambda: stem.probe(probe, "S", predicates)
+    interpreted = _count_dict_constructions(
+        lambda: interpreted_probe(stem, probe, "S", predicates)
     )
     # The interpreted loop merges the probe's components once per candidate.
     assert interpreted >= candidates
 
-    compiled = _count_stem_dict_constructions(
+    compiled = _count_dict_constructions(
         lambda: stem.probe_with_plan(probe, plan)
     )
     assert compiled == 0, (
-        f"compiled probe loop constructed {compiled} dicts in stem.py; "
+        f"compiled probe loop constructed {compiled} dicts; "
         "the per-candidate path must be allocation-free"
     )
     # The bench situation compiles fully: no generic fallback in play.
@@ -134,7 +135,7 @@ def test_compiled_probe_loop_speedup(benchmark):
     def interpreted_pass() -> int:
         total = 0
         for probe in probes:
-            total += len(stem.probe(probe, "S", predicates).results)
+            total += len(interpreted_probe(stem, probe, "S", predicates).results)
         return total
 
     def compiled_pass() -> int:
@@ -188,34 +189,3 @@ def test_compiled_probe_loop_speedup(benchmark):
     benchmark.extra_info["speedup_vs_interpreted"] = round(speedup, 2)
     benchmark.extra_info["candidates_per_probe"] = ROWS_PER_KEY
     benchmark.extra_info["artifact"] = ARTIFACT
-
-
-def _run_fleet(compiled_probes):
-    workload = staggered_fleet_workload(**FLEET_PARAMS)
-    return run_multi(
-        list(workload.admissions),
-        workload.catalog,
-        shared_stems=True,
-        batch_size=16,
-        compiled_probes=compiled_probes,
-    )
-
-
-def _result_identity(result):
-    return {
-        query_id: [t.identity() for t in result[query_id].tuples]
-        for query_id in result.results
-    }
-
-
-def test_fleet_results_identical_compiled_vs_interpreted(benchmark):
-    """Heavy shared-SteM fleet: the compiled default == interpreted, byte
-    for byte, per query."""
-    compiled = benchmark.pedantic(
-        _run_fleet, kwargs=dict(compiled_probes=None), rounds=1, iterations=1
-    )
-    interpreted = _run_fleet(compiled_probes=False)
-    assert _result_identity(compiled) == _result_identity(interpreted)
-    total = sum(len(compiled[q].tuples) for q in compiled.results)
-    assert total > 0
-    benchmark.extra_info["fleet_results"] = total

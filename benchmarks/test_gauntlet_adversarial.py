@@ -6,9 +6,8 @@ with out-of-order delivery, and a heterogeneous query-shape fleet — through
 the full oracle-and-scorecard program:
 
 * **Differential correctness**: every (policy × batch size) adaptive run
-  produces exactly the static reference's result multiset, and the
-  compiled/interpreted probe paths stay byte-identical (results *and*
-  traces).  Hostile inputs must never change *what* is computed.
+  produces exactly the static reference's result multiset.  Hostile inputs
+  must never change *what* is computed.
 * **Adaptivity pays**: on the scenarios with a learnable structure (skew,
   shift) the adaptive policies' regret vs the best static selection order
   must beat naive routing's — the gauntlet's reason to exist.
@@ -39,8 +38,6 @@ def test_gauntlet_full_scale(benchmark):
     for name, record in payload["scenarios"].items():
         for check in record["differential"]:
             assert check["ok"], f"{name}: differential failed {check}"
-        for check in record["byte_identity"]:
-            assert check["ok"], f"{name}: byte-identity failed {check}"
 
     # -- adaptivity: regret of the adaptive policies vs naive -------------
     for name in LEARNABLE:

@@ -5,10 +5,8 @@ their comfort zone — uniform keys, well-behaved sources, one query shape.
 The gauntlet is the opposite: each scenario family is *built* to punish a
 non-adaptive router, and each run is held to two standards at once:
 
-* **Correctness under hostility** — a differential oracle (the adaptive
-  result set must equal the static/recompute reference) plus a
-  byte-identity oracle (compiled and interpreted SteM probes must produce
-  identical results *and* identical traces, tuple ids included).
+* **Correctness under hostility** — a differential oracle: the adaptive
+  result set must equal the static/recompute reference.
 * **Adaptivity** — a per-policy routing-share time series (who got the
   tuples, when) and a *regret* metric: how much slower the policy finished
   than the best static selection order, run on the same engine with the
@@ -70,8 +68,7 @@ class GauntletScenario:
     """One gauntlet scenario: a family label and a fresh-workload factory.
 
     ``build()`` must return a *new* workload (fresh catalog, fresh tables)
-    on every call, so runs never share mutable state and byte-identity
-    comparisons are meaningful.
+    on every call, so runs never share mutable state.
     """
 
     name: str
@@ -190,46 +187,6 @@ def _differential_check_fleet(
         "per_query": per_query,
         "ok": all(per_query.values()),
     }
-
-
-def byte_identity_check(
-    scenario: GauntletScenario, policy: str, batch_size: int
-) -> dict:
-    """Compiled vs. interpreted probes: identical results *and* traces.
-
-    Fleet scenarios are checked query-by-query on fresh catalogs (the
-    multi-query engine interleaves queries, so the per-query single-run
-    comparison is the well-defined one).
-    """
-    workload = scenario.build()
-    if isinstance(workload, MultiQueryWorkload):
-        queries = [admission.query for admission in workload.admissions]
-    else:
-        queries = [workload.query]
-    ok = True
-    for query in queries:
-        runs = []
-        for compiled in (True, False):
-            fresh = scenario.build()
-            catalog = fresh.catalog
-            trace = TraceLog()
-            result = execute(
-                query,
-                catalog,
-                policy=policy,
-                cost_model=getattr(fresh, "cost_model", None),
-                batch_size=batch_size,
-                compiled_probes=compiled,
-                trace=trace,
-            )
-            runs.append(
-                (
-                    result.identities(),
-                    [(record.time, record.kind, record.detail) for record in trace],
-                )
-            )
-        ok = ok and runs[0] == runs[1]
-    return {"policy": policy, "batch_size": batch_size, "ok": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +354,6 @@ def run_scenario(
         "description": scenario.description,
         "parameters": dict(sample.parameters),
         "differential": [],
-        "byte_identity": [],
         "policies": {},
     }
     for policy in policies:
@@ -405,18 +361,13 @@ def run_scenario(
             record["differential"].append(
                 differential_check(scenario, policy, batch_size)
             )
-        record["byte_identity"].append(
-            byte_identity_check(scenario, policy, batch_size=1)
-        )
     best_static = best_static_plan(scenario)
     record["best_static"] = best_static
     for policy in policies:
         record["policies"][policy] = score_policy(
             scenario, policy, bins=bins, best_static=best_static
         )
-    record["all_correct"] = all(
-        check["ok"] for check in record["differential"] + record["byte_identity"]
-    )
+    record["all_correct"] = all(check["ok"] for check in record["differential"])
     return record
 
 

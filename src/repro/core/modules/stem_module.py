@@ -18,7 +18,7 @@ from repro.core.modules.base import Module, Routable
 from repro.core.stem import SteM
 from repro.core.tuples import EOTTuple, QTuple
 from repro.query.predicates import Predicate
-from repro.query.probeplan import ProbePlan, compiled_probes_enabled
+from repro.query.probeplan import ProbePlan
 
 
 class SteMModule(Module):
@@ -37,10 +37,6 @@ class SteMModule(Module):
             SteM's aliases.  When the SteM is shared across queries it
             accumulates every query's aliases, so each module must restrict
             itself to its own query's view.
-        compiled_probes: route probes through compiled
-            :class:`~repro.query.probeplan.ProbePlan`\\ s (the default) or
-            the interpreted predicate walk; None resolves from the
-            ``REPRO_INTERPRETED_PROBES`` environment escape hatch.
     """
 
     kind = "stem"
@@ -53,7 +49,6 @@ class SteMModule(Module):
         probe_cost: float = 2e-4,
         name: str | None = None,
         aliases: Sequence[str] | None = None,
-        compiled_probes: bool | None = None,
     ):
         super().__init__(name or stem.name, cost=probe_cost)
         self.stem = stem
@@ -61,9 +56,6 @@ class SteMModule(Module):
         self.predicates = tuple(predicates)
         self.build_cost = build_cost
         self.probe_cost = probe_cost
-        self.compiled_probes = (
-            compiled_probes_enabled() if compiled_probes is None else compiled_probes
-        )
         #: Module-local fallback plan cache (see :meth:`probe_plan_for`):
         #: engine tuples cache their plans on their query's PlanLayout; only
         #: tuples on the process-wide fallback alias space land here.
@@ -158,14 +150,7 @@ class SteMModule(Module):
             self.stats["probes"] += 1
             return [item]
         try:
-            if self.compiled_probes:
-                outcome = self.stem.probe_with_plan(
-                    item, self.probe_plan_for(item, target)
-                )
-            else:
-                outcome = self.stem.probe(
-                    item, target, self._pending_predicates(item, target)
-                )
+            outcome = self.stem.probe_with_plan(item, self.probe_plan_for(item, target))
         except ExecutionError:
             raise
         except Exception as error:
@@ -343,7 +328,6 @@ class SharedSteMModule(SteMModule):
         registry=None,
         build_cost: float = 1e-4,
         probe_cost: float = 2e-4,
-        compiled_probes: bool | None = None,
     ):
         super().__init__(
             stem,
@@ -352,7 +336,6 @@ class SharedSteMModule(SteMModule):
             probe_cost=probe_cost,
             name=f"stem:{alias}",
             aliases=(alias,),
-            compiled_probes=compiled_probes,
         )
         self.registry = registry
         #: Rows this query's dataflow has already built or bounced back.

@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ExecutionError
-from repro.query.expressions import ColumnRef
-from repro.query.predicates import Comparison, Predicate
-from repro.query.layout import done_mask_of
+from repro.query.predicates import Predicate
 from repro.query.probeplan import ProbePlan
 from repro.storage.indexes import RowIndex, build_index
 from repro.storage.row import Row
@@ -430,6 +428,10 @@ class SteM:
     ) -> ProbeOutcome:
         """Find matches for ``probe`` among the stored rows.
 
+        Compiles a one-off :class:`ProbePlan` for this probe situation and
+        runs :meth:`probe_with_plan`; the engine's modules call
+        :meth:`probe_with_plan` directly with plans memoized per situation.
+
         Args:
             probe: the probing tuple (must not already span ``target_alias``).
             target_alias: the query alias the stored rows will fill.
@@ -453,50 +455,17 @@ class SteM:
             raise ExecutionError(
                 f"alias {target_alias!r} is not served by {self.name}"
             )
-        outcome = ProbeOutcome()
-
-        bindings = self._probe_bindings(probe, target_alias, predicates)
-        candidates = self._candidate_rows(bindings)
-        floor = probe.last_match_ts.get(self.name, float("-inf"))
-        probe_timestamp = probe.timestamp
-
-        done_mask = done_mask_of(predicates)
-        hook = self._reference_hook
-        matched_rows: list[Row] | None = [] if hook is not None else None
-        extend = None  # the probe's extension template, taken at the first match
-        for row in candidates:
-            outcome.candidates_examined += 1
-            row_timestamp = self._rows[row]
-            if row_timestamp <= floor:
-                continue
-            merged = dict(probe.components)
-            merged[target_alias] = row
-            if not all(predicate.evaluate(merged) for predicate in predicates):
-                continue
-            if enforce_timestamp and not probe_timestamp > row_timestamp:
-                outcome.suppressed_by_timestamp += 1
-                continue
-            if extend is None:
-                extend = probe.extender(target_alias, done_mask)
-            outcome.results.append(extend(row, row_timestamp))
-            if matched_rows is not None:
-                matched_rows.append(row)
-        if matched_rows:
-            # Reference hooks may reorder the row store, so they run only
-            # after candidate iteration (candidates can alias ``_rows``).
-            for row in matched_rows:
-                hook.on_match(self, row)
-        # Stats commit only once the whole candidate loop has survived: a
-        # raising generic predicate must leave the counters untouched so the
-        # quarantine path can retry or drop the probe without skew.
-        self.stats["probes"] += 1
-        self.stats["matches"] += len(outcome.results)
-        outcome.all_matches_known = self.covers(bindings)
-        if update_last_match:
-            max_timestamp = self.max_timestamp
-            if max_timestamp is not None:
-                probe.set_last_match(self.name, max(floor, max_timestamp))
-        return outcome
+        return self.probe_with_plan(
+            probe,
+            ProbePlan.compile(
+                predicates,
+                target_alias,
+                probe.components,
+                target_schema=self._row_schema,
+            ),
+            enforce_timestamp,
+            update_last_match,
+        )
 
     def probe_with_plan(
         self,
@@ -505,18 +474,16 @@ class SteM:
         enforce_timestamp: bool = True,
         update_last_match: bool = False,
     ) -> ProbeOutcome:
-        """:meth:`probe` through a compiled :class:`ProbePlan`.
+        """Find matches for ``probe`` through a compiled :class:`ProbePlan`.
 
-        Semantically identical to the interpreted path (same results in the
-        same order, same coverage verdict, same ``suppressed_by_timestamp``
-        and ``candidates_examined`` accounting) but the per-candidate loop
-        touches no dicts, resolves no column names, and walks no predicate
-        trees: bindings come from the plan's precompiled extractors, and
-        each comparison is one positional read per side plus one operator
-        call.  Predicates the compiler could not lower (anything that is
-        not a plain comparison or IN list) run through the plan's generic
-        fallback, which allocates the merged mapping the interpreted path
-        always paid for.
+        The per-candidate loop touches no dicts, resolves no column names,
+        and walks no predicate trees: bindings come from the plan's
+        precompiled extractors, and each comparison is one positional read
+        per side plus one operator call.  Predicates the compiler could not
+        lower (anything that is not a plain comparison or IN list) run
+        through the plan's generic fallback, which allocates a merged
+        alias -> row mapping per candidate.  Arguments and result are as
+        for :meth:`probe`.
         """
         target_alias = plan.target_alias
         if target_alias in probe.aliases:
@@ -592,14 +559,15 @@ class SteM:
             if matched_rows is not None:
                 matched_rows.append(row)
         if matched_rows:
-            # As in :meth:`probe`: reorder the row store only after the
-            # candidate iteration has finished.
+            # Reference hooks may reorder the row store, so they run only
+            # after candidate iteration (candidates can alias ``_rows``).
             for row in matched_rows:
                 hook.on_match(self, row)
         outcome.candidates_examined = examined
         outcome.suppressed_by_timestamp = suppressed
-        # Stats commit after the loop (see :meth:`probe`): a raising generic
-        # predicate leaves the counters untouched.
+        # Stats commit only once the whole candidate loop has survived: a
+        # raising generic predicate must leave the counters untouched so the
+        # quarantine path can retry or drop the probe without skew.
         self.stats["probes"] += 1
         self.stats["matches"] += len(results)
         outcome.all_matches_known = self.covers(plan.bindings_mapping(binding_values))
@@ -646,55 +614,6 @@ class SteM:
             best = None
             for position, index in plan.indexed_bindings:
                 bucket = index.lookup_readonly((binding_values[position],))
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            if best is not None:
-                return best
-        return self._rows
-
-    def _probe_bindings(
-        self,
-        probe: QTuple,
-        target_alias: str,
-        predicates: Sequence[Predicate],
-    ) -> dict[str, Any] | None:
-        """Equality bindings (target column -> value) implied by the probe.
-
-        Returns None when no equality binding can be derived, in which case
-        candidate enumeration falls back to a full scan of the SteM.
-        """
-        bindings: dict[str, Any] = {}
-        for predicate in predicates:
-            if not isinstance(predicate, Comparison) or predicate.op not in ("=", "=="):
-                continue
-            target_ref = predicate.column_for(target_alias)
-            if target_ref is None or target_ref.alias != target_alias:
-                continue
-            other = predicate.other_side(target_alias)
-            if isinstance(other, ColumnRef):
-                if other.alias not in probe.components:
-                    continue
-                bindings[target_ref.column] = probe.value(other.alias, other.column)
-            else:
-                bindings[target_ref.column] = other.evaluate(probe.components)
-        return bindings or None
-
-    def _candidate_rows(self, bindings: Mapping[str, Any] | None) -> Iterable[Row]:
-        """Rows worth examining for a probe with the given bindings.
-
-        When several bindings are indexed, the smallest posting list (the
-        most selective index for *this* probe's values) wins — every index
-        is exact on its column, so any one bucket is a superset of the
-        matches and the cheapest superset minimises candidates examined.
-        Buckets come from the read-only lookup path and are only iterated.
-        """
-        if bindings:
-            best = None
-            for column, value in bindings.items():
-                index = self._indexes.get(column)
-                if index is None:
-                    continue
-                bucket = index.lookup_readonly((value,))
                 if best is None or len(bucket) < len(best):
                     best = bucket
             if best is not None:

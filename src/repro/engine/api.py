@@ -35,7 +35,6 @@ def execute(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    compiled_probes: bool | None = None,
     trace: TraceLog | None = None,
     **options,
 ) -> ExecutionResult:
@@ -65,11 +64,6 @@ def execute(
             only).
         stem_window: build-timestamp window width for
             ``stem_eviction="time-window"`` (``stems`` engine only).
-        compiled_probes: route SteM probes through compiled
-            :class:`~repro.query.probeplan.ProbePlan`\\ s (the default) or
-            the interpreted predicate walk (``stems`` engine only; both
-            paths produce byte-identical results and traces).  None
-            resolves from the ``REPRO_INTERPRETED_PROBES`` env var.
         trace: optional :class:`~repro.sim.tracing.TraceLog` recording the
             adaptive engines' route/output/retire events.  Identical calls
             produce identical traces, tuple ids included.  The ``static``
@@ -104,7 +98,6 @@ def execute(
             stem_max_size=stem_max_size,
             stem_eviction=stem_eviction,
             stem_window=stem_window,
-            compiled_probes=compiled_probes,
             trace=trace,
         )
     if engine == "eddy-joins":

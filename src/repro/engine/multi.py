@@ -224,11 +224,9 @@ class MultiQueryEngine:
         stem_window: build-timestamp window width for
             ``stem_eviction="time-window"``.
         batch_size: per-eddy routing batch (see :class:`~repro.core.eddy.Eddy`).
-        compiled_probes: route SteM probes through compiled
-            :class:`~repro.query.probeplan.ProbePlan`\\ s (the default) or
-            the interpreted predicate walk.  Each query's modules keep
-            their own plan cache over their own layout, so shared SteMs
-            never mix plans across queries.
+        compiled_probes: accepted as None, True or False and ignored (there
+            is one probe path); any other value raises
+            :class:`~repro.errors.ExecutionError`.
         columnar: accepted as None or False only; any other value raises
             :class:`~repro.errors.ExecutionError`.
         shards: accepted as None or 1 only; any other value raises
@@ -263,8 +261,13 @@ class MultiQueryEngine:
         timestamp_start: int = 1,
         start_time: float = 0.0,
     ):
-        # The e2e harness still passes columnar=False and shards=1; ROADMAP
-        # item 8(ii) drops them, and these two checks with them.
+        # The e2e harness still passes compiled_probes=False, columnar=False
+        # and shards=1; ROADMAP item 8(ii) drops them, and these three
+        # checks with them.
+        if compiled_probes is not None and not isinstance(compiled_probes, bool):
+            raise ExecutionError(
+                f"compiled_probes={compiled_probes!r}: there is one probe path"
+            )
         if columnar not in (None, False):
             raise ExecutionError("the columnar data plane was removed")
         if shards not in (None, 1):
@@ -280,7 +283,6 @@ class MultiQueryEngine:
         self.stem_eviction = stem_eviction
         self.stem_window = stem_window
         self.batch_size = batch_size
-        self.compiled_probes = compiled_probes
         self.simulator = Simulator(start_time=start_time)
         self.registry: SteMRegistry | None = (
             SteMRegistry(
@@ -457,7 +459,6 @@ class MultiQueryEngine:
                 registry=self.registry,
                 build_cost=self.costs.stem_build_cost,
                 probe_cost=self.costs.stem_probe_cost,
-                compiled_probes=self.compiled_probes,
             )
         return make_private_stem_module(
             ref,
@@ -467,7 +468,6 @@ class MultiQueryEngine:
             max_size=self.stem_max_size,
             eviction=self.stem_eviction,
             window=self.stem_window,
-            compiled_probes=self.compiled_probes,
         )
 
     def _make_aggregate_module(
@@ -740,7 +740,6 @@ def run_multi(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    compiled_probes: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
     **options,
@@ -772,7 +771,6 @@ def run_multi(
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,
-        compiled_probes=compiled_probes,
     )
     return _run_durably(engine, until, checkpoint_dir, checkpoint_interval)
 
@@ -819,7 +817,6 @@ def run_churn(
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
-    compiled_probes: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
     **options,
@@ -853,7 +850,6 @@ def run_churn(
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,
-        compiled_probes=compiled_probes,
         continuous=True,
     )
     engine.schedule_churn(events)

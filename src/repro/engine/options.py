@@ -3,7 +3,7 @@
 :func:`~repro.engine.api.execute`, :func:`~repro.engine.multi.run_multi`
 and :func:`~repro.engine.multi.run_churn` accept one common engine keyword
 set (cost model, batching, SteM configuration — index kind, size bound,
-eviction policy/window — and the compiled-probe switch).  Historically
+eviction policy/window).  Historically
 each wrapper named a different subset, so an option that worked on one
 entry point died as a bare ``TypeError`` (or was silently impossible to
 reach, as with ``multi --churn``) on the next.  Now every wrapper funnels
@@ -29,7 +29,6 @@ SHARED_ENGINE_OPTIONS: tuple[str, ...] = (
     "stem_max_size",
     "stem_eviction",
     "stem_window",
-    "compiled_probes",
 )
 
 #: Durability keywords accepted by the multi-query entry points

@@ -174,7 +174,6 @@ def make_private_stem_module(
     max_size: int | None = None,
     eviction: str | None = None,
     window: float | None = None,
-    compiled_probes: bool | None = None,
 ) -> SteMModule:
     """A private SteM (and its module) for one FROM-clause entry.
 
@@ -201,7 +200,6 @@ def make_private_stem_module(
         query.predicates,
         build_cost=costs.stem_build_cost,
         probe_cost=costs.stem_probe_cost,
-        compiled_probes=compiled_probes,
     )
 
 
@@ -265,11 +263,6 @@ class StemsEngine:
             ``stem_eviction="time-window"``.
         batch_size: ready tuples drained per eddy routing event (1 =
             per-tuple routing; >1 enables signature-batched routing).
-        compiled_probes: route SteM probes through compiled
-            :class:`~repro.query.probeplan.ProbePlan`\\ s (the default) or
-            the interpreted predicate walk; None resolves from the
-            ``REPRO_INTERPRETED_PROBES`` environment escape hatch.  Both
-            paths produce byte-identical results and traces.
         trace: optional :class:`TraceLog` recording route/output/retire
             events (identical across identical runs; see
             ``tests/engine/test_determinism.py``).
@@ -288,7 +281,6 @@ class StemsEngine:
         stem_window: float | None = None,
         preferences: Sequence = (),
         batch_size: int = 1,
-        compiled_probes: bool | None = None,
         trace: TraceLog | None = None,
     ):
         self.query = parse_query(query) if isinstance(query, str) else query
@@ -300,7 +292,6 @@ class StemsEngine:
         self.stem_max_size = stem_max_size
         self.stem_eviction = stem_eviction
         self.stem_window = stem_window
-        self.compiled_probes = compiled_probes
 
         self.simulator = Simulator()
         self.eddy = Eddy(
@@ -332,7 +323,6 @@ class StemsEngine:
             max_size=self.stem_max_size,
             eviction=self.stem_eviction,
             window=self.stem_window,
-            compiled_probes=self.compiled_probes,
         )
 
     # -- execution ---------------------------------------------------------------
@@ -367,7 +357,6 @@ def run_stems(
     stem_window: float | None = None,
     preferences: Sequence = (),
     batch_size: int = 1,
-    compiled_probes: bool | None = None,
     trace: TraceLog | None = None,
 ) -> ExecutionResult:
     """Convenience wrapper: build a :class:`StemsEngine` and run it."""
@@ -383,7 +372,6 @@ def run_stems(
         stem_window=stem_window,
         preferences=preferences,
         batch_size=batch_size,
-        compiled_probes=compiled_probes,
         trace=trace,
     )
     return engine.run(until=until)

@@ -1,11 +1,11 @@
 """ProbePlans: SteM probe situations compiled to positional evaluation.
 
-Every result tuple the system emits is born inside a SteM probe, and the
-interpreted probe loop paid Python-object tax on every candidate row: a
-fresh ``dict(probe.components)`` per candidate, predicate-tree walks that
-resolve column names through ``Schema.position`` on every access, and
-equality bindings re-derived per probe through isinstance dispatch.  A
-:class:`ProbePlan` does all of that resolution **once per probe situation**
+Every result tuple the system emits is born inside a SteM probe.  Walking
+the predicate trees per candidate row would pay Python-object tax on every
+row: a fresh ``dict(probe.components)`` per candidate, column names
+resolved through ``Schema.position`` on every access, and equality bindings
+re-derived per probe through isinstance dispatch.  A :class:`ProbePlan`
+does all of that resolution **once per probe situation**
 — a situation being "tuples with this spanned/done state probing this
 target alias", exactly the granularity of the batched eddy's routing
 signature — and lowers it to integer positions over the rows' value tuples:
@@ -22,7 +22,7 @@ signature — and lowers it to integer positions over the rows' value tuples:
   comparison keeps a **generic fallback** through ``Predicate.evaluate``;
 * the precomputed ``done_mask`` the concatenated results are stamped with.
 
-NULL semantics match the interpreted path exactly: a comparison with a
+NULL semantics match ``Predicate.evaluate`` exactly: a comparison with a
 ``None`` operand (or a ``TypeError`` from the operator) is false, and ``IN``
 is plain membership.
 
@@ -36,14 +36,12 @@ compile-time probe's component rows (and, for the target side, the schema
 of the SteM's stored rows), relying on the engine invariant that every row
 bound to one alias carries its base table's schema.
 
-The escape hatch back to interpreted evaluation is the environment variable
-``REPRO_INTERPRETED_PROBES=1`` (or ``compiled_probes=False`` on the engines
-and SteM modules).
+This is the only probe path.  Its oracle, the interpreted predicate walk
+it replaced, lives with the tests (``tests/reference/interpreted_probe.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Mapping, Sequence
 
 from repro.query.expressions import ColumnRef, Expression, Literal
@@ -64,11 +62,6 @@ _SRC_CONST = 1   # (kind, value, None)    — literal constant
 _SRC_EXPR = 2    # (kind, expression, None) — generic expression over the probe
 
 
-def compiled_probes_enabled() -> bool:
-    """The process default for the compiled probe path (env escape hatch)."""
-    return os.environ.get("REPRO_INTERPRETED_PROBES", "") not in ("1", "true", "yes")
-
-
 def _resolve_source(spec: tuple, components: Mapping[str, Row]) -> Any:
     """Evaluate a probe-side source spec against a probe's components."""
     kind, a, b = spec
@@ -84,11 +77,11 @@ def _source_spec(
 ) -> tuple | None:
     """Compile a probe-side expression, or None when it cannot be bound.
 
-    Mirrors the interpreted binding derivation: a column of a spanned alias
-    becomes a positional read, a literal folds to a constant, and any other
-    expression is kept for evaluation against the probe's components.  A
-    column of an *unspanned* alias yields None (no binding derivable) —
-    exactly the interpreted path's ``continue``.
+    Mirrors the interpreted oracle's binding derivation: a column of a
+    spanned alias becomes a positional read, a literal folds to a constant,
+    and any other expression is kept for evaluation against the probe's
+    components.  A column of an *unspanned* alias yields None (no binding
+    derivable) — exactly the interpreted oracle's ``continue``.
     """
     if isinstance(expression, ColumnRef):
         row = probe_components.get(expression.alias)
@@ -137,7 +130,7 @@ class ProbePlan:
         self.binding_columns: tuple[str, ...] = ()
         self.binding_getters: tuple[tuple, ...] = ()
         #: Predicates that could not be lowered; evaluated per candidate via
-        #: the interpreted ``Predicate.evaluate`` (allocates a merged dict).
+        #: ``Predicate.evaluate`` (allocates a merged dict).
         self.generic_predicates: tuple[Predicate, ...] = ()
         #: Compiled checks (positions resolved); None until :meth:`finish`.
         self.cmp_checks: tuple[tuple, ...] | None = None
@@ -164,7 +157,7 @@ class ProbePlan:
         Args:
             predicates: the not-yet-done predicates evaluable over
                 ``probe aliases | {target_alias}`` (the exact subset the
-                interpreted path would evaluate).
+                interpreted oracle evaluates).
             target_alias: the alias the stored rows will fill.
             probe_components: the exemplar probe's components; only the
                 *schemas* of the rows are consulted, so any probe with the
@@ -177,7 +170,7 @@ class ProbePlan:
         getters: dict[str, tuple] = {}
         generic: list[Predicate] = []
         for predicate in predicates:
-            # Binding extraction mirrors the interpreted derivation
+            # Binding extraction mirrors the interpreted oracle's derivation
             # (isinstance, so Comparison subclasses bind identically on both
             # paths); *lowering* below requires the exact type, because a
             # subclass may override ``evaluate`` and must stay generic.

@@ -36,6 +36,7 @@ from repro.core.tuples import QTuple
 from repro.query.predicates import equi_join
 from repro.query.probeplan import ProbePlan
 from repro.storage.datagen import make_source_r, make_source_s
+from tests.reference.interpreted_probe import interpreted_probe
 
 pytestmark = pytest.mark.slow
 
@@ -171,7 +172,7 @@ def test_interleavings_preserve_stem_invariants(policy_name, ops):
         if op == "build":
             stem.build(R_ROWS[argument], float(next(timestamps)))
         elif op == "probe":
-            stem.probe(make_probe(argument), "R", [JOIN_PREDICATE])
+            interpreted_probe(stem, make_probe(argument), "R", [JOIN_PREDICATE])
         elif op == "probe_plan":
             probe = make_probe(argument)
             if plan is None:
@@ -212,7 +213,7 @@ def test_churn_interleavings_preserve_registry_invariants(policy_name, ops):
         elif op == "build":
             harness.stem.build(R_ROWS[argument], float(next(harness.timestamps)))
         elif op == "probe":
-            harness.stem.probe(make_probe(argument), "R", [JOIN_PREDICATE])
+            interpreted_probe(harness.stem, make_probe(argument), "R", [JOIN_PREDICATE])
         elif op == "probe_plan":
             probe = make_probe(argument)
             if plan is None or plan.indexes_stale(harness.stem):

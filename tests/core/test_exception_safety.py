@@ -170,9 +170,7 @@ class TestSteMModuleExceptionSafety:
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
         stem = SteM("S", aliases=("S",), join_columns=("x",))
         module = SteMModule(
-            stem,
-            query.predicates if predicates is None else predicates,
-            compiled_probes=False,
+            stem, query.predicates if predicates is None else predicates
         )
         module.attach(runtime)
         return module

@@ -1,14 +1,15 @@
-"""Equivalence suite: compiled ProbePlans vs the interpreted probe path.
+"""Equivalence suite: compiled ProbePlans vs the interpreted oracle.
 
 The compiled probe path must be a pure optimisation: for every probe
 situation, :meth:`SteM.probe_with_plan` has to produce the same results in
 the same order, the same coverage verdict, and the same
-suppressed/examined accounting as the interpreted :meth:`SteM.probe` —
-including NULL (None) semantics, self-joins, and the TimeStamp /
-LastMatchTimeStamp constraints.  The property tests here generate random
-data, timestamps and predicate subsets and assert exactly that; the engine
-tests assert byte-identical results *and traces* across routing policies
-and batch sizes with the flag flipped both ways.
+suppressed/examined accounting as the interpreted reference
+(``tests/reference/interpreted_probe.py``) — including NULL (None)
+semantics, self-joins, and the TimeStamp / LastMatchTimeStamp constraints.
+The property tests here generate random data, timestamps and predicate
+subsets and assert exactly that; ``tests/engine/test_probe_path_identity.py``
+runs whole engines on both paths and asserts byte-identical results *and
+traces*.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.modules.stem_module import SteMModule
 from repro.core.stem import SteM
 from repro.core.tuples import QTuple, singleton_tuple
-from repro.engine.api import execute
-from repro.engine.multi import QueryAdmission, run_multi
 from repro.query.predicates import (
     Comparison,
     Conjunction,
@@ -29,12 +28,10 @@ from repro.query.predicates import (
     equi_join,
     selection,
 )
-from repro.query.probeplan import ProbePlan, compiled_probes_enabled
-from repro.sim.tracing import TraceLog
-from repro.storage.catalog import Catalog
-from repro.storage.datagen import make_source_r, make_source_t
+from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.reference.interpreted_probe import interpreted_probe
 
 R_SCHEMA = Schema.of("key:int", "a:int", "b:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -87,8 +84,8 @@ def both_paths(rows_with_ts, probe_maker, predicates, target="S",
             )
         else:
             outcomes.append(
-                stem.probe(
-                    probe, target, predicates,
+                interpreted_probe(
+                    stem, probe, target, predicates,
                     enforce_timestamp=enforce_timestamp,
                     update_last_match=update_last_match,
                 )
@@ -251,7 +248,7 @@ class TestSelfJoin:
                 )
                 second = stem.probe_with_plan(probe, plan)
             else:
-                first = stem.probe(probe, "r2", predicates)
+                first = interpreted_probe(stem, probe, "r2", predicates)
         assert outcome_facts(second) == outcome_facts(first)
         assert len(first.results) > 0
 
@@ -274,14 +271,14 @@ class TestPlanMechanics:
         assert plan.cmp_checks is not None
         reference = singleton_tuple("R", r_row(0, 1))
         reference.mark_built("R", 9.0)
-        expected = stem.probe(reference, "S", predicates)
+        expected = interpreted_probe(stem, reference, "S", predicates)
         assert [t.identity() for t in outcome.results] == [
             t.identity() for t in expected.results
         ]
 
     def test_module_plan_cache_is_per_probe_situation(self):
         stem = make_stem()
-        module = SteMModule(stem, [equi_join("R.a", "S.x")], compiled_probes=True)
+        module = SteMModule(stem, [equi_join("R.a", "S.x")])
         probe = singleton_tuple("R", r_row(0, 1))
         probe.mark_built("R", 1.0)
         plan = module.probe_plan_for(probe)
@@ -326,10 +323,10 @@ class TestPlanMechanics:
                                  target_schema=stem.row_schema)
         outcome = stem.probe_with_plan(probe, plan)
         assert outcome.candidates_examined == 1  # the y bucket, not the x bucket
-        # The interpreted path picks the same bucket.
+        # The interpreted oracle picks the same bucket.
         fresh = singleton_tuple("R", r_row(0, 1, 7))
         fresh.mark_built("R", 50.0)
-        assert stem.probe(fresh, "S", predicates).candidates_examined == 1
+        assert interpreted_probe(stem, fresh, "S", predicates).candidates_examined == 1
 
     def test_probe_batch_matches_single_probes(self):
         stem = make_stem()
@@ -350,7 +347,7 @@ class TestPlanMechanics:
                                  target_schema=stem.row_schema)
         batched = stem.probe_batch(probes, plan)
         singles = [
-            stem.probe(probe, "S", predicates) for probe in make_probes()
+            interpreted_probe(stem, probe, "S", predicates) for probe in make_probes()
         ]
         assert [outcome_facts(o) for o in batched] == [
             outcome_facts(o) for o in singles
@@ -366,79 +363,3 @@ class TestPlanMechanics:
         assert list(first) == list(second)
         assert first.min_timestamp == second.min_timestamp
         assert first.max_timestamp == second.max_timestamp
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INTERPRETED_PROBES", raising=False)
-        assert compiled_probes_enabled()
-        assert SteMModule(make_stem(), []).compiled_probes
-        monkeypatch.setenv("REPRO_INTERPRETED_PROBES", "1")
-        assert not compiled_probes_enabled()
-        assert not SteMModule(make_stem(), []).compiled_probes
-        # An explicit flag beats the environment.
-        assert SteMModule(make_stem(), [], compiled_probes=True).compiled_probes
-
-
-# -- engine-level byte identity --------------------------------------------------
-
-SQL = "SELECT * FROM R, T WHERE R.key = T.key AND R.a < 6"
-
-
-def build_catalog() -> Catalog:
-    catalog = Catalog()
-    catalog.add_table(make_source_r(40, 10, seed=7))
-    catalog.add_table(make_source_t(40, seed=8))
-    catalog.add_scan("R", rate=100.0)
-    catalog.add_scan("T", rate=80.0)
-    catalog.add_index("T", ["key"], latency=0.05)
-    return catalog
-
-
-def records(trace: TraceLog) -> list[tuple]:
-    return [(record.time, record.kind, record.detail) for record in trace]
-
-
-class TestEngineByteIdentity:
-    @pytest.mark.parametrize("policy", ["naive", "benefit", "lottery"])
-    @pytest.mark.parametrize("batch_size", [1, 8, 64], ids=lambda b: f"batch={b}")
-    def test_stems_engine_identical_results_and_traces(self, policy, batch_size):
-        compiled_trace, interpreted_trace = TraceLog(), TraceLog()
-        compiled = execute(
-            SQL, build_catalog(), engine="stems", policy=policy,
-            batch_size=batch_size, compiled_probes=True, trace=compiled_trace,
-        )
-        interpreted = execute(
-            SQL, build_catalog(), engine="stems", policy=policy,
-            batch_size=batch_size, compiled_probes=False, trace=interpreted_trace,
-        )
-        assert len(compiled.tuples) > 0
-        assert [t.identity() for t in compiled.tuples] == [
-            t.identity() for t in interpreted.tuples
-        ]
-        assert records(compiled_trace) == records(interpreted_trace)
-
-    def test_multi_query_shared_stems_identical(self):
-        def admissions():
-            return [
-                QueryAdmission(SQL, query_id="a", policy="naive", trace=TraceLog()),
-                QueryAdmission(
-                    "SELECT * FROM R, T WHERE R.key = T.key",
-                    query_id="b", policy="lottery",
-                    arrival_time=0.2, trace=TraceLog(),
-                ),
-            ]
-
-        compiled_admissions, interpreted_admissions = admissions(), admissions()
-        compiled = run_multi(
-            compiled_admissions, build_catalog(), shared_stems=True,
-            batch_size=8, compiled_probes=True,
-        )
-        interpreted = run_multi(
-            interpreted_admissions, build_catalog(), shared_stems=True,
-            batch_size=8, compiled_probes=False,
-        )
-        for query_id in ("a", "b"):
-            assert [t.identity() for t in compiled[query_id].tuples] == [
-                t.identity() for t in interpreted[query_id].tuples
-            ]
-        for one, other in zip(compiled_admissions, interpreted_admissions):
-            assert records(one.trace) == records(other.trace)

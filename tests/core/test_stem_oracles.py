@@ -3,7 +3,8 @@
 Every base table's state is one :class:`~repro.core.stem.SteM`, so the
 properties the engines lean on are pinned here against independent
 references: a nested-loop join over the rows stored so far, the interpreted
-probe against the compiled one, one-at-a-time probes against
+probe oracle (``tests/reference/interpreted_probe.py``) against the
+compiled path, one-at-a-time probes against
 :meth:`~repro.core.stem.SteM.probe_batch`, and a plain list model of each
 eviction window.  Hostile values (NULLs, NaN, ±inf, integers past the
 exact-float range, mixed-type columns) and operation sequences are checked
@@ -39,6 +40,7 @@ from repro.query.predicates import (
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.reference.interpreted_probe import interpreted_probe
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -146,7 +148,8 @@ class TestProbeAgainstNestedLoop:
     ):
         stem = SteM("S", aliases=("S",), join_columns=("x",) if indexed else ())
         entries = replay(stem, history)
-        outcome = stem.probe(r_probe(0, key, float(probe_timestamp)), "S", [JOIN])
+        outcome = interpreted_probe(stem, r_probe(0, key, float(probe_timestamp)), "S",
+                                    [JOIN])
         results, suppressed = nested_loop(entries, key, probe_timestamp)
         assert matched_rows(outcome) == results
         assert outcome.suppressed_by_timestamp == suppressed
@@ -164,7 +167,7 @@ class TestProbeAgainstNestedLoop:
                 for stem in (interpreted, compiled):
                     stem.build(s_row(ts % 13, ts % 7), float(ts))
             for key, (left, right) in probes.items():
-                a = interpreted.probe(left, "S", [JOIN],
+                a = interpreted_probe(interpreted, left, "S", [JOIN],
                                       update_last_match=update_last_match)
                 b = compiled_probe(compiled, right,
                                    update_last_match=update_last_match)
@@ -199,7 +202,7 @@ class TestProbeAgainstNestedLoop:
         for value in (1, 1.0, True):
             outcome = compiled_probe(stem, r_probe(0, value, 100.0))
             assert [row["y"] for row in matched_rows(outcome)] == [1, 3]
-            interpreted = stem.probe(r_probe(0, value, 100.0), "S", [JOIN])
+            interpreted = interpreted_probe(stem, r_probe(0, value, 100.0), "S", [JOIN])
             assert outcome_key(interpreted) == outcome_key(outcome)
 
     def test_compiled_probe_rejects_an_alias_it_does_not_serve(self):
@@ -584,8 +587,8 @@ def three_ways(layout, entries, probe_row, probe_timestamp, pool,
             outcome = compiled_probe(stem, probe, predicates,
                                      enforce_timestamp=enforce_timestamp)
         else:
-            outcome = stem.probe(probe, "S", predicates,
-                                 enforce_timestamp=enforce_timestamp)
+            outcome = interpreted_probe(stem, probe, "S", predicates,
+                                        enforce_timestamp=enforce_timestamp)
         outcomes.append(outcome)
     compiled, interpreted = outcomes
     assert probe_facts(compiled) == probe_facts(interpreted)
@@ -727,7 +730,7 @@ class TestHostileProbes:
                                          target_schema=stem.row_schema)
                 outcomes.append(stem.probe_with_plan(probe, plan))
             else:
-                outcomes.append(stem.probe(probe, "r2", predicates))
+                outcomes.append(interpreted_probe(stem, probe, "r2", predicates))
         assert probe_facts(outcomes[0]) == probe_facts(outcomes[1])
         expected = [row for row, _ in rows
                     if row["a"] == probe_row["a"] and probe_row["key"] < row["key"]]
@@ -862,8 +865,8 @@ class SequenceTwins:
                 outcome = compiled_probe(stem, probe, predicates,
                                          update_last_match=update_last_match)
             else:
-                outcome = stem.probe(probe, "S", predicates,
-                                     update_last_match=update_last_match)
+                outcome = interpreted_probe(stem, probe, "S", predicates,
+                                            update_last_match=update_last_match)
             outcomes.append((probe_facts(outcome), dict(probe.last_match_ts)))
         assert outcomes[0] == outcomes[1]
         stamped = self.probes[0][key].timestamp

@@ -313,7 +313,7 @@ class TestEngineOptions:
 
     def test_option_table_names_the_shared_set(self):
         assert set(OPTION_SETTINGS) == set(SHARED_ENGINE_OPTIONS)
-        assert len(SHARED_ENGINE_OPTIONS) == 8
+        assert len(SHARED_ENGINE_OPTIONS) == 7
 
     @pytest.mark.parametrize("name", SHARED_ENGINE_OPTIONS)
     def test_every_entry_point_accepts_the_option(self, name):
@@ -353,7 +353,6 @@ OPTION_SETTINGS = {
     "stem_max_size": {"stem_max_size": 12},
     "stem_eviction": {"stem_eviction": "time-window", "stem_window": 12},
     "stem_window": {"stem_window": 12},
-    "compiled_probes": {"compiled_probes": False},
 }
 
 
@@ -458,12 +457,25 @@ class TestRemovedSharding:
         assert shutdown_shard_pool() is False
 
 
-class TestRemovedColumnarPlane:
-    """The columnar data plane is gone; ``columnar`` survives only as the
-    ``MultiQueryEngine`` keyword the e2e harness passes, and it accepts
-    nothing but None or False."""
+#: Each removed option that the e2e harness still passes to
+#: ``MultiQueryEngine``: the settings it accepts, one it rejects with the
+#: error that names the removal, and the env switch it used to read.
+REMOVED_OPTIONS = {
+    "columnar": ((None, False), True, "columnar data plane was removed",
+                 ("REPRO_COLUMNAR_BACKEND", "numpy")),
+    "compiled_probes": ((None, True, False), "yes", "there is one probe path",
+                        ("REPRO_INTERPRETED_PROBES", "1")),
+}
 
-    def test_columnar_false_equals_the_default(self):
+
+@pytest.mark.parametrize("option", sorted(REMOVED_OPTIONS))
+class TestRemovedOptions:
+    """The columnar data plane and the interpreted probe path are gone;
+    ``columnar`` and ``compiled_probes`` survive only as the
+    ``MultiQueryEngine`` keywords the e2e harness passes, accept only the
+    values it passes, and select nothing."""
+
+    def test_accepted_values_equal_the_default(self, option):
         def run(**options):
             admissions = [
                 QueryAdmission(JOIN_SQL, query_id="a", policy="naive",
@@ -479,39 +491,44 @@ class TestRemovedColumnarPlane:
                 [(record.time, record.kind, record.detail) for record in a.trace]
                 for a in admissions
             ]
-            return result, traces
+            identities = {query_id: result[query_id].identities()
+                          for query_id in result.results}
+            return identities, result.stem_stats, traces
 
-        (off, off_traces), (default, default_traces) = run(columnar=False), run()
-        assert default["a"].row_count > 0
-        for query_id in ("a", "b"):
-            assert off[query_id].identities() == default[query_id].identities()
-        assert off_traces == default_traces
-        assert off.stem_stats == default.stem_stats
+        default = run()
+        assert default[0]["a"]
+        for value in REMOVED_OPTIONS[option][0]:
+            assert run(**{option: value}) == default, value
 
-    def test_columnar_true_raises(self):
-        with pytest.raises(ExecutionError, match="columnar data plane was removed"):
-            MultiQueryEngine([JOIN_SQL], build_catalog(), columnar=True)
+    def test_other_values_raise(self, option):
+        _, rejected, message, _ = REMOVED_OPTIONS[option]
+        with pytest.raises(ExecutionError, match=message):
+            MultiQueryEngine([JOIN_SQL], build_catalog(), **{option: rejected})
 
-    def test_entry_points_reject_columnar_as_unknown(self):
+    def test_entry_points_reject_the_option_as_unknown(self, option):
         admission = QueryAdmission(JOIN_SQL, query_id="a")
-        unknown = r"\(\) got unknown option\(s\): columnar"
+        unknown = rf"\(\) got unknown option\(s\): {option}"
         with pytest.raises(ExecutionError, match="execute" + unknown):
-            execute(JOIN_SQL, build_catalog(), columnar=False)
+            execute(JOIN_SQL, build_catalog(), **{option: False})
         with pytest.raises(ExecutionError, match="run_multi" + unknown):
-            run_multi([admission], build_catalog(), columnar=False)
+            run_multi([admission], build_catalog(), **{option: False})
         with pytest.raises(ExecutionError, match="run_churn" + unknown):
-            run_churn([], build_catalog(), columnar=False)
+            run_churn([], build_catalog(), **{option: False})
 
-    def test_columnar_backend_env_changes_nothing(self, monkeypatch):
+    def test_former_env_switch_changes_nothing(self, option, monkeypatch):
+        variable, value = REMOVED_OPTIONS[option][3]
+
         def digest():
             workload = staggered_fleet_workload(n_queries=3, stagger=2.0, rows=60)
             return fleet_digest(run_multi(workload.admissions, workload.catalog))
 
-        monkeypatch.delenv("REPRO_COLUMNAR_BACKEND", raising=False)
+        monkeypatch.delenv(variable, raising=False)
         default = digest()
-        monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", "numpy")
+        monkeypatch.setenv(variable, value)
         assert digest() == default
 
+
+class TestNumpyFree:
     def test_numpy_is_never_imported(self):
         # A fresh interpreter: ``import repro``, a shared-SteM fleet and a
         # fan-out join (75 matches per probe) leave numpy unloaded.
