@@ -5,13 +5,16 @@
 
 Imports the engine and ``benchmarks/e2e/workloads.py`` of the checkout named
 (run it once per checkout to compare two).  After a warm-up it prints, as
-JSON: hand-offs into the eddy and the items they carried, extension templates
-and routing-signature tuples built, the GC-tracked objects one repetition
-leaves alive while its outcome is held; then, over ``--repetitions`` unwrapped
-repetitions, the collector's passes per generation and its seconds (from
-``gc.callbacks``) beside the wall seconds, and the wall seconds with the
-collector off.  The collector is never touched inside ``src/``: this is where
-its share is measured.
+JSON: hand-offs into the eddy and the items they carried, extension templates,
+routing-signature tuples and tuple ids made, the GC-tracked objects one
+repetition leaves alive while its outcome is held; then, over
+``--repetitions`` unwrapped repetitions, the collector's passes per
+generation (all of them, and those that fire while the engine collects its
+results) and its seconds (from ``gc.callbacks``) beside the wall seconds, the
+process's peak resident set, and the wall seconds with the collector off;
+last, the bytes one held outcome keeps per result (``tracemalloc`` over one
+more repetition).  The collector is never touched inside ``src/``: this is
+where its share is measured.
 """
 
 import argparse
@@ -19,6 +22,7 @@ import gc
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from statistics import median
 
@@ -46,8 +50,11 @@ def main():
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root), str(root / "src")]
     from benchmarks.e2e import workloads
+    from benchmarks.e2e.run import peak_rss_mb
+    from repro.core import tuples
     from repro.core.eddy import Eddy
     from repro.core.tuples import QTuple
+    from repro.engine import multi
 
     prepared = workloads.WORKLOADS[args.workload](args.seed, 1.0)
     workloads.execute(prepared)  # warm-up
@@ -71,6 +78,8 @@ def main():
     outcome = workloads.execute(prepared)
     gc.collect()
     counts["tracked_objects_kept"] = len(gc.get_objects()) - before
+    # Every run installs a fresh allocator: its next id counts this run's ids.
+    counts["tuple_ids_allocated"] = tuples._id_allocator.allocate() - 1
     counts["results"] = sum(len(result.tuples) for _, result in outcome.result.items())
     QTuple.routing_signature = signature
     for restore in undo:
@@ -78,6 +87,15 @@ def main():
     del outcome
 
     passes, seconds, started = [0, 0, 0], [0.0], [None]
+    passes_at_collect, collecting = [0, 0, 0], [False]
+    collect = multi.collect_stems_result
+
+    def collect_stems_result(*args, **kwargs):
+        collecting[0] = True
+        try:
+            return collect(*args, **kwargs)
+        finally:
+            collecting[0] = False
 
     def on_collection(phase, info):
         if phase == "start":
@@ -85,6 +103,7 @@ def main():
         elif started[0] is not None:
             seconds[0] += time.perf_counter() - started[0]
             passes[info["generation"]] += 1
+            passes_at_collect[info["generation"]] += collecting[0]
 
     def timed(repetitions):
         nonlocal in_repetition
@@ -100,11 +119,19 @@ def main():
 
     in_repetition = False
     gc.callbacks.append(on_collection)
-    walls = timed(args.repetitions)
-    gc.callbacks.remove(on_collection)
+    multi.collect_stems_result = collect_stems_result
+    try:
+        walls = timed(args.repetitions)
+    finally:
+        multi.collect_stems_result = collect
+        gc.callbacks.remove(on_collection)
     counts["collector_passes_per_repetition"] = [
         round(n / args.repetitions, 1) for n in passes
     ]
+    counts["collector_passes_at_collect_per_repetition"] = [
+        round(n / args.repetitions, 1) for n in passes_at_collect
+    ]
+    counts["peak_rss_mb"] = round(peak_rss_mb(), 1)
     gc.disable()
     try:
         walls_off = timed(args.repetitions)
@@ -113,6 +140,17 @@ def main():
     counts["wall_s"] = round(median(walls), 4)
     counts["collector_s"] = round(seconds[0] / args.repetitions, 4)
     counts["wall_s_collector_off"] = round(median(walls_off), 4)
+
+    # Traced last: tracemalloc slows the run and adds its own bookkeeping.
+    gc.collect()
+    tracemalloc.start()
+    outcome = workloads.execute(prepared)
+    gc.collect()
+    traced = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    del outcome
+    counts["traced_mb_held"] = round(traced / 1e6, 1)
+    counts["retained_bytes_per_result"] = round(traced / max(counts["results"], 1))
     header = {"checkout": str(root), "workload": args.workload, "seed": args.seed}
     print(json.dumps({**header, **counts}, indent=1))
 

@@ -10,7 +10,6 @@ are thin wrappers around these runners.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.policies import BenefitPolicy, NaivePolicy
 from repro.engine.joins_engine import JoinSpec, run_eddy_joins
@@ -38,22 +37,6 @@ class ExperimentReport:
     def output_series(self, approach: str) -> Series:
         """Cumulative results-over-time series of one approach."""
         return self.results[approach].output_series
-
-    def sample_table(
-        self, times: Sequence[float], approaches: Sequence[str] | None = None
-    ) -> list[tuple[float, dict[str, int]]]:
-        """Cumulative result counts of every approach at the given times."""
-        approaches = list(approaches or self.results)
-        table = []
-        for time in times:
-            table.append(
-                (time, {name: self.results[name].results_at(time) for name in approaches})
-            )
-        return table
-
-    def completion_times(self) -> dict[str, float | None]:
-        """Completion (last-result) time per approach."""
-        return {name: result.completion_time for name, result in self.results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +100,10 @@ def index_probe_series(report: ExperimentReport) -> dict[str, Series]:
     """The cumulative index-probe series of every approach in a report."""
     series: dict[str, Series] = {}
     for name, result in report.results.items():
-        merged: list[tuple[float, int]] = []
-        count = 0
-        points = sorted(
-            point for s in result.index_probe_series.values() for point in s.points
+        times = sorted(
+            time for s in result.index_probe_series.values() for time in s.times
         )
-        for time, _ in points:
-            count += 1
-            merged.append((time, count))
-        series[name] = Series.from_points(merged, name=name)
+        series[name] = Series(times, name=name)
     return series
 
 
@@ -310,9 +288,7 @@ def run_prioritized(
     for name, result in report.results.items():
         times = [
             record_time
-            for record_time, tuple_ in zip(
-                [point[0] for point in result.output_series.points], result.tuples
-            )
+            for record_time, tuple_ in zip(result.output_series.times, result.tuples)
             if tuple_.value("R", "a") < threshold
         ]
         mean_time = sum(times) / len(times) if times else float("nan")

@@ -691,10 +691,6 @@ class Eddy:
         """The emitted result tuples, in output order."""
         return list(self.output_tuples)
 
-    def output_series(self) -> list[tuple[float, int]]:
-        """Cumulative (time, result count) series — the paper's y-axis."""
-        return list(zip(self.output_times, itertools.count(1)))
-
     @property
     def completion_time(self) -> float | None:
         """Virtual time of the last output, or None if nothing was produced."""

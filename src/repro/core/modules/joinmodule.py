@@ -48,11 +48,10 @@ def _merge_tuples(
     ]
     if not all(predicate.evaluate(components) for predicate in pending):
         return None
-    timestamps = dict(left.timestamps)
-    timestamps.update(right.timestamps)
+    # No overlap: ``components`` lists left's aliases, then right's.
     result = QTuple(
         components,
-        timestamps=timestamps,
+        timestamps=dict(zip(components, left._ts + right._ts)),
         source=left.source or right.source,
         priority=max(left.priority, right.priority),
         created_at=min(left.created_at, right.created_at),

@@ -667,14 +667,6 @@ class SteM:
         """Register a callback invoked with every EOT built into the SteM."""
         self._eot_listeners.append(callback)
 
-    def remove_eot_listener(self, callback) -> bool:
-        """Unregister an EOT listener; True when it was registered."""
-        try:
-            self._eot_listeners.remove(callback)
-        except ValueError:
-            return False
-        return True
-
     def add_evict_listener(self, callback) -> None:
         """Register a callback invoked with every evicted row."""
         self._evict_listeners.append(callback)

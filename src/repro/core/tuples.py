@@ -115,7 +115,8 @@ class QTuple:
         components: mapping from alias to the base-table :class:`Row` for
             that alias.  A singleton tuple has exactly one entry.
         timestamps: per-alias build timestamps; missing aliases default to
-            :data:`UNBUILT`.
+            :data:`UNBUILT`.  An alias ``components`` lacks raises
+            :class:`~repro.errors.ExecutionError`.
         done: predicate ids already verified on this tuple.
         source: name of the access module that produced the (first) base
             component — used for provenance and competitive-AM statistics.
@@ -132,7 +133,7 @@ class QTuple:
         "tuple_id",
         "query_id",
         "components",
-        "timestamps",
+        "_ts",
         "done_mask",
         "source",
         "_priority",
@@ -169,11 +170,16 @@ class QTuple:
         #: so outputs, traces and shared-SteM bookkeeping stay per-query.
         self.query_id = query_id
         self.components: dict[str, Row] = dict(components)
-        self.timestamps: dict[str, float] = {
-            alias: UNBUILT for alias in self.components
-        }
+        #: Build timestamps, aligned with the order of :attr:`components`
+        #: (:attr:`timestamps` is the per-alias view).
+        self._ts: tuple[float, ...] = (UNBUILT,) * len(self.components)
         if timestamps:
-            self.timestamps.update(timestamps)
+            unknown = sorted(timestamps.keys() - self.components.keys())
+            if unknown:
+                raise ExecutionError(
+                    f"timestamps name aliases the tuple does not span: {unknown}"
+                )
+            self._ts = tuple(timestamps.get(alias, UNBUILT) for alias in self.components)
         #: Alias space the masks below are encoded over.
         self.layout: AliasSpace = layout if layout is not None else FALLBACK_ALIAS_SPACE
         #: Bit per spanned alias (paper definition 1).
@@ -262,7 +268,12 @@ class QTuple:
         For singleton tuples that have not yet been built this is
         :data:`UNBUILT` (infinity).
         """
-        return max(self.timestamps[alias] for alias in self.components)
+        return max(self._ts)
+
+    @property
+    def timestamps(self) -> dict[str, float]:
+        """Per-alias build timestamps (a fresh dict on every read)."""
+        return dict(zip(self.components, self._ts))
 
     def component(self, alias: str) -> Row:
         """The base-table component for an alias."""
@@ -435,8 +446,15 @@ class QTuple:
 
     def mark_built(self, alias: str, timestamp: float) -> None:
         """Record that the component for ``alias`` was built at ``timestamp``."""
+        if alias not in self.components:
+            raise ExecutionError(f"tuple {self} does not span alias {alias!r}")
         self.built_mask |= self.layout.bit_of(alias)
-        self.timestamps[alias] = timestamp
+        ts = self._ts
+        if len(ts) == 1:
+            self._ts = (timestamp,)
+        else:
+            position = list(self.components).index(alias)
+            self._ts = ts[:position] + (timestamp,) + ts[position + 1 :]
         self._signature = None
 
     def has_built(self, alias: str) -> bool:
@@ -457,10 +475,6 @@ class QTuple:
         self.exhausted_mask |= self.layout.bit_of(alias)
         self._signature = None
 
-    def is_exhausted(self, alias: str) -> bool:
-        """True if AM probes on the alias can no longer yield new matches."""
-        return bool(self.exhausted_mask & self.layout.peek_bit(alias))
-
     # -- derivation -------------------------------------------------------------
 
     def extender(self, alias: str, extra_done: int = 0, created_at: float | None = None):
@@ -480,7 +494,7 @@ class QTuple:
         layout = self.layout
         bit = layout.bit_of(alias)
         query_id = self.query_id
-        timestamps = self.timestamps
+        parent_ts = self._ts
         done_mask = self.done_mask | extra_done
         source = self.source
         priority = self._priority
@@ -497,7 +511,7 @@ class QTuple:
             result.tuple_id = allocate()
             result.query_id = query_id
             result.components = {**components, alias: row}
-            result.timestamps = {**timestamps, alias: row_timestamp}
+            result._ts = parent_ts + (row_timestamp,)
             result.done_mask = done_mask
             result.source = source
             result._priority = priority

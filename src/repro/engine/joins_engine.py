@@ -284,7 +284,7 @@ class EddyJoinsEngine:
             engine="eddy-joins",
             query_name=self.query.name,
             tuples=self.eddy.result_tuples,
-            output_series=Series.from_points(self.eddy.output_series(), name="results"),
+            output_series=Series(self.eddy.output_times, name="results"),
             completion_time=self.eddy.completion_time,
             final_time=final_time,
             index_probe_series=index_series,

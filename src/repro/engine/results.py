@@ -4,41 +4,68 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.tuples import QTuple
 
 
-@dataclass(frozen=True)
 class Series:
-    """A cumulative time series: (virtual time, cumulative count) pairs."""
+    """A cumulative time series: (virtual time, cumulative count) pairs.
 
-    points: tuple[tuple[float, int], ...] = ()
-    name: str = ""
+    Only the times are stored when the counts are 1..n (``counts`` is None),
+    which is the case for the output and partial-result series: a kept
+    result costs its time, not a pair.  :meth:`from_points` keeps explicit
+    counts.  Iteration yields the pairs one at a time; :attr:`points` builds
+    a fresh tuple of them on every read.  Equality and hashing compare the
+    content, so a series equals :meth:`from_points` of its own pairs.
+    """
+
+    __slots__ = ("times", "counts", "name")
+
+    def __init__(
+        self,
+        times: Iterable[float] = (),
+        counts: Iterable[int] | None = None,
+        name: str = "",
+    ):
+        self.times: tuple[float, ...] = tuple(times)
+        self.counts: tuple[int, ...] | None = None if counts is None else tuple(counts)
+        if self.counts is not None and len(self.counts) != len(self.times):
+            raise ValueError("a series needs one count per time")
+        self.name = name
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, int]], name: str = "") -> "Series":
-        return cls(tuple(points), name=name)
+        pairs = tuple(points)
+        return cls([time for time, _ in pairs], [count for _, count in pairs], name=name)
+
+    @property
+    def points(self) -> tuple[tuple[float, int], ...]:
+        """The ``(time, count)`` pairs, built afresh on every read."""
+        return tuple(self)
 
     @property
     def final_count(self) -> int:
         """The last cumulative count (0 for an empty series)."""
-        return self.points[-1][1] if self.points else 0
+        if self.counts is None:
+            return len(self.times)
+        return self.counts[-1] if self.counts else 0
 
     @property
     def final_time(self) -> float:
         """The time of the last point (0.0 for an empty series)."""
-        return self.points[-1][0] if self.points else 0.0
+        return self.times[-1] if self.times else 0.0
 
     def count_at(self, time: float) -> int:
         """Cumulative count at a given virtual time."""
-        position = bisect.bisect_right(self.points, time, key=itemgetter(0))
-        return self.points[position - 1][1] if position else 0
+        position = bisect.bisect_right(self.times, time)
+        if self.counts is None:
+            return position
+        return self.counts[position - 1] if position else 0
 
     def time_to_count(self, count: int) -> float | None:
         """Earliest time at which the cumulative count reaches ``count``."""
-        for time, value in self.points:
+        for time, value in self:
             if value >= count:
                 return time
         return None
@@ -48,10 +75,22 @@ class Series:
         return [(time, self.count_at(time)) for time in times]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.times)
 
-    def __iter__(self):
-        return iter(self.points)
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        counts = range(1, len(self.times) + 1) if self.counts is None else self.counts
+        return zip(self.times, counts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.name))
+
+    def __repr__(self) -> str:
+        return f"Series(name={self.name!r}, points={len(self.times)})"
 
 
 @dataclass

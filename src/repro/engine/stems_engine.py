@@ -233,7 +233,7 @@ def collect_stems_result(
         query_name=query.name,
         query_id=query_id,
         tuples=eddy.result_tuples,
-        output_series=Series.from_points(eddy.output_series(), name="results"),
+        output_series=Series(eddy.output_times, name="results"),
         completion_time=eddy.completion_time,
         final_time=final_time,
         index_probe_series=index_series,
@@ -340,7 +340,7 @@ def _partial_series(eddy: Eddy) -> dict[str, Series]:
     for span, times in eddy.partial_series.items():
         key = "+".join(sorted(span))
         # Entry times are appended under the simulator's monotone clock.
-        series[key] = Series.from_points(zip(times, range(1, len(times) + 1)), name=key)
+        series[key] = Series(times, name=key)
     return series
 
 

@@ -87,6 +87,3 @@ class RoutingViolationError(ExecutionError):
 class SimulationError(ReproError):
     """The discrete-event simulator was used incorrectly."""
 
-
-class BenchmarkError(ReproError):
-    """A benchmark harness was configured inconsistently."""

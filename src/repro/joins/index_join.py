@@ -93,8 +93,3 @@ class IndexJoin(BinaryJoin):
         del right  # the inner side is reached through the lookup callable
         for outer in left:
             yield from self.probe(outer)
-
-    @property
-    def distinct_keys_probed(self) -> int:
-        """Number of distinct keys looked up so far (equals index lookups)."""
-        return self.stats["index_lookups"] if self.cache_enabled else len(self._cache)

@@ -75,10 +75,6 @@ class JoinGraph:
         """Aliases adjacent to ``alias``."""
         return sorted({edge.other(alias) for edge in self._adjacency[alias]})
 
-    def edges_of(self, alias: str) -> list[JoinEdge]:
-        """Edges incident to ``alias``."""
-        return list(self._adjacency[alias])
-
     def edges_between(self, left: str, right: str) -> list[JoinEdge]:
         """All edges (join predicates) between two aliases."""
         return [edge for edge in self._adjacency[left] if edge.other(left) == right]

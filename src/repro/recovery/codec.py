@@ -194,8 +194,8 @@ def encode_item(item: QTuple | EOTTuple) -> dict:
         }
     return {
         "rows": [
-            [alias, row.table, encode_row(row), encode_value(item.timestamps[alias])]
-            for alias, row in item.components.items()
+            [alias, row.table, encode_row(row), encode_value(timestamp)]
+            for (alias, row), timestamp in zip(item.components.items(), item._ts)
         ],
         "done": bit_positions(item.done_mask),
         "built": sorted(item.built),

@@ -69,10 +69,6 @@ class CrashInjector:
         self.simulator.after_event_hook = self._hook
         return self
 
-    def disarm(self) -> None:
-        if self.simulator.after_event_hook is self._hook:
-            self.simulator.after_event_hook = None
-
     def _hook(self, event) -> None:
         self.seen += 1
         if not self.fired and self.seen >= self.after_events:

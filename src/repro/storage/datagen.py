@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import random
 import string
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -341,10 +341,3 @@ def make_cyclic_triple(
         table_c.insert((identifier, ca_value))
     return table_a, table_b, table_c
 
-
-def generate_rows(
-    count: int, generator: Callable[[int, random.Random], Sequence[Any]], seed: int = 0
-) -> list[Sequence[Any]]:
-    """Utility: produce ``count`` value-sequences from a row-generator callable."""
-    rng = random.Random(seed)
-    return [generator(index, rng) for index in range(count)]

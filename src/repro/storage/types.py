@@ -22,11 +22,6 @@ class DataType(enum.Enum):
     STRING = "string"
     BOOLEAN = "boolean"
 
-    @property
-    def python_type(self) -> type:
-        """The Python type used to represent values of this data type."""
-        return _PYTHON_TYPES[self]
-
     def validate(self, value: Any) -> bool:
         """Return True if ``value`` is a valid instance of this type.
 
@@ -91,13 +86,6 @@ class DataType(enum.Enum):
         except KeyError:
             raise SchemaError(f"unknown data type {name!r}") from None
 
-
-_PYTHON_TYPES = {
-    DataType.INTEGER: int,
-    DataType.FLOAT: float,
-    DataType.STRING: str,
-    DataType.BOOLEAN: bool,
-}
 
 _NAME_ALIASES = {
     "int": DataType.INTEGER,

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness: workloads, series, and text reports."""
 
+import bisect
+
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.report import (
     comparison_summary,
@@ -116,6 +119,50 @@ class TestSeries:
     def test_sampled(self):
         series = self.make()
         assert series.sampled([1.0, 4.0]) == [(1.0, 10), (4.0, 60)]
+
+    def test_points_are_built_afresh_and_iteration_streams(self):
+        series = Series((1.0, 2.0, 2.0), name="results")
+        assert series.points == ((1.0, 1), (2.0, 2), (2.0, 3))
+        assert series.points is not series.points
+        pairs = iter(series)
+        assert next(pairs) == (1.0, 1) and next(pairs) == (2.0, 2)
+        assert series == Series.from_points(series.points, name="results")
+        assert series != Series.from_points(series.points, name="other")
+        assert series != Series.from_points([(1.0, 1), (2.0, 2), (2.0, 4)], name="results")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.25]), max_size=12).map(sorted),
+        explicit=st.booleans(),
+        steps=st.lists(st.integers(-2, 5), min_size=12, max_size=12),
+        probes=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0, 7.25, 9.0]), max_size=6),
+        targets=st.lists(st.integers(-3, 15), max_size=6),
+    )
+    def test_answers_match_the_tuple_of_points(self, times, explicit, steps, probes, targets):
+        """Drawn series (empty, tied times, implicit 1..n or drawn explicit
+        counts) answer exactly as the former tuple-of-points ``Series``."""
+        if explicit:
+            counts = [sum(steps[: i + 1]) for i in range(len(times))]
+        else:
+            counts = list(range(1, len(times) + 1))
+        points = tuple(zip(times, counts))
+        series = (
+            Series.from_points(points, name="s") if explicit else Series(times, name="s")
+        )
+        assert (series.counts is None) is not explicit
+        assert series.points == points and tuple(series) == points
+        assert len(series) == len(points)
+        assert series.final_count == (points[-1][1] if points else 0)
+        assert series.final_time == (points[-1][0] if points else 0.0)
+        for time in probes:
+            position = bisect.bisect_right(points, time, key=lambda point: point[0])
+            assert series.count_at(time) == (points[position - 1][1] if position else 0)
+        for count in targets:
+            expected = next((time for time, value in points if value >= count), None)
+            assert series.time_to_count(count) == expected, count
+        reference = Series.from_points(points, name="s")
+        assert series == reference and hash(series) == hash(reference)
+        assert series.sampled(probes) == reference.sampled(probes)
 
 
 class TestReportHelpers:

@@ -305,7 +305,7 @@ class TestOutputColumns:
 
     def test_outputs_view_agrees_with_the_columns(self):
         engine = small_engine()
-        engine.run()
+        result = engine.run()
         eddy = engine.eddy
         times, tuples = eddy.output_times, eddy.output_tuples
         outputs = eddy.outputs
@@ -315,7 +315,7 @@ class TestOutputColumns:
         assert [r.time for r in outputs[10:20:3]] == times[10:20:3]
         assert (outputs[-1].time, outputs[-1].tuple) == (times[-1], tuples[-1])
         assert eddy.result_tuples == tuples and eddy.result_tuples is not tuples
-        assert eddy.output_series() == [(t, n + 1) for n, t in enumerate(times)]
+        assert list(result.output_series) == [(t, n + 1) for n, t in enumerate(times)]
         assert eddy.completion_time == times[-1]
         # A view, not the store: editing it edits nothing.
         outputs.clear()

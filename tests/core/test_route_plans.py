@@ -290,7 +290,13 @@ def _engine(**kwargs) -> StemsEngine:
 def _planned(engine):
     """A built R singleton's plan, with the eddy's choice filled in."""
     checker = engine.eddy.resolver
-    tuple_ = singleton_tuple("R", engine.catalog.table("R").rows[0])
+    # Encoded over the query's layout, as the eddy binds every tuple before
+    # routing it: a fallback-space tuple's signature would change when the
+    # plan rebinds it, and which bit the fallback space gave "R" depends on
+    # the tests that ran before.
+    tuple_ = singleton_tuple(
+        "R", engine.catalog.table("R").rows[0], layout=checker.layout
+    )
     tuple_.mark_built("R", 1.0)
     plan = checker.route_plan(tuple_.routing_signature(), tuple_)
     plan.choice = engine.eddy.policy.fixed_choice(plan.destinations)

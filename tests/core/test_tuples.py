@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,15 @@ class TestQTupleBasics:
     def test_empty_components_rejected(self):
         with pytest.raises(ExecutionError):
             QTuple({})
+
+    def test_timestamps_for_an_alias_not_spanned_are_rejected(self):
+        """The checkpoint codec writes one timestamp per component, so such
+        an entry would not survive a checkpoint: the restored tuple's
+        ``timestamps`` would differ from the checkpointed one's."""
+        with pytest.raises(ExecutionError, match="does not span"):
+            QTuple({"R": r_row()}, timestamps={"R": 1.0, "S": 2.0})
+        with pytest.raises(ExecutionError):
+            singleton_tuple("R", r_row()).mark_built("S", 1.0)
 
     def test_single_alias_requires_singleton(self):
         tuple_ = QTuple({"R": r_row(), "S": s_row()})
@@ -271,6 +281,54 @@ class TestExtensionMatchesConstructor:
             parent.extended("R", r_row(), 9.0)
 
 
+class TestTimestampsMatchTheDict:
+    """Build timestamps ride a float tuple aligned with ``components``;
+    ``timestamps`` must read exactly as the per-alias dict the tuple used
+    to carry — built from the constructor's mapping (absent aliases
+    :data:`UNBUILT`), overwritten by ``mark_built`` and extended by one
+    entry per probe match."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        composite=st.booleans(),
+        given_ts=st.dictionaries(st.sampled_from(["R", "S"]), st.floats(0.0, 9.0)),
+        builds=st.lists(
+            st.tuples(st.sampled_from(["R", "S"]), st.floats(0.0, 9.0)), max_size=3
+        ),
+        stored=st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 20.0)), max_size=6),
+    )
+    def test_every_sibling_for_probes_and_mark_built(self, composite, given_ts, builds, stored):
+        from repro.core.stem import SteM
+
+        components = {"R": r_row(key=1)}
+        if composite:
+            components["S"] = s_row()
+        given_ts = {alias: ts for alias, ts in given_ts.items() if alias in components}
+        tuple_ = QTuple(components, timestamps=given_ts)
+        model = {alias: UNBUILT for alias in components}
+        model.update(given_ts)
+        assert tuple_.timestamps == model and list(tuple_.timestamps) == list(components)
+        for alias, ts in builds:
+            if alias in components:
+                tuple_.mark_built(alias, ts)
+                model[alias] = ts
+            assert tuple_.timestamps == model
+            assert tuple_.timestamp == max(model.values())
+        stem = SteM("T", aliases=("T",), join_columns=("key",))
+        for key, ts in stored:
+            stem.build(Row("T", T_SCHEMA, (key,)), ts)
+        outcome = stem.probe(tuple_, "T", [equi_join("R.key", "T.key")])
+        for sibling in outcome.results:
+            row = sibling.components["T"]
+            built = next(ts for key, ts in stored if (key,) == row.values)
+            assert sibling.timestamps == {**model, "T": built}
+            assert list(sibling.timestamps) == list(sibling.components)
+            assert sibling.timestamp == max(*model.values(), built)
+        fresh = tuple_.timestamps
+        fresh["R"] = -1.0  # a copy: editing it edits nothing
+        assert tuple_.timestamps == model
+
+
 class TestHotObjectsAreLean:
     def test_no_instance_dicts(self):
         tuple_ = singleton_tuple("R", r_row())
@@ -283,24 +341,29 @@ class TestHotObjectsAreLean:
             assert not hasattr(instance, "__dict__"), type(instance).__name__
 
     @staticmethod
-    def _fanout_join(distinct):
-        """A 60 x 60 row join on a ``distinct``-valued column, and how many
-        GC-tracked objects the run left alive."""
+    def _fanout_engine(distinct):
+        """A 60 x 60 row join on a ``distinct``-valued column."""
         from repro.engine.stems_engine import StemsEngine
         from repro.storage.catalog import Catalog
         from repro.storage.table import Table
 
-        gc.collect()
-        records = sum(type(o) is OutputRecord for o in gc.get_objects())
-        tracked = len(gc.get_objects())
         catalog = Catalog()
         for name in ("A", "B"):
             table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
             table.insert_many((i, i % distinct) for i in range(60))
             catalog.add_scan(name, rate=100.0)
-        engine = StemsEngine(
+        return StemsEngine(
             "SELECT * FROM A, B WHERE A.value = B.value", catalog, policy="naive"
         )
+
+    @classmethod
+    def _fanout_join(cls, distinct):
+        """The fan-out join's run, and how many GC-tracked objects it left
+        alive."""
+        gc.collect()
+        records = sum(type(o) is OutputRecord for o in gc.get_objects())
+        tracked = len(gc.get_objects())
+        engine = cls._fanout_engine(distinct)
         result = engine.run()
         gc.collect()
         tracked = len(gc.get_objects()) - tracked
@@ -310,19 +373,63 @@ class TestHotObjectsAreLean:
     def test_a_retained_result_is_two_tracked_containers(self):
         """A kept result costs its ``QTuple`` and its ``components`` dict:
         no ``OutputRecord``, a signature shared by the probe's matches, and
-        a ``timestamps`` dict (str -> float) the collector does not track."""
+        a float tuple of build timestamps the collector untracks."""
         small = self._fanout_join(distinct=12)
         large = self._fanout_join(distinct=3)  # same rows, 4x the results
         (_, small_result, small_tracked, _), (engine, result, tracked, records) = small, large
         assert result.row_count == 4 * small_result.row_count == 1200
         assert records == 0 and len(engine.eddy.outputs) == 1200
-        assert not any(gc.is_tracked(t.timestamps) for t in result.tuples)
+        assert not any(gc.is_tracked(t._ts) for t in result.tuples)
         assert all(gc.is_tracked(t.components) for t in result.tuples)
         signatures = {id(t.routing_signature()) for t in result.tuples}
         probes = sum(module.stats["probes"] for module in engine.eddy.stems.values())
         assert len(signatures) <= probes == 120  # one per probe with matches
         extra_results = result.row_count - small_result.row_count
         assert tracked - small_tracked <= 2 * extra_results + 64
+
+    def test_retained_bytes_per_result(self):
+        """What a held run keeps per extra result: the ``QTuple``, its
+        ``components`` dict, its timestamp tuple, its id and one pointer per
+        result list and series.  A per-result ``timestamps`` dict or a
+        ``(time, count)`` pair per series point does not fit (on CPython
+        3.11: about 820 bytes with them, 525 without)."""
+
+        def traced(distinct):
+            engine = self._fanout_engine(distinct)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = engine.run()
+                gc.collect()
+                return result.row_count, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        traced(12)  # warm-up: first-use caches are not per-result costs
+        (small_rows, small_bytes), (rows, held) = traced(12), traced(3)
+        assert (rows, small_rows) == (1200, 300)
+        assert (held - small_bytes) / (rows - small_rows) <= 600
+
+    def test_collecting_a_result_allocates_no_per_point_tuple(self):
+        """The output and partial-result series keep their times, not a
+        ``(time, count)`` pair per point: collecting a run makes no
+        container per result."""
+        from repro.engine.stems_engine import collect_stems_result
+
+        engine = self._fanout_engine(distinct=3)
+        result = engine.run()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            collected = collect_stems_result(engine.eddy, engine.query, result.final_time)
+            made = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert collected.row_count == 1200 and collected.output_series.counts is None
+        assert made < collected.row_count // 4
+        assert all(series.counts is None for series in collected.partial_series.values())
+        assert collected.output_series == result.output_series
 
     def test_equal_rows_hash_equal(self):
         first = Row("R", R_SCHEMA, (1, 10), rid=0)
