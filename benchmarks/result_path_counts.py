@@ -6,8 +6,10 @@
 Imports the engine and ``benchmarks/e2e/workloads.py`` of the checkout named
 (run it once per checkout to compare two).  After a warm-up it prints, as
 JSON: hand-offs into the eddy and the items they carried, extension templates,
-routing-signature tuples and tuple ids made, the GC-tracked objects one
-repetition leaves alive while its outcome is held; then, over
+routing-signature tuples and tuple ids made, calls to ``Row.__hash__``,
+``QTuple.__init__``, ``SteMModule._is_build`` and ``SteM.covers``, the
+GC-tracked objects one repetition leaves alive while its outcome is held;
+then, over
 ``--repetitions`` unwrapped repetitions, the collector's passes per
 generation (all of them, and those that fire while the engine collects its
 results) and its seconds (from ``gc.callbacks``) beside the wall seconds, the
@@ -53,8 +55,11 @@ def main():
     from benchmarks.e2e.run import peak_rss_mb
     from repro.core import tuples
     from repro.core.eddy import Eddy
+    from repro.core.modules.stem_module import SteMModule
+    from repro.core.stem import SteM
     from repro.core.tuples import QTuple
     from repro.engine import multi
+    from repro.storage.row import Row
 
     prepared = workloads.WORKLOADS[args.workload](args.seed, 1.0)
     workloads.execute(prepared)  # warm-up
@@ -66,6 +71,15 @@ def main():
     if hasattr(QTuple, "extender"):
         undo.append(counted(QTuple, "extender", counts, "extension_templates"))
     undo.append(counted(QTuple, "extended", counts, "extended_calls"))
+    for cls, name in (
+        (Row, "__hash__"),
+        (QTuple, "__init__"),
+        (SteMModule, "_is_build"),
+        (SteM, "covers"),
+    ):
+        key = f"{cls.__name__}.{name}_calls"
+        counts[key] = 0
+        undo.append(counted(cls, name, counts, key))
     signature = QTuple.routing_signature
 
     def routing_signature(self):

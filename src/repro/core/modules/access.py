@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 from repro.errors import ExecutionError
 from repro.core.modules.base import Module, Routable
-from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
+from repro.core.tuples import EOTTuple, QTuple, singleton_maker
 from repro.query.predicates import Predicate
 from repro.query.probeplan import bind_key_from_sources, compile_bind_sources
 from repro.sim.latency import (
@@ -67,6 +67,8 @@ class ScanAMModule(Module):
         #: Handle of the one armed event, so a retiring query can cancel
         #: the rows its scan would still have streamed.
         self._armed = None
+        #: The singleton template of this scan's deliveries (see ``_open_stream``).
+        self._make_singleton = None
         self.stats.update({"delivered": 0, "seed_probes": 0, "cancelled": 0})
 
     def start(self) -> None:
@@ -95,6 +97,9 @@ class ScanAMModule(Module):
         ``cursor`` — the arithmetic is seeded, so a restored scan gets the
         very instants and order the original had."""
         assert self.runtime is not None
+        self._make_singleton = singleton_maker(
+            self.alias, self.name, getattr(self.runtime, "layout", None)
+        )
         rate = max(self.spec.rate, 1e-9)
         outages = (
             AvailabilityModel.from_pairs(self.spec.stalls)
@@ -181,14 +186,7 @@ class ScanAMModule(Module):
         self.delivered += 1
         self.stats["delivered"] += 1
         self._last_delivery_time = now
-        tuple_ = singleton_tuple(
-            self.alias,
-            row,
-            source=self.name,
-            created_at=now,
-            layout=getattr(runtime, "layout", None),
-        )
-        runtime.to_eddy(tuple_, self)
+        runtime.to_eddy(self._make_singleton(row, now), self)
 
     def _deliver_eot(self) -> None:
         assert self.runtime is not None
@@ -473,12 +471,9 @@ class IndexAMModule(Module):
         if self.spec.matches_per_probe is not None:
             matches = matches[: self.spec.matches_per_probe]
         self.stats["matches"] += len(matches)
-        layout = getattr(self.runtime, "layout", None)
+        make = singleton_maker(self.alias, self.name, getattr(self.runtime, "layout", None))
         now = self.runtime.now
-        tuples = [
-            singleton_tuple(self.alias, row, source=self.name, created_at=now, layout=layout)
-            for row in matches
-        ]
+        tuples = [make(row, now) for row in matches]
         eot = EOTTuple(
             table=self.table.name,
             alias=self.alias,

@@ -68,6 +68,10 @@ class SteMModule(Module):
         #: benefit routing consults these before falling back to the
         #: module-wide average.
         self.signature_stats: dict[tuple[int, int], list[int]] = {}
+        #: The item :meth:`service_time` last classified, and whether it is
+        #: a build: :meth:`process` reuses the verdict for that same item.
+        self._classified: QTuple | None = None
+        self._classified_build = False
 
     # -- service ------------------------------------------------------------------
 
@@ -75,7 +79,9 @@ class SteMModule(Module):
         if isinstance(item, EOTTuple):
             return self.build_cost
         assert isinstance(item, QTuple)
-        return self.build_cost if self._is_build(item) else self.probe_cost
+        is_build = self._classified_build = self._is_build(item)
+        self._classified = item
+        return self.build_cost if is_build else self.probe_cost
 
     def _is_build(self, item: QTuple) -> bool:
         """A singleton of this SteM's table that has not been built yet."""
@@ -95,7 +101,12 @@ class SteMModule(Module):
                 self._notice_seal()
             return []
         assert isinstance(item, QTuple)
-        if self._is_build(item):
+        if item is self._classified:
+            self._classified = None
+            is_build = self._classified_build
+        else:
+            is_build = self._is_build(item)
+        if is_build:
             return self._handle_build(item)
         return self._handle_probe(item)
 
@@ -161,9 +172,10 @@ class SteMModule(Module):
             return []
         self.stats["probes"] += 1
         self.stats["results"] += len(outcome.results)
-        counters = self.signature_stats.setdefault(
-            (item.spanned_mask, item.done_mask), [0, 0]
-        )
+        key = (item.spanned_mask, item.done_mask)
+        counters = self.signature_stats.get(key)
+        if counters is None:
+            counters = self.signature_stats[key] = [0, 0]
         counters[0] += 1
         counters[1] += len(outcome.results)
         if outcome.results:

@@ -14,7 +14,9 @@ behaviour of the paper:
   decoupled build/probe routing duplicate-free (section 3.1);
 * the LastMatchTimeStamp mechanism enabling repeated probes when the
   BuildFirst constraint is relaxed (section 3.5);
-* secondary in-memory indexes on every join column (section 2.1.4);
+* secondary in-memory indexes on every join column (section 2.1.4): per
+  column, key -> an insertion-ordered ``{row: build timestamp}`` bucket, so
+  a probe reads each candidate's timestamp from the bucket it iterates;
 * optional bounded state with pluggable eviction policies — count-bounded
   FIFO, a time window over build timestamps, or a reference window (LRU by
   probe matches) — the hooks the continuous-query work (CACQ/PSOUP) that
@@ -27,13 +29,12 @@ simulator (service costs, queues) lives in ``repro.core.modules.stem_module``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import ExecutionError
 from repro.query.predicates import Predicate
 from repro.query.probeplan import ProbePlan
-from repro.storage.indexes import RowIndex, build_index
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.core.tuples import EOTTuple, QTuple
@@ -176,8 +177,11 @@ def make_eviction_policy(
     )
 
 
-@dataclass(frozen=True)
-class BuildOutcome:
+#: The bucket a probe iterates when its key is in no bucket (read-only).
+_EMPTY_BUCKET: Mapping[Row, float] = MappingProxyType({})
+
+
+class BuildOutcome(NamedTuple):
     """Result of building a tuple into a SteM.
 
     Attributes:
@@ -191,7 +195,6 @@ class BuildOutcome:
     timestamp: float
 
 
-@dataclass
 class ProbeOutcome:
     """Result of probing a SteM.
 
@@ -206,10 +209,24 @@ class ProbeOutcome:
             constraint (they will be generated from the other side instead).
     """
 
-    results: list[QTuple] = field(default_factory=list)
-    all_matches_known: bool = False
-    candidates_examined: int = 0
-    suppressed_by_timestamp: int = 0
+    __slots__ = (
+        "results",
+        "all_matches_known",
+        "candidates_examined",
+        "suppressed_by_timestamp",
+    )
+
+    def __init__(
+        self,
+        results: list[QTuple] | None = None,
+        all_matches_known: bool = False,
+        candidates_examined: int = 0,
+        suppressed_by_timestamp: int = 0,
+    ):
+        self.results = [] if results is None else results
+        self.all_matches_known = all_matches_known
+        self.candidates_examined = candidates_examined
+        self.suppressed_by_timestamp = suppressed_by_timestamp
 
 
 class SteM:
@@ -221,8 +238,6 @@ class SteM:
             for self-joins; they all share this SteM, as in the paper).
         join_columns: columns involved in equi-join predicates — a secondary
             index is maintained on each.
-        index_kind: implementation of the secondary indexes (``"hash"``,
-            ``"sorted"``, ``"list"`` or ``"adaptive"``).
         max_size: optional bound on the number of stored rows; without an
             explicit ``eviction`` policy this selects count-bounded FIFO
             eviction (the historical sliding-window behaviour).
@@ -236,7 +251,6 @@ class SteM:
         table: str,
         aliases: Sequence[str],
         join_columns: Sequence[str] = (),
-        index_kind: str = "hash",
         max_size: int | None = None,
         eviction: EvictionPolicy | str | None = None,
         name: str | None = None,
@@ -244,15 +258,19 @@ class SteM:
         self.table = table
         self.aliases = tuple(aliases) if aliases else (table,)
         self.join_columns = tuple(join_columns)
-        self.index_kind = index_kind
         self.max_size = max_size
         self.name = name or f"stem:{table}"
         # Primary storage: insertion-ordered mapping row -> build timestamp.
         # Row equality is over (table, values), giving set semantics for free.
         self._rows: OrderedDict[Row, float] = OrderedDict()
-        self._indexes: dict[str, RowIndex] = {
-            column: build_index(index_kind, (column,)) for column in self.join_columns
+        #: Secondary indexes: per join column, key -> the insertion-ordered
+        #: ``{row: build timestamp}`` bucket of the stored rows with that key.
+        self._indexes: dict[str, dict[Any, dict[Row, float]]] = {
+            column: {} for column in self.join_columns
         }
+        #: ``(position in the row schema, buckets)`` per index, resolved once
+        #: the row schema is known (see :meth:`_resolve_index_slots`).
+        self._index_slots: tuple[tuple[int, dict[Any, dict[Row, float]]], ...] = ()
         # EOT state: per-AM scan completion, and per-key coverage.
         self._scan_complete: set[str] = set()
         self._eot_keys: dict[tuple[str, ...], set[tuple[Any, ...]]] = {}
@@ -328,10 +346,13 @@ class SteM:
         for column in columns:
             if column in self._indexes:
                 continue
-            index = build_index(self.index_kind, (column,))
-            for row in self._rows:
-                index.insert(row)
-            self._indexes[column] = index
+            buckets: dict[Any, dict[Row, float]] = {}
+            if self._row_schema is not None:
+                position = self._row_schema.position(column)
+                for row, timestamp in self._rows.items():
+                    buckets.setdefault(row.values[position], {})[row] = timestamp
+            self._indexes[column] = buckets
+            self._resolve_index_slots()
             self.index_epoch += 1
             if column not in self.join_columns:
                 self.join_columns = self.join_columns + (column,)
@@ -346,9 +367,18 @@ class SteM:
         if column not in self._indexes:
             return False
         del self._indexes[column]
+        self._resolve_index_slots()
         self.index_epoch += 1
         self.join_columns = tuple(c for c in self.join_columns if c != column)
         return True
+
+    def _resolve_index_slots(self) -> None:
+        schema = self._row_schema
+        if schema is not None:
+            self._index_slots = tuple(
+                (schema.position(column), buckets)
+                for column, buckets in self._indexes.items()
+            )
 
     # -- build ------------------------------------------------------------------
 
@@ -363,18 +393,22 @@ class SteM:
             raise ExecutionError(
                 f"cannot build a {row.table!r} row into the SteM on {self.table!r}"
             )
-        self.stats["builds"] += 1
-        existing = self._rows.get(row)
+        stats = self.stats
+        stats["builds"] += 1
+        rows = self._rows
+        existing = rows.get(row)
         if existing is not None:
-            self.stats["duplicates"] += 1
+            stats["duplicates"] += 1
             for listener in self._build_listeners:
                 listener(row, existing, True)
-            return BuildOutcome(duplicate=True, timestamp=existing)
-        self._rows[row] = timestamp
-        for index in self._indexes.values():
-            index.insert(row)
+            return BuildOutcome(True, existing)
         if self._row_schema is None:
             self._row_schema = row.schema
+            self._resolve_index_slots()
+        rows[row] = timestamp
+        values = row.values
+        for position, buckets in self._index_slots:
+            buckets.setdefault(values[position], {})[row] = timestamp
         if self._min_timestamp is None or timestamp < self._min_timestamp:
             self._min_timestamp = timestamp
         if self._max_timestamp is None or timestamp > self._max_timestamp:
@@ -383,7 +417,7 @@ class SteM:
             self.eviction.on_build(self, row, timestamp)
         for listener in self._build_listeners:
             listener(row, timestamp, False)
-        return BuildOutcome(duplicate=False, timestamp=timestamp)
+        return BuildOutcome(False, timestamp)
 
     def build_batch(
         self, rows: Sequence[Row], timestamps: Sequence[float]
@@ -476,17 +510,21 @@ class SteM:
     ) -> ProbeOutcome:
         """Find matches for ``probe`` through a compiled :class:`ProbePlan`.
 
-        The per-candidate loop touches no dicts, resolves no column names,
-        and walks no predicate trees: bindings come from the plan's
-        precompiled extractors, and each comparison is one positional read
-        per side plus one operator call.  Predicates the compiler could not
-        lower (anything that is not a plain comparison or IN list) run
-        through the plan's generic fallback, which allocates a merged
-        alias -> row mapping per candidate.  Arguments and result are as
-        for :meth:`probe`.
+        The per-candidate loop resolves no column names and walks no
+        predicate trees: bindings come from the plan's precompiled
+        extractors, each candidate arrives with its build timestamp from the
+        bucket (or the row store) it is drawn from, and each comparison is
+        one positional read per side plus one operator call.  The equality
+        that picked the bucket is not checked again when the bucket's key
+        is neither None nor NaN: every row in it already equals the key.
+        Predicates the compiler could not lower (anything that is not a
+        plain comparison or IN list) run through the plan's generic
+        fallback, which allocates a merged alias -> row mapping per
+        candidate.  Arguments and result are as for :meth:`probe`.
         """
         target_alias = plan.target_alias
-        if target_alias in probe.aliases:
+        components = probe.components
+        if target_alias in components:
             raise ExecutionError(
                 f"probe already spans {target_alias!r}; cannot probe {self.name}"
             )
@@ -494,32 +532,46 @@ class SteM:
             raise ExecutionError(
                 f"alias {target_alias!r} is not served by {self.name}"
             )
-        outcome = ProbeOutcome()
-
-        components = probe.components
-        binding_values = plan.bind_values(components)
-        candidates = self._plan_candidates(plan, binding_values)
-        floor = probe.last_match_ts.get(self.name, float("-inf"))
-        probe_timestamp = probe.timestamp
-
         if plan.cmp_checks is None and self._row_schema is not None:
             # Lazy finish: target positions need the stored rows' schema,
             # unknown while the SteM was empty at compile time.
             plan.finish(self._row_schema)
+        candidates: Mapping[Row, float] = self._rows
+        checks = plan.cmp_checks
+        binding_values = plan.bind_values(components)
+        if binding_values is not None:
+            if plan.resolved_stem is not self or plan.resolved_epoch != self.index_epoch:
+                plan.resolve_indexes(self)
+            # The smallest bucket among the indexed bindings wins (first
+            # seen wins ties); every stored row is a candidate otherwise.
+            best = None
+            for position, buckets in plan.indexed_bindings:
+                key = binding_values[position]
+                bucket = buckets.get(key, _EMPTY_BUCKET)
+                if best is None or len(bucket) < len(best):
+                    best, best_position, best_key = bucket, position, key
+            if best is not None:
+                candidates = best
+                # A None or NaN key equals no stored value, so its own
+                # check must still reject every row of its bucket.  (An
+                # unfinished plan has no checks: its SteM holds no rows.)
+                if checks and best_key is not None and best_key == best_key:
+                    unkeyed = plan.unkeyed_checks[best_position]
+                    if unkeyed is not None:
+                        checks = unkeyed
+        floor = probe.last_match_ts.get(self.name, float("-inf"))
+        probe_timestamp = probe.timestamp
+
         done_mask = plan.done_mask
-        results = outcome.results
+        results: list[QTuple] = []
         extend = None  # the probe's extension template, taken at the first match
         suppressed = 0
-        rows = self._rows
-        cmp_bound = plan.bind_checks(components) if plan.cmp_checks else ()
+        cmp_bound = plan.bind_checks(components, checks) if checks else ()
         in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
         generic = plan.generic_predicates
         hook = self._reference_hook
         matched_rows: list[Row] | None = [] if hook is not None else None
-        examined = 0
-        for row in candidates:
-            examined += 1
-            row_timestamp = rows[row]
+        for row, row_timestamp in candidates.items():
             if row_timestamp <= floor:
                 continue
             values = row.values
@@ -563,19 +615,23 @@ class SteM:
             # after candidate iteration (candidates can alias ``_rows``).
             for row in matched_rows:
                 hook.on_match(self, row)
-        outcome.candidates_examined = examined
-        outcome.suppressed_by_timestamp = suppressed
         # Stats commit only once the whole candidate loop has survived: a
         # raising generic predicate must leave the counters untouched so the
         # quarantine path can retry or drop the probe without skew.
-        self.stats["probes"] += 1
-        self.stats["matches"] += len(results)
-        outcome.all_matches_known = self.covers(plan.bindings_mapping(binding_values))
+        stats = self.stats
+        stats["probes"] += 1
+        stats["matches"] += len(results)
         if update_last_match:
             max_timestamp = self.max_timestamp
             if max_timestamp is not None:
                 probe.set_last_match(self.name, max(floor, max_timestamp))
-        return outcome
+        return ProbeOutcome(
+            results,
+            bool(self._scan_complete)
+            or self.covers(plan.bindings_mapping(binding_values)),
+            len(candidates),
+            suppressed,
+        )
 
     def probe_batch(
         self,
@@ -597,28 +653,6 @@ class SteM:
             probe(item, plan, enforce_timestamp, update_last_match)
             for item in probes
         ]
-
-    def _plan_candidates(
-        self, plan: ProbePlan, binding_values
-    ) -> Sequence[Row] | Mapping[Row, float]:
-        """Candidate rows for a compiled probe.
-
-        The smallest bucket among the indexed bindings wins (first seen
-        wins ties); every stored row is a candidate when no binding is
-        indexed.  Uses the indexes' read-only lookups: the returned bucket
-        aliases index internals and is only iterated, never kept or mutated.
-        """
-        if binding_values is not None:
-            if plan.indexes_stale(self):
-                plan.resolve_indexes(self)
-            best = None
-            for position, index in plan.indexed_bindings:
-                bucket = index.lookup_readonly((binding_values[position],))
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            if best is not None:
-                return best
-        return self._rows
 
     # -- EOT coverage -------------------------------------------------------------
 
@@ -689,8 +723,12 @@ class SteM:
         if row not in self._rows:
             return False
         timestamp = self._rows.pop(row)
-        for index in self._indexes.values():
-            index.remove(row)
+        values = row.values
+        for position, buckets in self._index_slots:
+            bucket = buckets[values[position]]
+            del bucket[row]
+            if not bucket:
+                del buckets[values[position]]
         if not self._rows:
             self._min_timestamp = self._max_timestamp = None
             self._timestamps_stale = False

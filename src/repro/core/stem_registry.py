@@ -93,7 +93,6 @@ class SteMRegistry:
     """One shared SteM per base table, for multi-query execution.
 
     Args:
-        index_kind: secondary-index implementation inside the SteMs.
         max_size: optional per-SteM row bound; with the default ``eviction``
             of None this selects count-bounded FIFO eviction (the historical
             CACQ/PSoUP sliding-window hook).
@@ -104,12 +103,10 @@ class SteMRegistry:
 
     def __init__(
         self,
-        index_kind: str = "hash",
         max_size: int | None = None,
         eviction: str | None = None,
         window: float | None = None,
     ):
-        self.index_kind = index_kind
         self.max_size = max_size
         self._default_eviction = EvictionConfig(eviction, max_size, window)
         self._eviction_overrides: dict[str, EvictionConfig] = {}
@@ -189,7 +186,6 @@ class SteMRegistry:
                 table=table,
                 aliases=(alias,),
                 join_columns=columns,
-                index_kind=self.index_kind,
                 max_size=config.max_size,
                 eviction=config.build_policy(),
                 name=f"stem:{table}",

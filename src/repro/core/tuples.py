@@ -586,6 +586,47 @@ class EOTTuple:
         return f"EOT({self.alias}: {bindings})"
 
 
+def singleton_maker(alias: str, source: str = "", layout: AliasSpace | None = None):
+    """The delivery template of one access method: ``make(row, created_at)``.
+
+    Every row an access method delivers becomes a singleton on the same
+    alias, source and layout, so the alias bit is worked out once.  Like
+    :meth:`QTuple.extender`, ``make`` sets every slot itself, to exactly
+    what ``QTuple({alias: row}, source=..., created_at=..., layout=...)``
+    gives, and allocates the tuple id first.
+    """
+    if layout is None:
+        layout = FALLBACK_ALIAS_SPACE
+    spanned_mask = layout.bit_of(alias)
+    unbuilt = (UNBUILT,)
+    new = object.__new__
+
+    def make(row: Row, created_at: float = 0.0) -> QTuple:
+        result = new(QTuple)
+        result.tuple_id = _id_allocator.allocate()
+        result.query_id = ""
+        result.components = {alias: row}
+        result._ts = unbuilt
+        result.done_mask = 0
+        result.source = source
+        result._priority = 0.0
+        result.visits_token = 0
+        result.layout = layout
+        result.spanned_mask = spanned_mask
+        result.built_mask = 0
+        result.resolved_mask = 0
+        result.exhausted_mask = 0
+        result._stop_stem_probes = False
+        result._probe_completion_alias = None
+        result.last_match_ts = _NO_LAST_MATCH
+        result.created_at = created_at
+        result.failed = False
+        result._signature = None
+        return result
+
+    return make
+
+
 def singleton_tuple(
     alias: str,
     row: Row,
@@ -594,6 +635,4 @@ def singleton_tuple(
     layout: AliasSpace | None = None,
 ) -> QTuple:
     """Create a singleton :class:`QTuple` for a freshly delivered row."""
-    return QTuple(
-        {alias: row}, source=source, created_at=created_at, layout=layout
-    )
+    return singleton_maker(alias, source, layout)(row, created_at)

@@ -31,7 +31,6 @@ def execute(
     until: float | None = None,
     strict_constraints: bool = False,
     batch_size: int = 1,
-    stem_index_kind: str = "hash",
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
@@ -56,8 +55,6 @@ def execute(
         batch_size: ready tuples the eddy drains per routing event (adaptive
             engines; 1 = the paper's per-tuple routing, >1 enables
             signature-batched routing with the destination cache).
-        stem_index_kind: secondary-index implementation inside SteMs
-            (``stems`` engine only).
         stem_max_size: optional per-SteM row bound (``stems`` engine only).
         stem_eviction: named SteM eviction policy — ``"count"``,
             ``"time-window"`` or ``"reference-window"`` (``stems`` engine
@@ -94,7 +91,6 @@ def execute(
             until=until,
             strict_constraints=strict_constraints,
             batch_size=batch_size,
-            stem_index_kind=stem_index_kind,
             stem_max_size=stem_max_size,
             stem_eviction=stem_eviction,
             stem_window=stem_window,

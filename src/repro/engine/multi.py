@@ -213,7 +213,6 @@ class MultiQueryEngine:
             clock.
         cost_model: virtual-time cost model (shared by all queries).
         strict_constraints: validate every routing decision of every query.
-        stem_index_kind: secondary-index implementation inside SteMs.
         stem_max_size: optional SteM row bound (count / reference-window
             policies; applies to shared and private SteMs alike).
         stem_eviction: eviction-policy name applied to every SteM — shared
@@ -249,7 +248,6 @@ class MultiQueryEngine:
         shared_stems: bool = True,
         cost_model: CostModel | None = None,
         strict_constraints: bool = False,
-        stem_index_kind: str = "hash",
         stem_max_size: int | None = None,
         stem_eviction: str | None = None,
         stem_window: float | None = None,
@@ -278,7 +276,6 @@ class MultiQueryEngine:
         self.costs = cost_model or CostModel()
         self.shared_stems = shared_stems
         self.strict_constraints = strict_constraints
-        self.stem_index_kind = stem_index_kind
         self.stem_max_size = stem_max_size
         self.stem_eviction = stem_eviction
         self.stem_window = stem_window
@@ -286,7 +283,6 @@ class MultiQueryEngine:
         self.simulator = Simulator(start_time=start_time)
         self.registry: SteMRegistry | None = (
             SteMRegistry(
-                index_kind=stem_index_kind,
                 max_size=stem_max_size,
                 eviction=stem_eviction,
                 window=stem_window,
@@ -464,7 +460,6 @@ class MultiQueryEngine:
             ref,
             query,
             self.costs,
-            index_kind=self.stem_index_kind,
             max_size=self.stem_max_size,
             eviction=self.stem_eviction,
             window=self.stem_window,
@@ -736,7 +731,6 @@ def run_multi(
     until: float | None = None,
     strict_constraints: bool = False,
     batch_size: int = 1,
-    stem_index_kind: str = "hash",
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
@@ -767,7 +761,6 @@ def run_multi(
         cost_model=cost_model,
         strict_constraints=strict_constraints,
         batch_size=batch_size,
-        stem_index_kind=stem_index_kind,
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,
@@ -813,7 +806,6 @@ def run_churn(
     until: float | None = None,
     strict_constraints: bool = False,
     batch_size: int = 1,
-    stem_index_kind: str = "hash",
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
@@ -846,7 +838,6 @@ def run_churn(
         cost_model=cost_model,
         strict_constraints=strict_constraints,
         batch_size=batch_size,
-        stem_index_kind=stem_index_kind,
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,

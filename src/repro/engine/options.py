@@ -2,13 +2,15 @@
 
 :func:`~repro.engine.api.execute`, :func:`~repro.engine.multi.run_multi`
 and :func:`~repro.engine.multi.run_churn` accept one common engine keyword
-set (cost model, batching, SteM configuration — index kind, size bound,
-eviction policy/window).  Historically
-each wrapper named a different subset, so an option that worked on one
-entry point died as a bare ``TypeError`` (or was silently impossible to
-reach, as with ``multi --churn``) on the next.  Now every wrapper funnels
-its ``**kwargs`` remainder through :func:`reject_unknown_options`, which
-fails with the accepted names spelled out.
+set (cost model, strict constraints, batching, SteM configuration — size
+bound, eviction policy/window).  A SteM's secondary indexes have one shape
+(hash buckets that carry each row's build timestamp), so no option picks
+an index kind.  Historically each wrapper named a different subset, so an
+option that worked on one entry point died as a bare ``TypeError`` (or was
+silently impossible to reach, as with ``multi --churn``) on the next.  Now
+every wrapper funnels its ``**kwargs`` remainder through
+:func:`reject_unknown_options`, which fails with the accepted names spelled
+out.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ SHARED_ENGINE_OPTIONS: tuple[str, ...] = (
     "cost_model",
     "strict_constraints",
     "batch_size",
-    "stem_index_kind",
     "stem_max_size",
     "stem_eviction",
     "stem_window",

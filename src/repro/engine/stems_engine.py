@@ -170,7 +170,6 @@ def make_private_stem_module(
     ref: TableRef,
     query: Query,
     costs: CostModel,
-    index_kind: str = "hash",
     max_size: int | None = None,
     eviction: str | None = None,
     window: float | None = None,
@@ -190,7 +189,6 @@ def make_private_stem_module(
         table=ref.table,
         aliases=(ref.alias,),
         join_columns=query.join_columns_of(ref.alias),
-        index_kind=index_kind,
         max_size=max_size,
         eviction=make_eviction_policy(eviction, max_size=max_size, window=window),
         name=f"stem:{ref.alias}",
@@ -254,7 +252,6 @@ class StemsEngine:
         policy: a routing policy instance or name (default ``"benefit"``).
         cost_model: virtual-time cost model.
         strict_constraints: validate every routing decision (slower).
-        stem_index_kind: index implementation inside SteMs.
         stem_max_size: optional SteM size bound (sliding-window eviction).
         stem_eviction: named eviction policy (``"count"``,
             ``"time-window"``, ``"reference-window"``) bounding each SteM;
@@ -275,7 +272,6 @@ class StemsEngine:
         policy: RoutingPolicy | str = "benefit",
         cost_model: CostModel | None = None,
         strict_constraints: bool = False,
-        stem_index_kind: str = "hash",
         stem_max_size: int | None = None,
         stem_eviction: str | None = None,
         stem_window: float | None = None,
@@ -288,7 +284,6 @@ class StemsEngine:
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.costs = cost_model or CostModel()
         self.strict_constraints = strict_constraints
-        self.stem_index_kind = stem_index_kind
         self.stem_max_size = stem_max_size
         self.stem_eviction = stem_eviction
         self.stem_window = stem_window
@@ -319,7 +314,6 @@ class StemsEngine:
             ref,
             query,
             self.costs,
-            index_kind=self.stem_index_kind,
             max_size=self.stem_max_size,
             eviction=self.stem_eviction,
             window=self.stem_window,
@@ -351,7 +345,6 @@ def run_stems(
     cost_model: CostModel | None = None,
     until: float | None = None,
     strict_constraints: bool = False,
-    stem_index_kind: str = "hash",
     stem_max_size: int | None = None,
     stem_eviction: str | None = None,
     stem_window: float | None = None,
@@ -366,7 +359,6 @@ def run_stems(
         policy=policy,
         cost_model=cost_model,
         strict_constraints=strict_constraints,
-        stem_index_kind=stem_index_kind,
         stem_max_size=stem_max_size,
         stem_eviction=stem_eviction,
         stem_window=stem_window,

@@ -28,10 +28,10 @@ is plain membership.
 
 Plans are compiled lazily, memoized per ``(spanned_mask, done_mask)`` on
 each SteM module — one cache per query layout, so queries sharing a SteM
-never see each other's plans — and hold no references into the SteM's
-index table: index choice is re-resolved against the live indexes whenever
-the SteM's ``index_epoch`` moves (``ensure_join_columns`` backfilling a new
-index bumps it).  Column positions are resolved through the schemas of the
+never see each other's plans — and keep no index choice across an index
+change: the indexed bindings are re-resolved against the live indexes
+whenever the SteM's ``index_epoch`` moves (``ensure_join_columns``
+backfilling a new index bumps it).  Column positions are resolved through the schemas of the
 compile-time probe's component rows (and, for the target side, the schema
 of the SteM's stored rows), relying on the engine invariant that every row
 bound to one alias carries its base table's schema.
@@ -42,6 +42,7 @@ it replaced, lives with the tests (``tests/reference/interpreted_probe.py``).
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Mapping, Sequence
 
 from repro.query.expressions import ColumnRef, Expression, Literal
@@ -111,11 +112,12 @@ class ProbePlan:
         "binding_getters",
         "generic_predicates",
         "cmp_checks",
+        "unkeyed_checks",
         "in_checks",
         "_cmp_symbolic",
         "_in_symbolic",
-        "_resolved_stem",
-        "_resolved_epoch",
+        "resolved_stem",
+        "resolved_epoch",
         "indexed_bindings",
     )
 
@@ -134,12 +136,16 @@ class ProbePlan:
         self.generic_predicates: tuple[Predicate, ...] = ()
         #: Compiled checks (positions resolved); None until :meth:`finish`.
         self.cmp_checks: tuple[tuple, ...] | None = None
+        #: Per binding (aligned with :attr:`binding_columns`): the compiled
+        #: checks minus the ``=`` that the binding's own bucket satisfies,
+        #: or None when no compiled check is exactly that equality.
+        self.unkeyed_checks: tuple[tuple[tuple, ...] | None, ...] = ()
         self.in_checks: tuple[tuple, ...] | None = None
         self._cmp_symbolic: list[tuple] = []
         self._in_symbolic: list[tuple] = []
         #: Index resolution memo (see :meth:`resolve_indexes`).
-        self._resolved_stem: object | None = None
-        self._resolved_epoch: int = -1
+        self.resolved_stem: object | None = None
+        self.resolved_epoch: int = -1
         self.indexed_bindings: tuple[tuple[int, object], ...] = ()
 
     # -- compilation ------------------------------------------------------------
@@ -225,7 +231,10 @@ class ProbePlan:
         Compiled checks are 5-tuples ``(op, l_pos, l_src, r_pos, r_src)``:
         a position >= 0 reads the candidate row's value tuple, -1 means the
         side is probe-bound and its per-probe value comes from the source
-        spec (see :meth:`bind_checks`).
+        spec (see :meth:`bind_checks`).  Also records, per binding, the
+        checks without the ``=`` whose target column and probe-side source
+        spec are exactly that binding's (the last such check; a second
+        equality on the column with another source stays in).
         """
         cmp_checks = []
         for op, left, right in self._cmp_symbolic:
@@ -238,6 +247,22 @@ class ProbePlan:
             in_checks.append((pos, src, values))
         self.cmp_checks = tuple(cmp_checks)
         self.in_checks = tuple(in_checks)
+        unkeyed = []
+        for column, getter in zip(self.binding_columns, self.binding_getters):
+            key_side = ("t", column)
+            match = None
+            for index, (op, left, right) in enumerate(self._cmp_symbolic):
+                if op is operator.eq and (
+                    (left == key_side and right == getter)
+                    or (right == key_side and left == getter)
+                ):
+                    match = index
+            unkeyed.append(
+                None
+                if match is None
+                else self.cmp_checks[:match] + self.cmp_checks[match + 1 :]
+            )
+        self.unkeyed_checks = tuple(unkeyed)
 
     @staticmethod
     def _finish_side(spec: tuple, target_schema: Schema) -> tuple[int, tuple | None]:
@@ -261,8 +286,11 @@ class ProbePlan:
             return None
         return dict(zip(self.binding_columns, values))
 
-    def bind_checks(self, components: Mapping[str, Row]) -> tuple[tuple, ...]:
-        """Bind the compiled comparisons to one probe's component values."""
+    def bind_checks(
+        self, components: Mapping[str, Row], checks: Sequence[tuple]
+    ) -> tuple[tuple, ...]:
+        """Bind compiled comparisons (:attr:`cmp_checks` or one of
+        :attr:`unkeyed_checks`) to one probe's component values."""
         return tuple(
             (
                 op,
@@ -271,7 +299,7 @@ class ProbePlan:
                 r_pos,
                 None if r_pos >= 0 else _resolve_source(r_src, components),
             )
-            for op, l_pos, l_src, r_pos, r_src in self.cmp_checks
+            for op, l_pos, l_src, r_pos, r_src in checks
         )
 
     def bind_in_checks(self, components: Mapping[str, Row]) -> tuple[tuple, ...]:
@@ -295,15 +323,8 @@ class ProbePlan:
             for position, column in enumerate(self.binding_columns)
             if column in stem._indexes
         )
-        self._resolved_stem = stem
-        self._resolved_epoch = stem.index_epoch
-
-    def indexes_stale(self, stem) -> bool:
-        """True when :meth:`resolve_indexes` must run for this SteM."""
-        return (
-            self._resolved_stem is not stem
-            or self._resolved_epoch != stem.index_epoch
-        )
+        self.resolved_stem = stem
+        self.resolved_epoch = stem.index_epoch
 
     def __repr__(self) -> str:
         return (

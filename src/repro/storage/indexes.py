@@ -1,10 +1,11 @@
-"""In-memory index structures used by tables, SteMs, and join algorithms.
+"""In-memory index structures used by tables and join algorithms.
 
 The paper's SteMs "encapsulate a dictionary data structure over tuples from a
-table".  This module provides the dictionary implementations:
+table"; a SteM keeps its own (hash buckets that carry build timestamps, see
+:mod:`repro.core.stem`).  This module provides the table-side dictionaries:
 
 * :class:`HashIndex` — an unordered multimap from key values to rows,
-  supporting equality lookups (the default for SteMs and hash joins).
+  supporting equality lookups (the default for tables and hash joins).
 * :class:`SortedIndex` — a sorted multimap supporting equality and range
   lookups (used to simulate sort-based algorithms and B-tree access methods).
 * :class:`ListIndex` — a plain append-only list with linear-scan lookups,
@@ -14,8 +15,8 @@ table".  This module provides the dictionary implementations:
   it grows past a threshold, which is exactly the internal adaptation the
   paper describes in section 3.1.
 
-All indexes share the same small interface (:class:`RowIndex`) so that a SteM
-or a join can be configured with any of them.
+All indexes share the same small interface (:class:`RowIndex`) so that a
+table or a join can be configured with any of them.
 """
 
 from __future__ import annotations
@@ -56,18 +57,6 @@ class RowIndex(ABC):
     def lookup(self, key: tuple[Any, ...]) -> list[Row]:
         """All rows whose key columns equal ``key``."""
 
-    def lookup_readonly(self, key: tuple[Any, ...]) -> Sequence[Row]:
-        """All rows whose key columns equal ``key``, **without copying**.
-
-        Aliasing contract: the returned sequence may be (and for
-        :class:`HashIndex` is) the index's internal bucket.  Callers must
-        only iterate it — never mutate it, and never hold it across an
-        ``insert``/``remove`` — which is exactly the discipline of the SteM
-        probe loop this path exists for.  The default implementation falls
-        back to the copying :meth:`lookup`.
-        """
-        return self.lookup(key)
-
     @abstractmethod
     def __iter__(self) -> Iterator[Row]:
         """Iterate over all rows in the index."""
@@ -100,10 +89,6 @@ class RowIndex(ABC):
         return any(existing == row for existing in self.lookup(self.key_of(row)))
 
 
-#: Shared empty bucket returned by no-copy lookups that miss.
-_EMPTY_BUCKET: tuple[Row, ...] = ()
-
-
 class HashIndex(RowIndex):
     """Unordered multimap from key values to rows (dict of lists)."""
 
@@ -132,11 +117,6 @@ class HashIndex(RowIndex):
 
     def lookup(self, key: tuple[Any, ...]) -> list[Row]:
         return list(self._buckets.get(tuple(key), ()))
-
-    def lookup_readonly(self, key: tuple[Any, ...]) -> Sequence[Row]:
-        # No-copy path: hands out the internal bucket itself (see the
-        # aliasing contract on :meth:`RowIndex.lookup_readonly`).
-        return self._buckets.get(tuple(key), _EMPTY_BUCKET)
 
     def keys(self) -> Iterator[tuple[Any, ...]]:
         """Iterate over the distinct keys currently present."""
@@ -312,9 +292,6 @@ class AdaptiveIndex(RowIndex):
 
     def lookup(self, key: tuple[Any, ...]) -> list[Row]:
         return self._impl.lookup(key)
-
-    def lookup_readonly(self, key: tuple[Any, ...]) -> Sequence[Row]:
-        return self._impl.lookup_readonly(key)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._impl)

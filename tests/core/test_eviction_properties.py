@@ -5,8 +5,10 @@ admissions and retirements (registry ``stem_for``/``release``) must — under
 *every* eviction policy — preserve the invariants the rest of the system
 leans on:
 
-* **RowIndex consistency**: every secondary index holds exactly the stored
-  rows, and each stored row is reachable through its own key;
+* **index consistency**: every secondary index holds exactly the stored
+  rows, each stored row is reachable through its own key, every bucket
+  entry carries the row's stored build timestamp, and a SteM rebuilt from
+  ``state_entries()`` has equal buckets;
 * **evict listeners fire exactly once per eviction**, and only after the
   row has actually left the store;
 * **min/max build timestamps stay correct** even when an eviction removes
@@ -58,6 +60,8 @@ OPS = st.one_of(
     st.tuples(st.just("probe"), st.integers(0, len(S_ROWS) - 1)),
     st.tuples(st.just("probe_plan"), st.integers(0, len(S_ROWS) - 1)),
     st.tuples(st.just("evict"), st.integers(0, len(R_ROWS) - 1)),
+    st.tuples(st.just("ensure"), st.sampled_from(["a", "key"])),
+    st.tuples(st.just("drop"), st.sampled_from(["a", "key"])),
 )
 
 
@@ -67,13 +71,23 @@ def make_probe(position: int) -> QTuple:
 
 
 def check_invariants(stem: SteM, evict_log: list, harness) -> None:
-    stored = set(stem._rows)
-    # RowIndex consistency: each index holds exactly the stored rows, and
-    # every stored row answers a lookup on its own key.
-    for column, index in stem._indexes.items():
-        assert set(index) == stored, f"index on {column!r} diverged from the store"
+    stored = stem._rows
+    # Index consistency: each index holds exactly the stored rows, every
+    # stored row sits in the bucket of its own key, and every bucket entry
+    # carries the row's build timestamp from the store.
+    for column, buckets in stem._indexes.items():
+        entries = [entry for bucket in buckets.values() for entry in bucket.items()]
+        assert len(entries) == len(stored), f"index on {column!r} diverged from the store"
+        for row, timestamp in entries:
+            assert stored[row] == timestamp, f"bucket timestamp of {row!r} on {column!r}"
+        assert all(buckets.values()), f"index on {column!r} kept an empty bucket"
         for row in stored:
-            assert row in index.lookup(index.key_of(row))
+            assert row in buckets[row[column]]
+    # A SteM rebuilt from its snapshot unit has equal buckets.
+    rebuilt = SteM(stem.table, stem.aliases, stem.join_columns)
+    for row, timestamp in stem.state_entries():
+        rebuilt.build(row, timestamp)
+    assert rebuilt._indexes == stem._indexes
     # Listener accounting: exactly one callback per eviction, ever.
     assert len(evict_log) == harness.total_evictions()
     # Incremental min/max timestamps match a recomputation from scratch.
@@ -90,7 +104,7 @@ class Harness:
 
     def __init__(self, policy_name: str):
         self.policy_name = policy_name
-        self.registry = SteMRegistry(index_kind="hash")
+        self.registry = SteMRegistry()
         config = {
             "none": dict(),
             "count": dict(eviction="count", max_size=5),
@@ -183,6 +197,10 @@ def test_interleavings_preserve_stem_invariants(policy_name, ops):
             stem.probe_with_plan(probe, plan)
         elif op == "evict":
             stem.evict(R_ROWS[argument])
+        elif op == "ensure":
+            stem.ensure_join_columns((argument,))
+        elif op == "drop":
+            stem.drop_join_column(argument)
         check_invariants(stem, evict_log, harness)
 
 
@@ -216,7 +234,7 @@ def test_churn_interleavings_preserve_registry_invariants(policy_name, ops):
             interpreted_probe(harness.stem, make_probe(argument), "R", [JOIN_PREDICATE])
         elif op == "probe_plan":
             probe = make_probe(argument)
-            if plan is None or plan.indexes_stale(harness.stem):
+            if plan is None:
                 plan = ProbePlan.compile(
                     [JOIN_PREDICATE], "R", probe.components,
                     target_schema=harness.stem.row_schema,
@@ -224,6 +242,10 @@ def test_churn_interleavings_preserve_registry_invariants(policy_name, ops):
             harness.stem.probe_with_plan(probe, plan)
         elif op == "evict":
             harness.stem.evict(R_ROWS[argument])
+        elif op == "ensure":
+            harness.stem.ensure_join_columns((argument,))
+        elif op == "drop":
+            harness.stem.drop_join_column(argument)
         # Registry invariants.
         assert harness.registry.refcount("R") == len(harness.owners)
         if harness.owners:

@@ -738,6 +738,59 @@ class TestHostileProbes:
         assert expected
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+class TestKeyEqualitySkip:
+    """On an indexed layout the probe does not re-check the equality whose
+    bucket it iterates, unless the bucket's key is None or NaN; results,
+    examined and suppressed counts must still equal the interpreted
+    oracle's and the reference's (``three_ways``)."""
+
+    JOIN_A = (equi_join("R.a", "S.x"), check(operator.eq, "R.a", "S.x"))
+
+    def test_none_binding_while_the_none_bucket_holds_rows(self, layout):
+        entries = [(s_row(None, 0), 1.0), (s_row(None, 1), 2.0), (s_row(1, 2), 3.0)]
+        outcome = three_ways(layout, entries, r3_row(0, None), 10.0, [self.JOIN_A])
+        assert outcome.results == []
+        assert outcome.candidates_examined == (2 if layout == "indexed" else 3)
+
+    def test_the_same_nan_object_stored_and_probed(self, layout):
+        nan = float("nan")
+        entries = [(s_row(nan, 0), 1.0), (s_row(nan, 1), 2.0), (s_row(1, 2), 3.0)]
+        outcome = three_ways(layout, entries, r3_row(0, nan), 10.0, [self.JOIN_A])
+        assert outcome.results == []  # NaN = NaN is false, even for one object
+        assert outcome.candidates_examined == (2 if layout == "indexed" else 3)
+
+    @pytest.mark.parametrize("key", [1, 1.0, True])
+    def test_equal_keys_of_other_types(self, layout, key):
+        entries = [(s_row(1, 0), 1.0), (s_row(1.0, 1), 2.0), (s_row(True, 2), 3.0),
+                   (s_row(2, 3), 4.0)]
+        outcome = three_ways(layout, entries, r3_row(0, key), 10.0, [self.JOIN_A])
+        assert [t.components["S"]["y"] for t in outcome.results] == [0, 1, 2]
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 2), (2, 1)])
+    def test_two_equalities_on_one_column_with_different_sources(self, layout, a, b):
+        # The bucket comes from the last binding (R.b); R.a = S.x stays in.
+        pool = [self.JOIN_A, (equi_join("R.b", "S.x"), check(operator.eq, "R.b", "S.x"))]
+        entries = [(s_row(x, y), float(3 * x + y + 1)) for x in (1, 2) for y in (0, 1, 2)]
+        outcome = three_ways(layout, entries, r3_row(0, a, b), 20.0, pool)
+        assert len(outcome.results) == (3 if a == b else 0)
+
+
+def test_a_plan_drops_only_the_check_its_binding_satisfies():
+    probe = singleton_tuple("R", r3_row(0, 1, 2))
+    one = ProbePlan.compile([equi_join("R.a", "S.x"), selection("S.y", "<", 4)],
+                            "S", probe.components, target_schema=S_SCHEMA)
+    assert one.binding_columns == ("x",)
+    assert [len(checks) for checks in one.unkeyed_checks] == [1]
+    assert one.unkeyed_checks[0] == one.cmp_checks[1:]
+    two = ProbePlan.compile([equi_join("R.a", "S.x"), equi_join("S.x", "R.b")],
+                            "S", probe.components, target_schema=S_SCHEMA)
+    assert two.unkeyed_checks == (two.cmp_checks[:1],)  # R.a = S.x stays in
+    ranged = ProbePlan.compile([Comparison("S.x", "<", "R.a")], "S",
+                               probe.components, target_schema=S_SCHEMA)
+    assert ranged.binding_columns == () and ranged.unkeyed_checks == ()
+
+
 # -- operation sequences under each eviction policy, against a list model --------
 
 #: Probe situations: keyed, keyed + residual, full scan (no equality

@@ -9,19 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.core.eddy import OutputRecord
+from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.tuples import (
     EOTTuple,
     QTuple,
     TupleIdAllocator,
     UNBUILT,
     install_id_allocator,
+    singleton_maker,
     singleton_tuple,
 )
 from repro.query.layout import PlanLayout, bit_positions, done_mask_of
 from repro.query.parser import parse_query
 from repro.query.predicates import equi_join, selection
+from repro.storage.catalog import IndexSpec, ScanSpec
+from repro.storage.datagen import make_source_s, make_source_t
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.core.test_modules import FakeRuntime
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -279,6 +284,69 @@ class TestExtensionMatchesConstructor:
             parent.extender("R")
         with pytest.raises(ExecutionError):
             parent.extended("R", r_row(), 9.0)
+
+
+def assert_slots_match_the_constructor(delivered, alias, source, layout):
+    """Each delivered singleton equals, slot for slot, what the constructor
+    gives for its row (``getattr`` fails on a slot the template left unset)."""
+    for singleton in delivered:
+        reference = QTuple({alias: singleton.component(alias)}, source=source,
+                           created_at=singleton.created_at, layout=layout)
+        for slot in QTuple.__slots__:
+            if slot != "tuple_id":
+                assert getattr(singleton, slot) == getattr(reference, slot), slot
+        assert singleton.layout is reference.layout
+        assert singleton.routing_signature() == reference.routing_signature()
+
+
+class TestSingletonTemplateMatchesConstructor:
+    """Access methods build the singletons they deliver through
+    ``singleton_maker``, which sets every slot itself instead of going
+    through ``__init__`` and allocates the tuple id first.  A slot added to
+    ``QTuple`` and forgotten in the template fails here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        compiled_layout=st.booleans(),
+        source=st.sampled_from(["", "am:R_scan"]),
+        created_at=st.floats(0.0, 50.0),
+        keys=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    )
+    def test_every_slot_of_every_singleton(self, compiled_layout, source, created_at, keys):
+        layout = PlanLayout(THREE_WAY) if compiled_layout else None
+        install_id_allocator(TupleIdAllocator(start=50))
+        try:
+            make = singleton_maker("R", source, layout)
+            made = [make(r_row(key), created_at) for key in keys]
+            single = singleton_tuple("R", r_row(), source, created_at, layout)
+        finally:
+            install_id_allocator()  # leave a fresh default for other tests
+        assert [t.tuple_id for t in made + [single]] == list(range(50, 51 + len(keys)))
+        assert_slots_match_the_constructor(made + [single], "R", source,
+                                           made[0].layout)
+
+    @pytest.mark.parametrize("compiled_layout", [False, True])
+    def test_scan_and_index_deliveries(self, compiled_layout):
+        runtime = FakeRuntime()
+        runtime.layout = PlanLayout(THREE_WAY) if compiled_layout else None
+        scan = ScanAMModule(ScanSpec(name="T_scan", table="T", rate=10.0),
+                            make_source_t(4, seed=1), "T")
+        scan.attach(runtime)
+        scan.start()
+        runtime.sim.run()
+        delivered = [item for item in runtime.delivered if isinstance(item, QTuple)]
+        assert len(delivered) == 4
+        layout = delivered[0].layout
+        assert_slots_match_the_constructor(delivered, "T", scan.name, layout)
+        runtime.delivered.clear()
+        index = IndexAMModule(IndexSpec(name="S_idx", table="S", columns=("x",)),
+                              make_source_s(20), "S", THREE_WAY.predicates)
+        index.attach(runtime)
+        index.process(singleton_tuple("R", r_row(a=7), layout=runtime.layout))
+        runtime.sim.run()
+        delivered = [item for item in runtime.delivered if isinstance(item, QTuple)]
+        assert [t.value("S", "x") for t in delivered] == [7]
+        assert_slots_match_the_constructor(delivered, "S", index.name, layout)
 
 
 class TestTimestampsMatchTheDict:

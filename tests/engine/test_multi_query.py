@@ -248,8 +248,9 @@ class TestSteMRegistry:
         # The new index was backfilled: an a-bound probe uses it and finds
         # the pre-existing rows.
         wanted = table.rows[0]["a"]
-        matches = stem2._indexes["a"].lookup((wanted,))
+        matches = stem2._indexes["a"].get(wanted, {})
         assert matches and all(row["a"] == wanted for row in matches)
+        assert all(matches[row] == stem2.timestamp_of(row) for row in matches)
 
     def test_broadcast_reaches_every_attached_runtime(self):
         registry = SteMRegistry()
@@ -313,7 +314,18 @@ class TestEngineOptions:
 
     def test_option_table_names_the_shared_set(self):
         assert set(OPTION_SETTINGS) == set(SHARED_ENGINE_OPTIONS)
-        assert len(SHARED_ENGINE_OPTIONS) == 7
+        assert len(SHARED_ENGINE_OPTIONS) == 6
+
+    def test_entry_points_reject_stem_index_kind_as_unknown(self):
+        # SteM indexes have one shape; the option that picked another went.
+        admission = QueryAdmission(JOIN_SQL, query_id="a")
+        unknown = r"\(\) got unknown option\(s\): stem_index_kind"
+        with pytest.raises(ExecutionError, match="execute" + unknown):
+            execute(JOIN_SQL, build_catalog(), stem_index_kind="hash")
+        with pytest.raises(ExecutionError, match="run_multi" + unknown):
+            run_multi([admission], build_catalog(), stem_index_kind="hash")
+        with pytest.raises(ExecutionError, match="run_churn" + unknown):
+            run_churn([], build_catalog(), stem_index_kind="sorted")
 
     @pytest.mark.parametrize("name", SHARED_ENGINE_OPTIONS)
     def test_every_entry_point_accepts_the_option(self, name):
@@ -349,7 +361,6 @@ OPTION_SETTINGS = {
     "cost_model": {"cost_model": CostModel(route_cost=0.0005)},
     "strict_constraints": {"strict_constraints": True},
     "batch_size": {"batch_size": 8},
-    "stem_index_kind": {"stem_index_kind": "sorted"},
     "stem_max_size": {"stem_max_size": 12},
     "stem_eviction": {"stem_eviction": "time-window", "stem_window": 12},
     "stem_window": {"stem_window": 12},

@@ -131,14 +131,3 @@ class TestCostModelScaling:
         model = CostModel(index_lookup_latency=2.0).scaled(10.0)
         assert model.index_lookup_latency == 2.0
         assert model.route_cost == CostModel().route_cost * 10.0
-
-
-class TestAlternativeSteMImplementations:
-    @pytest.mark.parametrize("kind", ["hash", "sorted", "list", "adaptive"])
-    def test_stem_index_kinds_all_correct(self, kind, small_rt_catalog, q4_query):
-        engine = StemsEngine(
-            q4_query, small_rt_catalog, policy="naive", stem_index_kind=kind
-        )
-        result = engine.run()
-        assert result.row_count == 60
-        assert not result.has_duplicates()

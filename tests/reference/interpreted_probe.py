@@ -147,15 +147,15 @@ def _candidate_rows(stem: SteM, bindings: Mapping[str, Any] | None) -> Iterable[
     most selective index for *this* probe's values) wins — every index
     is exact on its column, so any one bucket is a superset of the
     matches and the cheapest superset minimises candidates examined.
-    Buckets come from the read-only lookup path and are only iterated.
+    Buckets (``{row: build timestamp}`` dicts) are only iterated.
     """
     if bindings:
         best = None
         for column, value in bindings.items():
-            index = stem._indexes.get(column)
-            if index is None:
+            buckets = stem._indexes.get(column)
+            if buckets is None:
                 continue
-            bucket = index.lookup_readonly((value,))
+            bucket = buckets.get(value, {})
             if best is None or len(bucket) < len(best):
                 best = bucket
         if best is not None:

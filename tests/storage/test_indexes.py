@@ -136,28 +136,6 @@ def test_hash_and_sorted_indexes_agree(keys):
     assert len(hash_index) == len(sorted_index) == len(keys)
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
-def test_lookup_readonly_matches_lookup(kind):
-    index = build_index(kind, ("k",))
-    for value in [1, 1, 2]:
-        index.insert(row(value, value * 10))
-    for probe in (1, 2, 3):
-        assert list(index.lookup_readonly((probe,))) == index.lookup((probe,))
-
-
-def test_hash_lookup_readonly_is_no_copy():
-    """The read-only path hands out the internal bucket (aliasing contract:
-    iterate only, never mutate, never hold across inserts)."""
-    index = HashIndex(("k",))
-    index.insert(row(1, 10))
-    bucket = index.lookup_readonly((1,))
-    assert bucket is index.lookup_readonly((1,))  # same object, no copy
-    assert index.lookup((1,)) is not bucket  # the copying path still copies
-    # Misses share one immutable empty bucket.
-    assert index.lookup_readonly((9,)) == ()
-    assert index.lookup_readonly((9,)) is index.lookup_readonly((8,))
-
-
 def test_key_of_positional_fast_path_tracks_schema():
     """key_of resolves positions once per schema and re-resolves on change."""
     index = HashIndex(("k",))
