@@ -471,7 +471,8 @@ class IndexAMModule(Module):
         if self.spec.matches_per_probe is not None:
             matches = matches[: self.spec.matches_per_probe]
         self.stats["matches"] += len(matches)
-        make = singleton_maker(self.alias, self.name, getattr(self.runtime, "layout", None))
+        layout = getattr(self.runtime, "layout", None)
+        make = singleton_maker(self.alias, self.name, layout)
         now = self.runtime.now
         tuples = [make(row, now) for row in matches]
         eot = EOTTuple(

@@ -31,10 +31,11 @@ each SteM module — one cache per query layout, so queries sharing a SteM
 never see each other's plans — and keep no index choice across an index
 change: the indexed bindings are re-resolved against the live indexes
 whenever the SteM's ``index_epoch`` moves (``ensure_join_columns``
-backfilling a new index bumps it).  Column positions are resolved through the schemas of the
-compile-time probe's component rows (and, for the target side, the schema
-of the SteM's stored rows), relying on the engine invariant that every row
-bound to one alias carries its base table's schema.
+backfilling a new index bumps it).  Column positions are resolved through
+the schemas of the compile-time probe's component rows (and, for the
+target side, the schema of the SteM's stored rows), relying on the engine
+invariant that every row bound to one alias carries its base table's
+schema.
 
 This is the only probe path.  Its oracle, the interpreted predicate walk
 it replaced, lives with the tests (``tests/reference/interpreted_probe.py``).
