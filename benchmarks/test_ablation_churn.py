@@ -30,8 +30,8 @@ import time
 
 from conftest import emit_artifact
 from repro.bench.workloads import churn_workload
+from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine, run_churn
-from repro.engine.stems_engine import run_stems
 
 ARTIFACT = "BENCH_churn.json"
 
@@ -61,7 +61,7 @@ def reference_workload():
     references = {}
     slowest = 0.0
     for admission in probe.admissions:
-        alone = run_stems(admission.query, probe.catalog, policy="naive")
+        alone = execute(admission.query, probe.catalog, policy="naive")
         references[admission.query_id] = alone
         slowest = max(slowest, alone.final_time)
     workload = churn_workload(min_lifetime=slowest * 1.25 + 5.0, **CHURN_PARAMS)

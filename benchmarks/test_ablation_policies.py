@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.workloads import q4_workload
 from repro.core.policies import make_policy
-from repro.engine.stems_engine import run_stems
+from repro.engine.api import execute
 
 SCALE = dict(rows=400, r_scan_rate=17.0, t_scan_rate=6.7, t_index_latency=0.2)
 POLICIES = ["naive", "lottery", "benefit", "random"]
@@ -22,7 +22,7 @@ POLICIES = ["naive", "lottery", "benefit", "random"]
 
 def run_policy(policy_name: str):
     workload = q4_workload(**SCALE)
-    return run_stems(workload.query, workload.catalog, policy=make_policy(policy_name))
+    return execute(workload.query, workload.catalog, policy=make_policy(policy_name))
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)

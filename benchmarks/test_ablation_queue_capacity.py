@@ -14,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.workloads import q1_workload
+from repro.engine.api import execute
 from repro.engine.joins_engine import JoinSpec, run_eddy_joins
-from repro.engine.stems_engine import run_stems
 
 SCALE = dict(r_rows=400, distinct_a=100, r_scan_rate=50.0, s_index_latency=0.8)
 CAPACITIES = [1, 5, 20, None]
@@ -54,7 +54,7 @@ def test_stems_reference_point(benchmark):
     """The SteM plan under the same workload, for comparison in the report."""
     workload = q1_workload(**SCALE)
     result = benchmark.pedantic(
-        run_stems, args=(workload.query, workload.catalog), kwargs={"policy": "naive"},
+        execute, args=(workload.query, workload.catalog), kwargs={"policy": "naive"},
         rounds=1, iterations=1,
     )
     assert result.row_count == 400

@@ -27,8 +27,8 @@ from repro.bench.workloads import (
     shared_tables_mixed_workload,
     staggered_fleet_workload,
 )
+from repro.engine.api import execute
 from repro.engine.multi import run_multi
-from repro.engine.stems_engine import run_stems
 
 #: Eight concurrent queries, staggered arrivals, varied selection cutoffs.
 FLEET_PARAMS = dict(n_queries=8, stagger=4.0, rows=250, policy="naive")
@@ -53,7 +53,7 @@ def test_shared_stems_byte_identical_with_fewer_builds(benchmark):
 
     assert len(shared.results) == FLEET_PARAMS["n_queries"]
     for admission in workload.admissions:
-        alone = run_stems(
+        alone = execute(
             admission.query, workload.catalog, policy=workload.parameters["policy"]
         )
         identity = result_identity(alone)
@@ -123,7 +123,7 @@ def test_mixed_table_sets_share_per_table(benchmark):
     )
     private = run_multi(workload.admissions, workload.catalog, shared_stems=False)
     for admission in workload.admissions:
-        alone = run_stems(
+        alone = execute(
             admission.query, workload.catalog, policy=workload.parameters["policy"]
         )
         assert result_identity(shared[admission.query_id]) == result_identity(alone)

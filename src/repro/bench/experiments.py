@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.policies import BenefitPolicy, NaivePolicy
+from repro.engine.api import execute
 from repro.engine.joins_engine import JoinSpec, run_eddy_joins
+from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.engine.results import ExecutionResult, Series
-from repro.engine.stems_engine import run_stems
 from repro.bench.workloads import (
     Workload,
     competitive_ams_workload,
@@ -82,7 +83,7 @@ def run_figure7(
     )
 
     stems_workload = make()
-    report.results["stems"] = run_stems(
+    report.results["stems"] = execute(
         stems_workload.query,
         stems_workload.catalog,
         policy=NaivePolicy(),
@@ -159,7 +160,7 @@ def run_figure8(
     )
 
     hybrid_workload = make()
-    report.results["hybrid"] = run_stems(
+    report.results["hybrid"] = execute(
         hybrid_workload.query,
         hybrid_workload.catalog,
         policy=BenefitPolicy(exploration=exploration),
@@ -210,10 +211,10 @@ def run_competitive_ams(
     single.add_scan("R", name="R_scan_flaky", rate=50.0,
                     stall_at=slow_stall_at, stall_duration=slow_stall_duration)
     single.add_scan("T", rate=100.0)
-    report.results["single-am-flaky"] = run_stems(
+    report.results["single-am-flaky"] = execute(
         flaky_only.query, single, policy=NaivePolicy()
     )
-    report.results["competitive"] = run_stems(
+    report.results["competitive"] = execute(
         workload.query, workload.catalog, policy=NaivePolicy()
     )
     competitive_result = report.results["competitive"]
@@ -243,7 +244,7 @@ def run_spanning_tree(
     workload = cyclic_workload(rows=rows, stall_duration=stall_duration, seed=seed)
     report = ExperimentReport("spanning-tree", workload)
 
-    report.results["stems"] = run_stems(
+    report.results["stems"] = execute(
         workload.query, workload.catalog, policy=NaivePolicy()
     )
 
@@ -277,12 +278,14 @@ def run_prioritized(
     report = ExperimentReport("prioritized", workload)
 
     plain = prioritized_workload(rows=rows, priority_fraction=priority_fraction, seed=seed)
-    report.results["no-priority"] = run_stems(
+    report.results["no-priority"] = execute(
         plain.query, plain.catalog, policy=BenefitPolicy()
     )
-    report.results["prioritized"] = run_stems(
-        workload.query, workload.catalog, policy=BenefitPolicy(),
-        preferences=workload.preferences,
+    admission = QueryAdmission(
+        workload.query, policy=BenefitPolicy(), preferences=workload.preferences
+    )
+    report.results["prioritized"] = (
+        MultiQueryEngine([admission], workload.catalog, shared_stems=False).run()["q0"]
     )
     threshold = workload.parameters["priority_threshold"]
     for name, result in report.results.items():

@@ -1,5 +1,8 @@
-"""Execution engines: SteMs (Figure 1(c)), eddy+joins (1(b)), static (1(a)),
-and the multi-query engine sharing SteMs across concurrent queries."""
+"""Execution engines: SteMs (Figure 1(c)), eddy+joins (1(b)) and static (1(a)).
+
+Every SteM query runs on :class:`MultiQueryEngine`: a single query is a
+one-admission run on private SteMs, a fleet shares one SteM per base table.
+"""
 
 from repro.engine.api import ENGINES, execute
 from repro.engine.joins_engine import (
@@ -16,7 +19,6 @@ from repro.engine.multi import (
 )
 from repro.engine.results import ExecutionResult, MultiQueryResult, Series
 from repro.engine.static_engine import StaticEngine, choose_join_order, run_static
-from repro.engine.stems_engine import StemsEngine, run_stems
 
 __all__ = [
     "ENGINES",
@@ -29,12 +31,10 @@ __all__ = [
     "QueryAdmission",
     "Series",
     "StaticEngine",
-    "StemsEngine",
     "choose_join_order",
     "default_join_plan",
     "execute",
     "run_eddy_joins",
     "run_multi",
     "run_static",
-    "run_stems",
 ]

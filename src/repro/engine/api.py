@@ -8,10 +8,10 @@ from repro.errors import ExecutionError
 from repro.core.costs import CostModel
 from repro.core.policies import RoutingPolicy
 from repro.engine.joins_engine import JoinSpec, run_eddy_joins
+from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.engine.options import SHARED_ENGINE_OPTIONS, reject_unknown_options
 from repro.engine.results import ExecutionResult
 from repro.engine.static_engine import run_static
-from repro.engine.stems_engine import run_stems
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.sim.tracing import TraceLog
@@ -43,7 +43,9 @@ def execute(
         query: a :class:`~repro.query.query.Query` or SQL text
             (``SELECT ... FROM ... WHERE ...``).
         catalog: the catalog holding the base tables and their access methods.
-        engine: ``"stems"`` (the paper's architecture, default),
+        engine: ``"stems"`` (the paper's architecture, default: a
+            one-admission :class:`~repro.engine.multi.MultiQueryEngine` run
+            on private SteMs, whose result is query ``"q0"``),
             ``"eddy-joins"`` (the pre-SteM eddy baseline) or ``"static"``
             (a traditional optimize-then-execute plan).
         policy: routing policy name or instance (adaptive engines only).
@@ -61,6 +63,10 @@ def execute(
             only).
         stem_window: build-timestamp window width for
             ``stem_eviction="time-window"`` (``stems`` engine only).
+
+        The ``stems``-only options raise
+        :class:`~repro.errors.ExecutionError` when another engine is given a
+        value other than their default.
         trace: optional :class:`~repro.sim.tracing.TraceLog` recording the
             adaptive engines' route/output/retire events.  Identical calls
             produce identical traces, tuple ids included.  The ``static``
@@ -83,18 +89,31 @@ def execute(
             "use the 'stems' engine"
         )
     if engine == "stems":
-        return run_stems(
-            parsed,
+        return MultiQueryEngine(
+            [QueryAdmission(parsed, policy=policy, trace=trace)],
             catalog,
-            policy=policy,
+            shared_stems=False,
             cost_model=cost_model,
-            until=until,
             strict_constraints=strict_constraints,
             batch_size=batch_size,
             stem_max_size=stem_max_size,
             stem_eviction=stem_eviction,
             stem_window=stem_window,
-            trace=trace,
+        ).run(until=until)["q0"]
+    ignored = [
+        name
+        for name, value, default in (
+            ("strict_constraints", strict_constraints, False),
+            ("stem_max_size", stem_max_size, None),
+            ("stem_eviction", stem_eviction, None),
+            ("stem_window", stem_window, None),
+        )
+        if value != default
+    ]
+    if ignored:
+        raise ExecutionError(
+            f"engine {engine!r} does not take {', '.join(ignored)}; "
+            "these options configure the 'stems' engine only"
         )
     if engine == "eddy-joins":
         return run_eddy_joins(

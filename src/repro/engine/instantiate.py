@@ -1,0 +1,219 @@
+"""Query instantiation for the SteM engine: paper Figure 1(c), §2.2.
+
+Every SteM query runs on :class:`~repro.engine.multi.MultiQueryEngine`; a
+single query (``execute(engine="stems")``) is a one-admission run on
+private SteMs.  Each admission is wired the way §2.2 instantiates a query:
+
+1. validate the query against the sources' bind-field constraints
+   (:func:`repro.query.binding.validate_bindings`);
+2. create an access module for *every* access method that could possibly be
+   used (all scans, all bindable indexes — they run competitively);
+3. create a selection module for every selection predicate;
+4. create a SteM on every base table in the query (one per alias);
+5. seed the scans.
+
+The eddy then routes tuples under the Table 2 constraints with whatever
+routing policy the admission selects.  The engine decides, through the two
+factories it passes in, whether a SteM (and a GROUP BY query's aggregate
+module) is private or drawn from its shared registries.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from repro.core.aggregates import AggregateModule
+from repro.core.constraints import ConstraintChecker
+from repro.errors import QueryError
+from repro.core.costs import CostModel
+from repro.core.eddy import Eddy
+from repro.core.modules.access import IndexAMModule, ScanAMModule
+from repro.core.modules.selection import SelectionModule
+from repro.core.modules.stem_module import SteMModule
+from repro.core.stem import SteM, make_eviction_policy
+from repro.engine.results import ExecutionResult, Series, span_series
+from repro.query.binding import validate_bindings
+from repro.query.joingraph import JoinGraph
+from repro.query.layout import PlanLayout
+from repro.query.query import Query, TableRef
+from repro.storage.catalog import Catalog, IndexSpec, ScanSpec
+
+
+def _validate_aggregate_columns(query: Query, catalog: Catalog) -> None:
+    """Reject aggregate queries naming columns their table does not have.
+
+    Listener callbacks run deep inside the build path; a typo must fail at
+    admission, not as an exception out of the first build.
+    """
+    known = catalog.table(query.tables[0].table).schema.names
+    for column in query.group_by:
+        if column.column not in known:
+            raise QueryError(
+                f"GROUP BY column {column} is not a column of "
+                f"{query.tables[0].table!r} (columns: {list(known)})"
+            )
+    for spec in query.aggregates:
+        if spec.column is not None and spec.column.column not in known:
+            raise QueryError(
+                f"aggregate {spec.label} names no column of "
+                f"{query.tables[0].table!r} (columns: {list(known)})"
+            )
+
+
+def make_private_aggregate_module(
+    query: Query, stem_module: SteMModule
+) -> AggregateModule:
+    """A private aggregate module listening on the query's own SteM."""
+    return AggregateModule(
+        name=f"aggregate:{query.aggregate_alias}",
+        stem=stem_module.stem,
+        alias=query.aggregate_alias,
+        group_by=query.group_by,
+        aggregates=query.aggregates,
+        predicates=query.predicates,
+    )
+
+
+def instantiate_stems_query(
+    query: Query,
+    catalog: Catalog,
+    eddy: Eddy,
+    costs: CostModel,
+    make_stem_module: Callable[[TableRef, Query, str], SteMModule],
+    make_aggregate_module: Callable[[Query, SteMModule, str], AggregateModule],
+) -> ConstraintChecker:
+    """Wire one query's modules onto an eddy (paper §2.2's five steps).
+
+    The factories build the SteM module of one FROM-clause entry and the
+    aggregate module of a GROUP BY query; both are called with the eddy's
+    query id as the owner of what they hand out.  Returns the
+    :class:`ConstraintChecker` installed as the eddy's destination
+    resolver.  As a compilation step the query's
+    :class:`~repro.query.layout.PlanLayout` — the dense alias/predicate bit
+    assignment the bitmask TupleState runs on — is built here and threaded
+    through the eddy, the checker, and the trace.
+    """
+    binding_plan = validate_bindings(query, catalog)
+    join_graph = JoinGraph.from_query(query)
+    layout = PlanLayout(query, join_graph)
+    eddy.layout = layout
+    if eddy.trace is not None:
+        eddy.trace.attach_layout(layout)
+    # SteMs: one module per alias (the factory decides whether the backing
+    # SteM is private or shared).
+    for ref in query.tables:
+        eddy.register_stem(ref.alias, make_stem_module(ref, query, eddy.query_id))
+    # Aggregates: a GROUP BY query additionally hangs an AggregateModule off
+    # its (single) SteM's build/evict listeners — maintenance runs above the
+    # eddy, so it needs no routing constraints and no done-bits.
+    if query.is_aggregate:
+        _validate_aggregate_columns(query, catalog)
+        eddy.aggregate_module = make_aggregate_module(
+            query, eddy.stems[query.aggregate_alias], eddy.query_id
+        )
+    # Selection modules.
+    for predicate in query.selection_predicates:
+        eddy.register_selection(
+            SelectionModule(predicate, cost=costs.selection_cost)
+        )
+    # Access modules: every access method usable for every alias.
+    for ref in query.tables:
+        table = catalog.table(ref.table)
+        for spec in binding_plan.methods_for(ref.alias):
+            if isinstance(spec, ScanSpec):
+                eddy.register_scan_am(
+                    ref.alias, ScanAMModule(spec, table, ref.alias)
+                )
+            elif isinstance(spec, IndexSpec):
+                eddy.register_index_am(
+                    ref.alias,
+                    IndexAMModule(
+                        spec,
+                        table,
+                        ref.alias,
+                        query.predicates,
+                        handle_cost=costs.am_handle_cost,
+                    ),
+                )
+    # Routing constraints.
+    checker = ConstraintChecker(
+        query=query,
+        join_graph=join_graph,
+        stems=eddy.stems,
+        selections=eddy.selections,
+        index_ams=eddy.index_ams,
+        scan_aliases=[
+            alias for alias in query.alias_order if eddy.has_scan_am(alias)
+        ],
+        layout=layout,
+    )
+    eddy.set_resolver(checker)
+    return checker
+
+
+def make_private_stem_module(
+    ref: TableRef,
+    query: Query,
+    costs: CostModel,
+    max_size: int | None = None,
+    eviction: str | None = None,
+    window: float | None = None,
+) -> SteMModule:
+    """A private SteM (and its module) for one FROM-clause entry.
+
+    One SteM per alias: a table referenced under several aliases gets one
+    SteM per alias (see DESIGN.md for the self-join note).  The engine uses
+    it for every alias when SteMs are not shared (a single query, or the
+    private-SteM ablation baseline) and for self-join aliases otherwise.
+    ``eviction``/``window`` select a named eviction policy (the engine
+    forwards its registry-level configuration so private SteMs honour the
+    same bound); the default keeps count-FIFO iff ``max_size`` is set.
+    """
+    stem = SteM(
+        table=ref.table,
+        aliases=(ref.alias,),
+        join_columns=query.join_columns_of(ref.alias),
+        max_size=max_size,
+        eviction=make_eviction_policy(eviction, max_size=max_size, window=window),
+        name=f"stem:{ref.alias}",
+    )
+    return SteMModule(
+        stem,
+        query.predicates,
+        build_cost=costs.stem_build_cost,
+        probe_cost=costs.stem_probe_cost,
+    )
+
+
+def collect_stems_result(eddy: Eddy, query: Query, final_time: float) -> ExecutionResult:
+    """Collect one eddy's outputs and metrics into an :class:`ExecutionResult`."""
+    index_series: dict[str, Series] = {}
+    for ams in eddy.index_ams.values():
+        for am in ams:
+            index_series[am.name] = Series.from_points(am.lookup_series, name=am.name)
+    module_stats = {
+        name: dict(module.stats) for name, module in eddy.modules.items()
+    }
+    module_stats["destination-cache"] = dict(eddy.resolver.cache_stats)
+    aggregate_rows = None
+    aggregate_labels: tuple[str, ...] = ()
+    aggregate = eddy.aggregate_module
+    if aggregate is not None:
+        aggregate_rows = tuple(aggregate.result_rows())
+        aggregate_labels = query.aggregate_labels
+        module_stats[aggregate.name] = aggregate.stats_snapshot()
+    return ExecutionResult(
+        engine="stems",
+        query_name=query.name,
+        query_id=eddy.query_id,
+        tuples=eddy.result_tuples,
+        output_series=Series(eddy.output_times, name="results"),
+        completion_time=eddy.completion_time,
+        final_time=final_time,
+        index_probe_series=index_series,
+        partial_series=span_series(eddy.partial_series),
+        module_stats=module_stats,
+        eddy_stats=dict(eddy.stats),
+        aggregate_rows=aggregate_rows,
+        aggregate_labels=aggregate_labels,
+    )

@@ -23,7 +23,7 @@ from repro.core.modules.joinmodule import IndexJoinModule, SymmetricHashJoinModu
 from repro.core.modules.selection import SelectionModule
 from repro.core.policies import NaivePolicy, RoutingPolicy, make_policy
 from repro.core.tuples import QTuple, install_id_allocator
-from repro.engine.results import ExecutionResult, Series
+from repro.engine.results import ExecutionResult, Series, span_series
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.query import Query
@@ -278,8 +278,6 @@ class EddyJoinsEngine:
         module_stats = {
             name: dict(module.stats) for name, module in self.eddy.modules.items()
         }
-        from repro.engine.stems_engine import _partial_series
-
         return ExecutionResult(
             engine="eddy-joins",
             query_name=self.query.name,
@@ -288,7 +286,7 @@ class EddyJoinsEngine:
             completion_time=self.eddy.completion_time,
             final_time=final_time,
             index_probe_series=index_series,
-            partial_series=_partial_series(self.eddy),
+            partial_series=span_series(self.eddy.partial_series),
             module_stats=module_stats,
             eddy_stats=dict(self.eddy.stats),
         )

@@ -108,7 +108,7 @@ from repro.engine.options import (
     reject_unknown_options,
 )
 from repro.engine.results import ExecutionResult, MultiQueryResult
-from repro.engine.stems_engine import (
+from repro.engine.instantiate import (
     collect_stems_result,
     instantiate_stems_query,
     make_private_aggregate_module,
@@ -208,9 +208,9 @@ class MultiQueryEngine:
             queries).
         shared_stems: share one SteM per base table across queries (the
             paper's §2.1.4 sharing); ``False`` gives every query private
-            SteMs — the ablation baseline, equivalent to N independent
-            :class:`~repro.engine.stems_engine.StemsEngine` runs on one
-            clock.
+            SteMs — the paper's Figure 1(c) single-query setup, which is how
+            ``execute(engine="stems")`` runs its one admission, and the
+            ablation baseline: N queries that each run alone on one clock.
         cost_model: virtual-time cost model (shared by all queries).
         strict_constraints: validate every routing decision of every query.
         stem_max_size: optional SteM row bound (count / reference-window
@@ -389,10 +389,8 @@ class MultiQueryEngine:
             self.catalog,
             eddy,
             self.costs,
-            lambda ref, q: self._make_stem_module(ref, q, query_id),
-            make_aggregate_module=(
-                lambda q, module: self._make_aggregate_module(q, module, query_id)
-            ),
+            self._make_stem_module,
+            self._make_aggregate_module,
         )
         if self.registry is not None:
             self.registry.attach_runtime(eddy)
@@ -498,9 +496,7 @@ class MultiQueryEngine:
         """
         ctx = self._ctx(query_id)
         now = self.simulator.now
-        result = collect_stems_result(
-            ctx.eddy, ctx.query, now, engine="stems", query_id=query_id
-        )
+        result = collect_stems_result(ctx.eddy, ctx.query, now)
         result.retired_at = now
         for module in ctx.eddy.stems.values():
             stem = module.stem
@@ -649,9 +645,7 @@ class MultiQueryEngine:
                 results[query_id] = self._retired[query_id]
             else:
                 ctx = live[query_id]
-                results[query_id] = collect_stems_result(
-                    ctx.eddy, ctx.query, final_time, engine="stems", query_id=query_id
-                )
+                results[query_id] = collect_stems_result(ctx.eddy, ctx.query, final_time)
         stem_stats: dict[str, dict[str, int]] = {}
 
         def merge_stats(key: str, stats: dict[str, int]) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.tuples import QTuple
 
@@ -93,6 +93,17 @@ class Series:
         return f"Series(name={self.name!r}, points={len(self.times)})"
 
 
+def span_series(entries: Mapping[Iterable[str], Sequence[float]]) -> dict[str, Series]:
+    """An eddy's partial-result entry times as cumulative series, keyed by
+    span (``"A+B"``).  Entry times are appended under the simulator's
+    monotone clock, so each list is already sorted."""
+    series: dict[str, Series] = {}
+    for span, times in entries.items():
+        key = "+".join(sorted(span))
+        series[key] = Series(times, name=key)
+    return series
+
+
 @dataclass
 class ExecutionResult:
     """Everything an engine reports about one query execution.
@@ -100,7 +111,8 @@ class ExecutionResult:
     Attributes:
         engine: name of the engine that ran the query.
         query_name: the query's name.
-        query_id: the admission id in a multi-query run (empty otherwise).
+        query_id: the id of the query's admission; ``"q0"`` for a single
+            query on the ``stems`` engine, empty on the baseline engines.
         tuples: the result tuples (as :class:`QTuple` objects).
         output_series: cumulative results over virtual time (Figures 7(i)/8).
         completion_time: virtual time of the last result (None if no results).

@@ -58,3 +58,16 @@ def oracle_identities(query, catalog) -> list[tuple]:
             tuple(sorted((alias, row.table, row.values) for alias, row in composite.items()))
         )
     return sorted(results)
+
+
+def single_query_engine(query, catalog, policy="benefit", trace=None, preferences=(), **options):
+    """The engine ``execute(engine="stems")`` runs, built but not run.
+
+    A one-admission :class:`~repro.engine.multi.MultiQueryEngine` on private
+    SteMs; its query id is ``"q0"``.  For tests that read the eddy
+    (``eddy_of("q0")``), the layout or the simulator.
+    """
+    from repro.engine.multi import MultiQueryEngine, QueryAdmission
+
+    admission = QueryAdmission(query, policy=policy, trace=trace, preferences=tuple(preferences))
+    return MultiQueryEngine([admission], catalog, shared_stems=False, **options)

@@ -15,10 +15,10 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.policies.base import order_by_action, split_required
-from repro.engine.stems_engine import StemsEngine
 from repro.core.tuples import singleton_tuple
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
+from tests.conftest import single_query_engine
 
 
 def build_engine(with_t_scan=True, with_selection=False):
@@ -35,7 +35,7 @@ def build_engine(with_t_scan=True, with_selection=False):
     sql = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"
     if with_selection:
         sql += " AND R.a < 5"
-    return StemsEngine(sql, catalog, policy="naive")
+    return single_query_engine(sql, catalog, policy="naive")
 
 
 def r_singleton(engine, key=1, a=3):
@@ -49,7 +49,7 @@ def r_singleton(engine, key=1, a=3):
 class TestConstraintChecker:
     def test_build_first_is_the_only_destination(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         destinations = checker.destinations(tuple_)
         assert len(destinations) == 1
@@ -58,7 +58,7 @@ class TestConstraintChecker:
 
     def test_after_build_probes_become_available(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         actions = {(d.action, d.target_alias) for d in checker.destinations(tuple_)}
@@ -69,7 +69,7 @@ class TestConstraintChecker:
 
     def test_am_probe_offered_after_stem_probe(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.record_visit("stem:S")
@@ -79,14 +79,14 @@ class TestConstraintChecker:
 
     def test_failed_tuple_has_no_destinations(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.failed = True
         assert checker.destinations(tuple_) == []
 
     def test_bounded_repetition_excludes_visited_modules(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.record_visit("stem:S")
@@ -98,7 +98,7 @@ class TestConstraintChecker:
 
     def test_stop_stem_probes_blocks_further_stem_probes(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.stop_stem_probes = True
@@ -106,7 +106,7 @@ class TestConstraintChecker:
 
     def test_prior_prober_restricted_to_completion_table(self):
         engine = build_engine(with_t_scan=False)
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.record_visit("stem:S")
@@ -120,7 +120,7 @@ class TestConstraintChecker:
 
     def test_optional_vs_required_am_probe(self):
         engine = build_engine(with_t_scan=True)
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.record_visit("stem:T")
@@ -130,7 +130,7 @@ class TestConstraintChecker:
 
     def test_exhausted_alias_gets_no_am_probe(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.record_visit("stem:S")
@@ -139,7 +139,7 @@ class TestConstraintChecker:
 
     def test_selection_destinations(self):
         engine = build_engine(with_selection=True)
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         actions = {d.action for d in checker.destinations(tuple_)}
@@ -147,8 +147,8 @@ class TestConstraintChecker:
 
     def test_ready_for_output_requires_all_predicates(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
-        query = engine.query
+        checker = engine.eddy_of("q0").resolver
+        query = engine.layout_of("q0").query
         r_row = engine.catalog.table("R").rows[0]
         s_row = engine.catalog.table("S").rows[0]
         t_row = engine.catalog.table("T").rows[0]
@@ -163,9 +163,9 @@ class TestConstraintChecker:
 
     def test_validate_raises_on_illegal_routing(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
-        illegal = Destination(engine.eddy.stems["S"], "probe", "S", required=True)
+        illegal = Destination(engine.eddy_of("q0").stems["S"], "probe", "S", required=True)
         with pytest.raises(RoutingViolationError):
             checker.validate(tuple_, illegal)  # must build into stem:R first
         legal = checker.destinations(tuple_)[0]
@@ -175,7 +175,7 @@ class TestConstraintChecker:
 class TestPolicyHelpers:
     def test_split_and_order(self):
         engine = build_engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         destinations = checker.destinations(tuple_)
@@ -196,7 +196,7 @@ class TestPolicyHelpers:
 
 class TestPolicyChoices:
     def _destinations(self, engine):
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         return tuple_, checker.destinations(tuple_)
@@ -204,28 +204,29 @@ class TestPolicyChoices:
     def test_naive_prefers_probes_over_am(self):
         engine = build_engine()
         tuple_, destinations = self._destinations(engine)
-        choice = NaivePolicy().choose(tuple_, destinations, engine.eddy)
+        choice = NaivePolicy().choose(tuple_, destinations, engine.eddy_of("q0"))
         assert choice is not None and choice.action == "probe"
 
     def test_naive_optional_handling(self):
         engine = build_engine()
-        optional = [Destination(engine.eddy.index_ams["T"][0], "am_probe", "T", required=False)]
+        eddy = engine.eddy_of("q0")
+        optional = [Destination(eddy.index_ams["T"][0], "am_probe", "T", required=False)]
         tuple_, _ = self._destinations(engine)
-        assert NaivePolicy(greedy_optional=True).choose(tuple_, optional, engine.eddy) is not None
-        assert NaivePolicy(greedy_optional=False).choose(tuple_, optional, engine.eddy) is None
+        assert NaivePolicy(greedy_optional=True).choose(tuple_, optional, eddy) is not None
+        assert NaivePolicy(greedy_optional=False).choose(tuple_, optional, eddy) is None
 
     def test_random_policy_is_deterministic_per_seed(self):
         engine = build_engine()
         tuple_, destinations = self._destinations(engine)
-        first = RandomPolicy(seed=3).choose(tuple_, destinations, engine.eddy)
-        second = RandomPolicy(seed=3).choose(tuple_, destinations, engine.eddy)
+        first = RandomPolicy(seed=3).choose(tuple_, destinations, engine.eddy_of("q0"))
+        second = RandomPolicy(seed=3).choose(tuple_, destinations, engine.eddy_of("q0"))
         assert first.module.name == second.module.name
 
     def test_static_order_policy_follows_order(self):
         engine = build_engine()
         tuple_, destinations = self._destinations(engine)
         policy = StaticOrderPolicy(order=["stem:T", "stem:S"])
-        choice = policy.choose(tuple_, destinations, engine.eddy)
+        choice = policy.choose(tuple_, destinations, engine.eddy_of("q0"))
         assert choice.module.name == "stem:T"
 
     def test_lottery_policy_rewards_and_decays(self):
@@ -240,54 +241,55 @@ class TestPolicyChoices:
         tuple_, destinations = self._destinations(engine)
         policy = LotteryPolicy(seed=5)
         policy.credit("stem:S", 1000.0)
-        picks = [policy.choose(tuple_, destinations, engine.eddy).module.name for _ in range(10)]
+        eddy = engine.eddy_of("q0")
+        picks = [policy.choose(tuple_, destinations, eddy).module.name for _ in range(10)]
         assert picks.count("stem:S") >= 8
 
     def test_benefit_policy_prefers_selection_with_high_drop_rate(self):
         engine = build_engine(with_selection=True)
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         tuple_ = r_singleton(engine, a=3)
         tuple_.mark_built("R", 1.0)
         # Teach the selection module that it drops a lot.
-        selection_module = engine.eddy.selections[0]
+        selection_module = engine.eddy_of("q0").selections[0]
         selection_module.stats["passed"] = 5
         selection_module.stats["dropped"] = 95
         destinations = checker.destinations(tuple_)
-        choice = BenefitPolicy().choose(tuple_, destinations, engine.eddy)
+        choice = BenefitPolicy().choose(tuple_, destinations, engine.eddy_of("q0"))
         assert choice.action == "select"
 
     def test_benefit_policy_declines_expensive_optional_probe(self):
         engine = build_engine()
-        am = engine.eddy.index_ams["T"][0]
+        am = engine.eddy_of("q0").index_ams["T"][0]
         # Make the index look very backed up.
         am._lookup_queue.extend([(i,) for i in range(500)])
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         optional = [Destination(am, "am_probe", "T", required=False)]
         policy = BenefitPolicy(seed=1, exploration=0.0)
-        assert policy.choose(tuple_, optional, engine.eddy) is None
+        assert policy.choose(tuple_, optional, engine.eddy_of("q0")) is None
 
     def test_benefit_policy_accepts_cheap_optional_probe(self):
         engine = build_engine()
-        am = engine.eddy.index_ams["T"][0]
+        am = engine.eddy_of("q0").index_ams["T"][0]
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         optional = [Destination(am, "am_probe", "T", required=False)]
         policy = BenefitPolicy(seed=1, exploration=0.0)
         # Scans have not started (no progress), so the scan wait is long and
         # the 0.1 s index lookup is clearly worth it.
-        assert policy.choose(tuple_, optional, engine.eddy) is not None
+        assert policy.choose(tuple_, optional, engine.eddy_of("q0")) is not None
 
     def test_benefit_policy_always_chases_prioritised_tuples(self):
         engine = build_engine()
-        am = engine.eddy.index_ams["T"][0]
+        am = engine.eddy_of("q0").index_ams["T"][0]
         am._lookup_queue.extend([(i,) for i in range(500)])
         tuple_ = r_singleton(engine)
         tuple_.mark_built("R", 1.0)
         tuple_.priority = 5.0
         optional = [Destination(am, "am_probe", "T", required=False)]
         policy = BenefitPolicy(seed=1, exploration=0.0)
-        assert policy.choose(tuple_, optional, engine.eddy) is not None
+        assert policy.choose(tuple_, optional, engine.eddy_of("q0")) is not None
 
 
 class TestLotteryBatchDecisions:
@@ -299,7 +301,7 @@ class TestLotteryBatchDecisions:
             tuple_ = r_singleton(engine, key=position)
             tuple_.mark_built("R", 1.0)
             tuples.append(tuple_)
-        destinations = engine.eddy.resolver.destinations(tuples[0])
+        destinations = engine.eddy_of("q0").resolver.destinations(tuples[0])
         return tuples, destinations
 
     def test_batch_ticket_mass_matches_per_tuple_draws(self):
@@ -310,14 +312,14 @@ class TestLotteryBatchDecisions:
 
         batch_policy = LotteryPolicy(seed=9, decay=1.0)
         base_mass = sum(batch_policy.tickets_of(name) for name in module_names)
-        choices = batch_policy.choose_batch(tuples, destinations, engine.eddy)
+        choices = batch_policy.choose_batch(tuples, destinations, engine.eddy_of("q0"))
         assert len(choices) == len(tuples)
         assert len({choice.module.name for choice in choices}) == 1  # one winner
         batch_mass = sum(batch_policy.tickets_of(name) for name in module_names)
 
         per_tuple_policy = LotteryPolicy(seed=9, decay=1.0)
         for tuple_ in tuples:
-            per_tuple_policy.choose(tuple_, destinations, engine.eddy)
+            per_tuple_policy.choose(tuple_, destinations, engine.eddy_of("q0"))
         per_tuple_mass = sum(per_tuple_policy.tickets_of(name) for name in module_names)
 
         # The group top-up (1 from choose + N-1 extra) keeps the feedback
@@ -331,7 +333,7 @@ class TestLotteryBatchDecisions:
         tuples, destinations = self._group(engine, size=5)
         policy = LotteryPolicy(seed=2, decay=1.0)
         before = {d.module.name: policy.tickets_of(d.module.name) for d in destinations}
-        choices = policy.choose_batch(tuples, destinations, engine.eddy)
+        choices = policy.choose_batch(tuples, destinations, engine.eddy_of("q0"))
         winner = choices[0].module.name
         assert policy.tickets_of(winner) == before[winner] + len(tuples)
 
@@ -343,7 +345,7 @@ class TestLotteryBatchDecisions:
         calls = []
         original = policy._decay_all
         policy._decay_all = lambda: (calls.append(1), original())[1]
-        policy.choose_batch(tuples, destinations, engine.eddy)
+        policy.choose_batch(tuples, destinations, engine.eddy_of("q0"))
         assert len(calls) == 1
 
         per_tuple = LotteryPolicy(seed=4)
@@ -351,12 +353,12 @@ class TestLotteryBatchDecisions:
         original_per_tuple = per_tuple._decay_all
         per_tuple._decay_all = lambda: (calls.append(1), original_per_tuple())[1]
         for tuple_ in tuples:
-            per_tuple.choose(tuple_, destinations, engine.eddy)
+            per_tuple.choose(tuple_, destinations, engine.eddy_of("q0"))
         assert len(calls) == len(tuples)
 
     def test_batch_of_one_equals_single_choose(self):
         engine = build_engine()
         tuples, destinations = self._group(engine, size=1)
-        batch = LotteryPolicy(seed=11).choose_batch(tuples, destinations, engine.eddy)
-        single = LotteryPolicy(seed=11).choose(tuples[0], destinations, engine.eddy)
+        batch = LotteryPolicy(seed=11).choose_batch(tuples, destinations, engine.eddy_of("q0"))
+        single = LotteryPolicy(seed=11).choose(tuples[0], destinations, engine.eddy_of("q0"))
         assert batch == [single]

@@ -20,10 +20,12 @@ from repro.core.eddy import Eddy
 from repro.core.policies import NaivePolicy
 from repro.core.tuples import EOTTuple, singleton_tuple
 from repro.engine.static_engine import run_static
-from repro.engine.stems_engine import StemsEngine, run_stems
+from repro.engine.api import execute
+from repro.engine.multi import MultiQueryEngine
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
+from tests.conftest import single_query_engine
 
 THREE_WAY_SQL = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"
 
@@ -40,8 +42,8 @@ def three_way_catalog() -> Catalog:
     return catalog
 
 
-def three_way_engine(**kwargs) -> StemsEngine:
-    return StemsEngine(THREE_WAY_SQL, three_way_catalog(), **kwargs)
+def three_way_engine(**kwargs) -> MultiQueryEngine:
+    return single_query_engine(THREE_WAY_SQL, three_way_catalog(), **kwargs)
 
 
 def result_identity(result):
@@ -51,7 +53,7 @@ def result_identity(result):
 class TestSignatureCache:
     def test_hit_miss_and_invalidate(self):
         engine = three_way_engine(policy="naive")
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         row = next(iter(engine.catalog.table("R")))
         tuple_ = singleton_tuple("R", row)
         signature = tuple_.routing_signature()
@@ -68,7 +70,7 @@ class TestSignatureCache:
 
     def test_cached_list_is_a_private_copy(self):
         engine = three_way_engine(policy="naive")
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         row = next(iter(engine.catalog.table("R")))
         tuple_ = singleton_tuple("R", row)
         signature = tuple_.routing_signature()
@@ -89,26 +91,26 @@ class TestSignatureCache:
 
     def test_scan_finish_invalidates_cache(self):
         engine = three_way_engine(policy="naive")
-        checker = engine.eddy.resolver
+        eddy = engine.eddy_of("q0")
+        checker = eddy.resolver
         before = checker.cache_stats["invalidations"]
-        changes = engine.eddy.stats["liveness_changes"]
-        scan_am = engine.eddy.scan_ams["R"][0]
+        changes = eddy.stats["liveness_changes"]
+        scan_am = eddy.scan_ams["R"][0]
         scan_am._deliver_eot()
-        assert engine.eddy.stats["liveness_changes"] == changes + 1
+        assert eddy.stats["liveness_changes"] == changes + 1
         assert checker.cache_stats["invalidations"] == before + 1
 
     def test_stem_seal_invalidates_cache(self):
         engine = three_way_engine(policy="naive")
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         before = checker.cache_stats["invalidations"]
-        stem_module = engine.eddy.stems["R"]
+        stem_module = engine.eddy_of("q0").stems["R"]
         stem_module.process(EOTTuple(table="R", alias="R", am_name="am:scan:R"))
         assert checker.cache_stats["invalidations"] == before + 1
         assert stem_module.scan_complete
 
     def test_full_run_hits_cache_and_sees_all_liveness_events(self):
-        engine = three_way_engine(policy="naive", batch_size=8)
-        result = engine.run()
+        result = three_way_engine(policy="naive", batch_size=8).run()["q0"]
         cache = result.module_stats["destination-cache"]
         assert cache["hits"] > 0 and cache["misses"] > 0
         # Three scans finish and three SteMs seal over the run.
@@ -126,8 +128,8 @@ class TestBatchedRouting:
         reference = run_static(
             parse_if_needed(THREE_WAY_SQL), three_way_catalog()
         )
-        per_tuple = run_stems(THREE_WAY_SQL, three_way_catalog(), policy=policy)
-        batched = run_stems(
+        per_tuple = execute(THREE_WAY_SQL, three_way_catalog(), policy=policy)
+        batched = execute(
             THREE_WAY_SQL, three_way_catalog(), policy=policy, batch_size=16
         )
         assert result_identity(per_tuple) == result_identity(reference)
@@ -142,7 +144,7 @@ class TestBatchedRouting:
             assert batched.eddy_stats["routings"] == per_tuple.eddy_stats["routings"]
 
     def test_batch_routing_obeys_strict_constraints(self):
-        result = run_stems(
+        result = execute(
             THREE_WAY_SQL,
             three_way_catalog(),
             policy="naive",
@@ -153,7 +155,7 @@ class TestBatchedRouting:
         assert not result.has_duplicates()
 
     def test_batch_size_one_matches_legacy_event_accounting(self):
-        result = run_stems(THREE_WAY_SQL, three_way_catalog(), policy="naive")
+        result = execute(THREE_WAY_SQL, three_way_catalog(), policy="naive")
         stats = result.eddy_stats
         assert stats["route_events"] == stats["routings"] == stats["route_decisions"]
 

@@ -8,20 +8,21 @@ from repro.core.eddy import Eddy
 from repro.core.modules.selection import SelectionModule
 from repro.core.policies import NaivePolicy
 from repro.core.tuples import singleton_tuple
-from repro.engine.stems_engine import StemsEngine
+from repro.engine.multi import MultiQueryEngine
 from repro.query.predicates import selection
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
+from tests.conftest import single_query_engine
 
 
-def small_engine(**kwargs) -> StemsEngine:
+def small_engine(**kwargs) -> MultiQueryEngine:
     catalog = Catalog()
     catalog.add_table(make_source_r(30, 10, seed=5))
     catalog.add_table(make_source_t(30, seed=6))
     catalog.add_scan("R", rate=100.0)
     catalog.add_scan("T", rate=100.0)
-    return StemsEngine(
+    return single_query_engine(
         "SELECT * FROM R, T WHERE R.key = T.key", catalog, policy="naive", **kwargs
     )
 
@@ -35,58 +36,59 @@ class TestRegistration:
             eddy.register_selection(SelectionModule(selection("R.a", ">", 5), name="sm"))
 
     def test_scan_am_registry_and_helpers(self):
-        engine = small_engine()
-        assert engine.eddy.has_scan_am("R")
-        assert engine.eddy.has_scan_am("T")
-        assert not engine.eddy.has_scan_am("Z")
-        wait = engine.eddy.expected_scan_wait("T")
+        eddy = small_engine().eddy_of("q0")
+        assert eddy.has_scan_am("R")
+        assert eddy.has_scan_am("T")
+        assert not eddy.has_scan_am("Z")
+        wait = eddy.expected_scan_wait("T")
         assert wait is not None and wait > 0
-        assert engine.eddy.expected_scan_wait("Z") is None
+        assert eddy.expected_scan_wait("Z") is None
 
 
 class TestExecutionMechanics:
     def test_outputs_and_series_are_consistent(self):
         engine = small_engine()
-        result = engine.run()
+        result = engine.run()["q0"]
         assert result.row_count == 30
         series = result.output_series
         assert series.final_count == 30
         assert series.points == tuple(sorted(series.points))
-        assert engine.eddy.completion_time == series.final_time
+        assert engine.eddy_of("q0").completion_time == series.final_time
 
     def test_termination_leaves_no_pending_work(self):
         engine = small_engine()
         engine.run()
         assert engine.simulator.pending_events == 0
-        assert not engine.eddy._ready
-        for module in engine.eddy.modules.values():
+        eddy = engine.eddy_of("q0")
+        assert not eddy._ready
+        for module in eddy.modules.values():
             assert module.pending_work == 0
 
     def test_eddy_stats_populated(self):
         engine = small_engine()
-        result = engine.run()
+        result = engine.run()["q0"]
         assert result.eddy_stats["routings"] > 60
         assert result.eddy_stats["retired"] > 0
 
     def test_strict_constraints_mode_runs_clean(self):
         engine = small_engine(strict_constraints=True)
-        result = engine.run()
+        result = engine.run()["q0"]
         assert result.row_count == 30
 
     def test_run_until_truncates_execution(self):
         engine = small_engine()
-        result = engine.run(until=0.05)
+        result = engine.run(until=0.05)["q0"]
         assert result.final_time <= 0.06
         assert result.row_count < 30
 
     def test_route_cost_slows_virtual_completion(self):
-        fast = small_engine(cost_model=CostModel(route_cost=1e-5)).run()
-        slow = small_engine(cost_model=CostModel(route_cost=5e-3)).run()
+        fast = small_engine(cost_model=CostModel(route_cost=1e-5)).run()["q0"]
+        slow = small_engine(cost_model=CostModel(route_cost=5e-3)).run()["q0"]
         assert slow.final_time > fast.final_time
 
     def test_max_routing_guard(self):
         engine = small_engine()
-        engine.eddy.max_routing_steps = 10
+        engine.eddy_of("q0").max_routing_steps = 10
         with pytest.raises(ExecutionError):
             engine.run()
 
@@ -96,13 +98,13 @@ class TestExecutionMechanics:
         catalog.add_table(make_source_t(20, seed=2))
         catalog.add_scan("R", rate=100.0)
         catalog.add_scan("T", rate=100.0)
-        engine = StemsEngine(
+        engine = single_query_engine(
             "SELECT * FROM R, T WHERE R.key = T.key",
             catalog,
             policy="naive",
             preferences=[selection("R.a", "<", 2, priority=3.0)],
         )
-        result = engine.run()
+        result = engine.run()["q0"]
         prioritized = [t for t in result.tuples if t.priority > 0]
         others = [t for t in result.tuples if t.priority == 0]
         assert prioritized and others
@@ -184,14 +186,14 @@ class TestFailedTupleDrops:
         catalog.add_scan("T", rate=100.0)
         catalog.add_index("T", ["key"], latency=0.05)
         trace = TraceLog()
-        engine = StemsEngine(
+        engine = single_query_engine(
             "SELECT * FROM R, T WHERE R.key = T.key AND R.a < 4",
             catalog,
             policy="naive",
             trace=trace,
         )
-        result = engine.run()
-        stats = engine.eddy.stats
+        result = engine.run()["q0"]
+        stats = engine.eddy_of("q0").stats
         assert stats["dropped_failed"] > 0
         assert stats["absorbed"] > 0
         assert trace.count("output") == result.row_count
@@ -305,8 +307,8 @@ class TestOutputColumns:
 
     def test_outputs_view_agrees_with_the_columns(self):
         engine = small_engine()
-        result = engine.run()
-        eddy = engine.eddy
+        result = engine.run()["q0"]
+        eddy = engine.eddy_of("q0")
         times, tuples = eddy.output_times, eddy.output_tuples
         outputs = eddy.outputs
         assert len(outputs) == len(times) == len(tuples) == 30
@@ -332,9 +334,9 @@ class TestOutputColumns:
                 return False
             return True
 
-        engine.eddy.emit_filter = emit_filter
-        result = engine.run()
-        eddy = engine.eddy
+        engine.eddy_of("q0").emit_filter = emit_filter
+        result = engine.run()["q0"]
+        eddy = engine.eddy_of("q0")
         assert eddy.stats["suppressed_emits"] == 12
         assert len(eddy.output_times) == len(eddy.output_tuples) == 18
         assert result.row_count == 18 and len(eddy.outputs) == 18
@@ -352,12 +354,12 @@ class TestOutputColumns:
         catalog.add_scan("R", rate=200.0)
         catalog.add_scan("T", rate=50.0)
         catalog.add_index("T", ["key"], latency=0.02)
-        engine = StemsEngine(
+        engine = single_query_engine(
             "SELECT * FROM R, T, R AS R2 WHERE R.key = T.key AND T.key = R2.key",
             catalog, policy=policy, batch_size=batch_size,
         )
-        result = engine.run()
-        eddy = engine.eddy
+        result = engine.run()["q0"]
+        eddy = engine.eddy_of("q0")
         assert result.row_count and len(eddy.partial_series) >= 2
         assert eddy.output_times == sorted(eddy.output_times)
         for span, times in eddy.partial_series.items():

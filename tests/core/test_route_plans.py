@@ -35,10 +35,10 @@ from repro.core.policies import (
 )
 from repro.core.tuples import EOTTuple, singleton_tuple
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
-from repro.engine.stems_engine import StemsEngine
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
+from tests.conftest import single_query_engine
 
 THREE_WAY_SQL = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key AND R.a < 8"
 STATIC_ORDER = ("stem:T", "stem:S", "stem:R")
@@ -76,14 +76,14 @@ def make(name: str, **kwargs):
 @pytest.fixture(scope="module")
 def half_run_engine():
     """A 3-way engine stopped mid-run: modules with statistics, scans left."""
-    engine = StemsEngine(THREE_WAY_SQL, three_way_catalog(), policy="naive")
+    engine = single_query_engine(THREE_WAY_SQL, three_way_catalog(), policy="naive")
     engine.run(until=0.15)
     return engine
 
 
 def _module_pool(engine):
     """``(module, target alias)`` candidates per action."""
-    eddy = engine.eddy
+    eddy = engine.eddy_of("q0")
     stems = [(module, alias) for alias, module in eddy.stems.items()]
     return {
         "build": stems,
@@ -127,7 +127,7 @@ class TestFixedChoiceIsPure:
     def test_fixed_choice_equals_choose_and_records_nothing(
         self, half_run_engine, name, kwargs, specs, seed
     ):
-        eddy = half_run_engine.eddy
+        eddy = half_run_engine.eddy_of("q0")
         pool = _module_pool(half_run_engine)
         destinations = []
         for action, index, required in specs:
@@ -156,14 +156,15 @@ class TestFixedChoiceIsPure:
             assert random.getstate() == global_before
 
     def test_which_policies_opt_in(self, half_run_engine):
-        stem = half_run_engine.eddy.stems["R"]
+        stem = half_run_engine.eddy_of("q0").stems["R"]
         sole = (Destination(stem, "build", "R"),)
         assert make("naive").fixed_choice(sole) is sole[0]
         assert make("static").fixed_choice(sole) is sole[0]
         assert make("benefit").fixed_choice(sole) is sole[0]
         assert make("lottery").fixed_choice(sole) is None
         assert make("random").fixed_choice(sole) is None
-        two = (Destination(stem, "probe", "R"), Destination(half_run_engine.eddy.stems["S"], "probe", "S"))
+        other = half_run_engine.eddy_of("q0").stems["S"]
+        two = (Destination(stem, "probe", "R"), Destination(other, "probe", "S"))
         assert make("benefit").fixed_choice(two) is None
 
 
@@ -283,13 +284,13 @@ class TestPlansChangeNothing:
 # -- (c) the cache's rules ----------------------------------------------------------
 
 
-def _engine(**kwargs) -> StemsEngine:
-    return StemsEngine(THREE_WAY_SQL, three_way_catalog(), policy="naive", **kwargs)
+def _engine(**kwargs) -> MultiQueryEngine:
+    return single_query_engine(THREE_WAY_SQL, three_way_catalog(), policy="naive", **kwargs)
 
 
 def _planned(engine):
     """A built R singleton's plan, with the eddy's choice filled in."""
-    checker = engine.eddy.resolver
+    checker = engine.eddy_of("q0").resolver
     # Encoded over the query's layout, as the eddy binds every tuple before
     # routing it: a fallback-space tuple's signature would change when the
     # plan rebinds it, and which bit the fallback space gave "R" depends on
@@ -299,7 +300,7 @@ def _planned(engine):
     )
     tuple_.mark_built("R", 1.0)
     plan = checker.route_plan(tuple_.routing_signature(), tuple_)
-    plan.choice = engine.eddy.policy.fixed_choice(plan.destinations)
+    plan.choice = engine.eddy_of("q0").policy.fixed_choice(plan.destinations)
     assert plan.choice is not None
     return checker, tuple_, plan
 
@@ -310,10 +311,11 @@ class TestPlanCacheRules:
         engine = _engine()
         checker, tuple_, plan = _planned(engine)
         assert checker.route_plan(tuple_.routing_signature(), tuple_) is plan
+        eddy = engine.eddy_of("q0")
         if event == "scan finish":
-            engine.eddy.scan_ams["R"][0]._deliver_eot()
+            eddy.scan_ams["R"][0]._deliver_eot()
         else:
-            engine.eddy.stems["R"].process(EOTTuple(table="R", alias="R", am_name="am:scan:R"))
+            eddy.stems["R"].process(EOTTuple(table="R", alias="R", am_name="am:scan:R"))
         assert checker.cache_stats["invalidations"] == 1
         misses = checker.cache_stats["misses"]
         fresh = checker.route_plan(tuple_.routing_signature(), tuple_)
@@ -322,7 +324,7 @@ class TestPlanCacheRules:
 
     def test_failed_exemplar_is_never_cached(self):
         engine = _engine()
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         row = engine.catalog.table("R").rows[0]
         failed, live = singleton_tuple("R", row), singleton_tuple("R", row)
         failed.failed = True
@@ -345,7 +347,7 @@ class TestPlanCacheRules:
     @pytest.mark.parametrize("batch_size", [1, 8], ids=lambda b: f"batch={b}")
     def test_every_resolution_is_one_hit_or_one_miss(self, batch_size):
         engine = _engine(batch_size=batch_size)
-        checker = engine.eddy.resolver
+        checker = engine.eddy_of("q0").resolver
         resolve = checker.route_plan
         calls = []
 
@@ -355,7 +357,7 @@ class TestPlanCacheRules:
 
         checker.route_plan = counted
         engine.run()
-        stats, eddy_stats = checker.cache_stats, engine.eddy.stats
+        stats, eddy_stats = checker.cache_stats, engine.eddy_of("q0").stats
         assert not any(calls)
         assert stats["hits"] + stats["misses"] == len(calls)
         assert len(calls) == eddy_stats["route_decisions"] - eddy_stats["eots_routed"]

@@ -26,6 +26,7 @@ from repro.storage.catalog import IndexSpec, ScanSpec
 from repro.storage.datagen import make_source_s, make_source_t
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.conftest import single_query_engine
 from tests.core.test_modules import FakeRuntime
 
 R_SCHEMA = Schema.of("key:int", "a:int")
@@ -411,7 +412,6 @@ class TestHotObjectsAreLean:
     @staticmethod
     def _fanout_engine(distinct):
         """A 60 x 60 row join on a ``distinct``-valued column."""
-        from repro.engine.stems_engine import StemsEngine
         from repro.storage.catalog import Catalog
         from repro.storage.table import Table
 
@@ -420,7 +420,7 @@ class TestHotObjectsAreLean:
             table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
             table.insert_many((i, i % distinct) for i in range(60))
             catalog.add_scan(name, rate=100.0)
-        return StemsEngine(
+        return single_query_engine(
             "SELECT * FROM A, B WHERE A.value = B.value", catalog, policy="naive"
         )
 
@@ -432,7 +432,7 @@ class TestHotObjectsAreLean:
         records = sum(type(o) is OutputRecord for o in gc.get_objects())
         tracked = len(gc.get_objects())
         engine = cls._fanout_engine(distinct)
-        result = engine.run()
+        result = engine.run()["q0"]
         gc.collect()
         tracked = len(gc.get_objects()) - tracked
         records = sum(type(o) is OutputRecord for o in gc.get_objects()) - records
@@ -446,11 +446,11 @@ class TestHotObjectsAreLean:
         large = self._fanout_join(distinct=3)  # same rows, 4x the results
         (_, small_result, small_tracked, _), (engine, result, tracked, records) = small, large
         assert result.row_count == 4 * small_result.row_count == 1200
-        assert records == 0 and len(engine.eddy.outputs) == 1200
+        assert records == 0 and len(engine.eddy_of("q0").outputs) == 1200
         assert not any(gc.is_tracked(t._ts) for t in result.tuples)
         assert all(gc.is_tracked(t.components) for t in result.tuples)
         signatures = {id(t.routing_signature()) for t in result.tuples}
-        probes = sum(module.stats["probes"] for module in engine.eddy.stems.values())
+        probes = sum(module.stats["probes"] for module in engine.eddy_of("q0").stems.values())
         assert len(signatures) <= probes == 120  # one per probe with matches
         extra_results = result.row_count - small_result.row_count
         assert tracked - small_tracked <= 2 * extra_results + 64
@@ -467,7 +467,7 @@ class TestHotObjectsAreLean:
             gc.collect()
             tracemalloc.start()
             try:
-                result = engine.run()
+                result = engine.run()["q0"]
                 gc.collect()
                 return result.row_count, tracemalloc.get_traced_memory()[0]
             finally:
@@ -482,15 +482,16 @@ class TestHotObjectsAreLean:
         """The output and partial-result series keep their times, not a
         ``(time, count)`` pair per point: collecting a run makes no
         container per result."""
-        from repro.engine.stems_engine import collect_stems_result
+        from repro.engine.instantiate import collect_stems_result
 
         engine = self._fanout_engine(distinct=3)
-        result = engine.run()
+        result = engine.run()["q0"]
+        eddy = engine.eddy_of("q0")
         gc.collect()
         gc.disable()
         try:
             before = len(gc.get_objects())
-            collected = collect_stems_result(engine.eddy, engine.query, result.final_time)
+            collected = collect_stems_result(eddy, eddy.layout.query, result.final_time)
             made = len(gc.get_objects()) - before
         finally:
             gc.enable()

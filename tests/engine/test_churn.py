@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.api import execute
 from repro.engine.multi import ChurnEvent, MultiQueryEngine, QueryAdmission, run_churn
-from repro.engine.stems_engine import StemsEngine, run_stems
 from repro.errors import ExecutionError
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
@@ -100,13 +100,13 @@ class TestLateAdmissionDifferential:
         multi = engine.run()
 
         alone_trace = TraceLog()
-        alone = StemsEngine(
+        alone = execute(
             FOREGROUND_SQL,
             build_catalog(),
             policy=policy,
             batch_size=batch_size,
             trace=alone_trace,
-        ).run()
+        )
 
         assert canonical_trace(multi_trace, ADMIT_AT) == canonical_trace(
             alone_trace, 0.0
@@ -152,7 +152,7 @@ class TestLateAdmissionDifferential:
         # Admit long after both scans sealed the shared SteMs.
         engine.simulator.schedule_at(30.0, lambda: engine.admit(late, at_time=30.0))
         multi = engine.run()
-        alone = run_stems(BACKGROUND_SQL, catalog, policy=policy)
+        alone = execute(BACKGROUND_SQL, catalog, policy=policy)
         assert (
             multi["late"].canonical_identities() == alone.canonical_identities()
         )
@@ -174,7 +174,7 @@ class TestRetirement:
         result = multi["bg"]
         assert result.retired_at == pytest.approx(retire_at)
         assert multi.retired == ("bg",)
-        full = run_stems(BACKGROUND_SQL, catalog, policy="naive")
+        full = execute(BACKGROUND_SQL, catalog, policy="naive")
         # A strict, non-empty prefix of the full run's outputs.
         assert 0 < result.row_count < full.row_count
         assert result.identities() == full.identities()[: result.row_count]
@@ -351,7 +351,7 @@ class TestContinuousServiceMode:
             ChurnEvent(time=40.0, action="retire", query_id="only"),
         ]
         result = run_churn(events, build_catalog())
-        assert result["only"].row_count == run_stems(
+        assert result["only"].row_count == execute(
             BACKGROUND_SQL, build_catalog(), policy="naive"
         ).row_count
         assert result.retired == ("only",)

@@ -24,11 +24,11 @@ import pytest
 from repro.core.aggregates import AggregateModule
 from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine, QueryAdmission, run_multi
-from repro.engine.stems_engine import StemsEngine, run_stems
 from repro.errors import ExecutionError, QueryError
 from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
+from tests.conftest import single_query_engine
 
 AGG_SQL = "SELECT a, count(*), sum(key), avg(key), min(key), max(key) FROM R GROUP BY a"
 FILTERED_SQL = "SELECT a, count(*), sum(key) FROM R WHERE R.key < 60 GROUP BY a"
@@ -62,7 +62,7 @@ def brute_force(catalog, cutoff=None):
 class TestSingleQueryAggregates:
     def test_matches_brute_force(self):
         catalog = build_catalog()
-        result = run_stems(FILTERED_SQL, catalog, policy="naive")
+        result = execute(FILTERED_SQL, catalog, policy="naive")
         assert result.is_aggregate
         assert [tuple(r) for r in result.aggregate_rows] == brute_force(
             catalog, cutoff=60
@@ -77,7 +77,7 @@ class TestSingleQueryAggregates:
         oracle = None
         for policy in ("naive", "lottery", "benefit"):
             for batch_size in (1, 8):
-                result = run_stems(
+                result = execute(
                     AGG_SQL,
                     build_catalog(),
                     policy=policy,
@@ -102,15 +102,11 @@ class TestSingleQueryAggregates:
     def test_windowed_run_equals_recompute_over_survivors(self, bound):
         from repro.core.aggregates import AggregateState
 
-        engine = StemsEngine(
-            AGG_SQL,
-            build_catalog(),
-            policy="naive",
-            **bound,
-        )
-        result = engine.run()
-        module = engine.eddy.aggregate_module
-        stem = engine.eddy.stems["R"].stem
+        engine = single_query_engine(AGG_SQL, build_catalog(), policy="naive", **bound)
+        result = engine.run()["q0"]
+        eddy = engine.eddy_of("q0")
+        module = eddy.aggregate_module
+        stem = eddy.stems["R"].stem
         expected = AggregateState.recompute(
             module.state.group_by,
             module.state.aggregates,
@@ -121,7 +117,7 @@ class TestSingleQueryAggregates:
 
     def test_unknown_aggregate_column_rejected(self):
         with pytest.raises(QueryError, match="names no column"):
-            run_stems(
+            execute(
                 "SELECT a, sum(b) FROM R GROUP BY a", build_catalog(),
                 policy="naive",
             )

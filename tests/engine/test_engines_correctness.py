@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.api import execute
 from repro.engine.joins_engine import JoinSpec, run_eddy_joins
 from repro.engine.static_engine import choose_join_order, run_static
-from repro.engine.stems_engine import run_stems
+from repro.errors import ExecutionError
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import (
@@ -57,7 +57,7 @@ QUERIES = [
 def test_stems_engine_matches_oracle(sql, policy):
     catalog = rst_catalog()
     query = parse_query(sql)
-    result = run_stems(query, catalog, policy=policy)
+    result = execute(query, catalog, policy=policy)
     assert not result.has_duplicates()
     assert sorted(result.identities()) == oracle_identities(query, catalog)
 
@@ -82,7 +82,7 @@ def test_static_engine_matches_oracle(sql):
 def test_stems_engine_without_t_scan_uses_index_only():
     catalog = rst_catalog(t_has_scan=False)
     query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
-    result = run_stems(query, catalog, policy="naive")
+    result = execute(query, catalog, policy="naive")
     assert sorted(result.identities()) == oracle_identities(query, catalog)
     assert result.total_index_lookups() > 0
 
@@ -98,7 +98,7 @@ def test_cyclic_query_all_engines():
     )
     expected = oracle_identities(query, catalog)
     for policy in POLICIES:
-        result = run_stems(query, catalog, policy=policy)
+        result = execute(query, catalog, policy=policy)
         assert sorted(result.identities()) == expected, policy
     assert sorted(run_static(query, catalog).identities()) == expected
 
@@ -155,6 +155,35 @@ class TestResultObject:
         text = result.summary()
         assert "stems" in text and "60 rows" in text
 
+    def test_a_single_query_runs_as_admission_q0(self, small_rt_catalog, q4_query):
+        result = execute(q4_query, small_rt_catalog, policy="naive")
+        assert result.query_id == "q0"
+        assert {tuple_.query_id for tuple_ in result.tuples} == {"q0"}
+
+
+STEM_ONLY_OPTIONS = [
+    {"strict_constraints": True},
+    {"stem_max_size": 3},
+    {"stem_eviction": "count"},
+    {"stem_window": 2.0},
+]
+
+
+@pytest.mark.parametrize("option", STEM_ONLY_OPTIONS, ids=lambda option: next(iter(option)))
+@pytest.mark.parametrize("engine", ["static", "eddy-joins"])
+def test_baseline_engines_reject_stem_only_options(small_rt_catalog, q4_query, engine, option):
+    with pytest.raises(ExecutionError, match=next(iter(option))):
+        execute(q4_query, small_rt_catalog, engine=engine, **option)
+
+
+@pytest.mark.parametrize("engine", ["static", "eddy-joins"])
+def test_baseline_engines_accept_stem_only_defaults(small_rt_catalog, q4_query, engine):
+    result = execute(
+        q4_query, small_rt_catalog, engine=engine,
+        strict_constraints=False, stem_max_size=None, stem_eviction=None, stem_window=None,
+    )
+    assert result.row_count == 60
+
 
 @pytest.mark.slow
 @settings(max_examples=12, deadline=None)
@@ -175,6 +204,6 @@ def test_property_random_workloads_match_oracle(seed, policy, r_rows, distinct):
     catalog.add_scan("T", rate=150.0)
     catalog.add_index("T", ["key"], latency=0.01)
     query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key")
-    result = run_stems(query, catalog, policy=policy)
+    result = execute(query, catalog, policy=policy)
     assert not result.has_duplicates()
     assert sorted(result.identities()) == oracle_identities(query, catalog)

@@ -19,7 +19,6 @@ from repro.engine.multi import (
     run_multi,
 )
 from repro.engine.options import SHARED_ENGINE_OPTIONS
-from repro.engine.stems_engine import run_stems
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -86,7 +85,7 @@ class TestSharedExecution:
         admissions = fleet([5, 9, None], stagger=0.8)
         multi = run_multi(admissions, catalog, shared_stems=True)
         for position, admission in enumerate(admissions):
-            alone = run_stems(admission.query, catalog, policy="naive")
+            alone = execute(admission.query, catalog, policy="naive")
             assert identity(multi[f"q{position}"]) == identity(alone)
 
     def test_private_mode_matches_too(self):
@@ -94,7 +93,7 @@ class TestSharedExecution:
         admissions = fleet([5, 9, None], stagger=0.8)
         multi = run_multi(admissions, catalog, shared_stems=False)
         for position, admission in enumerate(admissions):
-            alone = run_stems(admission.query, catalog, policy="naive")
+            alone = execute(admission.query, catalog, policy="naive")
             assert identity(multi[f"q{position}"]) == identity(alone)
 
     def test_shared_inserts_one_tables_worth(self):
@@ -161,7 +160,7 @@ class TestSharedExecution:
             shared_stems=True,
         )
         assert set(multi.stem_stats) == {"stem:R", "stem:S", "stem:T"}
-        alone_rs = run_stems(
+        alone_rs = execute(
             "SELECT * FROM R, S WHERE R.a = S.x", catalog, policy="naive"
         )
         assert identity(multi["rs"]) == identity(alone_rs)
@@ -179,7 +178,7 @@ class TestSharedExecution:
         )
         multi = engine.run()
         assert len(engine.registry) == 0  # nothing shared
-        alone = run_stems(sql, catalog, policy="naive")
+        alone = execute(sql, catalog, policy="naive")
         assert identity(multi["q0"]) == identity(alone)
         assert identity(multi["q1"]) == identity(alone)
 
@@ -189,11 +188,7 @@ class TestSharedExecution:
         catalog = build_catalog(rows=120)
         admission = QueryAdmission(JOIN_SQL, policy="naive")
         multi = run_multi([admission], catalog, shared_stems=True, stem_max_size=50)
-        from repro.engine.stems_engine import StemsEngine
-
-        alone = StemsEngine(
-            JOIN_SQL, catalog, policy="naive", stem_max_size=50
-        ).run()
+        alone = execute(JOIN_SQL, catalog, policy="naive", stem_max_size=50)
         assert identity(multi["q0"]) == identity(alone)
         # Evictions actually happened (the window is smaller than the table).
         assert sum(
@@ -397,8 +392,8 @@ class TestBoundedAnswers:
         assert {a.query_id for a in admissions} == set(bounded.results)
         assert bounded.total_rows > 0
         for admission in admissions:
-            complete = set(identity(run_stems(admission.query, workload.catalog,
-                                              policy="naive")))
+            complete = set(identity(execute(admission.query, workload.catalog,
+                                            policy="naive")))
             answer = set(identity(bounded[admission.query_id]))
             assert answer <= complete, admission.query_id
 
@@ -562,8 +557,8 @@ class TestNumpyFree:
 _IMPORT_PROBE = """
 import sys
 import repro
+from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine
-from repro.engine.stems_engine import run_stems
 from repro.storage import Catalog, Schema, Table
 from repro.storage.datagen import make_source_r, make_source_t
 
@@ -583,7 +578,7 @@ for name in ("A", "B"):
     table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
     table.insert_many((i, i % 2) for i in range(150))
     catalog.add_scan(name, rate=100.0)
-fanout = run_stems("SELECT * FROM A, B WHERE A.value = B.value AND A.id < B.id", catalog)
+fanout = execute("SELECT * FROM A, B WHERE A.value = B.value AND A.id < B.id", catalog)
 loaded.append("numpy" in sys.modules)
 print(loaded, rows > 0, fanout.row_count)
 """

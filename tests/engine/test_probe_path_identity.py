@@ -7,7 +7,7 @@ with ``SteM.probe_with_plan`` replaced by the interpreted reference
 alias and predicates.  Every query's results, trace and SteM counters must
 be identical across the two runs:
 
-* the single-query engine across policies and batch sizes;
+* single-query ``execute`` runs across policies and batch sizes;
 * the multi-query engine over a fleet with shared and with private SteMs,
   a shared-SteM pair, and the heavy staggered fleet;
 * the churn engine admitting and retiring queries over windowed SteMs

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.costs import CostModel
 from repro.core.policies import RandomPolicy
-from repro.engine.stems_engine import StemsEngine, run_stems
+from repro.engine.api import execute
 from repro.engine.joins_engine import run_eddy_joins
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
@@ -41,7 +41,7 @@ class TestRandomRoutingUnderStrictConstraints:
         catalog.add_scan("T", rate=150.0)
         catalog.add_index("T", ["key"], latency=0.02)
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key")
-        result = run_stems(
+        result = execute(
             query, catalog, policy=RandomPolicy(seed=seed), strict_constraints=True
         )
         assert not result.has_duplicates()
@@ -52,7 +52,7 @@ class TestSourceStalls:
     def test_stalled_scan_delays_but_does_not_lose_results(self):
         catalog = catalog_with_stall(stall_duration=10.0)
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        result = run_stems(query, catalog, policy="benefit")
+        result = execute(query, catalog, policy="benefit")
         assert result.row_count == 60
         assert sorted(result.identities()) == oracle_identities(query, catalog)
 
@@ -64,12 +64,12 @@ class TestSourceStalls:
         from repro.core.policies import NaivePolicy
 
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        adaptive = run_stems(
+        adaptive = execute(
             query,
             catalog_with_stall(stall_duration=30.0),
             policy="benefit",
         )
-        scan_only = run_stems(
+        scan_only = execute(
             query,
             catalog_with_stall(stall_duration=30.0),
             policy=NaivePolicy(greedy_optional=False),
@@ -89,8 +89,7 @@ class TestSourceStalls:
 
 class TestMemoryBoundedSteMs:
     def test_unbounded_stems_by_default(self, small_rt_catalog, q4_query):
-        engine = StemsEngine(q4_query, small_rt_catalog, policy="naive")
-        result = engine.run()
+        result = execute(q4_query, small_rt_catalog, policy="naive")
         assert result.row_count == 60
 
     def test_window_eviction_degrades_gracefully(self, small_rt_catalog, q4_query):
@@ -98,10 +97,7 @@ class TestMemoryBoundedSteMs:
         re-delivers evicted rows) repeated — windowed semantics — but every
         emitted tuple must still be a genuine query result and the engine
         must terminate."""
-        engine = StemsEngine(
-            q4_query, small_rt_catalog, policy="naive", stem_max_size=5
-        )
-        result = engine.run()
+        result = execute(q4_query, small_rt_catalog, policy="naive", stem_max_size=5)
         expected = set(oracle_identities(q4_query, small_rt_catalog))
         assert set(result.identities()) <= expected
         assert result.final_time > 0
@@ -114,8 +110,7 @@ class TestMemoryBoundedSteMs:
         catalog.add_table(make_source_t(90, seed=12))
         catalog.add_scan("R", rate=150.0)
         catalog.add_scan("T", rate=100.0)
-        engine = StemsEngine(q4_query, catalog, policy="naive", stem_max_size=5)
-        result = engine.run()
+        result = execute(q4_query, catalog, policy="naive", stem_max_size=5)
         expected = set(oracle_identities(q4_query, catalog))
         assert not result.has_duplicates()
         assert set(result.identities()) <= expected
@@ -124,7 +119,7 @@ class TestMemoryBoundedSteMs:
 class TestCostModelScaling:
     def test_scaled_cpu_costs_preserve_results(self, small_rt_catalog, q4_query):
         slow_cpu = CostModel().scaled(50.0)
-        result = run_stems(q4_query, small_rt_catalog, policy="naive", cost_model=slow_cpu)
+        result = execute(q4_query, small_rt_catalog, policy="naive", cost_model=slow_cpu)
         assert result.row_count == 60
 
     def test_scaled_keeps_index_latency(self):

@@ -176,10 +176,10 @@ class TestEngineThreading:
     """The layout is one shared object across eddy, checker, and trace."""
 
     def test_stems_engine_shares_one_layout(self):
-        from repro.engine.stems_engine import StemsEngine
         from repro.sim.tracing import TraceLog
         from repro.storage.catalog import Catalog
         from repro.storage.datagen import make_source_r, make_source_t
+        from tests.conftest import single_query_engine
 
         catalog = Catalog()
         catalog.add_table(make_source_r(10, 5, seed=1))
@@ -187,16 +187,16 @@ class TestEngineThreading:
         catalog.add_scan("R", rate=100.0)
         catalog.add_scan("T", rate=100.0)
         trace = TraceLog()
-        engine = StemsEngine(
+        engine = single_query_engine(
             "SELECT * FROM R, T WHERE R.key = T.key", catalog, policy="naive",
             trace=trace,
         )
-        layout = engine.layout
+        layout = engine.layout_of("q0")
         assert isinstance(layout, PlanLayout)
-        assert engine.eddy.layout is layout
-        assert engine.eddy.resolver.layout is layout
+        assert engine.eddy_of("q0").layout is layout
+        assert engine.eddy_of("q0").resolver.layout is layout
         assert trace.layout is layout
         assert trace.describe_span(layout.all_alias_mask) == "R+T"
-        result = engine.run()
+        result = engine.run()["q0"]
         # Every output tuple runs on the engine's layout, not the fallback.
         assert all(t.layout is layout for t in result.tuples)

@@ -242,9 +242,7 @@ class TestPoisonQuarantine:
         )
 
     def test_poison_rows_quarantined_single_query(self):
-        from repro.engine.stems_engine import run_stems
-
-        result = run_stems(self.bombed_query(), rs_catalog(), policy="naive")
+        result = execute(self.bombed_query(), rs_catalog(), policy="naive")
         # The run completed; poisoned rows were quarantined, not raised, and
         # the unpoisoned remainder still produced results.
         assert result.eddy_stats["quarantined"] > 0
