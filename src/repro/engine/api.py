@@ -63,10 +63,6 @@ def execute(
             only).
         stem_window: build-timestamp window width for
             ``stem_eviction="time-window"`` (``stems`` engine only).
-
-        The ``stems``-only options raise
-        :class:`~repro.errors.ExecutionError` when another engine is given a
-        value other than their default.
         trace: optional :class:`~repro.sim.tracing.TraceLog` recording the
             adaptive engines' route/output/retire events.  Identical calls
             produce identical traces, tuple ids included.  The ``static``
@@ -74,6 +70,11 @@ def execute(
 
     Returns:
         An :class:`~repro.engine.results.ExecutionResult`.
+
+    Raises:
+        ExecutionError: on an unknown engine or option, or when a
+            ``stems``-only option is set to a non-default value on another
+            engine.
     """
     reject_unknown_options(
         "execute",
