@@ -2,10 +2,13 @@
 
 A traditional, optimize-then-execute engine: selections are pushed down, a
 join order is chosen once from simple statistics (smallest estimated
-intermediate result first), every join runs to completion before the next
-starts, and nothing adapts afterwards.  It exists as
+intermediate result first), and the plan runs as a left-deep pipeline
+(:func:`repro.joins.pipeline.execute_left_deep`) of hash joins, with a
+nested-loops join for a step that has no equi-join key.  Every join runs to
+completion before the next starts, and nothing adapts afterwards.  It is
 
-* the correctness oracle wrapper used by the public API and tests, and
+* ``execute(engine="static")`` and the reference the gauntlet's
+  differential checks compare the adaptive engines against, and
 * the "no adaptivity at all" end of the spectrum in reports.
 
 Because the plan is executed eagerly (each join materialises its output),
@@ -38,8 +41,8 @@ def choose_join_order(query: Query, catalog: Catalog) -> list[str]:
     }
     remaining = set(query.alias_order)
     order: list[str] = []
-    # Start with the smallest filtered table.
-    first = min(remaining, key=lambda alias: stats[alias].cardinality)
+    # Start with the smallest table; a tie goes to the earliest in FROM order.
+    first = min(query.alias_order, key=lambda alias: stats[alias].cardinality)
     order.append(first)
     remaining.discard(first)
     while remaining:
@@ -73,27 +76,23 @@ def _composite_to_qtuple(composite: Composite) -> QTuple:
 
 
 class StaticEngine:
-    """Optimize-once, execute-once engine over the traditional join operators."""
+    """Optimize-once, execute-once engine over a left-deep hash-join pipeline."""
 
     def __init__(
         self,
         query: Query | str,
         catalog: Catalog,
         order: Sequence[str] | None = None,
-        join_kind: str = "hash",
     ):
         self.query = parse_query(query) if isinstance(query, str) else query
         self.catalog = catalog
         self.order = list(order) if order is not None else choose_join_order(self.query, catalog)
-        self.join_kind = join_kind
 
     def run(self, until: float | None = None) -> ExecutionResult:
         """Execute the plan; ``until`` is accepted for interface parity."""
         del until
         install_id_allocator()
-        composites = list(
-            execute_left_deep(self.query, self.catalog, order=self.order, join_kind=self.join_kind)
-        )
+        composites = list(execute_left_deep(self.query, self.catalog, order=self.order))
         tuples = [_composite_to_qtuple(composite) for composite in composites]
         # Model the batch behaviour: every result appears "at the end".
         cost = self._modelled_completion_time(len(composites))
@@ -123,7 +122,6 @@ def run_static(
     query: Query | str,
     catalog: Catalog,
     order: Sequence[str] | None = None,
-    join_kind: str = "hash",
 ) -> ExecutionResult:
     """Convenience wrapper: build a :class:`StaticEngine` and run it."""
-    return StaticEngine(query, catalog, order=order, join_kind=join_kind).run()
+    return StaticEngine(query, catalog, order=order).run()

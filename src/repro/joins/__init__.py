@@ -1,47 +1,28 @@
-"""Traditional join algorithms: the baselines the adaptive engines compete with."""
+"""The static engine's joins: a left-deep pipeline of hash and nested-loops joins."""
 
 from repro.joins.base import (
     BinaryJoin,
     Composite,
     EquiJoinSpec,
-    composite_key,
     extract_equi_join,
     merge,
     satisfies,
     singleton,
 )
-from repro.joins.grace_hash import GraceHashJoin, HybridHashJoin
 from repro.joins.hash_join import HashJoin
-from repro.joins.index_join import IndexJoin
-from repro.joins.nested_loops import BlockNestedLoopsJoin, NestedLoopsJoin
-from repro.joins.pipeline import (
-    base_input,
-    evaluate_query_oracle,
-    execute_left_deep,
-    pipelined_shj_results,
-)
-from repro.joins.sort_merge import SortMergeJoin
-from repro.joins.symmetric_hash_join import SymmetricHashJoin
+from repro.joins.nested_loops import NestedLoopsJoin
+from repro.joins.pipeline import base_input, execute_left_deep
 
 __all__ = [
     "BinaryJoin",
-    "BlockNestedLoopsJoin",
     "Composite",
     "EquiJoinSpec",
-    "GraceHashJoin",
     "HashJoin",
-    "HybridHashJoin",
-    "IndexJoin",
     "NestedLoopsJoin",
-    "SortMergeJoin",
-    "SymmetricHashJoin",
     "base_input",
-    "composite_key",
-    "evaluate_query_oracle",
     "execute_left_deep",
     "extract_equi_join",
     "merge",
-    "pipelined_shj_results",
     "satisfies",
     "singleton",
 ]

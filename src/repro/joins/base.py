@@ -1,14 +1,11 @@
-"""Common machinery for the traditional (non-adaptive) join algorithms.
+"""Common machinery for the static engine's binary joins.
 
-The algorithms in ``repro.joins`` are classic, pull-based implementations
-operating on *composites*: dictionaries mapping alias -> :class:`Row`.  A
-base-table input is a stream of single-entry composites.  These operators
-serve three roles in the reproduction:
-
-* correctness oracles for the adaptive engines (same results, any order);
-* the building blocks of the static-plan baseline (paper Figure 1(a));
-* reference implementations of the algorithms that SteM routing *simulates*
-  (paper section 3.1): symmetric hash, Grace hash, hybrid hash, sort-merge.
+The joins in ``repro.joins`` are classic, pull-based operators over
+*composites*: dictionaries mapping alias -> :class:`Row`.  A base-table input
+is a list of single-entry composites.  They are the building blocks of the
+static-plan baseline (paper Figure 1(a)), which
+:mod:`repro.engine.static_engine` runs through
+:func:`repro.joins.pipeline.execute_left_deep`.
 """
 
 from __future__ import annotations
@@ -44,15 +41,6 @@ def merge(left: Composite, right: Composite) -> Composite:
 def satisfies(composite: Composite, predicates: Iterable[Predicate]) -> bool:
     """True if the composite passes every predicate."""
     return all(predicate.evaluate(composite) for predicate in predicates)
-
-
-def composite_key(composite: Composite) -> tuple:
-    """A hashable identity for a composite (for duplicate checks in tests)."""
-    parts = []
-    for alias in sorted(composite):
-        row = composite[alias]
-        parts.append((alias, row.table, row.values))
-    return tuple(parts)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Nested-loops joins: the simplest (and most general) join algorithms."""
+"""Nested-loops join: the simplest (and most general) join algorithm."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ class NestedLoopsJoin(BinaryJoin):
 
     Materialises the right input and, for every left composite, checks every
     right composite against all predicates.  Handles arbitrary (non-equi)
-    join conditions; used as the correctness oracle for everything else.
+    join conditions: the static pipeline runs it for a step with no
+    equi-join key.
     """
 
     def join(
@@ -27,46 +28,3 @@ class NestedLoopsJoin(BinaryJoin):
                 if satisfies(candidate, self.predicates):
                     self.stats["results"] += 1
                     yield candidate
-
-
-class BlockNestedLoopsJoin(BinaryJoin):
-    """Block nested-loops join.
-
-    Reads the left input in blocks of ``block_size`` composites and scans the
-    right input once per block.  Functionally identical to
-    :class:`NestedLoopsJoin`; the blocking exists to model the classic I/O
-    optimisation and to exercise a different result order in tests.
-
-    Args:
-        block_size: number of left composites per block.
-    """
-
-    def __init__(self, predicates, left_aliases, right_aliases, block_size: int = 64):
-        super().__init__(predicates, left_aliases, right_aliases)
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
-        self.block_size = block_size
-
-    def join(
-        self, left: Iterable[Composite], right: Iterable[Composite]
-    ) -> Iterator[Composite]:
-        inner = list(right)
-        self.stats["right_rows"] = len(inner)
-        block: list[Composite] = []
-
-        def flush(block_items: list[Composite]) -> Iterator[Composite]:
-            for right_composite in inner:
-                for left_composite in block_items:
-                    candidate = merge(left_composite, right_composite)
-                    if satisfies(candidate, self.predicates):
-                        self.stats["results"] += 1
-                        yield candidate
-
-        for left_composite in left:
-            self.stats["left_rows"] += 1
-            block.append(left_composite)
-            if len(block) >= self.block_size:
-                yield from flush(block)
-                block = []
-        if block:
-            yield from flush(block)

@@ -1,25 +1,21 @@
-"""Multi-way join pipelines built from binary operators.
+"""Left-deep join pipelines: the static engine's executor.
 
-Two jobs live here:
-
-* :func:`execute_left_deep` — run a query as a left-deep tree of binary
-  joins (the shape of paper Figure 1(a) and Figure 2(i)), with selections
-  pushed below the joins.  The join order is supplied by the caller (the
-  static executor chooses it with simple statistics).
-* :func:`evaluate_query_oracle` — a brute-force evaluator used throughout
-  the test suite as the ground truth for every other engine.
+:func:`execute_left_deep` runs a query as a left-deep tree of binary joins
+(the shape of paper Figure 1(a)), with selections pushed below the joins.
+Each step is a :class:`HashJoin` on its equi-join keys, or a
+:class:`NestedLoopsJoin` when the step has none (a cross product or a theta
+join).  The join order is supplied by the caller (the static engine chooses
+it with simple statistics).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import QueryError
-from repro.joins.base import Composite, merge, satisfies, singleton
+from repro.joins.base import Composite, satisfies, singleton
 from repro.joins.hash_join import HashJoin
 from repro.joins.nested_loops import NestedLoopsJoin
-from repro.joins.symmetric_hash_join import SymmetricHashJoin
 from repro.query.query import Query
 from repro.storage.catalog import Catalog
 
@@ -36,17 +32,11 @@ def base_input(query: Query, catalog: Catalog, alias: str) -> list[Composite]:
     return composites
 
 
-def _choose_binary_join(query: Query, done: frozenset[str], alias: str, kind: str):
+def _choose_binary_join(query: Query, done: frozenset[str], alias: str):
     """Instantiate a binary join between the composites built so far and ``alias``."""
     predicates = query.predicates_between(done, alias)
-    join_classes = {
-        "hash": HashJoin,
-        "shj": SymmetricHashJoin,
-        "nested": NestedLoopsJoin,
-    }
-    join_class = join_classes.get(kind, HashJoin)
     try:
-        return join_class(predicates, done, {alias})
+        return HashJoin(predicates, done, {alias})
     except QueryError:
         # No equi-join predicate (cross product or theta join): fall back.
         return NestedLoopsJoin(predicates, done, {alias})
@@ -56,7 +46,6 @@ def execute_left_deep(
     query: Query,
     catalog: Catalog,
     order: Sequence[str] | None = None,
-    join_kind: str = "hash",
 ) -> Iterator[Composite]:
     """Execute a query as a left-deep tree of binary joins.
 
@@ -64,7 +53,6 @@ def execute_left_deep(
         query: the query to execute.
         catalog: the catalog holding the base tables.
         order: join order (alias names); defaults to FROM-clause order.
-        join_kind: ``"hash"``, ``"shj"`` or ``"nested"``.
     """
     aliases = list(order) if order is not None else list(query.alias_order)
     if set(aliases) != set(query.alias_order):
@@ -75,7 +63,7 @@ def execute_left_deep(
     current: Iterable[Composite] = base_input(query, catalog, aliases[0])
     done = frozenset({aliases[0]})
     for alias in aliases[1:]:
-        operator = _choose_binary_join(query, done, alias, join_kind)
+        operator = _choose_binary_join(query, done, alias)
         right_input = base_input(query, catalog, alias)
         current = operator.join(list(current), right_input)
         done = done | {alias}
@@ -85,37 +73,3 @@ def execute_left_deep(
     for composite in current:
         if satisfies(composite, remaining):
             yield composite
-
-
-def evaluate_query_oracle(query: Query, catalog: Catalog) -> list[Composite]:
-    """Brute-force evaluation of a select-project-join query.
-
-    Enumerates the cross product of all (selection-filtered) inputs and keeps
-    the combinations passing every predicate.  Exponential, but the test
-    workloads are small; this is the ground truth every engine is checked
-    against.
-    """
-    per_alias: list[list[Composite]] = [
-        base_input(query, catalog, alias) for alias in query.alias_order
-    ]
-    join_predicates = [p for p in query.predicates if not p.is_selection]
-    results: list[Composite] = []
-    for combination in itertools.product(*per_alias):
-        composite: Composite = {}
-        for part in combination:
-            composite = merge(composite, part)
-        if satisfies(composite, join_predicates):
-            results.append(composite)
-    return results
-
-
-def pipelined_shj_results(
-    query: Query, catalog: Catalog, order: Sequence[str] | None = None
-) -> list[Composite]:
-    """Run the query as a pipeline of binary symmetric hash joins.
-
-    This is the Figure 2(i) architecture: the lowest join streams both base
-    inputs, and each higher join streams the lower join's output against the
-    next base input.
-    """
-    return list(execute_left_deep(query, catalog, order=order, join_kind="shj"))

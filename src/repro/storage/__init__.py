@@ -1,14 +1,7 @@
 """Storage substrate: schemas, rows, tables, indexes, catalog, data generators."""
 
 from repro.storage.catalog import AccessMethodSpec, Catalog, IndexSpec, ScanSpec
-from repro.storage.indexes import (
-    AdaptiveIndex,
-    HashIndex,
-    ListIndex,
-    RowIndex,
-    SortedIndex,
-    build_index,
-)
+from repro.storage.indexes import HashIndex
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.statistics import (
@@ -24,24 +17,19 @@ from repro.storage.types import DataType
 
 __all__ = [
     "AccessMethodSpec",
-    "AdaptiveIndex",
     "Catalog",
     "Column",
     "ColumnStatistics",
     "DataType",
     "HashIndex",
     "IndexSpec",
-    "ListIndex",
     "Row",
-    "RowIndex",
     "ScanSpec",
     "Schema",
-    "SortedIndex",
     "Table",
     "TableStatistics",
     "analyze_column",
     "analyze_table",
-    "build_index",
     "estimate_join_cardinality",
     "estimate_join_selectivity",
     "table_from_dicts",

@@ -305,7 +305,7 @@ class Catalog:
             lookup_timeout=lookup_timeout,
         )
         # Make sure the underlying table can answer the lookups efficiently.
-        table_obj.create_index(columns, kind="hash")
+        table_obj.create_index(columns)
         self._register(spec)
         return spec
 

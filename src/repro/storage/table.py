@@ -1,7 +1,7 @@
 """In-memory base tables.
 
 A :class:`Table` owns a schema and a list of rows, and can maintain any
-number of secondary indexes.  Tables are the data sources behind access
+number of secondary hash indexes.  Tables are the data sources behind access
 modules; traditional join operators and SteMs never touch tables directly,
 they only see rows delivered by access methods.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
-from repro.storage.indexes import HashIndex, RowIndex, build_index
+from repro.storage.indexes import HashIndex
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
@@ -35,7 +35,7 @@ class Table:
         self.name = name
         self.schema = schema
         self._rows: list[Row] = []
-        self._indexes: dict[tuple[str, ...], RowIndex] = {}
+        self._indexes: dict[tuple[str, ...], HashIndex] = {}
         self._key_index: HashIndex | None = None
         if schema.key:
             self._key_index = HashIndex(schema.key)
@@ -122,8 +122,8 @@ class Table:
 
     # -- secondary indexes ----------------------------------------------------
 
-    def create_index(self, columns: Sequence[str], kind: str = "hash") -> RowIndex:
-        """Create (or return an existing) secondary index on the columns."""
+    def create_index(self, columns: Sequence[str]) -> HashIndex:
+        """Create (or return an existing) secondary hash index on the columns."""
         columns = tuple(columns)
         for column in columns:
             if column not in self.schema:
@@ -132,16 +132,18 @@ class Table:
                 )
         if columns in self._indexes:
             return self._indexes[columns]
-        index = build_index(kind, columns, self._rows)
+        index = HashIndex(columns)
+        for row in self._rows:
+            index.insert(row)
         self._indexes[columns] = index
         return index
 
-    def get_index(self, columns: Sequence[str]) -> RowIndex | None:
+    def get_index(self, columns: Sequence[str]) -> HashIndex | None:
         """The secondary index on exactly these columns, if any."""
         return self._indexes.get(tuple(columns))
 
     @property
-    def indexes(self) -> dict[tuple[str, ...], RowIndex]:
+    def indexes(self) -> dict[tuple[str, ...], HashIndex]:
         """All secondary indexes, keyed by their column tuples."""
         return dict(self._indexes)
 

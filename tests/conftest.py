@@ -50,7 +50,7 @@ def q4_query():
 
 def oracle_identities(query, catalog) -> list[tuple]:
     """Ground-truth result identities computed by brute force."""
-    from repro.joins.pipeline import evaluate_query_oracle
+    from tests.reference.oracle import evaluate_query_oracle
 
     results = []
     for composite in evaluate_query_oracle(query, catalog):

@@ -38,6 +38,14 @@ class TestChooseJoinOrder:
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
         assert sorted(choose_join_order(query, catalog)) == ["R", "T"]
 
+    def test_a_tie_starts_with_the_first_alias_in_from_order(self, catalog):
+        # R and T both hold 60 rows; the choice must not follow set order.
+        for sql, expected in (
+            ("SELECT * FROM R, T WHERE R.key = T.key", ["R", "T"]),
+            ("SELECT * FROM T, R WHERE R.key = T.key", ["T", "R"]),
+        ):
+            assert choose_join_order(parse_query(sql), catalog) == expected
+
 
 class TestStaticEngine:
     def test_results_match_oracle_with_explicit_order(self, catalog):

@@ -1,20 +1,16 @@
-"""Tests for the traditional join algorithms (baselines and oracles)."""
+"""Tests for the static engine's binary joins: hash join ≡ nested loops."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
-from repro.joins.base import composite_key, extract_equi_join, merge, singleton
-from repro.joins.grace_hash import GraceHashJoin, HybridHashJoin
+from repro.joins.base import extract_equi_join, merge, singleton
 from repro.joins.hash_join import HashJoin
-from repro.joins.index_join import IndexJoin
-from repro.joins.nested_loops import BlockNestedLoopsJoin, NestedLoopsJoin
-from repro.joins.sort_merge import SortMergeJoin
-from repro.joins.symmetric_hash_join import SymmetricHashJoin
+from repro.joins.nested_loops import NestedLoopsJoin
 from repro.query.predicates import equi_join, selection
 from repro.storage.row import Row
 from repro.storage.schema import Schema
-from repro.storage.table import Table
+from tests.reference.oracle import composite_key
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -38,11 +34,6 @@ EQUI = [equi_join("R.a", "S.x")]
 
 ALGORITHMS = [
     lambda: HashJoin(EQUI, {"R"}, {"S"}),
-    lambda: SymmetricHashJoin(EQUI, {"R"}, {"S"}),
-    lambda: GraceHashJoin(EQUI, {"R"}, {"S"}, partitions=3),
-    lambda: HybridHashJoin(EQUI, {"R"}, {"S"}, partitions=3),
-    lambda: SortMergeJoin(EQUI, {"R"}, {"S"}),
-    lambda: BlockNestedLoopsJoin(EQUI, {"R"}, {"S"}, block_size=4),
 ]
 
 
@@ -84,11 +75,10 @@ def test_residual_predicates_are_applied():
     assert results[0]["S"]["y"] == 5
 
 
-def test_equi_join_required_by_hash_family():
+def test_equi_join_required_by_hash_join():
     non_equi = [selection("R.a", ">", 0)]
-    for cls in (HashJoin, SymmetricHashJoin, GraceHashJoin, HybridHashJoin, SortMergeJoin):
-        with pytest.raises(QueryError):
-            cls(non_equi, {"R"}, {"S"})
+    with pytest.raises(QueryError):
+        HashJoin(non_equi, {"R"}, {"S"})
 
 
 def test_theta_join_falls_back_to_nested_loops():
@@ -103,77 +93,6 @@ def test_theta_join_falls_back_to_nested_loops():
     results = list(operator.join(left, right))
     assert len(results) == 1 and results[0]["R"]["a"] == 1
     assert results[0]["R"]["a"] < results[0]["S"]["x"]
-
-
-class TestSymmetricHashJoinPipelining:
-    def test_push_produces_results_incrementally(self):
-        operator = SymmetricHashJoin(EQUI, {"R"}, {"S"})
-        assert operator.push("left", singleton("R", Row("R", R_SCHEMA, (0, 3)))) == []
-        results = operator.push("right", singleton("S", Row("S", S_SCHEMA, (3, 3))))
-        assert len(results) == 1
-        # A second matching left tuple joins with the already-built right one.
-        results = operator.push("left", singleton("R", Row("R", R_SCHEMA, (1, 3))))
-        assert len(results) == 1
-        assert operator.left_size == 2 and operator.right_size == 1
-
-    def test_invalid_side_rejected(self):
-        operator = SymmetricHashJoin(EQUI, {"R"}, {"S"})
-        with pytest.raises(QueryError):
-            operator.push("middle", singleton("R", Row("R", R_SCHEMA, (0, 3))))
-
-
-class TestIndexJoin:
-    def make_table(self):
-        table = Table("S", S_SCHEMA)
-        table.insert_many([(i, i) for i in range(10)])
-        return table
-
-    def test_lookup_caching(self):
-        table = self.make_table()
-        operator = IndexJoin.on_table(EQUI, {"R"}, "S", table, ["x"])
-        outer = r_input([(0, 4), (1, 4), (2, 5)])
-        results = list(operator.join(outer))
-        assert len(results) == 3
-        assert operator.stats["index_lookups"] == 2  # distinct keys 4 and 5
-        assert operator.stats["cache_hits"] == 1
-
-    def test_cache_disabled(self):
-        table = self.make_table()
-        operator = IndexJoin.on_table(EQUI, {"R"}, "S", table, ["x"], cache_enabled=False)
-        list(operator.join(r_input([(0, 4), (1, 4)])))
-        assert operator.stats["index_lookups"] == 2
-        assert operator.stats["cache_hits"] == 0
-
-    def test_matches_respect_predicates(self):
-        table = self.make_table()
-        predicates = [equi_join("R.a", "S.x"), selection("S.y", "<", 3)]
-        operator = IndexJoin.on_table(predicates, {"R"}, "S", table, ["x"])
-        results = list(operator.join(r_input([(0, 2), (1, 8)])))
-        assert len(results) == 1 and results[0]["S"]["x"] == 2
-
-
-class TestPartitionedJoins:
-    def test_grace_spills_everything(self):
-        operator = GraceHashJoin(EQUI, {"R"}, {"S"}, partitions=4)
-        list(operator.join(r_input([(i, i) for i in range(10)]), s_input([(i, i) for i in range(10)])))
-        assert operator.stats["spilled"] == 20
-
-    def test_hybrid_produces_some_results_immediately(self):
-        operator = HybridHashJoin(EQUI, {"R"}, {"S"}, partitions=2)
-        results = list(
-            operator.join(
-                r_input([(i, i) for i in range(20)]), s_input([(i, i) for i in range(20)])
-            )
-        )
-        assert len(results) == 20
-        assert 0 < operator.stats["immediate_results"] < 20
-        assert operator.stats["spilled"] > 0
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            GraceHashJoin(EQUI, {"R"}, {"S"}, partitions=0)
-        with pytest.raises(ValueError):
-            HybridHashJoin(EQUI, {"R"}, {"S"}, partitions=0)
 
 
 class TestBaseHelpers:

@@ -3,16 +3,11 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.joins.base import composite_key
-from repro.joins.pipeline import (
-    base_input,
-    evaluate_query_oracle,
-    execute_left_deep,
-    pipelined_shj_results,
-)
+from repro.joins.pipeline import base_input, execute_left_deep
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_cyclic_triple, make_source_r, make_source_s, make_source_t
+from tests.reference.oracle import composite_key, evaluate_query_oracle
 
 
 @pytest.fixture
@@ -46,7 +41,6 @@ class TestLeftDeepExecution:
         expected = ids(evaluate_query_oracle(query, catalog))
         assert ids(execute_left_deep(query, catalog)) == expected
         assert ids(execute_left_deep(query, catalog, order=["T", "S", "R"])) == expected
-        assert ids(pipelined_shj_results(query, catalog)) == expected
 
     def test_selections_and_joins_together(self, catalog):
         query = parse_query(
@@ -58,7 +52,7 @@ class TestLeftDeepExecution:
 
     def test_cross_product_when_no_predicate(self, catalog):
         query = parse_query("SELECT * FROM S, R")
-        results = list(execute_left_deep(query, catalog, order=["S", "R"], join_kind="nested"))
+        results = list(execute_left_deep(query, catalog, order=["S", "R"]))
         assert len(results) == 30 * 80
 
     def test_invalid_order_rejected(self, catalog):
@@ -80,10 +74,3 @@ class TestLeftDeepExecution:
         # The cycle-closing predicate must actually filter something.
         no_cycle = parse_query("SELECT * FROM A, B, C WHERE A.ab = B.ab AND B.bc = C.bc")
         assert len(ids(evaluate_query_oracle(no_cycle, catalog))) > len(expected)
-
-    def test_join_kind_variants_agree(self, catalog):
-        query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        hash_results = ids(execute_left_deep(query, catalog, join_kind="hash"))
-        shj_results = ids(execute_left_deep(query, catalog, join_kind="shj"))
-        nested_results = ids(execute_left_deep(query, catalog, join_kind="nested"))
-        assert hash_results == shj_results == nested_results
