@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExecutionError, QueryError
 from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec, default_join_plan
-from repro.engine.static_engine import StaticEngine, choose_join_order
+from repro.engine.static_engine import StaticEngine, choose_join_order, run_static
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -70,6 +70,27 @@ class TestStaticEngine:
     def test_accepts_sql_text(self, catalog):
         result = StaticEngine("SELECT * FROM R, T WHERE R.key = T.key", catalog).run()
         assert result.row_count == 60
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM R, S WHERE R.a = S.x",
+            "SELECT * FROM S, T WHERE S.y = T.key AND S.x < 10",
+            "SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key AND T.key > 20",
+            "SELECT * FROM S, T WHERE S.x < T.key AND T.key < 5",
+        ],
+    )
+    def test_chosen_order_matches_oracle(self, catalog, sql):
+        query = parse_query(sql)
+        result = run_static(query, catalog)
+        assert sorted(result.identities()) == oracle_identities(query, catalog)
+
+    def test_join_kind_is_not_an_option(self, catalog):
+        sql = "SELECT * FROM R, T WHERE R.key = T.key"
+        with pytest.raises(TypeError):
+            StaticEngine(sql, catalog, join_kind="grace")
+        with pytest.raises(TypeError):
+            run_static(sql, catalog, join_kind="grace")
 
 
 class TestDefaultJoinPlan:

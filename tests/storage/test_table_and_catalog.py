@@ -63,6 +63,40 @@ class TestTable:
         table.insert((1, 42))
         assert len(index.lookup((42,))) == 1
 
+    def test_create_index_returns_the_existing_index(self):
+        table = make_table()
+        table.insert_many([(i, i % 3) for i in range(6)])
+        first = table.create_index(["a"])
+        assert table.create_index(("a",)) is first
+        assert len(first) == 6  # existing rows were indexed once, not twice
+
+    def test_create_index_has_no_kind_option(self):
+        table = make_table()
+        with pytest.raises(TypeError):
+            table.create_index(("a",), kind="sorted")
+        assert table.get_index(("a",)) is None
+
+    def test_get_index_and_indexes(self):
+        table = make_table()
+        assert table.get_index(("a",)) is None
+        index = table.create_index(("a",))
+        assert table.get_index(["a"]) is index
+        listed = table.indexes
+        assert listed == {("a",): index}
+        listed.clear()
+        assert table.get_index(("a",)) is index  # the property hands out a copy
+
+    @pytest.mark.parametrize("columns", [("a",), ("key", "a"), ("a", "key")])
+    def test_index_lookup_agrees_with_a_scan(self, columns):
+        table = make_table()
+        table.insert_many([(i, i % 4) for i in range(16)])
+        keys = {row.key_values(columns) for row in table}
+        scanned = {key: sorted(r.rid for r in table.lookup(columns, key)) for key in keys}
+        table.create_index(columns)
+        for key in keys:
+            assert sorted(r.rid for r in table.lookup(columns, key)) == scanned[key]
+        assert table.lookup(columns, (99,) * len(columns)) == []
+
     def test_distinct_values(self):
         table = make_table()
         table.insert_many([(i, i % 5) for i in range(20)])
