@@ -38,12 +38,12 @@ import repro.core.stem as stem_module
 import tests.reference.interpreted_probe as reference_module
 from conftest import emit_artifact
 from repro.core.stem import SteM
-from repro.core.tuples import singleton_tuple
-from repro.query.predicates import Comparison, equi_join
+from repro.query.predicates import Comparison
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.interpreted_probe import interpreted_probe
+from tests.helpers import equi_join, singleton_tuple
 
 ARTIFACT = "BENCH_probe.json"
 

@@ -15,6 +15,7 @@ import pytest
 from repro.bench.workloads import q4_workload
 from repro.core.policies import make_policy
 from repro.engine.api import execute
+from tests.helpers import has_duplicates
 
 SCALE = dict(rows=400, r_scan_rate=17.0, t_scan_rate=6.7, t_index_latency=0.2)
 POLICIES = ["naive", "lottery", "benefit", "random"]
@@ -29,7 +30,7 @@ def run_policy(policy_name: str):
 def test_policy_ablation(benchmark, policy_name):
     result = benchmark.pedantic(run_policy, args=(policy_name,), rounds=1, iterations=1)
     assert result.row_count == SCALE["rows"]
-    assert not result.has_duplicates()
+    assert not has_duplicates(result)
     benchmark.extra_info["completion_s"] = round(result.completion_time, 1)
     benchmark.extra_info["index_lookups"] = result.total_index_lookups()
     benchmark.extra_info["results_at_20s"] = result.results_at(20.0)

@@ -23,12 +23,10 @@ Claims checked here:
 
 from __future__ import annotations
 
-from repro.bench.workloads import (
-    shared_tables_mixed_workload,
-    staggered_fleet_workload,
-)
+from repro.bench.workloads import staggered_fleet_workload
 from repro.engine.api import execute
 from repro.engine.multi import run_multi
+from tests.helpers import shared_tables_mixed_workload
 
 #: Eight concurrent queries, staggered arrivals, varied selection cutoffs.
 FLEET_PARAMS = dict(n_queries=8, stagger=4.0, rows=250, policy="naive")

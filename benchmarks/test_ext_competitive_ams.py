@@ -10,6 +10,7 @@ almost no redundant work".
 from __future__ import annotations
 
 from repro.bench.experiments import run_competitive_ams
+from tests.helpers import has_duplicates
 
 PARAMS = dict(rows=600, slow_stall_at=2.0, slow_stall_duration=60.0)
 
@@ -31,7 +32,7 @@ def test_competitive_access_methods(benchmark):
     # the dataflow beyond the SteM never sees them.
     duplicates = int(report.notes["duplicates_absorbed_by_stems"])
     assert duplicates >= PARAMS["rows"] // 2
-    assert not competitive.has_duplicates()
+    assert not has_duplicates(competitive)
 
     print()
     print(

@@ -19,7 +19,8 @@ from __future__ import annotations
 from conftest import sample_times
 
 from repro.bench.experiments import index_probe_series, run_figure7
-from repro.bench.report import comparison_summary, shape_is_convex, shape_is_near_linear
+from repro.bench.report import comparison_summary
+from tests.helpers import has_duplicates, shape_is_convex, shape_is_near_linear
 
 #: Paper-scale parameters (Table 3 / section 4.2).
 FIG7_PARAMS = dict(r_rows=1000, distinct_a=250, r_scan_rate=50.0, s_index_latency=1.6)
@@ -35,8 +36,8 @@ def test_fig7_results_over_time(benchmark):
 
     # Both architectures produce the complete, duplicate-free result.
     assert index_result.row_count == stems_result.row_count == 1000
-    assert not index_result.has_duplicates()
-    assert not stems_result.has_duplicates()
+    assert not has_duplicates(index_result)
+    assert not has_duplicates(stems_result)
 
     # Both take about the same total time (paper: ~400 s).
     assert index_result.completion_time is not None

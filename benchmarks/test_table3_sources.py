@@ -13,10 +13,10 @@ from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 def test_table3_source_r(benchmark):
     table = benchmark(make_source_r, 1000, 250)
     assert len(table) == 1000
-    assert len(table.distinct_values("a")) == 250
+    assert len({row["a"] for row in table}) == 250
     assert table.schema.key == ("key",)
     benchmark.extra_info["rows"] = len(table)
-    benchmark.extra_info["distinct_a"] = len(table.distinct_values("a"))
+    benchmark.extra_info["distinct_a"] = len({row["a"] for row in table})
 
 
 def test_table3_source_s(benchmark):

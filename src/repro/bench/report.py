@@ -64,33 +64,3 @@ def comparison_summary(
             f"final={series.final_count} at t={series.final_time:.1f}s"
         )
     return "\n".join(lines)
-
-
-def shape_is_convex(series: Series, start: float, end: float, samples: int = 8) -> bool:
-    """True if the series accelerates over [start, end] (second half > first half).
-
-    A robust, discretisation-tolerant test of "parabolic" shape used by the
-    Figure 7 benchmark assertions.
-    """
-    if end <= start:
-        return False
-    mid = (start + end) / 2.0
-    first_half = series.count_at(mid) - series.count_at(start)
-    second_half = series.count_at(end) - series.count_at(mid)
-    del samples
-    return second_half > first_half
-
-
-def shape_is_near_linear(
-    series: Series, start: float, end: float, tolerance: float = 0.35
-) -> bool:
-    """True if growth over the two halves of [start, end] is roughly equal."""
-    if end <= start:
-        return False
-    mid = (start + end) / 2.0
-    first_half = series.count_at(mid) - series.count_at(start)
-    second_half = series.count_at(end) - series.count_at(mid)
-    total = first_half + second_half
-    if total == 0:
-        return False
-    return abs(first_half - second_half) / total <= tolerance

@@ -337,113 +337,6 @@ def staggered_fleet_workload(
     )
 
 
-def shared_tables_mixed_workload(
-    rows: int = 200,
-    stagger: float = 3.0,
-    policy: str = "naive",
-    seed: int = 0,
-) -> MultiQueryWorkload:
-    """Queries with *partially* overlapping table sets over one catalog.
-
-    Three query shapes — R⨝T, R⨝S, and the full R⨝S⨝T chain — so the R SteM
-    is shared by every query, while S and T are each shared by two of the
-    three.  Exercises the registry's per-table (rather than per-run)
-    sharing decisions.
-    """
-    catalog = Catalog()
-    distinct_a = max(rows // 4, 1)
-    catalog.add_table(make_source_r(rows, distinct_a=distinct_a, seed=seed))
-    catalog.add_table(make_source_s(distinct_a))
-    catalog.add_table(make_source_t(rows, seed=seed + 1))
-    catalog.add_scan("R", rate=50.0)
-    catalog.add_scan("T", rate=40.0)
-    catalog.add_scan("S", rate=60.0)
-    catalog.add_index("S", ["x"], latency=0.3)
-    catalog.add_index("T", ["key"], latency=0.2)
-    shapes = (
-        ("rt", "SELECT * FROM R, T WHERE R.key = T.key"),
-        ("rs", "SELECT * FROM R, S WHERE R.a = S.x"),
-        ("rst", "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"),
-    )
-    admissions = tuple(
-        QueryAdmission(
-            query=parse_query(sql, name=name),
-            query_id=name,
-            policy=policy,
-            arrival_time=stagger * position,
-        )
-        for position, (name, sql) in enumerate(shapes)
-    )
-    return MultiQueryWorkload(
-        name="shared_tables_mixed",
-        catalog=catalog,
-        admissions=admissions,
-        parameters={"rows": rows, "stagger": stagger, "policy": policy},
-    )
-
-
-def dashboard_workload(
-    rows: int = 400,
-    stagger: float = 2.0,
-    r_scan_rate: float = 50.0,
-    t_scan_rate: float = 40.0,
-    hot_fraction: float = 0.25,
-    policy: str = "naive",
-    seed: int = 0,
-) -> MultiQueryWorkload:
-    """A CACQ-style dashboard: GROUP BY aggregates sharing one table's SteM.
-
-    The continuous-dashboard scenario incremental aggregation exists for:
-    several standing GROUP BY queries watch the same R stream — a full
-    per-group count, a duplicate of it (admitted later; shares the first
-    one's :class:`~repro.core.aggregates.AggregateModule` by signature), and
-    a filtered "hot groups" panel with its own predicate (same SteM,
-    separate module) — alongside an ordinary R⨝T join that shares the R
-    SteM with all of them.  Run it with a bounded/windowed SteM
-    (``stem_max_size``/``stem_eviction``) to turn every panel into a
-    sliding-window aggregate.
-    """
-    catalog = Catalog()
-    distinct_a = max(rows // 4, 1)
-    catalog.add_table(make_source_r(rows, distinct_a=distinct_a, seed=seed))
-    catalog.add_table(make_source_t(rows, seed=seed + 1))
-    catalog.add_scan("R", rate=r_scan_rate)
-    catalog.add_scan("T", rate=t_scan_rate)
-    catalog.add_index("T", ["key"], latency=0.2)
-    cutoff = max(1, int(distinct_a * hot_fraction))
-    panels = (
-        ("panel_counts", "SELECT a, count(*), sum(key) FROM R GROUP BY a"),
-        (
-            "panel_hot",
-            f"SELECT a, count(*), avg(key), min(key), max(key) "
-            f"FROM R WHERE R.a < {cutoff} GROUP BY a",
-        ),
-        ("panel_counts_dup", "SELECT a, count(*), sum(key) FROM R GROUP BY a"),
-        ("join_rt", "SELECT * FROM R, T WHERE R.key = T.key"),
-    )
-    admissions = tuple(
-        QueryAdmission(
-            query=parse_query(sql, name=name),
-            query_id=name,
-            policy=policy,
-            arrival_time=stagger * position,
-        )
-        for position, (name, sql) in enumerate(panels)
-    )
-    return MultiQueryWorkload(
-        name="dashboard",
-        catalog=catalog,
-        admissions=admissions,
-        parameters={
-            "rows": rows,
-            "stagger": stagger,
-            "hot_cutoff": cutoff,
-            "policy": policy,
-            "seed": seed,
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # Continuous-query churn (dynamic admission/retirement over shared SteMs).
 # ---------------------------------------------------------------------------

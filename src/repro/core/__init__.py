@@ -30,7 +30,6 @@ from repro.core.tuples import (
     QTuple,
     TupleIdAllocator,
     install_id_allocator,
-    singleton_tuple,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "ZERO_CPU_COSTS",
     "install_id_allocator",
     "make_policy",
-    "singleton_tuple",
 ]

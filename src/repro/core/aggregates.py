@@ -808,10 +808,6 @@ class AggregateRegistry:
             for signature, entry in self._entries.items()
         }
 
-    def owners_of(self, query: Query) -> frozenset[str]:
-        entry = self._entries.get(aggregate_signature(query))
-        return frozenset(entry.owners) if entry is not None else frozenset()
-
     def __repr__(self) -> str:
         return (
             f"AggregateRegistry({len(self._entries)} modules, "

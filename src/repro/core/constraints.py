@@ -278,20 +278,6 @@ class ConstraintChecker:
             return False
         return self.layout.is_complete(tuple_.spanned_mask, tuple_.done_mask)
 
-    def must_stay_in_dataflow(self, tuple_: QTuple) -> bool:
-        """True if retiring the tuple now would violate ProbeCompletion."""
-        alias = tuple_.probe_completion_alias
-        if alias is None:
-            return False
-        if tuple_.is_resolved(alias):
-            return False
-        # It must stay only if it can actually complete the probe: there is a
-        # bindable, unvisited AM on the completion table.
-        for am in self.index_ams.get(alias, ()):
-            if tuple_.visit_count(am.name) < self.max_visits and am.bind_key(tuple_) is not None:
-                return True
-        return False
-
     # -- strict validation ---------------------------------------------------------
 
     def validate(self, tuple_: QTuple, destination: Destination) -> None:

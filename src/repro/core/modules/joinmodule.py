@@ -138,13 +138,6 @@ class SymmetricHashJoinModule(Module):
                 results.append(merged)
         return results
 
-    @property
-    def stored_tuples(self) -> int:
-        """Total number of tuples held in both hash tables."""
-        left = sum(len(bucket) for bucket in self._left_table.values())
-        right = sum(len(bucket) for bucket in self._right_table.values())
-        return left + right
-
 
 class IndexJoinModule(Module):
     """An index join with an internal lookup cache (paper Figure 5).
@@ -246,8 +239,3 @@ class IndexJoinModule(Module):
             self.stats["results"] += 1
             results.append(extend(row, 0.0))
         return results
-
-    @property
-    def cache_size(self) -> int:
-        """Number of distinct keys cached."""
-        return len(self._cache)

@@ -79,23 +79,6 @@ class SelectionModule(Module):
             self._recent += self.RECENT_ALPHA * (passed - self._recent)
 
     @property
-    def observed_selectivity(self) -> float:
-        """Fraction of processed tuples that passed (0.5 before any data).
-
-        Quarantined tuples count as drops: a predicate that raises on most
-        rows passes almost nothing, and hiding those outcomes would keep the
-        estimate pinned at whatever the non-poison rows happened to show.
-        """
-        total = (
-            self.stats["passed"]
-            + self.stats["dropped"]
-            + self.stats["quarantined"]
-        )
-        if not total:
-            return 0.5
-        return self.stats["passed"] / total
-
-    @property
     def recent_selectivity(self) -> float:
         """EMA of recent pass outcomes (0.5 before any data).
 

@@ -625,14 +625,3 @@ def singleton_maker(alias: str, source: str = "", layout: AliasSpace | None = No
         return result
 
     return make
-
-
-def singleton_tuple(
-    alias: str,
-    row: Row,
-    source: str = "",
-    created_at: float = 0.0,
-    layout: AliasSpace | None = None,
-) -> QTuple:
-    """Create a singleton :class:`QTuple` for a freshly delivered row."""
-    return singleton_maker(alias, source, layout)(row, created_at)

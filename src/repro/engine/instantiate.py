@@ -97,8 +97,6 @@ def instantiate_stems_query(
     join_graph = JoinGraph.from_query(query)
     layout = PlanLayout(query, join_graph)
     eddy.layout = layout
-    if eddy.trace is not None:
-        eddy.trace.attach_layout(layout)
     # SteMs: one module per alias (the factory decides whether the backing
     # SteM is private or shared).
     for ref in query.tables:

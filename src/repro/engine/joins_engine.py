@@ -194,8 +194,6 @@ class EddyJoinsEngine:
             trace=trace,
             layout=self.layout,
         )
-        if trace is not None:
-            trace.attach_layout(self.layout)
         self._index_join_modules: list[IndexJoinModule] = []
         self._build_modules()
 

@@ -63,13 +63,6 @@ class Series:
             return position
         return self.counts[position - 1] if position else 0
 
-    def time_to_count(self, count: int) -> float | None:
-        """Earliest time at which the cumulative count reaches ``count``."""
-        for time, value in self:
-            if value >= count:
-                return time
-        return None
-
     def sampled(self, times: Sequence[float]) -> list[tuple[float, int]]:
         """The series sampled at the given times (for tabular reports)."""
         return [(time, self.count_at(time)) for time in times]
@@ -154,14 +147,6 @@ class ExecutionResult:
         """True when this result carries GROUP BY aggregate output."""
         return self.aggregate_rows is not None
 
-    def aggregate_table(self) -> list[dict[str, Any]]:
-        """Aggregate output as ``{label: value}`` dictionaries."""
-        if self.aggregate_rows is None:
-            return []
-        return [
-            dict(zip(self.aggregate_labels, row)) for row in self.aggregate_rows
-        ]
-
     @property
     def row_count(self) -> int:
         """Number of result tuples."""
@@ -187,11 +172,6 @@ class ExecutionResult:
         """The result identities, sorted: the order-insensitive canonical
         form used when comparing result *sets* across configurations."""
         return sorted(self.identities())
-
-    def has_duplicates(self) -> bool:
-        """True if the same logical result was emitted more than once."""
-        identities = self.identities()
-        return len(identities) != len(set(identities))
 
     def total_index_lookups(self) -> int:
         """Total index lookups across all access methods / join modules."""

@@ -7,12 +7,9 @@ from repro.query.layout import AliasSpace, DynamicAliasSpace, PlanLayout
 from repro.query.parser import parse_query
 from repro.query.predicates import (
     Comparison,
-    Conjunction,
     InList,
     Predicate,
     TruePredicate,
-    equi_join,
-    evaluable_predicates,
     selection,
 )
 from repro.query.query import Query, TableRef
@@ -22,7 +19,6 @@ __all__ = [
     "BindingPlan",
     "ColumnRef",
     "Comparison",
-    "Conjunction",
     "DynamicAliasSpace",
     "Expression",
     "InList",
@@ -35,8 +31,6 @@ __all__ = [
     "TableRef",
     "TruePredicate",
     "as_expression",
-    "equi_join",
-    "evaluable_predicates",
     "parse_query",
     "selection",
     "validate_bindings",

@@ -143,9 +143,6 @@ class PlanLayout(AliasSpace):
         adjacency: per-alias join-graph neighbour mask.
         predicate_bits: predicate id -> done-bit mask (``1 << predicate_id``).
         all_predicate_mask: the done mask of a tuple that passed everything.
-        predicate_alias_masks: predicate id -> mask of the aliases the
-            predicate references (its evaluation requirement); for selection
-            predicates this is the paper's selection-eligibility mask.
     """
 
     def __init__(self, query: Query, join_graph: JoinGraph | None = None):
@@ -172,10 +169,6 @@ class PlanLayout(AliasSpace):
         for bit in self.predicate_bits.values():
             all_predicates |= bit
         self.all_predicate_mask: int = all_predicates
-        self.predicate_alias_masks: dict[int, int] = {
-            predicate.predicate_id: self.mask_of(predicate.aliases())
-            for predicate in query.predicates
-        }
         #: Memo: spanned mask -> lexicographically sorted adjacent-unspanned
         #: alias names.  Bounded by 2^|aliases| entries, but in practice only
         #: the spans the dataflow actually produces are ever materialised.
@@ -262,18 +255,7 @@ class PlanLayout(AliasSpace):
             and (done_mask & self.all_predicate_mask) == self.all_predicate_mask
         )
 
-    def predicate_evaluable(self, predicate_id: int, spanned_mask: int) -> bool:
-        """True if the span covers every alias the predicate references."""
-        required = self.predicate_alias_masks.get(predicate_id)
-        if required is None:
-            raise QueryError(f"unknown predicate id {predicate_id}")
-        return not (required & ~spanned_mask)
-
     # -- introspection ----------------------------------------------------------
-
-    def describe_mask(self, mask: int) -> str:
-        """Human-readable rendering of an alias mask (for traces/debugging)."""
-        return "+".join(sorted(self.aliases_of_mask(mask))) or "-"
 
     def __repr__(self) -> str:
         return (

@@ -32,9 +32,6 @@ _OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
     ">=": operator.ge,
 }
 
-_NEGATIONS = {"=": "!=", "==": "!=", "!=": "=", "<>": "=",
-              "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-
 _id_counter = itertools.count(1)
 
 
@@ -83,11 +80,6 @@ class Predicate:
     def is_selection(self) -> bool:
         """True if the predicate references exactly one alias."""
         return len(self.aliases()) == 1
-
-    @property
-    def is_join(self) -> bool:
-        """True if the predicate references exactly two aliases."""
-        return len(self.aliases()) == 2
 
     @property
     def is_equi_join(self) -> bool:
@@ -162,37 +154,8 @@ class Comparison(Predicate):
             return self.left
         raise QueryError(f"predicate {self} does not reference alias {alias!r}")
 
-    def negated(self) -> "Comparison":
-        """The logical negation of this comparison."""
-        return Comparison(
-            self.left, _NEGATIONS[self.op], self.right,
-            name=f"not_{self.name}", priority=self.priority,
-        )
-
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
-
-
-class Conjunction(Predicate):
-    """A conjunction (AND) of several predicates, treated as one unit."""
-
-    def __init__(self, predicates: Sequence[Predicate], name: str | None = None):
-        if not predicates:
-            raise QueryError("a conjunction needs at least one predicate")
-        self.predicates = tuple(predicates)
-        super().__init__(name=name)
-
-    def aliases(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for predicate in self.predicates:
-            result |= predicate.aliases()
-        return result
-
-    def evaluate(self, components: Mapping[str, Row]) -> bool:
-        return all(predicate.evaluate(components) for predicate in self.predicates)
-
-    def __str__(self) -> str:
-        return " AND ".join(f"({predicate})" for predicate in self.predicates)
 
 
 class InList(Predicate):
@@ -236,19 +199,6 @@ class TruePredicate(Predicate):
         return "TRUE"
 
 
-def equi_join(left: str, right: str, priority: float = 0.0) -> Comparison:
-    """Convenience constructor: ``equi_join("R.a", "S.x")``."""
-    return Comparison(ColumnRef.parse(left), "=", ColumnRef.parse(right),
-                      priority=priority)
-
-
 def selection(column: str, op: str, value: Any, priority: float = 0.0) -> Comparison:
     """Convenience constructor: ``selection("R.a", "<", 100)``."""
     return Comparison(ColumnRef.parse(column), op, Literal(value), priority=priority)
-
-
-def evaluable_predicates(
-    predicates: Sequence[Predicate], available: frozenset[str] | set[str]
-) -> list[Predicate]:
-    """The subset of predicates fully evaluable over the available aliases."""
-    return [p for p in predicates if p.can_evaluate(available)]

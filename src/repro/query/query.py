@@ -12,7 +12,7 @@ puts it), incrementally off SteM build/evict listeners
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import QueryError, UnknownTableError
 from repro.query.expressions import ColumnRef
@@ -196,12 +196,6 @@ class Query:
         """All aliases referring to the given base table (self-joins)."""
         return tuple(ref.alias for ref in self.tables if ref.table == table)
 
-    @property
-    def is_self_join(self) -> bool:
-        """True if some base table appears more than once in the FROM clause."""
-        tables = [ref.table for ref in self.tables]
-        return len(set(tables)) != len(tables)
-
     # -- predicate classification ---------------------------------------------
 
     @property
@@ -263,15 +257,6 @@ class Query:
                 columns.append(ref.column)
         return tuple(columns)
 
-    def join_partners(self, alias: str) -> frozenset[str]:
-        """Aliases connected to ``alias`` by at least one join predicate."""
-        partners: set[str] = set()
-        for predicate in self.join_predicates:
-            referenced = predicate.aliases()
-            if alias in referenced:
-                partners |= referenced - {alias}
-        return frozenset(partners)
-
     # -- aggregation -----------------------------------------------------------
 
     @property
@@ -292,29 +277,6 @@ class Query:
         return tuple(str(column) for column in self.group_by) + tuple(
             spec.label for spec in self.aggregates
         )
-
-    # -- projections ----------------------------------------------------------
-
-    @property
-    def is_select_star(self) -> bool:
-        """True if the query projects all columns."""
-        return not self.projections and not self.aggregates
-
-    def output_columns(
-        self, schemas: Mapping[str, Sequence[str]]
-    ) -> tuple[tuple[str, str], ...]:
-        """The output columns as ``(alias, column)`` pairs.
-
-        Args:
-            schemas: mapping from alias to the column names of its table.
-        """
-        if self.projections:
-            return tuple((p.alias, p.column) for p in self.projections)
-        result: list[tuple[str, str]] = []
-        for ref in self.tables:
-            for column in schemas[ref.alias]:
-                result.append((ref.alias, column))
-        return tuple(result)
 
     def __repr__(self) -> str:
         froms = ", ".join(str(ref) for ref in self.tables)

@@ -7,17 +7,15 @@ from repro.sim.latency import (
     ExponentialLatency,
     LatencyModel,
     StallWindow,
-    UniformLatency,
 )
 from repro.sim.queues import BoundedQueue
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import Counter, TraceLog, TraceRecord
+from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
     "AvailabilityModel",
     "BoundedQueue",
     "ConstantLatency",
-    "Counter",
     "Event",
     "EventQueue",
     "ExponentialLatency",
@@ -26,5 +24,4 @@ __all__ = [
     "StallWindow",
     "TraceLog",
     "TraceRecord",
-    "UniformLatency",
 ]

@@ -42,24 +42,6 @@ class ConstantLatency(LatencyModel):
         return self.value
 
 
-class UniformLatency(LatencyModel):
-    """Latencies drawn uniformly from [low, high]."""
-
-    def __init__(self, low: float, high: float, seed: int = 0):
-        if low < 0 or high < low:
-            raise ValueError("require 0 <= low <= high")
-        self.low = low
-        self.high = high
-        self._rng = random.Random(seed)
-
-    def sample(self) -> float:
-        return self._rng.uniform(self.low, self.high)
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-
 class ExponentialLatency(LatencyModel):
     """Latencies drawn from an exponential distribution (bursty sources)."""
 
@@ -141,10 +123,6 @@ class AvailabilityModel:
         return cls(())
 
     @classmethod
-    def single_stall(cls, start: float, duration: float) -> "AvailabilityModel":
-        return cls((StallWindow(start, duration),))
-
-    @classmethod
     def from_pairs(
         cls, pairs: Sequence[tuple[float, float]] | Sequence[StallWindow]
     ) -> "AvailabilityModel":
@@ -169,11 +147,3 @@ class AvailabilityModel:
             if window.contains(adjusted):
                 adjusted = window.end
         return adjusted
-
-    def delay_until_available(self, time: float) -> float:
-        """Extra delay imposed by stalls for an operation finishing at ``time``."""
-        return self.next_available(time) - time
-
-    def is_stalled(self, time: float) -> bool:
-        """True if the source is stalled at ``time``."""
-        return any(window.contains(time) for window in self.stalls)

@@ -43,11 +43,6 @@ class BoundedQueue(Generic[ItemT]):
         """True if no more items can be accepted."""
         return self.capacity is not None and len(self.items) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        """True if the queue holds no items."""
-        return not self.items
-
     def offer(self, item: ItemT) -> bool:
         """Enqueue ``item`` if there is room; return whether it was accepted."""
         items = self.items

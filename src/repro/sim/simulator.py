@@ -176,10 +176,6 @@ class Simulator:
             self._running = False
         return self.now
 
-    def run_for(self, duration: float) -> float:
-        """Run for ``duration`` virtual seconds from the current time."""
-        return self.run(until=self.now + duration)
-
     def drain(self, callbacks: Iterable[Callable[[], None]] = ()) -> float:
         """Schedule the given callbacks now and run the queue to exhaustion."""
         for callback in callbacks:

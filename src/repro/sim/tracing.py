@@ -26,20 +26,6 @@ class TraceLog:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._records: list[TraceRecord] = []
-        #: The query's compiled :class:`~repro.query.layout.PlanLayout`,
-        #: attached by the engine that owns this trace so readers can decode
-        #: bitmask TupleState (spans, done bits) back into names.
-        self.layout = None
-
-    def attach_layout(self, layout) -> None:
-        """Attach the PlanLayout of the query this trace records."""
-        self.layout = layout
-
-    def describe_span(self, mask: int) -> str:
-        """Render an alias mask through the attached layout (or as hex)."""
-        if self.layout is None:
-            return hex(mask)
-        return self.layout.describe_mask(mask)
 
     def record(self, time: float, kind: str, detail: Any = None) -> None:
         """Append a record (no-op when disabled)."""
@@ -60,36 +46,6 @@ class TraceLog:
         """Number of records of the given kind."""
         return sum(1 for record in self._records if record.kind == kind)
 
-    def times_of(self, kind: str) -> list[float]:
-        """The times of all records of the given kind (for time series)."""
-        return [record.time for record in self._records if record.kind == kind]
-
     def clear(self) -> None:
         """Drop all records."""
         self._records.clear()
-
-
-class Counter:
-    """A named monotonically increasing counter with optional time series.
-
-    Used by modules to report operational statistics (probes issued, cache
-    hits, tuples built...) that the metrics layer aggregates.
-    """
-
-    def __init__(self, name: str, keep_series: bool = False):
-        self.name = name
-        self.value = 0
-        self.keep_series = keep_series
-        self.series: list[tuple[float, int]] = []
-
-    def increment(self, time: float, amount: int = 1) -> None:
-        """Add ``amount`` at virtual time ``time``."""
-        self.value += amount
-        if self.keep_series:
-            self.series.append((time, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"

@@ -12,7 +12,7 @@ from repro.storage.statistics import (
     estimate_join_cardinality,
     estimate_join_selectivity,
 )
-from repro.storage.table import Table, table_from_dicts
+from repro.storage.table import Table
 from repro.storage.types import DataType
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "analyze_table",
     "estimate_join_cardinality",
     "estimate_join_selectivity",
-    "table_from_dicts",
 ]

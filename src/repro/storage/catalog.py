@@ -11,10 +11,9 @@ these specs by ``repro.core.modules.access``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import CatalogError, DuplicateTableError, UnknownTableError
-from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 
@@ -184,20 +183,6 @@ class Catalog:
 
     # -- tables ---------------------------------------------------------------
 
-    def create_table(
-        self,
-        name: str,
-        schema: Schema,
-        rows: Iterable[Sequence[Any] | Mapping[str, Any]] = (),
-    ) -> Table:
-        """Create and register a new table."""
-        if name in self._tables:
-            raise DuplicateTableError(f"table {name!r} already exists")
-        table = Table(name, schema, rows)
-        self._tables[name] = table
-        self._access_methods[name] = []
-        return table
-
     def add_table(self, table: Table) -> Table:
         """Register an existing Table object."""
         if table.name in self._tables:
@@ -206,20 +191,10 @@ class Catalog:
         self._access_methods[table.name] = []
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table and its access methods."""
-        self._require(name)
-        del self._tables[name]
-        del self._access_methods[name]
-
     def table(self, name: str) -> Table:
         """Look up a table by name."""
         self._require(name)
         return self._tables[name]
-
-    def has_table(self, name: str) -> bool:
-        """True if a table with this name exists."""
-        return name in self._tables
 
     @property
     def tables(self) -> dict[str, Table]:

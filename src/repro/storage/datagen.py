@@ -1,8 +1,9 @@
 """Synthetic data generators.
 
-Includes the three sources of the paper's Table 3 (R, S, T) plus generic
-generators (uniform, zipfian, foreign-key chains) used by the wider test and
-benchmark suites.  All generators are seeded for reproducibility.
+Includes the three sources of the paper's Table 3 (R, S, T) plus the
+tables the extension and adversarial workloads in :mod:`repro.bench` run
+over (Zipf-skewed pairs, phase shifts, edge lists, cyclic triples, string
+dimensions).  All generators are seeded for reproducibility.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import bisect
 import random
 import string
-from typing import Sequence
 
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -95,25 +95,6 @@ def make_source_t(
 # Generic generators
 # ---------------------------------------------------------------------------
 
-def make_uniform_table(
-    name: str,
-    cardinality: int,
-    columns: Sequence[str] = ("id", "value"),
-    value_range: int = 1000,
-    seed: int = 0,
-    with_key: bool = True,
-) -> Table:
-    """A table with a sequential ``id`` column and uniform random integers."""
-    rng = random.Random(seed)
-    specs = [f"{columns[0]}:int"] + [f"{c}:int" for c in columns[1:]]
-    schema = Schema.of(*specs, key=[columns[0]] if with_key else [])
-    table = Table(name, schema)
-    for row_id in range(cardinality):
-        values = [row_id] + [rng.randrange(value_range) for _ in columns[1:]]
-        table.insert(values)
-    return table
-
-
 class ZipfDraw:
     """A seeded Zipf(``skew``) sampler over ``0..distinct-1``.
 
@@ -142,27 +123,6 @@ class ZipfDraw:
 
     def __call__(self) -> int:
         return bisect.bisect_left(self.cdf, self._rng.random())
-
-
-def make_zipfian_table(
-    name: str,
-    cardinality: int,
-    distinct: int = 100,
-    skew: float = 1.0,
-    seed: int = 0,
-) -> Table:
-    """A table ``(id, value)`` whose ``value`` column is Zipf-distributed.
-
-    Args:
-        distinct: number of distinct values.
-        skew: Zipf exponent; 0 is uniform, larger is more skewed.
-    """
-    draw = ZipfDraw(distinct, skew, seed=seed)
-    schema = Schema.of("id:int", "value:int", key=["id"])
-    table = Table(name, schema)
-    for row_id in range(cardinality):
-        table.insert((row_id, draw()))
-    return table
 
 
 def make_skewed_pair(
@@ -268,35 +228,6 @@ def make_edges_table(
     return table
 
 
-def make_foreign_key_table(
-    name: str,
-    cardinality: int,
-    referenced: Table,
-    referenced_column: str,
-    fk_column: str = "fk",
-    seed: int = 0,
-    extra_columns: Sequence[str] = (),
-) -> Table:
-    """A table whose ``fk_column`` references values of another table's column.
-
-    Every generated foreign-key value is guaranteed to exist in the
-    referenced table, so an equi-join produces exactly ``cardinality`` rows
-    when the referenced column is a key.
-    """
-    rng = random.Random(seed)
-    referenced_values = sorted(referenced.distinct_values(referenced_column))
-    if not referenced_values:
-        raise ValueError(f"referenced table {referenced.name!r} is empty")
-    specs = ["id:int", f"{fk_column}:int"] + [f"{c}:int" for c in extra_columns]
-    schema = Schema.of(*specs, key=["id"])
-    table = Table(name, schema)
-    for row_id in range(cardinality):
-        fk_value = rng.choice(referenced_values)
-        extras = [rng.randrange(1000) for _ in extra_columns]
-        table.insert([row_id, fk_value] + extras)
-    return table
-
-
 def make_string_dimension(
     name: str,
     cardinality: int,
@@ -340,4 +271,3 @@ def make_cyclic_triple(
         table_b.insert((identifier, identifier))
         table_c.insert((identifier, ca_value))
     return table_a, table_b, table_c
-

@@ -47,32 +47,9 @@ class HashIndex:
         self._buckets.setdefault(self.key_of(row), []).append(row)
         self._size += 1
 
-    def remove(self, row: Row) -> bool:
-        """Remove one occurrence of a row; return True if it was present."""
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return False
-        try:
-            bucket.remove(row)
-        except ValueError:
-            return False
-        if not bucket:
-            del self._buckets[key]
-        self._size -= 1
-        return True
-
     def lookup(self, key: tuple[Any, ...]) -> list[Row]:
         """All rows whose key columns equal ``key``."""
         return list(self._buckets.get(tuple(key), ()))
-
-    def contains(self, row: Row) -> bool:
-        """True if an equal row is already present."""
-        return any(existing == row for existing in self.lookup(self.key_of(row)))
-
-    def keys(self) -> Iterator[tuple[Any, ...]]:
-        """Iterate over the distinct keys currently present."""
-        return iter(self._buckets)
 
     def __iter__(self) -> Iterator[Row]:
         for bucket in self._buckets.values():

@@ -31,16 +31,6 @@ class ColumnStatistics:
     max_value: Any
     most_common: tuple[tuple[Any, int], ...]
 
-    @property
-    def selectivity_of_equality(self) -> float:
-        """Estimated selectivity of an equality predicate on this column.
-
-        Uses the classic uniform-distribution assumption 1/NDV.
-        """
-        if self.distinct == 0:
-            return 0.0
-        return 1.0 / self.distinct
-
 
 @dataclass(frozen=True)
 class TableStatistics:
@@ -112,4 +102,3 @@ def _comparable(values: list[Any]) -> list[Any]:
     if all(isinstance(value, (int, float)) for value in values):
         return values
     return [value for value in values if isinstance(value, first_type)]
-

@@ -69,16 +69,6 @@ class Table:
             index.insert(row)
         return row
 
-    def insert_many(
-        self, rows: Iterable[Sequence[Any] | Mapping[str, Any] | Row]
-    ) -> int:
-        """Insert many rows; return how many were inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
-
     # -- access ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -116,10 +106,6 @@ class Table:
             return self._key_index.lookup(key)
         return [row for row in self._rows if row.key_values(columns) == key]
 
-    def distinct_values(self, column: str) -> set[Any]:
-        """The set of distinct values in a column."""
-        return {row[column] for row in self._rows}
-
     # -- secondary indexes ----------------------------------------------------
 
     def create_index(self, columns: Sequence[str]) -> HashIndex:
@@ -138,10 +124,6 @@ class Table:
         self._indexes[columns] = index
         return index
 
-    def get_index(self, columns: Sequence[str]) -> HashIndex | None:
-        """The secondary index on exactly these columns, if any."""
-        return self._indexes.get(tuple(columns))
-
     @property
     def indexes(self) -> dict[tuple[str, ...], HashIndex]:
         """All secondary indexes, keyed by their column tuples."""
@@ -149,18 +131,3 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, rows={len(self._rows)}, schema={self.schema!r})"
-
-
-def table_from_dicts(
-    name: str, records: Sequence[Mapping[str, Any]], key: Sequence[str] = ()
-) -> Table:
-    """Build a table by inferring a schema from a list of dictionaries."""
-    if not records:
-        raise SchemaError("cannot infer a schema from an empty record list")
-    from repro.storage.schema import Column
-    from repro.storage.types import DataType
-
-    first = records[0]
-    columns = [Column(name_, DataType.infer(value)) for name_, value in first.items()]
-    schema = Schema(columns, key=key)
-    return Table(name, schema, records)

@@ -1,9 +1,8 @@
-"""Column data types and value coercion.
+"""Column data types.
 
 The storage layer supports a small set of scalar types, sufficient for the
 paper's workloads (integers, floats, strings, booleans).  Types are used for
-schema validation, value coercion when loading external data, and for
-choosing sensible default values in the synthetic data generators.
+schema validation, and are named in ``Schema.of`` specs such as ``"a:int"``.
 """
 
 from __future__ import annotations
@@ -37,45 +36,6 @@ class DataType(enum.Enum):
         if self is DataType.BOOLEAN:
             return isinstance(value, bool)
         return isinstance(value, str)
-
-    def coerce(self, value: Any) -> Any:
-        """Convert ``value`` to this type, raising SchemaError on failure."""
-        if value is None:
-            return None
-        try:
-            if self is DataType.INTEGER:
-                if isinstance(value, bool):
-                    return int(value)
-                return int(value)
-            if self is DataType.FLOAT:
-                return float(value)
-            if self is DataType.BOOLEAN:
-                if isinstance(value, str):
-                    lowered = value.strip().lower()
-                    if lowered in ("true", "t", "1", "yes"):
-                        return True
-                    if lowered in ("false", "f", "0", "no"):
-                        return False
-                    raise ValueError(value)
-                return bool(value)
-            return str(value)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(
-                f"cannot coerce {value!r} to {self.value}"
-            ) from exc
-
-    @classmethod
-    def infer(cls, value: Any) -> "DataType":
-        """Infer the data type of a Python value."""
-        if isinstance(value, bool):
-            return cls.BOOLEAN
-        if isinstance(value, int):
-            return cls.INTEGER
-        if isinstance(value, float):
-            return cls.FLOAT
-        if isinstance(value, str):
-            return cls.STRING
-        raise SchemaError(f"cannot infer a column type for {value!r}")
 
     @classmethod
     def from_name(cls, name: str) -> "DataType":

@@ -55,7 +55,7 @@ def test_next_available_is_never_inside_a_window(pairs, time):
     model = AvailabilityModel.from_pairs(pairs)
     result = model.next_available(time)
     assert result >= time
-    assert not model.is_stalled(result)
+    assert not any(window.contains(result) for window in model.stalls)
 
 
 @given(pairs=WINDOWS, time=TIMES)
@@ -90,14 +90,7 @@ def test_single_pass_matches_fixed_point(pairs, time):
 def test_zero_duration_windows_are_noops(starts, time):
     model = AvailabilityModel.from_pairs([(start, 0.0) for start in starts])
     assert model.next_available(time) == time
-    assert not model.is_stalled(time)
-
-
-@given(pairs=WINDOWS, time=TIMES)
-@settings(max_examples=100, deadline=None)
-def test_delay_until_available_consistency(pairs, time):
-    model = AvailabilityModel.from_pairs(pairs)
-    assert model.delay_until_available(time) == model.next_available(time) - time
+    assert not any(window.contains(time) for window in model.stalls)
 
 
 class TestStallWindow:

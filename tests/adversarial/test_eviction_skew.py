@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from repro.core.stem import CountEviction, ReferenceWindowEviction, SteM
 from repro.core.tuples import QTuple
-from repro.query.predicates import equi_join
-from repro.storage.datagen import ZipfDraw, make_uniform_table
+from repro.storage.datagen import ZipfDraw
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.helpers import equi_join, make_uniform_table
 
 #: Rows in the build universe (distinct join-key per row).
 UNIVERSE = 60

@@ -22,9 +22,10 @@ from repro.core.modules.stem_module import SteMModule
 from repro.core.stem import SteM
 from repro.core.tuples import QTuple
 from repro.engine.api import execute
-from repro.query.predicates import equi_join, selection
+from repro.query.predicates import selection
 from repro.sim.tracing import TraceLog
 from repro.storage.datagen import make_skewed_pair, make_source_r, make_source_s
+from tests.helpers import equi_join
 
 
 def make_fact_tuple(row) -> QTuple:

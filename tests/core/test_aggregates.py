@@ -394,7 +394,10 @@ class TestAggregateRegistry:
         assert module_a is module_b
         assert module_a is not module_c
         assert registry.stats == {"created": 2, "shared": 1, "reclaimed": 0}
-        assert registry.owners_of(qa) == {"q1", "q2"}
+        # q1 and q2 both own the shared module; q3 alone owns its own.
+        assert registry.release("q3") == 1
+        assert registry.release("q1") == 0
+        assert registry.release("q2") == 1
 
     def test_release_detaches_at_zero_owners(self):
         qa, qb, _ = self.queries()

@@ -15,10 +15,10 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.policies.base import order_by_action, split_required
-from repro.core.tuples import singleton_tuple
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import single_query_engine
+from tests.helpers import singleton_tuple
 
 
 def build_engine(with_t_scan=True, with_selection=False):
@@ -112,11 +112,12 @@ class TestConstraintChecker:
         tuple_.record_visit("stem:S")
         tuple_.probe_completion_alias = "S"
         destinations = checker.destinations(tuple_)
-        # No SteM probes on T, only AM probes on S.
+        # ProbeCompletion: the tuple must stay for an AM probe on S — no
+        # SteM probes on T, and the S probe is required.
+        assert destinations
         assert all(d.target_alias == "S" for d in destinations)
         assert all(d.action == "am_probe" for d in destinations)
         assert all(d.required for d in destinations)
-        assert checker.must_stay_in_dataflow(tuple_)
 
     def test_optional_vs_required_am_probe(self):
         engine = build_engine(with_t_scan=True)

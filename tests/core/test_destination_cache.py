@@ -18,7 +18,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.core.eddy import Eddy
 from repro.core.policies import NaivePolicy
-from repro.core.tuples import EOTTuple, singleton_tuple
+from repro.core.tuples import EOTTuple
 from repro.engine.static_engine import run_static
 from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine
@@ -26,6 +26,7 @@ from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import single_query_engine
+from tests.helpers import has_duplicates, singleton_tuple
 
 THREE_WAY_SQL = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"
 
@@ -152,7 +153,7 @@ class TestBatchedRouting:
             strict_constraints=True,
         )
         assert result.row_count > 0
-        assert not result.has_duplicates()
+        assert not has_duplicates(result)
 
     def test_batch_size_one_matches_legacy_event_accounting(self):
         result = execute(THREE_WAY_SQL, three_way_catalog(), policy="naive")

@@ -7,13 +7,13 @@ from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.selection import SelectionModule
 from repro.core.policies import NaivePolicy
-from repro.core.tuples import singleton_tuple
 from repro.engine.multi import MultiQueryEngine
 from repro.query.predicates import selection
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
 from tests.conftest import single_query_engine
+from tests.helpers import singleton_tuple
 
 
 def small_engine(**kwargs) -> MultiQueryEngine:

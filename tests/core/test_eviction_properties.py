@@ -35,10 +35,10 @@ from repro.core.stem import (
 )
 from repro.core.stem_registry import SteMRegistry
 from repro.core.tuples import QTuple
-from repro.query.predicates import equi_join
 from repro.query.probeplan import ProbePlan
 from repro.storage.datagen import make_source_r, make_source_s
 from tests.reference.interpreted_probe import interpreted_probe
+from tests.helpers import equi_join
 
 pytestmark = pytest.mark.slow
 

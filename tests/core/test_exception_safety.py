@@ -14,7 +14,6 @@ import pytest
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
 from repro.core.stem import SteM
-from repro.core.tuples import singleton_tuple
 from repro.errors import ExecutionError
 from repro.query.parser import parse_query
 from repro.query.predicates import Predicate
@@ -22,6 +21,7 @@ from repro.sim.simulator import Simulator
 from repro.storage.datagen import make_source_s
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 
@@ -109,18 +109,18 @@ class TestSelectionExceptionSafety:
     def test_quarantine_scores_as_drop(self):
         # The quarantine-scoring bugfix: the early return used to skip the
         # stats/EMA accounting entirely, so a predicate raising on every
-        # row kept observed_selectivity == recent_selectivity == 0.5 (the
-        # no-data prior) and routing policies treated poison as average.
+        # row kept recent_selectivity == 0.5 (the no-data prior) and routing
+        # policies treated poison as average.
         runtime = QuarantineRuntime()
         module = SelectionModule(Bomb())
         module.attach(runtime)
         for _ in range(10):
             assert module.process(r_tuple()) == []
         assert module.stats["quarantined"] == 10
+        assert module.stats["passed"] == 0
         assert len(runtime.trapped) == 10
         # All outcomes were quarantines, so the predicate looks maximally
         # unselective — not frozen at the prior.
-        assert module.observed_selectivity == 0.0
         assert module.recent_selectivity == 0.0
 
     def test_quarantine_mixes_into_selectivity_with_real_outcomes(self):
@@ -149,7 +149,6 @@ class TestSelectionExceptionSafety:
             **module.stats,
             "passed": 1, "dropped": 1, "quarantined": 2,
         }
-        assert module.observed_selectivity == 0.25
         # The EMA seeded at the first outcome (1.0) then decayed through
         # three 0.0 outcomes — the two quarantines counted, so the value
         # sits below what pass+drop alone (two outcomes) would leave.

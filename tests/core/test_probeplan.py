@@ -19,19 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.modules.stem_module import SteMModule
 from repro.core.stem import SteM
-from repro.core.tuples import QTuple, singleton_tuple
-from repro.query.predicates import (
-    Comparison,
-    Conjunction,
-    InList,
-    TruePredicate,
-    equi_join,
-    selection,
-)
+from repro.core.tuples import QTuple
+from repro.query.predicates import Comparison, InList, TruePredicate, selection
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.interpreted_probe import interpreted_probe
+from tests.helpers import equi_join, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int", "b:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -110,7 +104,6 @@ def predicate_pool():
         Comparison("S.x", "=", 1),          # constant equality binding
         InList("S.y", [0, 1, 2, None]),
         TruePredicate(),
-        Conjunction([selection("S.y", ">", -3), selection("S.x", "<=", 5)]),
     ]
 
 

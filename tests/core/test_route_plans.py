@@ -33,12 +33,13 @@ from repro.core.policies import (
     RandomPolicy,
     StaticOrderPolicy,
 )
-from repro.core.tuples import EOTTuple, singleton_tuple
+from repro.core.tuples import EOTTuple
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import single_query_engine
+from tests.helpers import singleton_tuple
 
 THREE_WAY_SQL = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key AND R.a < 8"
 STATIC_ORDER = ("stem:T", "stem:S", "stem:R")

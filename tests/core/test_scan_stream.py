@@ -17,11 +17,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.modules.access import ScanAMModule
-from repro.core.tuples import EOTTuple, singleton_tuple
+from repro.core.tuples import EOTTuple
 from repro.sim.latency import AvailabilityModel
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import ScanSpec
 from repro.storage.datagen import make_source_t
+from tests.helpers import singleton_tuple
 
 
 class PrePushedScan(ScanAMModule):

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.core.stem import SteM
-from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
-from repro.query.predicates import equi_join, selection
+from repro.core.tuples import EOTTuple, QTuple
+from repro.query.predicates import selection
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import equi_join, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -275,4 +276,3 @@ def test_property_probe_finds_exactly_matching_builds(build_keys, probe_key):
     probe = r_probe(0, probe_key)
     outcome = stem.probe(probe, "S", [JOIN])
     assert len(outcome.results) == expected
-

@@ -27,20 +27,14 @@ from repro.core.stem import (
     TimeWindowEviction,
     make_eviction_policy,
 )
-from repro.core.tuples import EOTTuple, QTuple, singleton_tuple
+from repro.core.tuples import EOTTuple, QTuple
 from repro.errors import ExecutionError
-from repro.query.predicates import (
-    Comparison,
-    Conjunction,
-    InList,
-    TruePredicate,
-    equi_join,
-    selection,
-)
+from repro.query.predicates import Comparison, InList, TruePredicate, selection
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.interpreted_probe import interpreted_probe
+from tests.helpers import equi_join, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -523,8 +517,6 @@ HOSTILE_POOL = [
     (InList("S.x", [2**53 + 1, 3.0, 1, "a"]),
      lambda r, s: s["x"] in {2**53 + 1, 3.0, 1, "a"}),
     (TruePredicate(), lambda r, s: True),
-    (Conjunction([selection("S.y", ">", -3), selection("S.x", "<=", 5)]),
-     lambda r, s: holds(operator.gt, s["y"], -3) and holds(operator.le, s["x"], 5)),
 ]
 
 small_values = st.one_of(st.integers(min_value=-3, max_value=5), st.none())

@@ -17,17 +17,17 @@ from repro.core.tuples import (
     UNBUILT,
     install_id_allocator,
     singleton_maker,
-    singleton_tuple,
 )
 from repro.query.layout import PlanLayout, bit_positions, done_mask_of
 from repro.query.parser import parse_query
-from repro.query.predicates import equi_join, selection
+from repro.query.predicates import selection
 from repro.storage.catalog import IndexSpec, ScanSpec
 from repro.storage.datagen import make_source_s, make_source_t
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.conftest import single_query_engine
 from tests.core.test_modules import FakeRuntime
+from tests.helpers import equi_join, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -417,8 +417,8 @@ class TestHotObjectsAreLean:
 
         catalog = Catalog()
         for name in ("A", "B"):
-            table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
-            table.insert_many((i, i % distinct) for i in range(60))
+            rows = [(i, i % distinct) for i in range(60)]
+            catalog.add_table(Table(name, Schema.of("id:int", "value:int"), rows))
             catalog.add_scan(name, rate=100.0)
         return single_query_engine(
             "SELECT * FROM A, B WHERE A.value = B.value", catalog, policy="naive"

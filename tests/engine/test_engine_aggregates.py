@@ -68,7 +68,6 @@ class TestSingleQueryAggregates:
             catalog, cutoff=60
         )
         assert result.aggregate_labels == ("R.a", "count(*)", "sum(R.key)")
-        assert result.aggregate_table()[0]["count(*)"] >= 1
         assert "groups" in result.summary()
 
     def test_byte_identity_across_policy_batch(self):

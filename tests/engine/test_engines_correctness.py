@@ -24,6 +24,7 @@ from repro.storage.datagen import (
     make_source_t,
 )
 from tests.conftest import oracle_identities
+from tests.helpers import has_duplicates, time_to_count
 
 POLICIES = ["naive", "benefit", "lottery", "random"]
 
@@ -58,7 +59,7 @@ def test_stems_engine_matches_oracle(sql, policy):
     catalog = rst_catalog()
     query = parse_query(sql)
     result = execute(query, catalog, policy=policy)
-    assert not result.has_duplicates()
+    assert not has_duplicates(result)
     assert sorted(result.identities()) == oracle_identities(query, catalog)
 
 
@@ -67,7 +68,7 @@ def test_eddy_joins_engine_matches_oracle(sql):
     catalog = rst_catalog()
     query = parse_query(sql)
     result = run_eddy_joins(query, catalog)
-    assert not result.has_duplicates()
+    assert not has_duplicates(result)
     assert sorted(result.identities()) == oracle_identities(query, catalog)
 
 
@@ -124,7 +125,7 @@ def test_explicit_join_plan_variants(small_rt_catalog, q4_query):
     for plan in (index_plan, shj_plan):
         result = run_eddy_joins(q4_query, small_rt_catalog, plan=plan)
         assert result.row_count == 60
-        assert not result.has_duplicates()
+        assert not has_duplicates(result)
 
 
 def test_static_engine_join_order_heuristic(small_rt_catalog, q4_query):
@@ -145,8 +146,8 @@ class TestResultObject:
         series = result.output_series
         assert series.count_at(-1.0) == 0
         assert series.count_at(series.final_time) == series.final_count
-        assert series.time_to_count(1) is not None
-        assert series.time_to_count(10**9) is None
+        assert time_to_count(series, 1) is not None
+        assert time_to_count(series, 10**9) is None
         sampled = series.sampled([0.0, series.final_time])
         assert sampled[-1][1] == series.final_count
 
@@ -205,5 +206,5 @@ def test_property_random_workloads_match_oracle(seed, policy, r_rows, distinct):
     catalog.add_index("T", ["key"], latency=0.01)
     query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key")
     result = execute(query, catalog, policy=policy)
-    assert not result.has_duplicates()
+    assert not has_duplicates(result)
     assert sorted(result.identities()) == oracle_identities(query, catalog)

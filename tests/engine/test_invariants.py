@@ -34,6 +34,7 @@ import pytest
 from repro.bench import workloads
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from tests.conftest import oracle_identities
+from tests.helpers import dashboard_workload, shared_tables_mixed_workload
 
 POLICIES = ["naive", "benefit", "lottery", "random"]
 
@@ -109,9 +110,9 @@ BUILDERS = {
         t_index_latency=0.05, policy=policy,
     )),
     "shared_tables_mixed": lambda policy: fleet(
-        workloads.shared_tables_mixed_workload(rows=40, stagger=0.5, policy=policy)
+        shared_tables_mixed_workload(rows=40, stagger=0.5, policy=policy)
     ),
-    "dashboard": lambda policy: fleet(workloads.dashboard_workload(
+    "dashboard": lambda policy: fleet(dashboard_workload(
         rows=60, stagger=0.5, r_scan_rate=80.0, t_scan_rate=60.0, policy=policy,
     )),
     "churn": bounded_churn,

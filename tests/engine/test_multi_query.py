@@ -575,8 +575,8 @@ loaded.append("numpy" in sys.modules)
 
 catalog = Catalog()
 for name in ("A", "B"):
-    table = catalog.add_table(Table(name, Schema.of("id:int", "value:int")))
-    table.insert_many((i, i % 2) for i in range(150))
+    pairs = [(i, i % 2) for i in range(150)]
+    catalog.add_table(Table(name, Schema.of("id:int", "value:int"), pairs))
     catalog.add_scan(name, rate=100.0)
 fanout = execute("SELECT * FROM A, B WHERE A.value = B.value AND A.id < B.id", catalog)
 loaded.append("numpy" in sys.modules)

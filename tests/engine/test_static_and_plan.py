@@ -9,6 +9,7 @@ from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import oracle_identities
+from tests.helpers import has_duplicates
 
 
 @pytest.fixture
@@ -150,4 +151,4 @@ class TestEddyJoinsEngineValidation:
         engine = EddyJoinsEngine(query, catalog)
         result = engine.run()
         assert sorted(result.identities()) == oracle_identities(query, catalog)
-        assert not result.has_duplicates()
+        assert not has_duplicates(result)

@@ -18,7 +18,7 @@ from repro.bench.experiments import (
     run_prioritized,
     run_spanning_tree,
 )
-from repro.bench.report import shape_is_convex, shape_is_near_linear
+from tests.helpers import has_duplicates, shape_is_convex, shape_is_near_linear
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ class TestFigure7:
     def test_both_plans_produce_all_results(self, figure7):
         for result in figure7.results.values():
             assert result.row_count == 250
-            assert not result.has_duplicates()
+            assert not has_duplicates(result)
 
     def test_completion_times_are_comparable(self, figure7):
         index_time = figure7.results["index-join"].completion_time
@@ -81,7 +81,7 @@ class TestFigure8:
     def test_all_three_produce_all_results(self, figure8):
         for result in figure8.results.values():
             assert result.row_count == 250
-            assert not result.has_duplicates()
+            assert not has_duplicates(result)
 
     def test_index_join_wins_early(self, figure8):
         """Figure 8(i): early on, the index join is ahead of the hash join."""
@@ -141,7 +141,7 @@ class TestCompetitiveAccessMethods:
     def test_redundant_work_absorbed_by_stem(self, report):
         """Duplicates from the second AM die at the SteM build, not later."""
         assert int(report.notes["duplicates_absorbed_by_stems"]) >= 250
-        assert not report.results["competitive"].has_duplicates()
+        assert not has_duplicates(report.results["competitive"])
 
 
 class TestSpanningTreeAdaptation:

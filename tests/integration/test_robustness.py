@@ -17,6 +17,7 @@ from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import oracle_identities
+from tests.helpers import has_duplicates
 
 
 def catalog_with_stall(stall_duration: float = 10.0) -> Catalog:
@@ -44,7 +45,7 @@ class TestRandomRoutingUnderStrictConstraints:
         result = execute(
             query, catalog, policy=RandomPolicy(seed=seed), strict_constraints=True
         )
-        assert not result.has_duplicates()
+        assert not has_duplicates(result)
         assert sorted(result.identities()) == oracle_identities(query, catalog)
 
 
@@ -112,7 +113,7 @@ class TestMemoryBoundedSteMs:
         catalog.add_scan("T", rate=100.0)
         result = execute(q4_query, catalog, policy="naive", stem_max_size=5)
         expected = set(oracle_identities(q4_query, catalog))
-        assert not result.has_duplicates()
+        assert not has_duplicates(result)
         assert set(result.identities()) <= expected
 
 

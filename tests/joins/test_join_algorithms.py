@@ -7,10 +7,11 @@ from repro.errors import QueryError
 from repro.joins.base import EquiJoinSpec, extract_equi_join, merge, satisfies, singleton
 from repro.joins.hash_join import HashJoin
 from repro.joins.nested_loops import NestedLoopsJoin
-from repro.query.predicates import Comparison, equi_join, selection
+from repro.query.predicates import Comparison, selection
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.oracle import composite_key
+from tests.helpers import equi_join
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")

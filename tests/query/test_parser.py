@@ -12,7 +12,7 @@ class TestBasicParsing:
     def test_select_star_two_tables(self):
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
         assert query.alias_order == ("R", "S")
-        assert query.is_select_star
+        assert query.projections == () and query.aggregates == ()
         assert len(query.predicates) == 1
         assert query.predicates[0].is_equi_join
 
@@ -79,7 +79,6 @@ class TestBasicParsing:
 
     def test_self_join_aliases(self):
         query = parse_query("SELECT * FROM R r1, R r2 WHERE r1.a = r2.key")
-        assert query.is_self_join
         assert query.aliases_of_table("R") == ("r1", "r2")
 
 
@@ -119,11 +118,11 @@ class TestRoundTripWithPaperQueries:
 
     def test_q4(self):
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        assert query.join_partners("R") == {"T"}
+        assert query.join_columns_of("R") == query.join_columns_of("T") == ("key",)
 
     def test_three_way_example(self):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
-        assert query.join_partners("S") == {"R", "T"}
+        assert len(query.predicates_between("S", ["R", "T"])) == 2
         assert query.join_columns_of("S") == ("x", "y")
 
 

@@ -7,15 +7,13 @@ from repro.errors import QueryError
 from repro.query.expressions import ColumnRef, Literal, as_expression
 from repro.query.predicates import (
     Comparison,
-    Conjunction,
     InList,
     TruePredicate,
-    equi_join,
-    evaluable_predicates,
     selection,
 )
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import equi_join
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -49,6 +47,16 @@ class TestExpressions:
         assert Literal(7).evaluate({}) == 7
         assert Literal("x").aliases() == frozenset()
 
+    def test_rendering(self):
+        assert str(ColumnRef("R", "a")) == "R.a"
+        assert str(Literal("x")) == "'x'"
+        assert str(Literal(3)) == "3"
+
+    def test_can_evaluate_needs_every_alias(self):
+        assert ColumnRef("R", "a").can_evaluate({"R", "S"})
+        assert not ColumnRef("R", "a").can_evaluate({"S"})
+        assert Literal(1).can_evaluate(set())
+
     def test_as_expression_coercion(self):
         assert isinstance(as_expression("R.a"), ColumnRef)
         assert isinstance(as_expression(5), Literal)
@@ -59,7 +67,6 @@ class TestComparison:
     def test_equi_join_detection(self):
         predicate = equi_join("R.a", "S.x")
         assert predicate.is_equi_join
-        assert predicate.is_join
         assert not predicate.is_selection
         assert predicate.aliases() == {"R", "S"}
 
@@ -100,28 +107,12 @@ class TestComparison:
         with pytest.raises(QueryError):
             predicate.other_side("T")
 
-    def test_negation(self):
-        predicate = selection("R.a", "<", 5)
-        negated = predicate.negated()
-        data_low = {"R": Row("R", R_SCHEMA, (1, 3))}
-        data_high = {"R": Row("R", R_SCHEMA, (1, 8))}
-        assert predicate.evaluate(data_low) and not negated.evaluate(data_low)
-        assert not predicate.evaluate(data_high) and negated.evaluate(data_high)
-
     def test_predicate_ids_are_unique(self):
         ids = {selection("R.a", "<", i).predicate_id for i in range(20)}
         assert len(ids) == 20
 
 
 class TestOtherPredicates:
-    def test_conjunction(self):
-        conj = Conjunction([selection("R.a", ">", 5), equi_join("R.a", "S.x")])
-        assert conj.aliases() == {"R", "S"}
-        assert conj.evaluate(components(r_values=(1, 10), s_values=(10, 0)))
-        assert not conj.evaluate(components(r_values=(1, 3), s_values=(3, 0)))
-        with pytest.raises(QueryError):
-            Conjunction([])
-
     def test_in_list(self):
         predicate = InList("R.a", [1, 2, 3])
         assert predicate.evaluate({"R": Row("R", R_SCHEMA, (0, 2))})
@@ -132,10 +123,10 @@ class TestOtherPredicates:
         assert TruePredicate().evaluate({})
         assert TruePredicate().aliases() == frozenset()
 
-    def test_evaluable_predicates_filter(self):
-        predicates = [selection("R.a", "<", 5), equi_join("R.a", "S.x")]
-        assert evaluable_predicates(predicates, {"R"}) == [predicates[0]]
-        assert evaluable_predicates(predicates, {"R", "S"}) == predicates
+    def test_rendering(self):
+        assert str(InList("R.a", [3, 1])) == "R.a IN (1, 3)"
+        assert str(TruePredicate()) == "TRUE"
+        assert repr(selection("R.a", "<", 5)) == "Comparison(R.a < 5)"
 
     def test_priority_attribute(self):
         predicate = selection("R.a", "<", 5, priority=3.0)

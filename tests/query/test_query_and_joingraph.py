@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import QueryError, UnknownTableError
-from repro.query.joingraph import JoinGraph
+from repro.query.joingraph import JoinEdge, JoinGraph
 from repro.query.parser import parse_query
-from repro.query.predicates import equi_join
-from repro.query.query import Query, TableRef
+from repro.query.expressions import ColumnRef
+from repro.query.query import AggregateSpec, Query, TableRef
+from tests.helpers import equi_join
 
 
 class TestQuery:
@@ -47,19 +48,31 @@ class TestQuery:
 
     def test_join_partners_and_columns(self):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key")
-        assert query.join_partners("R") == {"S", "T"}
-        assert query.join_partners("S") == {"R"}
+        graph = JoinGraph.from_query(query)
+        assert graph.neighbors("R") == ["S", "T"]
+        assert graph.neighbors("S") == ["R"]
         assert query.join_columns_of("R") == ("a", "key")
 
-    def test_output_columns_select_star(self):
-        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
-        columns = query.output_columns({"R": ["key", "a"], "S": ["x", "y"]})
-        assert columns == (("R", "key"), ("R", "a"), ("S", "x"), ("S", "y"))
+    def test_table_of_unknown_alias_raises(self):
+        query = parse_query("SELECT * FROM R r1, S WHERE r1.a = S.x")
+        assert query.table_of("r1") == "R"
+        with pytest.raises(UnknownTableError):
+            query.table_of("R")
 
-    def test_output_columns_projection(self):
-        query = parse_query("SELECT S.y, R.a FROM R, S WHERE R.a = S.x")
-        columns = query.output_columns({"R": ["key", "a"], "S": ["x", "y"]})
-        assert columns == (("S", "y"), ("R", "a"))
+    def test_aggregate_accessors(self):
+        query = parse_query("SELECT a, count(*), sum(key) FROM R GROUP BY a")
+        assert query.aggregate_alias == "R"
+        assert query.aggregate_labels == ("R.a", "count(*)", "sum(R.key)")
+        with pytest.raises(QueryError):
+            parse_query("SELECT * FROM R").aggregate_alias
+
+    def test_aggregate_spec_labels_and_validation(self):
+        assert AggregateSpec("count").label == "count(*)"
+        assert str(AggregateSpec("sum", ColumnRef("R", "a"))) == "sum(R.a)"
+        with pytest.raises(QueryError):
+            AggregateSpec("median", ColumnRef("R", "a"))
+        with pytest.raises(QueryError):
+            AggregateSpec("sum")
 
     def test_table_ref_str(self):
         assert str(TableRef.of("R")) == "R"
@@ -67,73 +80,29 @@ class TestQuery:
 
 
 class TestJoinGraph:
-    def test_chain_is_acyclic_and_connected(self):
+    def test_chain_neighbors(self):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
         graph = JoinGraph.from_query(query)
-        assert graph.is_connected
-        assert not graph.is_cyclic
         assert graph.neighbors("S") == ["R", "T"]
         assert graph.neighbors("R") == ["S"]
 
-    def test_triangle_is_cyclic(self):
-        query = parse_query(
-            "SELECT * FROM A, B, C WHERE A.ab = B.ab AND B.bc = C.bc AND C.ca = A.ca"
-        )
-        graph = JoinGraph.from_query(query)
-        assert graph.is_cyclic
-        assert graph.is_connected
-
-    def test_parallel_edges_count_as_cycle(self):
+    def test_parallel_edges_are_one_neighbor(self):
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x AND R.key = S.y")
         graph = JoinGraph.from_query(query)
-        assert graph.is_cyclic
-
-    def test_disconnected_graph(self):
-        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x")
-        graph = JoinGraph.from_query(query)
-        assert not graph.is_connected
-        assert len(graph.connected_components) == 2
-
-    def test_spanning_tree_covers_all_connected_nodes(self):
-        query = parse_query(
-            "SELECT * FROM A, B, C WHERE A.ab = B.ab AND B.bc = C.bc AND C.ca = A.ca"
-        )
-        graph = JoinGraph.from_query(query)
-        tree = graph.spanning_tree(root="A")
-        assert len(tree) == 2
-        covered = set()
-        for edge in tree:
-            covered |= {edge.left, edge.right}
-        assert covered == {"A", "B", "C"}
-
-    def test_spanning_tree_unknown_root(self):
-        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
-        graph = JoinGraph.from_query(query)
-        with pytest.raises(QueryError):
-            graph.spanning_tree(root="Z")
-
-    def test_spanning_trees_enumeration_of_triangle(self):
-        query = parse_query(
-            "SELECT * FROM A, B, C WHERE A.ab = B.ab AND B.bc = C.bc AND C.ca = A.ca"
-        )
-        graph = JoinGraph.from_query(query)
-        trees = list(graph.spanning_trees())
-        # A triangle has exactly three spanning trees.
-        assert len(trees) == 3
-        limited = list(graph.spanning_trees(limit=2))
-        assert len(limited) == 2
-
-    def test_spanning_trees_requires_connectivity(self):
-        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x")
-        graph = JoinGraph.from_query(query)
-        with pytest.raises(QueryError):
-            list(graph.spanning_trees())
-
-    def test_edges_between(self):
-        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x AND R.key = S.y")
-        graph = JoinGraph.from_query(query)
-        assert len(graph.edges_between("R", "S")) == 2
-        edge = graph.edges_between("R", "S")[0]
+        assert len(graph.edges) == 2
+        assert graph.neighbors("R") == ["S"]
+        edge = graph.edges[0]
         assert edge.other("R") == "S"
         with pytest.raises(QueryError):
             edge.other("Z")
+
+    def test_only_binary_predicates_make_edges(self):
+        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x AND R.a < 5")
+        graph = JoinGraph.from_query(query)
+        assert [edge.aliases for edge in graph.edges] == [frozenset({"R", "S"})]
+        assert repr(graph) == "JoinGraph(nodes=['R', 'S'], edges=[R--S [R.a = S.x]])"
+
+    def test_edge_on_an_unknown_alias_is_rejected(self):
+        edge = JoinEdge("R", "Z", parse_query("SELECT * FROM R, Z WHERE R.a = Z.b").predicates[0])
+        with pytest.raises(QueryError):
+            JoinGraph(["R", "S"], [edge])

@@ -20,7 +20,6 @@ from repro.bench.workloads import (
     bursty_join_workload,
     churn_workload,
     q1_workload,
-    shared_tables_mixed_workload,
     staggered_fleet_workload,
 )
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
@@ -35,6 +34,7 @@ from repro.recovery import (
 )
 from repro.recovery.harness import result_identity_counts, run_reference
 from repro.recovery.wal import replay_wal_file, wal_generations
+from tests.helpers import shared_tables_mixed_workload
 
 #: Event boundaries swept by the smoke grid: one almost immediately, one
 #: mid-stream, two deep into the run — before the first periodic checkpoint

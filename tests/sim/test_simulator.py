@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import Counter, TraceLog
+from repro.sim.tracing import TraceLog
 
 
 class TestEventQueue:
@@ -165,13 +165,6 @@ class TestSimulator:
         assert not sim.step()
         assert sim.executed_events == 2
 
-    def test_run_for(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(9.0, lambda: None)
-        sim.run_for(5.0)
-        assert sim.now == 5.0
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -210,6 +203,31 @@ class TestSimulator:
         seen = []
         sim.drain([lambda: seen.append(1), lambda: seen.append(2)])
         assert seen == [1, 2]
+
+    def test_reentrant_run_rejected(self):
+        sim = Simulator()
+        errors = []
+
+        def nested():
+            try:
+                sim.run()
+            except SimulationError as error:
+                errors.append(error)
+
+        sim.schedule(1.0, nested)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert len(errors) == 1 and "re-entrant" in str(errors[0])
+        assert sim.executed_events == 2  # the outer run carried on
+
+    def test_after_event_hook_sees_every_event_after_its_callback(self):
+        sim = Simulator()
+        order = []
+        sim.after_event_hook = lambda event: order.append(("hook", event.label))
+        sim.schedule(1.0, lambda: order.append(("run", "a")), label="a")
+        sim.schedule(2.0, lambda: order.append(("run", "b")), label="b")
+        sim.run()
+        assert order == [("run", "a"), ("hook", "a"), ("run", "b"), ("hook", "b")]
 
 
 class TestReservedSlots:
@@ -321,25 +339,17 @@ class TestReservedSlots:
 
 
 class TestTracingHelpers:
-    def test_counter_series(self):
-        counter = Counter("probes", keep_series=True)
-        counter.increment(1.0)
-        counter.increment(2.0, 3)
-        assert counter.value == 4
-        assert counter.series == [(1.0, 1), (2.0, 4)]
-        assert int(counter) == 4
-
     def test_disabled_trace_is_a_noop(self):
         trace = TraceLog(enabled=False)
         trace.record(1.0, "x")
         assert len(trace) == 0
 
-    def test_times_of(self):
+    def test_filter_and_clear(self):
         trace = TraceLog()
         trace.record(1.0, "a")
         trace.record(2.0, "b")
         trace.record(3.0, "a")
-        assert trace.times_of("a") == [1.0, 3.0]
+        assert [record.time for record in trace.filter("a")] == [1.0, 3.0]
         trace.clear()
         assert len(trace) == 0
 

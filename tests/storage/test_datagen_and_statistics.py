@@ -6,15 +6,12 @@ from repro.storage.datagen import (
     ZipfDraw,
     make_cyclic_triple,
     make_edges_table,
-    make_foreign_key_table,
     make_phase_shift_table,
     make_skewed_pair,
     make_source_r,
     make_source_s,
     make_source_t,
     make_string_dimension,
-    make_uniform_table,
-    make_zipfian_table,
 )
 from repro.storage.statistics import (
     analyze_column,
@@ -22,6 +19,11 @@ from repro.storage.statistics import (
     estimate_join_cardinality,
     estimate_join_selectivity,
 )
+from repro.storage.row import Row
+from repro.storage.schema import Column, Schema
+from repro.storage.table import Table
+from repro.storage.types import DataType
+from tests.helpers import make_foreign_key_table, make_uniform_table, make_zipfian_table
 
 
 class TestPaperSources:
@@ -31,11 +33,11 @@ class TestPaperSources:
         table = make_source_r()
         assert len(table) == 1000
         assert table.schema.key == ("key",)
-        assert len(table.distinct_values("a")) == 250
+        assert len({row["a"] for row in table}) == 250
 
     def test_source_r_every_value_present_when_possible(self):
         table = make_source_r(cardinality=500, distinct_a=100, seed=3)
-        assert table.distinct_values("a") == set(range(100))
+        assert {row["a"] for row in table} == set(range(100))
 
     def test_source_r_small_cardinality(self):
         table = make_source_r(cardinality=10, distinct_a=50, seed=1)
@@ -52,7 +54,7 @@ class TestPaperSources:
         table = make_source_s(cardinality=100)
         assert len(table) == 100
         assert all(row["x"] == row["y"] for row in table)
-        assert len(table.distinct_values("x")) == 100
+        assert len({row["x"] for row in table}) == 100
 
     def test_source_t_keys_are_a_permutation(self):
         table = make_source_t(cardinality=300, seed=2)
@@ -64,8 +66,8 @@ class TestPaperSources:
         """Every R.a value has exactly one S match, ~4 R rows per value."""
         r_table = make_source_r()
         s_table = make_source_s(250)
-        s_keys = s_table.distinct_values("x")
-        assert r_table.distinct_values("a") <= s_keys
+        s_keys = {row["x"] for row in s_table}
+        assert {row["a"] for row in r_table} <= s_keys
 
 
 class TestGenericGenerators:
@@ -84,7 +86,7 @@ class TestGenericGenerators:
     def test_foreign_key_table_referential_integrity(self):
         parent = make_uniform_table("P", 40, seed=2)
         child = make_foreign_key_table("C", 200, parent, "id", seed=3)
-        parent_ids = parent.distinct_values("id")
+        parent_ids = {row["id"] for row in parent}
         assert all(row["fk"] in parent_ids for row in child)
 
     def test_foreign_key_table_requires_nonempty_parent(self):
@@ -164,14 +166,11 @@ class TestStatistics:
         table = make_source_r(200, 40, seed=9)
         stats = analyze_table(table)
         assert stats.cardinality == 200
-        assert stats.column("a").distinct == len(table.distinct_values("a"))
+        assert stats.column("a").distinct == len({row["a"] for row in table})
         assert stats.column("key").min_value == 0
         assert stats.column("key").max_value == 199
 
     def test_null_counting(self):
-        from repro.storage.schema import Schema
-        from repro.storage.table import Table
-
         table = Table("N", Schema.of("a:int"))
         table.insert((None,))
         table.insert((1,))
@@ -179,10 +178,32 @@ class TestStatistics:
         assert stats.null_count == 1
         assert stats.count == 2
 
-    def test_equality_selectivity(self):
+    def test_empty_column(self):
+        stats = analyze_column(Table("E", Schema.of("a:int")), "a")
+        assert (stats.count, stats.distinct, stats.null_count) == (0, 0, 0)
+        assert stats.min_value is None and stats.max_value is None
+        assert stats.most_common == ()
+
+    def test_mixed_type_column_ranks_only_the_first_type(self):
+        table = Table("M", Schema([Column("v", DataType.STRING)]))
+        for value in ("b", "a", "c"):
+            table.insert((value,))
+        table.insert(Row("M", table.schema, (5,)))  # unvalidated: a stray int
+        stats = analyze_column(table, "v")
+        assert stats.distinct == 4
+        assert (stats.min_value, stats.max_value) == ("a", "c")
+
+    def test_most_common_is_capped_at_top_k(self):
+        table = make_source_r(100, 25, seed=1)
+        stats = analyze_column(table, "a", top_k=3)
+        assert len(stats.most_common) == 3
+        counts = [count for _, count in stats.most_common]
+        assert counts == sorted(counts, reverse=True)
+
+    def test_distinct_count(self):
         table = make_source_r(100, 25, seed=1)
         stats = analyze_table(table)
-        assert stats.column("a").selectivity_of_equality == pytest.approx(1 / 25, rel=0.2)
+        assert stats.column("a").distinct == 25
 
     def test_join_estimates(self):
         r_stats = analyze_table(make_source_r(400, 100, seed=2))
@@ -191,3 +212,8 @@ class TestStatistics:
         assert selectivity == pytest.approx(1 / 400)
         cardinality = estimate_join_cardinality(r_stats, "key", t_stats, "key")
         assert cardinality == pytest.approx(400)
+
+    def test_join_estimate_over_empty_columns_is_zero(self):
+        empty = analyze_table(Table("E", Schema.of("k:int")))
+        assert estimate_join_selectivity(empty, "k", empty, "k") == 0.0
+        assert estimate_join_cardinality(empty, "k", empty, "k") == 0.0

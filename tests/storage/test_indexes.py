@@ -23,21 +23,6 @@ class TestHashIndex:
         assert index.lookup((3,)) == []
         assert len(index) == 3
 
-    def test_remove(self):
-        index = HashIndex(("k",))
-        target = row(5, 50)
-        index.insert(target)
-        index.insert(row(5, 51))
-        assert index.remove(target)
-        assert not index.remove(target)
-        assert [r["v"] for r in index.lookup((5,))] == [51]
-
-    def test_contains(self):
-        index = HashIndex(("k",))
-        index.insert(row(3, 30))
-        assert index.contains(row(3, 30))
-        assert not index.contains(row(3, 31))
-
     def test_iteration_covers_all_rows(self):
         index = HashIndex(("k",))
         for i in range(10):
@@ -53,30 +38,6 @@ class TestHashIndex:
         assert len(index.lookup((1, 11))) == 1
         assert index.lookup((1,)) == []
 
-    def test_keys_are_distinct_and_drop_an_emptied_bucket(self):
-        index = HashIndex(("k",))
-        lone = row(2, 20)
-        for stored in (row(1, 10), row(1, 11), lone):
-            index.insert(stored)
-        assert sorted(index.keys()) == [(1,), (2,)]
-        index.remove(lone)
-        assert list(index.keys()) == [(1,)]
-
-    def test_remove_of_an_absent_row_changes_nothing(self):
-        index = HashIndex(("k",))
-        index.insert(row(1, 10))
-        assert not index.remove(row(9, 90))  # no bucket for the key
-        assert not index.remove(row(1, 99))  # bucket, but not the row
-        assert len(index) == 1
-
-    def test_remove_takes_one_of_equal_rows(self):
-        index = HashIndex(("k",))
-        index.insert(row(4, 40))
-        index.insert(row(4, 40))
-        assert index.remove(row(4, 40))
-        assert len(index) == 1
-        assert index.contains(row(4, 40))
-
     def test_lookup_returns_a_copy(self):
         index = HashIndex(("k",))
         index.insert(row(1, 10))
@@ -87,9 +48,6 @@ class TestHashIndex:
         index = HashIndex(("k",))
         index.insert(row(6, 60))
         assert index.lookup([6]) == index.lookup((6,)) == [row(6, 60)]
-
-    def test_contains_on_an_empty_index(self):
-        assert not HashIndex(("k",)).contains(row(1, 1))
 
     def test_null_key_values_are_indexed(self):
         index = HashIndex(("k",))
@@ -116,30 +74,6 @@ def test_hash_index_agrees_with_a_linear_scan(keys):
         from_scan = sorted(r["v"] for r in rows if r["k"] == probe)
         assert from_index == from_scan
     assert len(index) == len(keys)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    operations=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 2)), max_size=60
-    )
-)
-def test_inserts_and_removes_track_a_list_model(operations):
-    """Property: after any insert/remove sequence the index holds the model's rows."""
-    index = HashIndex(("k",))
-    model: list[Row] = []
-    for is_insert, key, value in operations:
-        target = row(key, value)
-        if is_insert:
-            index.insert(target)
-            model.append(target)
-        else:
-            assert index.remove(target) == (target in model)
-            if target in model:
-                model.remove(target)
-    assert len(index) == len(model)
-    assert sorted(r.values for r in index) == sorted(r.values for r in model)
-    assert sorted(index.keys()) == sorted({(r["k"],) for r in model})
 
 
 def test_key_of_positional_fast_path_tracks_schema():

@@ -10,16 +10,6 @@ from repro.storage.types import DataType
 
 
 class TestDataType:
-    def test_infer_scalars(self):
-        assert DataType.infer(3) is DataType.INTEGER
-        assert DataType.infer(3.5) is DataType.FLOAT
-        assert DataType.infer("x") is DataType.STRING
-        assert DataType.infer(True) is DataType.BOOLEAN
-
-    def test_infer_rejects_unknown(self):
-        with pytest.raises(SchemaError):
-            DataType.infer(object())
-
     def test_from_name_aliases(self):
         assert DataType.from_name("int") is DataType.INTEGER
         assert DataType.from_name("VARCHAR") is DataType.STRING
@@ -38,18 +28,19 @@ class TestDataType:
     def test_boolean_is_not_integer(self):
         assert not DataType.INTEGER.validate(True)
 
-    def test_coerce_string_to_int(self):
-        assert DataType.INTEGER.coerce("42") == 42
 
-    def test_coerce_bool_strings(self):
-        assert DataType.BOOLEAN.coerce("yes") is True
-        assert DataType.BOOLEAN.coerce("F") is False
+class TestColumn:
+    def test_empty_name_rejected(self):
         with pytest.raises(SchemaError):
-            DataType.BOOLEAN.coerce("maybe")
+            Column("")
 
-    def test_coerce_failure_raises_schema_error(self):
+    def test_non_nullable_column_rejects_none(self):
+        Column("a").validate(None)
+        with pytest.raises(SchemaError, match="not nullable"):
+            Column("a", nullable=False).validate(None)
+        schema = Schema([Column("a", nullable=False)])
         with pytest.raises(SchemaError):
-            DataType.INTEGER.coerce("not a number")
+            Row("R", schema, (None,), validate=True)
 
 
 class TestSchema:
@@ -66,6 +57,17 @@ class TestSchema:
     def test_unknown_key_column_rejected(self):
         with pytest.raises(UnknownColumnError):
             Schema([Column("a")], key=["b"])
+
+    def test_unknown_column_lookup_raises(self):
+        schema = Schema.of("a", "b")
+        with pytest.raises(UnknownColumnError):
+            schema["z"]
+
+    def test_columns_repr_and_foreign_equality(self):
+        schema = Schema.of("a:int", "b:text")
+        assert [column.name for column in schema.columns] == ["a", "b"]
+        assert repr(schema) == "Schema(a:integer, b:string)"
+        assert schema != ("a", "b")
 
     def test_position_and_contains(self):
         schema = Schema.of("a", "b", "c")
@@ -166,6 +168,12 @@ class TestRow:
         assert updated["a"] == 8 and updated["key"] == 3
         with pytest.raises(UnknownColumnError):
             row.replace(zzz=1)
+
+    def test_iteration_length_and_repr(self):
+        row = Row("R", self.schema, (3, 7))
+        assert list(row) == [3, 7] and len(row) == 2
+        assert repr(row) == "Row(R: key=3, a=7)"
+        assert row != (3, 7)
 
     def test_from_mapping_fills_missing_with_none(self):
         row = Row.from_mapping("R", self.schema, {"key": 1})

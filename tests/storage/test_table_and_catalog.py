@@ -5,11 +5,11 @@ import pytest
 from repro.errors import CatalogError, DuplicateTableError, SchemaError, UnknownTableError
 from repro.storage.catalog import Catalog, IndexSpec, ScanSpec
 from repro.storage.schema import Schema
-from repro.storage.table import Table, table_from_dicts
+from repro.storage.table import Table
 
 
-def make_table() -> Table:
-    return Table("R", Schema.of("key:int", "a:int", key=["key"]))
+def make_table(rows=()) -> Table:
+    return Table("R", Schema.of("key:int", "a:int", key=["key"]), rows)
 
 
 class TestTable:
@@ -33,20 +33,22 @@ class TestTable:
             table.insert((i, i))
         assert [row.rid for row in table] == list(range(5))
 
+    def test_constructor_rows_and_scan_without_predicate(self):
+        table = make_table([(1, 10), {"key": 2, "a": 20}])
+        assert [row.values for row in table.scan()] == [(1, 10), (2, 20)]
+        assert repr(table).startswith("Table('R', rows=2")
+
     def test_scan_with_predicate(self):
-        table = make_table()
-        table.insert_many([(i, i % 3) for i in range(9)])
+        table = make_table([(i, i % 3) for i in range(9)])
         filtered = list(table.scan(lambda row: row["a"] == 0))
         assert len(filtered) == 3
 
     def test_lookup_via_primary_key_index(self):
-        table = make_table()
-        table.insert_many([(i, i * 2) for i in range(10)])
+        table = make_table([(i, i * 2) for i in range(10)])
         assert [r["a"] for r in table.lookup(("key",), (4,))] == [8]
 
     def test_lookup_via_secondary_index_and_fallback(self):
-        table = make_table()
-        table.insert_many([(i, i % 4) for i in range(12)])
+        table = make_table([(i, i % 4) for i in range(12)])
         without_index = table.lookup(("a",), (1,))
         table.create_index(("a",))
         with_index = table.lookup(("a",), (1,))
@@ -64,8 +66,7 @@ class TestTable:
         assert len(index.lookup((42,))) == 1
 
     def test_create_index_returns_the_existing_index(self):
-        table = make_table()
-        table.insert_many([(i, i % 3) for i in range(6)])
+        table = make_table([(i, i % 3) for i in range(6)])
         first = table.create_index(["a"])
         assert table.create_index(("a",)) is first
         assert len(first) == 6  # existing rows were indexed once, not twice
@@ -74,22 +75,20 @@ class TestTable:
         table = make_table()
         with pytest.raises(TypeError):
             table.create_index(("a",), kind="sorted")
-        assert table.get_index(("a",)) is None
+        assert table.indexes == {}
 
-    def test_get_index_and_indexes(self):
+    def test_indexes(self):
         table = make_table()
-        assert table.get_index(("a",)) is None
-        index = table.create_index(("a",))
-        assert table.get_index(["a"]) is index
+        assert table.indexes == {}
+        index = table.create_index(["a"])
         listed = table.indexes
         assert listed == {("a",): index}
         listed.clear()
-        assert table.get_index(("a",)) is index  # the property hands out a copy
+        assert table.indexes == {("a",): index}  # the property hands out a copy
 
     @pytest.mark.parametrize("columns", [("a",), ("key", "a"), ("a", "key")])
     def test_index_lookup_agrees_with_a_scan(self, columns):
-        table = make_table()
-        table.insert_many([(i, i % 4) for i in range(16)])
+        table = make_table([(i, i % 4) for i in range(16)])
         keys = {row.key_values(columns) for row in table}
         scanned = {key: sorted(r.rid for r in table.lookup(columns, key)) for key in keys}
         table.create_index(columns)
@@ -97,43 +96,25 @@ class TestTable:
             assert sorted(r.rid for r in table.lookup(columns, key)) == scanned[key]
         assert table.lookup(columns, (99,) * len(columns)) == []
 
-    def test_distinct_values(self):
-        table = make_table()
-        table.insert_many([(i, i % 5) for i in range(20)])
-        assert table.distinct_values("a") == {0, 1, 2, 3, 4}
-
-    def test_table_from_dicts_infers_schema(self):
-        table = table_from_dicts("D", [{"id": 1, "name": "x"}, {"id": 2, "name": "y"}], key=["id"])
-        assert table.schema.names == ("id", "name")
-        assert len(table) == 2
-        with pytest.raises(SchemaError):
-            table_from_dicts("E", [])
-
 
 class TestCatalog:
-    def test_create_and_lookup_tables(self):
+    def test_add_and_lookup_tables(self):
         catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int"), rows=[(1,), (2,)])
-        assert catalog.has_table("R")
+        catalog.add_table(Table("R", Schema.of("key:int"), [(1,), (2,)]))
+        assert "R" in catalog.tables
         assert len(catalog.table("R")) == 2
         with pytest.raises(UnknownTableError):
             catalog.table("missing")
 
     def test_duplicate_table_rejected(self):
         catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int"))
+        catalog.add_table(Table("R", Schema.of("key:int")))
         with pytest.raises(DuplicateTableError):
-            catalog.create_table("R", Schema.of("key:int"))
-
-    def test_drop_table(self):
-        catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int"))
-        catalog.drop_table("R")
-        assert not catalog.has_table("R")
+            catalog.add_table(Table("R", Schema.of("key:int")))
 
     def test_add_scan_and_index(self):
         catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int", "a:int"), rows=[(1, 2)])
+        catalog.add_table(Table("R", Schema.of("key:int", "a:int"), [(1, 2)]))
         scan = catalog.add_scan("R", rate=42.0)
         index = catalog.add_index("R", ["a"], latency=0.5)
         assert isinstance(scan, ScanSpec) and scan.is_scan
@@ -145,7 +126,7 @@ class TestCatalog:
 
     def test_index_on_unknown_column_rejected(self):
         catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int"))
+        catalog.add_table(Table("R", Schema.of("key:int")))
         with pytest.raises(CatalogError):
             catalog.add_index("R", ["nope"])
 
@@ -153,22 +134,62 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             IndexSpec(name="bad", table="R", columns=())
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"concurrency": 0},
+            {"latency_model": "uniform"},
+            {"failure_rate": 1.5},
+            {"failure_rate": -0.1},
+            {"max_retries": -1},
+            {"retry_backoff": -0.5},
+            {"lookup_timeout": 0.0},
+            {"lookup_timeout": -1.0},
+        ],
+    )
+    def test_index_spec_rejects_out_of_range_options(self, option):
+        with pytest.raises(CatalogError, match=next(iter(option))):
+            IndexSpec(name="idx", table="R", columns=("a",), **option)
+
+    def test_index_spec_accepts_the_boundaries(self):
+        spec = IndexSpec(
+            name="idx", table="R", columns=("a",), latency_model="exponential",
+            failure_rate=1.0, max_retries=0, retry_backoff=0.0, lookup_timeout=0.1,
+        )
+        assert spec.bind_columns == ("a",) and not spec.is_scan
+
+    def test_access_methods_of_an_unknown_table(self):
+        catalog = Catalog()
+        with pytest.raises(UnknownTableError):
+            catalog.access_methods("R")
+        with pytest.raises(UnknownTableError):
+            catalog.add_scan("R")
+
     def test_duplicate_am_names_rejected(self):
         catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int"))
+        catalog.add_table(Table("R", Schema.of("key:int")))
         catalog.add_scan("R", name="the_scan")
         with pytest.raises(CatalogError):
             catalog.add_scan("R", name="the_scan")
 
     def test_default_am_names_are_unique(self):
         catalog = Catalog()
-        catalog.create_table("R", Schema.of("key:int"))
+        catalog.add_table(Table("R", Schema.of("key:int")))
         first = catalog.add_scan("R")
         second = catalog.add_scan("R")
-        assert first.name != second.name
+        third = catalog.add_scan("R")
+        assert [first.name, second.name, third.name] == ["R_scan", "R_scan2", "R_scan3"]
+
+    def test_tables_property_is_a_copy_and_repr_counts(self):
+        catalog = Catalog()
+        catalog.add_table(Table("R", Schema.of("key:int"), [(1,)]))
+        catalog.add_scan("R")
+        catalog.tables.clear()
+        assert list(catalog.tables) == ["R"]
+        assert repr(catalog) == "Catalog(R(1 rows, 1 AMs))"
 
     def test_index_declaration_builds_backing_index(self):
         catalog = Catalog()
-        table = catalog.create_table("R", Schema.of("key:int", "a:int"), rows=[(1, 5)])
+        table = catalog.add_table(Table("R", Schema.of("key:int", "a:int"), [(1, 5)]))
         catalog.add_index("R", ["a"])
-        assert table.get_index(("a",)) is not None
+        assert ("a",) in table.indexes
