@@ -8,8 +8,8 @@ Imports the engine and ``benchmarks/e2e/workloads.py`` of the checkout named
 JSON: hand-offs into the eddy and the items they carried, extension templates,
 routing-signature tuples and tuple ids made, calls to ``Row.__hash__``,
 ``QTuple.__init__``, ``SteMModule._is_build`` and ``SteM.covers``, the
-GC-tracked objects one repetition leaves alive while its outcome is held;
-then, over
+GC-tracked objects one repetition leaves alive while its outcome is held (in
+all, and per result); then, over
 ``--repetitions`` unwrapped repetitions, the collector's passes per
 generation (all of them, and those that fire while the engine collects its
 results) and its seconds (from ``gc.callbacks``) beside the wall seconds, the
@@ -95,6 +95,9 @@ def main():
     # Every run installs a fresh allocator: its next id counts this run's ids.
     counts["tuple_ids_allocated"] = tuples._id_allocator.allocate() - 1
     counts["results"] = sum(len(result.tuples) for _, result in outcome.result.items())
+    counts["tracked_objects_kept_per_result"] = round(
+        counts["tracked_objects_kept"] / max(counts["results"], 1), 2
+    )
     QTuple.routing_signature = signature
     for restore in undo:
         restore()

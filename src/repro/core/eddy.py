@@ -351,7 +351,7 @@ class Eddy:
                         and preference.evaluate(item.components)
                     ):
                         item.priority = preference.priority
-                if not item.visits_token and len(item.components) > 1:
+                if not item.visits_token and item._head:
                     # Count each composite only on its first entry into the
                     # dataflow (bounce-backs would otherwise double-count it).
                     entry = self._partial.get(item.spanned_mask)

@@ -35,11 +35,10 @@ def _merge_tuples(
     left: QTuple, right: QTuple, predicates: Sequence[Predicate]
 ) -> QTuple | None:
     """Concatenate two dataflow tuples if the predicates allow it."""
-    overlap = left.aliases & right.aliases
-    if overlap:
+    if not left.aliases.isdisjoint(right._aliases):
         return None
-    components = dict(left.components)
-    components.update(right.components)
+    aliases = left._aliases + right._aliases
+    components = dict(zip(aliases, left.rows + right.rows))
     done_mask = left.done_mask | right.done_mask
     pending = [
         predicate
@@ -48,10 +47,9 @@ def _merge_tuples(
     ]
     if not all(predicate.evaluate(components) for predicate in pending):
         return None
-    # No overlap: ``components`` lists left's aliases, then right's.
     result = QTuple(
         components,
-        timestamps=dict(zip(components, left._ts + right._ts)),
+        timestamps=dict(zip(aliases, left.build_timestamps + right.build_timestamps)),
         source=left.source or right.source,
         priority=max(left.priority, right.priority),
         created_at=min(left.created_at, right.created_at),
@@ -221,7 +219,7 @@ class IndexJoinModule(Module):
         # The pending-predicate set depends only on the outer tuple's done
         # bits and span (every lookup row fills the same inner alias), so it
         # is derived once per probe instead of once per matching row.
-        available = frozenset(item.components) | {self.inner_alias}
+        available = item.aliases | {self.inner_alias}
         pending = [
             predicate
             for predicate in self.predicates
@@ -229,8 +227,8 @@ class IndexJoinModule(Module):
         ]
         done_mask = done_mask_of(pending)
         extend = None  # the probe's extension template, taken at the first match
+        components = item.components  # a fresh dict: its inner entry is rebound per row
         for row in rows:
-            components = dict(item.components)
             components[self.inner_alias] = row
             if not all(predicate.evaluate(components) for predicate in pending):
                 continue

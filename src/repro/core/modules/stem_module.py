@@ -85,10 +85,9 @@ class SteMModule(Module):
 
     def _is_build(self, item: QTuple) -> bool:
         """A singleton of this SteM's table that has not been built yet."""
-        components = item.components
-        if len(components) != 1:
+        if item._head:
             return False
-        alias = next(iter(components))
+        alias = item._aliases[0]
         return alias in self.aliases and not (item.built_mask and item.has_built(alias))
 
     def process(self, item: Routable) -> list[Routable]:

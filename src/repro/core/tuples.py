@@ -132,8 +132,11 @@ class QTuple:
     __slots__ = (
         "tuple_id",
         "query_id",
-        "components",
-        "_ts",
+        "_aliases",
+        "_head",
+        "_row",
+        "_head_ts",
+        "_row_ts",
         "done_mask",
         "source",
         "_priority",
@@ -169,21 +172,29 @@ class QTuple:
         #: the multi-query engine stamps it on entry into each query's eddy
         #: so outputs, traces and shared-SteM bookkeeping stay per-query.
         self.query_id = query_id
-        self.components: dict[str, Row] = dict(components)
-        #: Build timestamps, aligned with the order of :attr:`components`
-        #: (:attr:`timestamps` is the per-alias view).
-        self._ts: tuple[float, ...] = (UNBUILT,) * len(self.components)
+        components = dict(components)
+        ts = (UNBUILT,) * len(components)
         if timestamps:
-            unknown = sorted(timestamps.keys() - self.components.keys())
+            unknown = sorted(timestamps.keys() - components.keys())
             if unknown:
                 raise ExecutionError(
                     f"timestamps name aliases the tuple does not span: {unknown}"
                 )
-            self._ts = tuple(timestamps.get(alias, UNBUILT) for alias in self.components)
+            ts = tuple(timestamps.get(alias, UNBUILT) for alias in components)
+        rows = tuple(components.values())
+        #: The components, factorised: the aliases in derivation order, the
+        #: parent's rows and build timestamps (``_head``, ``_head_ts``; one
+        #: tuple each, shared by every extension of one probe) and this
+        #: tuple's own last row and its build timestamp.
+        self._aliases: tuple[str, ...] = tuple(components)
+        self._head: tuple[Row, ...] = rows[:-1]
+        self._row: Row = rows[-1]
+        self._head_ts: tuple[float, ...] = ts[:-1]
+        self._row_ts: float = ts[-1]
         #: Alias space the masks below are encoded over.
         self.layout: AliasSpace = layout if layout is not None else FALLBACK_ALIAS_SPACE
         #: Bit per spanned alias (paper definition 1).
-        self.spanned_mask: int = self.layout.mask_of(self.components)
+        self.spanned_mask: int = self.layout.mask_of(self._aliases)
         #: The done bits: bit ``predicate_id`` set once verified (§2.1).
         self.done_mask: int = done_mask_of(done)
         self.source = source
@@ -232,7 +243,7 @@ class QTuple:
         if layout is old:
             return
         self.layout = layout
-        self.spanned_mask = layout.mask_of(self.components)
+        self.spanned_mask = layout.mask_of(self._aliases)
         if self.built_mask:
             self.built_mask = layout.mask_of(old.aliases_of_mask(self.built_mask))
         if self.resolved_mask:
@@ -246,20 +257,29 @@ class QTuple:
     @property
     def aliases(self) -> frozenset[str]:
         """The aliases this tuple spans (paper definition 1)."""
-        return frozenset(self.components)
+        return frozenset(self._aliases)
+
+    @property
+    def components(self) -> dict[str, Row]:
+        """Alias -> base-table row, in derivation order (a fresh dict on every read)."""
+        return dict(zip(self._aliases, self.rows))
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The base-table rows, in derivation order."""
+        return (*self._head, self._row)
 
     @property
     def is_singleton(self) -> bool:
         """True if the tuple has exactly one base-table component."""
-        return len(self.components) == 1
+        return not self._head
 
     @property
     def single_alias(self) -> str:
         """The alias of a singleton tuple."""
-        components = self.components
-        if len(components) != 1:
-            raise ExecutionError(f"tuple {self} spans {len(components)} aliases")
-        return next(iter(components))
+        if self._head:
+            raise ExecutionError(f"tuple {self} spans {len(self._aliases)} aliases")
+        return self._aliases[0]
 
     @property
     def timestamp(self) -> float:
@@ -268,20 +288,31 @@ class QTuple:
         For singleton tuples that have not yet been built this is
         :data:`UNBUILT` (infinity).
         """
-        return max(self._ts)
+        head = self._head_ts
+        return max(*head, self._row_ts) if head else self._row_ts
+
+    @property
+    def build_timestamps(self) -> tuple[float, ...]:
+        """Build timestamps, in derivation order."""
+        return (*self._head_ts, self._row_ts)
 
     @property
     def timestamps(self) -> dict[str, float]:
         """Per-alias build timestamps (a fresh dict on every read)."""
-        return dict(zip(self.components, self._ts))
+        return dict(zip(self._aliases, self.build_timestamps))
 
     def component(self, alias: str) -> Row:
-        """The base-table component for an alias."""
-        return self.components[alias]
+        """The base-table component for an alias (KeyError if not spanned)."""
+        aliases = self._aliases
+        if alias == aliases[-1]:
+            return self._row
+        if alias not in aliases:
+            raise KeyError(alias)
+        return self._head[aliases.index(alias)]
 
     def value(self, alias: str, column: str) -> Any:
-        """Shorthand for ``self.components[alias][column]``."""
-        return self.components[alias][column]
+        """Shorthand for ``self.component(alias)[column]``."""
+        return self.component(alias)[column]
 
     def spans(self, aliases: Iterable[str]) -> bool:
         """True if the tuple spans every alias given."""
@@ -329,11 +360,9 @@ class QTuple:
 
         Used by tests and by duplicate detection at the output.
         """
-        parts = []
-        for alias in sorted(self.components):
-            row = self.components[alias]
-            parts.append((alias, row.table, row.values))
-        return tuple(parts)
+        return tuple(
+            sorted((alias, row.table, row.values) for alias, row in zip(self._aliases, self.rows))
+        )
 
     # -- frozenset views over the masks ------------------------------------------
 
@@ -446,15 +475,16 @@ class QTuple:
 
     def mark_built(self, alias: str, timestamp: float) -> None:
         """Record that the component for ``alias`` was built at ``timestamp``."""
-        if alias not in self.components:
+        aliases = self._aliases
+        if alias == aliases[-1]:
+            self._row_ts = timestamp
+        elif alias in aliases:
+            position = aliases.index(alias)
+            head_ts = self._head_ts
+            self._head_ts = head_ts[:position] + (timestamp,) + head_ts[position + 1 :]
+        else:
             raise ExecutionError(f"tuple {self} does not span alias {alias!r}")
         self.built_mask |= self.layout.bit_of(alias)
-        ts = self._ts
-        if len(ts) == 1:
-            self._ts = (timestamp,)
-        else:
-            position = list(self.components).index(alias)
-            self._ts = ts[:position] + (timestamp,) + ts[position + 1 :]
         self._signature = None
 
     def has_built(self, alias: str) -> bool:
@@ -481,20 +511,23 @@ class QTuple:
         """The extension template of one probe: ``extend(row, row_timestamp)``.
 
         Every match of a probe extends this tuple by the same alias, so the
-        alias check, the child masks and the child's routing signature (as
-        :meth:`routing_signature` builds it; shared by the siblings until a
-        mutation clears it on one) are worked out once.  ``extend`` sets every
-        slot itself: it is the per-result path of every probe.  Done bits (plus
+        alias check, the child masks, the child's alias, head-row and head
+        build-timestamp tuples (shared by the siblings) and the child's routing
+        signature (as :meth:`routing_signature` builds it; shared by the
+        siblings until a mutation clears it on one) are worked out once.
+        ``extend`` sets every slot itself and allocates no container: it is
+        the per-result path of every probe.  Done bits (plus
         ``extra_done``), priority, source and layout are inherited; visit
         counts and resolution state start fresh (a new unit of routing work).
         """
-        components = self.components
-        if alias in components:
+        if alias in self._aliases:
             raise ExecutionError(f"tuple already spans alias {alias!r}")
         layout = self.layout
         bit = layout.bit_of(alias)
         query_id = self.query_id
-        parent_ts = self._ts
+        aliases = (*self._aliases, alias)
+        head = self.rows
+        head_ts = self.build_timestamps
         done_mask = self.done_mask | extra_done
         source = self.source
         priority = self._priority
@@ -510,8 +543,11 @@ class QTuple:
             result = new(QTuple)
             result.tuple_id = allocate()
             result.query_id = query_id
-            result.components = {**components, alias: row}
-            result._ts = parent_ts + (row_timestamp,)
+            result._aliases = aliases
+            result._head = head
+            result._row = row
+            result._head_ts = head_ts
+            result._row_ts = row_timestamp
             result.done_mask = done_mask
             result.source = source
             result._priority = priority
@@ -543,7 +579,7 @@ class QTuple:
         return self.extender(alias, extra_done, created_at)(row, row_timestamp)
 
     def __repr__(self) -> str:
-        span = ",".join(sorted(self.components))
+        span = ",".join(sorted(self._aliases))
         return f"QTuple#{self.tuple_id}[{span}]"
 
 
@@ -598,15 +634,18 @@ def singleton_maker(alias: str, source: str = "", layout: AliasSpace | None = No
     if layout is None:
         layout = FALLBACK_ALIAS_SPACE
     spanned_mask = layout.bit_of(alias)
-    unbuilt = (UNBUILT,)
+    aliases = (alias,)
     new = object.__new__
 
     def make(row: Row, created_at: float = 0.0) -> QTuple:
         result = new(QTuple)
         result.tuple_id = _id_allocator.allocate()
         result.query_id = ""
-        result.components = {alias: row}
-        result._ts = unbuilt
+        result._aliases = aliases
+        result._head = ()
+        result._row = row
+        result._head_ts = ()
+        result._row_ts = UNBUILT
         result.done_mask = 0
         result.source = source
         result._priority = 0.0

@@ -157,8 +157,7 @@ class ExecutionResult:
         flattened = []
         for tuple_ in self.tuples:
             row: dict[str, Any] = {}
-            for alias in sorted(tuple_.components):
-                component = tuple_.components[alias]
+            for alias, component in sorted(zip(tuple_._aliases, tuple_.rows)):
                 for column, value in component.as_dict().items():
                     row[f"{alias}.{column}"] = value
             flattened.append(row)

@@ -195,7 +195,7 @@ def encode_item(item: QTuple | EOTTuple) -> dict:
     return {
         "rows": [
             [alias, row.table, encode_row(row), encode_value(timestamp)]
-            for (alias, row), timestamp in zip(item.components.items(), item._ts)
+            for alias, row, timestamp in zip(item._aliases, item.rows, item.build_timestamps)
         ],
         "done": bit_positions(item.done_mask),
         "built": sorted(item.built),

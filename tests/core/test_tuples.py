@@ -1,6 +1,7 @@
 """Tests for dataflow tuples (QTuple), TupleState, and EOT tuples."""
 
 import gc
+import json
 import math
 import tracemalloc
 
@@ -351,11 +352,10 @@ class TestSingletonTemplateMatchesConstructor:
 
 
 class TestTimestampsMatchTheDict:
-    """Build timestamps ride a float tuple aligned with ``components``;
-    ``timestamps`` must read exactly as the per-alias dict the tuple used
-    to carry — built from the constructor's mapping (absent aliases
-    :data:`UNBUILT`), overwritten by ``mark_built`` and extended by one
-    entry per probe match."""
+    """Build timestamps are kept factorised, aligned with the components;
+    ``timestamps`` must read exactly as a per-alias dict — built from the
+    constructor's mapping (absent aliases :data:`UNBUILT`), overwritten by
+    ``mark_built`` and extended by one entry per probe match."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -398,6 +398,85 @@ class TestTimestampsMatchTheDict:
         assert tuple_.timestamps == model
 
 
+CHAIN_LAYOUT = PlanLayout(
+    parse_query("SELECT * FROM R, S, T, U WHERE R.k = S.k AND S.k = T.k AND T.k = U.k")
+)
+K_SCHEMA = Schema.of("k:int", "v:int")
+build_times = st.floats(0.0, 9.0) | st.just(UNBUILT)
+
+
+class TestFactorisedChainsMatchTheDict:
+    """A tuple keeps its components factorised: alias and head tuples
+    shared with its siblings, its own last row and build timestamp.  Every
+    read of a derivation chain — made by ``singleton_maker``, ``extender``
+    and ``extended``, with ``mark_built`` on any alias along the way — must
+    equal that of the constructor given the same alias -> row dict."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 4))
+    def test_every_read_of_a_derivation_chain(self, data, length):
+        from repro.recovery.codec import decode_item, encode_item
+
+        aliases = CHAIN_LAYOUT.alias_order[:length]
+        rows = {
+            alias: Row(alias, K_SCHEMA, (data.draw(st.integers(0, 3)), i))
+            for i, alias in enumerate(aliases)
+        }
+        chain = singleton_maker(aliases[0], "am:R_scan", CHAIN_LAYOUT)(rows[aliases[0]], 1.5)
+        model = {aliases[0]: UNBUILT}
+        built = set()
+        siblings = []  # (an earlier sibling, what its timestamps must stay)
+        for alias in aliases[1:]:
+            if data.draw(st.booleans()):
+                target = data.draw(st.sampled_from(sorted(model)))
+                model[target] = data.draw(build_times)
+                chain.mark_built(target, model[target])
+                built.add(target)
+            timestamp = data.draw(build_times)
+            if data.draw(st.booleans()):
+                extend = chain.extender(alias)
+                sibling = extend(Row(alias, K_SCHEMA, (9, 9)), 0.0)
+                siblings.append((sibling, {**model, alias: 0.0}))
+                chain = extend(rows[alias], timestamp)
+                for slot in ("_aliases", "_head", "_head_ts"):
+                    assert getattr(chain, slot) is getattr(sibling, slot)
+            else:
+                chain = chain.extended(alias, rows[alias], timestamp)
+            model[alias] = timestamp
+            built.add(alias)
+        for target, timestamp in data.draw(
+            st.lists(st.tuples(st.sampled_from(aliases), build_times), max_size=2)
+        ):
+            chain.mark_built(target, timestamp)  # the head's timestamps when not last
+            model[target] = timestamp
+            built.add(target)
+        reference = QTuple(rows, timestamps=model, source="am:R_scan", created_at=1.5,
+                           layout=CHAIN_LAYOUT)
+        reference.built_mask = CHAIN_LAYOUT.mask_of(built)
+
+        restored = decode_item(
+            json.loads(json.dumps(encode_item(chain))), CHAIN_LAYOUT, lambda table: K_SCHEMA, ()
+        )
+        for tuple_ in (chain, restored):
+            assert list(tuple_.components.items()) == list(rows.items())
+            assert list(tuple_.timestamps.items()) == list(model.items())
+            assert tuple_.timestamp == reference.timestamp
+            assert tuple_.identity() == reference.identity()
+            assert tuple_.aliases == reference.aliases
+            assert tuple_.routing_signature() == reference.routing_signature()
+            for alias in aliases:
+                assert tuple_.component(alias) == rows[alias]
+                assert tuple_.value(alias, "k") == reference.value(alias, "k")
+            subset = data.draw(st.sets(st.sampled_from(CHAIN_LAYOUT.alias_order)))
+            assert tuple_.spans(subset) == reference.spans(subset) == (subset <= set(aliases))
+            with pytest.raises(KeyError):
+                tuple_.component("nobody")
+        assert all(chain.component(alias) is row for alias, row in rows.items())
+        assert encode_item(chain) == encode_item(reference)
+        for sibling, timestamps in siblings:  # a later mark_built moved none of them
+            assert sibling.timestamps == timestamps
+
+
 class TestHotObjectsAreLean:
     def test_no_instance_dicts(self):
         tuple_ = singleton_tuple("R", r_row())
@@ -438,29 +517,60 @@ class TestHotObjectsAreLean:
         records = sum(type(o) is OutputRecord for o in gc.get_objects()) - records
         return engine, result, tracked, records
 
-    def test_a_retained_result_is_two_tracked_containers(self):
-        """A kept result costs its ``QTuple`` and its ``components`` dict:
-        no ``OutputRecord``, a signature shared by the probe's matches, and
-        a float tuple of build timestamps the collector untracks."""
+    def test_a_retained_result_is_one_tracked_container(self):
+        """A kept result costs its ``QTuple`` alone: no ``OutputRecord``,
+        and the routing signature, alias tuple, head rows and head build
+        timestamps are one object each, shared by the probe's matches."""
         small = self._fanout_join(distinct=12)
         large = self._fanout_join(distinct=3)  # same rows, 4x the results
         (_, small_result, small_tracked, _), (engine, result, tracked, records) = small, large
         assert result.row_count == 4 * small_result.row_count == 1200
         assert records == 0 and len(engine.eddy_of("q0").outputs) == 1200
-        assert not any(gc.is_tracked(t._ts) for t in result.tuples)
-        assert all(gc.is_tracked(t.components) for t in result.tuples)
-        signatures = {id(t.routing_signature()) for t in result.tuples}
+        siblings = {}  # the template's signature names the probe
+        for t in result.tuples:
+            siblings.setdefault(id(t.routing_signature()), []).append(t)
         probes = sum(module.stats["probes"] for module in engine.eddy_of("q0").stems.values())
-        assert len(signatures) <= probes == 120  # one per probe with matches
+        assert len(siblings) <= probes == 120  # one per probe with matches
+        for group in siblings.values():
+            for slot in ("_aliases", "_head", "_head_ts"):
+                assert all(getattr(t, slot) is getattr(group[0], slot) for t in group), slot
         extra_results = result.row_count - small_result.row_count
-        assert tracked - small_tracked <= 2 * extra_results + 64
+        assert tracked - small_tracked <= extra_results + 64
+
+    def test_hot_readers_build_no_components_dict_per_result(self, monkeypatch):
+        """``components`` builds a fresh dict, so the hot paths read the
+        factorised slots by position: a run reads it once per probe (the
+        probe loop binds its plan), once per selection visit and once per
+        probe plan compiled, never once per result.  An exact count, with
+        no clock."""
+        from repro.core.modules.selection import SelectionModule
+
+        reads = [0]
+        components = QTuple.components
+
+        def counted(self):
+            reads[0] += 1
+            return components.fget(self)
+
+        monkeypatch.setattr(QTuple, "components", property(counted))
+        engine = self._fanout_engine(distinct=3)
+        result = engine.run()["q0"]
+        eddy = engine.eddy_of("q0")
+        probes = sum(module.stats["probes"] for module in eddy.stems.values())
+        selection_visits = sum(
+            module.stats["items"]
+            for module in eddy.modules.values()
+            if isinstance(module, SelectionModule)
+        )
+        plans = len(eddy.layout.probe_plans)
+        assert (result.row_count, probes, plans) == (1200, 120, 2)
+        assert reads[0] <= probes + selection_visits + plans
 
     def test_retained_bytes_per_result(self):
-        """What a held run keeps per extra result: the ``QTuple``, its
-        ``components`` dict, its timestamp tuple, its id and one pointer per
-        result list and series.  A per-result ``timestamps`` dict or a
-        ``(time, count)`` pair per series point does not fit (on CPython
-        3.11: about 820 bytes with them, 525 without)."""
+        """What a held run keeps per extra result: the ``QTuple``, its id
+        and one pointer per result list and series.  A per-result
+        ``components`` dict and timestamp tuple do not fit (on CPython 3.10
+        to 3.13: 526-568 bytes with them, 305-312 without)."""
 
         def traced(distinct):
             engine = self._fanout_engine(distinct)
@@ -476,7 +586,7 @@ class TestHotObjectsAreLean:
         traced(12)  # warm-up: first-use caches are not per-result costs
         (small_rows, small_bytes), (rows, held) = traced(12), traced(3)
         assert (rows, small_rows) == (1200, 300)
-        assert (held - small_bytes) / (rows - small_rows) <= 600
+        assert (held - small_bytes) / (rows - small_rows) <= 350
 
     def test_collecting_a_result_allocates_no_per_point_tuple(self):
         """The output and partial-result series keep their times, not a

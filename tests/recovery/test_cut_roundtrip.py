@@ -83,10 +83,12 @@ def qtuples(draw):
 
 def differing_slots(a: QTuple, b: QTuple) -> list[str]:
     """Names of the TupleState slots in which two tuples differ."""
+    # The row slots are compared below, through ``components``: ``Row``
+    # equality is value equality, under which a NaN value differs from itself.
     differing = [
         slot
         for slot in QTuple.__slots__
-        if slot not in ("tuple_id", "components", "_signature")
+        if slot not in ("tuple_id", "_head", "_row", "_signature")
         and not equivalent(_plain(getattr(a, slot)), _plain(getattr(b, slot)))
     ]
     if list(a.components) != list(b.components) or any(
