@@ -15,8 +15,11 @@ generation (all of them, and those that fire while the engine collects its
 results) and its seconds (from ``gc.callbacks``) beside the wall seconds, the
 process's peak resident set, and the wall seconds with the collector off;
 last, the bytes one held outcome keeps per result (``tracemalloc`` over one
-more repetition).  The collector is never touched inside ``src/``: this is
-where its share is measured.
+more repetition), split into the kept result object, its tuple id, the
+lists and series that hold a pointer per result, and the rest (per-row and
+per-probe state, shared between results), with the kept object's type.
+The collector is never touched inside ``src/``: this is where its share is
+measured.
 """
 
 import argparse
@@ -40,6 +43,36 @@ def counted(cls, name, counts, key, items=None):
 
     setattr(cls, name, wrapper)
     return lambda: setattr(cls, name, original)
+
+
+def retention_split(outcome, results):
+    """Bytes per result of the kept objects, of their tuple ids (small ints
+    are cached, so they cost nothing) and of the lists and series that hold
+    one pointer per result, partial-result series included."""
+    kept = [t for _, result in outcome.result.items() for t in result.tuples]
+    containers = {}
+    for engine in outcome.engines:
+        for query_id in engine.admitted:
+            eddy = engine.eddy_of(query_id)
+            for held in (eddy.output_tuples, eddy.output_times):
+                containers[id(held)] = held
+            for times in eddy.partial_series.values():
+                containers[id(times)] = times
+    for _, result in outcome.result.items():
+        for held in (
+            result.tuples,
+            result.output_series.times,
+            *(series.times for series in result.partial_series.values()),
+        ):
+            containers[id(held)] = held
+    per_result = max(results, 1)
+    return {
+        "kept_object": round(sum(map(sys.getsizeof, kept)) / per_result),
+        "tuple_id": round(
+            sum(sys.getsizeof(t.tuple_id) for t in kept if t.tuple_id > 256) / per_result
+        ),
+        "pointers": round(sum(map(sys.getsizeof, containers.values())) / per_result),
+    }
 
 
 def main():
@@ -95,6 +128,9 @@ def main():
     # Every run installs a fresh allocator: its next id counts this run's ids.
     counts["tuple_ids_allocated"] = tuples._id_allocator.allocate() - 1
     counts["results"] = sum(len(result.tuples) for _, result in outcome.result.items())
+    counts["kept_result_type"] = ",".join(
+        sorted({type(t).__name__ for _, result in outcome.result.items() for t in result.tuples})
+    )
     counts["tracked_objects_kept_per_result"] = round(
         counts["tracked_objects_kept"] / max(counts["results"], 1), 2
     )
@@ -165,9 +201,12 @@ def main():
     gc.collect()
     traced = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
+    split = retention_split(outcome, counts["results"])
     del outcome
     counts["traced_mb_held"] = round(traced / 1e6, 1)
     counts["retained_bytes_per_result"] = round(traced / max(counts["results"], 1))
+    split["rest"] = counts["retained_bytes_per_result"] - sum(split.values())
+    counts["retained_bytes_per_result_split"] = split
     header = {"checkout": str(root), "workload": args.workload, "seed": args.seed}
     print(json.dumps({**header, **counts}, indent=1))
 

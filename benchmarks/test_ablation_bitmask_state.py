@@ -30,7 +30,7 @@ import time
 
 from repro.bench.workloads import staggered_fleet_workload
 from repro.core.tuples import QTuple
-from repro.engine.multi import run_multi
+from repro.engine.multi import MultiQueryEngine, run_multi
 
 #: Heavy-traffic fleet: 6 staggered R⨝T queries over one pair of shared
 #: SteMs, arrivals 2 virtual seconds apart.
@@ -92,18 +92,26 @@ def _result_identity(result):
     }
 
 
-def _sample_states(result, limit: int = 256) -> list[QTuple]:
-    """Dataflow tuples in end-of-run TupleState, across all fleet queries."""
+def _sample_states(limit: int = 256) -> list[QTuple]:
+    """Dataflow tuples in end-of-run TupleState, across all fleet queries.
+
+    The engines keep a ``Result`` per output, without TupleState, so the
+    emitted ``QTuple``s are taken as each eddy's ``on_emit`` sees them.
+    """
+    workload = staggered_fleet_workload(**FLEET_PARAMS)
+    engine = MultiQueryEngine(
+        list(workload.admissions), workload.catalog, shared_stems=True, batch_size=16
+    )
     pool: list[QTuple] = []
-    for query_id in result.results:
-        pool.extend(result[query_id].tuples)
+    for query_id in engine.admitted:
+        engine.eddy_of(query_id).on_emit = pool.append
+    engine.run()
     assert pool, "the fleet produced no results to sample states from"
     return pool[:limit]
 
 
 def test_bitmask_signature_allocates_no_per_call_containers():
-    result = _run_fleet(batch_size=16)
-    for tuple_ in _sample_states(result):
+    for tuple_ in _sample_states():
         first = tuple_.routing_signature()
         # Memoized: the same object comes back until a state mutation...
         assert tuple_.routing_signature() is first
@@ -119,8 +127,7 @@ def test_bitmask_signature_allocates_no_per_call_containers():
 
 def test_bitmask_signature_wall_clock_speedup(benchmark):
     """>= 1.3x over the legacy frozenset signature on fleet TupleStates."""
-    result = _run_fleet(batch_size=16)
-    pool = _sample_states(result)
+    pool = _sample_states()
     legacy_pool = [_LegacyTupleState(t) for t in pool]
     rounds = 200
 

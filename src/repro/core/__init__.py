@@ -28,6 +28,7 @@ from repro.core.tuples import (
     UNBUILT,
     EOTTuple,
     QTuple,
+    Result,
     TupleIdAllocator,
     install_id_allocator,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "ProbeOutcome",
     "QTuple",
     "RandomPolicy",
+    "Result",
     "RoutingPolicy",
     "ScanAMModule",
     "SelectionModule",

@@ -47,7 +47,7 @@ from repro.core.modules.base import Module, Routable
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
 from repro.core.policies.base import RoutingPolicy
-from repro.core.tuples import EOTTuple, QTuple
+from repro.core.tuples import EOTTuple, QTuple, Result
 from repro.query.layout import PlanLayout
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
@@ -68,10 +68,10 @@ class DestinationResolver(Protocol):
 
 @dataclass(slots=True)
 class OutputRecord:
-    """One emitted result tuple, with the virtual time it was produced."""
+    """One emitted result, with the virtual time it was produced."""
 
     time: float
-    tuple: QTuple
+    tuple: Result
 
 
 @dataclass
@@ -207,8 +207,10 @@ class Eddy:
         self.quarantine: list[QuarantineRecord] = []
 
         #: Results as two aligned columns, in output order (:attr:`outputs` zips them).
+        #: A kept result is a :class:`~repro.core.tuples.Result`: the emitted
+        #: tuple's data without the TupleState that routed it.
         self.output_times: list[float] = []
-        self.output_tuples: list[QTuple] = []
+        self.output_tuples: list[Result] = []
         #: ``spanned_mask -> (aliases, entry times)`` of the composite
         #: tuples that entered the dataflow; see :attr:`partial_series`.
         self._partial: dict[int, tuple[frozenset[str], list[float]]] = {}
@@ -571,11 +573,14 @@ class Eddy:
         plan = resolver.route_plan(signature, group[0])
         if plan.output:
             # Output readiness is signature-pure (span + done bits): the
-            # whole group is emitted, at one virtual time.
+            # whole group is emitted, at one virtual time.  What is kept of
+            # each tuple is its Result, built here without a call; the hooks
+            # below still see the routed QTuple.
             now = self.sim.now
             emit_filter, on_emit, trace = self.emit_filter, self.on_emit, self.trace
             on_output = self.policy.on_output
             append_time, append_tuple = self.output_times.append, self.output_tuples.append
+            new = object.__new__
             for tuple_ in group:
                 if emit_filter is not None and not emit_filter(tuple_):
                     # Already acknowledged before a crash: keep the policy
@@ -586,8 +591,17 @@ class Eddy:
                     if trace is not None:
                         trace.record(now, "output_suppressed", tuple_.tuple_id)
                     continue
+                kept = new(Result)
+                kept.tuple_id = tuple_.tuple_id
+                kept.query_id = tuple_.query_id
+                kept._aliases = tuple_._aliases
+                kept._head = tuple_._head
+                kept._row = tuple_._row
+                kept._head_ts = tuple_._head_ts
+                kept._row_ts = tuple_._row_ts
+                kept._priority = tuple_._priority
                 append_time(now)
-                append_tuple(tuple_)
+                append_tuple(kept)
                 if on_emit is not None:
                     on_emit(tuple_)
                 on_output(tuple_, self)
@@ -687,8 +701,8 @@ class Eddy:
         return list(map(OutputRecord, self.output_times, self.output_tuples))
 
     @property
-    def result_tuples(self) -> list[QTuple]:
-        """The emitted result tuples, in output order."""
+    def result_tuples(self) -> list[Result]:
+        """The kept results, in output order."""
         return list(self.output_tuples)
 
     @property

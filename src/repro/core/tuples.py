@@ -2,12 +2,15 @@
 
 Paper section 2.1: "Each tuple also carries some state with it, called its
 TupleState, to track the work it has done in furthering query progress."  In
-this implementation the dataflow tuple (:class:`QTuple`) owns both the data
-(its base-table components) and the TupleState:
+this implementation the data and the state are two layers of one type.  A
+:class:`Result` is what a tuple *is* — its id, query, priority and its
+base-table components — and is all an engine keeps of an output tuple.  The
+dataflow tuple (:class:`QTuple`) is a :class:`Result` plus the TupleState:
 
 * the tables/aliases it spans (definition 1 of the paper);
 * the predicates it has passed (the "done bits");
-* per-component build timestamps, used by the TimeStamp constraint;
+* per-component build timestamps, used by the TimeStamp constraint (kept
+  beside the components, in the :class:`Result` layer);
 * bookkeeping for the BoundedRepetition and ProbeCompletion constraints;
 * resolution state — for every join-graph neighbour, whether this tuple's
   matches from that side are already guaranteed (so the eddy knows when the
@@ -108,8 +111,161 @@ def install_id_allocator(
     return _id_allocator
 
 
-class QTuple:
-    """A (possibly composite) tuple flowing through the eddy.
+class Result:
+    """A query result: what a (possibly composite) tuple *is*, without the
+    TupleState that routed it.
+
+    The eddy keeps one per emitted tuple (:attr:`Eddy.output_tuples
+    <repro.core.eddy.Eddy.output_tuples>`), and the static engine builds
+    one per composite.  It holds the tuple id, the query id, the
+    components factorised and the priority, and has no mutator: once a
+    tuple is output the work its TupleState tracked is finished.
+
+    Args:
+        components: mapping from alias to the base-table :class:`Row` for
+            that alias, in derivation order.  A singleton has exactly one
+            entry.
+        timestamps: per-alias build timestamps; missing aliases default to
+            :data:`UNBUILT`.  An alias ``components`` lacks raises
+            :class:`~repro.errors.ExecutionError`.
+        priority: user-interest priority (paper section 4.1).
+        query_id: the query the result belongs to.
+    """
+
+    __slots__ = (
+        "tuple_id",
+        "query_id",
+        "_aliases",
+        "_head",
+        "_row",
+        "_head_ts",
+        "_row_ts",
+        "_priority",
+    )
+
+    def __init__(
+        self,
+        components: Mapping[str, Row],
+        timestamps: Mapping[str, float] | None = None,
+        priority: float = 0.0,
+        query_id: str = "",
+    ):
+        if not components:
+            raise ExecutionError(f"a {type(self).__name__} needs at least one component")
+        self.tuple_id = _id_allocator.allocate()
+        #: The query this tuple belongs to.  Empty in single-query execution;
+        #: the multi-query engine stamps it on entry into each query's eddy
+        #: so outputs, traces and shared-SteM bookkeeping stay per-query.
+        self.query_id = query_id
+        aliases = tuple(components)
+        ts = (UNBUILT,) * len(aliases)
+        if timestamps:
+            unknown = sorted(timestamps.keys() - components.keys())
+            if unknown:
+                raise ExecutionError(
+                    f"timestamps name aliases the tuple does not span: {unknown}"
+                )
+            ts = tuple(timestamps.get(alias, UNBUILT) for alias in aliases)
+        rows = tuple(components.values())
+        #: The components, factorised: the aliases in derivation order, the
+        #: parent's rows and build timestamps (``_head``, ``_head_ts``; one
+        #: tuple each, shared by every extension of one probe) and this
+        #: tuple's own last row and its build timestamp.
+        self._aliases: tuple[str, ...] = aliases
+        self._head: tuple[Row, ...] = rows[:-1]
+        self._row: Row = rows[-1]
+        self._head_ts: tuple[float, ...] = ts[:-1]
+        self._row_ts: float = ts[-1]
+        self._priority = priority
+
+    # -- span and identity -----------------------------------------------------
+
+    @property
+    def aliases(self) -> frozenset[str]:
+        """The aliases this tuple spans (paper definition 1)."""
+        return frozenset(self._aliases)
+
+    @property
+    def components(self) -> dict[str, Row]:
+        """Alias -> base-table row, in derivation order (a fresh dict on every read)."""
+        return dict(zip(self._aliases, self.rows))
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The base-table rows, in derivation order."""
+        return (*self._head, self._row)
+
+    @property
+    def is_singleton(self) -> bool:
+        """True if the tuple has exactly one base-table component."""
+        return not self._head
+
+    @property
+    def single_alias(self) -> str:
+        """The alias of a singleton tuple."""
+        if self._head:
+            raise ExecutionError(f"tuple {self} spans {len(self._aliases)} aliases")
+        return self._aliases[0]
+
+    @property
+    def timestamp(self) -> float:
+        """The tuple's timestamp: that of its last-arriving component.
+
+        For singleton tuples that have not yet been built this is
+        :data:`UNBUILT` (infinity).
+        """
+        head = self._head_ts
+        return max(*head, self._row_ts) if head else self._row_ts
+
+    @property
+    def build_timestamps(self) -> tuple[float, ...]:
+        """Build timestamps, in derivation order."""
+        return (*self._head_ts, self._row_ts)
+
+    @property
+    def timestamps(self) -> dict[str, float]:
+        """Per-alias build timestamps (a fresh dict on every read)."""
+        return dict(zip(self._aliases, self.build_timestamps))
+
+    @property
+    def priority(self) -> float:
+        """User-interest priority (paper §4.1)."""
+        return self._priority
+
+    def component(self, alias: str) -> Row:
+        """The base-table component for an alias (KeyError if not spanned)."""
+        aliases = self._aliases
+        if alias == aliases[-1]:
+            return self._row
+        if alias not in aliases:
+            raise KeyError(alias)
+        return self._head[aliases.index(alias)]
+
+    def value(self, alias: str, column: str) -> Any:
+        """Shorthand for ``self.component(alias)[column]``."""
+        return self.component(alias)[column]
+
+    def spans(self, aliases: Iterable[str]) -> bool:
+        """True if the tuple spans every alias given."""
+        return frozenset(aliases) <= self.aliases
+
+    def identity(self) -> tuple:
+        """A hashable identity over (alias, table, values) of all components.
+
+        Used by tests and by duplicate detection at the output.
+        """
+        return tuple(
+            sorted((alias, row.table, row.values) for alias, row in zip(self._aliases, self.rows))
+        )
+
+    def __repr__(self) -> str:
+        span = ",".join(sorted(self._aliases))
+        return f"{type(self).__name__}#{self.tuple_id}[{span}]"
+
+
+class QTuple(Result):
+    """A (possibly composite) tuple flowing through the eddy: a
+    :class:`Result` plus the TupleState that routes it.
 
     Args:
         components: mapping from alias to the base-table :class:`Row` for
@@ -130,16 +286,8 @@ class QTuple:
     """
 
     __slots__ = (
-        "tuple_id",
-        "query_id",
-        "_aliases",
-        "_head",
-        "_row",
-        "_head_ts",
-        "_row_ts",
         "done_mask",
         "source",
-        "_priority",
         "visits_token",
         "layout",
         "spanned_mask",
@@ -165,32 +313,7 @@ class QTuple:
         query_id: str = "",
         layout: AliasSpace | None = None,
     ):
-        if not components:
-            raise ExecutionError("a QTuple needs at least one component")
-        self.tuple_id = _id_allocator.allocate()
-        #: The query this tuple belongs to.  Empty in single-query execution;
-        #: the multi-query engine stamps it on entry into each query's eddy
-        #: so outputs, traces and shared-SteM bookkeeping stay per-query.
-        self.query_id = query_id
-        components = dict(components)
-        ts = (UNBUILT,) * len(components)
-        if timestamps:
-            unknown = sorted(timestamps.keys() - components.keys())
-            if unknown:
-                raise ExecutionError(
-                    f"timestamps name aliases the tuple does not span: {unknown}"
-                )
-            ts = tuple(timestamps.get(alias, UNBUILT) for alias in components)
-        rows = tuple(components.values())
-        #: The components, factorised: the aliases in derivation order, the
-        #: parent's rows and build timestamps (``_head``, ``_head_ts``; one
-        #: tuple each, shared by every extension of one probe) and this
-        #: tuple's own last row and its build timestamp.
-        self._aliases: tuple[str, ...] = tuple(components)
-        self._head: tuple[Row, ...] = rows[:-1]
-        self._row: Row = rows[-1]
-        self._head_ts: tuple[float, ...] = ts[:-1]
-        self._row_ts: float = ts[-1]
+        super().__init__(components, timestamps, priority, query_id)
         #: Alias space the masks below are encoded over.
         self.layout: AliasSpace = layout if layout is not None else FALLBACK_ALIAS_SPACE
         #: Bit per spanned alias (paper definition 1).
@@ -198,7 +321,6 @@ class QTuple:
         #: The done bits: bit ``predicate_id`` set once verified (§2.1).
         self.done_mask: int = done_mask_of(done)
         self.source = source
-        self._priority = priority
         #: Number of times this tuple has been routed to each module
         #: (BoundedRepetition constraint), one byte per module slot; also an
         #: element of the routing signature.  :attr:`visits` decodes it.
@@ -252,71 +374,7 @@ class QTuple:
             self.exhausted_mask = layout.mask_of(old.aliases_of_mask(self.exhausted_mask))
         self._signature = None
 
-    # -- span and identity -----------------------------------------------------
-
-    @property
-    def aliases(self) -> frozenset[str]:
-        """The aliases this tuple spans (paper definition 1)."""
-        return frozenset(self._aliases)
-
-    @property
-    def components(self) -> dict[str, Row]:
-        """Alias -> base-table row, in derivation order (a fresh dict on every read)."""
-        return dict(zip(self._aliases, self.rows))
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        """The base-table rows, in derivation order."""
-        return (*self._head, self._row)
-
-    @property
-    def is_singleton(self) -> bool:
-        """True if the tuple has exactly one base-table component."""
-        return not self._head
-
-    @property
-    def single_alias(self) -> str:
-        """The alias of a singleton tuple."""
-        if self._head:
-            raise ExecutionError(f"tuple {self} spans {len(self._aliases)} aliases")
-        return self._aliases[0]
-
-    @property
-    def timestamp(self) -> float:
-        """The tuple's timestamp: that of its last-arriving component.
-
-        For singleton tuples that have not yet been built this is
-        :data:`UNBUILT` (infinity).
-        """
-        head = self._head_ts
-        return max(*head, self._row_ts) if head else self._row_ts
-
-    @property
-    def build_timestamps(self) -> tuple[float, ...]:
-        """Build timestamps, in derivation order."""
-        return (*self._head_ts, self._row_ts)
-
-    @property
-    def timestamps(self) -> dict[str, float]:
-        """Per-alias build timestamps (a fresh dict on every read)."""
-        return dict(zip(self._aliases, self.build_timestamps))
-
-    def component(self, alias: str) -> Row:
-        """The base-table component for an alias (KeyError if not spanned)."""
-        aliases = self._aliases
-        if alias == aliases[-1]:
-            return self._row
-        if alias not in aliases:
-            raise KeyError(alias)
-        return self._head[aliases.index(alias)]
-
-    def value(self, alias: str, column: str) -> Any:
-        """Shorthand for ``self.component(alias)[column]``."""
-        return self.component(alias)[column]
-
-    def spans(self, aliases: Iterable[str]) -> bool:
-        """True if the tuple spans every alias given."""
-        return frozenset(aliases) <= self.aliases
+    # -- routing signature -------------------------------------------------------
 
     def routing_signature(self) -> tuple:
         """The tuple's routing signature: the grouping key of the batched eddy.
@@ -355,15 +413,6 @@ class QTuple:
             )
         return signature
 
-    def identity(self) -> tuple:
-        """A hashable identity over (alias, table, values) of all components.
-
-        Used by tests and by duplicate detection at the output.
-        """
-        return tuple(
-            sorted((alias, row.table, row.values) for alias, row in zip(self._aliases, self.rows))
-        )
-
     # -- frozenset views over the masks ------------------------------------------
 
     @property
@@ -388,12 +437,7 @@ class QTuple:
 
     # -- guarded scalar state (mutations invalidate the signature memo) ----------
 
-    @property
-    def priority(self) -> float:
-        """User-interest priority (paper §4.1)."""
-        return self._priority
-
-    @priority.setter
+    @Result.priority.setter
     def priority(self, value: float) -> None:
         self._priority = value
         self._signature = None
@@ -577,10 +621,6 @@ class QTuple:
     ) -> "QTuple":
         """A new tuple with one more base-table component (see :meth:`extender`)."""
         return self.extender(alias, extra_done, created_at)(row, row_timestamp)
-
-    def __repr__(self) -> str:
-        span = ",".join(sorted(self._aliases))
-        return f"QTuple#{self.tuple_id}[{span}]"
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.tuples import QTuple
+from repro.core.tuples import Result
 
 
 class Series:
@@ -106,7 +106,9 @@ class ExecutionResult:
         query_name: the query's name.
         query_id: the id of the query's admission; ``"q0"`` for a single
             query on the ``stems`` engine, empty on the baseline engines.
-        tuples: the result tuples (as :class:`QTuple` objects).
+        tuples: the results, as :class:`~repro.core.tuples.Result` objects:
+            each tuple's id, query, priority and components, without the
+            TupleState that routed it.
         output_series: cumulative results over virtual time (Figures 7(i)/8).
         completion_time: virtual time of the last result (None if no results).
         final_time: virtual time when the whole execution quiesced.
@@ -130,7 +132,7 @@ class ExecutionResult:
     engine: str
     query_name: str
     query_id: str = ""
-    tuples: list[QTuple] = field(default_factory=list)
+    tuples: list[Result] = field(default_factory=list)
     output_series: Series = field(default_factory=Series)
     completion_time: float | None = None
     final_time: float = 0.0

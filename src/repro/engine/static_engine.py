@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.tuples import QTuple, install_id_allocator
+from repro.core.tuples import Result, install_id_allocator
 from repro.engine.results import ExecutionResult, Series
-from repro.joins.base import Composite
 from repro.joins.pipeline import base_input, execute_left_deep
 from repro.query.parser import parse_query
 from repro.query.query import Query
@@ -70,9 +69,6 @@ def choose_join_order(query: Query, catalog: Catalog) -> list[str]:
     return order
 
 
-def _composite_to_qtuple(composite: Composite) -> QTuple:
-    tuple_ = QTuple(dict(composite))
-    return tuple_
 
 
 class StaticEngine:
@@ -93,7 +89,7 @@ class StaticEngine:
         del until
         install_id_allocator()
         composites = list(execute_left_deep(self.query, self.catalog, order=self.order))
-        tuples = [_composite_to_qtuple(composite) for composite in composites]
+        tuples = [Result(composite) for composite in composites]
         # Model the batch behaviour: every result appears "at the end".
         cost = self._modelled_completion_time(len(composites))
         series = Series.from_points(

@@ -14,6 +14,7 @@ from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.tuples import (
     EOTTuple,
     QTuple,
+    Result,
     TupleIdAllocator,
     UNBUILT,
     install_id_allocator,
@@ -28,7 +29,7 @@ from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.conftest import single_query_engine
 from tests.core.test_modules import FakeRuntime
-from tests.helpers import equi_join, singleton_tuple
+from tests.helpers import QTUPLE_SLOTS, equi_join, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -259,7 +260,7 @@ class TestExtensionMatchesConstructor:
             # The template's precomputed signature is what a tuple in that
             # state builds for itself, field for field.
             assert result._signature == reference.routing_signature()
-            for slot in QTuple.__slots__:
+            for slot in QTUPLE_SLOTS:
                 if slot != "tuple_id":
                     assert getattr(result, slot) == getattr(reference, slot), slot
             assert result.layout is parent.layout
@@ -294,7 +295,7 @@ def assert_slots_match_the_constructor(delivered, alias, source, layout):
     for singleton in delivered:
         reference = QTuple({alias: singleton.component(alias)}, source=source,
                            created_at=singleton.created_at, layout=layout)
-        for slot in QTuple.__slots__:
+        for slot in QTUPLE_SLOTS:
             if slot != "tuple_id":
                 assert getattr(singleton, slot) == getattr(reference, slot), slot
         assert singleton.layout is reference.layout
@@ -484,6 +485,7 @@ class TestHotObjectsAreLean:
             r_row(),
             tuple_,
             tuple_.extended("S", s_row(), 1.0),
+            Result({"R": r_row()}),
             OutputRecord(0.0, tuple_),
         ):
             assert not hasattr(instance, "__dict__"), type(instance).__name__
@@ -518,17 +520,17 @@ class TestHotObjectsAreLean:
         return engine, result, tracked, records
 
     def test_a_retained_result_is_one_tracked_container(self):
-        """A kept result costs its ``QTuple`` alone: no ``OutputRecord``,
-        and the routing signature, alias tuple, head rows and head build
-        timestamps are one object each, shared by the probe's matches."""
+        """A kept result costs its ``Result`` alone: no ``OutputRecord``,
+        and the alias tuple, head rows and head build timestamps are one
+        object each, shared by the probe's matches."""
         small = self._fanout_join(distinct=12)
         large = self._fanout_join(distinct=3)  # same rows, 4x the results
         (_, small_result, small_tracked, _), (engine, result, tracked, records) = small, large
         assert result.row_count == 4 * small_result.row_count == 1200
         assert records == 0 and len(engine.eddy_of("q0").outputs) == 1200
-        siblings = {}  # the template's signature names the probe
+        siblings = {}  # the template's head rows name the probe
         for t in result.tuples:
-            siblings.setdefault(id(t.routing_signature()), []).append(t)
+            siblings.setdefault(id(t._head), []).append(t)
         probes = sum(module.stats["probes"] for module in engine.eddy_of("q0").stems.values())
         assert len(siblings) <= probes == 120  # one per probe with matches
         for group in siblings.values():
@@ -567,10 +569,11 @@ class TestHotObjectsAreLean:
         assert reads[0] <= probes + selection_visits + plans
 
     def test_retained_bytes_per_result(self):
-        """What a held run keeps per extra result: the ``QTuple``, its id
-        and one pointer per result list and series.  A per-result
-        ``components`` dict and timestamp tuple do not fit (on CPython 3.10
-        to 3.13: 526-568 bytes with them, 305-312 without)."""
+        """What a held run keeps per extra result: the ``Result``, its id
+        and one pointer per result list and series.  199 bytes on CPython
+        3.11; the bound is that plus 10%.  A kept ``QTuple`` does not fit
+        (305-312 bytes on CPython 3.10 to 3.13), nor does a per-result
+        ``components`` dict and timestamp tuple (526-568)."""
 
         def traced(distinct):
             engine = self._fanout_engine(distinct)
@@ -586,7 +589,41 @@ class TestHotObjectsAreLean:
         traced(12)  # warm-up: first-use caches are not per-result costs
         (small_rows, small_bytes), (rows, held) = traced(12), traced(3)
         assert (rows, small_rows) == (1200, 300)
-        assert (held - small_bytes) / (rows - small_rows) <= 350
+        assert (held - small_bytes) / (rows - small_rows) <= 218
+
+    def test_engines_keep_results_not_dataflow_tuples(self):
+        """Every engine keeps a ``Result`` per result, never the ``QTuple``
+        that was routed: in ``ExecutionResult.tuples`` and, for the two
+        eddy engines, in ``Eddy.outputs``."""
+        from repro.engine.joins_engine import EddyJoinsEngine
+        from repro.engine.static_engine import run_static
+
+        stems = self._fanout_engine(distinct=12)
+        query, catalog = stems.layout_of("q0").query, stems.catalog
+        joins = EddyJoinsEngine(query, catalog)
+        kept = {
+            "stems": (stems.run()["q0"].tuples, stems.eddy_of("q0").outputs),
+            "eddy-joins": (joins.run().tuples, joins.eddy.outputs),
+            "static": (run_static(query, catalog).tuples, []),
+        }
+        for engine, (tuples, outputs) in kept.items():
+            assert len(tuples) == 300, engine
+            held = [*tuples, *(record.tuple for record in outputs)]
+            assert {type(t) for t in held} == {Result}, engine
+
+    def test_a_kept_result_is_the_emitted_tuple_s_data(self):
+        """The eddy's output loop copies every ``Result`` slot of the tuple
+        it emits: the kept result holds the very same objects."""
+        engine = self._fanout_engine(distinct=12)
+        eddy = engine.eddy_of("q0")
+        emitted = []
+        eddy.on_emit = emitted.append
+        engine.run()
+        assert len(emitted) == len(eddy.output_tuples) == 300
+        for routed, kept in zip(emitted, eddy.output_tuples):
+            assert type(routed) is QTuple and type(kept) is Result
+            for slot in Result.__slots__:
+                assert getattr(kept, slot) is getattr(routed, slot), slot
 
     def test_collecting_a_result_allocates_no_per_point_tuple(self):
         """The output and partial-result series keep their times, not a

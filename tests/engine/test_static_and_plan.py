@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.tuples import QTuple, Result, install_id_allocator
 from repro.errors import ExecutionError, QueryError
 from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec, default_join_plan
 from repro.engine.static_engine import StaticEngine, choose_join_order, run_static
+from repro.joins.pipeline import execute_left_deep
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -85,6 +87,26 @@ class TestStaticEngine:
         query = parse_query(sql)
         result = run_static(query, catalog)
         assert sorted(result.identities()) == oracle_identities(query, catalog)
+
+    def test_results_are_built_from_the_composites(self, catalog):
+        """A static result is a ``Result`` made from its composite: ids,
+        identities, components and build timestamps equal what a full
+        ``QTuple`` per composite gives."""
+        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
+        engine = StaticEngine(query, catalog)
+        result = engine.run()
+        install_id_allocator()
+        reference = [
+            QTuple(dict(composite))
+            for composite in execute_left_deep(query, catalog, order=engine.order)
+        ]
+        assert result.row_count == len(reference) > 0
+        assert all(type(t) is Result for t in result.tuples)
+
+        def view(t):
+            return (t.tuple_id, t.identity(), t.components, t.build_timestamps)
+
+        assert list(map(view, result.tuples)) == list(map(view, reference))
 
     def test_join_kind_is_not_an_option(self, catalog):
         sql = "SELECT * FROM R, T WHERE R.key = T.key"

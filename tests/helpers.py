@@ -12,7 +12,7 @@ import random
 from typing import Sequence
 
 from repro.bench.workloads import MultiQueryWorkload
-from repro.core.tuples import QTuple, singleton_maker
+from repro.core.tuples import QTuple, Result, singleton_maker
 from repro.engine.multi import QueryAdmission
 from repro.engine.results import ExecutionResult, Series
 from repro.query.expressions import ColumnRef
@@ -28,6 +28,9 @@ from repro.storage.table import Table
 # ---------------------------------------------------------------------------
 # Tuples and predicates
 # ---------------------------------------------------------------------------
+
+#: Every slot of a ``QTuple``: its ``Result`` slots, then its TupleState.
+QTUPLE_SLOTS = (*Result.__slots__, *QTuple.__slots__)
 
 
 def equi_join(left: str, right: str, priority: float = 0.0) -> Comparison:

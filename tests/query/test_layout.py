@@ -184,6 +184,9 @@ class TestEngineThreading:
         assert isinstance(layout, PlanLayout)
         assert engine.eddy_of("q0").layout is layout
         assert engine.eddy_of("q0").resolver.layout is layout
+        emitted = []
+        engine.eddy_of("q0").on_emit = emitted.append
         result = engine.run()["q0"]
         # Every output tuple runs on the engine's layout, not the fallback.
-        assert all(t.layout is layout for t in result.tuples)
+        assert len(emitted) == result.row_count > 0
+        assert all(t.layout is layout for t in emitted)

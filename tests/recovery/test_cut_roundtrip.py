@@ -28,6 +28,7 @@ from repro.recovery.codec import decode_item, encode_item
 from repro.recovery.snapshot import SnapshotStore
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import QTUPLE_SLOTS
 
 from test_crash_recovery import SWEPT_WORKLOADS, _dry_run
 from test_roundtrip_properties import equivalent, scalars
@@ -87,7 +88,7 @@ def differing_slots(a: QTuple, b: QTuple) -> list[str]:
     # equality is value equality, under which a NaN value differs from itself.
     differing = [
         slot
-        for slot in QTuple.__slots__
+        for slot in QTUPLE_SLOTS
         if slot not in ("tuple_id", "_head", "_row", "_signature")
         and not equivalent(_plain(getattr(a, slot)), _plain(getattr(b, slot)))
     ]
