@@ -55,6 +55,7 @@ from repro.query.parser import parse_query
 from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import recompute_aggregate
 
 ARTIFACT = "BENCH_aggregates.json"
 
@@ -129,7 +130,7 @@ def recompute_pass(rows):
             operations += len(window)
             outputs.append(
                 encoded(
-                    AggregateState.recompute(QUERY.group_by, QUERY.aggregates, window)
+                    recompute_aggregate(QUERY.group_by, QUERY.aggregates, window)
                 )
             )
     return outputs, operations

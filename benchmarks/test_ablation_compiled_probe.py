@@ -43,7 +43,7 @@ from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.interpreted_probe import interpreted_probe
-from tests.helpers import equi_join, singleton_tuple
+from tests.helpers import equi_join, layout_over, singleton_tuple
 
 ARTIFACT = "BENCH_probe.json"
 
@@ -67,6 +67,7 @@ def build_probe_situation():
         # Distinct (x, y) pairs: every bucket keeps ROWS_PER_KEY rows.
         stem.build(Row("S", S_SCHEMA, (position % DISTINCT_KEYS, position)), timestamp)
     predicates = [equi_join("R.a", "S.x"), Comparison("R.b", "<", "S.y")]
+    layout = layout_over("R", "S")
     probes = []
     for position in range(PROBES):
         # The residual inequality keeps ~2 of the ROWS_PER_KEY candidates,
@@ -74,6 +75,7 @@ def build_probe_situation():
         probe = singleton_tuple(
             "R",
             Row("R", R_SCHEMA, (position, position % DISTINCT_KEYS, total - 8)),
+            layout=layout,
         )
         probe.mark_built("R", timestamp + position + 1.0)
         probes.append(probe)

@@ -35,13 +35,8 @@ from collections import Counter
 from conftest import emit_artifact
 from repro.bench.workloads import staggered_fleet_workload
 from repro.engine.multi import MultiQueryEngine, run_multi
-from repro.recovery import (
-    CheckpointManager,
-    InjectedCrash,
-    recover_state,
-    restore_engine,
-)
-from repro.recovery.harness import result_identity_counts, run_reference
+from repro.recovery import CheckpointManager, recover_state, restore_engine
+from tests.reference.crash_oracle import InjectedCrash, result_identity_counts, run_reference
 
 ARTIFACT = "BENCH_recovery.json"
 
@@ -251,7 +246,7 @@ def test_recovery_resumes_from_the_cut_and_exact(benchmark, tmp_path_factory):
     # Durably-acked results as of the crash (the recovered high-water marks).
     acked_state = recover_state(directory)
     pre = {
-        query_id: Counter(acked_state.emitted_counts(query_id))
+        query_id: Counter(acked_state.emitted[query_id])
         for query_id in acked_state.emitted
     }
     assert acked_state.cut_time == 15.0  # the last tick before the crash

@@ -127,6 +127,10 @@ def _workload(args: argparse.Namespace):
     )
 
 
+#: The SteM bound ``--eviction`` applies when ``--window`` is not given.
+DEFAULT_WINDOW = 200
+
+
 def _stem_bound(args: argparse.Namespace) -> dict:
     """The SteM bound ``--eviction/--window`` name, as engine keywords."""
     return {
@@ -323,9 +327,10 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eviction", default=None,
                         choices=["count", "time-window", "reference-window"],
                         help="bound every SteM's state with this eviction policy")
-    parser.add_argument("--window", type=int, default=200,
+    parser.add_argument("--window", type=int, default=None,
                         help="eviction bound (rows for count/reference-window, "
-                             "build-timestamp ticks for time-window)")
+                             "build-timestamp ticks for time-window; needs "
+                             f"--eviction; default {DEFAULT_WINDOW})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("multi", "recover"):
+        if args.eviction is None and args.window is not None:
+            parser.error("--window bounds an eviction policy: pass --eviction too")
+        if args.window is None:
+            args.window = DEFAULT_WINDOW
     if args.command == "figure7":
         _print_figure7(batch_size=args.batch_size)
     elif args.command == "figure8":

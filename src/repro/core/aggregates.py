@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, Literal
@@ -482,19 +482,6 @@ class AggregateState:
                     values.append(state.value())
             rows.append(tuple(values))
         return rows
-
-    @classmethod
-    def recompute(
-        cls,
-        group_by: Sequence[ColumnRef],
-        aggregates: Sequence[AggregateSpec],
-        rows: Iterable[Row],
-    ) -> list[tuple]:
-        """Reference: aggregate ``rows`` from scratch (no retractions)."""
-        state = cls(group_by, aggregates)
-        for row in rows:
-            state.insert(row)
-        return state.result_rows()
 
 
 # -- the module wired onto a SteM --------------------------------------------------

@@ -186,10 +186,6 @@ class ConstraintChecker:
         """All legal destinations for the tuple, required ones first."""
         if tuple_.failed:
             return []
-        if tuple_.layout is not self.layout:
-            # Tuples created outside any engine arrive encoded over the
-            # fallback alias space; translate them once.
-            tuple_.bind_layout(self.layout)
         build = self._build_destination(tuple_)
         if build is not None:
             # BuildFirst: nothing else is legal until the tuple has built.
@@ -270,8 +266,6 @@ class ConstraintChecker:
         """True if the tuple spans all aliases and passed every predicate."""
         if tuple_.failed:
             return False
-        if tuple_.layout is not self.layout:
-            tuple_.bind_layout(self.layout)
         if self._aggregate_build_mask & ~tuple_.built_mask:
             # Aggregate queries: the build feeds the AggregateModule's
             # listeners, so it must happen before the tuple may leave.

@@ -113,6 +113,8 @@ class Eddy:
             ``route_cost`` per *decision* (per group) instead of per tuple —
             the amortisation that makes routing overhead sublinear in the
             tuple rate under heavy traffic.
+        layout: the query's compiled :class:`~repro.query.layout.PlanLayout`
+            (required, keyword-only).
     """
 
     def __init__(
@@ -127,7 +129,8 @@ class Eddy:
         batch_size: int = 1,
         query_id: str = "",
         timestamp_source: Iterator[int] | None = None,
-        layout: "PlanLayout | None" = None,
+        *,
+        layout: PlanLayout,
     ):
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
@@ -140,12 +143,10 @@ class Eddy:
         self.trace = trace
         self.batch_size = batch_size
         #: The query's compiled :class:`~repro.query.layout.PlanLayout`.
-        #: Engines assign it right after instantiation; every tuple entering
-        #: the dataflow is bound to it so its TupleState masks, the
-        #: constraint checker's bitwise rules, and the destination-signature
-        #: cache all speak the same integer domain.  None only for bare
-        #: eddies built in unit tests (tuples then keep the fallback space).
-        self.layout: PlanLayout | None = layout
+        #: Access modules stamp it on every tuple they create, so TupleState
+        #: masks, the constraint checker's bitwise rules and the route-plan
+        #: cache all speak one integer domain.
+        self.layout = layout
         #: Identifier of the query this eddy executes.  Empty for single-
         #: query engines; the multi-query engine names each eddy after its
         #: admission and every tuple entering the dataflow is stamped with it.
@@ -333,17 +334,12 @@ class Eddy:
         # in choose(), production here, and the difference is the
         # selectivity signal (lottery's ticket escrow).
         policy = None if source is None else self.policy
-        layout, query_id, preferences = self.layout, self.query_id, self.preferences
+        query_id, preferences = self.query_id, self.preferences
         ready, armed = self._ready, self._routing_scheduled
         for item in items:
             if policy is not None:
                 policy.on_producer_output(source, item, self)
             if isinstance(item, QTuple):
-                if layout is not None and item.layout is not layout:
-                    # First entry of a tuple created before the layout was
-                    # known (or against the fallback space): re-encode its
-                    # masks over this query's compiled layout.
-                    item.bind_layout(layout)
                 if query_id and not item.query_id:
                     item.query_id = query_id
                 for preference in preferences:

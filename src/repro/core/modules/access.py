@@ -97,9 +97,7 @@ class ScanAMModule(Module):
         ``cursor`` — the arithmetic is seeded, so a restored scan gets the
         very instants and order the original had."""
         assert self.runtime is not None
-        self._make_singleton = singleton_maker(
-            self.alias, self.name, getattr(self.runtime, "layout", None)
-        )
+        self._make_singleton = singleton_maker(self.alias, self.name, self.runtime.layout)
         rate = max(self.spec.rate, 1e-9)
         outages = (
             AvailabilityModel.from_pairs(self.spec.stalls)
@@ -165,9 +163,8 @@ class ScanAMModule(Module):
         (cancellation of a popped event is a no-op).
         """
         assert self.runtime is not None
-        cancel = getattr(self.runtime, "cancel", None)
-        if cancel is not None and self._armed is not None:
-            cancel(self._armed)
+        if self._armed is not None:
+            self.runtime.cancel(self._armed)
             self._stream = []  # cancelled: none of it will fire any more
         # Rows this scan will now never deliver (the EOT event is not a row).
         self.stats["cancelled"] += max(0, self.total - self.delivered)
@@ -192,11 +189,9 @@ class ScanAMModule(Module):
         assert self.runtime is not None
         self.finished = True
         self._stream = []
-        notice = getattr(self.runtime, "notice_liveness_change", None)
-        if notice is not None:
-            # The scan finishing is a liveness change: destination caches
-            # keyed on routing signatures must be invalidated.
-            notice()
+        # The scan finishing is a liveness change: destination caches
+        # keyed on routing signatures must be invalidated.
+        self.runtime.notice_liveness_change()
         eot = EOTTuple(table=self.table.name, alias=self.alias, am_name=self.name)
         self.runtime.to_eddy(eot, source=self)
 
@@ -204,13 +199,6 @@ class ScanAMModule(Module):
         """Scans only accept seed probes; anything routed here bounces back."""
         self.stats["seed_probes"] += 1
         return [item]
-
-    @property
-    def progress(self) -> float:
-        """Fraction of the table delivered so far."""
-        if not self.total:
-            return 1.0
-        return self.delivered / self.total
 
     def expected_remaining_time(self) -> float:
         """Rough estimate of the time until the scan completes.
@@ -406,7 +394,7 @@ class IndexAMModule(Module):
 
     def _attempt_timed_out(self, key: tuple[Any, ...], attempt: int) -> None:
         assert self.runtime is not None
-        if not getattr(self.runtime, "live", True):
+        if not self.runtime.live:
             self._release(key)
             return
         self.stats["lookup_timeouts"] += 1
@@ -415,7 +403,7 @@ class IndexAMModule(Module):
     def _attempt_completed(self, key: tuple[Any, ...], attempt: int) -> None:
         if self._fault_model is not None:
             assert self.runtime is not None
-            if not getattr(self.runtime, "live", True):
+            if not self.runtime.live:
                 self._release(key)
                 return
             if self._fault_model(attempt):
@@ -463,7 +451,7 @@ class IndexAMModule(Module):
     def _complete_lookup(self, key: tuple[Any, ...]) -> None:
         assert self.runtime is not None
         self._release(key)
-        if not getattr(self.runtime, "live", True):
+        if not self.runtime.live:
             # Retired mid-lookup: the answer has no dataflow to enter.
             return
         self._completed_keys.add(key)
@@ -471,8 +459,7 @@ class IndexAMModule(Module):
         if self.spec.matches_per_probe is not None:
             matches = matches[: self.spec.matches_per_probe]
         self.stats["matches"] += len(matches)
-        layout = getattr(self.runtime, "layout", None)
-        make = singleton_maker(self.alias, self.name, layout)
+        make = singleton_maker(self.alias, self.name, self.runtime.layout)
         now = self.runtime.now
         tuples = [make(row, now) for row in matches]
         eot = EOTTuple(
@@ -522,10 +509,6 @@ class IndexAMModule(Module):
         self._start_lookups()
 
     # -- introspection ----------------------------------------------------------------
-
-    @property
-    def pending_work(self) -> int:
-        return super().pending_work + len(self._lookup_queue) + len(self._in_flight)
 
     @property
     def outstanding_lookups(self) -> int:

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from typing import Protocol, Sequence, Union
 
 from repro.core.tuples import EOTTuple, QTuple
+from repro.query.layout import PlanLayout
 from repro.sim.queues import BoundedQueue
 
 #: Anything that can be routed to a module.
@@ -26,26 +27,26 @@ Routable = Union[QTuple, EOTTuple]
 
 
 class EddyRuntime(Protocol):
-    """The interface modules use to talk back to the engine/eddy."""
+    """The runtime a module is attached to: its query's
+    :class:`~repro.core.eddy.Eddy`.  Modules call every member directly."""
 
     @property
     def now(self) -> float:
         """Current virtual time."""
 
     @property
-    def layout(self):
-        """The query's compiled :class:`~repro.query.layout.PlanLayout`
-        (or None on bare runtimes).  Access modules stamp it onto the
-        singleton tuples they create so TupleState masks are encoded over
-        the right alias space from birth.  Modules read it defensively
-        (``getattr``) — older runtimes may not provide it."""
+    def layout(self) -> PlanLayout:
+        """The query's compiled :class:`~repro.query.layout.PlanLayout`.
+        Access modules stamp it onto the singleton tuples they create, so
+        TupleState masks are encoded over the query's aliases from birth."""
+
+    @property
+    def live(self) -> bool:
+        """False once the query was retired: in-flight work is dropped."""
 
     def schedule(self, delay: float, callback, label: str = ""):
-        """Schedule a callback on the engine's simulator.
-
-        Returns an event handle where the runtime supports cancellation
-        (see :class:`~repro.core.eddy.Eddy.cancel`); bare test runtimes may
-        return None, so modules treat the handle as opaque and optional."""
+        """Schedule a callback on the engine's simulator; returns the
+        event handle :meth:`cancel` takes."""
 
     def reserve(self, delays, base: float | None = None) -> list:
         """Reserve, in order, the ``(time, sequence)`` slots that
@@ -53,8 +54,11 @@ class EddyRuntime(Protocol):
         occupy (see :meth:`~repro.sim.simulator.Simulator.reserve`)."""
 
     def schedule_reserved(self, slot, callback, label: str = ""):
-        """Schedule a callback in a slot from :meth:`reserve`; the handle
-        is as optional as :meth:`schedule`'s."""
+        """Schedule a callback in a slot from :meth:`reserve`; returns the
+        event handle."""
+
+    def cancel(self, event) -> None:
+        """Cancel a scheduled event (a no-op once it has fired)."""
 
     def to_eddy(self, item: Routable, source: "Module") -> None:
         """Deliver a tuple back into the eddy's dataflow."""
@@ -73,14 +77,16 @@ class EddyRuntime(Protocol):
 
     def notice_liveness_change(self) -> None:
         """Tell the eddy that module liveness changed (scan finished, SteM
-        sealed): destination-signature caches must be invalidated.  Modules
-        invoke this defensively (older runtimes may not implement it)."""
+        sealed): destination-signature caches must be invalidated."""
 
     def note_absorbed(self, tuple_: QTuple) -> None:
         """Tell the eddy a tuple was absorbed by a module (left the dataflow
         without returning to routing, e.g. a duplicate build), so traces and
-        policy feedback account for the departure.  Modules invoke this
-        defensively (older runtimes may not implement it)."""
+        policy feedback account for the departure."""
+
+    def quarantine_tuple(self, tuple_: QTuple, module: str, error: Exception) -> None:
+        """Trap a tuple whose predicate or extractor raised in ``module``
+        out of the dataflow (see :class:`~repro.core.eddy.QuarantineRecord`)."""
 
 
 class Module(ABC):
@@ -138,11 +144,6 @@ class Module(ABC):
             self._maybe_start()
         return True
 
-    @property
-    def pending_work(self) -> int:
-        """Items queued or in service (used for termination detection)."""
-        return len(self.queue) + (1 if self.busy else 0)
-
     def _maybe_start(self) -> None:
         runtime = self.runtime
         if self.busy or not self.queue.items or runtime is None:
@@ -158,7 +159,7 @@ class Module(ABC):
         assert runtime is not None
         item, self._in_service = self._in_service, None
         self.busy = False
-        if not getattr(runtime, "live", True):
+        if not runtime.live:
             # The query was retired while this item was in service: do not
             # process it — a retired query's builds must not keep mutating
             # SteM state other queries may share.

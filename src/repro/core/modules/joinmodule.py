@@ -56,10 +56,7 @@ def _merge_tuples(
         layout=left.layout,
     )
     result.done_mask = done_mask | done_mask_of(pending)
-    if left.layout is right.layout:
-        result.built_mask = left.built_mask | right.built_mask
-    else:
-        result.built_mask = left.layout.mask_of(left.built | right.built)
+    result.built_mask = left.built_mask | right.built_mask
     return result
 
 

@@ -41,12 +41,8 @@ class SelectionModule(Module):
         except Exception as error:
             # Poison row: a raising user predicate must not wedge the eddy.
             # The runtime traps the tuple into its quarantine (traced, with
-            # policy feedback); without a quarantine hook (bare unit-test
-            # harnesses) the error propagates as before.
-            trap = getattr(self.runtime, "quarantine_tuple", None)
-            if trap is None:
-                raise
-            trap(item, self.name, error)
+            # policy feedback).
+            self.runtime.quarantine_tuple(item, self.name, error)
             # A quarantined tuple never passes this predicate: score it as a
             # drop so selectivity estimates (and the routing policies fed by
             # them) see a mostly-poisonous predicate as unselective instead

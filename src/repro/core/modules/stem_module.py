@@ -56,11 +56,6 @@ class SteMModule(Module):
         self.predicates = tuple(predicates)
         self.build_cost = build_cost
         self.probe_cost = probe_cost
-        #: Module-local fallback plan cache (see :meth:`probe_plan_for`):
-        #: engine tuples cache their plans on their query's PlanLayout; only
-        #: tuples on the process-wide fallback alias space land here.
-        self._probe_plans: dict[tuple, ProbePlan] = {}
-        self._plans_layout = None
         self.stats.update({"builds": 0, "probes": 0, "results": 0, "duplicates": 0})
         #: Per-probe-signature (spanned_mask, done_mask) → [probes, results].
         #: Probes from different tuple states can have wildly different
@@ -127,28 +122,18 @@ class SteMModule(Module):
             # SteM BounceBack constraint: duplicates are NOT bounced back;
             # the redundant work of a competing AM ends here.
             self.stats["duplicates"] += 1
-            self._note_absorbed(item)
+            self.runtime.note_absorbed(item)
             return []
         item.mark_built(alias, outcome.timestamp)
         return [item]
-
-    def _note_absorbed(self, item: QTuple) -> None:
-        """Report a tuple ending at this SteM so its departure is accounted."""
-        note = getattr(self.runtime, "note_absorbed", None)
-        if note is not None:
-            note(item)
 
     def _trap_poison(self, item: QTuple, error: Exception) -> None:
         """Quarantine a tuple whose predicate/extractor raised mid-service.
 
         Wiring errors (:class:`ExecutionError`) are never trapped — they are
-        engine bugs, not poison data — and without a quarantine-capable
-        runtime (bare unit-test harnesses) the error propagates unchanged.
+        engine bugs, not poison data.
         """
-        trap = getattr(self.runtime, "quarantine_tuple", None)
-        if trap is None:
-            raise error
-        trap(item, self.name, error)
+        self.runtime.quarantine_tuple(item, self.name, error)
 
     # -- probes -------------------------------------------------------------------
 
@@ -224,15 +209,8 @@ class SteMModule(Module):
         dictionary hit instead of re-deriving bindings per tuple — and the
         cache lives with the query layout whose bit assignment the masks
         are encoded over, so queries sharing this SteM never mix plans.
-        Tuples on the fallback alias space (bare unit-test setups) use a
-        module-local cache instead, dropped whenever the space changes.
         """
-        cache = getattr(item.layout, "probe_plans", None)
-        if cache is None:
-            if item.layout is not self._plans_layout:
-                self._probe_plans.clear()
-                self._plans_layout = item.layout
-            cache = self._probe_plans
+        cache = item.layout.probe_plans
         key = (self.name, item.spanned_mask, item.done_mask)
         plan = cache.get(key)
         if plan is None:
@@ -249,18 +227,14 @@ class SteMModule(Module):
 
     def _notice_seal(self) -> None:
         """Report the SteM sealing as a liveness change to the runtime(s)."""
-        notice = getattr(self.runtime, "notice_liveness_change", None)
-        if notice is not None:
-            notice()
+        self.runtime.notice_liveness_change()
 
     def detach(self) -> None:
         """Sever this module's hold on shared state (query retirement).
 
-        The base module only owns its fallback plan cache; the shared
-        wrapper additionally unhooks itself from the SteM's evict listeners.
+        A private SteM module holds none; the shared wrapper unhooks itself
+        from the SteM's evict listeners.
         """
-        self._probe_plans.clear()
-        self._plans_layout = None
 
     def cut(self) -> dict:
         """A private SteM (a self-join alias) belongs to its query's cut: the
@@ -336,7 +310,7 @@ class SharedSteMModule(SteMModule):
         stem: SteM,
         alias: str,
         predicates: Sequence[Predicate],
-        registry=None,
+        registry,
         build_cost: float = 1e-4,
         probe_cost: float = 2e-4,
     ):
@@ -363,7 +337,6 @@ class SharedSteMModule(SteMModule):
 
     def detach(self) -> None:
         """Retirement teardown: leave no trace of this query on the SteM."""
-        super().detach()
         self.stem.remove_evict_listener(self._evict_callback)
         self._carried.clear()
 
@@ -403,7 +376,7 @@ class SharedSteMModule(SteMModule):
             # This query already carried the row through its dataflow: a
             # competing-AM duplicate, ended here (SteM BounceBack).
             self.stats["duplicates"] += 1
-            self._note_absorbed(item)
+            self.runtime.note_absorbed(item)
             return []
         self._carried.add(row)
         if outcome.duplicate:
@@ -424,7 +397,4 @@ class SharedSteMModule(SteMModule):
 
     def _notice_seal(self) -> None:
         """A shared SteM sealing is a liveness change for *every* query."""
-        if self.registry is not None:
-            self.registry.broadcast_liveness_change()
-        else:
-            super()._notice_seal()
+        self.registry.broadcast_liveness_change()

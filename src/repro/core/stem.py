@@ -154,27 +154,32 @@ def make_eviction_policy(
 
     ``None`` with a ``max_size`` keeps the historical behaviour: a
     count-bounded FIFO window.  ``None`` without a bound means no eviction.
+    A bound the named policy does not read (a ``window`` without
+    ``"time-window"``, a ``max_size`` with it) raises
+    :class:`~repro.errors.ExecutionError` instead of being dropped.
     """
     if isinstance(kind, EvictionPolicy):
         return kind
-    if kind is None:
-        return CountEviction(max_size) if max_size is not None else None
-    if kind == "count":
-        if max_size is None:
-            raise ExecutionError("count eviction needs max_size")
-        return CountEviction(max_size)
+    if kind not in (None, "count", "time-window", "reference-window"):
+        raise ExecutionError(
+            f"unknown eviction policy {kind!r} "
+            "(expected 'count', 'time-window' or 'reference-window')"
+        )
     if kind == "time-window":
         if window is None:
             raise ExecutionError("time-window eviction needs window")
+        if max_size is not None:
+            raise ExecutionError("time-window eviction is bounded by window, not max_size")
         return TimeWindowEviction(window)
+    if window is not None:
+        raise ExecutionError(f"window bounds time-window eviction only, not {kind!r}")
+    if max_size is None:
+        if kind is None:
+            return None
+        raise ExecutionError(f"{kind} eviction needs max_size")
     if kind == "reference-window":
-        if max_size is None:
-            raise ExecutionError("reference-window eviction needs max_size")
         return ReferenceWindowEviction(max_size)
-    raise ExecutionError(
-        f"unknown eviction policy {kind!r} "
-        "(expected 'count', 'time-window' or 'reference-window')"
-    )
+    return CountEviction(max_size)
 
 
 #: The bucket a probe iterates when its key is in no bucket (read-only).
@@ -274,10 +279,9 @@ class SteM:
         # EOT state: per-AM scan completion, and per-key coverage.
         self._scan_complete: set[str] = set()
         self._eot_keys: dict[tuple[str, ...], set[tuple[Any, ...]]] = {}
-        #: Smallest/largest build timestamp stored, maintained incrementally
-        #: on build; an eviction that removes an extreme marks them stale and
+        #: Largest build timestamp stored, maintained incrementally on
+        #: build; an eviction that removes the newest row marks it stale and
         #: the next property read recomputes (the only remaining O(n) case).
-        self._min_timestamp: float | None = None
         self._max_timestamp: float | None = None
         self._timestamps_stale = False
         #: Schema of the stored rows (every row of one base table carries
@@ -409,8 +413,6 @@ class SteM:
         values = row.values
         for position, buckets in self._index_slots:
             buckets.setdefault(values[position], {})[row] = timestamp
-        if self._min_timestamp is None or timestamp < self._min_timestamp:
-            self._min_timestamp = timestamp
         if self._max_timestamp is None or timestamp > self._max_timestamp:
             self._max_timestamp = timestamp
         if self.eviction is not None:
@@ -730,10 +732,10 @@ class SteM:
             if not bucket:
                 del buckets[values[position]]
         if not self._rows:
-            self._min_timestamp = self._max_timestamp = None
+            self._max_timestamp = None
             self._timestamps_stale = False
-        elif timestamp == self._min_timestamp or timestamp == self._max_timestamp:
-            # An extreme left: recompute lazily on the next property read.
+        elif timestamp == self._max_timestamp:
+            # The newest row left: recompute lazily on the next property read.
             self._timestamps_stale = True
         self.stats["evictions"] += 1
         # Coverage may no longer hold once data has been dropped.
@@ -799,30 +801,16 @@ class SteM:
         """Schema of the stored rows (None until the first build)."""
         return self._row_schema
 
-    def _refresh_timestamps(self) -> None:
-        values = self._rows.values()
-        self._min_timestamp = min(values)
-        self._max_timestamp = max(values)
-        self._timestamps_stale = False
-
-    @property
-    def min_timestamp(self) -> float | None:
-        """Smallest build timestamp stored (enables the Grace-join shortcut
-        of section 3.1: probes older than this cannot produce results).
-
-        Maintained incrementally on build — O(1) per call; an eviction that
-        removed an extreme triggers one O(n) recompute on the next read.
-        """
-        if self._timestamps_stale:
-            self._refresh_timestamps()
-        return self._min_timestamp
-
     @property
     def max_timestamp(self) -> float | None:
-        """Largest build timestamp stored (incremental, like
-        :attr:`min_timestamp`)."""
+        """Largest build timestamp stored.
+
+        Maintained incrementally on build — O(1) per call; an eviction that
+        removed the newest row triggers one O(n) recompute on the next read.
+        """
         if self._timestamps_stale:
-            self._refresh_timestamps()
+            self._max_timestamp = max(self._rows.values())
+            self._timestamps_stale = False
         return self._max_timestamp
 
     def __repr__(self) -> str:

@@ -96,8 +96,7 @@ class SteMRegistry:
         max_size: optional per-SteM row bound; with the default ``eviction``
             of None this selects count-bounded FIFO eviction (the historical
             CACQ/PSoUP sliding-window hook).
-        eviction: default eviction-policy name applied to every table that
-            has no :meth:`configure_table` override.
+        eviction: eviction-policy name applied to every table's SteM.
         window: build-timestamp window width for ``eviction="time-window"``.
     """
 
@@ -108,8 +107,7 @@ class SteMRegistry:
         window: float | None = None,
     ):
         self.max_size = max_size
-        self._default_eviction = EvictionConfig(eviction, max_size, window)
-        self._eviction_overrides: dict[str, EvictionConfig] = {}
+        self._eviction = EvictionConfig(eviction, max_size, window)
         self._stems: dict[str, SteM] = {}
         self._runtimes: list = []
         #: Reference counts, maintained only for owner-attributed
@@ -135,31 +133,6 @@ class SteMRegistry:
             "indexes_dropped": 0,
         }
 
-    # -- eviction configuration ---------------------------------------------------
-
-    def configure_table(
-        self,
-        table: str,
-        eviction: str | None = None,
-        max_size: int | None = None,
-        window: float | None = None,
-    ) -> None:
-        """Set one table's eviction policy (overriding the registry default).
-
-        Takes effect when the table's SteM is (re)created; an already-live
-        SteM swaps its policy immediately, applying the new bound on the
-        next build.
-        """
-        config = EvictionConfig(eviction, max_size, window)
-        self._eviction_overrides[table] = config
-        stem = self._stems.get(table)
-        if stem is not None:
-            stem.set_eviction(config.build_policy())
-
-    def eviction_config(self, table: str) -> EvictionConfig:
-        """The eviction configuration a table's SteM is created with."""
-        return self._eviction_overrides.get(table, self._default_eviction)
-
     # -- SteM management --------------------------------------------------------
 
     def stem_for(
@@ -179,7 +152,7 @@ class SteMRegistry:
         acquisitions pin the SteM forever (the pre-churn behaviour).
         """
         columns = tuple(join_columns)
-        config = self.eviction_config(table)
+        config = self._eviction
         stem = self._stems.get(table)
         if stem is None:
             stem = SteM(
@@ -264,10 +237,6 @@ class SteMRegistry:
                     stem.remove_alias(name)
         return reclaimed
 
-    def refcount(self, table: str) -> int:
-        """Owner-attributed references currently held on a table's SteM."""
-        return self._table_refs.get(table, 0)
-
     @property
     def owners(self) -> tuple[str, ...]:
         """Owners (query ids) currently holding references."""
@@ -307,9 +276,7 @@ class SteMRegistry:
         """
         self.stats["broadcasts"] += 1
         for runtime in self._runtimes:
-            notice = getattr(runtime, "notice_liveness_change", None)
-            if notice is not None:
-                notice()
+            runtime.notice_liveness_change()
 
     def __repr__(self) -> str:
         return f"SteMRegistry(tables={sorted(self._stems)})"

@@ -39,12 +39,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ExecutionError
-from repro.query.layout import (
-    FALLBACK_ALIAS_SPACE,
-    AliasSpace,
-    bit_positions,
-    done_mask_of,
-)
+from repro.query.layout import PlanLayout, bit_positions, done_mask_of
 from repro.query.predicates import Predicate
 from repro.storage.row import Row
 
@@ -278,11 +273,9 @@ class QTuple(Result):
             component — used for provenance and competitive-AM statistics.
         priority: user-interest priority inherited from prioritised
             predicates (paper section 4.1).
-        layout: the :class:`~repro.query.layout.AliasSpace` the tuple's
-            alias masks are encoded over.  Engines pass their query's
-            compiled :class:`~repro.query.layout.PlanLayout`; tuples created
-            outside any engine share the process-wide fallback space and are
-            re-encoded on first entry into an eddy (:meth:`bind_layout`).
+        layout: the query's compiled :class:`~repro.query.layout.PlanLayout`,
+            which the tuple's alias masks are encoded over for its whole life
+            (required, keyword-only).
     """
 
     __slots__ = (
@@ -311,11 +304,12 @@ class QTuple(Result):
         priority: float = 0.0,
         created_at: float = 0.0,
         query_id: str = "",
-        layout: AliasSpace | None = None,
+        *,
+        layout: PlanLayout,
     ):
         super().__init__(components, timestamps, priority, query_id)
-        #: Alias space the masks below are encoded over.
-        self.layout: AliasSpace = layout if layout is not None else FALLBACK_ALIAS_SPACE
+        #: The query layout the masks below are encoded over.
+        self.layout: PlanLayout = layout
         #: Bit per spanned alias (paper definition 1).
         self.spanned_mask: int = self.layout.mask_of(self._aliases)
         #: The done bits: bit ``predicate_id`` set once verified (§2.1).
@@ -350,29 +344,6 @@ class QTuple(Result):
         self.failed = False
         #: Memoized routing signature; every state mutation clears it.
         self._signature: tuple | None = None
-
-    # -- layout binding ----------------------------------------------------------
-
-    def bind_layout(self, layout: AliasSpace) -> None:
-        """Re-encode the alias masks over another alias space.
-
-        The eddy binds every tuple entering its dataflow to its query's
-        compiled :class:`~repro.query.layout.PlanLayout`; a tuple created
-        against the fallback space has its masks translated.  A no-op when
-        the tuple is already bound to ``layout``.
-        """
-        old = self.layout
-        if layout is old:
-            return
-        self.layout = layout
-        self.spanned_mask = layout.mask_of(self._aliases)
-        if self.built_mask:
-            self.built_mask = layout.mask_of(old.aliases_of_mask(self.built_mask))
-        if self.resolved_mask:
-            self.resolved_mask = layout.mask_of(old.aliases_of_mask(self.resolved_mask))
-        if self.exhausted_mask:
-            self.exhausted_mask = layout.mask_of(old.aliases_of_mask(self.exhausted_mask))
-        self._signature = None
 
     # -- routing signature -------------------------------------------------------
 
@@ -662,7 +633,7 @@ class EOTTuple:
         return f"EOT({self.alias}: {bindings})"
 
 
-def singleton_maker(alias: str, source: str = "", layout: AliasSpace | None = None):
+def singleton_maker(alias: str, source: str, layout: PlanLayout):
     """The delivery template of one access method: ``make(row, created_at)``.
 
     Every row an access method delivers becomes a singleton on the same
@@ -671,8 +642,6 @@ def singleton_maker(alias: str, source: str = "", layout: AliasSpace | None = No
     what ``QTuple({alias: row}, source=..., created_at=..., layout=...)``
     gives, and allocates the tuple id first.
     """
-    if layout is None:
-        layout = FALLBACK_ALIAS_SPACE
     spanned_mask = layout.bit_of(alias)
     aliases = (alias,)
     new = object.__new__

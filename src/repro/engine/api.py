@@ -1,4 +1,9 @@
-"""The public one-call API: :func:`execute` and :func:`recover_multi`."""
+"""The public one-call API: :func:`execute` runs one query on any engine.
+
+Multi-query runs go through :func:`~repro.engine.multi.run_multi`; a durable
+run is recovered with :func:`~repro.recovery.recover_state` and
+:func:`~repro.recovery.restore_engine` (the CLI's ``recover --run``).
+"""
 
 from __future__ import annotations
 
@@ -125,43 +130,3 @@ def execute(
         return run_static(parsed, catalog)
     raise ExecutionError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
-
-def recover_multi(
-    checkpoint_dir: str,
-    catalog: Catalog,
-    churn_events: Sequence = (),
-    until: float | None = None,
-    **engine_kwargs,
-):
-    """Recover a durable multi-query run from its checkpoint directory.
-
-    Loads the latest valid snapshot — a consistent cut of the run — plus
-    the WAL tail written after it by a run that used ``checkpoint_dir``
-    (see the ``checkpoint_dir`` option of
-    :func:`repro.engine.multi.run_multi`), rebuilds the engine standing at
-    the cut, and runs it to completion: the union of the results
-    acknowledged before the crash and the ones this run emits equals an
-    uninterrupted run's, each exactly once.
-
-    Args:
-        checkpoint_dir: the directory the original run checkpointed into.
-        catalog: the catalog the original run executed against (the base
-            tables are re-streamed; they are not part of the checkpoint).
-        churn_events: the original churn schedule; the portion already
-            reflected in the log is skipped.
-        until: virtual-time bound for the recovered run.
-        engine_kwargs: engine configuration, which must match the original
-            run's.
-
-    Returns:
-        The recovered run's :class:`~repro.engine.results.MultiQueryResult`.
-    """
-    # Imported here: the recovery package imports the engine, so a
-    # module-level import would be circular.
-    from repro.recovery import recover_state, restore_engine
-
-    state = recover_state(checkpoint_dir)
-    restored = restore_engine(
-        state, catalog, churn_events=churn_events, **engine_kwargs
-    )
-    return restored.run(until=until)

@@ -33,8 +33,6 @@ from repro.core.modules.stem_module import SteMModule
 from repro.core.stem import SteM, make_eviction_policy
 from repro.engine.results import ExecutionResult, Series, span_series
 from repro.query.binding import validate_bindings
-from repro.query.joingraph import JoinGraph
-from repro.query.layout import PlanLayout
 from repro.query.query import Query, TableRef
 from repro.storage.catalog import Catalog, IndexSpec, ScanSpec
 
@@ -88,15 +86,13 @@ def instantiate_stems_query(
     aggregate module of a GROUP BY query; both are called with the eddy's
     query id as the owner of what they hand out.  Returns the
     :class:`ConstraintChecker` installed as the eddy's destination
-    resolver.  As a compilation step the query's
-    :class:`~repro.query.layout.PlanLayout` — the dense alias/predicate bit
-    assignment the bitmask TupleState runs on — is built here and threaded
-    through the eddy, the checker, and the trace.
+    resolver, built on the eddy's :class:`~repro.query.layout.PlanLayout`
+    (the dense alias/predicate bit assignment the bitmask TupleState runs
+    on) and its join graph.
     """
     binding_plan = validate_bindings(query, catalog)
-    join_graph = JoinGraph.from_query(query)
-    layout = PlanLayout(query, join_graph)
-    eddy.layout = layout
+    layout = eddy.layout
+    join_graph = layout.join_graph
     # SteMs: one module per alias (the factory decides whether the backing
     # SteM is private or shared).
     for ref in query.tables:

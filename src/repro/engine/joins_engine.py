@@ -113,8 +113,6 @@ class JoinPlanResolver:
         self._selection_table = self.layout.selection_entries(self.selections)
 
     def destinations(self, tuple_: QTuple) -> list[Destination]:
-        if tuple_.layout is not self.layout:
-            tuple_.bind_layout(self.layout)
         result: list[Destination] = []
         spanned = tuple_.spanned_mask
         done = tuple_.done_mask
@@ -139,8 +137,6 @@ class JoinPlanResolver:
     def ready_for_output(self, tuple_: QTuple) -> bool:
         if tuple_.failed:
             return False
-        if tuple_.layout is not self.layout:
-            tuple_.bind_layout(self.layout)
         return self.layout.is_complete(tuple_.spanned_mask, tuple_.done_mask)
 
     def route_plan(self, signature: tuple, exemplar: QTuple) -> RoutePlan:

@@ -21,7 +21,7 @@ What is shared, and what stays per query:
 * **Per query** — the eddy and its ready queue, the routing policy, the
   constraint checker and its destination-signature cache, the compiled
   :class:`~repro.query.layout.PlanLayout` (alias/predicate bit positions are
-  per query — see :meth:`MultiQueryEngine.layout_of`), selection and
+  per query: ``eddy_of(query_id).layout``), selection and
   access modules, statistics, outputs, and traces.  Every dataflow tuple is
   stamped with its query's id on entry.
 
@@ -95,7 +95,7 @@ from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.stem_module import SharedSteMModule, SteMModule
 from repro.core.policies import RoutingPolicy, make_policy
-from repro.core.stem import SteM
+from repro.core.stem import SteM, make_eviction_policy
 from repro.core.stem_registry import (
     SteMRegistry,
     merge_stem_totals,
@@ -114,6 +114,7 @@ from repro.engine.instantiate import (
     make_private_aggregate_module,
     make_private_stem_module,
 )
+from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.query import Query, TableRef
 from repro.sim.simulator import Simulator
@@ -218,10 +219,10 @@ class MultiQueryEngine:
         stem_eviction: eviction-policy name applied to every SteM — shared
             and private alike (``"count"``, ``"time-window"``,
             ``"reference-window"``; None keeps the historical behaviour:
-            count-FIFO iff ``stem_max_size`` is set).  Per-table overrides
-            for shared SteMs go through ``registry.configure_table``.
+            count-FIFO iff ``stem_max_size`` is set).
         stem_window: build-timestamp window width for
-            ``stem_eviction="time-window"``.
+            ``stem_eviction="time-window"``.  A bound the named policy does
+            not read raises :class:`~repro.errors.ExecutionError`.
         batch_size: per-eddy routing batch (see :class:`~repro.core.eddy.Eddy`).
         compiled_probes: accepted as None, True or False and ignored (there
             is one probe path); any other value raises
@@ -272,6 +273,9 @@ class MultiQueryEngine:
             raise ExecutionError(
                 f"shards={shards!r}: hash-partitioned SteMs were removed"
             )
+        # Resolve the SteM bound once up front, so a mismatched spec fails
+        # here rather than at the first SteM (or never, with no admission).
+        make_eviction_policy(stem_eviction, max_size=stem_max_size, window=stem_window)
         self.catalog = catalog
         self.costs = cost_model or CostModel()
         self.shared_stems = shared_stems
@@ -382,6 +386,7 @@ class MultiQueryEngine:
             trace=admission.trace,
             query_id=query_id,
             timestamp_source=self._timestamps,
+            layout=PlanLayout(query),
         )
         eddy.preferences = list(admission.preferences)
         instantiate_stems_query(
@@ -502,9 +507,7 @@ class MultiQueryEngine:
             stem = module.stem
             if not self._is_registry_stem(stem):
                 self._retired_stem_stats[f"{query_id}:{stem.name}"] = dict(stem.stats)
-            detach = getattr(module, "detach", None)
-            if detach is not None:
-                detach()
+            module.detach()
         aggregate = ctx.eddy.aggregate_module
         if aggregate is not None:
             shared_aggregate = self.aggregate_registry is not None and any(
@@ -522,11 +525,10 @@ class MultiQueryEngine:
         if self.aggregate_registry is not None:
             # Shared modules detach when their last owner releases.
             self.aggregate_registry.release(query_id)
-        if ctx.eddy.layout is not None:
-            # The per-layout probe-plan memo is the one cache shared SteM
-            # probes populate for this query; empty it so retired plans do
-            # not pin schemas/indexes through the snapshotted result tuples.
-            ctx.eddy.layout.probe_plans.clear()
+        # The per-layout probe-plan memo is the one cache shared SteM
+        # probes populate for this query; empty it so retired plans do
+        # not pin schemas/indexes through the snapshotted result tuples.
+        ctx.eddy.layout.probe_plans.clear()
         self._queries.remove(ctx)
         self._retired[query_id] = result
         for listener in self._retire_listeners:
@@ -603,16 +605,6 @@ class MultiQueryEngine:
                 "rows": [list(row) for row in module.result_rows()],
             }
         return snapshot
-
-    def layout_of(self, query_id: str):
-        """The compiled :class:`~repro.query.layout.PlanLayout` of one query.
-
-        Each admission compiles its own layout: alias/predicate bit
-        positions are per query, so two queries over the same tables can
-        disagree on bit assignments while sharing SteMs — only the masks'
-        *owning* query may interpret them.
-        """
-        return self.eddy_of(query_id).layout
 
     def run(self, until: float | None = None) -> MultiQueryResult:
         """Start every pending admission at its arrival time and run.

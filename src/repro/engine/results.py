@@ -63,10 +63,6 @@ class Series:
             return position
         return self.counts[position - 1] if position else 0
 
-    def sampled(self, times: Sequence[float]) -> list[tuple[float, int]]:
-        """The series sampled at the given times (for tabular reports)."""
-        return [(time, self.count_at(time)) for time in times]
-
     def __len__(self) -> int:
         return len(self.times)
 

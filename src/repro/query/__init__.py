@@ -3,7 +3,7 @@
 from repro.query.binding import BindingPlan, validate_bindings
 from repro.query.expressions import ColumnRef, Expression, Literal, as_expression
 from repro.query.joingraph import JoinEdge, JoinGraph
-from repro.query.layout import AliasSpace, DynamicAliasSpace, PlanLayout
+from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.predicates import (
     Comparison,
@@ -15,11 +15,9 @@ from repro.query.predicates import (
 from repro.query.query import Query, TableRef
 
 __all__ = [
-    "AliasSpace",
     "BindingPlan",
     "ColumnRef",
     "Comparison",
-    "DynamicAliasSpace",
     "Expression",
     "InList",
     "JoinEdge",

@@ -19,10 +19,10 @@ exhausted flags — as machine-word integers, and the
 destinations with bitwise algebra (e.g. adjacent-unspanned =
 ``adjacency_of(spanned) & ~spanned``) instead of frozenset algebra.
 
-Tuples created outside any engine (unit tests, notebooks) fall back to a
-process-wide :class:`DynamicAliasSpace` that interns aliases on first use;
-binding such a tuple to a real layout re-encodes its masks (see
-:meth:`QTuple.bind_layout`).
+A layout is the only alias space there is: every tuple is born on its
+query's layout (``QTuple(layout=...)`` and ``singleton_maker`` require one)
+and keeps it for life, so masks are never re-encoded and an alias outside
+the query raises :class:`~repro.errors.QueryError`.
 """
 
 from __future__ import annotations
@@ -56,78 +56,7 @@ def done_mask_of(predicates: Iterable[Predicate | int]) -> int:
     return mask
 
 
-class AliasSpace:
-    """A bidirectional mapping between alias names and single-bit integers.
-
-    Base class of :class:`PlanLayout` (fixed, compiled assignment) and
-    :class:`DynamicAliasSpace` (interned on first use).  Mask decoding is
-    memoized per mask value: the dataflow revisits the same handful of span
-    masks constantly, so views stay allocation-free after warm-up.
-    """
-
-    def __init__(self) -> None:
-        self._bits: dict[str, int] = {}
-        self._names: list[str] = []  # bit position -> alias name
-        self._decode_memo: dict[int, frozenset[str]] = {}
-
-    # -- encoding ---------------------------------------------------------------
-
-    def bit_of(self, alias: str) -> int:
-        """The single-bit mask assigned to an alias (see ``_missing``)."""
-        bit = self._bits.get(alias)
-        if bit is None:
-            bit = self._missing(alias)
-        return bit
-
-    def peek_bit(self, alias: str) -> int:
-        """Like :meth:`bit_of`, but 0 for unknown aliases (read-side tests)."""
-        return self._bits.get(alias, 0)
-
-    def mask_of(self, aliases: Iterable[str]) -> int:
-        """The OR of the bits of every alias given."""
-        mask = 0
-        for alias in aliases:
-            bit = self._bits.get(alias)
-            mask |= bit if bit is not None else self._missing(alias)
-        return mask
-
-    def _missing(self, alias: str) -> int:
-        raise NotImplementedError
-
-    # -- decoding ---------------------------------------------------------------
-
-    def aliases_of_mask(self, mask: int) -> frozenset[str]:
-        """The alias names encoded by ``mask`` (memoized per mask)."""
-        cached = self._decode_memo.get(mask)
-        if cached is None:
-            names = self._names
-            cached = frozenset(names[position] for position in bit_positions(mask))
-            self._decode_memo[mask] = cached
-        return cached
-
-    @property
-    def alias_bits(self) -> dict[str, int]:
-        """The alias -> bit assignment (treat as read-only)."""
-        return self._bits
-
-
-class DynamicAliasSpace(AliasSpace):
-    """An alias space that interns aliases in first-use order.
-
-    The fallback space of tuples created outside any engine.  Consistency is
-    what matters (every unbound tuple in the process shares one space, so
-    their masks are mutually comparable); the bit order is whatever the
-    process touched first.
-    """
-
-    def _missing(self, alias: str) -> int:
-        bit = 1 << len(self._names)
-        self._bits[alias] = bit
-        self._names.append(alias)
-        return bit
-
-
-class PlanLayout(AliasSpace):
+class PlanLayout:
     """The compiled integer domains of one bound query.
 
     Args:
@@ -143,16 +72,20 @@ class PlanLayout(AliasSpace):
         adjacency: per-alias join-graph neighbour mask.
         predicate_bits: predicate id -> done-bit mask (``1 << predicate_id``).
         all_predicate_mask: the done mask of a tuple that passed everything.
+
+    Mask decoding is memoized per mask value: the dataflow revisits the
+    same handful of span masks constantly, so views stay allocation-free
+    after warm-up.
     """
 
     def __init__(self, query: Query, join_graph: JoinGraph | None = None):
-        super().__init__()
         self.query = query
         self.join_graph = join_graph if join_graph is not None else JoinGraph.from_query(query)
         self.alias_order: tuple[str, ...] = query.alias_order
-        for position, alias in enumerate(self.alias_order):
-            self._bits[alias] = 1 << position
-            self._names.append(alias)
+        self._bits: dict[str, int] = {
+            alias: 1 << position for position, alias in enumerate(self.alias_order)
+        }
+        self._decode_memo: dict[int, frozenset[str]] = {}
         self.all_alias_mask: int = (1 << len(self.alias_order)) - 1
         self.adjacency: dict[str, int] = {
             alias: self.mask_of(self.join_graph.neighbors(alias))
@@ -195,11 +128,46 @@ class PlanLayout(AliasSpace):
             group_width + len(query.aggregates),
         )
 
-    def _missing(self, alias: str) -> int:
-        raise QueryError(
-            f"alias {alias!r} is not part of query {self.query.name!r} "
-            f"(layout aliases: {list(self.alias_order)})"
-        )
+    # -- encoding ---------------------------------------------------------------
+
+    def bit_of(self, alias: str) -> int:
+        """The single-bit mask assigned to an alias (QueryError if unknown)."""
+        bit = self._bits.get(alias)
+        if bit is None:
+            raise QueryError(
+                f"alias {alias!r} is not part of query {self.query.name!r} "
+                f"(layout aliases: {list(self.alias_order)})"
+            )
+        return bit
+
+    def peek_bit(self, alias: str) -> int:
+        """Like :meth:`bit_of`, but 0 for unknown aliases (read-side tests)."""
+        return self._bits.get(alias, 0)
+
+    def mask_of(self, aliases: Iterable[str]) -> int:
+        """The OR of the bits of every alias given."""
+        bits = self._bits
+        mask = 0
+        for alias in aliases:
+            bit = bits.get(alias)
+            mask |= bit if bit is not None else self.bit_of(alias)
+        return mask
+
+    # -- decoding ---------------------------------------------------------------
+
+    def aliases_of_mask(self, mask: int) -> frozenset[str]:
+        """The alias names encoded by ``mask`` (memoized per mask)."""
+        cached = self._decode_memo.get(mask)
+        if cached is None:
+            names = self.alias_order
+            cached = frozenset(names[position] for position in bit_positions(mask))
+            self._decode_memo[mask] = cached
+        return cached
+
+    @property
+    def alias_bits(self) -> dict[str, int]:
+        """The alias -> bit assignment (treat as read-only)."""
+        return self._bits
 
     # -- adjacency --------------------------------------------------------------
 
@@ -262,7 +230,3 @@ class PlanLayout(AliasSpace):
             f"PlanLayout({self.query.name!r}, aliases={list(self.alias_order)}, "
             f"predicates={len(self.predicate_bits)})"
         )
-
-
-#: The process-wide fallback space of tuples not bound to any engine layout.
-FALLBACK_ALIAS_SPACE = DynamicAliasSpace()

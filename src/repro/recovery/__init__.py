@@ -23,18 +23,18 @@ recoverable state survive a crash:
   logs acknowledgements and lifecycle in between, plus
   :func:`recover_state` / :func:`restore_engine` which rebuild an engine
   standing at the last cut and resume it, with exactly-once emission.
-* :mod:`~repro.recovery.faults` — deterministic fault injection: crashes at
-  exact event boundaries, torn snapshot writes, and seeded index-lookup
-  failure models for the graceful-degradation paths.
-* :mod:`~repro.recovery.harness` — the differential crash-recovery oracle:
-  kill a run at an arbitrary event boundary, restore from disk, and check
-  that pre-crash acknowledged results plus post-restore results equal an
-  uninterrupted run's results exactly — no duplicates, no losses.
+* :mod:`~repro.recovery.faults` — deterministic fault injection: torn
+  snapshot writes and seeded index-lookup failure models for the
+  graceful-degradation paths.
+
+The differential crash-recovery oracle that kills a run at an arbitrary
+event boundary (``CrashInjector``), restores it from disk and checks
+exactly-once results against an uninterrupted run is a test oracle:
+``tests/reference/crash_oracle.py``.
 """
 
 from repro.recovery.codec import query_to_sql
-from repro.recovery.faults import CrashInjector, InjectedCrash, lookup_fault_model
-from repro.recovery.harness import crash_recovery_oracle, run_reference
+from repro.recovery.faults import lookup_fault_model
 from repro.recovery.manager import (
     CheckpointManager,
     RecoveredState,
@@ -46,12 +46,9 @@ from repro.recovery.wal import WriteAheadLog
 
 __all__ = [
     "CheckpointManager",
-    "CrashInjector",
-    "InjectedCrash",
     "RecoveredState",
     "SnapshotStore",
     "WriteAheadLog",
-    "crash_recovery_oracle",
     "lookup_fault_model",
     "query_to_sql",
     "recover_state",

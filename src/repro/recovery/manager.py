@@ -196,10 +196,6 @@ class RecoveredState:
     torn_snapshots: int = 0
     snapshot_seq: int | None = None
 
-    def emitted_counts(self, query_id: str) -> dict[str, int]:
-        """Copy of one query's acknowledged-identity counts."""
-        return dict(self.emitted.get(query_id, {}))
-
     def total_emitted(self) -> int:
         return sum(sum(c.values()) for c in self.emitted.values())
 

@@ -90,7 +90,7 @@ class WriteAheadLog:
         path: the WAL file (created; appending to an existing incarnation's
             file is a protocol error — each restart opens a new generation).
         group_commit: when True, :meth:`log_emit` does not flush inline; it
-            sets :attr:`needs_commit` and the owner flushes once per commit
+            queues the ack and the owner flushes once per commit
             point (the engine uses a virtual-time window, so every emit in
             it shares one write).  Exactness is unaffected — "acked" is
             *defined* by what the flushed WAL holds, so a crash before the
@@ -134,11 +134,6 @@ class WriteAheadLog:
         self.appended_records += 1
         self.stats["durable_appends"] += 1
         self.flush()
-
-    @property
-    def needs_commit(self) -> bool:
-        """True when an acknowledgement awaits a group-commit flush."""
-        return bool(self._pending_emits)
 
     def log_emit(self, query_id: str, key: str) -> None:
         """Log one acknowledged result identity.

@@ -50,7 +50,7 @@ class EventQueue:
     entries outnumber live ones the heap is compacted in place, so
     long-running simulations that cancel many events (multi-query runs
     tearing down per-query timers) neither leak memory nor pay O(dead) on
-    every :meth:`peek_time`.
+    every :meth:`pop`.
     """
 
     #: Don't bother compacting heaps smaller than this; the win is noise.
@@ -111,16 +111,6 @@ class EventQueue:
             event.popped = True
             return event
         return None
-
-    def peek_time(self) -> float | None:
-        """The time of the earliest non-cancelled event, or None if empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        return heap[0][0]
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (no-op once it has fired)."""

@@ -176,12 +176,6 @@ class Simulator:
             self._running = False
         return self.now
 
-    def drain(self, callbacks: Iterable[Callable[[], None]] = ()) -> float:
-        """Schedule the given callbacks now and run the queue to exhaustion."""
-        for callback in callbacks:
-            self.schedule(0.0, callback)
-        return self.run()
-
     def __repr__(self) -> str:
         return (
             f"Simulator(now={self.now:.3f}, pending={self.pending_events}, "

@@ -30,11 +30,6 @@ class AccessMethodSpec:
     table: str
 
     @property
-    def is_scan(self) -> bool:
-        """True for scan access methods."""
-        raise NotImplementedError
-
-    @property
     def bind_columns(self) -> tuple[str, ...]:
         """Columns that must be bound to use this access method (empty for scans)."""
         raise NotImplementedError
@@ -72,10 +67,6 @@ class ScanSpec(AccessMethodSpec):
     jitter: float = 0.0
     jitter_seed: int = 0
     cost_per_row: float = 0.0
-
-    @property
-    def is_scan(self) -> bool:
-        return True
 
     @property
     def bind_columns(self) -> tuple[str, ...]:
@@ -164,10 +155,6 @@ class IndexSpec(AccessMethodSpec):
                 f"index AM {self.name!r} lookup_timeout must be > 0, "
                 f"got {self.lookup_timeout}"
             )
-
-    @property
-    def is_scan(self) -> bool:
-        return False
 
     @property
     def bind_columns(self) -> tuple[str, ...]:

@@ -123,16 +123,6 @@ class Row:
 
     # -- derivation -----------------------------------------------------------
 
-    def project(self, columns: Sequence[str]) -> "Row":
-        """A new row restricted to the named columns."""
-        projected_schema = self.schema.project(columns)
-        return Row(
-            self.table,
-            projected_schema,
-            tuple(self[c] for c in columns),
-            rid=self.rid,
-        )
-
     def replace(self, **updates: Any) -> "Row":
         """A new row with some column values replaced."""
         for column in updates:

@@ -155,23 +155,6 @@ class Schema:
         except KeyError:
             raise UnknownColumnError(name, self.names) from None
 
-    # -- transformations ------------------------------------------------------
-
-    def project(self, names: Sequence[str]) -> "Schema":
-        """A new schema consisting of the named columns, in the given order."""
-        columns = [self[name] for name in names]
-        key = tuple(k for k in self._key if k in names)
-        return Schema(columns, key=key)
-
-    def rename(self, renames: Mapping[str, str]) -> "Schema":
-        """A new schema with some columns renamed via ``{old: new}``."""
-        columns = []
-        for column in self._columns:
-            new_name = renames.get(column.name, column.name)
-            columns.append(Column(new_name, column.dtype, column.nullable))
-        key = tuple(renames.get(k, k) for k in self._key)
-        return Schema(columns, key=key)
-
     def validate_values(self, values: Sequence[Any]) -> None:
         """Raise SchemaError unless ``values`` conforms to this schema."""
         if len(values) != len(self._columns):

@@ -15,7 +15,7 @@ from repro.core.tuples import QTuple
 from repro.storage.datagen import ZipfDraw
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from tests.helpers import equi_join, make_uniform_table
+from tests.helpers import equi_join, layout_over, make_uniform_table
 
 #: Rows in the build universe (distinct join-key per row).
 UNIVERSE = 60
@@ -25,6 +25,7 @@ CAPACITY = 12
 STEPS = 600
 
 JOIN = equi_join("R.a", "S.x")
+LAYOUT = layout_over("R", "S")
 
 
 def _universe_rows():
@@ -58,7 +59,7 @@ def run_locality_trace(eviction) -> float:
         # Skewed probe traffic: hot keys dominate.  The probe path is the
         # real one, so reference-window eviction sees its on_match signal.
         key = rows[probe_draw()]["a"]
-        outcome = stem.probe(QTuple({"S": _probe_row(key)}), "R", [JOIN])
+        outcome = stem.probe(QTuple({"S": _probe_row(key)}, layout=LAYOUT), "R", [JOIN])
         probes += 1
         if outcome.results:
             hits += 1
@@ -91,7 +92,7 @@ def test_policies_agree_without_reference_locality():
             timestamp += 1.0
             stem.build(rows[build_draw()], timestamp)
             key = rows[probe_draw()]["a"]
-            if stem.probe(QTuple({"S": _probe_row(key)}), "R", [JOIN]).results:
+            if stem.probe(QTuple({"S": _probe_row(key)}, layout=LAYOUT), "R", [JOIN]).results:
                 hits += 1
         return hits / STEPS
 

@@ -25,11 +25,15 @@ from repro.engine.api import execute
 from repro.query.predicates import selection
 from repro.sim.tracing import TraceLog
 from repro.storage.datagen import make_skewed_pair, make_source_r, make_source_s
-from tests.helpers import equi_join
+from tests.helpers import FakeRuntime, equi_join, layout_over
+
+
+#: The alias space of the hand-built tuples below.
+LAYOUT = layout_over("F", "R", "S")
 
 
 def make_fact_tuple(row) -> QTuple:
-    return QTuple({"F": row})
+    return QTuple({"F": row}, layout=LAYOUT)
 
 
 class TestLotteryEscrow:
@@ -105,10 +109,10 @@ class TestRecentSelectivity:
         # 60 failing ones (fresh QTuples each time — processed tuples carry
         # done-marks).
         for _ in range(60):
-            module.process(QTuple({"F": _make_row(hot=100)}))
+            module.process(make_fact_tuple(_make_row(hot=100)))
         assert module.recent_selectivity > 0.9
         for _ in range(60):
-            module.process(QTuple({"F": _make_row(hot=0)}))
+            module.process(make_fact_tuple(_make_row(hot=0)))
         assert module.recent_selectivity < 0.15
         lifetime = module.stats["passed"] / (
             module.stats["passed"] + module.stats["dropped"]
@@ -123,34 +127,20 @@ def _make_row(hot: int):
     return table.rows[-1]
 
 
-class FakeRuntime:
-    """The minimal EddyRuntime surface SteMModule.process touches."""
-
-    def __init__(self):
-        self._timestamp = 0.0
-
-    def next_timestamp(self) -> float:
-        self._timestamp += 1.0
-        return self._timestamp
-
-    def has_scan_am(self, alias: str) -> bool:
-        return True
-
-
 class TestSignatureStats:
     def _module(self) -> SteMModule:
         r_table = make_source_r(cardinality=24, distinct_a=6, seed=13)
         stem = SteM("R", aliases=("R",), join_columns=("a",))
         module = SteMModule(stem, predicates=(equi_join("R.a", "S.x"),))
-        module.attach(FakeRuntime())
+        module.attach(FakeRuntime(LAYOUT, scan_aliases=("R", "S")))
         for row in r_table:
-            module.process(QTuple({"R": row}))
+            module.process(QTuple({"R": row}, layout=LAYOUT))
         return module
 
     def test_probe_signatures_are_recorded(self):
         module = self._module()
         s_table = make_source_s(8)
-        probes = [QTuple({"S": row}) for row in s_table]
+        probes = [QTuple({"S": row}, layout=LAYOUT) for row in s_table]
         for probe in probes:
             module.process(probe)
         signature = (probes[0].spanned_mask, probes[0].done_mask)
@@ -160,7 +150,7 @@ class TestSignatureStats:
     def test_match_rate_needs_minimum_evidence(self):
         module = self._module()
         s_table = make_source_s(8)
-        probes = [QTuple({"S": row}) for row in s_table]
+        probes = [QTuple({"S": row}, layout=LAYOUT) for row in s_table]
         signature = (probes[0].spanned_mask, probes[0].done_mask)
         for probe in probes[:4]:
             module.process(probe)

@@ -114,9 +114,9 @@ class TestSeries:
         assert empty.count_at(10.0) == 0
         assert len(empty) == 0
 
-    def test_sampled(self):
+    def test_count_at_sample_times(self):
         series = self.make()
-        assert series.sampled([1.0, 4.0]) == [(1.0, 10), (4.0, 60)]
+        assert [series.count_at(t) for t in (1.0, 4.0)] == [10, 60]
 
     def test_points_are_built_afresh_and_iteration_streams(self):
         series = Series((1.0, 2.0, 2.0), name="results")
@@ -160,7 +160,7 @@ class TestSeries:
             assert time_to_count(series, count) == expected, count
         reference = Series.from_points(points, name="s")
         assert series == reference and hash(series) == hash(reference)
-        assert series.sampled(probes) == reference.sampled(probes)
+        assert [series.count_at(t) for t in probes] == [reference.count_at(t) for t in probes]
 
 
 class TestReportHelpers:

@@ -34,6 +34,7 @@ from repro.query.parser import parse_query
 from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.row import Row
 from repro.storage.schema import Schema
+from tests.helpers import recompute_aggregate
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 
@@ -67,7 +68,7 @@ def encoded(rows):
 
 def reference(stem, query=FULL_QUERY):
     """The from-scratch oracle over the SteM's surviving rows."""
-    return AggregateState.recompute(
+    return recompute_aggregate(
         query.group_by,
         query.aggregates,
         (row for row, _ in stem.state_entries()),

@@ -43,7 +43,7 @@ def r_singleton(engine, key=1, a=3):
     # Build a synthetic row with chosen values so bindability is predictable.
     from repro.storage.row import Row
 
-    return singleton_tuple("R", Row("R", row.schema, (key, a)))
+    return singleton_tuple("R", Row("R", row.schema, (key, a)), layout=engine.eddy_of("q0").layout)
 
 
 class TestConstraintChecker:
@@ -149,13 +149,13 @@ class TestConstraintChecker:
     def test_ready_for_output_requires_all_predicates(self):
         engine = build_engine()
         checker = engine.eddy_of("q0").resolver
-        query = engine.layout_of("q0").query
+        query = engine.eddy_of("q0").layout.query
         r_row = engine.catalog.table("R").rows[0]
         s_row = engine.catalog.table("S").rows[0]
         t_row = engine.catalog.table("T").rows[0]
         from repro.core.tuples import QTuple
 
-        full = QTuple({"R": r_row, "S": s_row, "T": t_row})
+        full = QTuple({"R": r_row, "S": s_row, "T": t_row}, layout=checker.layout)
         assert not checker.ready_for_output(full)
         full.mark_done(query.predicates)
         assert checker.ready_for_output(full)

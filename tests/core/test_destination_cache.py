@@ -26,7 +26,7 @@ from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import single_query_engine
-from tests.helpers import has_duplicates, singleton_tuple
+from tests.helpers import has_duplicates, layout_over, singleton_tuple
 
 THREE_WAY_SQL = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"
 
@@ -56,7 +56,7 @@ class TestSignatureCache:
         engine = three_way_engine(policy="naive")
         checker = engine.eddy_of("q0").resolver
         row = next(iter(engine.catalog.table("R")))
-        tuple_ = singleton_tuple("R", row)
+        tuple_ = singleton_tuple("R", row, layout=engine.eddy_of("q0").layout)
         signature = tuple_.routing_signature()
 
         first = checker.destinations_for_signature(signature, tuple_)
@@ -73,7 +73,7 @@ class TestSignatureCache:
         engine = three_way_engine(policy="naive")
         checker = engine.eddy_of("q0").resolver
         row = next(iter(engine.catalog.table("R")))
-        tuple_ = singleton_tuple("R", row)
+        tuple_ = singleton_tuple("R", row, layout=engine.eddy_of("q0").layout)
         signature = tuple_.routing_signature()
         first = checker.destinations_for_signature(signature, tuple_)
         first.clear()  # a caller mutating its copy must not poison the cache
@@ -82,11 +82,11 @@ class TestSignatureCache:
     def test_signature_distinguishes_tuple_state(self):
         engine = three_way_engine(policy="naive")
         row = next(iter(engine.catalog.table("R")))
-        fresh = singleton_tuple("R", row)
-        built = singleton_tuple("R", row)
+        fresh = singleton_tuple("R", row, layout=engine.eddy_of("q0").layout)
+        built = singleton_tuple("R", row, layout=engine.eddy_of("q0").layout)
         built.mark_built("R", 1.0)
         assert fresh.routing_signature() != built.routing_signature()
-        visited = singleton_tuple("R", row)
+        visited = singleton_tuple("R", row, layout=engine.eddy_of("q0").layout)
         visited.record_visit("stem:S")
         assert fresh.routing_signature() != visited.routing_signature()
 
@@ -122,7 +122,7 @@ class TestSignatureCache:
 class TestBatchedRouting:
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ExecutionError):
-            Eddy(Simulator(), NaivePolicy(), batch_size=0)
+            Eddy(Simulator(), NaivePolicy(), batch_size=0, layout=layout_over("R"))
 
     @pytest.mark.parametrize("policy", ["naive", "random", "lottery", "benefit"])
     def test_three_way_join_batch_equals_per_tuple(self, policy):

@@ -13,7 +13,7 @@ from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
 from tests.conftest import single_query_engine
-from tests.helpers import singleton_tuple
+from tests.helpers import layout_over, singleton_tuple
 
 
 def small_engine(**kwargs) -> MultiQueryEngine:
@@ -29,7 +29,7 @@ def small_engine(**kwargs) -> MultiQueryEngine:
 
 class TestRegistration:
     def test_duplicate_module_names_rejected(self):
-        eddy = Eddy(Simulator(), NaivePolicy())
+        eddy = Eddy(Simulator(), NaivePolicy(), layout=layout_over("R"))
         module = SelectionModule(selection("R.a", "<", 5), name="sm")
         eddy.register_selection(module)
         with pytest.raises(ExecutionError):
@@ -62,7 +62,9 @@ class TestExecutionMechanics:
         eddy = engine.eddy_of("q0")
         assert not eddy._ready
         for module in eddy.modules.values():
-            assert module.pending_work == 0
+            assert not module.queue.items and not module.busy
+        for ams in eddy.index_ams.values():
+            assert all(am.outstanding_lookups == 0 for am in ams)
 
     def test_eddy_stats_populated(self):
         engine = small_engine()
@@ -136,11 +138,11 @@ class TestBackpressure:
 class TestFailedTupleDrops:
     """Failed tuples leave the dataflow with trace + policy accounting."""
 
-    def _failed_tuples(self, count):
+    def _failed_tuples(self, count, layout):
         table = make_source_r(max(count, 2), 2, seed=9)
         tuples = []
         for row in table.rows[:count]:
-            tuple_ = singleton_tuple("R", row)
+            tuple_ = singleton_tuple("R", row, layout=layout)
             tuple_.failed = True
             tuples.append(tuple_)
         return tuples
@@ -156,8 +158,11 @@ class TestFailedTupleDrops:
                 retired.append(tuple_.tuple_id)
 
         trace = TraceLog()
-        eddy = Eddy(Simulator(), RecordingPolicy(), trace=trace, batch_size=batch_size)
-        tuples = self._failed_tuples(3)
+        layout = layout_over("R")
+        eddy = Eddy(
+            Simulator(), RecordingPolicy(), trace=trace, batch_size=batch_size, layout=layout
+        )
+        tuples = self._failed_tuples(3, layout)
         for tuple_ in tuples:
             eddy.to_eddy(tuple_)
         eddy.sim.run()
@@ -241,7 +246,7 @@ class TestBulkHandOff:
         eddy.sim.run()
         return eddy, source, calls
 
-    def _items(self):
+    def _items(self, layout):
         from repro.core.tuples import (
             EOTTuple, QTuple, TupleIdAllocator, install_id_allocator,
         )
@@ -250,13 +255,13 @@ class TestBulkHandOff:
         try:
             r_rows = make_source_r(4, 2, seed=3).rows
             t_rows = make_source_t(4, seed=4).rows
-            routed = singleton_tuple("R", r_rows[2])
+            routed = singleton_tuple("R", r_rows[2], layout=layout)
             routed.record_visit("sm")  # a bounce-back: no partial-series entry
             return [
-                singleton_tuple("R", r_rows[0]),  # fallback space: bound on entry
-                QTuple({"R": r_rows[1], "T": t_rows[1]}),
+                singleton_tuple("R", r_rows[0], layout=layout),
+                QTuple({"R": r_rows[1], "T": t_rows[1]}, layout=layout),
                 EOTTuple(table="T", alias="T", am_name="am:T_scan"),
-                QTuple({"R": r_rows[3], "T": t_rows[3]}),
+                QTuple({"R": r_rows[3], "T": t_rows[3]}, layout=layout),
                 routed,
             ]
         finally:
@@ -279,10 +284,10 @@ class TestBulkHandOff:
     @pytest.mark.parametrize("policy_name", ["naive", "lottery", "benefit"])
     def test_same_as_single_hand_offs(self, policy_name):
         one_by_one, source, single_calls = self._eddy(policy_name)
-        for item in self._items():
+        for item in self._items(one_by_one.layout):
             one_by_one.to_eddy(item, source)
         bulk, source, bulk_calls = self._eddy(policy_name)
-        bulk.to_eddy_all(self._items(), source)
+        bulk.to_eddy_all(self._items(bulk.layout), source)
         expected = self._observed(one_by_one, single_calls)
         assert self._observed(bulk, bulk_calls) == expected
         assert len(expected["hook calls"]) == 5
@@ -290,14 +295,14 @@ class TestBulkHandOff:
         assert list(expected["partial"].values()) == [[1.5, 1.5]]
         assert {priority for _, priority, _ in expected["state"]} == {0.0, 3.0}
         # An eddy whose routing is already armed arms nothing more.
-        bulk.to_eddy_all(self._items(), source)
+        bulk.to_eddy_all(self._items(bulk.layout), source)
         assert len(bulk.sim._queue._heap) == 1
 
     def test_no_op_on_a_retired_eddy(self):
         eddy, source, calls = self._eddy("lottery")
         eddy.shutdown()
-        eddy.to_eddy_all(self._items(), source)
-        eddy.to_eddy(self._items()[0], source)
+        eddy.to_eddy_all(self._items(eddy.layout), source)
+        eddy.to_eddy(self._items(eddy.layout)[0], source)
         assert not calls and not eddy._ready and not eddy.sim._queue._heap
         assert eddy.partial_series == {}
 
@@ -322,7 +327,7 @@ class TestOutputColumns:
         # A view, not the store: editing it edits nothing.
         outputs.clear()
         assert len(eddy.outputs) == 30
-        assert Eddy(Simulator(), NaivePolicy()).completion_time is None
+        assert Eddy(Simulator(), NaivePolicy(), layout=eddy.layout).completion_time is None
 
     def test_suppressed_emits_reach_neither_column(self):
         engine = small_engine()

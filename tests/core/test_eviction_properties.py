@@ -11,8 +11,8 @@ leans on:
   ``state_entries()`` has equal buckets;
 * **evict listeners fire exactly once per eviction**, and only after the
   row has actually left the store;
-* **min/max build timestamps stay correct** even when an eviction removes
-  the extreme row (the PR-4 incremental-maintenance invalidation);
+* **the maximum build timestamp stays correct** even when an eviction
+  removes the newest row (the incremental-maintenance invalidation);
 * **coverage claims never survive an eviction** (a SteM that dropped data
   must not claim it holds all matches);
 * **registry releases** drop exactly the indexes/aliases whose last reader
@@ -38,7 +38,7 @@ from repro.core.tuples import QTuple
 from repro.query.probeplan import ProbePlan
 from repro.storage.datagen import make_source_r, make_source_s
 from tests.reference.interpreted_probe import interpreted_probe
-from tests.helpers import equi_join
+from tests.helpers import equi_join, layout_over, refcount
 
 pytestmark = pytest.mark.slow
 
@@ -47,6 +47,7 @@ R_ROWS = tuple(make_source_r(24, 6, seed=13).rows)
 #: Probe rows: S rows whose ``x`` spans the ``a`` domain (plus misses).
 S_ROWS = tuple(make_source_s(8).rows)
 JOIN_PREDICATE = equi_join("R.a", "S.x")
+LAYOUT = layout_over("R", "S")
 
 POLICY_FACTORIES = {
     "none": lambda: None,
@@ -67,7 +68,7 @@ OPS = st.one_of(
 
 def make_probe(position: int) -> QTuple:
     """A fresh singleton probe (unbuilt, so it sees every stored match)."""
-    return QTuple({"S": S_ROWS[position]})
+    return QTuple({"S": S_ROWS[position]}, layout=LAYOUT)
 
 
 def check_invariants(stem: SteM, evict_log: list, harness) -> None:
@@ -90,9 +91,8 @@ def check_invariants(stem: SteM, evict_log: list, harness) -> None:
     assert rebuilt._indexes == stem._indexes
     # Listener accounting: exactly one callback per eviction, ever.
     assert len(evict_log) == harness.total_evictions()
-    # Incremental min/max timestamps match a recomputation from scratch.
+    # The incremental maximum timestamp matches a recomputation from scratch.
     values = list(stem._rows.values())
-    assert stem.min_timestamp == (min(values) if values else None)
     assert stem.max_timestamp == (max(values) if values else None)
     # A SteM that evicted data must not claim full coverage.
     if harness.evictions_on_current() > 0:
@@ -104,14 +104,13 @@ class Harness:
 
     def __init__(self, policy_name: str):
         self.policy_name = policy_name
-        self.registry = SteMRegistry()
         config = {
             "none": dict(),
             "count": dict(eviction="count", max_size=5),
             "time-window": dict(eviction="time-window", window=8),
             "reference-window": dict(eviction="reference-window", max_size=5),
         }[policy_name]
-        self.registry.configure_table("R", **config)
+        self.registry = SteMRegistry(**config)
         self.evict_log: list = []
         self.timestamps = iter(range(1, 10_000))
         self.retired_eviction_count = 0
@@ -247,7 +246,7 @@ def test_churn_interleavings_preserve_registry_invariants(policy_name, ops):
         elif op == "drop":
             harness.stem.drop_join_column(argument)
         # Registry invariants.
-        assert harness.registry.refcount("R") == len(harness.owners)
+        assert refcount(harness.registry, "R") == len(harness.owners)
         if harness.owners:
             assert harness.stem is not None
             assert "R" in harness.registry

@@ -17,61 +17,13 @@ from repro.core.stem import SteM
 from repro.errors import ExecutionError
 from repro.query.parser import parse_query
 from repro.query.predicates import Predicate
-from repro.sim.simulator import Simulator
 from repro.storage.datagen import make_source_s
 from repro.storage.row import Row
 from repro.storage.schema import Schema
-from tests.helpers import singleton_tuple
+from tests.helpers import FakeRuntime, layout_over, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
-
-
-class BareRuntime:
-    """Minimal runtime WITHOUT a quarantine hook: errors must propagate."""
-
-    def __init__(self):
-        self.sim = Simulator()
-        self.delivered = []
-        self._timestamps = iter(range(1, 100000))
-
-    @property
-    def now(self):
-        return self.sim.now
-
-    def schedule(self, delay, callback, label=""):
-        self.sim.schedule(delay, callback, label)
-
-    def reserve(self, delays):
-        return self.sim.reserve(delays)
-
-    def schedule_reserved(self, slot, callback, label=""):
-        self.sim.schedule_reserved(slot, callback, label)
-
-    def to_eddy(self, item, source=None):
-        self.delivered.append(item)
-
-    def to_eddy_all(self, items, source=None):
-        self.delivered.extend(items)
-
-    def next_timestamp(self):
-        return float(next(self._timestamps))
-
-    def has_scan_am(self, alias):
-        return False
-
-    def notify_idle(self, module):
-        pass
-
-
-class QuarantineRuntime(BareRuntime):
-    """Runtime with a quarantine hook capturing trapped tuples."""
-
-    def __init__(self):
-        super().__init__()
-        self.trapped = []
-
-    def quarantine_tuple(self, tuple_, module, error):
-        self.trapped.append((tuple_, module, error))
+LAYOUT = layout_over("R", "S")
 
 
 class Bomb(Predicate):
@@ -87,13 +39,13 @@ class Bomb(Predicate):
         return "bomb(R, S)"
 
 
-def r_tuple(key=1, a=10):
-    return singleton_tuple("R", Row("R", R_SCHEMA, (key, a)))
+def r_tuple(key=1, a=10, layout=LAYOUT):
+    return singleton_tuple("R", Row("R", R_SCHEMA, (key, a)), layout=layout)
 
 
 class TestSelectionExceptionSafety:
     def test_raising_predicate_quarantined(self):
-        runtime = QuarantineRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = SelectionModule(Bomb())
         module.attach(runtime)
         item = r_tuple()
@@ -111,7 +63,7 @@ class TestSelectionExceptionSafety:
         # stats/EMA accounting entirely, so a predicate raising on every
         # row kept recent_selectivity == 0.5 (the no-data prior) and routing
         # policies treated poison as average.
-        runtime = QuarantineRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = SelectionModule(Bomb())
         module.attach(runtime)
         for _ in range(10):
@@ -124,7 +76,7 @@ class TestSelectionExceptionSafety:
         assert module.recent_selectivity == 0.0
 
     def test_quarantine_mixes_into_selectivity_with_real_outcomes(self):
-        runtime = QuarantineRuntime()
+        runtime = FakeRuntime(LAYOUT)
 
         class SometimesBomb(Predicate):
             def aliases(self):
@@ -157,12 +109,6 @@ class TestSelectionExceptionSafety:
             expected += SelectionModule.RECENT_ALPHA * (0.0 - expected)
         assert module.recent_selectivity == pytest.approx(expected)
 
-    def test_without_quarantine_hook_raises(self):
-        module = SelectionModule(Bomb())
-        module.attach(BareRuntime())
-        with pytest.raises(ValueError, match="poison"):
-            module.process(r_tuple())
-
 
 class TestSteMModuleExceptionSafety:
     def make_module(self, runtime, predicates=None):
@@ -175,21 +121,22 @@ class TestSteMModuleExceptionSafety:
         return module
 
     def test_unhashable_build_value_quarantined_stats_untouched(self):
-        runtime = QuarantineRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
         schema = Schema.of("x:int", "y:int")
-        poison = singleton_tuple("S", Row("S", schema, ([1, 2], 0)))
+        poison = singleton_tuple("S", Row("S", schema, ([1, 2], 0)), layout=LAYOUT)
         assert module.process(poison) == []
         assert len(runtime.trapped) == 1
         assert module.stats["builds"] == 0
         assert module.size == 0
 
     def test_raising_probe_predicate_quarantined_stats_untouched(self):
-        runtime = QuarantineRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime, predicates=(Bomb(),))
-        module.process(singleton_tuple("S", make_source_s(10).rows[4]))
+        module.process(singleton_tuple("S", make_source_s(10).rows[4], layout=LAYOUT))
         assert module.stats["builds"] == 1
-        probe = r_tuple(a=4)
+        # A layout of its own: the plan compiled for Bomb is cached on it.
+        probe = r_tuple(a=4, layout=layout_over("R", "S"))
         probe.mark_built("R", 100.0)
         assert module.process(probe) == []
         assert len(runtime.trapped) == 1
@@ -199,7 +146,7 @@ class TestSteMModuleExceptionSafety:
         assert module.stem.stats["probes"] == 0
 
     def test_execution_error_is_never_trapped(self):
-        runtime = QuarantineRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
 
         def broken_build(row, timestamp):
@@ -207,12 +154,5 @@ class TestSteMModuleExceptionSafety:
 
         module.stem.build = broken_build
         with pytest.raises(ExecutionError, match="wiring bug"):
-            module.process(singleton_tuple("S", make_source_s(5).rows[0]))
+            module.process(singleton_tuple("S", make_source_s(5).rows[0], layout=LAYOUT))
         assert runtime.trapped == []
-
-    def test_build_without_quarantine_hook_raises(self):
-        module = self.make_module(BareRuntime())
-        schema = Schema.of("x:int", "y:int")
-        poison = singleton_tuple("S", Row("S", schema, ([1, 2], 0)))
-        with pytest.raises(TypeError):
-            module.process(poison)

@@ -21,51 +21,35 @@ from repro.storage.catalog import IndexSpec, ScanSpec
 from repro.storage.datagen import make_source_s, make_source_t
 from repro.storage.row import Row
 from repro.storage.schema import Schema
-from tests.helpers import singleton_tuple
+from tests.helpers import FakeRuntime, layout_over, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
-
-
-class FakeRuntime:
-    """A minimal EddyRuntime: immediate scheduling, captured deliveries."""
-
-    def __init__(self, scan_aliases=()):
-        self.sim = Simulator()
-        self.delivered = []
-        self._timestamps = iter(range(1, 100000))
-        self.scan_aliases = set(scan_aliases)
-
-    @property
-    def now(self):
-        return self.sim.now
-
-    def schedule(self, delay, callback, label=""):
-        self.sim.schedule(delay, callback, label)
-
-    def reserve(self, delays):
-        return self.sim.reserve(delays)
-
-    def schedule_reserved(self, slot, callback, label=""):
-        self.sim.schedule_reserved(slot, callback, label)
-
-    def to_eddy(self, item, source=None):
-        self.delivered.append(item)
-
-    def to_eddy_all(self, items, source=None):
-        self.delivered.extend(items)
-
-    def next_timestamp(self):
-        return float(next(self._timestamps))
-
-    def has_scan_am(self, alias):
-        return alias in self.scan_aliases
-
-    def notify_idle(self, module):
-        pass
+LAYOUT = layout_over("R", "S", "T")
 
 
 def r_tuple(key=1, a=10):
-    return singleton_tuple("R", Row("R", R_SCHEMA, (key, a)))
+    return singleton_tuple("R", Row("R", R_SCHEMA, (key, a)), layout=LAYOUT)
+
+
+class TestRuntimeSurface:
+    def test_the_eddy_and_the_fake_provide_every_member(self):
+        # Modules call their runtime without probing for members, so the
+        # protocol must be the whole surface and both runtimes must have it.
+        from repro.core.eddy import Eddy
+        from repro.core.modules.base import EddyRuntime
+        from repro.core.policies import NaivePolicy
+
+        surface = {
+            name for name in vars(EddyRuntime)
+            if not name.startswith("_")
+        }
+        assert {"layout", "live", "cancel", "quarantine_tuple", "note_absorbed",
+                "notice_liveness_change"} <= surface
+        eddy = Eddy(Simulator(), NaivePolicy(), layout=LAYOUT)
+        for runtime in (eddy, FakeRuntime(LAYOUT)):
+            missing = [name for name in surface if not hasattr(runtime, name)]
+            assert not missing, (type(runtime).__name__, missing)
+            assert runtime.layout is LAYOUT and runtime.live
 
 
 class TestSelectionModule:
@@ -102,7 +86,7 @@ class TestSelectionModule:
 
 class TestScanAM:
     def test_delivers_all_rows_then_eot(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         table = make_source_t(20, seed=1)
         spec = ScanSpec(name="T_scan", table="T", rate=10.0)
         module = ScanAMModule(spec, table, "T")
@@ -114,12 +98,12 @@ class TestScanAM:
         assert len(rows) == 20
         assert len(eots) == 1 and eots[0].is_scan_eot
         assert module.finished
-        assert module.progress == 1.0
+        assert module.delivered == module.total == 20
         # Deliveries are paced at the scan rate: 20 rows at 10 rows/s = 2 s.
         assert runtime.sim.now == pytest.approx(2.0, abs=0.1)
 
     def test_stall_shifts_deliveries(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         table = make_source_t(10, seed=1)
         spec = ScanSpec(name="T_scan", table="T", rate=10.0, stall_at=0.5, stall_duration=5.0)
         module = ScanAMModule(spec, table, "T")
@@ -132,7 +116,7 @@ class TestScanAM:
         assert len([i for i in runtime.delivered if isinstance(i, QTuple)]) == 10
 
     def test_probe_bounces_back(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = ScanAMModule(ScanSpec(name="s", table="T"), make_source_t(5), "T")
         module.attach(runtime)
         probe = r_tuple()
@@ -150,7 +134,7 @@ class TestIndexAM:
         return module
 
     def test_probe_returns_matches_and_eot(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
         probe = r_tuple(a=7)
         bounced = module.process(probe)
@@ -164,7 +148,7 @@ class TestIndexAM:
         assert runtime.sim.now == pytest.approx(0.5)
 
     def test_duplicate_keys_deduplicated(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
         module.process(r_tuple(key=1, a=7))
         module.process(r_tuple(key=2, a=7))
@@ -175,7 +159,7 @@ class TestIndexAM:
         assert len(module.lookup_series) == 2
 
     def test_sequential_lookups_queue_behind_each_other(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime, latency=1.0, concurrency=1)
         module.process(r_tuple(key=1, a=1))
         module.process(r_tuple(key=2, a=2))
@@ -185,7 +169,7 @@ class TestIndexAM:
         assert runtime.sim.now == pytest.approx(2.0)
 
     def test_concurrency_overlaps_lookups(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime, latency=1.0, concurrency=2)
         module.process(r_tuple(key=1, a=1))
         module.process(r_tuple(key=2, a=2))
@@ -193,7 +177,7 @@ class TestIndexAM:
         assert runtime.sim.now == pytest.approx(1.0)
 
     def test_unbindable_probe_is_bounced_unchanged(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         table = make_source_s(10)
         spec = IndexSpec(name="S_idx_y", table="S", columns=("y",), latency=0.1)
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")  # only binds x
@@ -205,7 +189,7 @@ class TestIndexAM:
         assert module.stats["lookups"] == 0
 
     def test_prioritised_probe_jumps_the_queue(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime, latency=1.0)
         module.process(r_tuple(key=1, a=1))
         module.process(r_tuple(key=2, a=2))  # queued behind key 1
@@ -223,7 +207,7 @@ class TestIndexAM:
         arrival order, each prioritised key goes to the head of what is
         still queued (so the latest urgent key is issued first), and
         ``stop()`` forgets whatever was not issued yet."""
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime, latency=1.0, concurrency=1)
         module.process(r_tuple(key=0, a=10))  # issued at once; the rest queue
         for a, priority in [(11, 0), (12, 0), (13, 5.0), (14, 0), (15, 2.0)]:
@@ -254,27 +238,29 @@ class TestSteMModule:
         return module
 
     def test_build_then_bounce(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
-        s_tuple = singleton_tuple("S", make_source_s(5).rows[3])
+        s_tuple = singleton_tuple("S", make_source_s(5).rows[3], layout=LAYOUT)
         outputs = module.process(s_tuple)
         assert outputs == [s_tuple]
         assert "S" in s_tuple.built
         assert module.size == 1
 
     def test_duplicate_build_is_dropped(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
         row = make_source_s(5).rows[2]
-        module.process(singleton_tuple("S", row))
-        outputs = module.process(singleton_tuple("S", row))
+        module.process(singleton_tuple("S", row, layout=LAYOUT))
+        duplicate = singleton_tuple("S", row, layout=LAYOUT)
+        outputs = module.process(duplicate)
         assert outputs == []
         assert module.stats["duplicates"] == 1
+        assert runtime.absorbed == [duplicate]  # its departure is accounted
 
     def test_probe_produces_concatenations_and_resolution(self):
-        runtime = FakeRuntime(scan_aliases={"S"})
+        runtime = FakeRuntime(LAYOUT, scan_aliases={"S"})
         module = self.make_module(runtime)
-        module.process(singleton_tuple("S", make_source_s(10).rows[4]))  # x = 4
+        module.process(singleton_tuple("S", make_source_s(10).rows[4], layout=LAYOUT))  # x = 4
         probe = r_tuple(a=4)
         probe.mark_built("R", 100.0)
         outputs = module.process(probe)
@@ -285,7 +271,7 @@ class TestSteMModule:
         assert probe.stop_stem_probes
 
     def test_probe_without_scan_am_sets_probe_completion(self):
-        runtime = FakeRuntime(scan_aliases=set())
+        runtime = FakeRuntime(LAYOUT, scan_aliases=set())
         module = self.make_module(runtime)
         probe = r_tuple(a=4)
         probe.mark_built("R", 100.0)
@@ -294,10 +280,11 @@ class TestSteMModule:
         assert not probe.is_resolved("S")
 
     def test_eot_build(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         module = self.make_module(runtime)
         module.process(EOTTuple(table="S", alias="S", am_name="scan"))
         assert module.scan_complete
+        assert runtime.liveness_changes == 1  # the seal drops route plans
 
 
 class TestJoinModules:
@@ -309,7 +296,7 @@ class TestJoinModules:
         t_table = make_source_t(10)
         r_t = r_tuple(key=t_table.rows[0]["key"], a=1)
         assert module.process(r_t) == []
-        t_t = singleton_tuple("T", t_table.rows[0])
+        t_t = singleton_tuple("T", t_table.rows[0], layout=LAYOUT)
         results = module.process(t_t)
         assert len(results) == 1
         assert results[0].aliases == {"R", "T"}
@@ -321,13 +308,13 @@ class TestJoinModules:
     def test_shj_module_rejects_unknown_shape(self):
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
         module = SymmetricHashJoinModule("join", query.predicates, ["R"], ["T"])
-        stranger = singleton_tuple("S", make_source_s(3).rows[0])
+        stranger = singleton_tuple("S", make_source_s(3).rows[0], layout=LAYOUT)
         outputs = module.process(stranger)
         assert outputs == [stranger]
         assert module.stats["unroutable"] == 1
 
     def test_index_join_module_cache_and_blocking_cost(self):
-        runtime = FakeRuntime()
+        runtime = FakeRuntime(LAYOUT)
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
         module = IndexJoinModule(
             "ij", query.predicates, ["R"], "S", make_source_s(20), ["x"],

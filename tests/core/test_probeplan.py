@@ -25,10 +25,11 @@ from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.interpreted_probe import interpreted_probe
-from tests.helpers import equi_join, singleton_tuple
+from tests.helpers import equi_join, layout_over, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int", "b:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
+LAYOUT = layout_over("R", "S", "T", "r1", "r2")
 
 
 def r_row(key, a, b=0):
@@ -135,7 +136,7 @@ class TestPropertyEquivalence:
         enforce = data.draw(st.booleans(), label="enforce timestamp")
 
         def probe_maker():
-            probe = singleton_tuple("R", r_row(key, a, b))
+            probe = singleton_tuple("R", r_row(key, a, b), layout=LAYOUT)
             probe.mark_built("R", probe_ts)
             return probe
 
@@ -163,6 +164,7 @@ class TestPropertyEquivalence:
             probe = QTuple(
                 {"R": r_row(0, a), "T": Row("T", t_schema, (t_value,))},
                 timestamps={"R": 2.0, "T": 3.0},
+                layout=LAYOUT,
             )
             return probe
 
@@ -176,7 +178,7 @@ class TestConstraintEquivalence:
         predicates = [equi_join("R.a", "S.x")]
 
         def probe_maker():
-            probe = singleton_tuple("R", r_row(0, 1))
+            probe = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
             probe.mark_built("R", 10.0)
             return probe
 
@@ -193,7 +195,7 @@ class TestConstraintEquivalence:
         predicates = [equi_join("R.a", "S.x")]
 
         def probe_maker():
-            probe = singleton_tuple("R", r_row(0, 1))
+            probe = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
             probe.mark_built("R", 30.0)
             return probe
 
@@ -214,7 +216,7 @@ class TestConstraintEquivalence:
         )
 
         def probe_maker():
-            probe = singleton_tuple("R", r_row(0, 1))
+            probe = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
             probe.mark_built("R", 9.0)
             return probe
 
@@ -233,7 +235,7 @@ class TestSelfJoin:
             stem = SteM("R", aliases=("r1", "r2"), join_columns=("a",))
             for row, ts in rows:
                 stem.build(row, ts)
-            probe = QTuple({"r1": Row("R", R_SCHEMA, (2, 2, 0))})
+            probe = QTuple({"r1": Row("R", R_SCHEMA, (2, 2, 0))}, layout=LAYOUT)
             probe.mark_built("r1", 20.0)
             if compiled:
                 plan = ProbePlan.compile(
@@ -250,7 +252,7 @@ class TestPlanMechanics:
     def test_empty_stem_compiles_then_finishes_lazily(self):
         stem = make_stem()
         predicates = [equi_join("R.a", "S.x")]
-        probe = singleton_tuple("R", r_row(0, 1))
+        probe = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
         probe.mark_built("R", 9.0)
         plan = ProbePlan.compile(
             predicates, "S", probe.components,
@@ -262,7 +264,7 @@ class TestPlanMechanics:
         stem.build(s_row(1, 1), 1.0)
         outcome = stem.probe_with_plan(probe, plan)
         assert plan.cmp_checks is not None
-        reference = singleton_tuple("R", r_row(0, 1))
+        reference = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
         reference.mark_built("R", 9.0)
         expected = interpreted_probe(stem, reference, "S", predicates)
         assert [t.identity() for t in outcome.results] == [
@@ -272,23 +274,29 @@ class TestPlanMechanics:
     def test_module_plan_cache_is_per_probe_situation(self):
         stem = make_stem()
         module = SteMModule(stem, [equi_join("R.a", "S.x")])
-        probe = singleton_tuple("R", r_row(0, 1))
+        layout = layout_over("R", "S")
+        probe = singleton_tuple("R", r_row(0, 1), layout=layout)
         probe.mark_built("R", 1.0)
         plan = module.probe_plan_for(probe)
         assert module.probe_plan_for(probe) is plan
-        other = singleton_tuple("R", r_row(1, 2))
+        other = singleton_tuple("R", r_row(1, 2), layout=layout)
         other.mark_built("R", 2.0)
         assert module.probe_plan_for(other) is plan  # same situation, same plan
-        done = singleton_tuple("R", r_row(1, 2))
+        done = singleton_tuple("R", r_row(1, 2), layout=layout)
         done.mark_built("R", 3.0)
         done.mark_done([equi_join("R.a", "S.x")])  # different done mask
         assert module.probe_plan_for(done) is not plan
+        # The plans live on the tuples' layout, keyed by module and masks.
+        assert layout.probe_plans == {
+            (module.name, probe.spanned_mask, probe.done_mask): plan,
+            (module.name, done.spanned_mask, done.done_mask): module.probe_plan_for(done),
+        }
 
     def test_ensure_join_columns_bumps_epoch_and_reresolves_indexes(self):
         stem = SteM("S", aliases=("S",), join_columns=())
         for x in range(6):
             stem.build(s_row(x % 2, x), float(x + 1))
-        probe = singleton_tuple("R", r_row(0, 1))
+        probe = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
         probe.mark_built("R", 50.0)
         predicates = [equi_join("R.a", "S.x")]
         plan = ProbePlan.compile(predicates, "S", probe.components,
@@ -299,7 +307,7 @@ class TestPlanMechanics:
         stem.ensure_join_columns(["x"])
         assert stem.index_epoch == epoch + 1
         # The plan re-resolves against the new index: only the x=1 bucket.
-        fresh = singleton_tuple("R", r_row(0, 1))
+        fresh = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
         fresh.mark_built("R", 50.0)
         assert stem.probe_with_plan(fresh, plan).candidates_examined == 3
 
@@ -309,7 +317,7 @@ class TestPlanMechanics:
         for position in range(5):
             stem.build(s_row(1, position), float(position + 1))
         stem.build(s_row(2, 7), 6.0)
-        probe = singleton_tuple("R", r_row(0, 1, 7))
+        probe = singleton_tuple("R", r_row(0, 1, 7), layout=LAYOUT)
         probe.mark_built("R", 50.0)
         predicates = [equi_join("R.a", "S.x"), equi_join("R.b", "S.y")]
         plan = ProbePlan.compile(predicates, "S", probe.components,
@@ -317,7 +325,7 @@ class TestPlanMechanics:
         outcome = stem.probe_with_plan(probe, plan)
         assert outcome.candidates_examined == 1  # the y bucket, not the x bucket
         # The interpreted oracle picks the same bucket.
-        fresh = singleton_tuple("R", r_row(0, 1, 7))
+        fresh = singleton_tuple("R", r_row(0, 1, 7), layout=LAYOUT)
         fresh.mark_built("R", 50.0)
         assert interpreted_probe(stem, fresh, "S", predicates).candidates_examined == 1
 
@@ -330,7 +338,7 @@ class TestPlanMechanics:
         def make_probes():
             probes = []
             for key in range(3):
-                probe = singleton_tuple("R", r_row(key, key % 2))
+                probe = singleton_tuple("R", r_row(key, key % 2), layout=LAYOUT)
                 probe.mark_built("R", 40.0 + key)
                 probes.append(probe)
             return probes
@@ -354,5 +362,4 @@ class TestPlanMechanics:
         single_outcomes = [second.build(row, ts) for row, ts in zip(rows, stamps)]
         assert batch_outcomes == single_outcomes
         assert list(first) == list(second)
-        assert first.min_timestamp == second.min_timestamp
         assert first.max_timestamp == second.max_timestamp

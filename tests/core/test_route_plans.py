@@ -139,7 +139,9 @@ class TestFixedChoiceIsPure:
             for destination in destinations:  # uneven tickets: a real draw
                 policy.credit(destination.module.name, random.Random(seed).random() * 5)
         row = half_run_engine.catalog.table("R").rows[seed % 40]
-        plain, preferred = singleton_tuple("R", row), singleton_tuple("R", row)
+        layout = eddy.layout
+        plain = singleton_tuple("R", row, layout=layout)
+        preferred = singleton_tuple("R", row, layout=layout)
         preferred.priority = 3.0
         random.seed(seed)
         before, global_before = _policy_state(policy), random.getstate()
@@ -292,10 +294,7 @@ def _engine(**kwargs) -> MultiQueryEngine:
 def _planned(engine):
     """A built R singleton's plan, with the eddy's choice filled in."""
     checker = engine.eddy_of("q0").resolver
-    # Encoded over the query's layout, as the eddy binds every tuple before
-    # routing it: a fallback-space tuple's signature would change when the
-    # plan rebinds it, and which bit the fallback space gave "R" depends on
-    # the tests that ran before.
+    # Born on the query's layout, as an access method makes it.
     tuple_ = singleton_tuple(
         "R", engine.catalog.table("R").rows[0], layout=checker.layout
     )
@@ -327,7 +326,8 @@ class TestPlanCacheRules:
         engine = _engine()
         checker = engine.eddy_of("q0").resolver
         row = engine.catalog.table("R").rows[0]
-        failed, live = singleton_tuple("R", row), singleton_tuple("R", row)
+        failed = singleton_tuple("R", row, layout=checker.layout)
+        live = singleton_tuple("R", row, layout=checker.layout)
         failed.failed = True
         signature = failed.routing_signature()
         assert signature == live.routing_signature()

@@ -19,10 +19,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.modules.access import ScanAMModule
 from repro.core.tuples import EOTTuple
 from repro.sim.latency import AvailabilityModel
-from repro.sim.simulator import Simulator
 from repro.storage.catalog import ScanSpec
 from repro.storage.datagen import make_source_t
-from tests.helpers import singleton_tuple
+from tests.helpers import FakeRuntime, layout_over, singleton_tuple
 
 
 class PrePushedScan(ScanAMModule):
@@ -74,52 +73,36 @@ class PrePushedScan(ScanAMModule):
             self.stats["delivered"] += 1
             self._last_delivery_time = now
             self.runtime.to_eddy(
-                singleton_tuple(self.alias, row, source=self.name, created_at=now),
+                singleton_tuple(
+                    self.alias, row, source=self.name, created_at=now,
+                    layout=self.runtime.layout,
+                ),
                 self,
             )
 
         return deliver
 
 
-class Runtime:
-    """A real simulator behind the runtime surface a scan uses, logging every
-    fired event as ``(time, sequence, label, what it delivered)``."""
+class Runtime(FakeRuntime):
+    """The shared fake runtime, logging every fired event as ``(time,
+    sequence, label, what it delivered)``."""
 
     def __init__(self):
-        self.sim = Simulator()
+        super().__init__(layout_over("T", "t0", "t1", "t2"))
         self.sim.after_event_hook = self._after_event
         self.firings = []
         self.scans = []
         self.on_delivery = None
         self._inbox = []
 
-    @property
-    def now(self):
-        return self.sim.now
-
-    def schedule(self, delay, callback, label=""):
-        return self.sim.schedule(delay, callback, label)
-
-    def reserve(self, delays):
-        return self.sim.reserve(delays)
-
-    def schedule_reserved(self, slot, callback, label=""):
-        return self.sim.schedule_reserved(slot, callback, label)
-
-    def cancel(self, event):
-        self.sim.cancel(event)
-
-    def to_eddy(self, item, source=None):
-        if isinstance(item, EOTTuple):
-            self._inbox.append((source.name, "eot"))
-        else:
-            self._inbox.append((source.name, item.components[source.alias].values))
-            if self.on_delivery is not None:
-                self.on_delivery(source)
-
     def to_eddy_all(self, items, source=None):
         for item in items:
-            self.to_eddy(item, source)
+            if isinstance(item, EOTTuple):
+                self._inbox.append((source.name, "eot"))
+            else:
+                self._inbox.append((source.name, item.components[source.alias].values))
+                if self.on_delivery is not None:
+                    self.on_delivery(source)
 
     def _after_event(self, event):
         self.firings.append((event.time, event.sequence, event.label, self._inbox))
@@ -210,7 +193,7 @@ def run_scenario(scan_class, shapes, events, order):
     return {
         "firings": runtime.firings,
         "scans": [
-            (dict(scan.stats), scan.delivered, scan.finished, scan.progress)
+            (dict(scan.stats), scan.delivered, scan.finished)
             for scan in runtime.scans
         ],
         "events": sim.executed_events,

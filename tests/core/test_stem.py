@@ -9,12 +9,13 @@ from repro.core.tuples import EOTTuple, QTuple
 from repro.query.predicates import selection
 from repro.storage.row import Row
 from repro.storage.schema import Schema
-from tests.helpers import equi_join, singleton_tuple
+from tests.helpers import equi_join, layout_over, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
 
 JOIN = equi_join("R.a", "S.x")
+LAYOUT = layout_over("R", "S", "T")
 
 
 def r_row(key, a):
@@ -26,7 +27,7 @@ def s_row(x, y=None):
 
 
 def r_probe(key, a, timestamp=None):
-    probe = singleton_tuple("R", r_row(key, a))
+    probe = singleton_tuple("R", r_row(key, a), layout=LAYOUT)
     if timestamp is not None:
         probe.mark_built("R", timestamp)
     return probe
@@ -59,12 +60,11 @@ class TestBuild:
         with pytest.raises(ExecutionError):
             stem.build(r_row(1, 1), 1.0)
 
-    def test_min_max_timestamps(self):
+    def test_max_timestamp(self):
         stem = make_stem()
-        assert stem.min_timestamp is None
+        assert stem.max_timestamp is None
         stem.build(s_row(1), 3.0)
         stem.build(s_row(2), 7.0)
-        assert stem.min_timestamp == 3.0
         assert stem.max_timestamp == 7.0
 
 
@@ -133,7 +133,7 @@ class TestProbe:
 
     def test_probe_rejects_spanned_alias_and_wrong_alias(self):
         stem = make_stem()
-        probe = QTuple({"R": r_row(0, 4), "S": s_row(4)})
+        probe = QTuple({"R": r_row(0, 4), "S": s_row(4)}, layout=LAYOUT)
         with pytest.raises(ExecutionError):
             stem.probe(probe, "S", [JOIN])
         with pytest.raises(ExecutionError):
@@ -212,14 +212,13 @@ class TestEviction:
 
 
 class TestTimestampMaintenance:
-    def test_incremental_min_max_across_builds(self):
+    def test_incremental_max_across_builds(self):
         stem = make_stem()
         # Out-of-order timestamps (unit-test territory; engines build in
-        # monotone order) still keep the cached extremes correct.
+        # monotone order) still keep the cached maximum correct.
         stem.build(s_row(1), 5.0)
-        stem.build(s_row(2), 3.0)
-        stem.build(s_row(3), 9.0)
-        assert stem.min_timestamp == 3.0
+        stem.build(s_row(2), 9.0)
+        stem.build(s_row(3), 3.0)
         assert stem.max_timestamp == 9.0
 
     def test_eviction_of_extreme_triggers_recompute(self):
@@ -227,24 +226,22 @@ class TestTimestampMaintenance:
         stem.build(s_row(1), 1.0)
         stem.build(s_row(2), 2.0)
         stem.build(s_row(3), 3.0)
-        assert stem.evict(s_row(1))  # the minimum leaves
-        assert stem.min_timestamp == 2.0
+        assert stem.evict(s_row(1))  # the oldest leaves: the maximum stands
         assert stem.max_timestamp == 3.0
         assert stem.evict(s_row(3))  # the maximum leaves
-        assert stem.min_timestamp == stem.max_timestamp == 2.0
+        assert stem.max_timestamp == 2.0
 
     def test_eviction_to_empty_resets_extremes(self):
         stem = make_stem()
         stem.build(s_row(1), 4.0)
         assert stem.evict(s_row(1))
-        assert stem.min_timestamp is None
         assert stem.max_timestamp is None
 
     def test_bounded_fifo_eviction_advances_minimum(self):
         stem = SteM("S", aliases=("S",), join_columns=("x",), max_size=2)
         for value in range(4):
             stem.build(s_row(value), float(value + 1))
-        assert stem.min_timestamp == 3.0
+        assert [stem.timestamp_of(row) for row in stem] == [3.0, 4.0]
         assert stem.max_timestamp == 4.0
 
     def test_update_last_match_sees_post_eviction_maximum(self):

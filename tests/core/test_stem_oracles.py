@@ -34,12 +34,14 @@ from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.reference.interpreted_probe import interpreted_probe
-from tests.helpers import equi_join, singleton_tuple
+from tests.helpers import equi_join, layout_over, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
 
 JOIN = equi_join("R.a", "S.x")
+#: The alias space every probe tuple here is born on.
+TUPLES = layout_over("R", "S", "S2", "r1", "r2")
 
 
 def r_row(key, a):
@@ -51,7 +53,7 @@ def s_row(x, y=None):
 
 
 def r_probe(key, a, timestamp=None):
-    probe = singleton_tuple("R", r_row(key, a))
+    probe = singleton_tuple("R", r_row(key, a), layout=TUPLES)
     if timestamp is not None:
         probe.mark_built("R", timestamp)
     return probe
@@ -222,7 +224,7 @@ class TestCountWindow:
             window = built[-max_size:]
             assert list(stem) == window
             assert stem.stats["evictions"] == len(built) - len(window)
-            assert stem.min_timestamp == float(ts - len(window) + 1)
+            assert stem.timestamp_of(window[0]) == float(ts - len(window) + 1)
             outcome = compiled_probe(stem, r_probe(0, ts % 5, 100.0))
             assert matched_rows(outcome) == [
                 row for row in window if row["x"] == ts % 5
@@ -280,7 +282,7 @@ class TestTimeWindow:
             survivors = [row["y"] for row in stem]
             assert survivors == [y for y in range(1, ts + 1) if y > ts - window]
             assert len(stem) <= window
-            assert stem.min_timestamp == float(survivors[0])
+            assert min(map(stem.timestamp_of, stem)) == float(survivors[0])
             assert stem.max_timestamp == float(ts)
 
     @settings(max_examples=40, deadline=None)
@@ -324,7 +326,7 @@ class TestReferenceWindow:
         stem.build(s_row(5), 5.0)
         assert [row["x"] for row in stem] == [0, 1, 4, 5]
         assert stem.stats["evictions"] == 2
-        assert stem.min_timestamp == 0.0 and stem.max_timestamp == 5.0
+        assert min(map(stem.timestamp_of, stem)) == 0.0 and stem.max_timestamp == 5.0
 
 
 class TestEvictionSpecs:
@@ -347,6 +349,11 @@ class TestEvictionSpecs:
             ("time-window", None, 0.5),
             ("reference-window", None, None),
             ("lru", 8, None),
+            # A bound the policy does not read is an error, not a no-op.
+            (None, None, 5.0),
+            ("count", 3, 5.0),
+            ("time-window", 3, 5.0),
+            ("reference-window", 3, 5.0),
         ],
     )
     def test_incomplete_or_unknown_specs_are_rejected(self, kind, max_size, window):
@@ -573,7 +580,7 @@ def three_ways(layout, entries, probe_row, probe_timestamp, pool,
             stem.build(row, timestamp)
         for row in evict:
             assert stem.evict(row)
-        probe = singleton_tuple("R", probe_row)
+        probe = singleton_tuple("R", probe_row, layout=TUPLES)
         probe.mark_built("R", probe_timestamp)
         if path == "compiled":
             outcome = compiled_probe(stem, probe, predicates,
@@ -715,7 +722,7 @@ class TestHostileProbes:
             stem = SteM("R", aliases=("r1", "r2"), join_columns=columns)
             for row, ts in rows:
                 stem.build(row, ts)
-            probe = QTuple({"r1": probe_row})
+            probe = QTuple({"r1": probe_row}, layout=TUPLES)
             probe.mark_built("r1", 20.0)
             if path == "compiled":
                 plan = ProbePlan.compile(predicates, "r2", probe.components,
@@ -769,7 +776,7 @@ class TestKeyEqualitySkip:
 
 
 def test_a_plan_drops_only_the_check_its_binding_satisfies():
-    probe = singleton_tuple("R", r3_row(0, 1, 2))
+    probe = singleton_tuple("R", r3_row(0, 1, 2), layout=TUPLES)
     one = ProbePlan.compile([equi_join("R.a", "S.x"), selection("S.y", "<", 4)],
                             "S", probe.components, target_schema=S_SCHEMA)
     assert one.binding_columns == ("x",)
@@ -903,7 +910,7 @@ class SequenceTwins:
             if probe is None:
                 # Stamped once: rows built later are suppressed by the
                 # TimeStamp constraint when this tuple probes again.
-                probe = probes[key] = singleton_tuple("R", r3_row(which, a, b))
+                probe = probes[key] = singleton_tuple("R", r3_row(which, a, b), layout=TUPLES)
                 probe.mark_built("R", self.clock)
             predicates = [predicate for predicate, _ in pool]
             if path == "compiled":

@@ -28,8 +28,7 @@ from repro.storage.datagen import make_source_s, make_source_t
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.conftest import single_query_engine
-from tests.core.test_modules import FakeRuntime
-from tests.helpers import QTUPLE_SLOTS, equi_join, singleton_tuple
+from tests.helpers import QTUPLE_SLOTS, FakeRuntime, equi_join, layout_over, singleton_tuple
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -38,6 +37,10 @@ T_SCHEMA = Schema.of("key:int")
 THREE_WAY = parse_query(
     "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key AND S.y < 10"
 )
+LAYOUT = PlanLayout(THREE_WAY)
+#: The same aliases on other bits: what a tuple is made of must not depend
+#: on which bit its alias holds.
+REVERSED = layout_over("T", "S", "R")
 
 
 def r_row(key=1, a=10):
@@ -50,7 +53,7 @@ def s_row(x=10, y=10):
 
 class TestQTupleBasics:
     def test_singleton_properties(self):
-        tuple_ = singleton_tuple("R", r_row(), source="am:R_scan")
+        tuple_ = singleton_tuple("R", r_row(), source="am:R_scan", layout=LAYOUT)
         assert tuple_.is_singleton
         assert tuple_.single_alias == "R"
         assert tuple_.aliases == {"R"}
@@ -60,43 +63,43 @@ class TestQTupleBasics:
 
     def test_empty_components_rejected(self):
         with pytest.raises(ExecutionError):
-            QTuple({})
+            QTuple({}, layout=LAYOUT)
 
     def test_timestamps_for_an_alias_not_spanned_are_rejected(self):
         """The checkpoint codec writes one timestamp per component, so such
         an entry would not survive a checkpoint: the restored tuple's
         ``timestamps`` would differ from the checkpointed one's."""
         with pytest.raises(ExecutionError, match="does not span"):
-            QTuple({"R": r_row()}, timestamps={"R": 1.0, "S": 2.0})
+            QTuple({"R": r_row()}, timestamps={"R": 1.0, "S": 2.0}, layout=LAYOUT)
         with pytest.raises(ExecutionError):
-            singleton_tuple("R", r_row()).mark_built("S", 1.0)
+            singleton_tuple("R", r_row(), layout=LAYOUT).mark_built("S", 1.0)
 
     def test_single_alias_requires_singleton(self):
-        tuple_ = QTuple({"R": r_row(), "S": s_row()})
+        tuple_ = QTuple({"R": r_row(), "S": s_row()}, layout=LAYOUT)
         with pytest.raises(ExecutionError):
             _ = tuple_.single_alias
 
     def test_value_access_and_spans(self):
-        tuple_ = QTuple({"R": r_row(a=7), "S": s_row(x=7)})
+        tuple_ = QTuple({"R": r_row(a=7), "S": s_row(x=7)}, layout=LAYOUT)
         assert tuple_.value("R", "a") == 7
         assert tuple_.spans(["R"])
         assert tuple_.spans(["R", "S"])
         assert not tuple_.spans(["R", "T"])
 
     def test_tuple_ids_unique(self):
-        ids = {singleton_tuple("R", r_row(key=i)).tuple_id for i in range(10)}
+        ids = {singleton_tuple("R", r_row(key=i), layout=LAYOUT).tuple_id for i in range(10)}
         assert len(ids) == 10
 
     def test_identity_is_order_insensitive(self):
-        first = QTuple({"R": r_row(), "S": s_row()})
-        second = QTuple({"S": s_row(), "R": r_row()})
+        first = QTuple({"R": r_row(), "S": s_row()}, layout=LAYOUT)
+        second = QTuple({"S": s_row(), "R": r_row()}, layout=LAYOUT)
         assert first.identity() == second.identity()
 
 
 class TestTupleState:
     def test_done_bits(self):
         predicate = selection("R.a", "<", 100)
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         assert not tuple_.is_done(predicate)
         tuple_.mark_done([predicate])
         assert tuple_.is_done(predicate)
@@ -106,7 +109,7 @@ class TestTupleState:
         assert tuple_.is_done(other)
 
     def test_visits(self):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         assert tuple_.visit_count("stem:S") == 0
         assert tuple_.record_visit("stem:S") == 1
         assert tuple_.record_visit("stem:S") == 2
@@ -121,7 +124,7 @@ class TestTupleState:
         # into a neighbouring module's byte would collide routing signatures.
         from repro.core.tuples import _MAX_VISITS_PER_MODULE
 
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         tuple_.record_visit("stem:T")
         for _ in range(_MAX_VISITS_PER_MODULE):
             tuple_.record_visit("stem:S")
@@ -131,13 +134,13 @@ class TestTupleState:
         assert tuple_.visits == {"stem:T": 1, "stem:S": _MAX_VISITS_PER_MODULE}
 
     def test_mark_built_updates_timestamp(self):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         tuple_.mark_built("R", 17.0)
         assert tuple_.timestamp == 17.0
         assert "R" in tuple_.built
 
     def test_resolution_tracking(self):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         assert not tuple_.is_resolved("S")
         tuple_.mark_resolved("S")
         assert tuple_.is_resolved("S")
@@ -145,7 +148,7 @@ class TestTupleState:
 
 class TestExtension:
     def test_extended_builds_composite(self):
-        base = singleton_tuple("R", r_row(a=5))
+        base = singleton_tuple("R", r_row(a=5), layout=LAYOUT)
         base.mark_built("R", 3.0)
         predicate = equi_join("R.a", "S.x")
         extended = base.extended("S", s_row(x=5), 7.0, extra_done=1 << predicate.predicate_id)
@@ -159,12 +162,12 @@ class TestExtension:
         assert not base.is_done(predicate)
 
     def test_extended_rejects_existing_alias(self):
-        base = singleton_tuple("R", r_row())
+        base = singleton_tuple("R", r_row(), layout=LAYOUT)
         with pytest.raises(ExecutionError):
             base.extended("R", r_row(), 1.0)
 
     def test_extension_resets_visits_but_keeps_priority(self):
-        base = singleton_tuple("R", r_row())
+        base = singleton_tuple("R", r_row(), layout=LAYOUT)
         base.priority = 2.5
         base.record_visit("stem:S")
         extended = base.extended("S", s_row(), 1.0)
@@ -183,7 +186,7 @@ class TestExtensionMatchesConstructor:
     @settings(max_examples=120, deadline=None)
     @given(
         composite_parent=st.booleans(),
-        compiled_layout=st.booleans(),
+        layout=st.sampled_from([LAYOUT, REVERSED]),
         priority=st.sampled_from([0.0, 0.5, 3.0]),
         done=st.sets(st.integers(0, 9)),
         extra_done=st.sets(st.integers(0, 9)),
@@ -197,10 +200,9 @@ class TestExtensionMatchesConstructor:
         mutation=st.sampled_from(["record_visit", "mark_resolved", "priority"]),
     )
     def test_every_slot_of_every_sibling(
-        self, composite_parent, compiled_layout, priority, done, extra_done,
+        self, composite_parent, layout, priority, done, extra_done,
         built, resolved, exhausted, query_id, visits, created_at, matches, mutation,
     ):
-        layout = PlanLayout(THREE_WAY) if compiled_layout else None
         components = {"R": r_row()}
         if composite_parent:
             components["S"] = s_row()
@@ -310,28 +312,26 @@ class TestSingletonTemplateMatchesConstructor:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        compiled_layout=st.booleans(),
+        layout=st.sampled_from([LAYOUT, REVERSED]),
         source=st.sampled_from(["", "am:R_scan"]),
         created_at=st.floats(0.0, 50.0),
         keys=st.lists(st.integers(0, 9), min_size=1, max_size=4),
     )
-    def test_every_slot_of_every_singleton(self, compiled_layout, source, created_at, keys):
-        layout = PlanLayout(THREE_WAY) if compiled_layout else None
+    def test_every_slot_of_every_singleton(self, layout, source, created_at, keys):
         install_id_allocator(TupleIdAllocator(start=50))
         try:
             make = singleton_maker("R", source, layout)
             made = [make(r_row(key), created_at) for key in keys]
-            single = singleton_tuple("R", r_row(), source, created_at, layout)
+            single = singleton_tuple("R", r_row(), source, created_at, layout=layout)
         finally:
             install_id_allocator()  # leave a fresh default for other tests
         assert [t.tuple_id for t in made + [single]] == list(range(50, 51 + len(keys)))
         assert_slots_match_the_constructor(made + [single], "R", source,
                                            made[0].layout)
 
-    @pytest.mark.parametrize("compiled_layout", [False, True])
-    def test_scan_and_index_deliveries(self, compiled_layout):
-        runtime = FakeRuntime()
-        runtime.layout = PlanLayout(THREE_WAY) if compiled_layout else None
+    @pytest.mark.parametrize("layout", [LAYOUT, REVERSED], ids=["from-clause", "reversed"])
+    def test_scan_and_index_deliveries(self, layout):
+        runtime = FakeRuntime(layout)
         scan = ScanAMModule(ScanSpec(name="T_scan", table="T", rate=10.0),
                             make_source_t(4, seed=1), "T")
         scan.attach(runtime)
@@ -339,7 +339,7 @@ class TestSingletonTemplateMatchesConstructor:
         runtime.sim.run()
         delivered = [item for item in runtime.delivered if isinstance(item, QTuple)]
         assert len(delivered) == 4
-        layout = delivered[0].layout
+        assert delivered[0].layout is layout
         assert_slots_match_the_constructor(delivered, "T", scan.name, layout)
         runtime.delivered.clear()
         index = IndexAMModule(IndexSpec(name="S_idx", table="S", columns=("x",)),
@@ -374,7 +374,7 @@ class TestTimestampsMatchTheDict:
         if composite:
             components["S"] = s_row()
         given_ts = {alias: ts for alias, ts in given_ts.items() if alias in components}
-        tuple_ = QTuple(components, timestamps=given_ts)
+        tuple_ = QTuple(components, timestamps=given_ts, layout=LAYOUT)
         model = {alias: UNBUILT for alias in components}
         model.update(given_ts)
         assert tuple_.timestamps == model and list(tuple_.timestamps) == list(components)
@@ -480,7 +480,7 @@ class TestFactorisedChainsMatchTheDict:
 
 class TestHotObjectsAreLean:
     def test_no_instance_dicts(self):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         for instance in (
             r_row(),
             tuple_,
@@ -599,7 +599,7 @@ class TestHotObjectsAreLean:
         from repro.engine.static_engine import run_static
 
         stems = self._fanout_engine(distinct=12)
-        query, catalog = stems.layout_of("q0").query, stems.catalog
+        query, catalog = stems.eddy_of("q0").layout.query, stems.catalog
         joins = EddyJoinsEngine(query, catalog)
         kept = {
             "stems": (stems.run()["q0"].tuples, stems.eddy_of("q0").outputs),
@@ -683,12 +683,12 @@ class TestRoutingSignatureMemo:
     batched eddy's grouping and the destination-signature cache."""
 
     def test_repeated_calls_return_the_same_object(self):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         first = tuple_.routing_signature()
         assert tuple_.routing_signature() is first  # no per-call allocation
 
     def test_signature_elements_are_scalars(self):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         tuple_.mark_built("R", 1.0)
         tuple_.record_visit("stem:S")
         assert all(
@@ -714,7 +714,7 @@ class TestRoutingSignatureMemo:
         ],
     )
     def test_mutation_after_caching_yields_a_fresh_signature(self, mutate):
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         before = tuple_.routing_signature()
         mutate(tuple_)
         after = tuple_.routing_signature()
@@ -723,26 +723,15 @@ class TestRoutingSignatureMemo:
 
     def test_noop_mark_done_keeps_the_memo(self):
         predicate = selection("R.a", "<", 100)
-        tuple_ = singleton_tuple("R", r_row())
+        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
         tuple_.mark_done([predicate])
         cached = tuple_.routing_signature()
         tuple_.mark_done([predicate])  # already done: no state change
         assert tuple_.routing_signature() is cached
 
-    def test_bind_layout_invalidates_the_memo(self):
-        from repro.query.layout import PlanLayout
-        from repro.query.parser import parse_query
-
-        tuple_ = singleton_tuple("R", r_row())
-        tuple_.mark_built("R", 1.0)
-        before = tuple_.routing_signature()
-        layout = PlanLayout(parse_query("SELECT * FROM R WHERE R.a < 5"))
-        tuple_.bind_layout(layout)
-        assert tuple_.routing_signature() is not before
-
     def test_equal_state_tuples_share_a_signature_value(self):
-        first = singleton_tuple("R", r_row(key=1))
-        second = singleton_tuple("R", r_row(key=2))
+        first = singleton_tuple("R", r_row(key=1), layout=LAYOUT)
+        second = singleton_tuple("R", r_row(key=2), layout=LAYOUT)
         for tuple_ in (first, second):
             tuple_.mark_built("R", 1.0)
             tuple_.record_visit("stem:S")
@@ -757,11 +746,11 @@ class TestTupleIdAllocation:
         from repro.core.tuples import install_id_allocator
 
         install_id_allocator()
-        first = singleton_tuple("R", r_row(key=1))
+        first = singleton_tuple("R", r_row(key=1), layout=LAYOUT)
         assert first.tuple_id == 1
-        assert singleton_tuple("R", r_row(key=2)).tuple_id == 2
+        assert singleton_tuple("R", r_row(key=2), layout=LAYOUT).tuple_id == 2
         install_id_allocator()
-        assert singleton_tuple("R", r_row(key=3)).tuple_id == 1
+        assert singleton_tuple("R", r_row(key=3), layout=LAYOUT).tuple_id == 1
 
     def test_install_specific_allocator(self):
         from repro.core.tuples import TupleIdAllocator, install_id_allocator
@@ -769,11 +758,11 @@ class TestTupleIdAllocation:
         allocator = TupleIdAllocator(start=100)
         returned = install_id_allocator(allocator)
         assert returned is allocator
-        assert singleton_tuple("R", r_row()).tuple_id == 100
+        assert singleton_tuple("R", r_row(), layout=LAYOUT).tuple_id == 100
         install_id_allocator()  # leave a fresh default for other tests
 
     def test_query_id_defaults_empty_and_propagates_to_extensions(self):
-        base = singleton_tuple("R", r_row())
+        base = singleton_tuple("R", r_row(), layout=LAYOUT)
         assert base.query_id == ""
         base.query_id = "q7"
         extended = base.extended("S", Row("S", S_SCHEMA, (3, 4)), 2.0)

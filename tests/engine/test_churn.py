@@ -31,6 +31,7 @@ from repro.errors import ExecutionError
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_cyclic_triple, make_source_r, make_source_t
+from tests.helpers import refcount
 
 BACKGROUND_SQL = "SELECT * FROM R, T WHERE R.key = T.key"
 FOREGROUND_SQL = "SELECT * FROM A, B WHERE A.ab = B.ab"
@@ -198,7 +199,7 @@ class TestRetirement:
         # A and B had a single reader: reclaimed outright.
         assert set(registry.stems) == {"R", "T"}
         assert registry.stats["reclaimed"] == 2
-        assert registry.refcount("A") == 0 and registry.refcount("R") == 1
+        assert refcount(registry, "A") == 0 and refcount(registry, "R") == 1
         engine.retire("rt")
         assert len(registry) == 0
         # Reclaimed SteMs still contribute to the run's build totals.

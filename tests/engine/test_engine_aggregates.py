@@ -29,6 +29,7 @@ from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
 from tests.conftest import single_query_engine
+from tests.helpers import recompute_aggregate
 
 AGG_SQL = "SELECT a, count(*), sum(key), avg(key), min(key), max(key) FROM R GROUP BY a"
 FILTERED_SQL = "SELECT a, count(*), sum(key) FROM R WHERE R.key < 60 GROUP BY a"
@@ -99,14 +100,12 @@ class TestSingleQueryAggregates:
         ids=["count", "time-window"],
     )
     def test_windowed_run_equals_recompute_over_survivors(self, bound):
-        from repro.core.aggregates import AggregateState
-
         engine = single_query_engine(AGG_SQL, build_catalog(), policy="naive", **bound)
         result = engine.run()["q0"]
         eddy = engine.eddy_of("q0")
         module = eddy.aggregate_module
         stem = eddy.stems["R"].stem
-        expected = AggregateState.recompute(
+        expected = recompute_aggregate(
             module.state.group_by,
             module.state.aggregates,
             (row for row, _ in stem.state_entries()),

@@ -148,7 +148,7 @@ class TestResultObject:
         assert series.count_at(series.final_time) == series.final_count
         assert time_to_count(series, 1) is not None
         assert time_to_count(series, 10**9) is None
-        sampled = series.sampled([0.0, series.final_time])
+        sampled = [(t, series.count_at(t)) for t in (0.0, series.final_time)]
         assert sampled[-1][1] == series.final_count
 
     def test_summary_mentions_engine_and_counts(self, small_rt_catalog, q4_query):

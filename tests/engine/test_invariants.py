@@ -9,6 +9,8 @@ reads the clock and each live query's output list between events.
 At every event:
 
 * virtual time never decreases;
+* every tuple waiting in a live query's ready queue or module queues is on
+  that query's layout (tuples are born on it and never re-encoded);
 * a time-windowed SteM holds only rows built inside its window;
 * no output appended since the previous event repeats an identity the
   query already emitted.  Over bounded SteMs a row that left the window
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bench import workloads
+from repro.core.tuples import QTuple
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from tests.conftest import oracle_identities
 from tests.helpers import dashboard_workload, shared_tables_mixed_workload
@@ -145,6 +148,8 @@ class InvariantChecker:
         self.seen_outputs: dict[str, int] = defaultdict(int)
         self.emitted: dict[str, set] = defaultdict(set)
         self.repeats: dict[str, int] = defaultdict(int)
+        #: Queued tuples whose layout was checked (so the check is not vacuous).
+        self.layout_checks = 0
         engine.simulator.after_event_hook = self.after_event
 
     def after_event(self, event) -> None:
@@ -157,9 +162,19 @@ class InvariantChecker:
         if self.window is not None:
             for stem in self.engine.registry.stems.values():
                 if len(stem):
-                    assert stem.max_timestamp - stem.min_timestamp < self.window, stem
+                    oldest = min(map(stem.timestamp_of, stem))
+                    assert stem.max_timestamp - oldest < self.window, stem
         for query_id in self.engine.active:
-            outputs = self.engine.eddy_of(query_id).output_tuples
+            eddy = self.engine.eddy_of(query_id)
+            queued = [eddy._ready, *(module.queue.items for module in eddy.modules.values())]
+            for items in queued:
+                for item in items:
+                    if isinstance(item, QTuple):
+                        assert item.layout is eddy.layout, (
+                            f"{query_id}: {item} is on {item.layout}, not {eddy.layout}"
+                        )
+                        self.layout_checks += 1
+            outputs = eddy.output_tuples
             start = self.seen_outputs[query_id]
             if start == len(outputs):
                 continue
@@ -210,6 +225,7 @@ def test_invariants_hold_at_every_event_and_at_quiesce(builder, policy):
     checker = InvariantChecker(run.engine, run.window)
     result = run.engine.run()
     assert checker.events == run.engine.simulator.executed_events > 0
+    assert checker.layout_checks > 0
 
     joins = 0
     for query_id, query in run.queries.items():

@@ -22,6 +22,7 @@ from repro.engine.options import SHARED_ENGINE_OPTIONS
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
+from tests.helpers import FakeRuntime, layout_over
 
 JOIN_SQL = "SELECT * FROM R, T WHERE R.key = T.key"
 
@@ -249,19 +250,11 @@ class TestSteMRegistry:
 
     def test_broadcast_reaches_every_attached_runtime(self):
         registry = SteMRegistry()
-
-        class Runtime:
-            def __init__(self):
-                self.notices = 0
-
-            def notice_liveness_change(self):
-                self.notices += 1
-
-        runtimes = [Runtime(), Runtime()]
+        runtimes = [FakeRuntime(layout_over("R")), FakeRuntime(layout_over("R"))]
         for runtime in runtimes:
             registry.attach_runtime(runtime)
         registry.broadcast_liveness_change()
-        assert [runtime.notices for runtime in runtimes] == [1, 1]
+        assert [runtime.liveness_changes for runtime in runtimes] == [1, 1]
         assert registry.stats["broadcasts"] == 1
 
 
@@ -322,6 +315,29 @@ class TestEngineOptions:
         with pytest.raises(ExecutionError, match="run_churn" + unknown):
             run_churn([], build_catalog(), stem_index_kind="sorted")
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"stem_window": 12},
+            {"stem_eviction": "count", "stem_max_size": 12, "stem_window": 12},
+            {"stem_eviction": "reference-window", "stem_max_size": 12, "stem_window": 12},
+            {"stem_eviction": "time-window", "stem_window": 12, "stem_max_size": 12},
+        ],
+        ids=["window-alone", "count+window", "reference-window+window", "time-window+max_size"],
+    )
+    def test_a_bound_its_policy_does_not_read_is_rejected(self, bound):
+        # Dropping the bound silently would run with unbounded (or
+        # differently bounded) SteMs; every entry point refuses it instead.
+        admission = QueryAdmission(JOIN_SQL, query_id="a", policy="naive")
+        with pytest.raises(ExecutionError, match="eviction"):
+            execute(JOIN_SQL, build_catalog(), **bound)
+        with pytest.raises(ExecutionError, match="eviction"):
+            run_multi([admission], build_catalog(), **bound)
+        with pytest.raises(ExecutionError, match="eviction"):
+            run_churn([], build_catalog(), **bound)
+        with pytest.raises(ExecutionError, match="eviction"):
+            MultiQueryEngine([], build_catalog(), continuous=True, **bound)
+
     @pytest.mark.parametrize("name", SHARED_ENGINE_OPTIONS)
     def test_every_entry_point_accepts_the_option(self, name):
         # Each shared option reaches all three entry points with a
@@ -341,7 +357,7 @@ class TestEngineOptions:
                 build_catalog(), **options,
             )["a"]),
         ]
-        bounded = name in ("stem_max_size", "stem_eviction")
+        bounded = name in ("stem_max_size", "stem_eviction", "stem_window")
         for answer in answers:
             assert answer, options
             if bounded:
@@ -358,7 +374,9 @@ OPTION_SETTINGS = {
     "batch_size": {"batch_size": 8},
     "stem_max_size": {"stem_max_size": 12},
     "stem_eviction": {"stem_eviction": "time-window", "stem_window": 12},
-    "stem_window": {"stem_window": 12},
+    # A window bounds time-window eviction only (alone it is rejected, see
+    # test_a_bound_its_policy_does_not_read_is_rejected).
+    "stem_window": {"stem_eviction": "time-window", "stem_window": 6},
 }
 
 

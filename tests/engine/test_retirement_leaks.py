@@ -26,6 +26,7 @@ from repro.core.stem import SteM
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
+from tests.helpers import refcount
 
 SQL = "SELECT * FROM R, T WHERE R.key = T.key"
 
@@ -56,10 +57,10 @@ class TestRetirementLeavesNoReferences:
         engine.run()
         registry = engine.registry
         assert set(registry.owners) == {"keep", "churned"}
-        assert registry.refcount("R") == 2 and registry.refcount("T") == 2
+        assert refcount(registry, "R") == 2 and refcount(registry, "T") == 2
         engine.retire("churned")
         assert set(registry.owners) == {"keep"}
-        assert registry.refcount("R") == 1 and registry.refcount("T") == 1
+        assert refcount(registry, "R") == 1 and refcount(registry, "T") == 1
         # Internal ref maps hold nothing keyed by the retired query.
         assert "churned" not in registry._owner_refs
 
@@ -80,7 +81,7 @@ class TestRetirementLeavesNoReferences:
 
     def test_probe_plan_memo_is_emptied(self):
         engine = build_engine()
-        layout = engine.layout_of("churned")
+        layout = engine.eddy_of("churned").layout
         engine.run()
         assert layout.probe_plans, "run should have populated the plan memo"
         engine.retire("churned")
@@ -113,7 +114,7 @@ class TestRetirementLeavesNoReferences:
             result["churned2"].canonical_identities()
             == first.canonical_identities()
         )
-        assert engine.registry.refcount("R") == 2  # keep + churned2
+        assert refcount(engine.registry, "R") == 2  # keep + churned2
 
     def test_stems_rebuilt_after_the_last_owner_left_are_collected(self):
         # Once every owner has retired the registry reclaims its SteMs; a

@@ -7,6 +7,7 @@ from repro.errors import ExecutionError, QueryError
 from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec, default_join_plan
 from repro.engine.static_engine import StaticEngine, choose_join_order, run_static
 from repro.joins.pipeline import execute_left_deep
+from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -96,8 +97,9 @@ class TestStaticEngine:
         engine = StaticEngine(query, catalog)
         result = engine.run()
         install_id_allocator()
+        layout = PlanLayout(query)
         reference = [
-            QTuple(dict(composite))
+            QTuple(dict(composite), layout=layout)
             for composite in execute_left_deep(query, catalog, order=engine.order)
         ]
         assert result.row_count == len(reference) > 0

@@ -8,17 +8,22 @@ the tests so that ``src/`` holds only what an entry point runs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
 from repro.bench.workloads import MultiQueryWorkload
+from repro.core.aggregates import AggregateState
+from repro.core.stem_registry import SteMRegistry
 from repro.core.tuples import QTuple, Result, singleton_maker
 from repro.engine.multi import QueryAdmission
 from repro.engine.results import ExecutionResult, Series
 from repro.query.expressions import ColumnRef
-from repro.query.layout import AliasSpace
+from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.predicates import Comparison
+from repro.query.query import AggregateSpec, Query
+from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import ZipfDraw, make_source_r, make_source_s, make_source_t
 from repro.storage.row import Row
@@ -38,15 +43,104 @@ def equi_join(left: str, right: str, priority: float = 0.0) -> Comparison:
     return Comparison(ColumnRef.parse(left), "=", ColumnRef.parse(right), priority=priority)
 
 
+def layout_over(*aliases: str) -> PlanLayout:
+    """The :class:`PlanLayout` of a predicate-free query over ``aliases``
+    (FROM-clause order, so alias ``i`` holds bit ``1 << i``)."""
+    return PlanLayout(Query(aliases))
+
+
 def singleton_tuple(
     alias: str,
     row: Row,
     source: str = "",
     created_at: float = 0.0,
-    layout: AliasSpace | None = None,
+    *,
+    layout: PlanLayout,
 ) -> QTuple:
     """A singleton :class:`QTuple` for one row, as an access method makes it."""
     return singleton_maker(alias, source, layout)(row, created_at)
+
+
+class FakeRuntime:
+    """The whole ``EddyRuntime`` surface a module is attached to, over a
+    real simulator but with no eddy behind it.
+
+    What the module hands back is recorded instead of routed: deliveries in
+    ``delivered``, quarantined tuples as ``(tuple, module, error)`` in
+    ``trapped``, absorbed tuples in ``absorbed`` and liveness changes in
+    ``liveness_changes``.  ``has_scan_am`` is true for ``scan_aliases``.
+    """
+
+    def __init__(self, layout: PlanLayout, scan_aliases: Sequence[str] = ()):
+        self.sim = Simulator()
+        self.layout = layout
+        self.live = True
+        self.scan_aliases = set(scan_aliases)
+        self.delivered: list = []
+        self.trapped: list = []
+        self.absorbed: list = []
+        self.liveness_changes = 0
+        self._timestamps = itertools.count(1)
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    def schedule(self, delay, callback, label=""):
+        return self.sim.schedule(delay, callback, label)
+
+    def reserve(self, delays, base=None):
+        return self.sim.reserve(delays, base)
+
+    def schedule_reserved(self, slot, callback, label=""):
+        return self.sim.schedule_reserved(slot, callback, label)
+
+    def cancel(self, event) -> None:
+        self.sim.cancel(event)
+
+    def to_eddy(self, item, source=None) -> None:
+        self.to_eddy_all((item,), source)
+
+    def to_eddy_all(self, items, source=None) -> None:
+        self.delivered.extend(items)
+
+    def next_timestamp(self) -> float:
+        return float(next(self._timestamps))
+
+    def has_scan_am(self, alias) -> bool:
+        return alias in self.scan_aliases
+
+    def notify_idle(self, module) -> None:
+        pass
+
+    def notice_liveness_change(self) -> None:
+        self.liveness_changes += 1
+
+    def note_absorbed(self, tuple_) -> None:
+        self.absorbed.append(tuple_)
+
+    def quarantine_tuple(self, tuple_, module, error) -> None:
+        self.trapped.append((tuple_, module, error))
+
+
+# ---------------------------------------------------------------------------
+# Engine state and reference results
+# ---------------------------------------------------------------------------
+
+
+def refcount(registry: SteMRegistry, table: str) -> int:
+    """Owner-attributed references a registry holds on a table's SteM."""
+    return registry._table_refs.get(table, 0)
+
+
+def recompute_aggregate(
+    group_by: Sequence[ColumnRef], aggregates: Sequence[AggregateSpec], rows
+) -> list[tuple]:
+    """Reference: aggregate ``rows`` from scratch (no retractions)."""
+    state = AggregateState(group_by, aggregates)
+    for row in rows:
+        state.insert(row)
+    return state.result_rows()
 
 
 # ---------------------------------------------------------------------------

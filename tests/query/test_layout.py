@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.tuples import QTuple, singleton_maker
 from repro.errors import QueryError
 from repro.query.joingraph import JoinGraph
-from repro.query.layout import DynamicAliasSpace, PlanLayout, bit_positions
+from repro.query.layout import PlanLayout, bit_positions
 from repro.query.parser import parse_query
 from repro.storage.row import Row
 from repro.storage.schema import Schema
@@ -134,27 +135,23 @@ class TestFrozensetViews:
         assert layout.mask_of(tuple_.resolved) == tuple_.resolved_mask
         assert layout.mask_of(tuple_.exhausted) == tuple_.exhausted_mask
 
-    def test_bind_layout_re_encodes_fallback_masks(self):
-        # A tuple born outside any engine uses the process-wide fallback
-        # space; entering an eddy re-encodes its masks over the plan layout.
-        tuple_ = singleton_tuple("R", r_row())
-        tuple_.mark_built("R", 1.0)
-        tuple_.mark_resolved("T")
-        before = (tuple_.built, tuple_.resolved)
+    def test_a_tuple_is_born_on_a_layout(self):
+        # There is one alias space, the query's layout: a tuple without one
+        # cannot be made, and an alias outside it is refused at birth.
         layout = PlanLayout(parse_query(THREE_WAY_SQL))
-        tuple_.bind_layout(layout)
-        assert tuple_.layout is layout
-        assert (tuple_.built, tuple_.resolved) == before
-        assert tuple_.built_mask == layout.alias_bits["R"]
-        assert tuple_.resolved_mask == layout.alias_bits["T"]
-        assert tuple_.spanned_mask == layout.alias_bits["R"]
-
-    def test_dynamic_space_interns_in_first_use_order(self):
-        space = DynamicAliasSpace()
-        assert space.bit_of("b") == 1
-        assert space.bit_of("a") == 2
-        assert space.bit_of("b") == 1
-        assert space.aliases_of_mask(0b11) == frozenset({"a", "b"})
+        with pytest.raises(TypeError):
+            QTuple({"R": r_row()})
+        with pytest.raises(TypeError):
+            singleton_maker("R", "am:R")
+        with pytest.raises(QueryError, match="not part of query"):
+            QTuple({"Z": r_row()}, layout=layout)
+        with pytest.raises(QueryError, match="not part of query"):
+            singleton_maker("Z", "am:Z", layout)
+        tuple_ = singleton_tuple("R", r_row(), layout=layout)
+        with pytest.raises(QueryError, match="not part of query"):
+            tuple_.mark_resolved("Z")
+        assert not tuple_.is_resolved("Z") and not tuple_.has_built("Z")
+        assert tuple_.extended("S", r_row(), 1.0).layout is layout
 
     def test_bit_positions_helper(self):
         assert bit_positions(0) == []
@@ -180,7 +177,7 @@ class TestEngineThreading:
             "SELECT * FROM R, T WHERE R.key = T.key", catalog, policy="naive",
             trace=trace,
         )
-        layout = engine.layout_of("q0")
+        layout = engine.eddy_of("q0").layout
         assert isinstance(layout, PlanLayout)
         assert engine.eddy_of("q0").layout is layout
         assert engine.eddy_of("q0").resolver.layout is layout

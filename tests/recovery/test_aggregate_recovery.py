@@ -20,16 +20,11 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
-from repro.recovery import (
-    CheckpointManager,
-    CrashInjector,
-    InjectedCrash,
-    recover_state,
-    restore_engine,
-)
+from repro.recovery import CheckpointManager, recover_state, restore_engine
 from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
+from tests.reference.crash_oracle import CrashInjector, InjectedCrash
 
 AGG_SQL = "SELECT a, count(*), sum(key), avg(key), min(key), max(key) FROM R GROUP BY a"
 FILTERED_SQL = "SELECT a, count(*), sum(key) FROM R WHERE R.key < 60 GROUP BY a"

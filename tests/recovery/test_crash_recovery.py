@@ -24,17 +24,16 @@ from repro.bench.workloads import (
 )
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.errors import ExecutionError
-from repro.recovery import (
-    CheckpointManager,
+from repro.recovery import CheckpointManager, recover_state, restore_engine
+from repro.recovery.wal import replay_wal_file, wal_generations
+from tests.helpers import shared_tables_mixed_workload
+from tests.reference.crash_oracle import (
     CrashInjector,
     InjectedCrash,
     crash_recovery_oracle,
-    recover_state,
-    restore_engine,
+    result_identity_counts,
+    run_reference,
 )
-from repro.recovery.harness import result_identity_counts, run_reference
-from repro.recovery.wal import replay_wal_file, wal_generations
-from tests.helpers import shared_tables_mixed_workload
 
 #: Event boundaries swept by the smoke grid: one almost immediately, one
 #: mid-stream, two deep into the run — before the first periodic checkpoint
@@ -203,7 +202,7 @@ class TestResumeMode:
         manager.close()  # clean shutdown: final checkpoint
 
         state = recover_state(str(tmp_path / "ckpt"))
-        pre = {q: Counter(state.emitted_counts(q)) for q in state.emitted}
+        pre = {q: Counter(state.emitted[q]) for q in state.emitted}
         assert sum(sum(c.values()) for c in pre.values()) > 0
 
         assert state.cut_time == 6.0 and not state.tail_acks

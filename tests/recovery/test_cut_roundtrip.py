@@ -297,7 +297,7 @@ class TestBlockedOffers:
 
         result = restored.run()
         for query_id, expected in reference.results.items():
-            acked = state.emitted_counts(query_id)
+            acked = state.emitted.get(query_id, {})
             assert sum(acked.values()) + len(result[query_id].tuples) == len(
                 expected.tuples
             ), query_id

@@ -137,7 +137,7 @@ class TestCutDuringBackoff:
         AM makes that attempt then — not a first one, not at once."""
         from repro.engine.multi import MultiQueryEngine, QueryAdmission
         from repro.recovery import CheckpointManager, recover_state, restore_engine
-        from repro.recovery.harness import result_identity_counts, run_reference
+        from tests.reference.crash_oracle import result_identity_counts, run_reference
 
         def catalog():
             return rs_catalog(
@@ -173,7 +173,7 @@ class TestCutDuringBackoff:
         (restored_am,) = restored.eddy_of("q").index_ams["S"]
         assert restored_am._in_flight == waiting
         assert restored_am.stats["lookup_retries"] == 0  # nothing re-failed yet
-        acked = Counter(state.emitted_counts("q"))
+        acked = Counter(state.emitted.get("q", {}))
         post = result_identity_counts(restored.run())["q"]
         assert acked and post + acked == reference["q"]
         assert restored_am.stats["lookups_abandoned"] == 0

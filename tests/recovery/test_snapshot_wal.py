@@ -89,9 +89,9 @@ class TestWriteAheadLog:
         for key in ("a", "b"):
             wal.log_emit("q0", key)
         wal.log_emit("q1", "c")
-        assert wal.position == 0 and wal.needs_commit  # queued, not acked
+        assert wal.position == 0 and wal._pending_emits  # queued, not acked
         wal.flush()
-        assert wal.position == 2 and not wal.needs_commit
+        assert wal.position == 2 and not wal._pending_emits
         wal.close()
         records, _ = replay_wal_file(path)
         assert [(r["k"], r["q"], r["ids"]) for r in records] == [
@@ -104,7 +104,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(path, group_commit=True)
         wal.log_emit("q0", "a")
         wal.append("retire", {"q": "q0", "at": 1.0})  # flushes inline
-        assert wal.position == 2 and not wal.needs_commit
+        assert wal.position == 2 and not wal._pending_emits
         wal.close()
         assert [r["k"] for r in replay_wal_file(path)[0]] == ["retire", "emits"]
 

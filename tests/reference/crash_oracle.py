@@ -1,4 +1,4 @@
-"""The crash-recovery differential oracle.
+"""The crash-recovery differential oracle (a test oracle: no entry point runs it).
 
 The correctness claim of the durability layer is *exactly-once equivalence*:
 for a crash at **any** event boundary, the union of the results durably
@@ -11,7 +11,7 @@ workload and one crash boundary:
 
 1. run the workload *without* durability → the reference result multisets;
 2. run it again with a :class:`~repro.recovery.manager.CheckpointManager`
-   attached and a :class:`~repro.recovery.faults.CrashInjector` armed, let
+   attached and a :class:`CrashInjector` armed, let
    the injected crash kill it, and drop the WAL's unflushed buffer exactly
    as a real crash would;
 3. recover from disk, rebuild the engine standing at the last cut, run it
@@ -36,15 +36,62 @@ from typing import Any, Sequence
 
 from repro.engine.multi import ChurnEvent, MultiQueryEngine, QueryAdmission
 from repro.engine.results import MultiQueryResult
-from repro.recovery.faults import CrashInjector, InjectedCrash
+from repro.errors import ExecutionError
 from repro.recovery.manager import (
     CheckpointManager,
     identity_key,
     recover_state,
     restore_engine,
 )
+from repro.sim.simulator import Simulator
 
-__all__ = ["crash_recovery_oracle", "result_identity_counts", "run_reference"]
+
+class InjectedCrash(RuntimeError):
+    """Raised out of the simulator loop to kill a run at an event boundary.
+
+    Deliberately *not* an :class:`~repro.errors.ExecutionError`: nothing in
+    the engine may catch and absorb it — it must unwind to the harness like
+    a real crash.
+    """
+
+    def __init__(self, events_executed: int, time: float):
+        super().__init__(
+            f"injected crash after {events_executed} events at t={time:.3f}"
+        )
+        self.events_executed = events_executed
+        self.time = time
+
+
+class CrashInjector:
+    """Kill a simulator run after exactly ``after_events`` executed events.
+
+    Counts events from :meth:`arm`, so the boundary index is stable across
+    runs of the same workload — the crash-recovery oracle sweeps it.
+    """
+
+    def __init__(self, simulator: Simulator, after_events: int):
+        if after_events < 1:
+            raise ExecutionError(
+                f"crash boundary must be >= 1 events, got {after_events}"
+            )
+        self.simulator = simulator
+        self.after_events = after_events
+        self.seen = 0
+        self.fired = False
+
+    def arm(self) -> "CrashInjector":
+        if self.simulator.after_event_hook is not None:
+            raise ExecutionError(
+                "the simulator already has an after_event_hook installed"
+            )
+        self.simulator.after_event_hook = self._hook
+        return self
+
+    def _hook(self, event) -> None:
+        self.seen += 1
+        if not self.fired and self.seen >= self.after_events:
+            self.fired = True
+            raise InjectedCrash(self.seen, self.simulator.now)
 
 
 def result_identity_counts(result: MultiQueryResult) -> dict[str, Counter]:
@@ -171,7 +218,7 @@ def crash_recovery_oracle(
 
     state = recover_state(checkpoint_dir)
     pre_crash = {
-        query_id: Counter(state.emitted_counts(query_id))
+        query_id: Counter(state.emitted[query_id])
         for query_id in state.emitted
     }
 

@@ -36,7 +36,6 @@ class TestEventQueue:
         drop = queue.push(0.5, lambda: None, label="drop")
         queue.cancel(drop)
         assert len(queue) == 1
-        assert queue.peek_time() == 1.0
         assert queue.pop() is keep
         assert queue.pop() is None
 
@@ -74,7 +73,7 @@ class TestEventHeapCompaction:
             queue.cancel(event)
         # Below the threshold: lazy cancellation only, no rebuild churn.
         assert len(queue._heap) == 10
-        assert queue.peek_time() == 8.0
+        assert queue.pop().time == 8.0
 
     def test_handles_from_before_a_compaction_still_cancel_after_it(self):
         queue = EventQueue()
@@ -92,13 +91,14 @@ class TestEventHeapCompaction:
         queue.cancel(survivor)  # already fired: no-op
         assert len(queue) == 47
 
-    def test_peek_and_pop_keep_the_dead_count_exact(self):
+    def test_bounded_and_plain_pops_keep_the_dead_count_exact(self):
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         second = queue.push(2.0, lambda: None)
         queue.cancel(first)
-        assert queue.peek_time() == 2.0  # sweeps the cancelled head
-        assert queue._dead == 0
+        # Sweeps the cancelled head; the later event stays queued.
+        assert queue.pop(until=1.5) is None
+        assert queue._dead == 0 and len(queue) == 1
         queue.cancel(second)
         assert queue.pop() is None
         assert queue._dead == 0
@@ -197,12 +197,6 @@ class TestSimulator:
         sim.run()
         assert trace.count("event") == 1
         assert trace.filter("event")[0].detail == "tick"
-
-    def test_drain(self):
-        sim = Simulator()
-        seen = []
-        sim.drain([lambda: seen.append(1), lambda: seen.append(2)])
-        assert seen == [1, 2]
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()
@@ -416,7 +410,6 @@ def test_event_queue_matches_a_sorted_list_model(operations, mass_cancel):
                 assert event.popped and not event.cancelled
         assert len(queue) == len(model) and bool(queue) == bool(model)
         assert queue._dead == len(queue._heap) - len(model)
-    assert queue.peek_time() == (min(model)[0] if model else None)
     drained = []
     while queue:
         event = queue.pop()

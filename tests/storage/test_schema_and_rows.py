@@ -77,18 +77,6 @@ class TestSchema:
         with pytest.raises(UnknownColumnError):
             schema.position("z")
 
-    def test_project_preserves_order_and_key(self):
-        schema = Schema.of("a", "b", "c", key=["a"])
-        projected = schema.project(["c", "a"])
-        assert projected.names == ("c", "a")
-        assert projected.key == ("a",)
-
-    def test_rename(self):
-        schema = Schema.of("a", "b", key=["a"])
-        renamed = schema.rename({"a": "x"})
-        assert renamed.names == ("x", "b")
-        assert renamed.key == ("x",)
-
     def test_equality_and_hash(self):
         first = Schema.of("a:int", "b:int", key=["a"])
         second = Schema.of("a:int", "b:int", key=["a"])
@@ -155,12 +143,6 @@ class TestRow:
         row = Row("R", self.schema, (3, 7))
         assert row.as_dict() == {"key": 3, "a": 7}
         assert row.key_values(("a", "key")) == (7, 3)
-
-    def test_project(self):
-        row = Row("R", self.schema, (3, 7))
-        projected = row.project(["a"])
-        assert projected.values == (7,)
-        assert projected.schema.names == ("a",)
 
     def test_replace(self):
         row = Row("R", self.schema, (3, 7))

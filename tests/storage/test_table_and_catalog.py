@@ -117,9 +117,8 @@ class TestCatalog:
         catalog.add_table(Table("R", Schema.of("key:int", "a:int"), [(1, 2)]))
         scan = catalog.add_scan("R", rate=42.0)
         index = catalog.add_index("R", ["a"], latency=0.5)
-        assert isinstance(scan, ScanSpec) and scan.is_scan
-        assert isinstance(index, IndexSpec) and not index.is_scan
-        assert index.bind_columns == ("a",)
+        assert isinstance(scan, ScanSpec) and scan.bind_columns == ()
+        assert isinstance(index, IndexSpec) and index.bind_columns == ("a",)
         assert catalog.has_scan("R")
         assert [s.name for s in catalog.scans("R")] == [scan.name]
         assert [s.name for s in catalog.indexes("R")] == [index.name]
@@ -156,7 +155,7 @@ class TestCatalog:
             name="idx", table="R", columns=("a",), latency_model="exponential",
             failure_rate=1.0, max_retries=0, retry_backoff=0.0, lookup_timeout=0.1,
         )
-        assert spec.bind_columns == ("a",) and not spec.is_scan
+        assert spec.bind_columns == ("a",)
 
     def test_access_methods_of_an_unknown_table(self):
         catalog = Catalog()

@@ -7,7 +7,8 @@ import pytest
 from repro.bench.workloads import churn_workload
 from repro.cli import build_parser, demo_catalog, main
 from repro.engine.multi import MultiQueryEngine
-from repro.recovery import CheckpointManager, CrashInjector, InjectedCrash
+from repro.recovery import CheckpointManager
+from tests.reference.crash_oracle import CrashInjector, InjectedCrash
 
 
 def test_demo_catalog_matches_table3():
@@ -119,6 +120,18 @@ def test_multi_command_bounds_a_fleet_run_too(capsys):
     assert main(["multi", "--queries", "2", "--rows", "60", "--no-baseline",
                  "--eviction", "time-window", "--window", "50"]) == 0
     assert evicted_rows(capsys.readouterr().out) > 0
+
+
+@pytest.mark.parametrize("command", [
+    ["multi", "--queries", "2", "--rows", "20", "--no-baseline"],
+    ["recover", "unused-dir"],
+])
+def test_window_without_eviction_is_rejected(capsys, command):
+    # A bound with no policy to read it would run unbounded SteMs.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--window", "50"])
+    assert exit_info.value.code == 2
+    assert "--window bounds an eviction policy" in capsys.readouterr().err
 
 
 def test_shards_flag_is_gone(capsys):

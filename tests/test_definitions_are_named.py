@@ -4,13 +4,18 @@
 the CLI, the benchmark — runs.  A definition whose name occurs nowhere in
 ``src/`` outside its own body is code only tests (or nothing) reach: it
 fails here, so it either serves an entry point, moves to a ``tests/``
-helper, or goes.  A package ``__init__`` re-exporting a name does not count
-as naming it.  A name counts wherever it occurs as a whole word — a call, an
-attribute, a string or a comment.  Dunder names are exempt.
+helper, or goes.  Dunder names are exempt.
 
-The rule is a word count, so a method whose name also occurs as another
-word in ``src/`` escapes it: a ``remove`` or ``keys`` method is "named" by
-every ``list.remove`` and ``dict.keys`` call.  Such methods need a reader.
+Only code names a definition: an identifier, an attribute, a keyword
+argument, or a word in a string that is not a docstring (``getattr`` names
+and string annotations are strings).  Docstrings, comments, imports and
+``__all__`` lists do not count, and neither does anything in a package
+``__init__``: prose that mentions a function does not call it.
+
+The rule still counts names, not resolved references, so a method whose
+name is also another object's attribute in ``src/`` escapes it: a
+``remove`` or ``keys`` method is "named" by every ``list.remove`` and
+``dict.keys`` call.  Such methods need a reader.
 
 :data:`ALLOWED` lists the few definitions kept for callers outside ``src/``,
 each with its reason; a stale entry fails too.
@@ -35,6 +40,10 @@ ALLOWED = {
     "build_batch": "SteM.build_batch: benchmarks/e2e names it (ROADMAP item 8(ii))",
     "probe_batch": "SteM.probe_batch: benchmarks/e2e names it (ROADMAP item 8(ii))",
     "add_eot_listener": "SteM.add_eot_listener: benchmarks/e2e names it (ROADMAP item 8(ii))",
+    "extended": "QTuple.extended: benchmarks/e2e/trace.py wraps it to count tuple extensions",
+    "admitted": "MultiQueryEngine.admitted: benchmarks/result_path_counts.py reads it",
+    "simulate_crash": "CheckpointManager.simulate_crash: benchmarks/e2e/workloads.py "
+    "kills durable_crash with it",
 }
 
 
@@ -52,22 +61,71 @@ def _sources(root: Path) -> dict[Path, str]:
     }
 
 
+def _docstrings(tree: ast.AST) -> set[int]:
+    """``id`` of every docstring constant in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                found.add(id(body[0].value))
+    return found
+
+
+def _is_all(node: ast.AST) -> bool:
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
+
+
+def code_names(tree: ast.AST, skip: frozenset[int] = frozenset()) -> Counter:
+    """How often each name occurs as code in ``tree``: identifiers,
+    attributes, keyword arguments and the words of non-docstring strings.
+
+    ``skip`` holds the ``id`` of docstring constants to leave out; an
+    ``__all__`` assignment is left out whole.
+    """
+    names: Counter = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and _is_all(node):
+            continue
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names[node.arg] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skip
+        ):
+            names.update(WORD.findall(node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def unnamed_definitions(root: Path = ROOT) -> list[str]:
     """``path:line name`` of every ``src/`` definition ``src/`` names nowhere else."""
-    sources = _sources(root)
-    words = Counter(
-        word
-        for path, text in sources.items()
-        if path.name != "__init__.py"
-        for word in WORD.findall(text)
-    )
+    trees = {
+        path: ast.parse(text, filename=str(path)) for path, text in _sources(root).items()
+    }
+    skips = {path: frozenset(_docstrings(tree)) for path, tree in trees.items()}
+    names = Counter()
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            names.update(code_names(tree, skips[path]))
     unnamed = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        for node in _definitions(ast.parse(text, filename=str(path))):
-            body = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-            own = WORD.findall(body).count(node.name)
-            if words[node.name] == own:
+    for path, tree in trees.items():
+        for node in _definitions(tree):
+            own = code_names(node, skips[path])[node.name] if path.name != "__init__.py" else 0
+            if names[node.name] == own:
                 unnamed.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
     return unnamed
 
@@ -123,6 +181,42 @@ def test_the_check_sees_a_definition_only_tests_and_reexports_name(tmp_path):
     assert unnamed_definitions(tmp_path) == [
         "src/pkg/mod.py:1 Spare",
         "src/pkg/mod.py:2 orphan",
+    ]
+
+
+def test_prose_does_not_name_a_definition(tmp_path):
+    # Docstrings, comments and __all__ mention dead() and Ghost; only code
+    # names the rest: a call, a keyword argument, an attribute, a string.
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""Module prose: dead() and Ghost are documented here."""\n'
+        "__all__ = ['dead', 'Ghost', 'run']\n"
+        "\n"
+        "def dead():\n"
+        "    return 0\n"
+        "\n"
+        "class Ghost:\n"
+        '    """Ghost explains itself."""\n'
+        "\n"
+        "def run(obj):\n"
+        '    """Unlike dead(), run reaches everything below."""\n'
+        "    # dead and Ghost are named in this comment too\n"
+        "    return (helper(by_keyword=1), obj.by_attribute,\n"
+        "            getattr(obj, 'by_string'), f'{obj} by_fstring')\n"
+        "\n"
+        "def helper(**options):\n"
+        "    return options\n"
+        "\n"
+        "def by_keyword(): ...\n"
+        "def by_attribute(): ...\n"
+        "def by_string(): ...\n"
+        "def by_fstring(): ...\n"
+    )
+    (package / "main.py").write_text("from pkg.mod import run\nrun(None)\n")
+    assert unnamed_definitions(tmp_path) == [
+        "src/pkg/mod.py:4 dead",
+        "src/pkg/mod.py:7 Ghost",
     ]
 
 
