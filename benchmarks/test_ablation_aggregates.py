@@ -1,13 +1,13 @@
 """Ablation: incremental GROUP BY maintenance vs recompute-from-scratch.
 
-PR 10 hangs an :class:`~repro.core.aggregates.AggregateModule` off a SteM's
-build/evict listeners: each insertion records a +delta, each eviction a
--delta, a +delta and the -delta of the same row cancel, and what is left
-is applied at the next readout (with exact int + ``Fraction`` arithmetic
-for SUM/AVG and a counter multiset with bounded recompute for MIN/MAX), so
-a dashboard readout is a walk of the live group table instead of a pass
-over the window.  Two readout cadences over one count-bounded SteM
-(sliding window) absorbing a long build stream:
+An :class:`~repro.core.aggregates.AggregateModule` reads a SteM's pending
+delta: the SteM records each insertion as a +delta and each eviction as a
+-delta, once for all its readers, a +delta and the -delta of the same row
+cancel, and what is left is applied at the next readout (with exact int +
+``Fraction`` arithmetic for SUM/AVG and a counter multiset with bounded
+recompute for MIN/MAX), so a dashboard readout is a walk of the live group
+table instead of a pass over the window.  Two readout cadences over one
+count-bounded SteM (sliding window) absorbing a long build stream:
 
 * **Dense: per-readout maintenance.**  A readout every ``READOUT_EVERY``
   builds, far fewer than the window, so nothing cancels: every build
@@ -20,7 +20,9 @@ over the window.  Two readout cadences over one count-bounded SteM
   windows) builds: a row built and evicted between two readouts never
   reaches the group table, so each readout applies one window of
   insertions and one of retractions, whatever the stream length between
-  them (exact count, asserted).
+  them (exact count, asserted).  The pending delta, sampled after every
+  build, peaks at two windows (one of insertions, one of retractions)
+  whether one reader or five share it (exact count, asserted).
 
 The dense gate is stated in operations first because the wall-clock ratio
 drifts with the kernel: both sides run the same ``AggregateState.insert``,
@@ -40,7 +42,8 @@ The measured numbers are emitted as ``BENCH_aggregates.json`` under
 "churn_builds", "readouts", "groups", "incremental": {"best_pass_s",
 "row_operations"}, "recompute": {"best_pass_s", "row_operations"},
 "sparse": {"readout_every", "readouts", "row_operations", "cancelled"},
-"speedup", "trajectory": [...]}``.
+"pending_delta_peak": {"readers_1", "readers_5"}, "speedup",
+"trajectory": [...]}``.
 """
 
 from __future__ import annotations
@@ -88,14 +91,7 @@ def encoded(rows):
     return canonical_json([encode_value(tuple(row)) for row in rows])
 
 
-def incremental_pass(rows, every=READOUT_EVERY):
-    """Churn through a windowed SteM with the module attached; readouts are
-    group-table walks.  Returns the per-readout encoded outputs, the
-    aggregate row-operations (inserts + retractions) the pass performed and
-    the module's stats."""
-    stem = SteM(
-        "R", aliases=("R",), join_columns=(), max_size=WINDOW
-    )
+def attach_module(stem):
     module = AggregateModule(
         name="aggregate:R",
         stem=stem,
@@ -105,6 +101,18 @@ def incremental_pass(rows, every=READOUT_EVERY):
         predicates=QUERY.predicates,
     )
     module.attach()
+    return module
+
+
+def incremental_pass(rows, every=READOUT_EVERY):
+    """Churn through a windowed SteM with the module attached; readouts are
+    group-table walks.  Returns the per-readout encoded outputs, the
+    aggregate row-operations (inserts + retractions) the pass performed and
+    the module's stats."""
+    stem = SteM(
+        "R", aliases=("R",), join_columns=(), max_size=WINDOW
+    )
+    module = attach_module(stem)
     outputs = []
     for position, row in enumerate(rows):
         stem.build(row, float(position + 1))
@@ -113,6 +121,22 @@ def incremental_pass(rows, every=READOUT_EVERY):
     module.detach()
     operations = module.state.inserts + module.state.retractions
     return outputs, operations, module.stats_snapshot()
+
+
+def pending_delta_peak(rows, readers):
+    """The sparse cadence with ``readers`` modules on one SteM: the largest
+    pending delta (insertions plus retractions) seen after any build."""
+    stem = SteM(
+        "R", aliases=("R",), join_columns=(), max_size=WINDOW
+    )
+    modules = [attach_module(stem) for _ in range(readers)]
+    peak = 0
+    for position, row in enumerate(rows):
+        stem.build(row, float(position + 1))
+        peak = max(peak, len(stem._delta_in) + len(stem._delta_out))
+        if (position + 1) % SPARSE_EVERY == 0:
+            modules[position // SPARSE_EVERY % readers].result_rows()
+    return peak
 
 
 def recompute_pass(rows):
@@ -172,6 +196,13 @@ def test_incremental_vs_recompute_speedup(benchmark):
     assert sparse_operations == (2 * sparse_readouts - 1) * WINDOW
     assert sparse_stats["cancelled"] == CHURN_BUILDS - sparse_readouts * WINDOW
 
+    # One delta, whatever the readers: after a readout it grows to a window
+    # of insertions plus the old window's retractions, and no further.
+    delta_peaks = {
+        f"readers_{readers}": pending_delta_peak(rows, readers) for readers in (1, 5)
+    }
+    assert delta_peaks == {"readers_1": 2 * WINDOW, "readers_5": 2 * WINDOW}
+
     rounds = 3
     best = {"incremental": float("inf"), "recompute": float("inf")}
     trajectory = []
@@ -217,6 +248,7 @@ def test_incremental_vs_recompute_speedup(benchmark):
                 "row_operations": sparse_operations,
                 "cancelled": sparse_stats["cancelled"],
             },
+            "pending_delta_peak": delta_peaks,
             "speedup": speedup,
             "trajectory": trajectory,
         },

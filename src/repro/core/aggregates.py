@@ -1,11 +1,11 @@
-"""Incremental GROUP BY aggregates maintained off SteM listeners.
+"""Incremental GROUP BY aggregates maintained off a SteM's pending delta.
 
 ROADMAP item 2, the CACQ/PSoUP dashboard setting (paper §2.1.4): a
 continuous aggregate query over a windowed stream is exactly a ``GROUP BY``
 over the rows *currently held* by one SteM — the SteM's eviction policy
 (count FIFO, build-timestamp window, reference window) IS the sliding
-window.  The SteM already announces every state transition through its
-build/evict listeners, which is the insertion/retraction substrate of
+window.  The SteM records every state transition once, in the one pending
+delta its readers share, which is the insertion/retraction substrate of
 DBSP-style incremental view maintenance:
 
 * a build (non-duplicate) that passes the query's WHERE predicates applies
@@ -13,9 +13,9 @@ DBSP-style incremental view maintenance:
 * an eviction of a row that passed applies a **−delta**, retracting exactly
   what the insertion contributed;
 * a group whose last row retracts disappears;
-* deltas are consolidated before they are applied (a Z-set): a build and
-  the eviction of the same row cancel, and what is left reaches the state
-  once, at the next readout (:class:`AggregateModule`).
+* deltas are consolidated as the SteM writes them (a Z-set): a build and
+  the eviction of the same row cancel, and what is left reaches every
+  reader's state once, at the next readout (:class:`AggregateModule`).
 
 Deltas must be *exact* under retraction or incremental state drifts from
 the window (the differential suites pin byte-identity against
@@ -39,7 +39,7 @@ Sharing: :class:`AggregateRegistry` deduplicates modules across queries
 with the same *grouping signature* (table, group columns, aggregate specs,
 canonical predicate set) with ``SteMRegistry``-style owner refcounts; a
 query's retirement releases its references and the last release detaches
-the module's listeners from the SteM.
+the module from the SteM's readers.
 
 Recovery: the module bootstraps its state from the SteM's current contents
 at attach time.  ``restore_engine`` rebuilds shared SteMs row by row
@@ -310,7 +310,7 @@ class _MinMaxState:
         if count <= 0:
             raise ExecutionError(
                 f"retraction of {value!r} without a matching insertion "
-                "(build/evict listener streams out of sync)"
+                "(build/evict delta out of sync)"
             )
         if count == 1:
             del self.counts[key]
@@ -434,7 +434,7 @@ class AggregateState:
         if group is None or group.count_star <= 0:
             raise ExecutionError(
                 f"retraction for unknown group {key!r} "
-                "(build/evict listener streams out of sync)"
+                "(build/evict delta out of sync)"
             )
         group.count_star -= 1
         for state, position in zip(group.states, self._agg_positions):
@@ -488,27 +488,31 @@ class AggregateState:
 
 
 class AggregateModule:
-    """One grouping signature's aggregates, listening on one SteM.
+    """One grouping signature's aggregates, reading one SteM's delta.
 
     Not an eddy module: aggregate maintenance happens *above* the eddy, on
-    the SteM's own build/evict announcements, so it costs no routing steps
-    and is independent of policy and batching.  On attach the
-    module bootstraps from the SteM's current contents — which makes late
-    admissions see the shared window, and makes crash recovery free (the
-    restore path rebuilds SteMs before re-admitting queries).
+    the SteM's own pending delta, so it costs no routing steps and is
+    independent of policy and batching.  On attach the module becomes a
+    reader of the SteM and bootstraps from its current contents — which
+    makes late admissions see the shared window, and makes crash recovery
+    free (the restore path rebuilds SteMs before re-admitting queries).
 
-    The listeners only record, keyed by object identity: a build is a
-    pending ``+row``, an eviction a pending ``-row``, and the two cancel.
-    :meth:`_flush` applies the rest at the next readout.  Identity, not
-    ``Row`` equality (``1 == 1.0 == True``), pairs them, as the SteM
-    announces the object it stored; group state is order-free, so the bytes
-    are a per-event apply's.  A state error (a non-numeric SUM, or the
+    Between readouts the module does nothing: the SteM writes each build
+    and eviction once into one delta all its readers share, keyed by
+    object identity, where a ``+row`` and a ``-row`` of one object cancel.
+    A readout drains it (:meth:`SteM.drain <repro.core.stem.SteM.drain>`)
+    and :meth:`apply_delta` applies what is left.  Identity, not ``Row``
+    equality (``1 == 1.0 == True``), pairs them, as the SteM records the
+    object it stored; group state is order-free, so the bytes are a
+    per-event apply's.  A state error (a non-numeric SUM, or the
     retraction out of sync that a direct ``SteM.evict`` with an equal but
-    distinct row can cause) raises at the next readout, not in the SteM.
+    distinct row can cause) leaves the state half-applied: the module
+    keeps the error and every later :meth:`result_rows` raises it, until
+    a fresh :meth:`attach`.
 
     Args:
         name: report name (``aggregate:<table>…``).
-        stem: the (possibly shared) SteM to listen on.
+        stem: the (possibly shared) SteM to read.
         alias: the alias predicates are evaluated under.
         group_by / aggregates: the grouping signature.
         predicates: the query's WHERE predicates; rows failing them never
@@ -544,32 +548,36 @@ class AggregateModule:
         self._attached = False
         self.attach()
 
-    # -- listener plumbing -----------------------------------------------------
+    # -- reader plumbing -------------------------------------------------------
 
     def attach(self) -> None:
-        """Subscribe to the SteM and bootstrap from its current contents.
+        """Read the SteM and bootstrap from its current contents.
 
-        Every attach starts from a fresh state and no pending deltas: after
-        a :meth:`detach` the old state missed the SteM's changes since.
+        Every attach starts from a fresh state and no error: after a
+        :meth:`detach` the old state missed the SteM's changes since.  A
+        bootstrap that raises is kept as the module's error.
         """
         if self._attached:
             return
         self.state = AggregateState(*self._spec)
-        self._built, self._evicted = {}, {}  # id(row) -> row
-        self.stem.add_build_listener(self._on_build)
-        self.stem.add_evict_listener(self._on_evict)
+        #: The state error that stopped this module, re-raised at readout.
+        self.error: Exception | None = None
+        self.stem.add_reader(self)
         self._attached = True
-        for row, _timestamp in self.stem.state_entries():
-            if self._passes(row):
-                self.state.insert(row)
-                self.stats["bootstrapped"] += 1
+        try:
+            for row, _timestamp in self.stem.state_entries():
+                if self._passes(row):
+                    self.state.insert(row)
+                    self.stats["bootstrapped"] += 1
+        except Exception as error:  # kept like an apply's, for the readout
+            self.error = error
 
     def detach(self) -> bool:
-        """Unsubscribe from the SteM (idempotent; True when detached now)."""
+        """Stop reading the SteM, after applying its pending delta
+        (idempotent; True when detached now)."""
         if not self._attached:
             return False
-        self.stem.remove_build_listener(self._on_build)
-        self.stem.remove_evict_listener(self._on_evict)
+        self.stem.remove_reader(self)
         self._attached = False
         return True
 
@@ -591,25 +599,12 @@ class AggregateModule:
                 return False
         return True
 
-    def _on_build(self, row: Row, timestamp: float, duplicate: bool) -> None:
-        # A duplicate was not stored a second time: the window is a set.
-        if not duplicate:
-            if self._evicted.pop(id(row), None) is None:
-                self._built[id(row)] = row
-            else:
-                self.stats["cancelled"] += 1
-
-    def _on_evict(self, row: Row) -> None:
-        if self._built.pop(id(row), None) is None:
-            self._evicted[id(row)] = row
-        else:
-            self.stats["cancelled"] += 1
-
-    def _flush(self) -> None:
-        """Apply the pending delta; insertions first, so retractions find theirs."""
-        built, evicted = self._built.values(), self._evicted.values()
-        self._built, self._evicted = {}, {}
+    def apply_delta(self, built, evicted, cancelled: int) -> None:
+        """Apply a drained delta; insertions first, so retractions find theirs."""
+        if self.error is not None:
+            return
         stats, state = self.stats, self.state
+        stats["cancelled"] += cancelled
         for row in built:
             if self._passes(row):
                 state.insert(row)
@@ -624,18 +619,26 @@ class AggregateModule:
     # -- readout ---------------------------------------------------------------
 
     def result_rows(self) -> list[tuple]:
-        self._flush()
+        if self._attached:
+            self.stem.drain()
+        if self.error is not None:
+            raise ExecutionError(
+                f"{self.name} stopped at a state error: {self.error}"
+            ) from self.error
         return self.state.result_rows()
 
     def stats_snapshot(self) -> dict[str, int]:
-        self._flush()
+        """The counters, with the live group count; never raises, so a
+        module stopped by a state error can still be reported and released."""
+        if self._attached:
+            self.stem.drain()
         snapshot = dict(self.stats)
         snapshot["groups"] = self.state.group_count
         snapshot["minmax_recomputes"] = self.state.minmax_recomputes
         return snapshot
 
     def __repr__(self) -> str:
-        self._flush()
+        # Read-only: a readout would drain every reader of the SteM.
         return (
             f"AggregateModule({self.name}, {self.state.group_count} groups, "
             f"{'attached' if self._attached else 'detached'})"
@@ -720,7 +723,7 @@ class AggregateRegistry:
 
     The aggregate analogue of :class:`~repro.core.stem_registry.SteMRegistry`:
     queries with the same :func:`aggregate_signature` maintain **one**
-    module (one listener pair, one state) no matter how many of them are
+    module (one reader, one state) no matter how many of them are
     admitted; :meth:`release` drops one owner's references and the last
     release detaches the module from its SteM and folds its stats into
     :attr:`reclaimed_stats`.
@@ -744,7 +747,7 @@ class AggregateRegistry:
 
         ``make_module`` overrides construction (tests); the default builds
         an :class:`AggregateModule` named after the signature's table and
-        listening on ``stem``.
+        reading ``stem``.
         """
         signature = aggregate_signature(query)
         entry = self._entries.get(signature)

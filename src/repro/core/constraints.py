@@ -268,7 +268,7 @@ class ConstraintChecker:
             return False
         if self._aggregate_build_mask & ~tuple_.built_mask:
             # Aggregate queries: the build feeds the AggregateModule's
-            # listeners, so it must happen before the tuple may leave.
+            # delta, so it must happen before the tuple may leave.
             return False
         return self.layout.is_complete(tuple_.spanned_mask, tuple_.done_mask)
 

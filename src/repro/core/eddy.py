@@ -152,7 +152,7 @@ class Eddy:
         #: admission and every tuple entering the dataflow is stamped with it.
         self.query_id = query_id
         #: The query's :class:`~repro.core.aggregates.AggregateModule`
-        #: (GROUP BY queries only).  It is not routed — it listens on the
+        #: (GROUP BY queries only).  It is not routed — it reads the
         #: SteM directly — but lives here so result collection and
         #: retirement teardown find it next to the modules it feeds off.
         self.aggregate_module = None

@@ -298,10 +298,23 @@ class SteM:
         #: being mistaken for a still-stored duplicate.
         self._evict_listeners: list = []
         #: Callbacks invoked after every :meth:`build` with
-        #: ``(row, timestamp, duplicate)`` — duplicates included.
+        #: ``(row, timestamp, duplicate)`` — duplicates included.  Nothing
+        #: in the engine registers one; the tracing harness wraps the
+        #: registration.
         self._build_listeners: list = []
         #: Callbacks invoked after every :meth:`build_eot` with the EOT.
         self._eot_listeners: list = []
+        #: Readers of the pending delta (aggregate modules), each handed it
+        #: by :meth:`drain`.
+        self._readers: list = []
+        #: The one pending delta every reader shares, consolidated as it is
+        #: written (a Z-set): stored rows since the last drain (``+row``)
+        #: and evicted rows (``-row``), keyed by object identity, and how
+        #: many ``+``/``-`` pairs of one object cancelled.  Written only
+        #: while there are readers.
+        self._delta_in: dict[int, Row] = {}
+        self._delta_out: dict[int, Row] = {}
+        self._delta_cancelled = 0
         #: Operational statistics (every value is an int).
         self.stats: dict[str, int] = {
             "builds": 0,
@@ -417,6 +430,12 @@ class SteM:
             self._max_timestamp = timestamp
         if self.eviction is not None:
             self.eviction.on_build(self, row, timestamp)
+        if self._readers:
+            key = id(row)
+            if self._delta_out.pop(key, None) is None:
+                self._delta_in[key] = row
+            else:
+                self._delta_cancelled += 1
         for listener in self._build_listeners:
             listener(row, timestamp, False)
         return BuildOutcome(False, timestamp)
@@ -691,14 +710,6 @@ class SteM:
         """
         self._build_listeners.append(callback)
 
-    def remove_build_listener(self, callback) -> bool:
-        """Unregister a build listener; True when it was registered."""
-        try:
-            self._build_listeners.remove(callback)
-        except ValueError:
-            return False
-        return True
-
     def add_eot_listener(self, callback) -> None:
         """Register a callback invoked with every EOT built into the SteM."""
         self._eot_listeners.append(callback)
@@ -741,6 +752,12 @@ class SteM:
         # Coverage may no longer hold once data has been dropped.
         self._scan_complete.clear()
         self._eot_keys.clear()
+        if self._readers:
+            key = id(row)
+            if self._delta_in.pop(key, None) is None:
+                self._delta_out[key] = row
+            else:
+                self._delta_cancelled += 1
         for listener in self._evict_listeners:
             listener(row)
         return True
@@ -748,6 +765,41 @@ class SteM:
     def _evict_oldest(self) -> None:
         oldest = next(iter(self._rows))
         self.evict(oldest)
+
+    # -- the pending delta ----------------------------------------------------------
+
+    def add_reader(self, reader) -> None:
+        """Attach a reader of the pending delta.
+
+        Drains first: the reader bootstraps from the rows stored now, and
+        the delta written before it attached is already in them.
+        """
+        self.drain()
+        self._readers.append(reader)
+
+    def remove_reader(self, reader) -> None:
+        """Detach a reader, after draining so it misses no change."""
+        self.drain()
+        self._readers.remove(reader)
+
+    def drain(self) -> None:
+        """Hand the pending delta to every reader, then start a new one.
+
+        Each reader is called as ``reader.apply_delta(built, evicted,
+        cancelled)``: the stored rows, the evicted rows and the count of
+        pairs that cancelled since the last drain.  A reader that raises
+        keeps the error (``reader.error``); the others still get the delta.
+        """
+        built, evicted = self._delta_in, self._delta_out
+        cancelled = self._delta_cancelled
+        if not (built or evicted or cancelled):
+            return
+        self._delta_in, self._delta_out, self._delta_cancelled = {}, {}, 0
+        for reader in self._readers:
+            try:
+                reader.apply_delta(built.values(), evicted.values(), cancelled)
+            except Exception as error:  # one reader's fault is its own
+                reader.error = error
 
     # -- introspection -------------------------------------------------------------
 

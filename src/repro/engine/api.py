@@ -88,8 +88,8 @@ def execute(
     )
     parsed = parse_query(query) if isinstance(query, str) else query
     if parsed.is_aggregate and engine != "stems":
-        # Incremental GROUP BY maintenance hangs off SteM build/evict
-        # listeners; the baseline engines have no SteMs to listen to.
+        # Incremental GROUP BY maintenance reads a SteM's pending delta;
+        # the baseline engines have no SteMs to read.
         raise ExecutionError(
             f"engine {engine!r} does not support GROUP BY aggregate queries; "
             "use the 'stems' engine"

@@ -40,8 +40,8 @@ from repro.storage.catalog import Catalog, IndexSpec, ScanSpec
 def _validate_aggregate_columns(query: Query, catalog: Catalog) -> None:
     """Reject aggregate queries naming columns their table does not have.
 
-    Listener callbacks run deep inside the build path; a typo must fail at
-    admission, not as an exception out of the first build.
+    Aggregate state is applied at readout, long after admission; a typo
+    must fail at admission, not as an exception out of the first readout.
     """
     known = catalog.table(query.tables[0].table).schema.names
     for column in query.group_by:
@@ -61,7 +61,7 @@ def _validate_aggregate_columns(query: Query, catalog: Catalog) -> None:
 def make_private_aggregate_module(
     query: Query, stem_module: SteMModule
 ) -> AggregateModule:
-    """A private aggregate module listening on the query's own SteM."""
+    """A private aggregate module reading the query's own SteM."""
     return AggregateModule(
         name=f"aggregate:{query.aggregate_alias}",
         stem=stem_module.stem,
@@ -97,9 +97,9 @@ def instantiate_stems_query(
     # SteM is private or shared).
     for ref in query.tables:
         eddy.register_stem(ref.alias, make_stem_module(ref, query, eddy.query_id))
-    # Aggregates: a GROUP BY query additionally hangs an AggregateModule off
-    # its (single) SteM's build/evict listeners — maintenance runs above the
-    # eddy, so it needs no routing constraints and no done-bits.
+    # Aggregates: a GROUP BY query additionally attaches an AggregateModule
+    # as a reader of its (single) SteM's pending delta — maintenance runs
+    # above the eddy, so it needs no routing constraints and no done-bits.
     if query.is_aggregate:
         _validate_aggregate_columns(query, catalog)
         eddy.aggregate_module = make_aggregate_module(

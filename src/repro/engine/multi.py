@@ -48,8 +48,8 @@ Retirement semantics (:meth:`MultiQueryEngine.retire`):
 * its eddy shuts down — scans cancel undelivered rows, queued tuples are
   dropped, in-flight events become no-ops — so a retired query stops
   consuming simulated resources *and* stops mutating shared state;
-* its modules detach from the shared SteMs (evict listeners removed,
-  per-layout probe-plan memos cleared), and the registry's per-table
+* its modules detach from the shared SteMs (evict listeners and aggregate
+  readers removed, per-layout probe-plan memos cleared), and the registry's per-table
   refcounts are decremented: a SteM nobody references any more is reclaimed
   wholesale, and secondary indexes only the retiring query's bindings
   needed are dropped (``index_epoch`` moves so surviving compiled plans
@@ -516,7 +516,7 @@ class MultiQueryEngine:
             )
             if not shared_aggregate:
                 # Private module: nobody else references it — detach now so
-                # the SteM stops announcing into retired state.
+                # the SteM stops keeping a delta for retired state.
                 aggregate.detach()
         ctx.eddy.shutdown()
         if self.registry is not None:

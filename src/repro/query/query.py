@@ -5,7 +5,7 @@ the FROM-clause table references (with aliases), the WHERE-clause predicates,
 and the SELECT-list projections.  Single-table ``GROUP BY`` aggregate
 queries carry their grouping columns and :class:`AggregateSpec` list instead
 of projections — the aggregation itself runs *above* the eddy (as the paper
-puts it), incrementally off SteM build/evict listeners
+puts it), incrementally off the SteM's pending delta
 (:mod:`repro.core.aggregates`).
 """
 

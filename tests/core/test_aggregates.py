@@ -1,8 +1,7 @@
 """Incremental GROUP BY aggregates: unit and differential property tests.
 
 The maintenance contract (see ``repro.core.aggregates``): an
-:class:`AggregateModule` listening on a SteM's build/evict announcements
-must hold, at every instant, *byte-for-byte* the state a from-scratch
+:class:`AggregateModule` reading a SteM's pending delta must hold, at every instant, *byte-for-byte* the state a from-scratch
 recomputation over the SteM's surviving rows would produce — under churn,
 under every eviction policy, under bootstrap-at-attach, and under hostile
 values (NaN, ±inf, -0.0, 2**63, bool-vs-int shadowing, None groups).
@@ -13,10 +12,18 @@ tagged-JSON codec, which distinguishes everything Python equality blurs.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
 
+import repro.core.aggregates as aggregates_source
 from repro.core.aggregates import (
     AggregateModule,
     AggregateRegistry,
@@ -67,11 +74,17 @@ def encoded(rows):
 
 
 def reference(stem, query=FULL_QUERY):
-    """The from-scratch oracle over the SteM's surviving rows."""
+    """The from-scratch oracle over the SteM's surviving rows that pass the
+    query's predicates."""
+    alias = query.aggregate_alias
     return recompute_aggregate(
         query.group_by,
         query.aggregates,
-        (row for row, _ in stem.state_entries()),
+        (
+            row
+            for row, _ in stem.state_entries()
+            if all(predicate.evaluate({alias: row}) for predicate in query.predicates)
+        ),
     )
 
 
@@ -361,6 +374,111 @@ class TestAggregateModule:
         assert module.stats_snapshot()["cancelled"] == 0
 
 
+# -- unit: readers sharing one SteM's delta -----------------------------------
+
+STR_SCHEMA = Schema.of("key:str", "a:int")
+POISON_QUERY = parse_query("SELECT a, sum(key) FROM R GROUP BY a")
+CLEAN_QUERY = parse_query("SELECT a, count(*) FROM R GROUP BY a")
+
+
+def poisoned_pair():
+    """A SteM read by a module summing a text column and a clean one."""
+    stem = SteM("R", aliases=("R",), join_columns=(), eviction=CountEviction(3))
+    return stem, make_module(stem, POISON_QUERY), make_module(stem, CLEAN_QUERY)
+
+
+class TestSharedDelta:
+    def test_a_state_error_stops_its_reader_and_not_the_others(self):
+        # The failed apply leaves a half-applied state (the group exists,
+        # its SUM does not): no later readout may return it.
+        stem, poisoned, clean = poisoned_pair()
+        stem.build(Row("R", STR_SCHEMA, ("x", 1)), 1.0)
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="sum/avg needs numeric"):
+                poisoned.result_rows()
+            assert clean.result_rows() == reference(stem, CLEAN_QUERY) == [(1, 1)]
+        for k in range(2, 8):
+            stem.build(Row("R", STR_SCHEMA, (f"k{k}", k % 2)), float(k))
+            with pytest.raises(ExecutionError, match="sum/avg needs numeric"):
+                poisoned.result_rows()
+            assert encoded(clean.result_rows()) == encoded(reference(stem, CLEAN_QUERY))
+        # The counters still report, so a stopped module can be released.
+        assert poisoned.stats_snapshot()["inserted"] == 0
+        stats = clean.stats_snapshot()
+        assert (stats["inserted"], stats["retracted"]) == (7, 4)
+
+    def test_reattach_clears_the_error(self):
+        stem, poisoned, _ = poisoned_pair()
+        row = Row("R", STR_SCHEMA, ("x", 1))
+        stem.build(row, 1.0)
+        with pytest.raises(ExecutionError):
+            poisoned.result_rows()
+        poisoned.detach()
+        stem.evict(row)
+        poisoned.attach()
+        assert poisoned.result_rows() == []
+
+    def test_a_bootstrap_error_is_kept_for_the_readout(self):
+        stem = SteM("R", aliases=("R",), join_columns=())
+        stem.build(Row("R", STR_SCHEMA, ("x", 1)), 1.0)
+        poisoned = make_module(stem, POISON_QUERY)
+        stem.build(Row("R", STR_SCHEMA, ("y", 2)), 2.0)
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="sum/avg needs numeric"):
+                poisoned.result_rows()
+
+    def test_repr_reads_without_draining(self):
+        # A drain would reach every reader of the SteM, and raise here.
+        stem, poisoned, clean = poisoned_pair()
+        stem.build(Row("R", STR_SCHEMA, ("x", 1)), 1.0)
+        assert repr(poisoned) == "AggregateModule(aggregate:R, 0 groups, attached)"
+        assert repr(clean) == "AggregateModule(aggregate:R, 0 groups, attached)"
+        assert clean.state.inserts == 0 and poisoned.error is None
+        clean.detach()
+        assert repr(clean) == "AggregateModule(aggregate:R, 1 groups, detached)"
+
+    def test_five_readers_make_no_aggregate_calls_until_a_readout(self):
+        # The SteM writes the delta inline; the readers run only when drained.
+        stem = SteM("R", aliases=("R",), join_columns=(), eviction=CountEviction(8))
+        queries = (
+            FULL_QUERY,
+            CLEAN_QUERY,
+            parse_query("SELECT a, min(key), max(key) FROM R WHERE R.key < 20 GROUP BY a"),
+            parse_query("SELECT key, count(*) FROM R WHERE R.a = 1 GROUP BY key"),
+            parse_query("SELECT count(*), avg(key) FROM R"),
+        )
+        modules = [make_module(stem, query) for query in queries]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == aggregates_source.__file__:
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for k in range(40):
+                stem.build(r_row(k, k % 3), float(k + 1))
+            for row, _ in stem.state_entries()[::2]:
+                stem.evict(row)
+        finally:
+            sys.setprofile(previous)
+        assert stem.stats["evictions"] == 32 + 4
+        assert calls == []
+        sys.setprofile(profile)
+        try:
+            modules[0].result_rows()
+        finally:
+            sys.setprofile(previous)
+        # One readout drained the delta into every reader.
+        assert calls.count("apply_delta") == 5
+        for module, query in zip(modules, queries):
+            stats = module.stats
+            assert stats["inserted"] + stats["filtered"] == 4
+            assert stats["cancelled"] == 36 and stats["retracted"] == 0
+            assert encoded(module.result_rows()) == encoded(reference(stem, query))
+
+
 # -- unit: signatures and the shared registry ---------------------------------
 
 
@@ -511,7 +629,7 @@ def test_consolidated_deltas_equal_recompute_at_sparse_reads(
     module = None
 
     def announced():
-        """Stored builds and evictions so far: the listeners' calls."""
+        """Stored builds and evictions so far: the delta's writes."""
         stats = stem.stats
         return stats["builds"] - stats["duplicates"], stats["evictions"]
 
@@ -570,6 +688,80 @@ def test_full_drain_returns_to_empty(steps):
     assert module.result_rows() == []
     assert module.stats["inserted"] == module.stats["retracted"]
     module.detach()
+
+
+#: The readers the state machine attaches, in order: different group-bys
+#: and predicates over the one SteM.
+MACHINE_QUERIES = (
+    parse_query("SELECT a, count(*), sum(key) FROM R GROUP BY a"),
+    parse_query("SELECT key, count(*), min(a), max(a) FROM R WHERE R.a < 3 GROUP BY key"),
+    parse_query("SELECT count(*), avg(key), max(a) FROM R WHERE R.key > 1"),
+)
+
+
+class SharedDeltaMachine(RuleBasedStateMachine):
+    """One to three readers on one count-bounded SteM, attached, detached
+    and re-attached between builds and direct evictions.  After every
+    readout each attached reader equals the recompute over the SteM's rows,
+    and a detached one still reads what it held when it left."""
+
+    def __init__(self):
+        super().__init__()
+        self.stem = SteM("R", aliases=("R",), join_columns=(), eviction=CountEviction(4))
+        self.readers: list[tuple[AggregateModule, object]] = []
+        self.left: dict[int, list[tuple]] = {}  # detached reader -> its rows
+        self.clock = 0
+
+    @initialize()
+    def first_reader(self):
+        self.attach_new()
+
+    @precondition(lambda self: len(self.readers) < len(MACHINE_QUERIES))
+    @rule()
+    def attach_new(self):
+        query = MACHINE_QUERIES[len(self.readers)]
+        self.readers.append((make_module(self.stem, query), query))
+
+    @rule(key=st.integers(0, 4), a=st.integers(0, 4))
+    def build(self, key, a):
+        self.clock += 1
+        self.stem.build(r_row(key, a), float(self.clock))
+
+    @precondition(lambda self: len(self.stem) > 0)
+    @rule(data=st.data())
+    def evict(self, data):
+        rows = [row for row, _ in self.stem.state_entries()]
+        assert self.stem.evict(data.draw(st.sampled_from(rows)))
+
+    @rule(data=st.data())
+    def detach(self, data):
+        module, query = data.draw(st.sampled_from(self.readers))
+        if module.detach():
+            # The pending delta reached the leaving reader.
+            self.left[id(module)] = module.result_rows()
+            assert encoded(self.left[id(module)]) == encoded(reference(self.stem, query))
+
+    @rule(data=st.data())
+    def reattach(self, data):
+        module, _ = data.draw(st.sampled_from(self.readers))
+        module.attach()
+        self.left.pop(id(module), None)
+
+    @rule(data=st.data())
+    def readout(self, data):
+        module, _ = data.draw(st.sampled_from(self.readers))
+        module.result_rows()
+        for module, query in self.readers:
+            if module.attached:
+                assert encoded(module.result_rows()) == encoded(reference(self.stem, query))
+            else:
+                assert module.result_rows() == self.left[id(module)]
+
+
+SharedDeltaMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None
+)
+TestSharedDeltaMachine = SharedDeltaMachine.TestCase
 
 
 # -- independent oracle: SUM / AVG / COUNT against exact rationals ------------

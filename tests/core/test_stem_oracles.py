@@ -425,9 +425,38 @@ class TestSteMState:
         assert built[-1] == (5, 5.0, True)
         assert stem.remove_evict_listener(evicted.append)
         assert not stem.remove_evict_listener(evicted.append)
-        assert stem.remove_build_listener(on_build)
         stem.build(s_row(6), 10.0)
-        assert len(evicted) == 3 and len(built) == 7
+        assert len(evicted) == 3 and len(built) == 8
+
+    def test_readers_share_one_consolidated_delta(self):
+        class Reader:
+            def __init__(self):
+                self.deltas = []
+
+            def apply_delta(self, built, evicted, cancelled):
+                self.deltas.append(
+                    ([row["x"] for row in built], [row["x"] for row in evicted], cancelled)
+                )
+
+        stem = SteM("S", aliases=("S",), join_columns=("x",), max_size=2)
+        stem.build(s_row(0), 0.0)  # no reader yet: nothing is recorded
+        first, second = Reader(), Reader()
+        stem.add_reader(first)
+        for x in range(1, 5):
+            stem.build(s_row(x), float(x))  # evicts 0, 1 (cancels), 2 (cancels)
+        stem.build(s_row(4), 9.0)  # a duplicate is not a change
+        stem.add_reader(second)  # drains into the first reader only
+        assert first.deltas == [([3, 4], [0], 2)] and second.deltas == []
+        assert stem.evict(s_row(3))
+        stem.drain()
+        stem.drain()  # an empty delta reaches nobody
+        assert first.deltas[1:] == second.deltas == [([], [3], 0)]
+        stem.remove_reader(first)
+        stem.build(s_row(5), 10.0)
+        stem.remove_reader(second)  # drains into the leaving reader
+        assert second.deltas[-1] == ([5], [], 0) and len(first.deltas) == 2
+        stem.build(s_row(6), 11.0)
+        assert not stem._delta_in and not stem._delta_out
 
     def test_stats_count_every_build_probe_and_match(self):
         stem = SteM("S", aliases=("S",), join_columns=("x",), max_size=20)

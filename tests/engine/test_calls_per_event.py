@@ -32,13 +32,12 @@ from repro.storage.table import Table
 #: Where ``src/repro`` was imported from, spelled as its code objects name it.
 SOURCE = str(Path(repro.__file__).parent)
 
-#: Calls per event each shape may take: the ratio measured when the gate
-#: was added (CPython 3.11: 19.114, 19.595 and 28.773, equal under every
-#: hash seed), plus 1% in case another interpreter version counts a call
-#: more or less.
+#: Calls per event each shape may take: the ratio last measured (CPython
+#: 3.11: 19.114, 18.368 and 28.773, equal under every hash seed), plus 1%
+#: in case another interpreter version counts a call more or less.
 CEILINGS = {
     "join_fleet": 19.31,
-    "aggregate_window": 19.79,
+    "aggregate_window": 18.55,
     "fan_out": 29.06,
 }
 

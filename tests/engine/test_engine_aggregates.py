@@ -183,11 +183,10 @@ class TestMultiQueryAggregates:
         module = engine.eddy_of("qa").aggregate_module
         assert isinstance(module, AggregateModule)
         stem = engine.registry._stems["R"]
-        assert module._on_evict in stem._evict_listeners
+        assert module in stem._readers
         ref = weakref.ref(module)
         engine.retire("qa")
-        assert module._on_evict not in stem._evict_listeners
-        assert module._on_build not in stem._build_listeners
+        assert module not in stem._readers
         del module
         gc.collect()
         assert ref() is None, "retired aggregate module still referenced"

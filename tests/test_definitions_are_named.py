@@ -40,6 +40,7 @@ ALLOWED = {
     "build_batch": "SteM.build_batch: benchmarks/e2e names it (ROADMAP item 8(ii))",
     "probe_batch": "SteM.probe_batch: benchmarks/e2e names it (ROADMAP item 8(ii))",
     "add_eot_listener": "SteM.add_eot_listener: benchmarks/e2e names it (ROADMAP item 8(ii))",
+    "add_build_listener": "benchmarks/e2e/trace.py wraps it by name (ROADMAP item 8(ii))",
     "extended": "QTuple.extended: benchmarks/e2e/trace.py wraps it to count tuple extensions",
     "admitted": "MultiQueryEngine.admitted: benchmarks/result_path_counts.py reads it",
     "simulate_crash": "CheckpointManager.simulate_crash: benchmarks/e2e/workloads.py "
