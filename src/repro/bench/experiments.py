@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.policies import BenefitPolicy, NaivePolicy
 from repro.engine.api import execute
+from repro.engine.config import EngineConfig
 from repro.engine.joins_engine import JoinSpec, run_eddy_joins
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.engine.results import ExecutionResult, Series
@@ -79,7 +80,7 @@ def run_figure7(
         baseline_workload.query,
         baseline_workload.catalog,
         plan=baseline_plan,
-        batch_size=batch_size,
+        config=EngineConfig(batch_size=batch_size),
     )
 
     stems_workload = make()
@@ -148,7 +149,7 @@ def run_figure8(
                 lookup_latency=t_index_latency,
             )
         ],
-        batch_size=batch_size,
+        config=EngineConfig(batch_size=batch_size),
     )
 
     hash_workload = make()
@@ -156,7 +157,7 @@ def run_figure8(
         hash_workload.query,
         hash_workload.catalog,
         plan=[JoinSpec(kind="shj", left=("R",), right="T")],
-        batch_size=batch_size,
+        config=EngineConfig(batch_size=batch_size),
     )
 
     hybrid_workload = make()

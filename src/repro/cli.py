@@ -131,9 +131,11 @@ def _workload(args: argparse.Namespace):
 DEFAULT_WINDOW = 200
 
 
-def _stem_bound(args: argparse.Namespace) -> dict:
-    """The SteM bound ``--eviction/--window`` name, as engine keywords."""
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The engine keywords ``--batch-size`` and ``--eviction/--window`` name
+    (the entry point they reach builds the one config from them)."""
     return {
+        "batch_size": args.batch_size,
         "stem_eviction": args.eviction,
         "stem_max_size": args.window
         if args.eviction in ("count", "reference-window") else None,
@@ -156,10 +158,9 @@ def _run_churn(args: argparse.Namespace) -> None:
         workload.events,
         workload.catalog,
         shared_stems=not args.private_stems,
-        batch_size=args.batch_size,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
-        **_stem_bound(args),
+        **_engine_options(args),
     )
     print(result.summary())
     stats = result.registry_stats
@@ -178,10 +179,7 @@ def _run_multi(args: argparse.Namespace) -> None:
         _run_churn(args)
         return
     workload = _workload(args)
-    options = {
-        "batch_size": args.batch_size,
-        **_stem_bound(args),
-    }
+    options = _engine_options(args)
     result = run_multi(
         workload.admissions,
         workload.catalog,
@@ -237,8 +235,7 @@ def _run_recover(args: argparse.Namespace) -> None:
         state,
         workload.catalog,
         churn_events=workload.events if args.churn else (),
-        batch_size=args.batch_size,
-        **_stem_bound(args),
+        **_engine_options(args),
     )
     result = restored.run()
     print(f"\nRecovered run (resumed from the cut at {state.cut_time:g}):")

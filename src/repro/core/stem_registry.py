@@ -69,24 +69,30 @@ def merge_stem_totals(totals: dict[str, int], stats: Mapping[str, int]) -> None:
 
 
 @dataclass(frozen=True)
-class EvictionConfig:
-    """One table's eviction configuration.
+class SteMBound:
+    """How every SteM of a run bounds its state.  Construction runs
+    :func:`~repro.core.stem.make_eviction_policy`'s spec check, so a bound
+    its policy does not read fails before any SteM exists.
 
     Attributes:
-        kind: policy name (``"count"``, ``"time-window"``,
-            ``"reference-window"``) or None for unbounded state.
+        eviction: policy name (``"count"``, ``"time-window"``,
+            ``"reference-window"``), or None: count-FIFO iff ``max_size``
+            is set, unbounded state otherwise.
         max_size: row bound for count/reference-window policies.
         window: build-timestamp width for the time-window policy.
     """
 
-    kind: str | None = None
+    eviction: str | None = None
     max_size: int | None = None
     window: float | None = None
 
-    def build_policy(self) -> EvictionPolicy | None:
-        """Instantiate a fresh policy for one SteM (policies hold no state
-        outside the SteM's row store, but each SteM gets its own object)."""
-        return make_eviction_policy(self.kind, max_size=self.max_size, window=self.window)
+    def __post_init__(self) -> None:
+        self.policy()
+
+    def policy(self) -> EvictionPolicy | None:
+        """A fresh policy for one SteM (policies hold no state outside the
+        SteM's row store, but each SteM gets its own object)."""
+        return make_eviction_policy(self.eviction, max_size=self.max_size, window=self.window)
 
 
 class SteMRegistry:
@@ -106,8 +112,7 @@ class SteMRegistry:
         eviction: str | None = None,
         window: float | None = None,
     ):
-        self.max_size = max_size
-        self._eviction = EvictionConfig(eviction, max_size, window)
+        self._bound = SteMBound(eviction, max_size, window)
         self._stems: dict[str, SteM] = {}
         self._runtimes: list = []
         #: Reference counts, maintained only for owner-attributed
@@ -152,15 +157,14 @@ class SteMRegistry:
         acquisitions pin the SteM forever (the pre-churn behaviour).
         """
         columns = tuple(join_columns)
-        config = self._eviction
         stem = self._stems.get(table)
         if stem is None:
             stem = SteM(
                 table=table,
                 aliases=(alias,),
                 join_columns=columns,
-                max_size=config.max_size,
-                eviction=config.build_policy(),
+                max_size=self._bound.max_size,
+                eviction=self._bound.policy(),
                 name=f"stem:{table}",
             )
             self._stems[table] = stem

@@ -4,8 +4,9 @@ Every SteM query runs on :class:`~repro.engine.multi.MultiQueryEngine`; a
 single query (``execute(engine="stems")``) is a one-admission run on
 private SteMs.  Each admission is wired the way §2.2 instantiates a query:
 
-1. validate the query against the sources' bind-field constraints
-   (:func:`repro.query.binding.validate_bindings`);
+1. check the query against the catalog and the sources' bind-field
+   constraints (:func:`repro.query.binding.check_query`, which the engine
+   runs before it touches any state, and whose plan it passes in);
 2. create an access module for *every* access method that could possibly be
    used (all scans, all bindable indexes — they run competitively);
 3. create a selection module for every selection predicate;
@@ -24,38 +25,17 @@ from typing import Callable
 
 from repro.core.aggregates import AggregateModule
 from repro.core.constraints import ConstraintChecker
-from repro.errors import QueryError
 from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
-from repro.core.stem import SteM, make_eviction_policy
+from repro.core.stem import SteM
+from repro.core.stem_registry import SteMBound
 from repro.engine.results import ExecutionResult, Series, span_series
-from repro.query.binding import validate_bindings
+from repro.query.binding import BindingPlan
 from repro.query.query import Query, TableRef
 from repro.storage.catalog import Catalog, IndexSpec, ScanSpec
-
-
-def _validate_aggregate_columns(query: Query, catalog: Catalog) -> None:
-    """Reject aggregate queries naming columns their table does not have.
-
-    Aggregate state is applied at readout, long after admission; a typo
-    must fail at admission, not as an exception out of the first readout.
-    """
-    known = catalog.table(query.tables[0].table).schema.names
-    for column in query.group_by:
-        if column.column not in known:
-            raise QueryError(
-                f"GROUP BY column {column} is not a column of "
-                f"{query.tables[0].table!r} (columns: {list(known)})"
-            )
-    for spec in query.aggregates:
-        if spec.column is not None and spec.column.column not in known:
-            raise QueryError(
-                f"aggregate {spec.label} names no column of "
-                f"{query.tables[0].table!r} (columns: {list(known)})"
-            )
 
 
 def make_private_aggregate_module(
@@ -74,13 +54,15 @@ def make_private_aggregate_module(
 
 def instantiate_stems_query(
     query: Query,
+    binding_plan: BindingPlan,
     catalog: Catalog,
     eddy: Eddy,
-    costs: CostModel,
     make_stem_module: Callable[[TableRef, Query, str], SteMModule],
     make_aggregate_module: Callable[[Query, SteMModule, str], AggregateModule],
 ) -> ConstraintChecker:
-    """Wire one query's modules onto an eddy (paper §2.2's five steps).
+    """Wire one checked query's modules onto an eddy (paper §2.2's steps
+    2-5; ``binding_plan`` is step 1's result, from
+    :func:`~repro.query.binding.check_query`).
 
     The factories build the SteM module of one FROM-clause entry and the
     aggregate module of a GROUP BY query; both are called with the eddy's
@@ -90,7 +72,7 @@ def instantiate_stems_query(
     (the dense alias/predicate bit assignment the bitmask TupleState runs
     on) and its join graph.
     """
-    binding_plan = validate_bindings(query, catalog)
+    costs = eddy.costs
     layout = eddy.layout
     join_graph = layout.join_graph
     # SteMs: one module per alias (the factory decides whether the backing
@@ -101,7 +83,6 @@ def instantiate_stems_query(
     # as a reader of its (single) SteM's pending delta — maintenance runs
     # above the eddy, so it needs no routing constraints and no done-bits.
     if query.is_aggregate:
-        _validate_aggregate_columns(query, catalog)
         eddy.aggregate_module = make_aggregate_module(
             query, eddy.stems[query.aggregate_alias], eddy.query_id
         )
@@ -149,9 +130,7 @@ def make_private_stem_module(
     ref: TableRef,
     query: Query,
     costs: CostModel,
-    max_size: int | None = None,
-    eviction: str | None = None,
-    window: float | None = None,
+    bound: SteMBound,
 ) -> SteMModule:
     """A private SteM (and its module) for one FROM-clause entry.
 
@@ -159,16 +138,15 @@ def make_private_stem_module(
     SteM per alias (see DESIGN.md for the self-join note).  The engine uses
     it for every alias when SteMs are not shared (a single query, or the
     private-SteM ablation baseline) and for self-join aliases otherwise.
-    ``eviction``/``window`` select a named eviction policy (the engine
-    forwards its registry-level configuration so private SteMs honour the
-    same bound); the default keeps count-FIFO iff ``max_size`` is set.
+    ``bound`` is the run's SteM bound, so private SteMs honour the same
+    bound as shared ones.
     """
     stem = SteM(
         table=ref.table,
         aliases=(ref.alias,),
         join_columns=query.join_columns_of(ref.alias),
-        max_size=max_size,
-        eviction=make_eviction_policy(eviction, max_size=max_size, window=window),
+        max_size=bound.max_size,
+        eviction=bound.policy(),
         name=f"stem:{ref.alias}",
     )
     return SteMModule(

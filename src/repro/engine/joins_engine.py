@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ExecutionError, QueryError
+from repro.errors import ExecutionError
 from repro.core.constraints import Destination, RoutePlan
-from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.access import ScanAMModule
 from repro.core.modules.base import Module
@@ -23,7 +22,9 @@ from repro.core.modules.joinmodule import IndexJoinModule, SymmetricHashJoinModu
 from repro.core.modules.selection import SelectionModule
 from repro.core.policies import NaivePolicy, RoutingPolicy, make_policy
 from repro.core.tuples import QTuple, install_id_allocator
+from repro.engine.config import EngineConfig
 from repro.engine.results import ExecutionResult, Series, span_series
+from repro.query.binding import check_query
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.query import Query
@@ -61,8 +62,10 @@ def default_join_plan(query: Query, catalog: Catalog) -> list[JoinSpec]:
     Each step joins the next alias to everything joined so far, using a
     symmetric hash join when the next table has a scan access method and a
     caching index join otherwise (mirroring what a traditional optimizer
-    would be forced to pick).
+    would be forced to pick).  The query is checked first
+    (:func:`~repro.query.binding.check_query`), so every table has one.
     """
+    check_query(query, catalog)
     aliases = list(query.alias_order)
     specs: list[JoinSpec] = []
     done: list[str] = [aliases[0]]
@@ -71,12 +74,7 @@ def default_join_plan(query: Query, catalog: Catalog) -> list[JoinSpec]:
         if catalog.has_scan(table):
             specs.append(JoinSpec(kind="shj", left=tuple(done), right=alias))
         else:
-            indexes = catalog.indexes(table)
-            if not indexes:
-                raise QueryError(
-                    f"table {table!r} has neither scan nor index access methods"
-                )
-            index = indexes[0]
+            index = catalog.indexes(table)[0]
             specs.append(
                 JoinSpec(
                     kind="index",
@@ -151,11 +149,12 @@ class EddyJoinsEngine:
         query: the query (object or SQL text).
         catalog: tables and access methods.
         plan: join-module plan; defaults to :func:`default_join_plan`.
+            Either way the query is checked here, at construction
+            (:func:`~repro.query.binding.check_query`).
         policy: routing policy (the default naive policy reproduces the
             original architecture, whose only freedom is module order).
-        cost_model: virtual-time cost model.
-        batch_size: ready tuples drained per eddy routing event (1 =
-            per-tuple routing; >1 enables signature-batched routing).
+        config: the run's :class:`~repro.engine.config.EngineConfig`; this
+            engine reads its cost model and batch size.
         trace: optional :class:`TraceLog` recording route/output/retire
             events.
     """
@@ -166,27 +165,30 @@ class EddyJoinsEngine:
         catalog: Catalog,
         plan: Sequence[JoinSpec] | None = None,
         policy: RoutingPolicy | str | None = None,
-        cost_model: CostModel | None = None,
-        batch_size: int = 1,
+        config: EngineConfig = EngineConfig(),
         trace: TraceLog | None = None,
     ):
         self.query = parse_query(query) if isinstance(query, str) else query
+        if plan is None:
+            plan = default_join_plan(self.query, catalog)
+        else:
+            check_query(self.query, catalog)
         self.catalog = catalog
-        self.costs = cost_model or CostModel()
+        self.costs = config.cost_model
         if policy is None:
             self.policy: RoutingPolicy = NaivePolicy()
         elif isinstance(policy, str):
             self.policy = make_policy(policy)
         else:
             self.policy = policy
-        self.plan = list(plan) if plan is not None else default_join_plan(self.query, catalog)
+        self.plan = list(plan)
         self.layout = PlanLayout(self.query)
         self.simulator = Simulator()
         self.eddy = Eddy(
             self.simulator,
             self.policy,
             cost_model=self.costs,
-            batch_size=batch_size,
+            batch_size=config.batch_size,
             trace=trace,
             layout=self.layout,
         )
@@ -291,19 +293,12 @@ def run_eddy_joins(
     catalog: Catalog,
     plan: Sequence[JoinSpec] | None = None,
     policy: RoutingPolicy | str | None = None,
-    cost_model: CostModel | None = None,
+    config: EngineConfig = EngineConfig(),
     until: float | None = None,
-    batch_size: int = 1,
     trace: TraceLog | None = None,
 ) -> ExecutionResult:
     """Convenience wrapper: build an :class:`EddyJoinsEngine` and run it."""
     engine = EddyJoinsEngine(
-        query,
-        catalog,
-        plan=plan,
-        policy=policy,
-        cost_model=cost_model,
-        batch_size=batch_size,
-        trace=trace,
+        query, catalog, plan=plan, policy=policy, config=config, trace=trace
     )
     return engine.run(until=until)

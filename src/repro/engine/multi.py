@@ -91,22 +91,17 @@ from typing import Iterable, Sequence
 
 from repro.errors import ExecutionError
 from repro.core.aggregates import AggregateModule, AggregateRegistry
-from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.stem_module import SharedSteMModule, SteMModule
 from repro.core.policies import RoutingPolicy, make_policy
-from repro.core.stem import SteM, make_eviction_policy
+from repro.core.stem import SteM
 from repro.core.stem_registry import (
     SteMRegistry,
     merge_stem_totals,
     stem_build_totals,
 )
 from repro.core.tuples import install_id_allocator
-from repro.engine.options import (
-    DURABILITY_OPTIONS,
-    SHARED_ENGINE_OPTIONS,
-    reject_unknown_options,
-)
+from repro.engine.config import EngineConfig
 from repro.engine.results import ExecutionResult, MultiQueryResult
 from repro.engine.instantiate import (
     collect_stems_result,
@@ -114,11 +109,16 @@ from repro.engine.instantiate import (
     make_private_aggregate_module,
     make_private_stem_module,
 )
+from repro.query.binding import check_query
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.query import Query, TableRef
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
+
+#: What :func:`run_multi` and :func:`run_churn` take besides the engine
+#: options (a checkpoint directory makes the run durable, see repro.recovery).
+RUN_OPTIONS = ("shared_stems", "until", "checkpoint_dir", "checkpoint_interval")
 
 
 @dataclass
@@ -197,6 +197,13 @@ class ChurnEvent:
     query_id: str = ""
 
 
+#: :class:`MultiQueryEngine`'s own keywords, named when it rejects another.
+_ENGINE_KEYWORDS = (
+    "shared_stems", "compiled_probes", "columnar", "shards", "continuous",
+    "timestamp_start", "start_time", "config",
+)
+
+
 class MultiQueryEngine:
     """Runs a churning fleet of queries on one simulator with shared SteMs.
 
@@ -212,18 +219,6 @@ class MultiQueryEngine:
             SteMs — the paper's Figure 1(c) single-query setup, which is how
             ``execute(engine="stems")`` runs its one admission, and the
             ablation baseline: N queries that each run alone on one clock.
-        cost_model: virtual-time cost model (shared by all queries).
-        strict_constraints: validate every routing decision of every query.
-        stem_max_size: optional SteM row bound (count / reference-window
-            policies; applies to shared and private SteMs alike).
-        stem_eviction: eviction-policy name applied to every SteM — shared
-            and private alike (``"count"``, ``"time-window"``,
-            ``"reference-window"``; None keeps the historical behaviour:
-            count-FIFO iff ``stem_max_size`` is set).
-        stem_window: build-timestamp window width for
-            ``stem_eviction="time-window"``.  A bound the named policy does
-            not read raises :class:`~repro.errors.ExecutionError`.
-        batch_size: per-eddy routing batch (see :class:`~repro.core.eddy.Eddy`).
         compiled_probes: accepted as None, True or False and ignored (there
             is one probe path); any other value raises
             :class:`~repro.errors.ExecutionError`.
@@ -240,6 +235,9 @@ class MultiQueryEngine:
             incarnation stopped.
         start_time: virtual time the simulator starts at.  0 for fresh
             runs; a restore passes the time of the checkpoint it resumes.
+        config: the run's :class:`~repro.engine.config.EngineConfig`;
+            without one, ``options`` (the six engine keywords) build it.
+            Its SteM bound applies to shared and private SteMs alike.
     """
 
     def __init__(
@@ -247,18 +245,14 @@ class MultiQueryEngine:
         admissions: Iterable[QueryAdmission | Query | str],
         catalog,
         shared_stems: bool = True,
-        cost_model: CostModel | None = None,
-        strict_constraints: bool = False,
-        stem_max_size: int | None = None,
-        stem_eviction: str | None = None,
-        stem_window: float | None = None,
-        batch_size: int = 1,
         compiled_probes: bool | None = None,
         columnar: bool | None = None,
         shards: int | None = None,
         continuous: bool = False,
         timestamp_start: int = 1,
         start_time: float = 0.0,
+        config: EngineConfig | None = None,
+        **options,
     ):
         # The e2e harness still passes compiled_probes=False, columnar=False
         # and shards=1; ROADMAP item 8(ii) drops them, and these three
@@ -273,24 +267,17 @@ class MultiQueryEngine:
             raise ExecutionError(
                 f"shards={shards!r}: hash-partitioned SteMs were removed"
             )
-        # Resolve the SteM bound once up front, so a mismatched spec fails
-        # here rather than at the first SteM (or never, with no admission).
-        make_eviction_policy(stem_eviction, max_size=stem_max_size, window=stem_window)
+        if config is None:
+            config = EngineConfig.from_options("MultiQueryEngine", options, _ENGINE_KEYWORDS)
+        elif options:
+            raise ExecutionError("pass MultiQueryEngine() a config or engine options, not both")
+        self.config = config
         self.catalog = catalog
-        self.costs = cost_model or CostModel()
         self.shared_stems = shared_stems
-        self.strict_constraints = strict_constraints
-        self.stem_max_size = stem_max_size
-        self.stem_eviction = stem_eviction
-        self.stem_window = stem_window
-        self.batch_size = batch_size
         self.simulator = Simulator(start_time=start_time)
+        bound = config.stem_bound
         self.registry: SteMRegistry | None = (
-            SteMRegistry(
-                max_size=stem_max_size,
-                eviction=stem_eviction,
-                window=stem_window,
-            )
+            SteMRegistry(bound.max_size, bound.eviction, bound.window)
             if shared_stems
             else None
         )
@@ -347,6 +334,10 @@ class MultiQueryEngine:
         exists, and only sees source rows delivered after its admission.
 
         Returns the admitted query's id.
+
+        Raises:
+            QueryError: when :func:`~repro.query.binding.check_query`
+                rejects the query; the engine is then left unchanged.
         """
         if not isinstance(admission, QueryAdmission):
             admission = QueryAdmission(query=admission)
@@ -355,6 +346,9 @@ class MultiQueryEngine:
             if isinstance(admission.query, str)
             else admission.query
         )
+        # §2.2 step 1, before anything below touches engine state: a query
+        # this rejects leaves the registry, the ids and the clock as they were.
+        binding_plan = check_query(query, self.catalog)
         position = self._admission_counter
         query_id = admission.query_id or f"q{position}"
         if query_id in self._all_ids:
@@ -380,9 +374,9 @@ class MultiQueryEngine:
         eddy = Eddy(
             self.simulator,
             policy,
-            cost_model=self.costs,
-            strict_constraints=self.strict_constraints,
-            batch_size=self.batch_size,
+            cost_model=self.config.cost_model,
+            strict_constraints=self.config.strict_constraints,
+            batch_size=self.config.batch_size,
             trace=admission.trace,
             query_id=query_id,
             timestamp_source=self._timestamps,
@@ -391,9 +385,9 @@ class MultiQueryEngine:
         eddy.preferences = list(admission.preferences)
         instantiate_stems_query(
             query,
+            binding_plan,
             self.catalog,
             eddy,
-            self.costs,
             self._make_stem_module,
             self._make_aggregate_module,
         )
@@ -444,6 +438,7 @@ class MultiQueryEngine:
         self, ref: TableRef, query: Query, owner: str
     ) -> SteMModule:
         """Shared SteM for single-reference tables, private otherwise."""
+        costs = self.config.cost_model
         if self.registry is not None and len(query.aliases_of_table(ref.table)) == 1:
             stem = self.registry.stem_for(
                 ref.table,
@@ -456,17 +451,10 @@ class MultiQueryEngine:
                 ref.alias,
                 query.predicates,
                 registry=self.registry,
-                build_cost=self.costs.stem_build_cost,
-                probe_cost=self.costs.stem_probe_cost,
+                build_cost=costs.stem_build_cost,
+                probe_cost=costs.stem_probe_cost,
             )
-        return make_private_stem_module(
-            ref,
-            query,
-            self.costs,
-            max_size=self.stem_max_size,
-            eviction=self.stem_eviction,
-            window=self.stem_window,
-        )
+        return make_private_stem_module(ref, query, costs, self.config.stem_bound)
 
     def _make_aggregate_module(
         self, query: Query, stem_module, owner: str
@@ -713,44 +701,21 @@ def run_multi(
     admissions: Iterable[QueryAdmission | Query | str],
     catalog,
     shared_stems: bool = True,
-    cost_model: CostModel | None = None,
     until: float | None = None,
-    strict_constraints: bool = False,
-    batch_size: int = 1,
-    stem_max_size: int | None = None,
-    stem_eviction: str | None = None,
-    stem_window: float | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
     **options,
 ) -> MultiQueryResult:
     """Convenience wrapper: build a :class:`MultiQueryEngine` and run it.
 
-    Accepts the same engine keyword set as
-    :func:`~repro.engine.api.execute` and :func:`run_churn`
-    (:data:`~repro.engine.options.SHARED_ENGINE_OPTIONS`), plus
-    ``shared_stems``, ``until`` and the durability pair
-    (:data:`~repro.engine.options.DURABILITY_OPTIONS`): a
-    ``checkpoint_dir`` attaches the :mod:`repro.recovery` WAL/snapshot
-    layer so a killed run can be recovered with
-    :func:`repro.recovery.restore_engine`.
+    ``options`` are the engine keywords of :func:`~repro.engine.api.execute`
+    and :func:`run_churn` (:class:`~repro.engine.config.EngineConfig`); the
+    others are :data:`RUN_OPTIONS`: a ``checkpoint_dir`` attaches the
+    :mod:`repro.recovery` WAL/snapshot layer so a killed run can be
+    recovered with :func:`repro.recovery.restore_engine`.
     """
-    reject_unknown_options(
-        "run_multi",
-        options,
-        ("shared_stems", "until", *SHARED_ENGINE_OPTIONS, *DURABILITY_OPTIONS),
-    )
-    engine = MultiQueryEngine(
-        admissions,
-        catalog,
-        shared_stems=shared_stems,
-        cost_model=cost_model,
-        strict_constraints=strict_constraints,
-        batch_size=batch_size,
-        stem_max_size=stem_max_size,
-        stem_eviction=stem_eviction,
-        stem_window=stem_window,
-    )
+    config = EngineConfig.from_options("run_multi", options, RUN_OPTIONS)
+    engine = MultiQueryEngine(admissions, catalog, shared_stems=shared_stems, config=config)
     return _run_durably(engine, until, checkpoint_dir, checkpoint_interval)
 
 
@@ -788,13 +753,7 @@ def run_churn(
     events: Sequence[ChurnEvent],
     catalog,
     shared_stems: bool = True,
-    cost_model: CostModel | None = None,
     until: float | None = None,
-    strict_constraints: bool = False,
-    batch_size: int = 1,
-    stem_max_size: int | None = None,
-    stem_eviction: str | None = None,
-    stem_window: float | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
     **options,
@@ -804,30 +763,11 @@ def run_churn(
     Builds a continuous-mode :class:`MultiQueryEngine`, schedules every
     :class:`ChurnEvent` on the simulator, and runs — queries are created at
     their admission instants on the live run, and torn down again at their
-    retirement instants.
-
-    Accepts the same engine keyword set as
-    :func:`~repro.engine.api.execute` and :func:`run_multi`
-    (:data:`~repro.engine.options.SHARED_ENGINE_OPTIONS`), plus
-    ``shared_stems``, ``until`` and the durability pair
-    (:data:`~repro.engine.options.DURABILITY_OPTIONS`).
+    retirement instants.  Takes the keywords of :func:`run_multi`.
     """
-    reject_unknown_options(
-        "run_churn",
-        options,
-        ("shared_stems", "until", *SHARED_ENGINE_OPTIONS, *DURABILITY_OPTIONS),
-    )
+    config = EngineConfig.from_options("run_churn", options, RUN_OPTIONS)
     engine = MultiQueryEngine(
-        [],
-        catalog,
-        shared_stems=shared_stems,
-        cost_model=cost_model,
-        strict_constraints=strict_constraints,
-        batch_size=batch_size,
-        stem_max_size=stem_max_size,
-        stem_eviction=stem_eviction,
-        stem_window=stem_window,
-        continuous=True,
+        [], catalog, shared_stems=shared_stems, continuous=True, config=config
     )
     engine.schedule_churn(events)
     return _run_durably(engine, until, checkpoint_dir, checkpoint_interval)

@@ -23,6 +23,7 @@ from typing import Sequence
 from repro.core.tuples import Result, install_id_allocator
 from repro.engine.results import ExecutionResult, Series
 from repro.joins.pipeline import base_input, execute_left_deep
+from repro.query.binding import check_references
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.storage.catalog import Catalog
@@ -69,10 +70,13 @@ def choose_join_order(query: Query, catalog: Catalog) -> list[str]:
     return order
 
 
-
-
 class StaticEngine:
-    """Optimize-once, execute-once engine over a left-deep hash-join pipeline."""
+    """Optimize-once, execute-once engine over a left-deep hash-join pipeline.
+
+    The query's references and types are checked at construction
+    (:func:`~repro.query.binding.check_references`); the bind-field
+    constraints do not apply, because the plan reads whole tables.
+    """
 
     def __init__(
         self,
@@ -81,6 +85,7 @@ class StaticEngine:
         order: Sequence[str] | None = None,
     ):
         self.query = parse_query(query) if isinstance(query, str) else query
+        check_references(self.query, catalog)
         self.catalog = catalog
         self.order = list(order) if order is not None else choose_join_order(self.query, catalog)
 

@@ -1,27 +1,37 @@
-"""Bind-field validation: can the query be executed at all?
+"""Query validation: can the query be executed at all?
 
 Paper section 2.2, step 1: "Check that the query is valid, i.e., it can be
 executed given the bind-field constraints on the data sources (we use the
 algorithm from Nail)."
 
+:func:`check_query` is that step, and the one check every engine runs
+before virtual time 0: column references and types, then reachability.
+
 A table reachable only through index access methods can be read only if all
 the bind columns of at least one of its indexes can be supplied — either by
 constants in selection predicates or by equi-join predicates from tables that
-are themselves reachable.  This module implements the fixpoint computation
-that decides reachability and, as a by-product, produces a feasible access
-order used by the static baseline.
+are themselves reachable.  :func:`validate_bindings` implements the fixpoint
+computation that decides reachability and, as a by-product, produces a
+feasible access order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
-from repro.errors import BindingError
-from repro.query.expressions import ColumnRef, Literal
-from repro.query.predicates import Comparison
+from repro.errors import BindingError, QueryError
+from repro.query.expressions import ColumnRef, Expression, Literal
+from repro.query.predicates import Comparison, InList
 from repro.query.query import Query
 from repro.storage.catalog import AccessMethodSpec, Catalog, IndexSpec, ScanSpec
+from repro.storage.types import DataType
+
+#: The type families a comparison may not cross, per declared column type
+#: and per Python literal type: numbers, strings, booleans.
+_FAMILY = {DataType.INTEGER: "numeric", DataType.FLOAT: "numeric",
+           DataType.STRING: "string", DataType.BOOLEAN: "boolean"}
+_LITERAL_FAMILY = {int: "numeric", float: "numeric", str: "string", bool: "boolean"}
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,82 @@ def _index_usable(
 ) -> bool:
     """True if all of the index's bind columns are bound."""
     return frozenset(spec.bind_columns) <= bound_columns
+
+
+def _value_family(value: Any) -> str | None:
+    """A literal's type family; None for NULL, which compares with any."""
+    if value is None:
+        return None
+    return _LITERAL_FAMILY.get(type(value), type(value).__name__)
+
+
+def check_query(query: Query, catalog: Catalog) -> BindingPlan:
+    """Check that the query is valid against the catalog; return its plan.
+
+    Its references and types are checked by :func:`check_references`, its
+    bind-field constraints decided by :func:`validate_bindings`.
+
+    Raises:
+        QueryError: on the first reference, type or binding the query
+            cannot satisfy (:class:`BindingError` for the last).
+    """
+    check_references(query, catalog)
+    return validate_bindings(query, catalog)
+
+
+def check_references(query: Query, catalog: Catalog) -> None:
+    """Resolve and type-check every column reference of the query.
+
+    Every column reference — in predicates, projections, GROUP BY and
+    aggregate arguments — must name a column of its table; ``SUM``/``AVG``
+    need a numeric column; a comparison (and every member of an IN list)
+    must stay inside one type family (:data:`_FAMILY`), NULL literals
+    excepted.  The static engine, which reads whole tables and so is not
+    bound by access methods, checks only this half of :func:`check_query`.
+
+    Raises:
+        QueryError: on the first reference or type the catalog refutes.
+    """
+    schemas = {ref.alias: catalog.table(ref.table).schema for ref in query.tables}
+
+    def family(expression: Expression, what: str) -> str | None:
+        if isinstance(expression, Literal):
+            return _value_family(expression.value)
+        schema = schemas[expression.alias]
+        if expression.column not in schema:
+            raise QueryError(
+                f"{what} names no column of {query.table_of(expression.alias)!r} "
+                f"(columns: {list(schema.names)})"
+            )
+        return _FAMILY[schema[expression.column].dtype]
+
+    for predicate in query.predicates:
+        what = f"predicate {predicate}"
+        if isinstance(predicate, Comparison):
+            sides = {family(predicate.left, what), family(predicate.right, what)}
+            sides.discard(None)
+            if len(sides) > 1:
+                raise QueryError(f"{what} compares {' with '.join(sorted(sides))} values")
+        elif isinstance(predicate, InList):
+            own = family(predicate.column, what)
+            strays = {_value_family(value) for value in predicate.values} - {own, None}
+            if strays:
+                raise QueryError(
+                    f"{what} lists {', '.join(sorted(strays))} values for a {own} column"
+                )
+    for column in query.projections:
+        family(column, f"projection {column}")
+    for column in query.group_by:
+        family(column, f"GROUP BY column {column}")
+    for spec in query.aggregates:
+        if spec.column is None:
+            continue
+        kind = family(spec.column, f"aggregate {spec.label}")
+        if spec.func in ("sum", "avg") and kind != "numeric":
+            raise QueryError(
+                f"aggregate {spec.label} needs a numeric column, "
+                f"and {spec.column} is {kind}"
+            )
 
 
 def validate_bindings(query: Query, catalog: Catalog) -> BindingPlan:

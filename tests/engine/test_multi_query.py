@@ -18,7 +18,7 @@ from repro.engine.multi import (
     run_churn,
     run_multi,
 )
-from repro.engine.options import SHARED_ENGINE_OPTIONS
+from repro.engine.config import EngineConfig
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -301,8 +301,8 @@ class TestEngineOptions:
                 assert type(value) is int, (name, value)
 
     def test_option_table_names_the_shared_set(self):
-        assert set(OPTION_SETTINGS) == set(SHARED_ENGINE_OPTIONS)
-        assert len(SHARED_ENGINE_OPTIONS) == 6
+        assert set(OPTION_SETTINGS) == set(EngineConfig.OPTIONS)
+        assert len(EngineConfig.OPTIONS) == 6
 
     def test_entry_points_reject_stem_index_kind_as_unknown(self):
         # SteM indexes have one shape; the option that picked another went.
@@ -338,7 +338,7 @@ class TestEngineOptions:
         with pytest.raises(ExecutionError, match="eviction"):
             MultiQueryEngine([], build_catalog(), continuous=True, **bound)
 
-    @pytest.mark.parametrize("name", SHARED_ENGINE_OPTIONS)
+    @pytest.mark.parametrize("name", EngineConfig.OPTIONS)
     def test_every_entry_point_accepts_the_option(self, name):
         # Each shared option reaches all three entry points with a
         # non-default value; only the SteM bounds may shrink the answer.
