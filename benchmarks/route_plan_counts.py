@@ -8,9 +8,9 @@ Imports the engine and ``benchmarks/e2e/workloads.py`` of the checkout named
 one repetition of each workload: route decisions for signature groups (EOTs
 are not decisions of this kind) split by how they ended — emitted as output,
 routed by a fixed choice without asking the policy, routed by the policy's
-``choose_batch``, retired with nowhere to go — the signature cache's hits,
-misses and invalidations, the policy's ``choose`` and ``choose_batch`` calls,
-and how many tuples each signature group held, by outcome.  Every number is
+``choose`` (once per tuple of the group), retired with nowhere to go — the
+signature cache's hits, misses and invalidations, the policy's ``choose``
+calls, and how many tuples each signature group held, by outcome.  Every number is
 exact and the same in every repetition (the engine is deterministic).
 """
 
@@ -29,7 +29,6 @@ ROWS = (
     "cache_misses",
     "cache_invalidations",
     "choose_calls",
-    "choose_batch_calls",
 )
 #: The outcomes that sent their group to a module.
 ROUTED = ("fixed_choice", "policy_scored")
@@ -67,9 +66,8 @@ def count_repetition(workloads, prepared):
         return wrapper_of
 
     for policy in (RoutingPolicy, *_subclasses(RoutingPolicy)):
-        for method in ("choose", "choose_batch"):
-            if method in policy.__dict__:
-                _wrap(policy, method, counting(f"{method}_calls"), undo)
+        if "choose" in policy.__dict__:
+            _wrap(policy, "choose", counting("choose_calls"), undo)
 
     def init_of(original):
         def init(self, *args, **kwargs):
@@ -82,11 +80,11 @@ def count_repetition(workloads, prepared):
         def route_group(self, signature, group):
             stats = self.stats
             emitted = len(self.output_tuples) + stats["suppressed_emits"]
-            retired, scored = stats["retired"], counts["choose_batch_calls"]
+            retired, scored = stats["retired"], counts["choose_calls"]
             original(self, signature, group)
             if len(self.output_tuples) + stats["suppressed_emits"] > emitted:
                 outcome = "output"
-            elif counts["choose_batch_calls"] > scored:
+            elif counts["choose_calls"] > scored:
                 outcome = "policy_scored"
             elif stats["retired"] - retired == len(group):
                 outcome = "retired"

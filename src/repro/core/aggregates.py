@@ -725,16 +725,13 @@ class AggregateRegistry:
     queries with the same :func:`aggregate_signature` maintain **one**
     module (one reader, one state) no matter how many of them are
     admitted; :meth:`release` drops one owner's references and the last
-    release detaches the module from its SteM and folds its stats into
-    :attr:`reclaimed_stats`.
+    release detaches the module from its SteM.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple, _RegistryEntry] = {}
         self._owned: dict[str, set[tuple]] = {}
         self.stats: dict[str, int] = {"created": 0, "shared": 0, "reclaimed": 0}
-        #: Final stats snapshots of reclaimed modules, keyed by module name.
-        self.reclaimed_stats: dict[str, dict[str, int]] = {}
 
     def module_for(
         self,
@@ -782,9 +779,6 @@ class AggregateRegistry:
             entry.owners.discard(owner)
             if not entry.owners:
                 entry.module.detach()
-                self.reclaimed_stats[entry.module.name] = (
-                    entry.module.stats_snapshot()
-                )
                 del self._entries[signature]
                 self.stats["reclaimed"] += 1
                 reclaimed += 1

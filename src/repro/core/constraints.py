@@ -7,9 +7,8 @@ that guarantee correct, duplicate-free, terminating execution:
   (Like the paper's own experimental implementation — section 4.1 — we
   always build, which is cheap for main-memory SteMs and never wrong.)
 * **BoundedRepetition** — no tuple is routed to the same module more than
-  once (the default bound; the relaxed, LastMatchTimeStamp-based repetition
-  of section 3.5 is available inside the SteM but not used by the shipped
-  policies).
+  once.  The relaxed, LastMatchTimeStamp-based repetition of section 3.5 is
+  not implemented.
 * **ProbeCompletion** — a tuple bounced back from a SteM probe (a "prior
   prober") may not probe any other SteM; it stays in the dataflow until it
   has probed an access method on its probe completion table.
@@ -82,7 +81,7 @@ class RoutePlan:
     and legal destinations are functions of the TupleState alone (Table 2),
     so one exemplar decides them.  ``choice`` is the policy's
     ``fixed_choice`` among the destinations, filled in by the eddy at first
-    use (None: the policy decides per group)."""
+    use (None: the policy decides per tuple)."""
 
     __slots__ = ("output", "destinations", "choice")
 
@@ -102,7 +101,6 @@ class ConstraintChecker:
         selections: selection modules, one per selection predicate.
         index_ams: index access modules keyed by alias.
         scan_aliases: aliases whose table has at least one scan AM.
-        max_visits: BoundedRepetition bound (default 1).
         layout: the query's compiled :class:`PlanLayout`; derived from the
             query and join graph when not supplied (engines pass the one
             they already share with their eddy).
@@ -116,7 +114,6 @@ class ConstraintChecker:
         selections: Sequence[SelectionModule],
         index_ams: Mapping[str, Sequence[IndexAMModule]],
         scan_aliases: Iterable[str],
-        max_visits: int = 1,
         layout: PlanLayout | None = None,
     ):
         self.query = query
@@ -125,7 +122,6 @@ class ConstraintChecker:
         self.selections = tuple(selections)
         self.index_ams = {alias: tuple(ams) for alias, ams in index_ams.items()}
         self.scan_aliases = frozenset(scan_aliases)
-        self.max_visits = max_visits
         self.layout = layout if layout is not None else PlanLayout(query, join_graph)
         #: Precomputed bitwise evaluation tables over the layout (see
         #: :meth:`PlanLayout.selection_entries` for the eligibility rule).
@@ -216,7 +212,7 @@ class ConstraintChecker:
                 continue
             if required_mask & ~spanned:
                 continue
-            if tuple_.visit_count(module.name) >= self.max_visits:
+            if tuple_.visit_count(module.name):
                 continue
             result.append(Destination(module, "select", None, required=True))
         return result
@@ -229,16 +225,12 @@ class ConstraintChecker:
         for alias in self.layout.adjacent_unspanned(tuple_.spanned_mask):
             alias_bit = self._alias_bits[alias]
             stem = self.stems.get(alias)
-            if (
-                stem is not None
-                and tuple_.visit_count(stem.name) < self.max_visits
-                and not tuple_.stop_stem_probes
-            ):
+            stem_unvisited = stem is not None and not tuple_.visit_count(stem.name)
+            if stem_unvisited and not tuple_.stop_stem_probes:
                 # ProbeCompletion: a prior prober may not probe other SteMs.
                 if prior_prober_of is None or prior_prober_of == alias:
                     result.append(Destination(stem, "probe", alias, required=True))
-            stem_probed = stem is None or tuple_.visit_count(stem.name) >= self.max_visits
-            if not stem_probed:
+            if stem_unvisited:
                 # Index AMs only become destinations once the (cheap) SteM
                 # cache has been consulted.
                 continue
@@ -247,7 +239,7 @@ class ConstraintChecker:
             if prior_prober_of is not None and prior_prober_of != alias:
                 continue
             for am in self.index_ams.get(alias, ()):
-                if tuple_.visit_count(am.name) >= self.max_visits:
+                if tuple_.visit_count(am.name):
                     continue
                 if am.bind_key(tuple_) is None:
                     continue

@@ -21,15 +21,15 @@ Every decision goes through the :class:`~repro.core.constraints.RoutePlan`
 of a routing signature (:meth:`~repro.core.tuples.QTuple.routing_signature`):
 output test, legal destinations and the policy's fixed choice, if it has
 one, memoized by the constraint checker until module liveness changes;
-only without a fixed choice is the policy's ``choose_batch`` asked.  With
-``batch_size > 1`` each event drains up to ``batch_size`` ready tuples
-and makes one decision per signature group.  Routing
-remains semantically per-tuple — visit bookkeeping, strict validation and
-tracing are still applied to every tuple — so a *complete* run produces a
-result set identical to per-tuple routing.  Intermediate timing does
-change: a batch is delivered at one event time and stochastic policies
-draw their RNG once per group, so output timestamps (and hence the
-partial results of a run truncated with ``until=``) may differ slightly.
+only without a fixed choice is the policy's ``choose`` asked, once per
+tuple.  With ``batch_size > 1`` each event drains up to ``batch_size``
+ready tuples and charges one ``route_cost`` per signature group.  Routing
+remains semantically per-tuple — policy choice, visit bookkeeping, strict
+validation and tracing are applied to every tuple — so a *complete* run
+produces a result set identical to per-tuple routing.  Intermediate timing
+does change: a batch is delivered at one event time, so output timestamps
+(and hence the partial results of a run truncated with ``until=``) may
+differ slightly.
 """
 
 from __future__ import annotations
@@ -609,21 +609,14 @@ class Eddy:
             for tuple_ in group:
                 self._retire(tuple_)
             return
-        choice = plan.choice
-        if choice is UNCHOSEN:
-            choice = plan.choice = self.policy.fixed_choice(destinations)
-        if choice is not None:
-            choices = (choice,) * len(group)
-        else:
-            choices = self.policy.choose_batch(group, destinations, self)
-            if len(choices) != len(group):
-                raise ExecutionError(
-                    f"policy {self.policy.name!r} returned {len(choices)} choices "
-                    f"for a signature group of {len(group)} tuples"
-                )
+        fixed = plan.choice
+        if fixed is UNCHOSEN:
+            fixed = plan.choice = self.policy.fixed_choice(destinations)
+        choose = self.policy.choose
         validate = self.strict_constraints and isinstance(resolver, ConstraintChecker)
         trace = self.trace
-        for tuple_, choice in zip(group, choices):
+        for tuple_ in group:
+            choice = fixed if fixed is not None else choose(tuple_, destinations, self)
             if choice is None:
                 # Policies may not decline required work.
                 choice = next((d for d in destinations if d.required), None)

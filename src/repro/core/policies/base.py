@@ -46,36 +46,11 @@ class RoutingPolicy(ABC):
             required remains (it never drops required work on a None).
         """
 
-    def choose_batch(
-        self,
-        tuples: Sequence[QTuple],
-        destinations: Sequence[Destination],
-        eddy: "Eddy",
-    ) -> list[Destination | None]:
-        """Pick destinations for a whole signature group of tuples.
-
-        All tuples in the group share one routing signature, and therefore
-        one legal-destination list.  The default implementation falls back
-        to one :meth:`choose` call per tuple, so existing policies work
-        unchanged under the batched eddy; policies that can amortise their
-        decision (one lottery draw, one benefit/cost ranking) override this.
-
-        Args:
-            tuples: the signature group (never empty).
-            destinations: the group's legal destinations (never empty).
-            eddy: the running eddy.
-
-        Returns:
-            One destination (or None, declining the optional work) per
-            tuple, in order.
-        """
-        return [self.choose(tuple_, destinations, eddy) for tuple_ in tuples]
-
     def fixed_choice(self, destinations: Sequence[Destination]) -> Destination | None:
         """What :meth:`choose` returns for *every* tuple with these legal
         destinations, whatever its priority class and the module state, with
         nothing to record (no RNG draw, no module read, no ticket) — or None
-        to be asked per group.  The eddy asks once per route plan.  A
+        to be asked per tuple.  The eddy asks once per route plan.  A
         subclass that overrides :meth:`choose` must override this too."""
         return None
 
@@ -89,9 +64,8 @@ class RoutingPolicy(ABC):
         scheduling [Avnur & Hellerstein 2000]: :meth:`choose` observes
         consumption, this hook observes production, and the difference is
         the selectivity signal adaptive policies learn from.  ``module`` is
-        the producing :class:`~repro.core.modules.base.Module` (or None for
-        items injected without a producer); ``item`` may be a QTuple or an
-        EOT.  Default: no-op.
+        the producing :class:`~repro.core.modules.base.Module`; ``item`` may
+        be a QTuple or an EOT.  Default: no-op.
         """
 
     def on_retire(self, tuple_: QTuple, eddy: "Eddy") -> None:

@@ -160,17 +160,3 @@ class BenefitPolicy(RoutingPolicy):
         over one candidate needs no score (and scoring records nothing)."""
         required = [destination for destination in destinations if destination.required]
         return required[0] if len(required) == 1 else None
-
-    def choose_batch(
-        self, tuples: Sequence[QTuple], destinations: Sequence[Destination], eddy
-    ) -> list[Destination | None]:
-        """One benefit/cost ranking per signature group.
-
-        Required scores are ``value(t) * f(destination)`` with the value a
-        common factor inside a priority class, so the per-group argmax equals
-        every member's per-tuple argmax; the optional-probe acceptance test
-        (one exploration draw) is likewise decided once for the group.
-        Scoring one exemplar is therefore exact, not an approximation.
-        """
-        choice = self.choose(tuples[0], destinations, eddy)
-        return [choice] * len(tuples)

@@ -97,21 +97,6 @@ class LotteryPolicy(RoutingPolicy):
         self.credit(pool[-1].module.name)
         return pool[-1]
 
-    def choose_batch(
-        self, tuples: Sequence[QTuple], destinations: Sequence[Destination], eddy
-    ) -> list[Destination | None]:
-        """One ticket draw per signature group (the batched-eddy amortisation).
-
-        The whole group follows a single lottery winner.  ``choose`` already
-        credits the winner one ticket; topping it up to one per consumed
-        tuple keeps the feedback signal the same magnitude as per-tuple
-        draws.
-        """
-        winner = self.choose(tuples[0], destinations, eddy)
-        if winner is not None and len(tuples) > 1:
-            self.credit(winner.module.name, float(len(tuples) - 1))
-        return [winner] * len(tuples)
-
     def on_output(self, tuple_: QTuple, eddy) -> None:
         # Producing final results is good: reward the source module lightly.
         if tuple_.source:
@@ -128,7 +113,7 @@ class LotteryPolicy(RoutingPolicy):
         win more draws, while productive probes (many matches per input)
         run a deficit and are deferred.
         """
-        if getattr(module, "kind", None) not in _ESCROW_KINDS:
+        if module.kind not in _ESCROW_KINDS:
             return
         if not isinstance(item, QTuple) or item.failed:
             return

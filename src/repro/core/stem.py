@@ -12,8 +12,6 @@ behaviour of the paper:
 * the TimeStamp constraint — a probe only returns matches whose build
   timestamp is smaller than the probe's own timestamp — which makes
   decoupled build/probe routing duplicate-free (section 3.1);
-* the LastMatchTimeStamp mechanism enabling repeated probes when the
-  BuildFirst constraint is relaxed (section 3.5);
 * secondary in-memory indexes on every join column (section 2.1.4): per
   column, key -> an insertion-ordered ``{row: build timestamp}`` bucket, so
   a probe reads each candidate's timestamp from the bucket it iterates;
@@ -279,11 +277,6 @@ class SteM:
         # EOT state: per-AM scan completion, and per-key coverage.
         self._scan_complete: set[str] = set()
         self._eot_keys: dict[tuple[str, ...], set[tuple[Any, ...]]] = {}
-        #: Largest build timestamp stored, maintained incrementally on
-        #: build; an eviction that removes the newest row marks it stale and
-        #: the next property read recomputes (the only remaining O(n) case).
-        self._max_timestamp: float | None = None
-        self._timestamps_stale = False
         #: Schema of the stored rows (every row of one base table carries
         #: the table's schema); recorded on first build, kept across
         #: evictions, and used to finish compiled probe plans.
@@ -426,8 +419,6 @@ class SteM:
         values = row.values
         for position, buckets in self._index_slots:
             buckets.setdefault(values[position], {})[row] = timestamp
-        if self._max_timestamp is None or timestamp > self._max_timestamp:
-            self._max_timestamp = timestamp
         if self.eviction is not None:
             self.eviction.on_build(self, row, timestamp)
         if self._readers:
@@ -479,7 +470,6 @@ class SteM:
         target_alias: str,
         predicates: Sequence[Predicate],
         enforce_timestamp: bool = True,
-        update_last_match: bool = False,
     ) -> ProbeOutcome:
         """Find matches for ``probe`` among the stored rows.
 
@@ -496,8 +486,6 @@ class SteM:
             enforce_timestamp: apply the TimeStamp constraint (on by default;
                 switched off only in targeted unit tests demonstrating the
                 duplicate anomaly of paper Figure 3).
-            update_last_match: maintain the probe's LastMatchTimeStamp for
-                this SteM (used with repeated probes, section 3.5).
 
         Returns:
             A :class:`ProbeOutcome` with concatenated results and coverage.
@@ -519,7 +507,6 @@ class SteM:
                 target_schema=self._row_schema,
             ),
             enforce_timestamp,
-            update_last_match,
         )
 
     def probe_with_plan(
@@ -527,7 +514,6 @@ class SteM:
         probe: QTuple,
         plan: ProbePlan,
         enforce_timestamp: bool = True,
-        update_last_match: bool = False,
     ) -> ProbeOutcome:
         """Find matches for ``probe`` through a compiled :class:`ProbePlan`.
 
@@ -580,7 +566,6 @@ class SteM:
                     unkeyed = plan.unkeyed_checks[best_position]
                     if unkeyed is not None:
                         checks = unkeyed
-        floor = probe.last_match_ts.get(self.name, float("-inf"))
         probe_timestamp = probe.timestamp
 
         done_mask = plan.done_mask
@@ -593,8 +578,6 @@ class SteM:
         hook = self._reference_hook
         matched_rows: list[Row] | None = [] if hook is not None else None
         for row, row_timestamp in candidates.items():
-            if row_timestamp <= floor:
-                continue
             values = row.values
             passed = True
             for op, l_pos, l_val, r_pos, r_val in cmp_bound:
@@ -642,10 +625,6 @@ class SteM:
         stats = self.stats
         stats["probes"] += 1
         stats["matches"] += len(results)
-        if update_last_match:
-            max_timestamp = self.max_timestamp
-            if max_timestamp is not None:
-                probe.set_last_match(self.name, max(floor, max_timestamp))
         return ProbeOutcome(
             results,
             bool(self._scan_complete)
@@ -659,7 +638,6 @@ class SteM:
         probes: Sequence[QTuple],
         plan: ProbePlan,
         enforce_timestamp: bool = True,
-        update_last_match: bool = False,
     ) -> list[ProbeOutcome]:
         """Probe a whole delivered batch through one compiled plan.
 
@@ -670,10 +648,7 @@ class SteM:
         Outcomes are positionally aligned with ``probes``.
         """
         probe = self.probe_with_plan
-        return [
-            probe(item, plan, enforce_timestamp, update_last_match)
-            for item in probes
-        ]
+        return [probe(item, plan, enforce_timestamp) for item in probes]
 
     # -- EOT coverage -------------------------------------------------------------
 
@@ -735,19 +710,13 @@ class SteM:
         """Remove a row (sliding-window / memory-pressure hook)."""
         if row not in self._rows:
             return False
-        timestamp = self._rows.pop(row)
+        del self._rows[row]
         values = row.values
         for position, buckets in self._index_slots:
             bucket = buckets[values[position]]
             del bucket[row]
             if not bucket:
                 del buckets[values[position]]
-        if not self._rows:
-            self._max_timestamp = None
-            self._timestamps_stale = False
-        elif timestamp == self._max_timestamp:
-            # The newest row left: recompute lazily on the next property read.
-            self._timestamps_stale = True
         self.stats["evictions"] += 1
         # Coverage may no longer hold once data has been dropped.
         self._scan_complete.clear()
@@ -852,18 +821,6 @@ class SteM:
     def row_schema(self) -> Schema | None:
         """Schema of the stored rows (None until the first build)."""
         return self._row_schema
-
-    @property
-    def max_timestamp(self) -> float | None:
-        """Largest build timestamp stored.
-
-        Maintained incrementally on build — O(1) per call; an eviction that
-        removed the newest row triggers one O(n) recompute on the next read.
-        """
-        if self._timestamps_stale:
-            self._max_timestamp = max(self._rows.values())
-            self._timestamps_stale = False
-        return self._max_timestamp
 
     def __repr__(self) -> str:
         return (

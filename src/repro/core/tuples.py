@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ExecutionError
@@ -54,15 +53,11 @@ UNBUILT = math.inf
 #: tokens iff equal visit dicts — without building a frozenset per signature.
 #: Injectivity requires every per-module count to fit its byte;
 #: :meth:`QTuple.record_visit` enforces the bound (BoundedRepetition keeps
-#: real counts at ``max_visits``, which is 1 in every shipped configuration).
+#: real counts at 1).
 _module_slots: dict[str, int] = {}
 
 #: Highest per-module visit count the packed ``visits_token`` can encode.
 _MAX_VISITS_PER_MODULE = 255
-
-#: ``last_match_ts`` of every tuple that never recorded one (read-only: the
-#: probe paths replace it with a dict of the tuple's own on the first write).
-_NO_LAST_MATCH: Mapping[str, float] = MappingProxyType({})
 
 
 class TupleIdAllocator:
@@ -289,7 +284,6 @@ class QTuple(Result):
         "exhausted_mask",
         "_stop_stem_probes",
         "_probe_completion_alias",
-        "last_match_ts",
         "created_at",
         "failed",
         "_signature",
@@ -336,9 +330,6 @@ class QTuple(Result):
         #: When this tuple is a "prior prober" (paper definition 3), the
         #: alias of its probe completion table; None otherwise.
         self._probe_completion_alias: str | None = None
-        #: Per-SteM LastMatchTimeStamp, used when the BuildFirst constraint
-        #: is relaxed and repeated probes are allowed (:meth:`set_last_match`).
-        self.last_match_ts: Mapping[str, float] = _NO_LAST_MATCH
         self.created_at = created_at
         #: Set when a predicate evaluated to false; the tuple is then dropped.
         self.failed = False
@@ -482,12 +473,6 @@ class QTuple(Result):
             if (count := (token >> (slot << 3)) & _MAX_VISITS_PER_MODULE)
         }
 
-    def set_last_match(self, stem_name: str, timestamp: float) -> None:
-        """Record the LastMatchTimeStamp of a probe into the named SteM."""
-        if self.last_match_ts is _NO_LAST_MATCH:
-            self.last_match_ts = {}
-        self.last_match_ts[stem_name] = timestamp
-
     def mark_built(self, alias: str, timestamp: float) -> None:
         """Record that the component for ``alias`` was built at ``timestamp``."""
         aliases = self._aliases
@@ -574,7 +559,6 @@ class QTuple(Result):
             result.exhausted_mask = 0
             result._stop_stem_probes = False
             result._probe_completion_alias = None
-            result.last_match_ts = _NO_LAST_MATCH
             result.created_at = created_at
             result.failed = False
             result._signature = signature
@@ -666,7 +650,6 @@ def singleton_maker(alias: str, source: str, layout: PlanLayout):
         result.exhausted_mask = 0
         result._stop_stem_probes = False
         result._probe_completion_alias = None
-        result.last_match_ts = _NO_LAST_MATCH
         result.created_at = created_at
         result.failed = False
         result._signature = None

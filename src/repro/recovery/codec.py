@@ -204,7 +204,6 @@ def encode_item(item: QTuple | EOTTuple) -> dict:
         "visits": item.visits,
         "stop": item.stop_stem_probes,
         "pc": item.probe_completion_alias,
-        "lm": [[name, encode_value(ts)] for name, ts in item.last_match_ts.items()],
         "prio": encode_value(item.priority),
         "src": item.source,
         "q": item.query_id,
@@ -260,8 +259,6 @@ def decode_item(encoded: Mapping[str, Any], layout, schema_of, modules) -> QTupl
             item.record_visit(name)
     item.stop_stem_probes = encoded["stop"]
     item.probe_completion_alias = encoded["pc"]
-    for name, timestamp in encoded["lm"]:
-        item.set_last_match(name, decode_value(timestamp))
     item.failed = encoded["failed"]
     return item
 

@@ -530,7 +530,6 @@ class TestAggregateRegistry:
         assert registry.release("q2") == 1
         assert not module.attached
         assert registry.stats["reclaimed"] == 1
-        assert registry.reclaimed_stats[module.name]["inserted"] == 1
         assert registry.modules == {}
         # Releasing an unknown owner is a no-op, not an error.
         assert registry.release("q1") == 0

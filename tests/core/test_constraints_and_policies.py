@@ -291,75 +291,3 @@ class TestPolicyChoices:
         optional = [Destination(am, "am_probe", "T", required=False)]
         policy = BenefitPolicy(seed=1, exploration=0.0)
         assert policy.choose(tuple_, optional, engine.eddy_of("q0")) is not None
-
-
-class TestLotteryBatchDecisions:
-    """The lottery's one-draw-per-signature-group amortisation (choose_batch)."""
-
-    def _group(self, engine, size):
-        tuples = []
-        for position in range(size):
-            tuple_ = r_singleton(engine, key=position)
-            tuple_.mark_built("R", 1.0)
-            tuples.append(tuple_)
-        destinations = engine.eddy_of("q0").resolver.destinations(tuples[0])
-        return tuples, destinations
-
-    def test_batch_ticket_mass_matches_per_tuple_draws(self):
-        """One group decision credits the same total ticket mass as N draws."""
-        engine = build_engine()
-        tuples, destinations = self._group(engine, size=7)
-        module_names = [d.module.name for d in destinations]
-
-        batch_policy = LotteryPolicy(seed=9, decay=1.0)
-        base_mass = sum(batch_policy.tickets_of(name) for name in module_names)
-        choices = batch_policy.choose_batch(tuples, destinations, engine.eddy_of("q0"))
-        assert len(choices) == len(tuples)
-        assert len({choice.module.name for choice in choices}) == 1  # one winner
-        batch_mass = sum(batch_policy.tickets_of(name) for name in module_names)
-
-        per_tuple_policy = LotteryPolicy(seed=9, decay=1.0)
-        for tuple_ in tuples:
-            per_tuple_policy.choose(tuple_, destinations, engine.eddy_of("q0"))
-        per_tuple_mass = sum(per_tuple_policy.tickets_of(name) for name in module_names)
-
-        # The group top-up (1 from choose + N-1 extra) keeps the feedback
-        # signal at one ticket per consumed tuple, exactly like N draws —
-        # the winner may differ, but the credited mass may not.
-        assert batch_mass - base_mass == len(tuples)
-        assert per_tuple_mass - base_mass == len(tuples)
-
-    def test_batch_winner_gets_full_group_credit(self):
-        engine = build_engine()
-        tuples, destinations = self._group(engine, size=5)
-        policy = LotteryPolicy(seed=2, decay=1.0)
-        before = {d.module.name: policy.tickets_of(d.module.name) for d in destinations}
-        choices = policy.choose_batch(tuples, destinations, engine.eddy_of("q0"))
-        winner = choices[0].module.name
-        assert policy.tickets_of(winner) == before[winner] + len(tuples)
-
-    def test_batch_decays_once_per_decision_not_per_tuple(self):
-        """Decay cadence: one _decay_all per group decision."""
-        engine = build_engine()
-        tuples, destinations = self._group(engine, size=10)
-        policy = LotteryPolicy(seed=4)
-        calls = []
-        original = policy._decay_all
-        policy._decay_all = lambda: (calls.append(1), original())[1]
-        policy.choose_batch(tuples, destinations, engine.eddy_of("q0"))
-        assert len(calls) == 1
-
-        per_tuple = LotteryPolicy(seed=4)
-        calls.clear()
-        original_per_tuple = per_tuple._decay_all
-        per_tuple._decay_all = lambda: (calls.append(1), original_per_tuple())[1]
-        for tuple_ in tuples:
-            per_tuple.choose(tuple_, destinations, engine.eddy_of("q0"))
-        assert len(calls) == len(tuples)
-
-    def test_batch_of_one_equals_single_choose(self):
-        engine = build_engine()
-        tuples, destinations = self._group(engine, size=1)
-        batch = LotteryPolicy(seed=11).choose_batch(tuples, destinations, engine.eddy_of("q0"))
-        single = LotteryPolicy(seed=11).choose(tuples[0], destinations, engine.eddy_of("q0"))
-        assert batch == [single]

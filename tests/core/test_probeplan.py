@@ -5,7 +5,7 @@ situation, :meth:`SteM.probe_with_plan` has to produce the same results in
 the same order, the same coverage verdict, and the same
 suppressed/examined accounting as the interpreted reference
 (``tests/reference/interpreted_probe.py``) — including NULL (None)
-semantics, self-joins, and the TimeStamp / LastMatchTimeStamp constraints.
+semantics, self-joins, and the TimeStamp constraint.
 The property tests here generate random data, timestamps and predicate
 subsets and assert exactly that; ``tests/engine/test_probe_path_identity.py``
 runs whole engines on both paths and asserts byte-identical results *and
@@ -54,10 +54,9 @@ def outcome_facts(outcome):
 
 
 def both_paths(rows_with_ts, probe_maker, predicates, target="S",
-               enforce_timestamp=True, update_last_match=False, eots=()):
+               enforce_timestamp=True, eots=()):
     """Run interpreted and compiled probes on identically-built SteMs."""
     outcomes = []
-    probes = []
     for compiled in (False, True):
         stem = make_stem()
         for row, ts in rows_with_ts:
@@ -65,27 +64,20 @@ def both_paths(rows_with_ts, probe_maker, predicates, target="S",
         for eot in eots:
             stem.build_eot(eot)
         probe = probe_maker()
-        probes.append(probe)
         if compiled:
             plan = ProbePlan.compile(
                 predicates, target, probe.components, target_schema=stem.row_schema
             )
             outcomes.append(
-                stem.probe_with_plan(
-                    probe, plan,
-                    enforce_timestamp=enforce_timestamp,
-                    update_last_match=update_last_match,
-                )
+                stem.probe_with_plan(probe, plan, enforce_timestamp=enforce_timestamp)
             )
         else:
             outcomes.append(
                 interpreted_probe(
-                    stem, probe, target, predicates,
-                    enforce_timestamp=enforce_timestamp,
-                    update_last_match=update_last_match,
+                    stem, probe, target, predicates, enforce_timestamp=enforce_timestamp
                 )
             )
-    return outcomes, probes
+    return outcomes
 
 
 # -- value / predicate generators ------------------------------------------------
@@ -142,7 +134,7 @@ class TestPropertyEquivalence:
 
         interpreted, compiled = both_paths(
             rows_with_ts, probe_maker, predicates, enforce_timestamp=enforce
-        )[0]
+        )
         assert outcome_facts(compiled) == outcome_facts(interpreted)
 
     @given(data=st.data())
@@ -168,7 +160,7 @@ class TestPropertyEquivalence:
             )
             return probe
 
-        interpreted, compiled = both_paths(rows_with_ts, probe_maker, predicates)[0]
+        interpreted, compiled = both_paths(rows_with_ts, probe_maker, predicates)
         assert outcome_facts(compiled) == outcome_facts(interpreted)
 
 
@@ -183,27 +175,12 @@ class TestConstraintEquivalence:
             return probe
 
         for enforce in (True, False):
-            (interpreted, compiled), _ = both_paths(
+            interpreted, compiled = both_paths(
                 rows, probe_maker, predicates, enforce_timestamp=enforce
             )
             assert outcome_facts(compiled) == outcome_facts(interpreted)
             if enforce:
                 assert interpreted.suppressed_by_timestamp == 1
-
-    def test_last_match_timestamp_updates_identically(self):
-        rows = [(s_row(1, 1), 5.0), (s_row(1, 2), 15.0)]
-        predicates = [equi_join("R.a", "S.x")]
-
-        def probe_maker():
-            probe = singleton_tuple("R", r_row(0, 1), layout=LAYOUT)
-            probe.mark_built("R", 30.0)
-            return probe
-
-        (interpreted, compiled), (probe_i, probe_c) = both_paths(
-            rows, probe_maker, predicates, update_last_match=True
-        )
-        assert outcome_facts(compiled) == outcome_facts(interpreted)
-        assert probe_c.last_match_ts == probe_i.last_match_ts == {"stem:S": 15.0}
 
     def test_eot_coverage_is_path_identical(self):
         from repro.core.tuples import EOTTuple
@@ -220,7 +197,7 @@ class TestConstraintEquivalence:
             probe.mark_built("R", 9.0)
             return probe
 
-        (interpreted, compiled), _ = both_paths(
+        interpreted, compiled = both_paths(
             rows, probe_maker, predicates, eots=(eot,)
         )
         assert interpreted.all_matches_known and compiled.all_matches_known
@@ -362,4 +339,4 @@ class TestPlanMechanics:
         single_outcomes = [second.build(row, ts) for row, ts in zip(rows, stamps)]
         assert batch_outcomes == single_outcomes
         assert list(first) == list(second)
-        assert first.max_timestamp == second.max_timestamp
+        assert max(map(first.timestamp_of, first)) == max(map(second.timestamp_of, second))

@@ -9,7 +9,7 @@ Covers the three things the plan cache rests on:
 * the plan path changes nothing observable: every workload shape under
   every shipped policy and batch size yields the same results and the same
   full trace as a policy whose ``fixed_choice`` always declines (which
-  forces a per-decision ``choose_batch``);
+  forces a ``choose`` per routed tuple);
 * the cache's rules: a scan finishing or a SteM sealing drops every plan
   with its choice, a failed exemplar is never cached, and every signature
   resolution counts as exactly one hit or one miss.
@@ -179,7 +179,7 @@ def _decline(self, destinations):
 
 
 #: The oracle: each shipped policy with a fixed choice that always declines,
-#: so every group goes through ``choose_batch``.
+#: so every routed tuple goes through ``choose``.
 DECLINING = {
     name: type(f"Declining{cls.__name__}", (cls,), {"fixed_choice": _decline})
     for name, cls in POLICIES.items()

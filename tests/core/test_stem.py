@@ -60,13 +60,6 @@ class TestBuild:
         with pytest.raises(ExecutionError):
             stem.build(r_row(1, 1), 1.0)
 
-    def test_max_timestamp(self):
-        stem = make_stem()
-        assert stem.max_timestamp is None
-        stem.build(s_row(1), 3.0)
-        stem.build(s_row(2), 7.0)
-        assert stem.max_timestamp == 7.0
-
 
 class TestProbe:
     def test_probe_returns_concatenations(self):
@@ -139,20 +132,6 @@ class TestProbe:
         with pytest.raises(ExecutionError):
             stem.probe(r_probe(0, 4), "T", [JOIN])
 
-    def test_last_match_timestamp_prevents_rematching(self):
-        stem = make_stem()
-        stem.build(s_row(4), 1.0)
-        probe = r_probe(0, 4, timestamp=100.0)
-        first = stem.probe(probe, "S", [JOIN], update_last_match=True)
-        assert len(first.results) == 1
-        # Re-probing without new builds returns nothing new.
-        second = stem.probe(probe, "S", [JOIN], update_last_match=True)
-        assert second.results == []
-        # A newer build becomes visible to the repeated probe.
-        stem.build(s_row(4, 99), 50.0)
-        third = stem.probe(probe, "S", [JOIN], update_last_match=True)
-        assert len(third.results) == 1 and third.results[0].value("S", "y") == 99
-
 
 class TestEOTCoverage:
     def test_scan_eot_covers_everything(self):
@@ -212,46 +191,11 @@ class TestEviction:
 
 
 class TestTimestampMaintenance:
-    def test_incremental_max_across_builds(self):
-        stem = make_stem()
-        # Out-of-order timestamps (unit-test territory; engines build in
-        # monotone order) still keep the cached maximum correct.
-        stem.build(s_row(1), 5.0)
-        stem.build(s_row(2), 9.0)
-        stem.build(s_row(3), 3.0)
-        assert stem.max_timestamp == 9.0
-
-    def test_eviction_of_extreme_triggers_recompute(self):
-        stem = make_stem()
-        stem.build(s_row(1), 1.0)
-        stem.build(s_row(2), 2.0)
-        stem.build(s_row(3), 3.0)
-        assert stem.evict(s_row(1))  # the oldest leaves: the maximum stands
-        assert stem.max_timestamp == 3.0
-        assert stem.evict(s_row(3))  # the maximum leaves
-        assert stem.max_timestamp == 2.0
-
-    def test_eviction_to_empty_resets_extremes(self):
-        stem = make_stem()
-        stem.build(s_row(1), 4.0)
-        assert stem.evict(s_row(1))
-        assert stem.max_timestamp is None
-
     def test_bounded_fifo_eviction_advances_minimum(self):
         stem = SteM("S", aliases=("S",), join_columns=("x",), max_size=2)
         for value in range(4):
             stem.build(s_row(value), float(value + 1))
         assert [stem.timestamp_of(row) for row in stem] == [3.0, 4.0]
-        assert stem.max_timestamp == 4.0
-
-    def test_update_last_match_sees_post_eviction_maximum(self):
-        stem = make_stem()
-        stem.build(s_row(1, 1), 5.0)
-        stem.build(s_row(1, 2), 15.0)
-        assert stem.evict(s_row(1, 2))  # the max-timestamp row leaves
-        probe = r_probe(0, 1, timestamp=30.0)
-        stem.probe(probe, "S", [JOIN], update_last_match=True)
-        assert probe.last_match_ts["stem:S"] == 5.0
 
 
 @settings(max_examples=40, deadline=None)

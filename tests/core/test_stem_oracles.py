@@ -150,8 +150,7 @@ class TestProbeAgainstNestedLoop:
         assert matched_rows(outcome) == results
         assert outcome.suppressed_by_timestamp == suppressed
 
-    @pytest.mark.parametrize("update_last_match", [False, True])
-    def test_compiled_and_interpreted_probes_agree(self, update_last_match):
+    def test_compiled_and_interpreted_probes_agree(self):
         interpreted = SteM("S", aliases=("S",), join_columns=("x",))
         compiled = SteM("S", aliases=("S",), join_columns=("x",))
         probes = {
@@ -163,13 +162,10 @@ class TestProbeAgainstNestedLoop:
                 for stem in (interpreted, compiled):
                     stem.build(s_row(ts % 13, ts % 7), float(ts))
             for key, (left, right) in probes.items():
-                a = interpreted_probe(interpreted, left, "S", [JOIN],
-                                      update_last_match=update_last_match)
-                b = compiled_probe(compiled, right,
-                                   update_last_match=update_last_match)
+                a = interpreted_probe(interpreted, left, "S", [JOIN])
+                b = compiled_probe(compiled, right)
                 assert outcome_key(a) == outcome_key(b)
                 assert a.candidates_examined == b.candidates_examined
-                assert left.last_match_ts == right.last_match_ts
 
     def test_probe_batch_equals_probes_one_at_a_time(self):
         one, batched = (
@@ -283,7 +279,7 @@ class TestTimeWindow:
             assert survivors == [y for y in range(1, ts + 1) if y > ts - window]
             assert len(stem) <= window
             assert min(map(stem.timestamp_of, stem)) == float(survivors[0])
-            assert stem.max_timestamp == float(ts)
+            assert max(map(stem.timestamp_of, stem)) == float(ts)
 
     @settings(max_examples=40, deadline=None)
     @given(history=stem_histories, window=st.integers(1, 12))
@@ -326,7 +322,8 @@ class TestReferenceWindow:
         stem.build(s_row(5), 5.0)
         assert [row["x"] for row in stem] == [0, 1, 4, 5]
         assert stem.stats["evictions"] == 2
-        assert min(map(stem.timestamp_of, stem)) == 0.0 and stem.max_timestamp == 5.0
+        assert min(map(stem.timestamp_of, stem)) == 0.0
+        assert max(map(stem.timestamp_of, stem)) == 5.0
 
 
 class TestEvictionSpecs:
@@ -573,12 +570,12 @@ hostile_values = st.one_of(
 
 
 def reference_probe(entries, probe_row, probe_timestamp, checks,
-                    enforce_timestamp=True, floor=-math.inf):
+                    enforce_timestamp=True):
     """Stored ``(row, timestamp)`` pairs a probe returns, in build order,
     and the count the TimeStamp constraint suppresses."""
     results, suppressed = [], 0
     for row, timestamp in entries:
-        if timestamp <= floor or not all(c(probe_row, row) for c in checks):
+        if not all(c(probe_row, row) for c in checks):
             continue
         if enforce_timestamp and not probe_timestamp > timestamp:
             suppressed += 1
@@ -838,7 +835,6 @@ _probe_operations = st.tuples(
     st.integers(0, 3),    # which long-lived probe tuple
     st.integers(-1, 2),   # R.a
     st.integers(0, 120),  # R.b
-    st.booleans(),        # update_last_match
 )
 _build_operations = st.tuples(st.just("build"), st.integers(0, 2), st.integers(0, 120))
 stem_operations = st.lists(
@@ -888,11 +884,10 @@ class SequenceTwins:
         self.lru = policy == "reference-window"
         self.twins = [SteM("S", aliases=("S",), join_columns=LAYOUTS[layout], **spec)
                       for _ in range(2)]
-        #: Long-lived probe tuples per twin: repeated probes carry their
-        #: LastMatchTimeStamp floor from one probe to the next.
+        #: Long-lived probe tuples per twin: repeated probes keep the
+        #: build timestamp they were stamped with.
         self.probes = [{}, {}]
         self.model: list[tuple[Row, float]] = []
-        self.floors: dict = {}
         self.covered = False
         self.clock = 0.0
 
@@ -929,7 +924,7 @@ class SequenceTwins:
         for stem in self.twins:
             assert stem.state_entries() == self.model
 
-    def probe(self, situation, which, a, b, update_last_match=False):
+    def probe(self, situation, which, a, b):
         self.clock += 1.0
         key = (which, a, b)
         pool = SITUATIONS[situation]
@@ -943,20 +938,16 @@ class SequenceTwins:
                 probe.mark_built("R", self.clock)
             predicates = [predicate for predicate, _ in pool]
             if path == "compiled":
-                outcome = compiled_probe(stem, probe, predicates,
-                                         update_last_match=update_last_match)
+                outcome = compiled_probe(stem, probe, predicates)
             else:
-                outcome = interpreted_probe(stem, probe, "S", predicates,
-                                            update_last_match=update_last_match)
-            outcomes.append((probe_facts(outcome), dict(probe.last_match_ts)))
+                outcome = interpreted_probe(stem, probe, "S", predicates)
+            outcomes.append(probe_facts(outcome))
         assert outcomes[0] == outcomes[1]
         stamped = self.probes[0][key].timestamp
-        floor = self.floors.get(key, -math.inf)
         results, suppressed = reference_probe(
-            self.model, r3_row(which, a, b), stamped, [c for _, c in pool],
-            floor=floor,
+            self.model, r3_row(which, a, b), stamped, [c for _, c in pool]
         )
-        (facts, _, _, got_suppressed), _ = outcomes[0]
+        facts, covered, _, got_suppressed = outcomes[0]
         got = [(ident[-1][2], stamps["S"]) for ident, _, stamps in facts]
         # Compared in build-time order: a reference window reorders the row
         # store but not the index buckets, so result order is the layout's.
@@ -964,9 +955,7 @@ class SequenceTwins:
             ((row.values, ts) for row, ts in results), key=lambda item: item[1]
         )
         assert got_suppressed == suppressed
-        assert outcomes[0][0][1] == self.covered
-        if update_last_match and self.model:
-            self.floors[key] = max(floor, max(ts for _, ts in self.model))
+        assert covered == self.covered
         if self.lru:
             # Matched rows become the most recently used, in result order.
             matched = [values for values, _ in got]
@@ -983,13 +972,13 @@ class SequenceTwins:
 @settings(max_examples=30, deadline=None)
 def test_operation_sequences_match_the_list_model(layout, policy, prefill, operations):
     """Build / evict / probe / index changes in any order: both probe paths
-    return the reference's matches over the list model, the same coverage
-    verdict and LastMatchTimeStamp floors, and the row store stays the
-    model — including every window's own evictions."""
+    return the reference's matches over the list model and the same coverage
+    verdict, and the row store stays the model — including every window's
+    own evictions."""
     twins = SequenceTwins(layout, policy)
     for position in range(prefill):
         twins.apply(("build", position % 3, position))
-    every_probe = [("probe", situation, 3, a, 60, True)
+    every_probe = [("probe", situation, 3, a, 60)
                    for situation in range(len(SITUATIONS)) for a in (0, 1)]
     for operation in operations + every_probe:
         twins.apply(operation)

@@ -227,7 +227,6 @@ class TestExtensionMatchesConstructor:
             parent.record_visit("stem:T")
         parent.stop_stem_probes = True
         parent.probe_completion_alias = "T"
-        parent.set_last_match("stem:T", 3.0)
         parent.failed = True
         parent.routing_signature()
 

@@ -169,6 +169,7 @@ class TestMultiQueryAggregates:
         engine = MultiQueryEngine(self.admissions(), build_catalog())
         first = engine.run()
         full_rows = first["qa"].aggregate_rows
+        name = engine.eddy_of("qa").aggregate_module.name
         engine.retire("qb")
         assert engine.aggregate_registry.stats["reclaimed"] == 0  # qa holds it
         engine.retire("qa")
@@ -176,6 +177,10 @@ class TestMultiQueryAggregates:
         final = engine.run()
         assert final["qa"].aggregate_rows == full_rows
         assert final["qa"].retired_at is not None
+        # The last owner's result keeps the reclaimed module's final stats.
+        inserted = first["qa"].module_stats[name]["inserted"]
+        assert inserted > 0
+        assert final["qa"].module_stats[name]["inserted"] == inserted
 
     def test_retired_aggregate_module_is_collectable(self):
         engine = MultiQueryEngine(self.admissions()[:1], build_catalog())

@@ -175,13 +175,13 @@ SINGLE_GOLDEN: dict[str, str] = {
     'prioritized-lottery-8': 'b707297d9f619f2bc2352689411a8121a5febfaa1f4636fab19988f5d0649398',
     'prioritized-benefit-1': '8fbebc712fffbb89336357ebf57976b1553f0df7703511b7704b601dfa03d817',
     'skewed-naive-1': 'f2fa0db660ab6875f07c1e7f95b38c1bc314c8210085c95279a496cc0eda7426',
-    'skewed-lottery-8': '0327393b0b4a01988519f0f99a1f8fe095ddcbbf0677b18e7ff4c34b700fe050',
+    'skewed-lottery-8': 'e1e6b6207bf6fefcc5e59d746a5b75f8814dbc86285b865fb127e00f851f8a7d',
     'skewed-benefit-1': 'c3ace44c295988797783a70f58ba6f79cd94c336f4bb66c93c35c80568e98bb7',
     'phase_shift-naive-1': '54a3c95bb47f16614b5b07b81902f043a9d3af03f91bb1395ced78373da4527b',
-    'phase_shift-lottery-8': 'c11d1a5100718e2211804a490fe4784040d7b05de0fbfff25957a0669ce07ed0',
+    'phase_shift-lottery-8': '4e40114e3105e478d7807992d9e037cd1096abf8205b51eb7cfb3721f801e048',
     'phase_shift-benefit-1': 'e380140601d6bdbb1acb1bdd7a979d62b788c97187c4b10b18832304c601c264',
     'bursty-naive-1': 'cdcbfa5f80049b63c9a8ff01922920e6ac0fa2a42714a8df6b00c9ce48f93c11',
-    'bursty-lottery-8': '7860508e9e43cb17950376ec55bad8ce5a7a89e61485c728f78f259845922f28',
+    'bursty-lottery-8': '443d704026d5e48ba0dff94e39b018fad5060eb8d487f278d5f0505a6e7fc306',
     'bursty-benefit-1': '9eabe86c41970a7603588c8053e77991b37f0613223e2e8c1396a9b9ead5fd7f',
     'group-by': '4140358c8c2dd7d92bb3dc879fd192674a6a6d20bffa63f3c2f076efeab9d7b3',
     'q4-bounded': '71f20237a13be4b010c14c02ede1d3d9b62df6633be68e564ccdfbbf8f58d1db',

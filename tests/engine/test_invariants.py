@@ -162,8 +162,8 @@ class InvariantChecker:
         if self.window is not None:
             for stem in self.engine.registry.stems.values():
                 if len(stem):
-                    oldest = min(map(stem.timestamp_of, stem))
-                    assert stem.max_timestamp - oldest < self.window, stem
+                    stamps = list(map(stem.timestamp_of, stem))
+                    assert max(stamps) - min(stamps) < self.window, stem
         for query_id in self.engine.active:
             eddy = self.engine.eddy_of(query_id)
             queued = [eddy._ready, *(module.queue.items for module in eddy.modules.values())]

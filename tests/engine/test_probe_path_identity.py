@@ -45,12 +45,11 @@ def both_paths(monkeypatch):
     """
     calls = 0
 
-    def substitute(self, probe, plan, enforce_timestamp=True, update_last_match=False):
+    def substitute(self, probe, plan, enforce_timestamp=True):
         nonlocal calls
         calls += 1
         return interpreted_probe(
-            self, probe, plan.target_alias, plan.predicates,
-            enforce_timestamp, update_last_match,
+            self, probe, plan.target_alias, plan.predicates, enforce_timestamp
         )
 
     def run_both(run):

@@ -76,8 +76,6 @@ def qtuples(draw):
         item.record_visit(module)
     item.stop_stem_probes = draw(st.booleans())
     item.probe_completion_alias = draw(st.sampled_from((None, *ALIASES)))
-    if draw(st.booleans()):
-        item.set_last_match("stem:S", draw(timestamps))
     item.failed = draw(st.booleans())
     return item
 

@@ -13,7 +13,7 @@ oracle should be.
 :func:`interpreted_probe` must agree with ``probe_with_plan`` on the
 results (identity, order, done mask, timestamps), the coverage verdict, the
 ``candidates_examined``/``suppressed_by_timestamp`` accounting, the SteM's
-stats, reference-window reordering and the probe's LastMatchTimeStamp.
+stats and reference-window reordering.
 Differential tests call it directly, or substitute it for
 ``SteM.probe_with_plan`` to run a whole engine on it.
 """
@@ -37,14 +37,12 @@ def interpreted_probe(
     target_alias: str,
     predicates: Sequence[Predicate],
     enforce_timestamp: bool = True,
-    update_last_match: bool = False,
 ) -> ProbeOutcome:
     """Find matches for ``probe`` among ``stem``'s stored rows.
 
     Args:
-        stem: the SteM probed (its stats, reference hook and the probe's
-            LastMatchTimeStamp are updated exactly as the engine's path
-            updates them).
+        stem: the SteM probed (its stats and reference hook are updated
+            exactly as the engine's path updates them).
         probe: the probing tuple (must not already span ``target_alias``).
         target_alias: the query alias the stored rows will fill.
         predicates: the predicates to verify on the concatenation —
@@ -53,8 +51,6 @@ def interpreted_probe(
         enforce_timestamp: apply the TimeStamp constraint (on by default;
             switched off only in targeted unit tests demonstrating the
             duplicate anomaly of paper Figure 3).
-        update_last_match: maintain the probe's LastMatchTimeStamp for
-            this SteM (used with repeated probes, section 3.5).
 
     Returns:
         A :class:`ProbeOutcome` with concatenated results and coverage.
@@ -71,7 +67,6 @@ def interpreted_probe(
 
     bindings = _probe_bindings(probe, target_alias, predicates)
     candidates = _candidate_rows(stem, bindings)
-    floor = probe.last_match_ts.get(stem.name, float("-inf"))
     probe_timestamp = probe.timestamp
 
     done_mask = done_mask_of(predicates)
@@ -81,8 +76,6 @@ def interpreted_probe(
     for row in candidates:
         outcome.candidates_examined += 1
         row_timestamp = stem._rows[row]
-        if row_timestamp <= floor:
-            continue
         merged = dict(probe.components)
         merged[target_alias] = row
         if not all(predicate.evaluate(merged) for predicate in predicates):
@@ -106,10 +99,6 @@ def interpreted_probe(
     stem.stats["probes"] += 1
     stem.stats["matches"] += len(outcome.results)
     outcome.all_matches_known = stem.covers(bindings)
-    if update_last_match:
-        max_timestamp = stem.max_timestamp
-        if max_timestamp is not None:
-            probe.set_last_match(stem.name, max(floor, max_timestamp))
     return outcome
 
 
