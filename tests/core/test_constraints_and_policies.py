@@ -15,13 +15,14 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.policies.base import order_by_action, split_required
+from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from tests.conftest import single_query_engine
 from tests.helpers import singleton_tuple
 
 
-def build_engine(with_t_scan=True, with_selection=False):
+def build_engine(with_t_scan=True, with_selection=False, policy="naive", **options):
     """A 3-way R-S-T engine whose eddy/checker we inspect without running."""
     catalog = Catalog()
     catalog.add_table(make_source_r(40, 10, seed=2))
@@ -35,7 +36,7 @@ def build_engine(with_t_scan=True, with_selection=False):
     sql = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"
     if with_selection:
         sql += " AND R.a < 5"
-    return single_query_engine(sql, catalog, policy="naive")
+    return single_query_engine(sql, catalog, policy=policy, **options)
 
 
 def r_singleton(engine, key=1, a=3):
@@ -95,6 +96,36 @@ class TestConstraintChecker:
         tuple_.record_visit("am:T_idx_key:T")
         destinations = checker.destinations(tuple_)
         assert all(d.action == "select" for d in destinations) or destinations == []
+
+    def test_visited_stem_is_not_offered_again(self):
+        engine = build_engine()
+        checker = engine.eddy_of("q0").resolver
+        tuple_ = r_singleton(engine)
+        tuple_.mark_built("R", 1.0)
+        tuple_.record_visit("stem:S")
+        probes = {d.target_alias for d in checker.destinations(tuple_) if d.action == "probe"}
+        assert probes == {"T"}
+
+    def test_visited_index_am_is_not_offered_again(self):
+        engine = build_engine()
+        checker = engine.eddy_of("q0").resolver
+        tuple_ = r_singleton(engine)
+        tuple_.mark_built("R", 1.0)
+        tuple_.record_visit("stem:S")
+        am = engine.eddy_of("q0").index_ams["S"][0]
+        assert any(d.module is am for d in checker.destinations(tuple_))
+        tuple_.record_visit(am.name)
+        assert all(d.module is not am for d in checker.destinations(tuple_))
+
+    def test_visited_selection_is_not_offered_again(self):
+        engine = build_engine(with_selection=True)
+        checker = engine.eddy_of("q0").resolver
+        tuple_ = r_singleton(engine)
+        tuple_.mark_built("R", 1.0)
+        selection_module = engine.eddy_of("q0").selections[0]
+        assert any(d.module is selection_module for d in checker.destinations(tuple_))
+        tuple_.record_visit(selection_module.name)
+        assert all(d.action != "select" for d in checker.destinations(tuple_))
 
     def test_stop_stem_probes_blocks_further_stem_probes(self):
         engine = build_engine()
@@ -291,3 +322,130 @@ class TestPolicyChoices:
         optional = [Destination(am, "am_probe", "T", required=False)]
         policy = BenefitPolicy(seed=1, exploration=0.0)
         assert policy.choose(tuple_, optional, engine.eddy_of("q0")) is not None
+
+
+def counting(policy):
+    """Record every ``choose`` call the eddy makes on ``policy``."""
+    calls = []
+    original = policy.choose
+
+    def choose(tuple_, destinations, eddy):
+        choice = original(tuple_, destinations, eddy)
+        calls.append((tuple_.tuple_id, None if choice is None else choice.module.name))
+        return choice
+
+    policy.choose = choose
+    return calls
+
+
+class TestPerTupleDecisions:
+    """One policy decision per routed tuple, also inside a signature group."""
+
+    def _group(self, engine, size, built=True):
+        tuples = []
+        for position in range(size):
+            tuple_ = r_singleton(engine, key=position)
+            if built:
+                tuple_.mark_built("R", 1.0)
+            tuples.append(tuple_)
+        signature = tuples[0].routing_signature()
+        assert all(tuple_.routing_signature() == signature for tuple_ in tuples)
+        return signature, tuples
+
+    def test_group_asks_choose_once_per_tuple(self):
+        policy = LotteryPolicy(seed=9)
+        engine = build_engine(policy=policy)
+        calls = counting(policy)
+        signature, group = self._group(engine, size=7)
+        engine.eddy_of("q0")._route_group(signature, group)
+        assert [tuple_id for tuple_id, _ in calls] == [t.tuple_id for t in group]
+
+    def test_group_routing_equals_sequential_draws(self):
+        """A routed group makes exactly the draws of its tuples one by one."""
+        grouped = LotteryPolicy(seed=3)
+        engine = build_engine(policy=grouped)
+        signature, group = self._group(engine, size=12)
+        eddy = engine.eddy_of("q0")
+        destinations = eddy.resolver.destinations(group[0])
+        eddy._route_group(signature, group)
+        routed = [
+            next(name for name, count in t.visits.items() if count) for t in group
+        ]
+
+        sequential = LotteryPolicy(seed=3)
+        expected = [sequential.choose(t, destinations, eddy).module.name for t in group]
+        assert routed == expected
+        assert len(set(routed)) > 1  # members follow their own winners
+        for name in {d.module.name for d in destinations}:
+            assert grouped.tickets_of(name) == sequential.tickets_of(name)
+
+    def test_group_credits_one_ticket_per_routed_tuple(self):
+        policy = LotteryPolicy(seed=9, decay=1.0)
+        engine = build_engine(policy=policy)
+        signature, group = self._group(engine, size=7)
+        eddy = engine.eddy_of("q0")
+        names = [d.module.name for d in eddy.resolver.destinations(group[0])]
+        before = {name: policy.tickets_of(name) for name in names}
+        eddy._route_group(signature, group)
+        for name in names:
+            routed_here = sum(1 for t in group if t.visit_count(name))
+            assert policy.tickets_of(name) == before[name] + routed_here
+
+    def test_group_decays_once_per_routed_tuple(self):
+        policy = LotteryPolicy(seed=4)
+        engine = build_engine(policy=policy)
+        decays = []
+        original = policy._decay_all
+        policy._decay_all = lambda: (decays.append(1), original())[1]
+        signature, group = self._group(engine, size=10)
+        engine.eddy_of("q0")._route_group(signature, group)
+        assert len(decays) == len(group)
+
+    def test_benefit_scores_every_group_member(self):
+        policy = BenefitPolicy(seed=2)
+        engine = build_engine(policy=policy)
+        calls = counting(policy)
+        signature, group = self._group(engine, size=5)
+        engine.eddy_of("q0")._route_group(signature, group)
+        assert len(calls) == len(group)
+
+    def test_fixed_choice_is_never_asked_per_tuple(self):
+        """BuildFirst leaves one destination: benefit fixes it, no scoring."""
+        policy = BenefitPolicy(seed=2)
+        engine = build_engine(policy=policy)
+        calls = counting(policy)
+        signature, group = self._group(engine, size=6, built=False)
+        engine.eddy_of("q0")._route_group(signature, group)
+        assert calls == []
+        assert all(t.visits == {"stem:R": 1} for t in group)
+
+    def test_every_group_member_records_one_visit(self):
+        policy = LotteryPolicy(seed=5)
+        engine = build_engine(policy=policy)
+        signature, group = self._group(engine, size=8)
+        engine.eddy_of("q0")._route_group(signature, group)
+        for tuple_ in group:
+            assert sorted(tuple_.visits.values()) == [1]
+
+    def test_whole_run_draws_once_per_lottery_route(self):
+        policy = LotteryPolicy(seed=6)
+        trace = TraceLog()
+        catalog = Catalog()
+        catalog.add_table(make_source_r(40, 10, seed=2))
+        catalog.add_table(make_source_s(15))
+        catalog.add_table(make_source_t(40, seed=3))
+        catalog.add_scan("R", rate=100.0)
+        catalog.add_scan("S", rate=100.0)
+        catalog.add_scan("T", rate=100.0)
+        engine = single_query_engine(
+            "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key",
+            catalog, policy=policy, trace=trace, batch_size=8,
+        )
+        calls = counting(policy)
+        result = engine.run()
+        # The lottery has no fixed choice: every route is one draw, in order,
+        # and a declined draw (optional work only) routes nothing.
+        routes = [tuple(record.detail) for record in trace.filter("route")]
+        assert [call for call in calls if call[1] is not None] == routes
+        stats = result.results["q0"].eddy_stats
+        assert stats["route_events"] < stats["routings"]  # batches were drained

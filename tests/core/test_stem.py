@@ -37,6 +37,11 @@ def make_stem() -> SteM:
     return SteM("S", aliases=("S",), join_columns=("x",))
 
 
+def newest(stem: SteM) -> float | None:
+    """The largest build timestamp the SteM still stores (None when empty)."""
+    return max(map(stem.timestamp_of, stem), default=None)
+
+
 class TestBuild:
     def test_build_assigns_timestamp(self):
         stem = make_stem()
@@ -59,6 +64,13 @@ class TestBuild:
         stem = make_stem()
         with pytest.raises(ExecutionError):
             stem.build(r_row(1, 1), 1.0)
+
+    def test_max_timestamp(self):
+        stem = make_stem()
+        assert newest(stem) is None
+        stem.build(s_row(1), 3.0)
+        stem.build(s_row(2), 7.0)
+        assert newest(stem) == 7.0
 
 
 class TestProbe:
@@ -132,6 +144,21 @@ class TestProbe:
         with pytest.raises(ExecutionError):
             stem.probe(r_probe(0, 4), "T", [JOIN])
 
+    def test_repeated_probe_returns_every_match_again(self):
+        """BoundedRepetition is the eddy's rule, not the SteM's: a probe
+        carries no per-SteM memory, so probing twice finds the same rows,
+        plus any row built since that is older than the probe."""
+        stem = make_stem()
+        stem.build(s_row(4), 1.0)
+        probe = r_probe(0, 4, timestamp=100.0)
+        first = stem.probe(probe, "S", [JOIN])
+        second = stem.probe(probe, "S", [JOIN])
+        assert [r.value("S", "y") for r in first.results] == [4]
+        assert [r.value("S", "y") for r in second.results] == [4]
+        stem.build(s_row(4, 99), 50.0)
+        third = stem.probe(probe, "S", [JOIN])
+        assert sorted(r.value("S", "y") for r in third.results) == [4, 99]
+
 
 class TestEOTCoverage:
     def test_scan_eot_covers_everything(self):
@@ -191,11 +218,42 @@ class TestEviction:
 
 
 class TestTimestampMaintenance:
+    def test_incremental_max_across_builds(self):
+        stem = make_stem()
+        # Out-of-order timestamps (unit-test territory; engines build in
+        # monotone order) are each kept with their row.
+        stem.build(s_row(1), 5.0)
+        stem.build(s_row(2), 9.0)
+        stem.build(s_row(3), 3.0)
+        assert [stem.timestamp_of(row) for row in stem] == [5.0, 9.0, 3.0]
+        assert newest(stem) == 9.0
+
+    def test_eviction_of_extreme_triggers_recompute(self):
+        stem = make_stem()
+        stem.build(s_row(1), 1.0)
+        stem.build(s_row(2), 2.0)
+        stem.build(s_row(3), 3.0)
+        assert stem.evict(s_row(1))  # the oldest leaves: the maximum stands
+        assert newest(stem) == 3.0
+        assert stem.evict(s_row(3))  # the maximum leaves
+        assert newest(stem) == 2.0
+        # A probe between the two builds sees only the surviving older row.
+        outcome = stem.probe(r_probe(0, 2, timestamp=2.5), "S", [JOIN])
+        assert [r.value("S", "x") for r in outcome.results] == [2]
+
+    def test_eviction_to_empty_resets_extremes(self):
+        stem = make_stem()
+        stem.build(s_row(1), 4.0)
+        assert stem.evict(s_row(1))
+        assert newest(stem) is None
+        stem.build(s_row(1), 6.0)  # the same row, built afresh
+        assert stem.timestamp_of(s_row(1)) == 6.0
     def test_bounded_fifo_eviction_advances_minimum(self):
         stem = SteM("S", aliases=("S",), join_columns=("x",), max_size=2)
         for value in range(4):
             stem.build(s_row(value), float(value + 1))
         assert [stem.timestamp_of(row) for row in stem] == [3.0, 4.0]
+        assert newest(stem) == 4.0
 
 
 @settings(max_examples=40, deadline=None)
