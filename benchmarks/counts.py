@@ -11,7 +11,7 @@ construction and recovery included).  Per workload it reports the
 simulator events (every engine incarnation), calls into ``src/repro`` per
 event, result rows and the result digest of ``benchmarks/e2e/verify.py``.
 Beside them: the lines of ``src/``, the lines of ``src/`` that name an
-engine option, the size of the definitions ratchet's ``ALLOWED`` list, and
+engine option, the lines of ``tests/`` and ``benchmarks/``, the size of the definitions ratchet's ``ALLOWED`` list, and
 the checkout's commit and the Python version.  Nothing in the line is a
 clock reading, so two lines compare across hosts; ``--append`` adds the
 line to a file (``BENCH_counts.jsonl`` at the repository root keeps one per
@@ -41,6 +41,15 @@ def source_lines(root: Path) -> tuple[int, int]:
         for line in path.read_text(encoding="utf-8").splitlines()
     ]
     return len(lines), sum(1 for line in lines if OPTION.search(line))
+
+
+def test_lines(root: Path) -> int:
+    """Lines of the Python files under ``tests/`` and ``benchmarks/``."""
+    return sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for directory in ("tests", "benchmarks")
+        for path in sorted((root / directory).rglob("*.py"))
+    )
 
 
 def allowed_size(root: Path) -> int:
@@ -111,6 +120,7 @@ def main():
         "counter": "sys.setprofile calls into src/repro per simulator event",
         "src_lines": src_lines,
         "option_lines": option_lines,
+        "test_lines": test_lines(root),
         "allowed": allowed_size(root),
         "workloads": counted,
     }, sort_keys=True)

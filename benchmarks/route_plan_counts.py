@@ -9,7 +9,7 @@ one repetition of each workload: route decisions for signature groups (EOTs
 are not decisions of this kind) split by how they ended — emitted as output,
 routed by a fixed choice without asking the policy, routed by the policy's
 ``choose`` (once per tuple of the group), retired with nowhere to go — the
-signature cache's hits, misses and invalidations, the policy's ``choose``
+signature cache's hits and misses, the policy's ``choose``
 calls, and how many tuples each signature group held, by outcome.  Every number is
 exact and the same in every repetition (the engine is deterministic).
 """
@@ -27,7 +27,6 @@ ROWS = (
     "retired",
     "cache_hits",
     "cache_misses",
-    "cache_invalidations",
     "choose_calls",
 )
 #: The outcomes that sent their group to a module.

@@ -5,8 +5,8 @@ and recomputes the legal-destination set from scratch each time — the
 per-tuple routing overhead the adaptive-query-processing literature names as
 the tax for adaptivity.  With ``batch_size > 1`` each ``eddy:route`` event
 drains up to ``batch_size`` ready tuples, groups them by routing signature,
-resolves destinations once per signature (memoized until module liveness
-changes), and takes one policy decision per group.
+resolves destinations once per signature (memoized for the query's life),
+and asks the policy once per routed tuple.
 
 Claims checked here:
 
@@ -22,8 +22,7 @@ Claims checked here:
   and ``batch_size=16`` needs over 2x fewer ``eddy:route`` events — the
   amortisation the ROADMAP's heavy-traffic north star asks for.
 * **The cache carries the batching win.**  Destination resolution hits the
-  signature cache far more often than it misses, and the cache is
-  invalidated on every liveness change (scan finish / SteM seal).
+  signature cache far more often than it misses.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ def test_fig7_heavy_traffic_batching_halves_route_events(benchmark):
     # The destination-signature cache does the heavy lifting.
     cache = fast.module_stats["destination-cache"]
     assert cache["hits"] > cache["misses"]
-    assert cache["invalidations"] >= 1
     benchmark.extra_info["event_ratio_batch16"] = round(ratio, 2)
     benchmark.extra_info["cache_hits"] = int(cache["hits"])
     benchmark.extra_info["cache_misses"] = int(cache["misses"])

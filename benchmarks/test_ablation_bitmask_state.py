@@ -54,7 +54,7 @@ class _LegacyTupleState:
     def __init__(self, tuple_: QTuple):
         self.components = dict(tuple_.components)
         self.done = set(tuple_.done)
-        self.visits = dict(tuple_.visits)
+        self.visits = dict.fromkeys(tuple_.visits, 1)
         self.built = set(tuple_.built)
         self.resolved = set(tuple_.resolved)
         self.exhausted = set(tuple_.exhausted)

@@ -133,17 +133,14 @@ class ConstraintChecker:
         self._aggregate_build_mask = (
             self.layout.bit_of(query.aggregate_alias) if query.is_aggregate else 0
         )
-        #: Route-plan cache: routing signature -> :class:`RoutePlan`.  Valid
-        #: because output readiness and destination legality are pure
-        #: functions of the signature given the (static) module structure;
-        #: every plan, choice included, is dropped whenever module liveness
-        #: changes (:meth:`notice_liveness_change`).
+        #: Route-plan cache: routing signature -> :class:`RoutePlan`, kept
+        #: for the query's life.  Valid because output readiness and
+        #: destination legality are pure functions of the signature given
+        #: the query's static modules: a scan finishing or a SteM sealing
+        #: changes probe coverage, which a SteM reads at probe time, not a
+        #: plan.
         self._plans: dict[tuple, RoutePlan] = {}
-        self.cache_stats: dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "invalidations": 0,
-        }
+        self.cache_stats: dict[str, int] = {"hits": 0, "misses": 0}
 
     # -- destination computation -----------------------------------------------
 
@@ -166,17 +163,6 @@ class ConstraintChecker:
     def destinations_for_signature(self, signature: tuple, exemplar: QTuple) -> list[Destination]:
         """A copy of the legal destinations of :meth:`route_plan`."""
         return list(self.route_plan(signature, exemplar).destinations)
-
-    def notice_liveness_change(self) -> None:
-        """Drop every route plan: a module's liveness changed.
-
-        Called (through the eddy) when a scan finishes or a SteM seals.
-        Today's Table 2 rules are liveness-independent, so this is purely
-        defensive — but it keeps the cache correct if liveness-aware rules
-        (e.g. retiring probes early once a source is known dead) are added.
-        """
-        self.cache_stats["invalidations"] += 1
-        self._plans.clear()
 
     def destinations(self, tuple_: QTuple) -> list[Destination]:
         """All legal destinations for the tuple, required ones first."""
@@ -212,7 +198,7 @@ class ConstraintChecker:
                 continue
             if required_mask & ~spanned:
                 continue
-            if tuple_.visit_count(module.name):
+            if tuple_.visited(module.name):
                 continue
             result.append(Destination(module, "select", None, required=True))
         return result
@@ -225,7 +211,7 @@ class ConstraintChecker:
         for alias in self.layout.adjacent_unspanned(tuple_.spanned_mask):
             alias_bit = self._alias_bits[alias]
             stem = self.stems.get(alias)
-            stem_unvisited = stem is not None and not tuple_.visit_count(stem.name)
+            stem_unvisited = stem is not None and not tuple_.visited(stem.name)
             if stem_unvisited and not tuple_.stop_stem_probes:
                 # ProbeCompletion: a prior prober may not probe other SteMs.
                 if prior_prober_of is None or prior_prober_of == alias:
@@ -239,7 +225,7 @@ class ConstraintChecker:
             if prior_prober_of is not None and prior_prober_of != alias:
                 continue
             for am in self.index_ams.get(alias, ()):
-                if tuple_.visit_count(am.name):
+                if tuple_.visited(am.name):
                     continue
                 if am.bind_key(tuple_) is None:
                     continue

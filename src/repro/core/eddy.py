@@ -20,8 +20,7 @@ The eddy here is deliberately *mechanism only*:
 Every decision goes through the :class:`~repro.core.constraints.RoutePlan`
 of a routing signature (:meth:`~repro.core.tuples.QTuple.routing_signature`):
 output test, legal destinations and the policy's fixed choice, if it has
-one, memoized by the constraint checker until module liveness changes;
-only without a fixed choice is the policy's ``choose`` asked, once per
+one, memoized by the constraint checker for the query's life; only without a fixed choice is the policy's ``choose`` asked, once per
 tuple.  With ``batch_size > 1`` each event drains up to ``batch_size``
 ready tuples and charges one ``route_cost`` per signature group.  Routing
 remains semantically per-tuple — policy choice, visit bookkeeping, strict
@@ -224,7 +223,6 @@ class Eddy:
             "absorbed": 0,
             "eots_routed": 0,
             "blocked_offers": 0,
-            "liveness_changes": 0,
             "quarantined": 0,
             "suppressed_emits": 0,
         }
@@ -382,17 +380,6 @@ class Eddy:
         self.policy.on_retire(tuple_, self)
         if self.trace is not None:
             self.trace.record(self.now, "absorbed", tuple_.tuple_id)
-
-    def notice_liveness_change(self) -> None:
-        """A module's liveness changed (a scan finished, a SteM sealed).
-
-        Invalidates the resolver's destination-signature cache, if it keeps
-        one.
-        """
-        self.stats["liveness_changes"] += 1
-        invalidate = getattr(self.resolver, "notice_liveness_change", None)
-        if invalidate is not None:
-            invalidate()
 
     # -- execution ------------------------------------------------------------------
 

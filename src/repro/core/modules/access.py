@@ -189,9 +189,6 @@ class ScanAMModule(Module):
         assert self.runtime is not None
         self.finished = True
         self._stream = []
-        # The scan finishing is a liveness change: destination caches
-        # keyed on routing signatures must be invalidated.
-        self.runtime.notice_liveness_change()
         eot = EOTTuple(table=self.table.name, alias=self.alias, am_name=self.name)
         self.runtime.to_eddy(eot, source=self)
 

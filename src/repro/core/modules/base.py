@@ -75,10 +75,6 @@ class EddyRuntime(Protocol):
     def notify_idle(self, module: "Module") -> None:
         """Tell the eddy that the module freed queue space / went idle."""
 
-    def notice_liveness_change(self) -> None:
-        """Tell the eddy that module liveness changed (scan finished, SteM
-        sealed): destination-signature caches must be invalidated."""
-
     def note_absorbed(self, tuple_: QTuple) -> None:
         """Tell the eddy a tuple was absorbed by a module (left the dataflow
         without returning to routing, e.g. a duplicate build), so traces and

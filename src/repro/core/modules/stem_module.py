@@ -89,10 +89,6 @@ class SteMModule(Module):
         assert self.runtime is not None
         if isinstance(item, EOTTuple):
             self.stem.build_eot(item)
-            if item.is_scan_eot:
-                # The SteM is now sealed (it provably holds the whole
-                # table): a liveness change for destination caches.
-                self._notice_seal()
             return []
         assert isinstance(item, QTuple)
         if item is self._classified:
@@ -225,10 +221,6 @@ class SteMModule(Module):
             cache[key] = plan
         return plan
 
-    def _notice_seal(self) -> None:
-        """Report the SteM sealing as a liveness change to the runtime(s)."""
-        self.runtime.notice_liveness_change()
-
     def detach(self) -> None:
         """Sever this module's hold on shared state (query retirement).
 
@@ -310,7 +302,6 @@ class SharedSteMModule(SteMModule):
         stem: SteM,
         alias: str,
         predicates: Sequence[Predicate],
-        registry,
         build_cost: float = 1e-4,
         probe_cost: float = 2e-4,
     ):
@@ -322,7 +313,6 @@ class SharedSteMModule(SteMModule):
             name=f"stem:{alias}",
             aliases=(alias,),
         )
-        self.registry = registry
         #: Rows this query's dataflow has already built or bounced back.
         #: An evicted row is forgotten again (the SteM tells us), so a
         #: re-delivered copy re-enters the dataflow instead of being
@@ -394,7 +384,3 @@ class SharedSteMModule(SteMModule):
         # dataflow; they only reach this query if its own scan re-delivers
         # them.  Otherwise keep the AM-probe path open.
         return outcome.suppressed_by_timestamp == 0 or self.runtime.has_scan_am(target)
-
-    def _notice_seal(self) -> None:
-        """A shared SteM sealing is a liveness change for *every* query."""
-        self.registry.broadcast_liveness_change()

@@ -11,15 +11,13 @@ Responsibilities:
 
 * **get-or-create** a SteM per table (:meth:`SteMRegistry.stem_for`),
   merging every admitted query's aliases and join columns into it;
-* **reference counting** — every owner-attributed acquisition records which
-  tables, aliases and join columns a query depends on, and
+* **reference counting** — every acquisition records which tables, aliases
+  and join columns its owner (a query, or a restore in progress) depends
+  on, and
   :meth:`SteMRegistry.release` reclaims whatever the departing query was
   the last user of: the whole SteM when its table refcount hits zero, or
   just the secondary indexes (and aliases) only that query's bindings
   needed.  This is what makes runtime query *retirement* leak-free;
-* **liveness broadcast** — when a shared SteM seals (any query's scan EOT),
-  *every* attached eddy's destination-signature cache must be invalidated,
-  not just the eddy that routed the EOT;
 * **eviction configuration** — the per-table eviction policy (count,
   time-window, reference-window; see :mod:`repro.core.stem`) lives here, so
   the window under which a table's shared state is bounded is a property of
@@ -114,25 +112,18 @@ class SteMRegistry:
     ):
         self._bound = SteMBound(eviction, max_size, window)
         self._stems: dict[str, SteM] = {}
-        self._runtimes: list = []
-        #: Reference counts, maintained only for owner-attributed
-        #: acquisitions (:meth:`stem_for` with a non-empty ``owner``).
+        #: Reference counts of :meth:`stem_for` acquisitions.
         self._table_refs: dict[str, int] = {}
         self._alias_refs: dict[str, dict[str, int]] = {}
         self._column_refs: dict[str, dict[str, int]] = {}
         #: owner -> list of (table, alias, columns) acquisitions to undo.
         self._owner_refs: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
-        #: Tables acquired at least once *without* an owner: pinned forever
-        #: (their anonymous users' aliases/columns were never refcounted, so
-        #: neither reclamation nor index/alias dropping is safe for them).
-        self._pinned: set[str] = set()
         #: Counters of SteMs torn down by :meth:`release`, keyed by SteM
         #: name, so run-level totals survive reclamation.
         self.reclaimed_stats: dict[str, dict[str, int]] = {}
         self.stats: dict[str, int] = {
             "stems": 0,
             "attachments": 0,
-            "broadcasts": 0,
             "releases": 0,
             "reclaimed": 0,
             "indexes_dropped": 0,
@@ -145,16 +136,16 @@ class SteMRegistry:
         table: str,
         alias: str,
         join_columns: Iterable[str] = (),
-        owner: str = "",
+        *,
+        owner: str,
     ) -> SteM:
         """The shared SteM for a base table, extended for one query's view.
 
         The first query to touch a table creates its SteM (named after the
         table, not the alias); later queries reuse it, registering their
-        alias and backfilling indexes on any new join columns.  When
-        ``owner`` (the acquiring query's id) is given, the acquisition is
-        reference-counted so :meth:`release` can undo it; anonymous
-        acquisitions pin the SteM forever (the pre-churn behaviour).
+        alias and backfilling indexes on any new join columns.  The
+        acquisition is reference-counted under ``owner`` (the acquiring
+        query's id) so :meth:`release` can undo it.
         """
         columns = tuple(join_columns)
         stem = self._stems.get(table)
@@ -173,16 +164,13 @@ class SteMRegistry:
             stem.add_alias(alias)
             stem.ensure_join_columns(columns)
         self.stats["attachments"] += 1
-        if owner:
-            self._table_refs[table] = self._table_refs.get(table, 0) + 1
-            alias_refs = self._alias_refs.setdefault(table, {})
-            alias_refs[alias] = alias_refs.get(alias, 0) + 1
-            column_refs = self._column_refs.setdefault(table, {})
-            for column in columns:
-                column_refs[column] = column_refs.get(column, 0) + 1
-            self._owner_refs.setdefault(owner, []).append((table, alias, columns))
-        else:
-            self._pinned.add(table)
+        self._table_refs[table] = self._table_refs.get(table, 0) + 1
+        alias_refs = self._alias_refs.setdefault(table, {})
+        alias_refs[alias] = alias_refs.get(alias, 0) + 1
+        column_refs = self._column_refs.setdefault(table, {})
+        for column in columns:
+            column_refs[column] = column_refs.get(column, 0) + 1
+        self._owner_refs.setdefault(owner, []).append((table, alias, columns))
         return stem
 
     def release(self, owner: str) -> list[str]:
@@ -211,11 +199,6 @@ class SteMRegistry:
                     column_refs[column] -= 1
             stem = self._stems.get(table)
             if stem is None:
-                continue
-            if table in self._pinned:
-                # An anonymous acquisition holds this SteM; its user's
-                # aliases/columns were never refcounted, so nothing may be
-                # dropped on its behalf.
                 continue
             if remaining <= 0:
                 # Last reference: reclaim the whole SteM (rows, indexes,
@@ -256,31 +239,6 @@ class SteMRegistry:
 
     def __contains__(self, table: object) -> bool:
         return table in self._stems
-
-    # -- liveness broadcast ------------------------------------------------------
-
-    def attach_runtime(self, runtime) -> None:
-        """Register an eddy to receive cross-query liveness notifications."""
-        self._runtimes.append(runtime)
-
-    def detach_runtime(self, runtime) -> bool:
-        """Unregister a retiring eddy from liveness broadcasts."""
-        try:
-            self._runtimes.remove(runtime)
-        except ValueError:
-            return False
-        return True
-
-    def broadcast_liveness_change(self) -> None:
-        """A shared SteM's liveness changed: tell every attached eddy.
-
-        A seal observed through one query's dataflow changes probe coverage
-        for *all* queries on that table, so every destination-signature
-        cache is dropped, not only the routing eddy's.
-        """
-        self.stats["broadcasts"] += 1
-        for runtime in self._runtimes:
-            runtime.notice_liveness_change()
 
     def __repr__(self) -> str:
         return f"SteMRegistry(tables={sorted(self._stems)})"

@@ -18,7 +18,7 @@ dataflow tuple (:class:`QTuple`) is a :class:`Result` plus the TupleState:
 
 The TupleState is stored the way the paper describes it — as bits.  Spanned
 aliases, done bits, built/resolved/exhausted flags and the per-module visit
-record are all machine-word integers over the query's compiled
+bits are all machine-word integers over the query's compiled
 :class:`~repro.query.layout.PlanLayout`, so :meth:`QTuple.routing_signature`
 (the batched eddy's grouping key) is a memoized tuple of ints that allocates
 no containers per call, and the
@@ -46,19 +46,6 @@ from repro.storage.row import Row
 #: The paper defines it as infinity so that an un-built probe tuple receives
 #: every match already present in a SteM.
 UNBUILT = math.inf
-
-#: Process-wide interning of module names into visit-record slots.  Each
-#: module name owns one byte of the ``visits_token`` integer, so the token is
-#: an injective, order-free encoding of the per-module visit counts — equal
-#: tokens iff equal visit dicts — without building a frozenset per signature.
-#: Injectivity requires every per-module count to fit its byte;
-#: :meth:`QTuple.record_visit` enforces the bound (BoundedRepetition keeps
-#: real counts at 1).
-_module_slots: dict[str, int] = {}
-
-#: Highest per-module visit count the packed ``visits_token`` can encode.
-_MAX_VISITS_PER_MODULE = 255
-
 
 class TupleIdAllocator:
     """Allocates the monotonically increasing ``tuple_id`` of each QTuple.
@@ -309,9 +296,9 @@ class QTuple(Result):
         #: The done bits: bit ``predicate_id`` set once verified (§2.1).
         self.done_mask: int = done_mask_of(done)
         self.source = source
-        #: Number of times this tuple has been routed to each module
-        #: (BoundedRepetition constraint), one byte per module slot; also an
-        #: element of the routing signature.  :attr:`visits` decodes it.
+        #: Bit per module this tuple has been routed to (BoundedRepetition),
+        #: over the layout's :attr:`~repro.query.layout.PlanLayout.module_bits`;
+        #: also an element of the routing signature.  :attr:`visits` decodes it.
         self.visits_token: int = 0
         #: Bit per alias whose component has been built into its SteM.
         self.built_mask: int = 0
@@ -437,41 +424,24 @@ class QTuple(Result):
         """True if the predicate has already been verified."""
         return (self.done_mask >> predicate.predicate_id) & 1 == 1
 
-    def record_visit(self, module_name: str) -> int:
-        """Record a routing of this tuple to a module; return the new count."""
-        slot = _module_slots.get(module_name)
-        if slot is None:
-            slot = _module_slots[module_name] = len(_module_slots)
-        shift = slot << 3
-        count = ((self.visits_token >> shift) & _MAX_VISITS_PER_MODULE) + 1
-        if count > _MAX_VISITS_PER_MODULE:
-            # The packed token gives each module one byte; a carry into the
-            # next module's byte would silently collide routing signatures.
-            raise ExecutionError(
-                f"tuple visited {module_name!r} {count} times; the routing "
-                f"signature encodes at most {_MAX_VISITS_PER_MODULE} visits "
-                "per module (BoundedRepetition bounds real traffic far below this)"
-            )
-        self.visits_token += 1 << shift
+    def record_visit(self, module_name: str) -> None:
+        """Record a routing of this tuple to a module (BoundedRepetition)."""
+        bits = self.layout.module_bits
+        bit = bits.get(module_name)
+        if bit is None:
+            bit = bits[module_name] = 1 << len(bits)
+        self.visits_token |= bit
         self._signature = None
-        return count
 
-    def visit_count(self, module_name: str) -> int:
-        """How many times this tuple has been routed to the module."""
-        slot = _module_slots.get(module_name)
-        if slot is None:
-            return 0
-        return (self.visits_token >> (slot << 3)) & _MAX_VISITS_PER_MODULE
+    def visited(self, module_name: str) -> bool:
+        """True once this tuple has been routed to the module."""
+        return bool(self.visits_token & self.layout.module_bits.get(module_name, 0))
 
     @property
-    def visits(self) -> dict[str, int]:
-        """Per-module visit counts (a decoded copy of :attr:`visits_token`)."""
+    def visits(self) -> frozenset[str]:
+        """The modules this tuple has been routed to (view over :attr:`visits_token`)."""
         token = self.visits_token
-        return {
-            name: count
-            for name, slot in _module_slots.items()
-            if (count := (token >> (slot << 3)) & _MAX_VISITS_PER_MODULE)
-        }
+        return frozenset(name for name, bit in self.layout.module_bits.items() if token & bit)
 
     def mark_built(self, alias: str, timestamp: float) -> None:
         """Record that the component for ``alias`` was built at ``timestamp``."""
@@ -518,7 +488,7 @@ class QTuple(Result):
         ``extend`` sets every slot itself and allocates no container: it is
         the per-result path of every probe.  Done bits (plus
         ``extra_done``), priority, source and layout are inherited; visit
-        counts and resolution state start fresh (a new unit of routing work).
+        bits and resolution state start fresh (a new unit of routing work).
         """
         if alias in self._aliases:
             raise ExecutionError(f"tuple already spans alias {alias!r}")

@@ -118,11 +118,11 @@ class JoinPlanResolver:
             if (
                 not done & done_bit
                 and not required_mask & ~spanned
-                and tuple_.visit_count(module.name) == 0
+                and not tuple_.visited(module.name)
             ):
                 result.append(Destination(module, "select", None, required=True))
         for module in self.join_modules:
-            if tuple_.visit_count(module.name) > 0:
+            if tuple_.visited(module.name):
                 continue
             if isinstance(module, SymmetricHashJoinModule):
                 if module.accepts(tuple_):

@@ -391,8 +391,6 @@ class MultiQueryEngine:
             self._make_stem_module,
             self._make_aggregate_module,
         )
-        if self.registry is not None:
-            self.registry.attach_runtime(eddy)
         ctx = _AdmittedQuery(query_id, query, start_time, eddy)
         self._queries.append(ctx)
         self._order.append(query_id)
@@ -450,7 +448,6 @@ class MultiQueryEngine:
                 stem,
                 ref.alias,
                 query.predicates,
-                registry=self.registry,
                 build_cost=costs.stem_build_cost,
                 probe_cost=costs.stem_probe_cost,
             )
@@ -508,7 +505,6 @@ class MultiQueryEngine:
                 aggregate.detach()
         ctx.eddy.shutdown()
         if self.registry is not None:
-            self.registry.detach_runtime(ctx.eddy)
             self.registry.release(query_id)
         if self.aggregate_registry is not None:
             # Shared modules detach when their last owner releases.

@@ -72,6 +72,9 @@ class PlanLayout:
         adjacency: per-alias join-graph neighbour mask.
         predicate_bits: predicate id -> done-bit mask (``1 << predicate_id``).
         all_predicate_mask: the done mask of a tuple that passed everything.
+        module_bits: module name -> its bit in a tuple's ``visits_token``
+            (``1 << i`` for the ``i``-th module any tuple of this query was
+            routed to), assigned by ``QTuple.record_visit``.
 
     Mask decoding is memoized per mask value: the dataflow revisits the
     same handful of span masks constantly, so views stay allocation-free
@@ -114,6 +117,7 @@ class PlanLayout:
         #: never reads another query's plans.  Populated lazily by
         #: :meth:`~repro.core.modules.stem_module.SteMModule.probe_plan_for`.
         self.probe_plans: dict[tuple, object] = {}
+        self.module_bits: dict[str, int] = {}
         #: Aggregate output layout: the labels of the aggregate result
         #: columns, and the half-open index spans slicing one output tuple
         #: into its group-column part and its aggregate part.  Empty/zero

@@ -183,8 +183,8 @@ def encode_item(item: QTuple | EOTTuple) -> dict:
     """Encode one routable held by a running dataflow (a checkpoint's cut).
 
     A :class:`QTuple` carries every TupleState slot, with the masks spelt as
-    alias names, predicate ids and per-module visit counts — bit positions
-    and visit-slot numbers are assigned per process, names are not.  The
+    alias names, predicate ids and the sorted names of the visited modules:
+    alias and visit bits are assigned per layout, names are not.  The
     tuple id is left out: the restored tuple draws a fresh one.
     """
     if isinstance(item, EOTTuple):
@@ -201,7 +201,7 @@ def encode_item(item: QTuple | EOTTuple) -> dict:
         "built": sorted(item.built),
         "resolved": sorted(item.resolved),
         "exhausted": sorted(item.exhausted),
-        "visits": item.visits,
+        "visits": sorted(item.visits),
         "stop": item.stop_stem_probes,
         "pc": item.probe_completion_alias,
         "prio": encode_value(item.priority),
@@ -254,9 +254,8 @@ def decode_item(encoded: Mapping[str, Any], layout, schema_of, modules) -> QTupl
     item.built_mask = layout.mask_of(encoded["built"])
     item.resolved_mask = layout.mask_of(encoded["resolved"])
     item.exhausted_mask = layout.mask_of(encoded["exhausted"])
-    for name, count in encoded["visits"].items():
-        for _ in range(count):
-            item.record_visit(name)
+    for name in encoded["visits"]:
+        item.record_visit(name)
     item.stop_stem_probes = encoded["stop"]
     item.probe_completion_alias = encoded["pc"]
     item.failed = encoded["failed"]

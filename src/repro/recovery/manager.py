@@ -690,6 +690,11 @@ def _apply_wal_record(state: RecoveredState, record: dict, after_cut: bool = Tru
         raise ExecutionError(f"unknown WAL record kind {kind!r}")
 
 
+#: The registry owner a restore holds the recovered tables under.  No query
+#: has the empty id: ``admit`` names an admission without one ``q<n>``.
+_RESTORE_OWNER = ""
+
+
 def restore_engine(
     source: RecoveredState | str,
     catalog,
@@ -742,13 +747,14 @@ def restore_engine(
             eddy.emit_filter = _make_emit_filter(dict(acked))
 
     engine.add_admission_listener(arm_emit_filter)
+    # The restore holds every recovered table under its own owner until the
+    # re-admitted queries hold theirs, then lets go: the registry is left
+    # owned by the queries alone, as in the run the cut came from.
     for recovered in state.tables.values():
-        aliases = recovered.aliases or (recovered.table,)
-        stem = engine.registry.stem_for(
-            recovered.table, aliases[0], recovered.join_columns
-        )
-        for alias in aliases[1:]:
-            stem.add_alias(alias)
+        for alias in recovered.aliases or (recovered.table,):
+            stem = engine.registry.stem_for(
+                recovered.table, alias, recovered.join_columns, owner=_RESTORE_OWNER
+            )
         _install_stem(stem, recovered)
     events: list[ChurnEvent] = []
     for admission in state.admissions:
@@ -773,6 +779,7 @@ def restore_engine(
         engine.admit(entry)
         if query_id in state.queries:
             _resume_query(engine, query_id, state.queries[query_id], catalog)
+    engine.registry.release(_RESTORE_OWNER)
     events.extend(
         ChurnEvent(at, "retire", query_id=query_id)
         for query_id, at in state.retired.items()

@@ -3,9 +3,7 @@
 Covers the three guarantees the batching layer rests on:
 
 * the :class:`ConstraintChecker` memoizes legal destinations per routing
-  signature, and drops the memo on every module-liveness change;
-* both liveness events — a scan finishing and a SteM sealing — reach the
-  cache through the eddy's ``notice_liveness_change`` hook;
+  signature for the query's life;
 * batched routing (``batch_size > 1``) produces the same result set as
   per-tuple routing on a 3-way join, for every shipped policy, including
   under strict constraint validation.
@@ -18,7 +16,6 @@ import pytest
 from repro.errors import ExecutionError
 from repro.core.eddy import Eddy
 from repro.core.policies import NaivePolicy
-from repro.core.tuples import EOTTuple
 from repro.engine.static_engine import run_static
 from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine
@@ -52,7 +49,7 @@ def result_identity(result):
 
 
 class TestSignatureCache:
-    def test_hit_miss_and_invalidate(self):
+    def test_hit_and_miss(self):
         engine = three_way_engine(policy="naive")
         checker = engine.eddy_of("q0").resolver
         row = next(iter(engine.catalog.table("R")))
@@ -62,12 +59,7 @@ class TestSignatureCache:
         first = checker.destinations_for_signature(signature, tuple_)
         second = checker.destinations_for_signature(signature, tuple_)
         assert first == second == checker.destinations(tuple_)
-        assert checker.cache_stats == {"hits": 1, "misses": 1, "invalidations": 0}
-
-        checker.notice_liveness_change()
-        assert checker.cache_stats["invalidations"] == 1
-        checker.destinations_for_signature(signature, tuple_)
-        assert checker.cache_stats["misses"] == 2
+        assert checker.cache_stats == {"hits": 1, "misses": 1}
 
     def test_cached_list_is_a_private_copy(self):
         engine = three_way_engine(policy="naive")
@@ -90,33 +82,10 @@ class TestSignatureCache:
         visited.record_visit("stem:S")
         assert fresh.routing_signature() != visited.routing_signature()
 
-    def test_scan_finish_invalidates_cache(self):
-        engine = three_way_engine(policy="naive")
-        eddy = engine.eddy_of("q0")
-        checker = eddy.resolver
-        before = checker.cache_stats["invalidations"]
-        changes = eddy.stats["liveness_changes"]
-        scan_am = eddy.scan_ams["R"][0]
-        scan_am._deliver_eot()
-        assert eddy.stats["liveness_changes"] == changes + 1
-        assert checker.cache_stats["invalidations"] == before + 1
-
-    def test_stem_seal_invalidates_cache(self):
-        engine = three_way_engine(policy="naive")
-        checker = engine.eddy_of("q0").resolver
-        before = checker.cache_stats["invalidations"]
-        stem_module = engine.eddy_of("q0").stems["R"]
-        stem_module.process(EOTTuple(table="R", alias="R", am_name="am:scan:R"))
-        assert checker.cache_stats["invalidations"] == before + 1
-        assert stem_module.scan_complete
-
-    def test_full_run_hits_cache_and_sees_all_liveness_events(self):
+    def test_full_run_hits_cache(self):
         result = three_way_engine(policy="naive", batch_size=8).run()["q0"]
         cache = result.module_stats["destination-cache"]
         assert cache["hits"] > 0 and cache["misses"] > 0
-        # Three scans finish and three SteMs seal over the run.
-        assert cache["invalidations"] >= 6
-        assert result.eddy_stats["liveness_changes"] >= 6
 
 
 class TestBatchedRouting:

@@ -110,28 +110,28 @@ class TestTupleState:
 
     def test_visits(self):
         tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
-        assert tuple_.visit_count("stem:S") == 0
-        assert tuple_.record_visit("stem:S") == 1
-        assert tuple_.record_visit("stem:S") == 2
-        assert tuple_.visit_count("stem:S") == 2
-        # The packed token is the only record; ``visits`` decodes it.
-        assert tuple_.record_visit("am:T_idx") == 1
-        assert tuple_.visits == {"stem:S": 2, "am:T_idx": 1}
-        assert tuple_.visit_count("never-routed-to") == 0
+        assert not tuple_.visited("stem:S")
+        tuple_.record_visit("stem:S")
+        assert tuple_.visited("stem:S")
+        # The token is the only record; ``visits`` decodes it.
+        tuple_.record_visit("am:T_idx")
+        assert tuple_.visits == {"stem:S", "am:T_idx"}
+        assert not tuple_.visited("never-routed-to")
 
-    def test_visit_counts_beyond_the_token_byte_are_rejected(self):
-        # The packed visits_token gives each module one byte; a silent carry
-        # into a neighbouring module's byte would collide routing signatures.
-        from repro.core.tuples import _MAX_VISITS_PER_MODULE
-
-        tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
-        tuple_.record_visit("stem:T")
-        for _ in range(_MAX_VISITS_PER_MODULE):
-            tuple_.record_visit("stem:S")
-        with pytest.raises(ExecutionError):
-            tuple_.record_visit("stem:S")
-        # Checked before the increment: nothing carried into another byte.
-        assert tuple_.visits == {"stem:T": 1, "stem:S": _MAX_VISITS_PER_MODULE}
+    def test_visit_bits_live_on_the_layout(self):
+        # A module's bit is the layout's, assigned on first use: a second
+        # visit sets nothing new, and the same routing over two layouts of
+        # one query gives equal tokens whatever else the process routed.
+        first = singleton_tuple("R", r_row(), layout=layout_over("R", "S", "T"))
+        first.record_visit("stem:S")
+        token = first.visits_token
+        first.record_visit("stem:S")
+        assert first.visits_token == token == first.layout.module_bits["stem:S"]
+        other = singleton_tuple("R", r_row(), layout=layout_over("R", "S", "T"))
+        other.record_visit("am:elsewhere")
+        second = singleton_tuple("R", r_row(), layout=layout_over("R", "S", "T"))
+        second.record_visit("stem:S")
+        assert second.visits_token == token
 
     def test_mark_built_updates_timestamp(self):
         tuple_ = singleton_tuple("R", r_row(), layout=LAYOUT)
@@ -172,7 +172,7 @@ class TestExtension:
         base.record_visit("stem:S")
         extended = base.extended("S", s_row(), 1.0)
         assert extended.priority == 2.5
-        assert extended.visit_count("stem:S") == 0
+        assert not extended.visited("stem:S") and extended.visits_token == 0
 
 
 class TestExtensionMatchesConstructor:
@@ -265,7 +265,7 @@ class TestExtensionMatchesConstructor:
                 if slot != "tuple_id":
                     assert getattr(result, slot) == getattr(reference, slot), slot
             assert result.layout is parent.layout
-            assert result.visits == {} and result.visit_count("stem:T") == 0
+            assert not result.visits and not result.visited("stem:T")
             assert list(result.components) == list(reference.components)
         # One signature object per template, shared by the siblings until a
         # mutation clears it — on the mutated sibling alone.

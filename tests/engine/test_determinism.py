@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.tuples import QTuple
 from repro.engine.api import execute
 from repro.engine.multi import QueryAdmission, run_multi
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_t
+from tests.conftest import single_query_engine
 
 SQL = "SELECT * FROM R, T WHERE R.key = T.key AND R.a < 6"
 
@@ -90,3 +92,34 @@ class TestMultiQueryDeterminism:
             assert [t.tuple_id for t in first[query_id].tuples] == [
                 t.tuple_id for t in second[query_id].tuples
             ]
+
+
+class TestVisitTokens:
+    def test_two_engines_give_equal_tokens_for_the_same_routing(self):
+        # Visit bits belong to each query's layout, assigned in the order
+        # its tuples first reach a module; no name table is shared across
+        # engines.  The second engine's SteMs and index AM carry other names
+        # (aliases x, y), so a process-wide table would give them other bits.
+        def routed_tokens(sql):
+            engine = single_query_engine(sql, build_catalog(), policy="naive")
+            eddy = engine.eddy_of("q0")
+            tokens, names, deliver = [], [], eddy._deliver
+
+            def recording(module, item):
+                if isinstance(item, QTuple):
+                    tokens.append(item.visits_token)
+                    names.append(module.name)
+                deliver(module, item)
+
+            eddy._deliver = recording
+            engine.run()
+            return tokens, names
+
+        tokens, names = routed_tokens(SQL)
+        renamed_tokens, renamed_names = routed_tokens(
+            "SELECT * FROM R AS x, T AS y WHERE x.key = y.key AND x.a < 6"
+        )
+        rename = {"stem:R": "stem:x", "stem:T": "stem:y", "am:T_idx_key:T": "am:T_idx_key:y"}
+        assert [rename.get(name, name) for name in names] == renamed_names  # same routing
+        assert len(set(tokens)) > 2
+        assert renamed_tokens == tokens

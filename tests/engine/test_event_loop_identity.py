@@ -159,32 +159,32 @@ AGGREGATE_SQL = (
 
 #: case id -> digest of one ``execute(engine="stems")`` run.
 SINGLE_GOLDEN: dict[str, str] = {
-    'q1-naive-1': 'b0330c6ce2cc0fd517507fb3b07c60bdcb95970850657053e717e6d09edd7ec1',
-    'q1-lottery-8': '7070c90976e824f7fb9ce160b9a75db27cc27ea5d419b34be2fea0df8ea49dca',
-    'q1-benefit-1': 'b0330c6ce2cc0fd517507fb3b07c60bdcb95970850657053e717e6d09edd7ec1',
-    'q4-naive-1': '1683138321722d350b81df2f422f5bdb57084cd8da0754432a7e8600d92fcb6b',
-    'q4-lottery-8': '8a1dc28ce71237db60d3ec946602db6a6b3b4bcbbc6e18716a6512d3fd73a10d',
-    'q4-benefit-1': '00fff8a06e40ab7f65b99c48b82117b1a154817afee70f67707d0428829dcf32',
-    'competitive-naive-1': 'fcea0a82dad8dd86d8d22cb6b0df18b97133ec644fcc08bad251c08be2cddcb6',
-    'competitive-lottery-8': '93f7cbe58df89dccdca8ade7134a26a590082cfef2e3eb78ba4e8941138e7b02',
-    'competitive-benefit-1': 'fcea0a82dad8dd86d8d22cb6b0df18b97133ec644fcc08bad251c08be2cddcb6',
-    'cyclic-naive-1': '4c688c65144acf5d2c276714db6c216f195575c7848fd74e371fdea062ac920f',
-    'cyclic-lottery-8': 'd3f22b301a57034e922f25e3fa9584f23dec25f6f624eb4a2da7943750cdf8af',
-    'cyclic-benefit-1': 'e0c82a04c8fba2321687c5ac6583d03b00bbbcbf647dae7bd6b6a3c565bc76cf',
-    'prioritized-naive-1': 'f0d3ed3aefb1d56e03be426e9ea70f942b2b7f13ae51d2c8eb2b8702895bb9b3',
-    'prioritized-lottery-8': 'b707297d9f619f2bc2352689411a8121a5febfaa1f4636fab19988f5d0649398',
-    'prioritized-benefit-1': '8fbebc712fffbb89336357ebf57976b1553f0df7703511b7704b601dfa03d817',
-    'skewed-naive-1': 'f2fa0db660ab6875f07c1e7f95b38c1bc314c8210085c95279a496cc0eda7426',
-    'skewed-lottery-8': 'e1e6b6207bf6fefcc5e59d746a5b75f8814dbc86285b865fb127e00f851f8a7d',
-    'skewed-benefit-1': 'c3ace44c295988797783a70f58ba6f79cd94c336f4bb66c93c35c80568e98bb7',
-    'phase_shift-naive-1': '54a3c95bb47f16614b5b07b81902f043a9d3af03f91bb1395ced78373da4527b',
-    'phase_shift-lottery-8': '4e40114e3105e478d7807992d9e037cd1096abf8205b51eb7cfb3721f801e048',
-    'phase_shift-benefit-1': 'e380140601d6bdbb1acb1bdd7a979d62b788c97187c4b10b18832304c601c264',
-    'bursty-naive-1': 'cdcbfa5f80049b63c9a8ff01922920e6ac0fa2a42714a8df6b00c9ce48f93c11',
-    'bursty-lottery-8': '443d704026d5e48ba0dff94e39b018fad5060eb8d487f278d5f0505a6e7fc306',
-    'bursty-benefit-1': '9eabe86c41970a7603588c8053e77991b37f0613223e2e8c1396a9b9ead5fd7f',
-    'group-by': '4140358c8c2dd7d92bb3dc879fd192674a6a6d20bffa63f3c2f076efeab9d7b3',
-    'q4-bounded': '71f20237a13be4b010c14c02ede1d3d9b62df6633be68e564ccdfbbf8f58d1db',
+    'q1-naive-1': '81d4adbdc4db642095854fc75f476dc390f6f75c8ed496e606df3b7abe6bb527',
+    'q1-lottery-8': 'd2fafac41acf27cad90b7c57e5fa13c12de09af0b03a8a58304fb32599cde44f',
+    'q1-benefit-1': '81d4adbdc4db642095854fc75f476dc390f6f75c8ed496e606df3b7abe6bb527',
+    'q4-naive-1': 'c1f38ca4cc8dfefbb92b4d2886a34d82d51770e8793c018029d39eb2ad1a7279',
+    'q4-lottery-8': '6d900d806281d69fbf329eeb720b270685f14d8321c62f6b04511031ad80ee29',
+    'q4-benefit-1': 'a9a95ff3d423c229b196ed9f342d631d7df667b85c329dc8a5073e559d7d6b4a',
+    'competitive-naive-1': 'f01b0725f3c951bbe31210d16fa9e0197527f938537f1bc10eb93cb540be2b39',
+    'competitive-lottery-8': '5aa6e0eed82848b9e3520e1b0adce9bf31a2f9f58e816b4938e13d8d9f2f3b71',
+    'competitive-benefit-1': 'f01b0725f3c951bbe31210d16fa9e0197527f938537f1bc10eb93cb540be2b39',
+    'cyclic-naive-1': '41cb93d386add0dcafa3d53d7d31a9ebf8f6eaf4006b80ebec0c561c5c9d2eb6',
+    'cyclic-lottery-8': 'b0e9b64ca4ee58b00572e48962878c96e7d0fd20574bce53ffdc6a04f52bfd65',
+    'cyclic-benefit-1': '06a80dbc0df081d79c01dbeebe4e33be4c3efc53e37bfda2a6ac9ceae4329583',
+    'prioritized-naive-1': '557b910e8f851da716bdd129b89eeb97b9916f7b5a62fad2ff87cdbdda6873f0',
+    'prioritized-lottery-8': '624455579e93ea8568137b790f8d7635e9d4ca0db76402a4f7f0a6022bf16510',
+    'prioritized-benefit-1': 'a93cee0257f3a644bcfdd95ea6b38e58d9c5a33b860a09fc9183e45be412e124',
+    'skewed-naive-1': 'e8a9746246c989e95d6ce27a5f2cb023f545aa3de0fa4a19990372675a41c4e8',
+    'skewed-lottery-8': '53e7d253fb124454471afbd0a33ecc16f8c82977c38b17429ac2b822bcce75b7',
+    'skewed-benefit-1': '47e24edfa8a1fb711cb3b3929256bbf2dac66e0b4375155323295b61bad655b0',
+    'phase_shift-naive-1': '0968b6c32e78cc005a1525a97e4bbcd962379e8bed1bd90bae275017cafe2157',
+    'phase_shift-lottery-8': '6101bd13693a6aa621df1472ba32fee3dc1b5c115871df4744c69c749a84a3a5',
+    'phase_shift-benefit-1': '154cf806b4aa11a5da234c260dea01e57fb3265faea427a14b4d0506d26411b2',
+    'bursty-naive-1': '88942246955d01afdcaed012f13c1a9e0f5a1160ebe97411eee098ee6f4f39ef',
+    'bursty-lottery-8': 'd6b84cf2ab66b6f0a94eeb8e377698922940d0009741b5e9e69aaec41d1efc8a',
+    'bursty-benefit-1': '4f59f5f1fb6b7fd68304879b0c072e5a2ae4b0b5d7042da848ef758ece0d7ab6',
+    'group-by': '5694a01535b76c8e8b67ace3e8e23cb6d6122d4345bae1ba0dff3ec6fa9c9201',
+    'q4-bounded': '3810b4df6d31801a07b9eca7f525d52c54eaa3b0395e2b73182287a7d8e78b9d',
 }
 
 

@@ -22,7 +22,6 @@ from repro.engine.config import EngineConfig
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
-from tests.helpers import FakeRuntime, layout_over
 
 JOIN_SQL = "SELECT * FROM R, T WHERE R.key = T.key"
 
@@ -138,17 +137,6 @@ class TestSharedExecution:
         assert late.output_series.points[0][0] >= arrival
         assert identity(late) == identity(multi["q0"])
 
-    def test_seal_broadcast_reaches_every_query(self):
-        catalog = build_catalog(rows=30)
-        engine = MultiQueryEngine(
-            fleet([7, None], stagger=0.5), catalog, shared_stems=True
-        )
-        multi = engine.run()
-        assert engine.registry.stats["broadcasts"] >= 2  # R and T seals
-        for _, result in multi.items():
-            # Each eddy saw its own scan/seal events plus the broadcasts.
-            assert result.eddy_stats["liveness_changes"] >= 2
-
     def test_mixed_table_sets_share_per_table(self):
         catalog = build_catalog(rows=30)
         catalog.add_table(make_source_s(10))
@@ -225,8 +213,8 @@ class TestSharedExecution:
 class TestSteMRegistry:
     def test_get_or_create_and_alias_merge(self):
         registry = SteMRegistry()
-        first = registry.stem_for("R", "r1", ("key",))
-        again = registry.stem_for("R", "r2", ("a",))
+        first = registry.stem_for("R", "r1", ("key",), owner="q0")
+        again = registry.stem_for("R", "r2", ("a",), owner="q1")
         assert first is again
         assert set(first.aliases) == {"r1", "r2"}
         assert set(first.join_columns) == {"key", "a"}
@@ -234,28 +222,29 @@ class TestSteMRegistry:
         assert registry.stats["attachments"] == 2
         assert "R" in registry and len(registry) == 1
 
+    def test_every_acquisition_names_its_owner(self):
+        # No anonymous acquisition pins a SteM: releasing the one owner
+        # reclaims it.
+        registry = SteMRegistry()
+        with pytest.raises(TypeError):
+            registry.stem_for("R", "R", ("key",))
+        registry.stem_for("R", "R", ("key",), owner="q0")
+        assert registry.release("q0") == ["R"]
+        assert len(registry) == 0 and registry.stats["reclaimed"] == 1
+
     def test_join_column_backfill_indexes_existing_rows(self):
         registry = SteMRegistry()
         table = make_source_r(10, 5, seed=1)
-        stem = registry.stem_for("R", "R", ("key",))
+        stem = registry.stem_for("R", "R", ("key",), owner="q0")
         for position, row in enumerate(table.rows):
             stem.build(row, float(position + 1))
-        stem2 = registry.stem_for("R", "R2", ("a",))
+        stem2 = registry.stem_for("R", "R2", ("a",), owner="q1")
         # The new index was backfilled: an a-bound probe uses it and finds
         # the pre-existing rows.
         wanted = table.rows[0]["a"]
         matches = stem2._indexes["a"].get(wanted, {})
         assert matches and all(row["a"] == wanted for row in matches)
         assert all(matches[row] == stem2.timestamp_of(row) for row in matches)
-
-    def test_broadcast_reaches_every_attached_runtime(self):
-        registry = SteMRegistry()
-        runtimes = [FakeRuntime(layout_over("R")), FakeRuntime(layout_over("R"))]
-        for runtime in runtimes:
-            registry.attach_runtime(runtime)
-        registry.broadcast_liveness_change()
-        assert [runtime.liveness_changes for runtime in runtimes] == [1, 1]
-        assert registry.stats["broadcasts"] == 1
 
 
 class TestEngineOptions:

@@ -67,8 +67,8 @@ class FakeRuntime:
 
     What the module hands back is recorded instead of routed: deliveries in
     ``delivered``, quarantined tuples as ``(tuple, module, error)`` in
-    ``trapped``, absorbed tuples in ``absorbed`` and liveness changes in
-    ``liveness_changes``.  ``has_scan_am`` is true for ``scan_aliases``.
+    ``trapped`` and absorbed tuples in ``absorbed``.  ``has_scan_am`` is
+    true for ``scan_aliases``.
     """
 
     def __init__(self, layout: PlanLayout, scan_aliases: Sequence[str] = ()):
@@ -79,7 +79,6 @@ class FakeRuntime:
         self.delivered: list = []
         self.trapped: list = []
         self.absorbed: list = []
-        self.liveness_changes = 0
         self._timestamps = itertools.count(1)
 
     @property
@@ -112,9 +111,6 @@ class FakeRuntime:
 
     def notify_idle(self, module) -> None:
         pass
-
-    def notice_liveness_change(self) -> None:
-        self.liveness_changes += 1
 
     def note_absorbed(self, tuple_) -> None:
         self.absorbed.append(tuple_)

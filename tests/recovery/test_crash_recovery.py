@@ -251,6 +251,28 @@ class TestResumeMode:
             # Coverage (scan seals + per-key EOTs) carried over byte-for-byte.
             assert restored_stem.coverage_state() == coverage[table]
 
+    def test_last_retirement_reclaims_the_restored_stems(self, tmp_path):
+        # The restore holds the recovered tables only until the queries it
+        # re-admits hold them: retiring the last query then reclaims every
+        # SteM, as it does in the run the cut came from.
+        workload = staggered_fleet_workload(n_queries=1, rows=60, seed=3)
+        checkpointed, engine = (
+            MultiQueryEngine(list(workload.admissions), workload.catalog, continuous=True)
+            for _ in range(2)
+        )
+        manager = CheckpointManager.attach(checkpointed, str(tmp_path / "ckpt"))
+        checkpointed.run(until=2.0)
+        manager.close()
+        engine.run(until=2.0)
+        restored = restore_engine(recover_state(str(tmp_path / "ckpt")), workload.catalog)
+        assert sorted(restored.registry.stems) == sorted(engine.registry.stems) == ["R", "T"]
+        assert restored.registry.owners == engine.registry.owners == ("q0",)
+        for run in (engine, restored):
+            run.retire("q0")
+        assert len(restored.registry) == len(engine.registry) == 0
+        assert restored.registry.stats["reclaimed"] == engine.registry.stats["reclaimed"] == 2
+        assert restored.registry.owners == engine.registry.owners == ()
+
     def test_resume_skips_retired_queries(self, tmp_path):
         workload = churn_workload(
             duration=20.0, arrival_rate=0.4, rows=60, seed=7

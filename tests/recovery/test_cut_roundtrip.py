@@ -152,6 +152,30 @@ class TestItemCodec:
         restored = decode_item(wire, LAYOUT, lambda table: SCHEMA, MODULES)
         assert slot in differing_slots(item, restored)
 
+    def test_visits_survive_a_layout_that_numbers_modules_otherwise(self):
+        # A restored query gets a fresh layout, whose visit bits follow the
+        # order its own tuples first reach each module: the names carry the
+        # visits across, and the sorted list re-encodes to the same wire.
+        original, fresh = PlanLayout(LAYOUT.query), PlanLayout(LAYOUT.query)
+        item = QTuple({"R": Row("r_table", SCHEMA, (1, 2), rid=0)}, layout=original)
+        item.record_visit("stem:T")
+        item.record_visit("stem:R")
+        QTuple({"R": Row("r_table", SCHEMA, (3, 4), rid=1)}, layout=fresh).record_visit("stem:S")
+        wire = json.loads(json.dumps(encode_item(item)))
+        assert wire["visits"] == ["stem:R", "stem:T"]
+        restored = decode_item(wire, fresh, lambda table: SCHEMA, MODULES)
+        assert restored.visits == item.visits
+        assert restored.visits_token != item.visits_token
+        assert json.loads(json.dumps(encode_item(restored))) == wire
+
+    def test_a_visit_count_dict_still_decodes(self):
+        # Older cuts wrote visits as ``{module: count}``; its keys are the
+        # names, so it decodes to the same visits.
+        item = QTuple({"R": Row("r_table", SCHEMA, (1, 2), rid=0)}, layout=LAYOUT)
+        wire = dict(encode_item(item), visits={"stem:S": 1, "am:idx:S": 1})
+        restored = decode_item(wire, LAYOUT, lambda table: SCHEMA, MODULES)
+        assert restored.visits == {"stem:S", "am:idx:S"}
+
     @pytest.mark.parametrize(
         "field, value",
         [
