@@ -11,7 +11,9 @@ construction and recovery included).  Per workload it reports the
 simulator events (every engine incarnation), calls into ``src/repro`` per
 event, result rows and the result digest of ``benchmarks/e2e/verify.py``.
 Beside them: the lines of ``src/``, the lines of ``src/`` that name an
-engine option, the lines of ``tests/`` and ``benchmarks/``, the size of the definitions ratchet's ``ALLOWED`` list, and
+engine option, the lines of ``tests/`` and ``benchmarks/``, the test cases
+``pytest --collect-only`` finds there, the size of the definitions
+ratchet's ``ALLOWED`` list, and
 the checkout's commit and the Python version.  Nothing in the line is a
 clock reading, so two lines compare across hosts; ``--append`` adds the
 line to a file (``BENCH_counts.jsonl`` at the repository root keeps one per
@@ -21,6 +23,7 @@ change).
 import argparse
 import ast
 import json
+import os
 import platform
 import re
 import subprocess
@@ -50,6 +53,18 @@ def test_lines(root: Path) -> int:
         for directory in ("tests", "benchmarks")
         for path in sorted((root / directory).rglob("*.py"))
     )
+
+
+def collected_cases(root: Path) -> int:
+    """Test cases ``pytest --collect-only -q`` collects in ``tests/`` and
+    ``benchmarks/``."""
+    listing = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests", "benchmarks"],
+        cwd=root, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    ).stdout
+    return sum(1 for line in listing.splitlines() if "::" in line)
 
 
 def allowed_size(root: Path) -> int:
@@ -121,6 +136,7 @@ def main():
         "src_lines": src_lines,
         "option_lines": option_lines,
         "test_lines": test_lines(root),
+        "test_cases": collected_cases(root),
         "allowed": allowed_size(root),
         "workloads": counted,
     }, sort_keys=True)

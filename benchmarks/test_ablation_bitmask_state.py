@@ -79,10 +79,7 @@ class _LegacyTupleState:
 
 def _run_fleet(batch_size: int):
     workload = staggered_fleet_workload(**FLEET_PARAMS)
-    return run_multi(
-        list(workload.admissions), workload.catalog, shared_stems=True,
-        batch_size=batch_size,
-    )
+    return run_multi(list(workload.admissions), workload.catalog, batch_size=batch_size)
 
 
 def _result_identity(result):
@@ -93,20 +90,30 @@ def _result_identity(result):
 
 
 def _sample_states(limit: int = 256) -> list[QTuple]:
-    """Dataflow tuples in end-of-run TupleState, across all fleet queries.
+    """Routed dataflow tuples in end-of-run TupleState, across all fleet
+    queries.
 
-    The engines keep a ``Result`` per output, without TupleState, so the
-    emitted ``QTuple``s are taken as each eddy's ``on_emit`` sees them.
+    Every tuple a module hands back to an eddy passes through the eddy's
+    ``to_eddy_all``; a recording wrapper there keeps each distinct QTuple
+    once (EOTs are not routed by signature).  Emitted tuples alone would
+    sample only output states, whose visits and resolved sets are empty.
     """
     workload = staggered_fleet_workload(**FLEET_PARAMS)
-    engine = MultiQueryEngine(
-        list(workload.admissions), workload.catalog, shared_stems=True, batch_size=16
-    )
-    pool: list[QTuple] = []
+    engine = MultiQueryEngine(list(workload.admissions), workload.catalog, batch_size=16)
+    seen: dict[int, QTuple] = {}
     for query_id in engine.admitted:
-        engine.eddy_of(query_id).on_emit = pool.append
+        eddy = engine.eddy_of(query_id)
+
+        def recording(items, source=None, deliver=eddy.to_eddy_all):
+            for item in items:
+                if isinstance(item, QTuple):
+                    seen.setdefault(id(item), item)
+            deliver(items, source)
+
+        eddy.to_eddy_all = recording
     engine.run()
-    assert pool, "the fleet produced no results to sample states from"
+    pool = list(seen.values())
+    assert pool, "the fleet routed no tuples to sample states from"
     return pool[:limit]
 
 

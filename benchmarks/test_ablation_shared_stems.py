@@ -10,15 +10,15 @@ Claims checked here:
 
 * **Per-query correctness is untouched.**  With 8 staggered queries over
   shared SteMs, every query's result set is byte-identical to the same
-  query run alone on a private engine, and to the private-SteM multi-query
-  configuration.
-* **Sharing saves build work.**  The shared configuration performs one
-  table's worth of SteM insertions regardless of how many queries read the
-  table; the private configuration pays per query.  The SteM build counters
-  assert this directly.
+  query run alone (``execute``), and to the same admission run alone in a
+  one-admission engine of its own, arrival time kept.
+* **Sharing saves build work.**  The fleet performs one table's worth of
+  SteM insertions regardless of how many queries read the table; the
+  queries run alone pay per query.  The SteM build counters assert this
+  directly.
 * **Sharing saves probe work downstream.**  Queries arriving after a shared
   SteM seals answer their probes entirely from shared state: they issue
-  (strictly) fewer index-AM lookups than under private SteMs.
+  (strictly) fewer index-AM lookups than when each runs alone.
 """
 
 from __future__ import annotations
@@ -37,17 +37,28 @@ def result_identity(result):
     return result.canonical_identities()
 
 
+def run_alone(workload) -> dict:
+    """Each admission in a one-admission engine of its own, by query id."""
+    return {
+        admission.query_id: run_multi([admission], workload.catalog)
+        for admission in workload.admissions
+    }
+
+
+def alone_total(runs: dict, counter: str) -> int:
+    return sum(run.stem_totals[counter] for run in runs.values())
+
+
 def test_shared_stems_byte_identical_with_fewer_builds(benchmark):
-    """8 staggered queries: shared == private == alone, at ~1/8 the inserts."""
+    """8 staggered queries: shared == alone, at ~1/8 the inserts."""
     workload = staggered_fleet_workload(**FLEET_PARAMS)
     shared = benchmark.pedantic(
         run_multi,
         args=(workload.admissions, workload.catalog),
-        kwargs=dict(shared_stems=True),
         rounds=1,
         iterations=1,
     )
-    private = run_multi(workload.admissions, workload.catalog, shared_stems=False)
+    alone_runs = run_alone(workload)
 
     assert len(shared.results) == FLEET_PARAMS["n_queries"]
     for admission in workload.admissions:
@@ -56,7 +67,7 @@ def test_shared_stems_byte_identical_with_fewer_builds(benchmark):
         )
         identity = result_identity(alone)
         assert result_identity(shared[admission.query_id]) == identity
-        assert result_identity(private[admission.query_id]) == identity
+        assert result_identity(alone_runs[admission.query_id][admission.query_id]) == identity
         # Outputs are stamped with the query they belong to.
         assert all(
             tuple_.query_id == admission.query_id
@@ -65,18 +76,17 @@ def test_shared_stems_byte_identical_with_fewer_builds(benchmark):
 
     # The sharing win, on the SteMs' own counters: strictly fewer build
     # operations that actually insert rows (and maintain indexes).
-    assert shared.stem_totals["insertions"] < private.stem_totals["insertions"]
+    alone_insertions = alone_total(alone_runs, "insertions")
+    assert shared.stem_totals["insertions"] < alone_insertions
     # One table's worth per table, however many queries read it: R and T
     # rows are inserted once each.
     assert shared.stem_totals["insertions"] == 2 * FLEET_PARAMS["rows"]
-    assert private.stem_totals["insertions"] == (
-        2 * FLEET_PARAMS["rows"] * FLEET_PARAMS["n_queries"]
-    )
+    assert alone_insertions == 2 * FLEET_PARAMS["rows"] * FLEET_PARAMS["n_queries"]
     # Cross-query duplicates were absorbed, not re-inserted.
-    assert shared.stem_totals["duplicates"] > private.stem_totals["duplicates"]
+    assert shared.stem_totals["duplicates"] > alone_total(alone_runs, "duplicates")
 
     benchmark.extra_info["shared_insertions"] = shared.stem_totals["insertions"]
-    benchmark.extra_info["private_insertions"] = private.stem_totals["insertions"]
+    benchmark.extra_info["alone_insertions"] = alone_insertions
     benchmark.extra_info["duplicates_absorbed"] = shared.stem_totals["duplicates"]
 
 
@@ -86,27 +96,25 @@ def test_shared_stems_cut_index_lookups_for_late_arrivals(benchmark):
     shared = benchmark.pedantic(
         run_multi,
         args=(workload.admissions, workload.catalog),
-        kwargs=dict(shared_stems=True),
         rounds=1,
         iterations=1,
     )
-    private = run_multi(workload.admissions, workload.catalog, shared_stems=False)
+    alone_runs = run_alone(workload)
 
-    def lookups(result):
-        return sum(
-            res.total_index_lookups() for res in result.results.values()
-        )
+    def lookups(results):
+        return sum(result.total_index_lookups() for result in results)
 
-    shared_lookups, private_lookups = lookups(shared), lookups(private)
-    assert shared_lookups < private_lookups
+    shared_lookups = lookups(shared.results.values())
+    alone_lookups = lookups(run[query_id] for query_id, run in alone_runs.items())
+    assert shared_lookups < alone_lookups
     # The last admission arrives long after both scans completed once: its
     # probes are answered entirely from the sealed shared SteMs.
     last = workload.admissions[-1].query_id
     assert shared[last].total_index_lookups() == 0
-    assert shared[last].row_count == private[last].row_count
+    assert shared[last].row_count == alone_runs[last][last].row_count
 
     benchmark.extra_info["shared_lookups"] = shared_lookups
-    benchmark.extra_info["private_lookups"] = private_lookups
+    benchmark.extra_info["alone_lookups"] = alone_lookups
 
 
 def test_mixed_table_sets_share_per_table(benchmark):
@@ -115,21 +123,21 @@ def test_mixed_table_sets_share_per_table(benchmark):
     shared = benchmark.pedantic(
         run_multi,
         args=(workload.admissions, workload.catalog),
-        kwargs=dict(shared_stems=True),
         rounds=1,
         iterations=1,
     )
-    private = run_multi(workload.admissions, workload.catalog, shared_stems=False)
+    alone_runs = run_alone(workload)
     for admission in workload.admissions:
         alone = execute(
             admission.query, workload.catalog, policy=workload.parameters["policy"]
         )
         assert result_identity(shared[admission.query_id]) == result_identity(alone)
-        assert result_identity(private[admission.query_id]) == result_identity(alone)
+        assert result_identity(alone_runs[admission.query_id][admission.query_id]) == result_identity(alone)
     # R is read by all three queries, S and T by two each: sharing keeps one
-    # SteM per table (3 total), the private run builds one per reference (7).
+    # SteM per table (3 total), the runs alone build one per reference (7).
     assert set(shared.stem_stats) == {"stem:R", "stem:S", "stem:T"}
-    assert len(private.stem_stats) == 7
-    assert shared.stem_totals["insertions"] < private.stem_totals["insertions"]
+    alone_stems = sum(len(run.stem_stats) for run in alone_runs.values())
+    assert alone_stems == 7
+    assert shared.stem_totals["insertions"] < alone_total(alone_runs, "insertions")
     benchmark.extra_info["shared_stems"] = len(shared.stem_stats)
-    benchmark.extra_info["private_stems"] = len(private.stem_stats)
+    benchmark.extra_info["alone_stems"] = alone_stems

@@ -286,7 +286,7 @@ def run_prioritized(
         workload.query, policy=BenefitPolicy(), preferences=workload.preferences
     )
     report.results["prioritized"] = (
-        MultiQueryEngine([admission], workload.catalog, shared_stems=False).run()["q0"]
+        MultiQueryEngine([admission], workload.catalog).run()["q0"]
     )
     threshold = workload.parameters["priority_threshold"]
     for name, result in report.results.items():

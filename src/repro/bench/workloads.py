@@ -649,7 +649,7 @@ def heterogeneous_shapes_workload(
 
     The chain and the cycle read the same three tables (A, B, C), so their
     SteMs are shared; the self-join reads one table under two aliases (one
-    private SteM per alias); the star joins through a single hub.  A shape
+    registry SteM of its own per alias); the star joins through a single hub.  A shape
     mix none of the homogeneous fleets exercise.
     """
     catalog = Catalog()

@@ -47,6 +47,7 @@ from repro.bench.report import comparison_summary
 from repro.bench.workloads import churn_workload, staggered_fleet_workload
 from repro.engine.api import execute
 from repro.engine.multi import run_churn, run_multi
+from repro.engine.results import MultiQueryResult
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 
@@ -157,7 +158,6 @@ def _run_churn(args: argparse.Namespace) -> None:
     result = run_churn(
         workload.events,
         workload.catalog,
-        shared_stems=not args.private_stems,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         **_engine_options(args),
@@ -183,25 +183,26 @@ def _run_multi(args: argparse.Namespace) -> None:
     result = run_multi(
         workload.admissions,
         workload.catalog,
-        shared_stems=not args.private_stems,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         **options,
     )
     print(result.summary())
     _print_evictions(args, result)
-    if not args.private_stems and not args.no_baseline:
-        # Show the sharing win against the private-SteM baseline.
-        baseline = run_multi(
-            workload.admissions, workload.catalog, shared_stems=False, **options
-        )
+    if not args.no_baseline:
+        # Show the sharing win against each query run alone in its own
+        # one-admission engine.
+        alone = {
+            admission.query_id: run_multi([admission], workload.catalog, **options)
+            for admission in workload.admissions
+        }
+        baseline = MultiQueryResult({query_id: run[query_id] for query_id, run in alone.items()})
         shared_inserts = result.stem_totals["insertions"]
-        private_inserts = baseline.stem_totals["insertions"]
+        alone_inserts = sum(run.stem_totals["insertions"] for run in alone.values())
         print(
-            f"Shared vs private SteMs: {shared_inserts} vs {private_inserts} "
-            f"insertions ({private_inserts / max(shared_inserts, 1):.1f}x saved), "
-            f"results identical: "
-            f"{result.same_results(baseline)}"
+            f"Shared SteMs vs each query alone: {shared_inserts} vs {alone_inserts} "
+            f"insertions ({alone_inserts / max(shared_inserts, 1):.1f}x saved), "
+            f"results identical: {result.same_results(baseline)}"
         )
 
 
@@ -217,7 +218,7 @@ def _run_recover(args: argparse.Namespace) -> None:
           f"(torn snapshots skipped: {state.torn_snapshots})")
     print(f"  cut at virtual time: {state.cut_time:g} "
           f"(next build timestamp {state.next_timestamp})")
-    print(f"  shared SteMs: {len(state.tables)} holding {stored_rows} rows")
+    print(f"  SteMs: {len(state.tables)} holding {stored_rows} rows")
     print(f"  admissions logged: {len(state.admissions)} "
           f"({len(state.queries)} started by the cut, {len(state.retired)} retired)")
     print(f"  in-flight items in the cut: {in_flight} "
@@ -355,12 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run N staggered queries concurrently over shared SteMs (§2.1.4)",
     )
     _add_workload_args(multi_parser)
-    multi_parser.add_argument("--private-stems", action="store_true",
-                              help="give every query private SteMs (the ablation "
-                                   "baseline) instead of sharing per table")
     multi_parser.add_argument("--no-baseline", action="store_true",
-                              help="skip the private-SteM comparison run (which "
-                                   "otherwise doubles the simulation work)")
+                              help="skip running each query alone for comparison "
+                                   "(which otherwise doubles the simulation work)")
     multi_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                               help="make the run durable: write-ahead log every "
                                    "state change (and snapshot periodically) "

@@ -9,7 +9,6 @@ from repro.core.modules import (
     Module,
     ScanAMModule,
     SelectionModule,
-    SharedSteMModule,
     SteMModule,
     SymmetricHashJoinModule,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "RoutingPolicy",
     "ScanAMModule",
     "SelectionModule",
-    "SharedSteMModule",
     "SteM",
     "SteMModule",
     "SteMRegistry",

@@ -4,7 +4,7 @@ from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.modules.base import EddyRuntime, Module, Routable
 from repro.core.modules.joinmodule import IndexJoinModule, SymmetricHashJoinModule
 from repro.core.modules.selection import SelectionModule
-from repro.core.modules.stem_module import SharedSteMModule, SteMModule
+from repro.core.modules.stem_module import SteMModule
 
 __all__ = [
     "EddyRuntime",
@@ -14,7 +14,6 @@ __all__ = [
     "Routable",
     "ScanAMModule",
     "SelectionModule",
-    "SharedSteMModule",
     "SteMModule",
     "SymmetricHashJoinModule",
 ]

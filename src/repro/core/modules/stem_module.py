@@ -22,21 +22,34 @@ from repro.query.probeplan import ProbePlan
 
 
 class SteMModule(Module):
-    """Eddy-facing wrapper around a SteM.
+    """One query's eddy-facing view of a SteM the registry owns.
+
+    Paper §2.1.4 makes the SteM the unit of sharing: every query runs on
+    SteMs drawn from a :class:`~repro.core.stem_registry.SteMRegistry`, one
+    per base table and shared by every query that reads the table (a
+    self-join alias gets one only its own query uses).  Each query gets its
+    own wrapper — own name, own alias, own statistics — and two rules are
+    per query:
+
+    * **BounceBack.**  Builds are deduplicated by the SteM, but a row
+      another query inserted first must still bounce back into *this*
+      query's dataflow (carrying the shared build timestamp), or this query
+      would never probe with it.  Only a row this query has already carried
+      — a competing-AM duplicate in the paper's sense — is dropped.
+    * **Coverage.**  A probe is marked exhausted when the SteM knows all its
+      matches and every match the TimeStamp constraint suppressed will
+      reach this query from the other side: there are none, this query's
+      own scan on the target re-delivers them, or this query carried every
+      row the SteM holds.  Otherwise the AM-probe path stays open.
 
     Args:
         stem: the underlying state module.
+        alias: the query alias this module serves; the module is named
+            ``stem:{alias}``, the name policies and traces expect.
         predicates: all query predicates (the module selects the evaluable,
             not-yet-done subset for each probe).
         build_cost: virtual seconds per build request.
         probe_cost: virtual seconds per probe request.
-        name: module name within the eddy; defaults to the SteM's name.  A
-            shared SteM is named after its table while each query's module
-            keeps the per-alias name policies and traces expect.
-        aliases: the query aliases this *module* serves; defaults to the
-            SteM's aliases.  When the SteM is shared across queries it
-            accumulates every query's aliases, so each module must restrict
-            itself to its own query's view.
     """
 
     kind = "stem"
@@ -44,15 +57,14 @@ class SteMModule(Module):
     def __init__(
         self,
         stem: SteM,
+        alias: str,
         predicates: Sequence[Predicate],
         build_cost: float = 1e-4,
         probe_cost: float = 2e-4,
-        name: str | None = None,
-        aliases: Sequence[str] | None = None,
     ):
-        super().__init__(name or stem.name, cost=probe_cost)
+        super().__init__(f"stem:{alias}", cost=probe_cost)
         self.stem = stem
-        self.aliases = tuple(aliases) if aliases is not None else stem.aliases
+        self.alias = alias
         self.predicates = tuple(predicates)
         self.build_cost = build_cost
         self.probe_cost = probe_cost
@@ -67,6 +79,16 @@ class SteMModule(Module):
         #: a build: :meth:`process` reuses the verdict for that same item.
         self._classified: QTuple | None = None
         self._classified_build = False
+        #: Rows this query's dataflow has already built or bounced back, all
+        #: of them stored: an evicted row is forgotten again (the SteM tells
+        #: us), so a re-delivered copy re-enters the dataflow instead of
+        #: being mistaken for a still-stored duplicate.  (The window itself
+        #: is the SteM's: with several queries its eviction order
+        #: interleaves across queries, so bounded-SteM results are the
+        #: shared window's, not a private window's.)
+        self._carried: set = set()
+        self._evict_callback = self._carried.discard
+        stem.add_evict_listener(self._evict_callback)
 
     # -- service ------------------------------------------------------------------
 
@@ -83,7 +105,7 @@ class SteMModule(Module):
         if item._head:
             return False
         alias = item._aliases[0]
-        return alias in self.aliases and not (item.built_mask and item.has_built(alias))
+        return alias == self.alias and not (item.built_mask and item.has_built(alias))
 
     def process(self, item: Routable) -> list[Routable]:
         assert self.runtime is not None
@@ -114,12 +136,16 @@ class SteMModule(Module):
             self._trap_poison(item, error)
             return []
         self.stats["builds"] += 1
-        if outcome.duplicate:
-            # SteM BounceBack constraint: duplicates are NOT bounced back;
-            # the redundant work of a competing AM ends here.
+        if row in self._carried:
+            # SteM BounceBack constraint: this query already carried the row
+            # through its dataflow, so the copy is a competing-AM duplicate
+            # and ends here instead of bouncing back.
             self.stats["duplicates"] += 1
             self.runtime.note_absorbed(item)
             return []
+        # A row another query inserted first adopts the shared build
+        # timestamp and continues through this query's dataflow.
+        self._carried.add(row)
         item.mark_built(alias, outcome.timestamp)
         return [item]
 
@@ -163,7 +189,14 @@ class SteMModule(Module):
             # original tuple stops probing further SteMs; its extensions
             # carry the derivation forward (keeps derivations tree-shaped).
             item.stop_stem_probes = True
-        covered = self._covers_probe(item, target, outcome)
+        # A suppressed match reaches this query from the other side only if
+        # its scan re-delivers it or the query carried it (so all of them
+        # when it carried every stored row): the class docstring's rule.
+        covered = outcome.all_matches_known and (
+            outcome.suppressed_by_timestamp == 0
+            or self.runtime.has_scan_am(target)
+            or len(self._carried) == len(self.stem)
+        )
         if covered:
             # No AM probe on the target can produce anything new.
             item.mark_exhausted(target)
@@ -181,10 +214,7 @@ class SteMModule(Module):
         return outcome.results
 
     def _probe_target(self, item: QTuple) -> str | None:
-        for alias in self.aliases:
-            if alias not in item.aliases:
-                return alias
-        return None
+        return None if self.alias in item.aliases else self.alias
 
     def _pending_predicates(self, item: QTuple, target: str) -> list[Predicate]:
         """The not-yet-done predicates evaluable once ``target`` is filled."""
@@ -222,28 +252,28 @@ class SteMModule(Module):
         return plan
 
     def detach(self) -> None:
-        """Sever this module's hold on shared state (query retirement).
-
-        A private SteM module holds none; the shared wrapper unhooks itself
-        from the SteM's evict listeners.
-        """
+        """Retirement teardown: leave no trace of this query on the SteM."""
+        self.stem.remove_evict_listener(self._evict_callback)
+        self._carried.clear()
 
     def cut(self) -> dict:
-        """A private SteM (a self-join alias) belongs to its query's cut: the
-        SteM itself rides under ``stem`` for the checkpoint to persist like
-        a shared table, and is reinstalled before :meth:`restore` runs."""
-        return {**super().cut(), "stem": self.stem}
+        """The carried set as build timestamps (every carried row is stored:
+        the evict listener forgets the ones that left).  The SteM itself is
+        the registry's, persisted once with the checkpoint's tables."""
+        timestamp_of = self.stem.timestamp_of
+        carried = tuple(sorted(int(timestamp_of(row)) for row in self._carried))
+        return {**super().cut(), "state": carried}
 
-    def _covers_probe(self, item: QTuple, target: str, outcome) -> bool:
-        """Whether the probe outcome proves *this query* got every match.
-
-        For a private SteM the SteM's own coverage verdict is enough: any
-        match suppressed by the TimeStamp constraint was built by this same
-        query's dataflow and will be produced from the other side.  Shared
-        SteMs override this (see :class:`SharedSteMModule`).
-        """
-        del item, target
-        return outcome.all_matches_known
+    def restore(self, cut: dict) -> None:
+        super().restore(cut)
+        rows = {timestamp: row for row, timestamp in self.stem.state_entries()}
+        try:
+            self._carried.update(rows[timestamp] for timestamp in cut["state"])
+        except KeyError as missing:
+            raise ExecutionError(
+                f"{self.name}: the cut carries build timestamp {missing} "
+                f"but the restored SteM on {self.stem.table!r} holds no such row"
+            ) from None
 
     # -- introspection --------------------------------------------------------------
 
@@ -270,117 +300,3 @@ class SteMModule(Module):
     def scan_complete(self) -> bool:
         """True once a scan EOT for the table has been built."""
         return self.stem.scan_complete
-
-
-class SharedSteMModule(SteMModule):
-    """One query's view of a SteM shared across concurrent queries.
-
-    Paper §2.1.4 argues that decoupled join state is the natural unit of
-    *sharing*, and the continuous-query systems it cites (CACQ, PSoUP) run
-    many queries over one set of SteMs.  This module gives each admitted
-    query its own eddy-facing wrapper — own name, own per-query aliases, own
-    statistics — over a :class:`~repro.core.stem.SteM` owned by a
-    :class:`~repro.core.stem_registry.SteMRegistry`.  Two behaviours differ
-    from the private wrapper:
-
-    * **Builds** are deduplicated globally by the SteM, but BounceBack is
-      per-query: a row another query inserted first must still bounce back
-      into *this* query's dataflow (carrying the shared build timestamp) or
-      this query would never probe with it.  Only a row this query has
-      already carried — a competing-AM duplicate in the paper's sense — is
-      dropped.
-    * **Coverage** is claimed per-query-safely: a shared SteM may contain
-      rows built *after* this probe tuple (timestamp-suppressed matches)
-      that were inserted by another query's dataflow and will never bounce
-      through this one.  Unless this query's own scan re-delivers them, the
-      probe must not be marked exhausted, so the AM-probe path stays open
-      and completeness is preserved.
-    """
-
-    def __init__(
-        self,
-        stem: SteM,
-        alias: str,
-        predicates: Sequence[Predicate],
-        build_cost: float = 1e-4,
-        probe_cost: float = 2e-4,
-    ):
-        super().__init__(
-            stem,
-            predicates,
-            build_cost=build_cost,
-            probe_cost=probe_cost,
-            name=f"stem:{alias}",
-            aliases=(alias,),
-        )
-        #: Rows this query's dataflow has already built or bounced back.
-        #: An evicted row is forgotten again (the SteM tells us), so a
-        #: re-delivered copy re-enters the dataflow instead of being
-        #: mistaken for a still-stored duplicate.  (The window itself stays
-        #: shared state: with several queries its eviction order interleaves
-        #: across queries, so bounded-SteM results are the shared window's,
-        #: not a private window's.)
-        self._carried: set = set()
-        self._evict_callback = self._carried.discard
-        stem.add_evict_listener(self._evict_callback)
-        self.stats.update({"shared_hits": 0})
-
-    def detach(self) -> None:
-        """Retirement teardown: leave no trace of this query on the SteM."""
-        self.stem.remove_evict_listener(self._evict_callback)
-        self._carried.clear()
-
-    def cut(self) -> dict:
-        """The carried set as build timestamps (every carried row is stored:
-        the evict listener forgets the ones that left)."""
-        timestamp_of = self.stem.timestamp_of
-        carried = tuple(sorted(int(timestamp_of(row)) for row in self._carried))
-        # Module.cut, not the private wrapper's: a shared SteM is persisted
-        # once, with the registry's tables.
-        return {**Module.cut(self), "state": carried}
-
-    def restore(self, cut: dict) -> None:
-        super().restore(cut)
-        rows = {timestamp: row for row, timestamp in self.stem.state_entries()}
-        try:
-            self._carried.update(rows[timestamp] for timestamp in cut["state"])
-        except KeyError as missing:
-            raise ExecutionError(
-                f"{self.name}: the cut carries build timestamp {missing} "
-                f"but the restored SteM on {self.stem.table!r} holds no such row"
-            ) from None
-
-    def _handle_build(self, item: QTuple) -> list[Routable]:
-        assert self.runtime is not None
-        alias = item.single_alias
-        row = item.component(alias)
-        try:
-            outcome = self.stem.build(row, self.runtime.next_timestamp())
-        except ExecutionError:
-            raise
-        except Exception as error:
-            self._trap_poison(item, error)
-            return []
-        self.stats["builds"] += 1
-        if row in self._carried:
-            # This query already carried the row through its dataflow: a
-            # competing-AM duplicate, ended here (SteM BounceBack).
-            self.stats["duplicates"] += 1
-            self.runtime.note_absorbed(item)
-            return []
-        self._carried.add(row)
-        if outcome.duplicate:
-            # Another query (or another alias) inserted the row first; this
-            # query's copy adopts the shared build timestamp and continues.
-            self.stats["shared_hits"] += 1
-        item.mark_built(alias, outcome.timestamp)
-        return [item]
-
-    def _covers_probe(self, item: QTuple, target: str, outcome) -> bool:
-        if not outcome.all_matches_known:
-            return False
-        # Timestamp-suppressed matches were inserted after this tuple was
-        # built.  In a shared SteM they may belong to another query's
-        # dataflow; they only reach this query if its own scan re-delivers
-        # them.  Otherwise keep the AM-probe path open.
-        return outcome.suppressed_by_timestamp == 0 or self.runtime.has_scan_am(target)

@@ -1,36 +1,37 @@
-"""A registry of SteMs shared across concurrent queries.
+"""The registry that owns every SteM of a run.
 
 Paper §2.1.4: "SteMs on relations that are accessed by multiple queries can
 be shared" — the property the continuous-query line the paper cites (CACQ,
 PSoUP) builds on, and the reason SteMs carry the multi-alias and
-eviction hooks.  The registry is the multi-query engine's source of SteMs:
-one per base table, created on first use and extended (aliases, secondary
-join-column indexes) as later queries are admitted.
+eviction hooks.  Every query draws its SteMs from the registry (a single
+query is a one-admission fleet): one per base table, created on first use
+and extended (aliases, secondary join-column indexes) as later queries are
+admitted.
 
 Responsibilities:
 
-* **get-or-create** a SteM per table (:meth:`SteMRegistry.stem_for`),
-  merging every admitted query's aliases and join columns into it;
-* **reference counting** — every acquisition records which tables, aliases
+* **get-or-create** a SteM (:meth:`SteMRegistry.stem_for`), merging every
+  admitted query's aliases and join columns into a table's shared SteM;
+* **reference counting** — every acquisition records which SteMs, aliases
   and join columns its owner (a query, or a restore in progress) depends
   on, and
   :meth:`SteMRegistry.release` reclaims whatever the departing query was
-  the last user of: the whole SteM when its table refcount hits zero, or
+  the last user of: the whole SteM when its refcount hits zero, or
   just the secondary indexes (and aliases) only that query's bindings
   needed.  This is what makes runtime query *retirement* leak-free;
-* **eviction configuration** — the per-table eviction policy (count,
+* **eviction configuration** — the run's :class:`SteMBound` (count,
   time-window, reference-window; see :mod:`repro.core.stem`) lives here, so
-  the window under which a table's shared state is bounded is a property of
-  the *service*, not of any one query;
-* **aggregate accounting** — how many builds actually inserted rows versus
-  arriving as cross-query duplicates, the counter the shared-vs-private
-  ablation benchmark asserts on.  Reclaimed SteMs fold their counters into
-  :attr:`SteMRegistry.reclaimed_stats` so totals survive reclamation.
+  the window under which a table's state is bounded is a property of the
+  *service*, not of any one query;
+* **aggregate accounting** — reclaimed SteMs fold their counters into
+  :attr:`SteMRegistry.reclaimed_stats` so run totals survive reclamation
+  (:func:`stem_build_totals` sums them with the live ones).
 
-Self-joins stay private: a query referencing a table under two aliases needs
-two timestamp-distinct copies of each row for the TimeStamp constraint to
-produce the diagonal matches exactly once, so the engine gives such aliases
-private SteMs and shares only single-reference tables.
+Self-join aliases are not shared: a query referencing a table under two
+aliases needs two timestamp-distinct copies of each row for the TimeStamp
+constraint to produce the diagonal matches exactly once, so each such alias
+gets a registry SteM of its own, named ``{query_id}:stem:{alias}``, that
+only its query uses.
 """
 
 from __future__ import annotations
@@ -41,29 +42,21 @@ from typing import Iterable, Mapping
 from repro.core.stem import EvictionPolicy, SteM, make_eviction_policy
 
 
-def stem_build_totals(stems: Iterable[SteM]) -> dict[str, int]:
-    """Aggregate build/probe counters over a collection of SteMs.
+def stem_build_totals(stats: Iterable[Mapping[str, int]]) -> dict[str, int]:
+    """Aggregate build/probe counters over SteMs' ``stats`` dicts.
 
     ``insertions`` (builds that actually stored a row and updated the
     indexes) is the work-saved metric of sharing: with N queries over one
-    table it stays at one table's worth, while the private configuration
-    pays it N times.
+    table it stays at one table's worth, while N queries run alone pay it
+    N times.
     """
     totals = {"builds": 0, "insertions": 0, "duplicates": 0, "probes": 0}
-    for stem in stems:
-        totals["builds"] += stem.stats["builds"]
-        totals["duplicates"] += stem.stats["duplicates"]
-        totals["insertions"] += stem.stats["builds"] - stem.stats["duplicates"]
-        totals["probes"] += stem.stats["probes"]
+    for counters in stats:
+        totals["builds"] += counters["builds"]
+        totals["duplicates"] += counters["duplicates"]
+        totals["probes"] += counters["probes"]
+    totals["insertions"] = totals["builds"] - totals["duplicates"]
     return totals
-
-
-def merge_stem_totals(totals: dict[str, int], stats: Mapping[str, int]) -> None:
-    """Fold one SteM's raw ``stats`` counters into a totals dict in place."""
-    totals["builds"] += stats.get("builds", 0)
-    totals["duplicates"] += stats.get("duplicates", 0)
-    totals["insertions"] += stats.get("builds", 0) - stats.get("duplicates", 0)
-    totals["probes"] += stats.get("probes", 0)
 
 
 @dataclass(frozen=True)
@@ -94,13 +87,17 @@ class SteMBound:
 
 
 class SteMRegistry:
-    """One shared SteM per base table, for multi-query execution.
+    """Every SteM of a run: one shared SteM per base table, plus one per
+    self-join alias.
+
+    A table's shared SteM is named ``stem:{table}`` and keyed by its table
+    (``registry.stems["R"]``); any other SteM is keyed by its name.
 
     Args:
         max_size: optional per-SteM row bound; with the default ``eviction``
             of None this selects count-bounded FIFO eviction (the historical
             CACQ/PSoUP sliding-window hook).
-        eviction: eviction-policy name applied to every table's SteM.
+        eviction: eviction-policy name applied to every SteM.
         window: build-timestamp window width for ``eviction="time-window"``.
     """
 
@@ -112,11 +109,11 @@ class SteMRegistry:
     ):
         self._bound = SteMBound(eviction, max_size, window)
         self._stems: dict[str, SteM] = {}
-        #: Reference counts of :meth:`stem_for` acquisitions.
-        self._table_refs: dict[str, int] = {}
+        #: Reference counts of :meth:`stem_for` acquisitions, by SteM key.
+        self._stem_refs: dict[str, int] = {}
         self._alias_refs: dict[str, dict[str, int]] = {}
         self._column_refs: dict[str, dict[str, int]] = {}
-        #: owner -> list of (table, alias, columns) acquisitions to undo.
+        #: owner -> list of (key, alias, columns) acquisitions to undo.
         self._owner_refs: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
         #: Counters of SteMs torn down by :meth:`release`, keyed by SteM
         #: name, so run-level totals survive reclamation.
@@ -138,17 +135,24 @@ class SteMRegistry:
         join_columns: Iterable[str] = (),
         *,
         owner: str,
+        name: str | None = None,
     ) -> SteM:
-        """The shared SteM for a base table, extended for one query's view.
+        """A SteM on a base table, extended for one query's view.
 
-        The first query to touch a table creates its SteM (named after the
-        table, not the alias); later queries reuse it, registering their
-        alias and backfilling indexes on any new join columns.  The
-        acquisition is reference-counted under ``owner`` (the acquiring
+        Without ``name`` (or with ``stem:{table}``) this is the table's
+        shared SteM: the first query to touch the table creates it, later
+        queries reuse it, registering their alias and backfilling indexes
+        on any new join columns.  Any other ``name`` is a SteM of its own
+        (a self-join alias, ``{query_id}:stem:{alias}``), created on first
+        use and found again by that name (a restore, then the query).
+        The acquisition is reference-counted under ``owner`` (the acquiring
         query's id) so :meth:`release` can undo it.
         """
         columns = tuple(join_columns)
-        stem = self._stems.get(table)
+        shared_name = f"stem:{table}"
+        name = name or shared_name
+        key = table if name == shared_name else name
+        stem = self._stems.get(key)
         if stem is None:
             stem = SteM(
                 table=table,
@@ -156,29 +160,29 @@ class SteMRegistry:
                 join_columns=columns,
                 max_size=self._bound.max_size,
                 eviction=self._bound.policy(),
-                name=f"stem:{table}",
+                name=name,
             )
-            self._stems[table] = stem
+            self._stems[key] = stem
             self.stats["stems"] += 1
         else:
             stem.add_alias(alias)
             stem.ensure_join_columns(columns)
         self.stats["attachments"] += 1
-        self._table_refs[table] = self._table_refs.get(table, 0) + 1
-        alias_refs = self._alias_refs.setdefault(table, {})
+        self._stem_refs[key] = self._stem_refs.get(key, 0) + 1
+        alias_refs = self._alias_refs.setdefault(key, {})
         alias_refs[alias] = alias_refs.get(alias, 0) + 1
-        column_refs = self._column_refs.setdefault(table, {})
+        column_refs = self._column_refs.setdefault(key, {})
         for column in columns:
             column_refs[column] = column_refs.get(column, 0) + 1
-        self._owner_refs.setdefault(owner, []).append((table, alias, columns))
+        self._owner_refs.setdefault(owner, []).append((key, alias, columns))
         return stem
 
     def release(self, owner: str) -> list[str]:
         """Drop every reference ``owner`` (a retiring query) acquired.
 
-        Returns the names of the tables whose SteMs were reclaimed outright
-        (refcount hit zero).  For tables that stay referenced, the aliases
-        and secondary indexes only the retiring query needed are dropped —
+        Returns the keys of the SteMs reclaimed outright (refcount hit
+        zero).  For SteMs that stay referenced, the aliases and secondary
+        indexes only the retiring query needed are dropped —
         ``index_epoch`` moves, so surviving queries' compiled probe plans
         re-resolve against the remaining indexes.
         """
@@ -187,31 +191,31 @@ class SteMRegistry:
             return []
         self.stats["releases"] += 1
         reclaimed: list[str] = []
-        for table, alias, columns in acquisitions:
-            remaining = self._table_refs.get(table, 0) - 1
-            self._table_refs[table] = remaining
-            alias_refs = self._alias_refs.get(table, {})
-            column_refs = self._column_refs.get(table, {})
+        for key, alias, columns in acquisitions:
+            remaining = self._stem_refs.get(key, 0) - 1
+            self._stem_refs[key] = remaining
+            alias_refs = self._alias_refs.get(key, {})
+            column_refs = self._column_refs.get(key, {})
             if alias in alias_refs:
                 alias_refs[alias] -= 1
             for column in columns:
                 if column in column_refs:
                     column_refs[column] -= 1
-            stem = self._stems.get(table)
+            stem = self._stems.get(key)
             if stem is None:
                 continue
             if remaining <= 0:
                 # Last reference: reclaim the whole SteM (rows, indexes,
                 # EOT state).  Its counters fold into the reclaimed totals.
                 bucket = self.reclaimed_stats.setdefault(stem.name, {})
-                for key, value in stem.stats.items():
-                    bucket[key] = bucket.get(key, 0) + value
-                del self._stems[table]
-                self._table_refs.pop(table, None)
-                self._alias_refs.pop(table, None)
-                self._column_refs.pop(table, None)
+                for counter, value in stem.stats.items():
+                    bucket[counter] = bucket.get(counter, 0) + value
+                del self._stems[key]
+                self._stem_refs.pop(key, None)
+                self._alias_refs.pop(key, None)
+                self._column_refs.pop(key, None)
                 self.stats["reclaimed"] += 1
-                reclaimed.append(table)
+                reclaimed.append(key)
                 continue
             for column, count in list(column_refs.items()):
                 if count <= 0:
@@ -231,14 +235,15 @@ class SteMRegistry:
 
     @property
     def stems(self) -> dict[str, SteM]:
-        """The shared SteMs, keyed by table name."""
+        """The live SteMs: a shared one keyed by its table, any other by
+        its name."""
         return dict(self._stems)
 
     def __len__(self) -> int:
         return len(self._stems)
 
-    def __contains__(self, table: object) -> bool:
-        return table in self._stems
+    def __contains__(self, key: object) -> bool:
+        return key in self._stems
 
     def __repr__(self) -> str:
-        return f"SteMRegistry(tables={sorted(self._stems)})"
+        return f"SteMRegistry(stems={sorted(self._stems)})"

@@ -1,7 +1,8 @@
 """Execution engines: SteMs (Figure 1(c)), eddy+joins (1(b)) and static (1(a)).
 
 Every SteM query runs on :class:`MultiQueryEngine`: a single query is a
-one-admission run on private SteMs, a fleet shares one SteM per base table.
+one-admission run, a fleet shares one SteM per base table (all of them owned
+by the engine's :class:`~repro.core.stem_registry.SteMRegistry`).
 """
 
 from repro.engine.api import ENGINES, execute

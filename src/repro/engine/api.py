@@ -44,8 +44,8 @@ def execute(
             (``SELECT ... FROM ... WHERE ...``).
         catalog: the catalog holding the base tables and their access methods.
         engine: ``"stems"`` (the paper's architecture, default: a
-            one-admission :class:`~repro.engine.multi.MultiQueryEngine` run
-            on private SteMs, whose result is query ``"q0"``),
+            one-admission :class:`~repro.engine.multi.MultiQueryEngine` run,
+            whose result is query ``"q0"``),
             ``"eddy-joins"`` (the pre-SteM eddy baseline) or ``"static"``
             (a traditional optimize-then-execute plan).
         policy: routing policy name or instance (adaptive engines only).
@@ -78,7 +78,6 @@ def execute(
         return MultiQueryEngine(
             [QueryAdmission(parsed, policy=policy, trace=trace)],
             catalog,
-            shared_stems=False,
             config=config,
         ).run(until=until)["q0"]
     stems_only = replace(config, cost_model=CostModel(), batch_size=1)

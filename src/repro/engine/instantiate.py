@@ -1,8 +1,8 @@
 """Query instantiation for the SteM engine: paper Figure 1(c), §2.2.
 
 Every SteM query runs on :class:`~repro.engine.multi.MultiQueryEngine`; a
-single query (``execute(engine="stems")``) is a one-admission run on
-private SteMs.  Each admission is wired the way §2.2 instantiates a query:
+single query (``execute(engine="stems")``) is a one-admission run.  Each
+admission is wired the way §2.2 instantiates a query:
 
 1. check the query against the catalog and the sources' bind-field
    constraints (:func:`repro.query.binding.check_query`, which the engine
@@ -10,13 +10,14 @@ private SteMs.  Each admission is wired the way §2.2 instantiates a query:
 2. create an access module for *every* access method that could possibly be
    used (all scans, all bindable indexes — they run competitively);
 3. create a selection module for every selection predicate;
-4. create a SteM on every base table in the query (one per alias);
+4. create a SteM module on every FROM-clause entry (one per alias), over a
+   SteM the engine's registry owns;
 5. seed the scans.
 
 The eddy then routes tuples under the Table 2 constraints with whatever
-routing policy the admission selects.  The engine decides, through the two
-factories it passes in, whether a SteM (and a GROUP BY query's aggregate
-module) is private or drawn from its shared registries.
+routing policy the admission selects.  The engine draws the SteMs (and a
+GROUP BY query's aggregate module) from its registries, through the two
+factories it passes in.
 """
 
 from __future__ import annotations
@@ -25,31 +26,14 @@ from typing import Callable
 
 from repro.core.aggregates import AggregateModule
 from repro.core.constraints import ConstraintChecker
-from repro.core.costs import CostModel
 from repro.core.eddy import Eddy
 from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
-from repro.core.stem import SteM
-from repro.core.stem_registry import SteMBound
 from repro.engine.results import ExecutionResult, Series, span_series
 from repro.query.binding import BindingPlan
 from repro.query.query import Query, TableRef
 from repro.storage.catalog import Catalog, IndexSpec, ScanSpec
-
-
-def make_private_aggregate_module(
-    query: Query, stem_module: SteMModule
-) -> AggregateModule:
-    """A private aggregate module reading the query's own SteM."""
-    return AggregateModule(
-        name=f"aggregate:{query.aggregate_alias}",
-        stem=stem_module.stem,
-        alias=query.aggregate_alias,
-        group_by=query.group_by,
-        aggregates=query.aggregates,
-        predicates=query.predicates,
-    )
 
 
 def instantiate_stems_query(
@@ -75,8 +59,8 @@ def instantiate_stems_query(
     costs = eddy.costs
     layout = eddy.layout
     join_graph = layout.join_graph
-    # SteMs: one module per alias (the factory decides whether the backing
-    # SteM is private or shared).
+    # SteMs: one module per alias (the factory draws the backing SteM from
+    # the engine's registry).
     for ref in query.tables:
         eddy.register_stem(ref.alias, make_stem_module(ref, query, eddy.query_id))
     # Aggregates: a GROUP BY query additionally attaches an AggregateModule
@@ -124,37 +108,6 @@ def instantiate_stems_query(
     )
     eddy.set_resolver(checker)
     return checker
-
-
-def make_private_stem_module(
-    ref: TableRef,
-    query: Query,
-    costs: CostModel,
-    bound: SteMBound,
-) -> SteMModule:
-    """A private SteM (and its module) for one FROM-clause entry.
-
-    One SteM per alias: a table referenced under several aliases gets one
-    SteM per alias (see DESIGN.md for the self-join note).  The engine uses
-    it for every alias when SteMs are not shared (a single query, or the
-    private-SteM ablation baseline) and for self-join aliases otherwise.
-    ``bound`` is the run's SteM bound, so private SteMs honour the same
-    bound as shared ones.
-    """
-    stem = SteM(
-        table=ref.table,
-        aliases=(ref.alias,),
-        join_columns=query.join_columns_of(ref.alias),
-        max_size=bound.max_size,
-        eviction=bound.policy(),
-        name=f"stem:{ref.alias}",
-    )
-    return SteMModule(
-        stem,
-        query.predicates,
-        build_cost=costs.stem_build_cost,
-        probe_cost=costs.stem_probe_cost,
-    )
 
 
 def collect_stems_result(eddy: Eddy, query: Query, final_time: float) -> ExecutionResult:

@@ -1,9 +1,11 @@
-"""Multi-query execution with shared SteMs (paper §2.1.4).
+"""Query execution over registry SteMs (paper §2.1.4, Figure 1(c)).
 
 The paper's pitch for SteMs is that decoupled join state is the natural unit
 of *sharing*: the continuous-query systems it cites (CACQ, PSoUP) run many
 concurrent queries over one set of SteMs.  This engine realises that inside
-the reproduction — as a **continuous-query service**: queries are admitted
+the reproduction, and runs every SteM query — a single query
+(``execute(engine="stems")``) is a one-admission fleet.  It is a
+**continuous-query service**: queries are admitted
 onto **one** discrete-event simulator, each with its own eddy,
 :class:`ConstraintChecker` and routing policy, all queries that touch a base
 table probe (and build) the **same** SteM drawn from a
@@ -64,11 +66,13 @@ Correctness notes (why per-query results equal each query run alone):
   the SteM, exactly the paper's SteM BounceBack rule.
 * Probe coverage ("all matches known") is only claimed per-query-safely:
   timestamp-suppressed matches inserted by *another* query's dataflow reach
-  this query only via its own scan, so without one the AM-probe path stays
-  open (see :class:`~repro.core.modules.stem_module.SharedSteMModule`).
-* Self-joins keep private per-alias SteMs: the TimeStamp discipline needs
-  timestamp-distinct copies of a row under each alias to emit diagonal
-  matches exactly once, so only single-reference tables are shared.
+  this query only via its own scan, so without one — and unless this query
+  carried every row the SteM holds — the AM-probe path stays open (see
+  :class:`~repro.core.modules.stem_module.SteMModule`).
+* A self-join alias gets a registry SteM only its own query uses: the
+  TimeStamp discipline needs timestamp-distinct copies of a row under each
+  alias to emit diagonal matches exactly once, so only single-reference
+  tables are shared.
 * With bounded SteMs the sliding window itself becomes shared state:
   evictions follow the *interleaved* cross-query insert order, so with
   several concurrent queries the per-query result sets reflect the shared
@@ -76,10 +80,10 @@ Correctness notes (why per-query results equal each query run alone):
   over a private window.  Run-alone equivalence is exact for unbounded
   SteMs, and for a bounded SteM only while one query is admitted.
 
-The sharing win is measured, not assumed: the shared configuration performs
-one table's worth of SteM *insertions* regardless of how many queries read
-the table, which `benchmarks/test_ablation_shared_stems.py` asserts against
-the private configuration along with byte-identical per-query results; the
+The sharing win is measured, not assumed: a fleet performs one table's
+worth of SteM *insertions* regardless of how many queries read the table,
+which the SteM-sharing ablation in `benchmarks/` asserts against each query
+run alone in its own engine, along with byte-identical per-query results; the
 churn machinery is measured by `benchmarks/test_ablation_churn.py` (bounded
 state and throughput under sustained admission/retirement).
 """
@@ -92,23 +96,13 @@ from typing import Iterable, Sequence
 from repro.errors import ExecutionError
 from repro.core.aggregates import AggregateModule, AggregateRegistry
 from repro.core.eddy import Eddy
-from repro.core.modules.stem_module import SharedSteMModule, SteMModule
+from repro.core.modules.stem_module import SteMModule
 from repro.core.policies import RoutingPolicy, make_policy
-from repro.core.stem import SteM
-from repro.core.stem_registry import (
-    SteMRegistry,
-    merge_stem_totals,
-    stem_build_totals,
-)
+from repro.core.stem_registry import SteMRegistry, stem_build_totals
 from repro.core.tuples import install_id_allocator
 from repro.engine.config import EngineConfig
 from repro.engine.results import ExecutionResult, MultiQueryResult
-from repro.engine.instantiate import (
-    collect_stems_result,
-    instantiate_stems_query,
-    make_private_aggregate_module,
-    make_private_stem_module,
-)
+from repro.engine.instantiate import collect_stems_result, instantiate_stems_query
 from repro.query.binding import check_query
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
@@ -118,7 +112,7 @@ from repro.sim.tracing import TraceLog
 
 #: What :func:`run_multi` and :func:`run_churn` take besides the engine
 #: options (a checkpoint directory makes the run durable, see repro.recovery).
-RUN_OPTIONS = ("shared_stems", "until", "checkpoint_dir", "checkpoint_interval")
+RUN_OPTIONS = ("until", "checkpoint_dir", "checkpoint_interval")
 
 
 @dataclass
@@ -199,13 +193,13 @@ class ChurnEvent:
 
 #: :class:`MultiQueryEngine`'s own keywords, named when it rejects another.
 _ENGINE_KEYWORDS = (
-    "shared_stems", "compiled_probes", "columnar", "shards", "continuous",
+    "compiled_probes", "columnar", "shards", "continuous",
     "timestamp_start", "start_time", "config",
 )
 
 
 class MultiQueryEngine:
-    """Runs a churning fleet of queries on one simulator with shared SteMs.
+    """Runs a churning fleet of queries on one simulator over registry SteMs.
 
     Args:
         admissions: the initial queries to admit.  Plain queries/SQL strings
@@ -214,11 +208,6 @@ class MultiQueryEngine:
             receive its first query via :meth:`admit`).
         catalog: tables and access-method declarations (shared by all
             queries).
-        shared_stems: share one SteM per base table across queries (the
-            paper's §2.1.4 sharing); ``False`` gives every query private
-            SteMs — the paper's Figure 1(c) single-query setup, which is how
-            ``execute(engine="stems")`` runs its one admission, and the
-            ablation baseline: N queries that each run alone on one clock.
         compiled_probes: accepted as None, True or False and ignored (there
             is one probe path); any other value raises
             :class:`~repro.errors.ExecutionError`.
@@ -237,14 +226,13 @@ class MultiQueryEngine:
             runs; a restore passes the time of the checkpoint it resumes.
         config: the run's :class:`~repro.engine.config.EngineConfig`;
             without one, ``options`` (the six engine keywords) build it.
-            Its SteM bound applies to shared and private SteMs alike.
+            Its SteM bound applies to every SteM of the registry.
     """
 
     def __init__(
         self,
         admissions: Iterable[QueryAdmission | Query | str],
         catalog,
-        shared_stems: bool = True,
         compiled_probes: bool | None = None,
         columnar: bool | None = None,
         shards: int | None = None,
@@ -273,21 +261,12 @@ class MultiQueryEngine:
             raise ExecutionError("pass MultiQueryEngine() a config or engine options, not both")
         self.config = config
         self.catalog = catalog
-        self.shared_stems = shared_stems
         self.simulator = Simulator(start_time=start_time)
         bound = config.stem_bound
-        self.registry: SteMRegistry | None = (
-            SteMRegistry(bound.max_size, bound.eviction, bound.window)
-            if shared_stems
-            else None
-        )
+        self.registry = SteMRegistry(bound.max_size, bound.eviction, bound.window)
         #: Shared aggregate modules, deduplicated by grouping signature with
         #: owner refcounts — the aggregate analogue of the SteM registry.
-        #: Only meaningful with shared SteMs (a private SteM's window is
-        #: per-query, so its aggregates cannot be shared either).
-        self.aggregate_registry: AggregateRegistry | None = (
-            AggregateRegistry() if shared_stems else None
-        )
+        self.aggregate_registry = AggregateRegistry()
         #: One build-timestamp source for every eddy: the TimeStamp
         #: constraint requires a total order over builds across queries.
         #: ``timestamp_start`` lets a restore continue the persisted total
@@ -307,9 +286,6 @@ class MultiQueryEngine:
         self._started = False
         #: Results snapshotted at retirement, keyed by query id.
         self._retired: dict[str, ExecutionResult] = {}
-        #: Stats snapshots of retired queries' *private* SteMs (shared ones
-        #: stay live in the registry or fold into its reclaimed totals).
-        self._retired_stem_stats: dict[str, dict[str, int]] = {}
         #: The ``RecoveredState`` a restore built this engine from, or None.
         self.recovered_from = None
         for entry in admissions:
@@ -435,38 +411,35 @@ class MultiQueryEngine:
     def _make_stem_module(
         self, ref: TableRef, query: Query, owner: str
     ) -> SteMModule:
-        """Shared SteM for single-reference tables, private otherwise."""
+        """One FROM-clause entry's module over a registry SteM: the table's
+        shared SteM, or one of its own for a self-join alias."""
         costs = self.config.cost_model
-        if self.registry is not None and len(query.aliases_of_table(ref.table)) == 1:
-            stem = self.registry.stem_for(
-                ref.table,
-                ref.alias,
-                query.join_columns_of(ref.alias),
-                owner=owner,
-            )
-            return SharedSteMModule(
-                stem,
-                ref.alias,
-                query.predicates,
-                build_cost=costs.stem_build_cost,
-                probe_cost=costs.stem_probe_cost,
-            )
-        return make_private_stem_module(ref, query, costs, self.config.stem_bound)
+        name = (
+            None
+            if len(query.aliases_of_table(ref.table)) == 1
+            else f"{owner}:stem:{ref.alias}"
+        )
+        stem = self.registry.stem_for(
+            ref.table, ref.alias, query.join_columns_of(ref.alias), owner=owner, name=name
+        )
+        return SteMModule(
+            stem,
+            ref.alias,
+            query.predicates,
+            build_cost=costs.stem_build_cost,
+            probe_cost=costs.stem_probe_cost,
+        )
 
     def _make_aggregate_module(
-        self, query: Query, stem_module, owner: str
+        self, query: Query, stem_module: SteMModule, owner: str
     ) -> AggregateModule:
-        """Shared aggregate module when the backing SteM is shared.
+        """The shared aggregate module of the query's grouping signature.
 
-        Queries with the same grouping signature (table, group columns,
-        aggregate specs, canonical predicates) maintain **one** module over
-        the shared window; anything running on a private SteM keeps a
-        private module (its window is per-query state).
+        Queries with the same signature (table, group columns, aggregate
+        specs, canonical predicates) maintain **one** module over the
+        table's shared SteM (every GROUP BY query is single-table).
         """
-        stem = stem_module.stem
-        if self.aggregate_registry is not None and self._is_registry_stem(stem):
-            return self.aggregate_registry.module_for(query, stem, owner=owner)
-        return make_private_aggregate_module(query, stem_module)
+        return self.aggregate_registry.module_for(query, stem_module.stem, owner=owner)
 
     # -- retirement --------------------------------------------------------------
 
@@ -489,26 +462,11 @@ class MultiQueryEngine:
         result = collect_stems_result(ctx.eddy, ctx.query, now)
         result.retired_at = now
         for module in ctx.eddy.stems.values():
-            stem = module.stem
-            if not self._is_registry_stem(stem):
-                self._retired_stem_stats[f"{query_id}:{stem.name}"] = dict(stem.stats)
             module.detach()
-        aggregate = ctx.eddy.aggregate_module
-        if aggregate is not None:
-            shared_aggregate = self.aggregate_registry is not None and any(
-                module is aggregate
-                for module in self.aggregate_registry.modules.values()
-            )
-            if not shared_aggregate:
-                # Private module: nobody else references it — detach now so
-                # the SteM stops keeping a delta for retired state.
-                aggregate.detach()
         ctx.eddy.shutdown()
-        if self.registry is not None:
-            self.registry.release(query_id)
-        if self.aggregate_registry is not None:
-            # Shared modules detach when their last owner releases.
-            self.aggregate_registry.release(query_id)
+        self.registry.release(query_id)
+        # Aggregate modules detach when their last owner releases.
+        self.aggregate_registry.release(query_id)
         # The per-layout probe-plan memo is the one cache shared SteM
         # probes populate for this query; empty it so retired plans do
         # not pin schemas/indexes through the snapshotted result tuples.
@@ -622,81 +580,40 @@ class MultiQueryEngine:
             else:
                 ctx = live[query_id]
                 results[query_id] = collect_stems_result(ctx.eddy, ctx.query, final_time)
-        stem_stats: dict[str, dict[str, int]] = {}
-
-        def merge_stats(key: str, stats: dict[str, int]) -> None:
-            bucket = stem_stats.setdefault(key, {})
-            for name, value in stats.items():
-                bucket[name] = bucket.get(name, 0) + value
-
-        distinct: dict[int, SteM] = {}
-        for ctx in self._queries:
-            for module in ctx.eddy.stems.values():
-                stem = module.stem
-                if id(stem) in distinct:
-                    continue
-                distinct[id(stem)] = stem
-                if self._is_registry_stem(stem):
-                    key = stem.name
-                else:
-                    key = f"{ctx.query_id}:{stem.name}"
-                merge_stats(key, stem.stats)
-        if self.registry is not None:
-            # Shared SteMs whose every reader has retired (but which were
-            # pinned, e.g. by an anonymous acquisition) are reachable only
-            # through the registry.
-            for stem in self.registry.stems.values():
-                if id(stem) not in distinct:
-                    distinct[id(stem)] = stem
-                    merge_stats(stem.name, stem.stats)
-        totals = stem_build_totals(distinct.values())
-        if self.registry is not None:
-            for key, stats in self.registry.reclaimed_stats.items():
-                merge_stats(key, stats)
-                merge_stem_totals(totals, stats)
-        for key, stats in self._retired_stem_stats.items():
-            merge_stats(key, stats)
-            merge_stem_totals(totals, stats)
+        # Every SteM is the registry's: the live ones, and the counters of
+        # those reclaimed when their last query retired.
+        stem_stats = {stem.name: dict(stem.stats) for stem in self.registry.stems.values()}
+        for name, stats in self.registry.reclaimed_stats.items():
+            bucket = stem_stats.setdefault(name, {})
+            for counter, value in stats.items():
+                bucket[counter] = bucket.get(counter, 0) + value
         return MultiQueryResult(
             results=results,
             final_time=final_time,
-            shared_stems=self.shared_stems,
-            stem_totals=totals,
+            stem_totals=stem_build_totals(stem_stats.values()),
             stem_stats=stem_stats,
             registry_stats={
-                **(dict(self.registry.stats) if self.registry is not None else {}),
-                **(
-                    {
-                        f"aggregates_{key}": value
-                        for key, value in self.aggregate_registry.stats.items()
-                    }
-                    if self.aggregate_registry is not None
-                    else {}
-                ),
+                **self.registry.stats,
+                **{
+                    f"aggregates_{key}": value
+                    for key, value in self.aggregate_registry.stats.items()
+                },
             },
             retired=tuple(
                 query_id for query_id in self._order if query_id in self._retired
             ),
         )
 
-    def _is_registry_stem(self, stem: SteM) -> bool:
-        return (
-            self.registry is not None
-            and self.registry.stems.get(stem.table) is stem
-        )
-
     def __repr__(self) -> str:
-        mode = "shared" if self.shared_stems else "private"
         return (
             f"MultiQueryEngine({len(self._queries)} live queries, "
-            f"{len(self._retired)} retired, {mode} SteMs)"
+            f"{len(self._retired)} retired)"
         )
 
 
 def run_multi(
     admissions: Iterable[QueryAdmission | Query | str],
     catalog,
-    shared_stems: bool = True,
     until: float | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
@@ -711,7 +628,7 @@ def run_multi(
     recovered with :func:`repro.recovery.restore_engine`.
     """
     config = EngineConfig.from_options("run_multi", options, RUN_OPTIONS)
-    engine = MultiQueryEngine(admissions, catalog, shared_stems=shared_stems, config=config)
+    engine = MultiQueryEngine(admissions, catalog, config=config)
     return _run_durably(engine, until, checkpoint_dir, checkpoint_interval)
 
 
@@ -748,7 +665,6 @@ def _run_durably(
 def run_churn(
     events: Sequence[ChurnEvent],
     catalog,
-    shared_stems: bool = True,
     until: float | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float | None = None,
@@ -762,8 +678,6 @@ def run_churn(
     retirement instants.  Takes the keywords of :func:`run_multi`.
     """
     config = EngineConfig.from_options("run_churn", options, RUN_OPTIONS)
-    engine = MultiQueryEngine(
-        [], catalog, shared_stems=shared_stems, continuous=True, config=config
-    )
+    engine = MultiQueryEngine([], catalog, continuous=True, config=config)
     engine.schedule_churn(events)
     return _run_durably(engine, until, checkpoint_dir, checkpoint_interval)

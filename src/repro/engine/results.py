@@ -211,22 +211,19 @@ class MultiQueryResult:
             ``query_id == q`` — the id threads from admission through the
             eddy and the trace to the outputs collected here).
         final_time: virtual time at which the whole simulation quiesced.
-        shared_stems: whether SteMs were shared per base table.
-        stem_totals: aggregate build/probe counters over every distinct SteM
-            that existed in the run (shared SteMs counted once).  The
-            ``insertions`` entry is the shared-vs-private ablation metric.
-        stem_stats: per-SteM counters, keyed by SteM name (shared SteMs are
-            named after their table, private ones after their alias,
-            prefixed by the owning query id).
-        registry_stats: the shared registry's own counters (empty when
-            running with private SteMs).
+        stem_totals: aggregate build/probe counters over every SteM that
+            existed in the run (each counted once).  The ``insertions``
+            entry is the sharing ablation metric.
+        stem_stats: per-SteM counters, keyed by SteM name (``stem:{table}``
+            for a table's shared SteM, ``{query_id}:stem:{alias}`` for a
+            self-join alias's).
+        registry_stats: the SteM and aggregate registries' own counters.
         retired: query ids that were retired before the run ended, in
             admission order (their results are retirement-time snapshots).
     """
 
     results: dict[str, ExecutionResult] = field(default_factory=dict)
     final_time: float = 0.0
-    shared_stems: bool = True
     stem_totals: dict[str, int] = field(default_factory=dict)
     stem_stats: dict[str, dict[str, int]] = field(default_factory=dict)
     registry_stats: dict[str, int] = field(default_factory=dict)
@@ -254,7 +251,7 @@ class MultiQueryResult:
 
         The comparison is order-insensitive within each query (via
         :meth:`ExecutionResult.canonical_identities`) — the oracle the
-        shared-vs-private SteM ablation is stated in.
+        SteM sharing ablation is stated in.
         """
         if self.query_ids != other.query_ids:
             return False
@@ -276,10 +273,9 @@ class MultiQueryResult:
 
     def summary(self) -> str:
         """A short human-readable multi-line summary."""
-        mode = "shared" if self.shared_stems else "private"
         churn = f", {len(self.retired)} retired" if self.retired else ""
         lines = [
-            f"[multi/{mode}-stems] {len(self.results)} queries{churn}, "
+            f"[multi] {len(self.results)} queries{churn}, "
             f"{self.total_rows} rows, quiesced at {self.final_time:.1f}s, "
             f"{self.stem_totals.get('insertions', 0)} stem insertions "
             f"({self.stem_totals.get('duplicates', 0)} duplicate builds "

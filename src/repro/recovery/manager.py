@@ -8,14 +8,14 @@ cut by walking the engine at an event boundary (nothing is recorded along
 the way) and writes it as one :class:`~repro.recovery.snapshot.SnapshotStore`
 generation:
 
-* per shared SteM: schema, rows with their build timestamps, EOT coverage;
+* per registry SteM (a table's shared one, or a self-join alias's own), by
+  name: schema, rows with their build timestamps, EOT coverage;
 * the virtual time, the build-timestamp cursor, admissions, retirements and
   every acknowledged result identity;
 * per started query (:meth:`Eddy.cut <repro.core.eddy.Eddy.cut>`): when its
   scans started and each scan's stream position; each index AM's answered
   keys, queued keys and lookups in flight (step, attempt, due time); each
-  shared-SteM module's carried set as build timestamps; each *private* SteM
-  (self-join aliases) in the per-table form; and every routable held by the
+  SteM module's carried set as build timestamps; and every routable held by the
   ready deque, the blocked-offer lists and each module's queue and service
   slot, in order (:func:`~repro.recovery.codec.encode_item`).
 
@@ -141,8 +141,11 @@ def _make_emit_filter(remaining: dict[str, int]):
 
 @dataclass
 class RecoveredTable:
-    """One SteM's persisted content (a shared table, or a private alias)."""
+    """One registry SteM's persisted content."""
 
+    #: The SteM's name: ``stem:{table}`` when shared, else a self-join
+    #: alias's ``{query_id}:stem:{alias}``.
+    name: str
     table: str
     aliases: tuple[str, ...]
     join_columns: tuple[str, ...]
@@ -172,6 +175,7 @@ class RecoveredState:
     directory: str
     #: Virtual time of the cut (0.0 for the empty cut).
     cut_time: float = 0.0
+    #: SteM name -> its persisted content.
     tables: dict[str, RecoveredTable] = field(default_factory=dict)
     #: Every logged admission, in log order (cut first, then the tail).
     admissions: list[RecoveredAdmission] = field(default_factory=list)
@@ -221,9 +225,10 @@ class RecoveredState:
 
 
 def _encode_stem(stem) -> dict:
-    """One SteM in the per-table snapshot form."""
+    """One registry SteM in the snapshot form."""
     schema = stem.row_schema
     return {
+        "name": stem.name,
         "t": stem.table,
         "aliases": list(stem.aliases),
         "join": list(stem.join_columns),
@@ -239,6 +244,7 @@ def _decode_stem(encoded: dict) -> RecoveredTable:
     schema = None if encoded["schema"] is None else decode_schema(encoded["schema"])
     scan_complete, eot_keys = decode_coverage(encoded["coverage"])
     return RecoveredTable(
+        name=encoded["name"],
         table=table,
         aliases=tuple(encoded["aliases"]),
         join_columns=tuple(encoded["join"]),
@@ -258,21 +264,19 @@ def _install_stem(stem, recovered: RecoveredTable) -> None:
     stem.restore_coverage(recovered.scan_complete, recovered.eot_keys)
 
 
-def _map_cut(cut: dict, item, state, stem) -> dict:
+def _map_cut(cut: dict, item, state) -> dict:
     """A query's cut (:meth:`~repro.core.eddy.Eddy.cut`, live or encoded)
-    with every routable through ``item``, every module's state through
-    ``state`` and a private SteM through ``stem(module name, it)``."""
+    with every routable through ``item`` and every module's state through
+    ``state``."""
     modules = {}
     for name, held in cut["modules"].items():
         in_service = held["in_service"]
-        modules[name] = entry = {
+        modules[name] = {
             "kind": held["kind"],
             "in_service": None if in_service is None else item(in_service),
             "queue": [item(queued) for queued in held["queue"]],
             "state": state(held["state"]),
         }
-        if "stem" in held:
-            entry["stem"] = stem(name, held["stem"])
     return {
         "started_at": cut["started_at"],
         "ready": [item(ready) for ready in cut["ready"]],
@@ -291,18 +295,12 @@ def _resume_query(engine: MultiQueryEngine, query_id: str, encoded: dict, catalo
     def schema_of(table):
         return catalog.table(table).schema
 
-    def install(name, stem):
-        # A module the query does not have is Eddy.restore's to report.
-        if name in eddy.modules:
-            _install_stem(eddy.modules[name].stem, _decode_stem(stem))
-
     engine.resume(
         query_id,
         _map_cut(
             encoded,
             lambda item: decode_item(item, eddy.layout, schema_of, eddy.modules),
             decode_value,
-            install,
         ),
     )
 
@@ -325,11 +323,6 @@ class CheckpointManager:
         retain: int = 2,
         commit_latency: float = 0.25,
     ):
-        if engine.registry is None:
-            raise ExecutionError(
-                "durability requires shared SteMs (shared_stems=True): "
-                "the recoverable state lives in the registry"
-            )
         if commit_latency < 0:
             raise ExecutionError(
                 f"commit_latency must be >= 0, got {commit_latency}"
@@ -529,13 +522,14 @@ class CheckpointManager:
         engine = self.engine
         state = {
             "kind": "repro-snapshot",
-            "version": 2,
+            "version": 3,
             "wal_gen": self.generation,
             "wal_position": self.wal.position,
             "time": engine.simulator.now,
             "next_timestamp": engine.next_build_timestamp,
             "tables": [
-                _encode_stem(stem) for _, stem in sorted(engine.registry.stems.items())
+                _encode_stem(stem)
+                for stem in sorted(engine.registry.stems.values(), key=lambda stem: stem.name)
             ],
             "admissions": [
                 {
@@ -552,9 +546,7 @@ class CheckpointManager:
             # Queries not yet started hold nothing: they restart from their
             # admission record alone.
             "queries": {
-                query_id: _map_cut(
-                    eddy.cut(), encode_item, encode_value, lambda _, stem: _encode_stem(stem)
-                )
+                query_id: _map_cut(eddy.cut(), encode_item, encode_value)
                 for query_id in engine.active
                 if (eddy := engine.eddy_of(query_id)).started_at is not None
             },
@@ -617,10 +609,10 @@ def recover_state(directory: str) -> RecoveredState:
     cut_generation = 0
     cut_position = 0
     if snapshot is not None:
-        if snapshot.get("version") != 2:
+        if snapshot.get("version") != 3:
             raise ExecutionError(
                 f"snapshot format {snapshot.get('version')!r} in {directory!r} is not "
-                "a consistent cut (format 2); it cannot be resumed"
+                "a consistent cut over registry SteMs (format 3); it cannot be resumed"
             )
         cut_generation = int(snapshot["wal_gen"])
         cut_position = int(snapshot["wal_position"])
@@ -628,7 +620,7 @@ def recover_state(directory: str) -> RecoveredState:
         state.cut_time = float(snapshot["time"])
         state.next_timestamp = int(snapshot["next_timestamp"])
         state.tables = {
-            encoded["t"]: _decode_stem(encoded) for encoded in snapshot["tables"]
+            encoded["name"]: _decode_stem(encoded) for encoded in snapshot["tables"]
         }
         for entry in snapshot["admissions"]:
             _apply_wal_record(state, dict(entry, k="admit"), after_cut=False)
@@ -734,8 +726,6 @@ def restore_engine(
         start_time=state.cut_time,
         **engine_kwargs,
     )
-    if engine.registry is None:
-        raise ExecutionError("restore requires shared SteMs (shared_stems=True)")
     engine.recovered_from = state
 
     def arm_emit_filter(query_id, admission, query, start_time, eddy) -> None:
@@ -753,7 +743,11 @@ def restore_engine(
     for recovered in state.tables.values():
         for alias in recovered.aliases or (recovered.table,):
             stem = engine.registry.stem_for(
-                recovered.table, alias, recovered.join_columns, owner=_RESTORE_OWNER
+                recovered.table,
+                alias,
+                recovered.join_columns,
+                owner=_RESTORE_OWNER,
+                name=recovered.name,
             )
         _install_stem(stem, recovered)
     events: list[ChurnEvent] = []

@@ -131,7 +131,7 @@ class TestSignatureStats:
     def _module(self) -> SteMModule:
         r_table = make_source_r(cardinality=24, distinct_a=6, seed=13)
         stem = SteM("R", aliases=("R",), join_columns=("a",))
-        module = SteMModule(stem, predicates=(equi_join("R.a", "S.x"),))
+        module = SteMModule(stem, "R", predicates=(equi_join("R.a", "S.x"),))
         module.attach(FakeRuntime(LAYOUT, scan_aliases=("R", "S")))
         for row in r_table:
             module.process(QTuple({"R": row}, layout=LAYOUT))

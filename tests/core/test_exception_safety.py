@@ -115,7 +115,7 @@ class TestSteMModuleExceptionSafety:
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
         stem = SteM("S", aliases=("S",), join_columns=("x",))
         module = SteMModule(
-            stem, query.predicates if predicates is None else predicates
+            stem, "S", query.predicates if predicates is None else predicates
         )
         module.attach(runtime)
         return module

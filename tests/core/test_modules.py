@@ -6,6 +6,8 @@ The modules are exercised against a minimal fake runtime so their behaviour
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.modules.access import IndexAMModule, ScanAMModule
@@ -229,10 +231,10 @@ class TestIndexAM:
 
 
 class TestSteMModule:
-    def make_module(self, runtime, aliases=("S",)):
+    def make_module(self, runtime):
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
-        stem = SteM("S", aliases=aliases, join_columns=("x",))
-        module = SteMModule(stem, query.predicates)
+        stem = SteM("S", aliases=("S",), join_columns=("x",))
+        module = SteMModule(stem, "S", query.predicates)
         module.attach(runtime)
         return module
 
@@ -283,6 +285,69 @@ class TestSteMModule:
         module = self.make_module(runtime)
         assert module.process(EOTTuple(table="S", alias="S", am_name="scan")) == []
         assert module.scan_complete
+
+
+class TestCoverageOverASharedSteM:
+    """Two queries' modules over one SteM on S, which only an index reaches
+    (no scan on S): a probe with timestamp-suppressed matches is covered
+    exactly when the probing query carried every row the SteM holds."""
+
+    S_SCHEMA = Schema.of("x:int", "y:int")
+
+    def two_modules(self):
+        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
+        stem = SteM("S", aliases=("S",), join_columns=("x",))
+        clock = itertools.count(1)  # one build-timestamp order, as in an engine
+        modules = []
+        for _ in range(2):
+            runtime = FakeRuntime(LAYOUT)
+            runtime._timestamps = clock
+            module = SteMModule(stem, "S", query.predicates)
+            module.attach(runtime)
+            modules.append(module)
+        return stem, clock, modules
+
+    def s_tuple(self, x, y):
+        return singleton_tuple("S", Row("S", self.S_SCHEMA, (x, y)), layout=LAYOUT)
+
+    def lookup_eot(self, x):
+        return EOTTuple(
+            table="S", alias="S", am_name="am:S_idx_x",
+            bound_columns=("x",), bound_values=(x,),
+        )
+
+    def test_probe_is_exhausted_when_its_query_carried_every_row(self):
+        stem, clock, (first, second) = self.two_modules()
+        probe = r_tuple(a=4)
+        probe.mark_built("R", float(next(clock)))
+        # The other query inserts a match first; this query carries it too
+        # (adopting the shared timestamp) and builds a second one itself.
+        assert second.process(self.s_tuple(4, 4)) != []
+        adopted = self.s_tuple(4, 4)
+        assert first.process(adopted) == [adopted]
+        assert first.process(self.s_tuple(4, 5)) != []
+        first.process(self.lookup_eot(4))
+        assert len(stem) == 2
+        outputs = first.process(probe)
+        # Both matches were built after the probe: suppressed, yet each will
+        # probe R from the other side within this query's dataflow.
+        assert outputs == [probe]
+        assert "S" in probe.exhausted and probe.is_resolved("S")
+        assert probe.probe_completion_alias is None
+
+    def test_probe_takes_the_am_path_when_the_other_query_built_a_match(self):
+        stem, clock, (first, second) = self.two_modules()
+        probe = r_tuple(a=4)
+        probe.mark_built("R", float(next(clock)))
+        assert first.process(self.s_tuple(4, 5)) != []
+        # A suppressed match this query never carried: it reaches this query
+        # only through an index lookup of its own.
+        assert second.process(self.s_tuple(4, 4)) != []
+        first.process(self.lookup_eot(4))
+        outputs = first.process(probe)
+        assert outputs == [probe]
+        assert "S" not in probe.exhausted and not probe.is_resolved("S")
+        assert probe.probe_completion_alias == "S"
 
 
 class TestJoinModules:

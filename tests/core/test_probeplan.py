@@ -250,7 +250,7 @@ class TestPlanMechanics:
 
     def test_module_plan_cache_is_per_probe_situation(self):
         stem = make_stem()
-        module = SteMModule(stem, [equi_join("R.a", "S.x")])
+        module = SteMModule(stem, "S", [equi_join("R.a", "S.x")])
         layout = layout_over("R", "S")
         probe = singleton_tuple("R", r_row(0, 1), layout=layout)
         probe.mark_built("R", 1.0)

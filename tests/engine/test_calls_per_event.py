@@ -33,12 +33,12 @@ from repro.storage.table import Table
 SOURCE = str(Path(repro.__file__).parent)
 
 #: Calls per event each shape may take: the ratio last measured (CPython
-#: 3.11: 18.855, 18.311 and 28.672, equal under every hash seed), plus 1%
+#: 3.11: 18.731, 18.310 and 28.450, equal under every hash seed), plus 1%
 #: in case another interpreter version counts a call more or less.
 CEILINGS = {
-    "join_fleet": 19.05,
+    "join_fleet": 18.92,
     "aggregate_window": 18.50,
-    "fan_out": 28.96,
+    "fan_out": 28.74,
 }
 
 

@@ -250,32 +250,33 @@ class TestRetirement:
         # The dead query's start event did not stretch the simulation.
         assert multi.final_time == pytest.approx(multi["bg"].final_time)
 
-    def test_private_stems_honour_the_eviction_policy(self):
-        """`stem_eviction` bounds private SteMs too, not only shared ones."""
+    def test_self_join_stems_honour_the_eviction_policy(self):
+        """`stem_eviction` bounds a self-join alias's own SteMs too, not
+        only the shared ones."""
         catalog = build_catalog()
         events = [
             ChurnEvent(
                 time=0.0,
                 action="admit",
                 admission=QueryAdmission(
-                    BACKGROUND_SQL, query_id="bg", policy="naive"
+                    "SELECT * FROM R r1, R r2 WHERE r1.key = r2.a",
+                    query_id="self",
+                    policy="naive",
                 ),
             )
         ]
         result = run_churn(
             events,
             catalog,
-            shared_stems=False,
             stem_eviction="time-window",
             stem_window=20,
         )
-        # The window was enforced on the private SteMs: rows were evicted
-        # (40-row tables vs a 20-tick window), and the query still ran.
-        evictions = sum(
-            stats.get("evictions", 0) for stats in result.stem_stats.values()
-        )
-        assert evictions > 0
-        assert result["bg"].row_count > 0
+        # The window was enforced on both aliases' SteMs: rows were evicted
+        # (a 40-row table vs a 20-tick window), and the query still ran.
+        assert set(result.stem_stats) == {"self:stem:r1", "self:stem:r2"}
+        for stats in result.stem_stats.values():
+            assert stats["evictions"] > 0
+        assert result["self"].row_count > 0
 
     def test_retire_unknown_or_twice_raises(self):
         engine = MultiQueryEngine(

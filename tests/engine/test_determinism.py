@@ -83,8 +83,8 @@ class TestMultiQueryDeterminism:
     def test_identical_multi_runs_emit_identical_per_query_traces(self):
         first_admissions = self._admissions()
         second_admissions = self._admissions()
-        first = run_multi(first_admissions, build_catalog(), shared_stems=True)
-        second = run_multi(second_admissions, build_catalog(), shared_stems=True)
+        first = run_multi(first_admissions, build_catalog())
+        second = run_multi(second_admissions, build_catalog())
         for first_admission, second_admission in zip(first_admissions, second_admissions):
             assert len(first_admission.trace) > 0
             assert records(first_admission.trace) == records(second_admission.trace)

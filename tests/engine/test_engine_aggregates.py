@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.aggregates import AggregateModule
 from repro.engine.api import execute
-from repro.engine.multi import MultiQueryEngine, QueryAdmission, run_multi
+from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.errors import ExecutionError, QueryError
 from repro.recovery.codec import canonical_json, encode_value
 from repro.storage.catalog import Catalog
@@ -157,13 +157,6 @@ class TestMultiQueryAggregates:
         assert [tuple(r) for r in result["qf"].aggregate_rows] == brute_force(
             engine.catalog, cutoff=60
         )
-
-    def test_private_stems_use_private_modules(self):
-        result = run_multi(
-            self.admissions()[:2], build_catalog(), shared_stems=False
-        )
-        assert result["qa"].aggregate_rows == result["qb"].aggregate_rows
-        assert "aggregates_created" not in result.registry_stats
 
     def test_retirement_snapshots_and_releases(self):
         engine = MultiQueryEngine(self.admissions(), build_catalog())

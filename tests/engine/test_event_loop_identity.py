@@ -183,7 +183,7 @@ SINGLE_GOLDEN: dict[str, str] = {
     'bursty-naive-1': '88942246955d01afdcaed012f13c1a9e0f5a1160ebe97411eee098ee6f4f39ef',
     'bursty-lottery-8': 'd6b84cf2ab66b6f0a94eeb8e377698922940d0009741b5e9e69aaec41d1efc8a',
     'bursty-benefit-1': '4f59f5f1fb6b7fd68304879b0c072e5a2ae4b0b5d7042da848ef758ece0d7ab6',
-    'group-by': '5694a01535b76c8e8b67ace3e8e23cb6d6122d4345bae1ba0dff3ec6fa9c9201',
+    'group-by': 'bdde97e5bb353649dfc804156745b650b79ff876d70bebdef3b2f9a4f2933eee',
     'q4-bounded': '3810b4df6d31801a07b9eca7f525d52c54eaa3b0395e2b73182287a7d8e78b9d',
 }
 

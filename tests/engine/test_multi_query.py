@@ -83,35 +83,37 @@ class TestSharedExecution:
     def test_results_identical_to_each_query_alone(self):
         catalog = build_catalog()
         admissions = fleet([5, 9, None], stagger=0.8)
-        multi = run_multi(admissions, catalog, shared_stems=True)
+        multi = run_multi(admissions, catalog)
         for position, admission in enumerate(admissions):
             alone = execute(admission.query, catalog, policy="naive")
             assert identity(multi[f"q{position}"]) == identity(alone)
 
-    def test_private_mode_matches_too(self):
+    def test_each_admission_alone_matches_the_fleet(self):
+        # One admission, arrival time kept, in an engine of its own: the
+        # baseline the sharing ablation and the CLI compare a fleet with.
         catalog = build_catalog()
         admissions = fleet([5, 9, None], stagger=0.8)
-        multi = run_multi(admissions, catalog, shared_stems=False)
+        multi = run_multi(admissions, catalog)
         for position, admission in enumerate(admissions):
-            alone = execute(admission.query, catalog, policy="naive")
-            assert identity(multi[f"q{position}"]) == identity(alone)
+            alone = run_multi([admission], catalog)
+            assert identity(alone["q0"]) == identity(multi[f"q{position}"])
 
     def test_shared_inserts_one_tables_worth(self):
         catalog = build_catalog(rows=40)
         admissions = fleet([6, 8, None], stagger=0.5)
-        shared = run_multi(admissions, catalog, shared_stems=True)
-        private = run_multi(admissions, catalog, shared_stems=False)
-        # R and T rows are inserted once under sharing, once per query
-        # without it.
+        shared = run_multi(admissions, catalog)
+        alone = [run_multi([admission], catalog) for admission in admissions]
+        # R and T rows are inserted once under sharing, once per query run
+        # alone.
         assert shared.stem_totals["insertions"] == 80
-        assert private.stem_totals["insertions"] == 240
+        assert sum(run.stem_totals["insertions"] for run in alone) == 240
         assert shared.stem_totals["duplicates"] > 0
         assert shared.registry_stats["stems"] == 2
-        assert private.registry_stats == {}
+        assert all(run.registry_stats["stems"] == 2 for run in alone)
 
     def test_outputs_and_results_carry_query_ids(self):
         catalog = build_catalog(rows=30)
-        multi = run_multi(fleet([7, None]), catalog, shared_stems=True)
+        multi = run_multi(fleet([7, None]), catalog)
         assert list(multi) == ["q0", "q1"] and "q0" in multi  # mapping protocol
         for query_id, result in multi.items():
             assert result.query_id == query_id
@@ -120,7 +122,7 @@ class TestSharedExecution:
     def test_strict_constraints_run_clean_with_sharing(self):
         catalog = build_catalog(rows=30)
         multi = run_multi(
-            fleet([7, None]), catalog, shared_stems=True, strict_constraints=True
+            fleet([7, None]), catalog, strict_constraints=True
         )
         assert multi.total_rows > 0
 
@@ -131,7 +133,6 @@ class TestSharedExecution:
             [QueryAdmission(JOIN_SQL, arrival_time=0.0, policy="naive"),
              QueryAdmission(JOIN_SQL, arrival_time=arrival, policy="naive")],
             catalog,
-            shared_stems=True,
         )
         late = multi["q1"]
         assert late.output_series.points[0][0] >= arrival
@@ -146,7 +147,6 @@ class TestSharedExecution:
              QueryAdmission("SELECT * FROM R, S WHERE R.a = S.x",
                             query_id="rs", policy="naive", arrival_time=0.5)],
             catalog,
-            shared_stems=True,
         )
         assert set(multi.stem_stats) == {"stem:R", "stem:S", "stem:T"}
         alone_rs = execute(
@@ -163,20 +163,94 @@ class TestSharedExecution:
             [QueryAdmission(sql, policy="naive"),
              QueryAdmission(sql, policy="naive", arrival_time=0.3)],
             catalog,
-            shared_stems=True,
         )
         multi = engine.run()
-        assert len(engine.registry) == 0  # nothing shared
+        # One registry SteM per query and alias, none of them shared.
+        names = {
+            f"{query_id}:stem:{alias}"
+            for query_id in ("q0", "q1")
+            for alias in ("r1", "r2")
+        }
+        stems = engine.registry.stems
+        assert set(stems) == names
+        assert {stem.name for stem in stems.values()} == names
+        for query_id in ("q0", "q1"):
+            for alias, module in engine.eddy_of(query_id).stems.items():
+                assert module.stem is stems[f"{query_id}:stem:{alias}"]
+        assert set(multi.stem_stats) == names
         alone = execute(sql, catalog, policy="naive")
         assert identity(multi["q0"]) == identity(alone)
         assert identity(multi["q1"]) == identity(alone)
+        # All of them are reclaimed once both queries retire.
+        engine.retire("q0")
+        assert set(engine.registry.stems) == {"q1:stem:r1", "q1:stem:r2"}
+        engine.retire("q1")
+        assert len(engine.registry) == 0
+        assert set(engine.registry.reclaimed_stats) == names
+
+    @staticmethod
+    def index_only_s_catalog() -> Catalog:
+        """R and T scanned; S reachable only through its index on x."""
+        catalog = Catalog()
+        catalog.add_table(make_source_r(40, 10, seed=3))
+        catalog.add_table(make_source_s(10))
+        catalog.add_table(make_source_t(40, seed=4))
+        catalog.add_scan("R", rate=100.0)
+        catalog.add_scan("T", rate=100.0)
+        catalog.add_index("S", ["x"], latency=0.05)
+        return catalog
+
+    def test_index_only_target_is_covered_by_a_query_that_carried_every_row(self):
+        # The R rows an earlier R-T query built carry older timestamps than
+        # every S row, so the R-S query's probes into S meet suppressed
+        # matches.  It carried every S row itself, so the probes are covered
+        # and it takes the index path exactly as often as it does alone.
+        rs_sql = "SELECT * FROM R, S WHERE R.a = S.x"
+
+        def rs_admission(trace):
+            return QueryAdmission(
+                rs_sql, query_id="rs", policy="naive", arrival_time=0.3, trace=trace
+            )
+
+        fleet_trace, alone_trace = TraceLog(), TraceLog()
+        multi = run_multi(
+            [QueryAdmission(JOIN_SQL, query_id="rt", policy="naive"),
+             rs_admission(fleet_trace)],
+            self.index_only_s_catalog(),
+        )
+        alone = run_multi([rs_admission(alone_trace)], self.index_only_s_catalog())
+        assert multi["rs"].canonical_identities() == alone["rs"].canonical_identities()
+
+        def index_routes(trace):
+            return sum(
+                1 for r in trace if r.kind == "route" and r.detail[1].startswith("am:S_")
+            )
+
+        # Results may come sooner (the R SteM already holds rows), but no
+        # probe goes to the index that would not go there alone.
+        assert index_routes(fleet_trace) == index_routes(alone_trace) > 0
+
+    def test_index_only_target_keeps_the_am_path_for_another_querys_rows(self):
+        # The second R-S query arrives after the first has quiesced: every
+        # stored S row was built by the first, so its probes into S still
+        # take the index path, and it looks every key up again itself.
+        sql = "SELECT * FROM R, S WHERE R.a = S.x"
+        late = QueryAdmission(sql, query_id="late", policy="naive", arrival_time=5.0)
+        multi = run_multi(
+            [QueryAdmission(sql, query_id="early", policy="naive"), late],
+            self.index_only_s_catalog(),
+        )
+        alone = run_multi([late], self.index_only_s_catalog())
+        assert multi["early"].completion_time < 5.0
+        assert multi["late"].canonical_identities() == alone["late"].canonical_identities()
+        assert multi["late"].total_index_lookups() == alone["late"].total_index_lookups() == 10
 
     def test_eviction_forgets_carried_rows(self):
         """Sliding-window SteMs: an evicted row re-delivered to the same
         query must bounce back again, not be dropped as a duplicate."""
         catalog = build_catalog(rows=120)
         admission = QueryAdmission(JOIN_SQL, policy="naive")
-        multi = run_multi([admission], catalog, shared_stems=True, stem_max_size=50)
+        multi = run_multi([admission], catalog, stem_max_size=50)
         alone = execute(JOIN_SQL, catalog, policy="naive", stem_max_size=50)
         assert identity(multi["q0"]) == identity(alone)
         # Evictions actually happened (the window is smaller than the table).
@@ -202,6 +276,38 @@ class TestSharedExecution:
                  QueryAdmission(JOIN_SQL, policy=policy)],
                 build_catalog(rows=20),
             )
+
+    def test_a_single_query_runs_on_the_registry(self):
+        engine = MultiQueryEngine([JOIN_SQL], build_catalog(rows=30))
+        assert set(engine.registry.stems) == {"R", "T"}
+        stems = engine.eddy_of("q0").stems
+        assert [stems[alias].stem for alias in ("R", "T")] == [
+            engine.registry.stems[table] for table in ("R", "T")
+        ]
+        result = engine.run()
+        assert set(result.stem_stats) == {"stem:R", "stem:T"}
+        assert result.stem_totals["insertions"] == 60
+
+    def test_shared_stems_is_an_unknown_option(self):
+        admission = QueryAdmission(JOIN_SQL, query_id="a")
+        unknown = r"\(\) got unknown option\(s\): shared_stems"
+        with pytest.raises(ExecutionError, match="MultiQueryEngine" + unknown):
+            MultiQueryEngine([admission], build_catalog(), shared_stems=False)
+        with pytest.raises(ExecutionError, match="run_multi" + unknown):
+            run_multi([admission], build_catalog(), shared_stems=False)
+        with pytest.raises(ExecutionError, match="run_churn" + unknown):
+            run_churn([], build_catalog(), shared_stems=False)
+
+    def test_totals_survive_every_query_retiring(self):
+        engine = MultiQueryEngine(fleet([6, None], stagger=0.5), build_catalog(rows=40))
+        live = engine.run()
+        for query_id in engine.active:
+            engine.retire(query_id)
+        retired = engine.run()
+        assert len(engine.registry) == 0
+        assert retired.stem_stats == live.stem_stats
+        assert retired.stem_totals == live.stem_totals
+        assert retired.stem_totals["insertions"] == 80
 
     def test_run_until_truncates_all_queries(self):
         catalog = build_catalog(rows=40)
@@ -231,6 +337,21 @@ class TestSteMRegistry:
         registry.stem_for("R", "R", ("key",), owner="q0")
         assert registry.release("q0") == ["R"]
         assert len(registry) == 0 and registry.stats["reclaimed"] == 1
+
+    def test_a_named_stem_is_one_of_its_own(self):
+        registry = SteMRegistry()
+        shared = registry.stem_for("R", "R", ("key",), owner="q0")
+        assert registry.stem_for("R", "R", owner="q1", name="stem:R") is shared
+        own = registry.stem_for("R", "r1", ("a",), owner="q2", name="q2:stem:r1")
+        assert own is not shared and own.name == "q2:stem:r1"
+        assert own.aliases == ("r1",) and shared.aliases == ("R",)
+        # A restore acquires it by name before its query does.
+        assert registry.stem_for("R", "r1", ("a",), owner="", name="q2:stem:r1") is own
+        assert set(registry.stems) == {"R", "q2:stem:r1"}
+        assert registry.release("q2") == []
+        assert registry.release("") == ["q2:stem:r1"]
+        assert set(registry.reclaimed_stats) == {"q2:stem:r1"}
+        assert set(registry.stems) == {"R"}
 
     def test_join_column_backfill_indexes_existing_rows(self):
         registry = SteMRegistry()
@@ -576,7 +697,7 @@ catalog.add_table(make_source_t(40, seed=12))
 catalog.add_scan("R", rate=100.0)
 catalog.add_scan("T", rate=80.0)
 sql = "SELECT * FROM R, T WHERE R.key = T.key"
-fleet = MultiQueryEngine([sql, sql + " AND R.a < 5"], catalog, shared_stems=True)
+fleet = MultiQueryEngine([sql, sql + " AND R.a < 5"], catalog)
 rows = sum(result.row_count for _, result in fleet.run().items())
 loaded.append("numpy" in sys.modules)
 

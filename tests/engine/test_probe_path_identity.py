@@ -8,8 +8,8 @@ alias and predicates.  Every query's results, trace and SteM counters must
 be identical across the two runs:
 
 * single-query ``execute`` runs across policies and batch sizes;
-* the multi-query engine over a fleet with shared and with private SteMs,
-  a shared-SteM pair, and the heavy staggered fleet;
+* the multi-query engine over a fleet with shared SteMs, a shared-SteM
+  pair, and the heavy staggered fleet;
 * the churn engine admitting and retiring queries over windowed SteMs
   (count, time and reference windows — the last reorders the row store on
   every match);
@@ -100,10 +100,9 @@ def test_single_query(both_paths, policy, batch_size):
     assert compiled == interpreted
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-stems", "private-stems"])
 @pytest.mark.parametrize("batch_size", [1, 8], ids=lambda b: f"batch={b}")
 @pytest.mark.parametrize("policy", POLICIES)
-def test_multi_query_fleet(both_paths, policy, batch_size, shared):
+def test_multi_query_fleet(both_paths, policy, batch_size):
     def run():
         admissions = [
             QueryAdmission(SQL, query_id="a", policy=policy, trace=TraceLog()),
@@ -113,7 +112,7 @@ def test_multi_query_fleet(both_paths, policy, batch_size, shared):
                            arrival_time=0.4, trace=TraceLog()),
         ]
         result = run_multi(
-            admissions, build_catalog(), shared_stems=shared, batch_size=batch_size,
+            admissions, build_catalog(), batch_size=batch_size,
         )
         return fleet_observation(result, [admission.trace for admission in admissions])
 
@@ -129,7 +128,7 @@ def test_shared_stem_pair(both_paths):
             QueryAdmission(SECOND_SQL, query_id="b", policy="lottery",
                            arrival_time=0.2, trace=TraceLog()),
         ]
-        result = run_multi(admissions, build_catalog(), shared_stems=True, batch_size=8)
+        result = run_multi(admissions, build_catalog(), batch_size=8)
         return fleet_observation(result, [admission.trace for admission in admissions])
 
     compiled, interpreted = both_paths(run)
@@ -143,8 +142,7 @@ def test_heavy_staggered_fleet(both_paths):
             n_queries=6, stagger=2.0, rows=200, policy="naive"
         )
         result = run_multi(
-            list(workload.admissions), workload.catalog,
-            shared_stems=True, batch_size=16,
+            list(workload.admissions), workload.catalog, batch_size=16,
         )
         return fleet_observation(result, [])
 

@@ -126,7 +126,7 @@ class FakeRuntime:
 
 def refcount(registry: SteMRegistry, table: str) -> int:
     """Owner-attributed references a registry holds on a table's SteM."""
-    return registry._table_refs.get(table, 0)
+    return registry._stem_refs.get(table, 0)
 
 
 def recompute_aggregate(

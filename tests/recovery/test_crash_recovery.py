@@ -370,16 +370,6 @@ class TestRestoreValidation:
                 recover_state(str(tmp_path)), None, mode="sideways"
             )
 
-    def test_checkpoint_requires_shared_stems(self, tmp_path):
-        workload = small_fleet()
-        engine = MultiQueryEngine(
-            list(workload.admissions),
-            workload.catalog,
-            shared_stems=False,
-        )
-        with pytest.raises(ExecutionError, match="shared"):
-            CheckpointManager.attach(engine, str(tmp_path / "ckpt"))
-
     def test_injector_validates_boundary_and_double_arm(self):
         workload = small_fleet()
         engine = MultiQueryEngine(
@@ -507,7 +497,8 @@ def _three_way():
 
 
 def _self_join():
-    """A self-join keeps a private SteM per alias beside the shared ones."""
+    """A self-join gets a registry SteM of its own per alias beside the
+    shared ones."""
     workload = staggered_fleet_workload(n_queries=2, rows=20, seed=3, stagger=0.3)
     self_join = QueryAdmission(
         "SELECT * FROM R r1, R r2 WHERE r1.a = r2.a AND r1.key < 12",

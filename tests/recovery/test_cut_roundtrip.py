@@ -276,6 +276,27 @@ class TestRestoreThenCheckpoint:
         assert second["queries"] == first["queries"]
 
 
+class TestSelfJoinStems:
+    def test_alias_stems_ride_the_tables_by_name(self, tmp_path):
+        """A self-join alias's SteM is a registry SteM like any other: the
+        cut writes it under ``tables`` by name, not inside its query's cut,
+        and a restore hands it back to the re-admitted query."""
+        directory, catalog, churn_events, options = cut_at(tmp_path, "self_join", 300)
+        first = SnapshotStore(directory).load_latest()
+        names = [table["name"] for table in first["tables"]]
+        assert names == sorted(names)
+        assert {"self:stem:r1", "self:stem:r2", "stem:R", "stem:T"} <= set(names)
+        assert "self" in first["queries"]
+        for query in first["queries"].values():
+            assert all(set(module) == {"kind", "in_service", "queue", "state"}
+                       for module in query["modules"].values())
+        restored, second = recheckpoint(tmp_path, directory, catalog, churn_events, options)
+        stems = restored.registry.stems
+        for alias in ("r1", "r2"):
+            assert restored.eddy_of("self").stems[alias].stem is stems[f"self:stem:{alias}"]
+        assert second["tables"] == first["tables"]
+
+
 class TestBlockedOffers:
     def test_blocked_offers_ride_the_cut(self, tmp_path):
         """No engine option bounds a multi-query module queue, so no sweep
@@ -337,9 +358,15 @@ class TestUnplaceablePieces:
     def test_carried_timestamp_without_its_row_raises(self, tmp_path):
         directory, catalog, churn_events, options = cut_at(tmp_path, "index_only", 300)
         state = recover_state(directory)
-        state.tables["R"].rows.clear()
+        state.tables["stem:R"].rows.clear()
         with pytest.raises(ExecutionError, match="holds no such row"):
             restore_engine(state, catalog, **options)
+
+    def test_format_2_snapshot_is_refused(self, tmp_path):
+        # Format 2 kept a self-join alias's SteM inside its query's cut.
+        SnapshotStore(str(tmp_path)).write({"kind": "repro-snapshot", "version": 2})
+        with pytest.raises(ExecutionError, match="format 2"):
+            recover_state(str(tmp_path))
 
     def test_snapshot_of_another_format_is_refused(self, tmp_path):
         # Rows-and-coverage snapshots (format 1) hold no cut to resume.

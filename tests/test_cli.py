@@ -58,19 +58,24 @@ def test_multi_command_runs_shared_and_reports_savings(capsys):
     ])
     captured = capsys.readouterr().out
     assert exit_code == 0
-    assert "[multi/shared-stems] 3 queries" in captured
-    assert "Shared vs private SteMs" in captured
+    assert "[multi] 3 queries" in captured
+    assert "Shared SteMs vs each query alone: 120 vs 360 insertions (3.0x saved)" in captured
     assert "results identical: True" in captured
 
 
-def test_multi_command_private_mode(capsys):
+def test_multi_command_without_baseline(capsys):
     exit_code = main([
-        "multi", "--queries", "2", "--rows", "40", "--private-stems",
+        "multi", "--queries", "2", "--rows", "40", "--no-baseline",
     ])
     captured = capsys.readouterr().out
     assert exit_code == 0
-    assert "[multi/private-stems] 2 queries" in captured
-    assert "Shared vs private" not in captured
+    assert "[multi] 2 queries" in captured
+    assert "each query alone" not in captured
+
+
+def test_multi_command_has_no_private_stems_flag():
+    with pytest.raises(SystemExit):
+        main(["multi", "--queries", "2", "--rows", "40", "--private-stems"])
 
 
 def test_recover_command_prints_the_cut_and_resumes_it(capsys, tmp_path):
