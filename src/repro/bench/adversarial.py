@@ -51,7 +51,6 @@ from repro.bench.workloads import (
 from repro.core.policies import StaticOrderPolicy
 from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine
-from repro.engine.static_engine import run_static
 from repro.query.query import Query
 from repro.sim.tracing import TraceLog
 
@@ -148,7 +147,7 @@ def differential_check(
         cost_model=workload.cost_model,
         batch_size=batch_size,
     )
-    reference = run_static(workload.query, scenario.build().catalog)
+    reference = execute(workload.query, scenario.build().catalog, engine="static")
     return {
         "policy": policy,
         "batch_size": batch_size,
@@ -176,7 +175,7 @@ def _differential_check_fleet(
     ).run()
     per_query: dict[str, bool] = {}
     for admission in admissions:
-        reference = run_static(admission.query, workload.catalog)
+        reference = execute(admission.query, workload.catalog, engine="static")
         per_query[admission.query_id] = sorted(
             fleet[admission.query_id].canonical_identities()
         ) == sorted(reference.canonical_identities())

@@ -753,8 +753,10 @@ class AggregateRegistry:
                 module = make_module()
             else:
                 module = AggregateModule(
+                    # ``created`` never falls, so a reclaimed module's
+                    # name is never reused by a live one.
                     name=f"aggregate:{query.tables[0].table}"
-                    f"#{len(self._entries)}",
+                    f"#{self.stats['created']}",
                     stem=stem,
                     alias=query.aggregate_alias,
                     group_by=query.group_by,

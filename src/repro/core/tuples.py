@@ -93,8 +93,7 @@ class Result:
     TupleState that routed it.
 
     The eddy keeps one per emitted tuple (:attr:`Eddy.output_tuples
-    <repro.core.eddy.Eddy.output_tuples>`), and the static engine builds
-    one per composite.  It holds the tuple id, the query id, the
+    <repro.core.eddy.Eddy.output_tuples>`).  It holds the tuple id, the query id, the
     components factorised and the priority, and has no mutator: once a
     tuple is output the work its TupleState tracked is finished.
 

@@ -2,7 +2,9 @@
 
 Every SteM query runs on :class:`MultiQueryEngine`: a single query is a
 one-admission run, a fleet shares one SteM per base table (all of them owned
-by the engine's :class:`~repro.core.stem_registry.SteMRegistry`).
+by the engine's :class:`~repro.core.stem_registry.SteMRegistry`).  A static
+plan is an :class:`EddyJoinsEngine` over the fixed plan of
+:func:`choose_join_order`.
 """
 
 from repro.engine.api import ENGINES, execute
@@ -10,6 +12,7 @@ from repro.engine.joins_engine import (
     EddyJoinsEngine,
     JoinPlanResolver,
     JoinSpec,
+    choose_join_order,
     default_join_plan,
     run_eddy_joins,
 )
@@ -19,7 +22,6 @@ from repro.engine.multi import (
     run_multi,
 )
 from repro.engine.results import ExecutionResult, MultiQueryResult, Series
-from repro.engine.static_engine import StaticEngine, choose_join_order, run_static
 
 __all__ = [
     "ENGINES",
@@ -31,11 +33,9 @@ __all__ = [
     "MultiQueryResult",
     "QueryAdmission",
     "Series",
-    "StaticEngine",
     "choose_join_order",
     "default_join_plan",
     "execute",
     "run_eddy_joins",
     "run_multi",
-    "run_static",
 ]

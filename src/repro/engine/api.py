@@ -13,11 +13,10 @@ from typing import Sequence
 from repro.errors import ExecutionError
 from repro.core.costs import CostModel
 from repro.core.policies import RoutingPolicy
-from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec
+from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec, choose_join_order
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.engine.config import EngineConfig
 from repro.engine.results import ExecutionResult
-from repro.engine.static_engine import StaticEngine
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.sim.tracing import TraceLog
@@ -47,18 +46,21 @@ def execute(
             one-admission :class:`~repro.engine.multi.MultiQueryEngine` run,
             whose result is query ``"q0"``),
             ``"eddy-joins"`` (the pre-SteM eddy baseline) or ``"static"``
-            (a traditional optimize-then-execute plan).
-        policy: routing policy name or instance (adaptive engines only).
+            (a traditional optimize-then-execute plan: the eddy-joins engine
+            over the fixed plan of
+            :func:`~repro.engine.joins_engine.choose_join_order`, routed by
+            the naive policy whatever ``policy`` says).
+        policy: routing policy name or instance (``stems`` and
+            ``eddy-joins``).
         plan: explicit join-module plan (``eddy-joins`` engine only).
-        until: stop the simulation at this virtual time (adaptive engines).
+        until: stop the simulation at this virtual time.
         trace: optional :class:`~repro.sim.tracing.TraceLog` recording the
-            adaptive engines' route/output/retire events.  Identical calls
-            produce identical traces, tuple ids included.  The ``static``
-            engine routes nothing and therefore emits no trace records.
+            engine's route/output/retire events.  Identical calls produce
+            identical traces, tuple ids included.
         options: the engine keywords of
-            :class:`~repro.engine.config.EngineConfig`.  The static engine
-            reads none of them; the strict constraints and the SteM bound
-            configure the ``stems`` engine only.
+            :class:`~repro.engine.config.EngineConfig`.  The strict
+            constraints and the SteM bound configure the ``stems`` engine
+            only; the other two read the cost model and batch size.
 
     Returns:
         An :class:`~repro.engine.results.ExecutionResult`.
@@ -94,7 +96,10 @@ def execute(
             config=config, trace=trace,
         )
     elif engine == "static":
-        baseline = StaticEngine(parsed, catalog)
+        baseline = EddyJoinsEngine(
+            parsed, catalog, plan=choose_join_order(parsed, catalog),
+            config=config, trace=trace,
+        )
     else:
         raise ExecutionError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if parsed.is_aggregate:
@@ -104,4 +109,4 @@ def execute(
             f"engine {engine!r} does not support GROUP BY aggregate queries; "
             "use the 'stems' engine"
         )
-    return baseline.run(until=until)
+    return replace(baseline.run(until=until), engine=engine)

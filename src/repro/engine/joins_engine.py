@@ -6,6 +6,10 @@ the eddy routes tuples between *encapsulated* join modules (symmetric hash
 joins, caching index joins) whose internal state it cannot see.  Access
 methods, the simulator, and the cost model are shared with the SteM engine so
 the comparison isolates the architectural difference.
+
+An eddy whose module order is fixed is a static plan (paper Figure 1(a)):
+``execute(engine="static")`` runs this engine with the naive policy over
+the left-deep plan :func:`choose_join_order` picks once from statistics.
 """
 
 from __future__ import annotations
@@ -24,13 +28,20 @@ from repro.core.policies import NaivePolicy, RoutingPolicy, make_policy
 from repro.core.tuples import QTuple, install_id_allocator
 from repro.engine.config import EngineConfig
 from repro.engine.results import ExecutionResult, Series, span_series
-from repro.query.binding import check_query
+from repro.query.binding import (
+    check_query,
+    constant_bound_columns,
+    index_usable,
+    joinable_columns,
+)
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
+from repro.query.probeplan import compile_bind_sources
 from repro.query.query import Query
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, IndexSpec
+from repro.storage.statistics import analyze_table, estimate_join_cardinality
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,8 @@ class JoinSpec:
         left: aliases of the module's left input (a base alias, or the
             accumulated span of the joins below it in a left-deep plan).
         right: the alias joined in by this module.
-        index_columns: bind columns of the inner index (``kind="index"``).
+        index_columns: bind columns of the inner index (``kind="index"``;
+            empty takes the first index the step binds).
         lookup_latency: per-lookup latency of the inner index.
         queue_capacity: bound on the module's input queue.
     """
@@ -56,36 +68,117 @@ class JoinSpec:
     queue_capacity: int | None = None
 
 
+def _bound_index(
+    query: Query, catalog: Catalog, done: Sequence[str], alias: str
+) -> IndexSpec | None:
+    """The first index of ``alias``'s table whose bind columns constants or
+    the aliases in ``done`` bind (:func:`~repro.query.binding.validate_bindings`'s rule)."""
+    bound = constant_bound_columns(query, alias).keys() | joinable_columns(
+        query, alias, frozenset(done)
+    )
+    for index in catalog.indexes(query.table_of(alias)):
+        if index_usable(index, bound):
+            return index
+    return None
+
+
+def _join_step(
+    query: Query, catalog: Catalog, done: Sequence[str], alias: str
+) -> JoinSpec | None:
+    """The step joining ``alias`` to ``done``, or None if it cannot join yet.
+
+    A table with a scan joins by a symmetric hash join; any other is the
+    inner of an index join, once one of its indexes is bound.
+    """
+    if catalog.has_scan(query.table_of(alias)):
+        return JoinSpec(kind="shj", left=tuple(done), right=alias)
+    index = _bound_index(query, catalog, done, alias)
+    if index is None:
+        return None
+    return JoinSpec(
+        kind="index",
+        left=tuple(done),
+        right=alias,
+        index_columns=tuple(index.columns),
+        lookup_latency=index.latency,
+    )
+
+
 def default_join_plan(query: Query, catalog: Catalog) -> list[JoinSpec]:
     """A left-deep plan over the FROM-clause order.
 
-    Each step joins the next alias to everything joined so far, using a
-    symmetric hash join when the next table has a scan access method and a
-    caching index join otherwise (mirroring what a traditional optimizer
-    would be forced to pick).  The query is checked first
-    (:func:`~repro.query.binding.check_query`), so every table has one.
+    Each step joins the next alias to everything joined so far
+    (:func:`_join_step`).  The query is checked first
+    (:func:`~repro.query.binding.check_query`), so every table has an
+    access method.
+
+    Raises:
+        ExecutionError: when an alias cannot join the aliases before it in
+            FROM order (no scan, and no index they bind).
     """
     check_query(query, catalog)
     aliases = list(query.alias_order)
     specs: list[JoinSpec] = []
-    done: list[str] = [aliases[0]]
-    for alias in aliases[1:]:
-        table = query.table_of(alias)
-        if catalog.has_scan(table):
-            specs.append(JoinSpec(kind="shj", left=tuple(done), right=alias))
-        else:
-            index = catalog.indexes(table)[0]
-            specs.append(
-                JoinSpec(
-                    kind="index",
-                    left=tuple(done),
-                    right=alias,
-                    index_columns=tuple(index.columns),
-                    lookup_latency=index.latency,
-                )
+    for position, alias in enumerate(aliases[1:], start=1):
+        step = _join_step(query, catalog, aliases[:position], alias)
+        if step is None:
+            raise ExecutionError(
+                f"alias {alias!r} cannot join {aliases[:position]} in FROM order: "
+                "its table has no scan and none of its indexes is bound"
             )
-        done.append(alias)
+        specs.append(step)
     return specs
+
+
+def choose_join_order(query: Query, catalog: Catalog) -> list[JoinSpec]:
+    """A static plan: a greedy left-deep order, chosen once from statistics.
+
+    The first alias is the smallest table with a scan (a tie goes to the
+    earliest in FROM order); each next one is the joinable alias
+    (:func:`_join_step`) connected to the joined ones with the smallest
+    textbook cardinality estimate (:mod:`repro.storage.statistics`).  Once
+    one alias streams, every alias :func:`~repro.query.binding.check_query`
+    accepts becomes joinable in turn.  Raises :class:`ExecutionError` when
+    no table of the query has a scan.
+    """
+    check_query(query, catalog)
+    stats = {
+        ref.alias: analyze_table(catalog.table(ref.table)) for ref in query.tables
+    }
+    streamed = [a for a in query.alias_order if catalog.has_scan(query.table_of(a))]
+    if not streamed:
+        raise ExecutionError(
+            "a static plan streams its first alias, and no table of "
+            f"{sorted(query.aliases)} has a scan access method"
+        )
+    order = [min(streamed, key=lambda alias: stats[alias].cardinality)]
+    plan: list[JoinSpec] = []
+    remaining = set(query.alias_order) - set(order)
+    while remaining:
+        candidates = []
+        for alias in sorted(remaining):
+            step = _join_step(query, catalog, order, alias)
+            if step is None:
+                continue
+            connected = bool(query.predicates_between(order, alias))
+            for predicate in query.equi_join_predicates:
+                own = predicate.column_for(alias)
+                if own is None:
+                    continue
+                other = predicate.other_side(alias)
+                if getattr(other, "alias", None) in order:
+                    estimate = estimate_join_cardinality(
+                        stats[other.alias], other.column, stats[alias], own.column
+                    )
+                    break
+            else:
+                estimate = stats[alias].cardinality * 1000.0
+            candidates.append((not connected, estimate, alias, step))
+        _, _, chosen, step = min(candidates, key=lambda c: c[:3])
+        plan.append(step)
+        order.append(chosen)
+        remaining.discard(chosen)
+    return plan
 
 
 class JoinPlanResolver:
@@ -150,7 +243,10 @@ class EddyJoinsEngine:
         catalog: tables and access methods.
         plan: join-module plan; defaults to :func:`default_join_plan`.
             Either way the query is checked here, at construction
-            (:func:`~repro.query.binding.check_query`).
+            (:func:`~repro.query.binding.check_query`), and so is every
+            index step: each bind column must be bound by an equality with
+            the step's outer aliases or with a constant
+            (:class:`ExecutionError` otherwise).
         policy: routing policy (the default naive policy reproduces the
             original architecture, whose only freedom is module order).
         config: the run's :class:`~repro.engine.config.EngineConfig`; this
@@ -236,13 +332,17 @@ class EddyJoinsEngine:
                     latency = self.costs.index_lookup_latency
                 columns = spec.index_columns
                 if not columns:
-                    indexes = catalog.indexes(table.name)
-                    if not indexes:
-                        raise ExecutionError(
-                            f"no index access method on {table.name!r} for an "
-                            "index join module"
-                        )
-                    columns = tuple(indexes[0].columns)
+                    index = _bound_index(query, catalog, spec.left, spec.right)
+                    columns = tuple(index.columns) if index is not None else ()
+                # An equality selection of the inner binds its index too.
+                predicates += tuple(constant_bound_columns(query, spec.right).values())
+                if not columns or not all(
+                    compile_bind_sources(predicates, spec.right, columns)
+                ):
+                    raise ExecutionError(
+                        f"the index join of {spec.right!r} cannot bind index columns "
+                        f"{list(columns)} from {list(spec.left)} or constants"
+                    )
                 module = IndexJoinModule(
                     name=f"join:index:{position}:{spec.right}",
                     predicates=predicates,

@@ -18,7 +18,7 @@ feasible access order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import AbstractSet, Any, Mapping
 
 from repro.errors import BindingError, QueryError
 from repro.query.expressions import ColumnRef, Expression, Literal
@@ -40,7 +40,7 @@ class BindingPlan:
 
     Attributes:
         access_order: one feasible order in which aliases can first be
-            accessed (used by the static baseline as a driver order).
+            accessed (the order the fixpoint reached them in).
         usable_access_methods: for each alias, the access methods that can
             possibly be used at some point during execution.
         driver_aliases: aliases accessible without any bindings (i.e. having
@@ -56,18 +56,21 @@ class BindingPlan:
         return self.usable_access_methods[alias]
 
 
-def constant_bound_columns(query: Query, alias: str) -> frozenset[str]:
-    """Columns of ``alias`` bound to constants by equality selections."""
-    bound: set[str] = set()
+def constant_bound_columns(query: Query, alias: str) -> dict[str, Comparison]:
+    """Columns of ``alias`` bound to constants by equality selections.
+
+    Each column maps to the first selection that binds it.
+    """
+    bound: dict[str, Comparison] = {}
     for predicate in query.predicates_on(alias):
         if not isinstance(predicate, Comparison) or predicate.op not in ("=", "=="):
             continue
         left, right = predicate.left, predicate.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            bound.add(left.column)
+            bound.setdefault(left.column, predicate)
         elif isinstance(right, ColumnRef) and isinstance(left, Literal):
-            bound.add(right.column)
-    return frozenset(bound)
+            bound.setdefault(right.column, predicate)
+    return bound
 
 
 def joinable_columns(query: Query, alias: str, accessible: frozenset[str]) -> frozenset[str]:
@@ -83,9 +86,7 @@ def joinable_columns(query: Query, alias: str, accessible: frozenset[str]) -> fr
     return frozenset(bound)
 
 
-def _index_usable(
-    spec: IndexSpec, bound_columns: frozenset[str]
-) -> bool:
+def index_usable(spec: IndexSpec, bound_columns: AbstractSet[str]) -> bool:
     """True if all of the index's bind columns are bound."""
     return frozenset(spec.bind_columns) <= bound_columns
 
@@ -100,26 +101,25 @@ def _value_family(value: Any) -> str | None:
 def check_query(query: Query, catalog: Catalog) -> BindingPlan:
     """Check that the query is valid against the catalog; return its plan.
 
-    Its references and types are checked by :func:`check_references`, its
+    Its references and types are checked by :func:`_check_references`, its
     bind-field constraints decided by :func:`validate_bindings`.
 
     Raises:
         QueryError: on the first reference, type or binding the query
             cannot satisfy (:class:`BindingError` for the last).
     """
-    check_references(query, catalog)
+    _check_references(query, catalog)
     return validate_bindings(query, catalog)
 
 
-def check_references(query: Query, catalog: Catalog) -> None:
+def _check_references(query: Query, catalog: Catalog) -> None:
     """Resolve and type-check every column reference of the query.
 
     Every column reference — in predicates, projections, GROUP BY and
     aggregate arguments — must name a column of its table; ``SUM``/``AVG``
     need a numeric column; a comparison (and every member of an IN list)
     must stay inside one type family (:data:`_FAMILY`), NULL literals
-    excepted.  The static engine, which reads whole tables and so is not
-    bound by access methods, checks only this half of :func:`check_query`.
+    excepted.
 
     Raises:
         QueryError: on the first reference or type the catalog refutes.
@@ -187,7 +187,7 @@ def validate_bindings(query: Query, catalog: Catalog) -> BindingPlan:
     def try_alias(alias: str) -> bool:
         """Mark the alias accessible if some AM is usable now; return success."""
         table = alias_tables[alias]
-        bound = constant_bound_columns(query, alias) | joinable_columns(
+        bound = constant_bound_columns(query, alias).keys() | joinable_columns(
             query, alias, frozenset(accessible)
         )
         found = False
@@ -196,7 +196,7 @@ def validate_bindings(query: Query, catalog: Catalog) -> BindingPlan:
                 found = True
                 if spec not in usable[alias]:
                     usable[alias].append(spec)
-            elif isinstance(spec, IndexSpec) and _index_usable(spec, bound):
+            elif isinstance(spec, IndexSpec) and index_usable(spec, bound):
                 found = True
                 if spec not in usable[alias]:
                     usable[alias].append(spec)
@@ -218,10 +218,10 @@ def validate_bindings(query: Query, catalog: Catalog) -> BindingPlan:
                 if not joinable_columns(query, alias, frozenset(accessible - {alias})):
                     # Accessible without help from other aliases.
                     has_scan = any(isinstance(s, ScanSpec) for s in usable[alias])
-                    bound_by_constants = constant_bound_columns(query, alias)
+                    bound_by_constants = constant_bound_columns(query, alias).keys()
                     has_const_index = any(
                         isinstance(s, IndexSpec)
-                        and _index_usable(s, bound_by_constants)
+                        and index_usable(s, bound_by_constants)
                         for s in usable[alias]
                     )
                     if has_scan or has_const_index:

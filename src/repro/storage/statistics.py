@@ -3,8 +3,8 @@
 Statistics are *not* needed by the adaptive engines (that is the point of
 the paper), but they are used by:
 
-* the static-plan executor, which — like a traditional optimizer — needs
-  cardinality and selectivity estimates to choose a join order, and
+* the static plan's ``choose_join_order``, which — like a traditional
+  optimizer — needs cardinality and selectivity estimates, and
 * the benchmark harness, to report properties of generated workloads.
 
 Every read is a full recompute over the table's rows.

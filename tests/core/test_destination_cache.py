@@ -16,13 +16,13 @@ import pytest
 from repro.errors import ExecutionError
 from repro.core.eddy import Eddy
 from repro.core.policies import NaivePolicy
-from repro.engine.static_engine import run_static
 from repro.engine.api import execute
 from repro.engine.multi import MultiQueryEngine
+from repro.query.parser import parse_query
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
-from tests.conftest import single_query_engine
+from tests.conftest import oracle_identities, single_query_engine
 from tests.helpers import has_duplicates, layout_over, singleton_tuple
 
 THREE_WAY_SQL = "SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key"
@@ -95,15 +95,15 @@ class TestBatchedRouting:
 
     @pytest.mark.parametrize("policy", ["naive", "random", "lottery", "benefit"])
     def test_three_way_join_batch_equals_per_tuple(self, policy):
-        reference = run_static(
-            parse_if_needed(THREE_WAY_SQL), three_way_catalog()
+        reference = oracle_identities(
+            parse_query(THREE_WAY_SQL), three_way_catalog()
         )
         per_tuple = execute(THREE_WAY_SQL, three_way_catalog(), policy=policy)
         batched = execute(
             THREE_WAY_SQL, three_way_catalog(), policy=policy, batch_size=16
         )
-        assert result_identity(per_tuple) == result_identity(reference)
-        assert result_identity(batched) == result_identity(reference)
+        assert result_identity(per_tuple) == reference
+        assert result_identity(batched) == reference
         assert (
             batched.eddy_stats["route_events"] <= per_tuple.eddy_stats["route_events"]
         )
@@ -128,9 +128,3 @@ class TestBatchedRouting:
         result = execute(THREE_WAY_SQL, three_way_catalog(), policy="naive")
         stats = result.eddy_stats
         assert stats["route_events"] == stats["routings"] == stats["route_decisions"]
-
-
-def parse_if_needed(sql: str):
-    from repro.query.parser import parse_query
-
-    return parse_query(sql)

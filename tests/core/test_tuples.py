@@ -592,10 +592,10 @@ class TestHotObjectsAreLean:
 
     def test_engines_keep_results_not_dataflow_tuples(self):
         """Every engine keeps a ``Result`` per result, never the ``QTuple``
-        that was routed: in ``ExecutionResult.tuples`` and, for the two
-        eddy engines, in ``Eddy.outputs``."""
+        that was routed: in ``ExecutionResult.tuples`` and, where the test
+        holds the eddy, in ``Eddy.outputs``."""
+        from repro.engine.api import execute
         from repro.engine.joins_engine import EddyJoinsEngine
-        from repro.engine.static_engine import run_static
 
         stems = self._fanout_engine(distinct=12)
         query, catalog = stems.eddy_of("q0").layout.query, stems.catalog
@@ -603,7 +603,7 @@ class TestHotObjectsAreLean:
         kept = {
             "stems": (stems.run()["q0"].tuples, stems.eddy_of("q0").outputs),
             "eddy-joins": (joins.run().tuples, joins.eddy.outputs),
-            "static": (run_static(query, catalog).tuples, []),
+            "static": (execute(query, catalog, engine="static").tuples, []),
         }
         for engine, (tuples, outputs) in kept.items():
             assert len(tuples) == 300, engine

@@ -175,6 +175,24 @@ class TestMultiQueryAggregates:
         assert inserted > 0
         assert final["qa"].module_stats[name]["inserted"] == inserted
 
+    def test_a_reclaimed_module_s_name_is_not_reused(self):
+        # Names used to count the live modules: z, admitted after x's
+        # module was reclaimed, took y's name.
+        panels = {"x": "count(*)", "y": "sum(key)", "z": "max(key)"}
+        admissions = {
+            query_id: QueryAdmission(f"SELECT a, {aggregate} FROM R GROUP BY a",
+                                     query_id=query_id)
+            for query_id, aggregate in panels.items()
+        }
+        engine = MultiQueryEngine(
+            [admissions["x"], admissions["y"]], build_catalog(), continuous=True
+        )
+        engine.run()
+        engine.retire("x")
+        engine.admit(admissions["z"])
+        names = [module.name for module in engine.aggregate_registry.modules.values()]
+        assert sorted(names) == ["aggregate:R#1", "aggregate:R#2"]
+
     def test_retired_aggregate_module_is_collectable(self):
         engine = MultiQueryEngine(self.admissions()[:1], build_catalog())
         engine.run()

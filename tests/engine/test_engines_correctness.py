@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.api import execute
-from repro.engine.joins_engine import JoinSpec, run_eddy_joins
-from repro.engine.static_engine import choose_join_order, run_static
+from repro.engine.joins_engine import (
+    EddyJoinsEngine,
+    JoinSpec,
+    choose_join_order,
+    run_eddy_joins,
+)
 from repro.errors import ExecutionError
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
@@ -72,12 +76,32 @@ def test_eddy_joins_engine_matches_oracle(sql):
     assert sorted(result.identities()) == oracle_identities(query, catalog)
 
 
+@pytest.mark.parametrize("t_has_scan", [True, False], ids=["t-scan", "t-index-only"])
 @pytest.mark.parametrize("sql", QUERIES)
-def test_static_engine_matches_oracle(sql):
-    catalog = rst_catalog()
+def test_static_engine_matches_oracle(sql, t_has_scan):
+    # Index-only, T joins as the inner of an index join on T.key.
+    catalog = rst_catalog(t_has_scan=t_has_scan)
     query = parse_query(sql)
-    result = run_static(query, catalog)
+    result = execute(query, catalog, engine="static")
     assert sorted(result.identities()) == oracle_identities(query, catalog)
+
+
+@pytest.mark.parametrize("engine", ["eddy-joins", "static"])
+def test_baseline_joins_by_the_index_the_join_binds(engine):
+    # S is indexed on x and on y; R.key = S.y binds only the index on y.
+    catalog = rst_catalog()
+    query = parse_query("SELECT * FROM R, S WHERE R.key = S.y")
+    result = execute(query, catalog, engine=engine)
+    assert sorted(result.identities()) == oracle_identities(query, catalog)
+    assert result.row_count == 30
+    assert result.module_stats["join:index:0:S"]["unbindable"] == 0
+
+
+def test_an_index_step_its_join_cannot_bind_is_refused():
+    query = parse_query("SELECT * FROM R, S WHERE R.key = S.y")
+    plan = [JoinSpec(kind="index", left=("R",), right="S", index_columns=("x",))]
+    with pytest.raises(ExecutionError, match="the index join of 'S'"):
+        EddyJoinsEngine(query, rst_catalog(), plan=plan)
 
 
 def test_stems_engine_without_t_scan_uses_index_only():
@@ -101,13 +125,13 @@ def test_cyclic_query_all_engines():
     for policy in POLICIES:
         result = execute(query, catalog, policy=policy)
         assert sorted(result.identities()) == expected, policy
-    assert sorted(run_static(query, catalog).identities()) == expected
+    assert sorted(execute(query, catalog, engine="static").identities()) == expected
 
 
 def test_execute_api_dispatch(small_rt_catalog, q4_query):
     for engine in ("stems", "eddy-joins", "static"):
         result = execute(q4_query, small_rt_catalog, engine=engine)
-        assert result.engine == engine or engine == "eddy-joins"
+        assert result.engine == engine
         assert result.row_count == 60
     with pytest.raises(Exception):
         execute(q4_query, small_rt_catalog, engine="volcano")
@@ -129,8 +153,8 @@ def test_explicit_join_plan_variants(small_rt_catalog, q4_query):
 
 
 def test_static_engine_join_order_heuristic(small_rt_catalog, q4_query):
-    order = choose_join_order(q4_query, small_rt_catalog)
-    assert sorted(order) == ["R", "T"]
+    plan = choose_join_order(q4_query, small_rt_catalog)
+    assert sorted([*plan[0].left, plan[0].right]) == ["R", "T"]
 
 
 class TestResultObject:

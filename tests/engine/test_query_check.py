@@ -15,11 +15,12 @@ from repro.cli import main
 from repro.engine.api import ENGINES, execute
 from repro.engine.config import EngineConfig
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
-from repro.errors import ExecutionError, QueryError
+from repro.errors import BindingError, ExecutionError, QueryError
 from repro.query.expressions import Literal
 from repro.query.predicates import Comparison
 from repro.query.query import Query
 from repro.storage.catalog import Catalog
+from repro.storage.datagen import make_source_r, make_source_s, make_source_t
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -108,6 +109,27 @@ def test_the_config_is_checked_before_the_first_admission():
 )
 def test_legal_comparisons_still_run(engine, query, expected):
     assert execute(query, typed_catalog(), engine=engine).row_count == expected
+
+
+def indexed_catalog() -> Catalog:
+    """Scan R; S only through an index on x; T through a scan and an index on key."""
+    catalog = Catalog()
+    catalog.add_table(make_source_r(60, 15, seed=31))
+    catalog.add_table(make_source_s(25))
+    catalog.add_table(make_source_t(60, seed=32))
+    catalog.add_scan("R", rate=100.0)
+    catalog.add_index("S", ["x"], latency=0.05)
+    catalog.add_scan("T", rate=100.0)
+    catalog.add_index("T", ["key"], latency=0.05)
+    return catalog
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_unbindable_table_is_one_binding_error_on_every_engine(engine):
+    # Nothing binds S.x: the static engine used to read S whole and answer.
+    with pytest.raises(BindingError, match=r"no usable access method for \['S'\]"):
+        execute("SELECT * FROM S, T WHERE S.y = T.key AND S.x < 10",
+                indexed_catalog(), engine=engine)
 
 
 def test_count_min_max_over_a_string_column_still_run():

@@ -1,13 +1,17 @@
-"""Tests for the static engine, plan selection, and the eddy-joins plan builder."""
+"""Tests for the static plan, plan selection, and the eddy-joins plan builder."""
 
 import pytest
 
-from repro.core.tuples import QTuple, Result, install_id_allocator
-from repro.errors import ExecutionError, QueryError
-from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec, default_join_plan
-from repro.engine.static_engine import StaticEngine, choose_join_order, run_static
-from repro.joins.pipeline import execute_left_deep
-from repro.query.layout import PlanLayout
+from repro.core.tuples import Result
+from repro.engine.api import execute
+from repro.engine.joins_engine import (
+    EddyJoinsEngine,
+    JoinSpec,
+    choose_join_order,
+    default_join_plan,
+    run_eddy_joins,
+)
+from repro.errors import BindingError, ExecutionError, QueryError
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -28,19 +32,28 @@ def catalog():
     return cat
 
 
+def plan_order(plan):
+    """The aliases of a left-deep plan, in join order."""
+    return [*plan[0].left, *(spec.right for spec in plan)]
+
+
 class TestChooseJoinOrder:
-    def test_starts_with_smallest_table_and_stays_connected(self, catalog):
+    def test_starts_with_the_smallest_streamed_table_and_stays_connected(self, catalog):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
-        order = choose_join_order(query, catalog)
-        assert order[0] == "S"  # 25 rows, the smallest
-        assert set(order) == {"R", "S", "T"}
+        plan = choose_join_order(query, catalog)
+        order = plan_order(plan)
+        # S (25 rows) is the smallest table but has no scan: R and T tie at
+        # 60 rows, and R comes first in FROM order.
+        assert order == ["R", "S", "T"]
+        assert [spec.kind for spec in plan] == ["index", "shj"]
+        assert plan[0].index_columns == ("x",)
         # Every prefix extension is connected by a join predicate.
         for position in range(1, len(order)):
             assert query.predicates_between(order[:position], order[position])
 
     def test_two_table_order(self, catalog):
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        assert sorted(choose_join_order(query, catalog)) == ["R", "T"]
+        assert sorted(plan_order(choose_join_order(query, catalog))) == ["R", "T"]
 
     def test_a_tie_starts_with_the_first_alias_in_from_order(self, catalog):
         # R and T both hold 60 rows; the choice must not follow set order.
@@ -48,74 +61,85 @@ class TestChooseJoinOrder:
             ("SELECT * FROM R, T WHERE R.key = T.key", ["R", "T"]),
             ("SELECT * FROM T, R WHERE R.key = T.key", ["T", "R"]),
         ):
-            assert choose_join_order(parse_query(sql), catalog) == expected
+            assert plan_order(choose_join_order(parse_query(sql), catalog)) == expected
+
+    def test_an_index_only_table_waits_for_its_bind_column(self, catalog):
+        # S's index binds x, which only T supplies: T joins first, though
+        # S is the smaller table and comes earlier in FROM order.
+        query = parse_query("SELECT * FROM S, R, T WHERE S.x = T.key AND R.key = T.key")
+        plan = choose_join_order(query, catalog)
+        assert plan_order(plan) == ["R", "T", "S"]
+        assert plan[1].kind == "index" and plan[1].left == ("R", "T")
+        result = execute(query, catalog, engine="static")
+        assert sorted(result.identities()) == oracle_identities(query, catalog)
+        assert result.row_count > 0
+
+    def test_a_constant_binds_an_index_only_table(self, catalog):
+        query = parse_query("SELECT * FROM R, S WHERE S.x = 3 AND R.a < S.y")
+        plan = choose_join_order(query, catalog)
+        assert plan == [JoinSpec(kind="index", left=("R",), right="S",
+                                 index_columns=("x",), lookup_latency=0.05)]
+        result = execute(query, catalog, engine="static")
+        assert sorted(result.identities()) == oracle_identities(query, catalog)
+        assert result.row_count > 0
+
+    def test_a_query_without_a_scan_has_no_static_plan(self, catalog):
+        with pytest.raises(ExecutionError, match="no table of"):
+            choose_join_order(parse_query("SELECT * FROM S WHERE S.x = 3"), catalog)
 
 
-class TestStaticEngine:
-    def test_results_match_oracle_with_explicit_order(self, catalog):
+class TestStaticPlan:
+    def test_is_the_eddy_joins_engine_over_the_chosen_plan(self, catalog):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
-        engine = StaticEngine(query, catalog, order=["R", "S", "T"])
-        result = engine.run()
+        result = execute(query, catalog, engine="static")
+        fixed = run_eddy_joins(query, catalog, plan=choose_join_order(query, catalog))
+        assert (result.engine, fixed.engine) == ("static", "eddy-joins")
+        assert result.identities() == fixed.identities()
+        assert result.output_series == fixed.output_series
         assert sorted(result.identities()) == oracle_identities(query, catalog)
 
-    def test_batch_output_series_is_a_single_step(self, catalog):
-        query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        result = StaticEngine(query, catalog).run()
-        assert len(result.output_series) == 1
+    def test_results_are_output_on_the_simulator_clock(self, catalog):
+        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
+        result = execute(query, catalog, engine="static")
+        assert all(type(t) is Result for t in result.tuples)
+        assert len(result.output_series) == result.row_count > 1
         assert result.output_series.final_count == result.row_count
-        assert result.completion_time == result.final_time > 0
+        assert result.completion_time == result.output_series.final_time
+        assert 0 < result.completion_time <= result.final_time
 
     def test_empty_result_has_no_completion_time(self, catalog):
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key AND R.a > 10000")
-        result = StaticEngine(query, catalog).run()
+        result = execute(query, catalog, engine="static")
         assert result.row_count == 0
         assert result.completion_time is None
 
     def test_accepts_sql_text(self, catalog):
-        result = StaticEngine("SELECT * FROM R, T WHERE R.key = T.key", catalog).run()
+        result = execute("SELECT * FROM R, T WHERE R.key = T.key", catalog, engine="static")
         assert result.row_count == 60
 
     @pytest.mark.parametrize(
         "sql",
         [
             "SELECT * FROM R, S WHERE R.a = S.x",
-            "SELECT * FROM S, T WHERE S.y = T.key AND S.x < 10",
             "SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key AND T.key > 20",
-            "SELECT * FROM S, T WHERE S.x < T.key AND T.key < 5",
         ],
     )
     def test_chosen_order_matches_oracle(self, catalog, sql):
         query = parse_query(sql)
-        result = run_static(query, catalog)
+        result = execute(query, catalog, engine="static")
         assert sorted(result.identities()) == oracle_identities(query, catalog)
 
-    def test_results_are_built_from_the_composites(self, catalog):
-        """A static result is a ``Result`` made from its composite: ids,
-        identities, components and build timestamps equal what a full
-        ``QTuple`` per composite gives."""
-        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
-        engine = StaticEngine(query, catalog)
-        result = engine.run()
-        install_id_allocator()
-        layout = PlanLayout(query)
-        reference = [
-            QTuple(dict(composite), layout=layout)
-            for composite in execute_left_deep(query, catalog, order=engine.order)
-        ]
-        assert result.row_count == len(reference) > 0
-        assert all(type(t) is Result for t in result.tuples)
-
-        def view(t):
-            return (t.tuple_id, t.identity(), t.components, t.build_timestamps)
-
-        assert list(map(view, result.tuples)) == list(map(view, reference))
-
-    def test_join_kind_is_not_an_option(self, catalog):
-        sql = "SELECT * FROM R, T WHERE R.key = T.key"
-        with pytest.raises(TypeError):
-            StaticEngine(sql, catalog, join_kind="grace")
-        with pytest.raises(TypeError):
-            run_static(sql, catalog, join_kind="grace")
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM S, T WHERE S.y = T.key AND S.x < 10",
+            "SELECT * FROM S, T WHERE S.x < T.key AND T.key < 5",
+        ],
+    )
+    def test_an_unbindable_query_is_refused(self, catalog, sql):
+        # Nothing binds S's index column x: no engine can read S.
+        with pytest.raises(BindingError):
+            execute(sql, catalog, engine="static")
 
 
 class TestDefaultJoinPlan:

@@ -102,11 +102,11 @@ class TestValidateBindings:
 class TestHelpers:
     def test_constant_bound_columns(self):
         query = parse_query("SELECT * FROM S WHERE S.x = 5 AND S.y > 3")
-        assert constant_bound_columns(query, "S") == {"x"}
+        assert constant_bound_columns(query, "S").keys() == {"x"}
 
     def test_constant_binding_reversed_operands(self):
         query = parse_query("SELECT * FROM S WHERE 5 = S.x")
-        assert constant_bound_columns(query, "S") == {"x"}
+        assert constant_bound_columns(query, "S").keys() == {"x"}
 
     def test_joinable_columns(self):
         query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")

@@ -1,19 +1,48 @@
-"""The brute-force query oracle and a hashable identity for its composites.
+"""The brute-force query oracle.
 
 :func:`evaluate_query_oracle` runs none of the engines' join operators: it
-filters each input with the query's selections (``base_input``, the same
-push-down the static engine uses) and checks every combination of the
-filtered inputs against the join predicates.
+filters each input with the query's selections (:func:`base_input`) and
+checks every combination of the filtered inputs against the join
+predicates.  A composite is a plain ``{alias: Row}`` dictionary.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
-from repro.joins.base import Composite, merge, satisfies
-from repro.joins.pipeline import base_input
+from repro.errors import QueryError
+from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.storage.catalog import Catalog
+from repro.storage.row import Row
+
+#: A composite tuple: one row per alias.
+Composite = dict[str, Row]
+
+
+def merge(left: Composite, right: Composite) -> Composite:
+    """Concatenate two composites; their alias sets must be disjoint."""
+    overlap = left.keys() & right.keys()
+    if overlap:
+        raise QueryError(f"cannot merge composites sharing aliases {sorted(overlap)}")
+    return {**left, **right}
+
+
+def satisfies(composite: Composite, predicates: Iterable[Predicate]) -> bool:
+    """True if the composite passes every predicate."""
+    return all(predicate.evaluate(composite) for predicate in predicates)
+
+
+def base_input(query: Query, catalog: Catalog, alias: str) -> list[Composite]:
+    """The filtered composites of one alias (selections applied)."""
+    selections = query.predicates_on(alias)
+    composites = []
+    for row in catalog.table(query.table_of(alias)):
+        composite = {alias: row}
+        if satisfies(composite, selections):
+            composites.append(composite)
+    return composites
 
 
 def evaluate_query_oracle(query: Query, catalog: Catalog) -> list[Composite]:
@@ -36,12 +65,3 @@ def evaluate_query_oracle(query: Query, catalog: Catalog) -> list[Composite]:
         if satisfies(composite, join_predicates):
             results.append(composite)
     return results
-
-
-def composite_key(composite: Composite) -> tuple:
-    """A hashable identity for a composite (for duplicate checks in tests)."""
-    parts = []
-    for alias in sorted(composite):
-        row = composite[alias]
-        parts.append((alias, row.table, row.values))
-    return tuple(parts)
