@@ -181,6 +181,29 @@ def choose_join_order(query: Query, catalog: Catalog) -> list[JoinSpec]:
     return plan
 
 
+def _check_left_deep(query: Query, plan: Sequence[JoinSpec]) -> None:
+    """Refuse a plan that is not one left-deep chain over the query's aliases.
+
+    Each step's left input must be exactly the aliases joined before it and
+    its right alias a new one; the last step must span every alias.  Any
+    other plan leaves some tuple without a module to complete it, and the
+    run would end with no results instead of an error.
+    """
+    joined = set(plan[0].left) if plan else set(query.alias_order[:1])
+    for spec in plan:
+        if set(spec.left) != joined or spec.right in joined:
+            raise ExecutionError(
+                f"join step {spec.left} x {spec.right!r} does not extend the "
+                f"aliases joined before it, {sorted(joined)}"
+            )
+        joined.add(spec.right)
+    if joined != set(query.alias_order):
+        raise ExecutionError(
+            f"the join plan spans {sorted(joined)}, not every alias of the "
+            f"query {sorted(query.alias_order)}"
+        )
+
+
 class JoinPlanResolver:
     """Destination resolver for the join-module architecture.
 
@@ -243,9 +266,10 @@ class EddyJoinsEngine:
         catalog: tables and access methods.
         plan: join-module plan; defaults to :func:`default_join_plan`.
             Either way the query is checked here, at construction
-            (:func:`~repro.query.binding.check_query`), and so is every
-            index step: each bind column must be bound by an equality with
-            the step's outer aliases or with a constant
+            (:func:`~repro.query.binding.check_query`), and so is the plan:
+            it must be left-deep over every alias (:func:`_check_left_deep`)
+            and each index step's bind columns must be bound by an equality
+            with the step's outer aliases or with a constant
             (:class:`ExecutionError` otherwise).
         policy: routing policy (the default naive policy reproduces the
             original architecture, whose only freedom is module order).
@@ -278,6 +302,7 @@ class EddyJoinsEngine:
         else:
             self.policy = policy
         self.plan = list(plan)
+        _check_left_deep(self.query, self.plan)
         self.layout = PlanLayout(self.query)
         self.simulator = Simulator()
         self.eddy = Eddy(
