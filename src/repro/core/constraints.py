@@ -43,7 +43,7 @@ from repro.core.modules.access import IndexAMModule
 from repro.core.modules.base import Module
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
-from repro.core.tuples import QTuple
+from repro.core.tuples import MatchRun, QTuple
 from repro.query.joingraph import JoinGraph
 from repro.query.layout import PlanLayout
 from repro.query.query import Query
@@ -79,13 +79,15 @@ UNCHOSEN = object()
 class RoutePlan:
     """How every tuple of one routing signature is routed: output readiness
     and legal destinations are functions of the TupleState alone (Table 2),
-    so one exemplar decides them.  ``choice`` is the policy's
-    ``fixed_choice`` among the destinations, filled in by the eddy at first
-    use (None: the policy decides per tuple)."""
+    so one exemplar (a run's first match) decides them.  ``choice`` is the
+    policy's ``fixed_choice`` among the destinations, filled in by the eddy
+    at first use (None: the policy decides per tuple)."""
 
     __slots__ = ("output", "destinations", "choice")
 
-    def __init__(self, resolver, exemplar: QTuple):
+    def __init__(self, resolver, exemplar: QTuple | MatchRun):
+        if exemplar.__class__ is MatchRun:
+            exemplar = exemplar.first()
         self.output = resolver.ready_for_output(exemplar)
         self.destinations = tuple(resolver.destinations(exemplar))
         self.choice = UNCHOSEN

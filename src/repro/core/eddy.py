@@ -46,7 +46,7 @@ from repro.core.modules.base import Module, Routable
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
 from repro.core.policies.base import RoutingPolicy
-from repro.core.tuples import EOTTuple, QTuple, Result
+from repro.core.tuples import EOTTuple, MatchRun, QTuple, Result
 from repro.query.layout import PlanLayout
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
@@ -88,6 +88,12 @@ class QuarantineRecord:
     tuple: QTuple
     module: str
     error: str
+
+
+def _feedback_hook(policy: RoutingPolicy, name: str):
+    """The policy's hook ``name``, or None where it is the base no-op."""
+    hook = getattr(policy, name)
+    return None if getattr(hook, "__func__", None) is getattr(RoutingPolicy, name) else hook
 
 
 class Eddy:
@@ -135,6 +141,10 @@ class Eddy:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
         self.sim = simulator
         self.policy = policy
+        #: The policy's feedback hooks, None where it keeps the base no-op
+        #: (read once: a policy learning from neither costs no call).
+        self._on_output = _feedback_hook(policy, "on_output")
+        self._on_producer_output = _feedback_hook(policy, "on_producer_output")
         self.set_resolver(resolver)
         self.costs = cost_model or CostModel()
         self.strict_constraints = strict_constraints
@@ -164,7 +174,12 @@ class Eddy:
 
         #: Tuples waiting for a routing decision, oldest first (unbounded:
         #: backpressure lives on the module queues).
-        self._ready: deque[Routable] = deque()
+        self._ready: deque[Routable | MatchRun] = deque()
+        #: How many :class:`~repro.core.tuples.MatchRun` entries wait in
+        #: :attr:`_ready`: while none does, the drain takes whole items.
+        self._runs_waiting = 0
+        #: Routing signature -> ready for output, of the runs handed in.
+        self._run_output: dict[tuple, bool] = {}
         self._blocked: dict[str, deque[Routable]] = {}
         self._routing_scheduled = False
         #: Virtual time before which no routing event may fire: the routing
@@ -319,10 +334,15 @@ class Eddy:
         """Deliver a tuple (or EOT) into the eddy's dataflow."""
         self.to_eddy_all((item,), source)
 
-    def to_eddy_all(self, items: Sequence[Routable], source: Module | None = None) -> None:
+    def to_eddy_all(
+        self, items: Sequence[Routable | MatchRun], source: Module | None = None
+    ) -> None:
         """Deliver what one producer call produced — a probe returns the *set*
-        of its matches (paper §2.1.2) — in order, in one hand-off: each item
-        takes the steps of a single delivery, on admission state read once."""
+        of its matches (paper §2.1.2), as one :class:`MatchRun` — in order,
+        in one hand-off: each item takes the steps of a single delivery, on
+        admission state read once.  A run stays one ready entry only if it is
+        ready for output and nothing acts per tuple (policy feedback,
+        preferences); else its matches are handed off as QTuples."""
         if not self.live:
             # The query was retired: whatever in-flight work still completes
             # (an outstanding index lookup, a busy module) has no dataflow
@@ -331,13 +351,13 @@ class Eddy:
         # Production feedback for learning policies: consumption is observed
         # in choose(), production here, and the difference is the
         # selectivity signal (lottery's ticket escrow).
-        policy = None if source is None else self.policy
+        produced = None if source is None else self._on_producer_output
         query_id, preferences = self.query_id, self.preferences
         ready, armed = self._ready, self._routing_scheduled
         for item in items:
-            if policy is not None:
-                policy.on_producer_output(source, item, self)
             if isinstance(item, QTuple):
+                if produced is not None:
+                    produced(source, item, self)
                 if query_id and not item.query_id:
                     item.query_id = query_id
                 for preference in preferences:
@@ -354,6 +374,23 @@ class Eddy:
                     if entry is None:
                         entry = self._partial[item.spanned_mask] = (item.aliases, [])
                     entry[1].append(self.sim.now)
+            elif item.__class__ is MatchRun:
+                signature = item._signature
+                output = self._run_output.get(signature)
+                if output is None:
+                    output = self.resolver.ready_for_output(item.first())
+                    self._run_output[signature] = output
+                if not output or preferences or self._on_output or self._on_producer_output:
+                    self.to_eddy_all(item.tuples(), source)
+                    armed = True
+                    continue
+                entry = self._partial.get(item.spanned_mask)
+                if entry is None:
+                    entry = self._partial[item.spanned_mask] = (frozenset(item._aliases), [])
+                entry[1].extend([self.sim.now] * len(item.rows))
+                self._runs_waiting += 1
+            elif produced is not None:
+                produced(source, item, self)
             ready.append(item)
             if not armed:
                 self._schedule_routing()
@@ -410,7 +447,11 @@ class Eddy:
         """
         return {
             "started_at": self.started_at,
-            "ready": list(self._ready),
+            "ready": [  # a run as the QTuples its matches stand for
+                routable
+                for item in self._ready
+                for routable in (item.tuples() if item.__class__ is MatchRun else (item,))
+            ],
             "blocked": {name: list(items) for name, items in self._blocked.items() if items},
             "modules": {name: module.cut() for name, module in self.modules.items()},
         }
@@ -448,6 +489,7 @@ class Eddy:
             module.stop()
             module.queue.clear()
         self._ready.clear()
+        self._runs_waiting = 0
         self._blocked.clear()
 
     def run(self, until: float | None = None) -> float:
@@ -470,15 +512,18 @@ class Eddy:
         ready = self._ready
         if not self.live or not ready:
             return
-        item = ready.popleft()
-        batch: list[Routable] | None = None
-        if ready and self.batch_size > 1:
-            batch = [item]
-            while len(batch) < self.batch_size and ready:
-                batch.append(ready.popleft())
+        if self._runs_waiting:
+            batch, routed = self._drain_matches()
+        else:
+            item, batch, routed = ready.popleft(), None, 1
+            if ready and self.batch_size > 1:
+                batch = [item]
+                while len(batch) < self.batch_size and ready:
+                    batch.append(ready.popleft())
+                routed = len(batch)
         stats = self.stats
         stats["route_events"] += 1
-        stats["routings"] += 1 if batch is None else len(batch)
+        stats["routings"] += routed
         if stats["routings"] > self.max_routing_steps:
             raise ExecutionError(
                 f"exceeded {self.max_routing_steps} routing steps; "
@@ -506,10 +551,29 @@ class Eddy:
         if ready:
             self._schedule_routing()
 
+    def _drain_matches(self) -> tuple[list[Routable | MatchRun], int]:
+        """The next batch while runs wait, and how many items it routes:
+        each match of a run counts as one item, and a run longer than the
+        room left is split, its rest staying in front."""
+        ready, batch = self._ready, []
+        room = size = self.batch_size
+        while room and ready:
+            item = ready[0]
+            if item.__class__ is not MatchRun:
+                room -= 1
+            elif len(item.rows) > room:
+                batch.append(item.take(room))
+                return batch, size
+            else:
+                room -= len(item.rows)
+                self._runs_waiting -= 1
+            batch.append(ready.popleft())
+        return batch, size - room
+
     def _route_batch(self, batch: Sequence[Routable]) -> int:
         """Route one drained batch; return the number of routing decisions.
 
-        QTuples are grouped by routing signature; each group is one decision
+        QTuples and runs are grouped by routing signature; each group is one decision
         (EOTs are routed individually).  Within a group and across groups the
         drain order is preserved, so a batch of one degenerates to the
         original per-tuple router.
@@ -557,39 +621,50 @@ class Eddy:
         if plan.output:
             # Output readiness is signature-pure (span + done bits): the
             # whole group is emitted, at one virtual time.  What is kept of
-            # each tuple is its Result, built here without a call; the hooks
-            # below still see the routed QTuple.
+            # each match — one per QTuple, one per row of a run, its id the
+            # run's next — is its Result, built here without a call; the
+            # hooks below see the kept Result, the policy the routed entry.
             now = self.sim.now
             emit_filter, on_emit, trace = self.emit_filter, self.on_emit, self.trace
-            on_output = self.policy.on_output
+            on_output = self._on_output
             append_time, append_tuple = self.output_times.append, self.output_tuples.append
             new = object.__new__
-            for tuple_ in group:
-                if emit_filter is not None and not emit_filter(tuple_):
-                    # Already acknowledged before a crash: keep the policy
-                    # feedback (behavioural identity with the uninterrupted
-                    # run) but do not expose or re-acknowledge the result.
-                    self.stats["suppressed_emits"] += 1
-                    on_output(tuple_, self)
+            for entry in group:
+                if entry.__class__ is MatchRun:
+                    rows, stamps = entry.rows, entry.row_ts
+                else:
+                    rows, stamps = (entry._row,), (entry._row_ts,)
+                tuple_id, query_id, aliases = entry.tuple_id, entry.query_id, entry._aliases
+                head, head_ts, priority = entry._head, entry._head_ts, entry._priority
+                for row, row_ts in zip(rows, stamps):
+                    kept = new(Result)
+                    kept.tuple_id = tuple_id
+                    kept.query_id = query_id
+                    kept._aliases = aliases
+                    kept._head = head
+                    kept._row = row
+                    kept._head_ts = head_ts
+                    kept._row_ts = row_ts
+                    kept._priority = priority
+                    tuple_id += 1
+                    if emit_filter is not None and not emit_filter(kept):
+                        # Acknowledged before a crash: keep the policy
+                        # feedback (the replay must decide as the original
+                        # did) but do not expose or re-acknowledge it.
+                        self.stats["suppressed_emits"] += 1
+                        if on_output is not None:
+                            on_output(entry, self)
+                        if trace is not None:
+                            trace.record(now, "output_suppressed", kept.tuple_id)
+                        continue
+                    append_time(now)
+                    append_tuple(kept)
+                    if on_emit is not None:
+                        on_emit(kept)
+                    if on_output is not None:
+                        on_output(entry, self)
                     if trace is not None:
-                        trace.record(now, "output_suppressed", tuple_.tuple_id)
-                    continue
-                kept = new(Result)
-                kept.tuple_id = tuple_.tuple_id
-                kept.query_id = tuple_.query_id
-                kept._aliases = tuple_._aliases
-                kept._head = tuple_._head
-                kept._row = tuple_._row
-                kept._head_ts = tuple_._head_ts
-                kept._row_ts = tuple_._row_ts
-                kept._priority = tuple_._priority
-                append_time(now)
-                append_tuple(kept)
-                if on_emit is not None:
-                    on_emit(tuple_)
-                on_output(tuple_, self)
-                if trace is not None:
-                    trace.record(now, "output", tuple_.tuple_id)
+                        trace.record(now, "output", kept.tuple_id)
             return
         destinations = plan.destinations
         if not destinations:

@@ -25,12 +25,7 @@ from repro.core.modules.base import Module, Routable
 from repro.core.tuples import EOTTuple, QTuple, singleton_maker
 from repro.query.predicates import Predicate
 from repro.query.probeplan import bind_key_from_sources, compile_bind_sources
-from repro.sim.latency import (
-    AvailabilityModel,
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-)
+from repro.sim.latency import AvailabilityModel, LatencyModel, index_latency
 from repro.storage.catalog import IndexSpec, ScanSpec
 from repro.storage.table import Table
 
@@ -228,8 +223,8 @@ class IndexAMModule(Module):
         alias: the query alias this AM feeds.
         predicates: all query predicates (used to derive bind values from a
             probe tuple).
-        latency: optional latency model; defaults to the spec's constant
-            latency.
+        latency: optional latency model; defaults to the spec's
+            (:func:`~repro.sim.latency.index_latency`).
         availability: optional stall model for the source.
         handle_cost: virtual seconds to accept a probe (the lookup itself is
             asynchronous and does not occupy the input queue).
@@ -253,12 +248,9 @@ class IndexAMModule(Module):
         self.table = table
         self.alias = alias
         self.predicates = tuple(predicates)
-        if latency is not None:
-            self.latency = latency
-        elif spec.latency_model == "exponential":
-            self.latency = ExponentialLatency(spec.latency, seed=spec.latency_seed)
-        else:
-            self.latency = ConstantLatency(spec.latency)
+        if latency is None:
+            latency = index_latency(spec.latency, spec.latency_model, spec.latency_seed)
+        self.latency = latency
         if availability is not None:
             self.availability = availability
         elif spec.stalls:

@@ -64,7 +64,7 @@ class EddyRuntime(Protocol):
         """Deliver a tuple back into the eddy's dataflow."""
 
     def to_eddy_all(self, items: Sequence[Routable], source: "Module") -> None:
-        """Deliver, in order, what one producer call produced (as one :meth:`to_eddy` each)."""
+        """Deliver, in order, what one producer call produced (a probe's matches as one run)."""
 
     def next_timestamp(self) -> float:
         """The next global build timestamp (monotonically increasing)."""

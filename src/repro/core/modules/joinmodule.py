@@ -22,11 +22,12 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.core.modules.base import Module, Routable
-from repro.core.tuples import EOTTuple, QTuple
+from repro.core.tuples import EOTTuple, MatchRun, QTuple
 from repro.query.expressions import ColumnRef
 from repro.query.layout import done_mask_of
 from repro.query.predicates import Comparison, Predicate
 from repro.query.probeplan import bind_key_from_sources, compile_bind_sources
+from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.storage.row import Row
 from repro.storage.table import Table
 
@@ -138,9 +139,11 @@ class IndexJoinModule(Module):
     """An index join with an internal lookup cache (paper Figure 5).
 
     The module serves its single input queue sequentially.  A probe whose key
-    is cached costs ``cache_hit_cost``; a miss blocks the module for
-    ``lookup_latency`` — so cheap probes queued behind a miss wait for it,
-    which is exactly the head-of-line blocking SteMs remove.
+    is cached costs ``cache_hit_cost``; a miss blocks the module for one draw
+    of ``lookup_latency`` (a :class:`~repro.sim.latency.LatencyModel`, or
+    seconds) — so cheap probes queued behind a miss wait for it, which is
+    exactly the head-of-line blocking SteMs remove.  The index's stalls and
+    failure rate are not modelled here: every lookup succeeds.
     """
 
     kind = "join"
@@ -153,7 +156,7 @@ class IndexJoinModule(Module):
         inner_alias: str,
         inner_table: Table,
         bind_columns: Sequence[str],
-        lookup_latency: float = 1.0,
+        lookup_latency: float | LatencyModel = 1.0,
         cache_hit_cost: float = 2e-4,
         queue_capacity: int | None = None,
     ):
@@ -163,7 +166,9 @@ class IndexJoinModule(Module):
         self.inner_alias = inner_alias
         self.inner_table = inner_table
         self.bind_columns = tuple(bind_columns)
-        self.lookup_latency = lookup_latency
+        if not isinstance(lookup_latency, LatencyModel):
+            lookup_latency = ConstantLatency(lookup_latency)
+        self.latency = lookup_latency
         self.cache_hit_cost = cache_hit_cost
         # Bind derivation compiled once over the static predicate list
         # (bind_key also runs inside service_time, i.e. twice per probe).
@@ -192,7 +197,7 @@ class IndexJoinModule(Module):
         key = self.bind_key(item)
         if key is not None and key in self._cache:
             return self.cache_hit_cost
-        return self.lookup_latency
+        return self.latency.sample()
 
     def process(self, item: Routable) -> list[Routable]:
         assert self.runtime is not None
@@ -212,7 +217,6 @@ class IndexJoinModule(Module):
             self.lookup_series.append((self.runtime.now, int(self.stats["lookups"])))
             rows = self.inner_table.lookup(self.bind_columns, key)
             self._cache[key] = rows
-        results: list[Routable] = []
         # The pending-predicate set depends only on the outer tuple's done
         # bits and span (every lookup row fills the same inner alias), so it
         # is derived once per probe instead of once per matching row.
@@ -222,15 +226,14 @@ class IndexJoinModule(Module):
             for predicate in self.predicates
             if not item.is_done(predicate) and predicate.can_evaluate(available)
         ]
-        done_mask = done_mask_of(pending)
-        extend = None  # the probe's extension template, taken at the first match
+        matched = []
         components = item.components  # a fresh dict: its inner entry is rebound per row
         for row in rows:
             components[self.inner_alias] = row
-            if not all(predicate.evaluate(components) for predicate in pending):
-                continue
-            if extend is None:
-                extend = item.extender(self.inner_alias, done_mask)
-            self.stats["results"] += 1
-            results.append(extend(row, 0.0))
-        return results
+            if all(predicate.evaluate(components) for predicate in pending):
+                matched.append(row)
+        self.stats["results"] += len(matched)
+        if not matched:
+            return []
+        run = MatchRun(item, self.inner_alias, matched, [0.0] * len(matched), done_mask_of(pending))
+        return run.tuples()

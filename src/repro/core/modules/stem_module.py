@@ -176,15 +176,17 @@ class SteMModule(Module):
             # every counter consistent with the work actually done.
             self._trap_poison(item, error)
             return []
+        run = outcome.run
+        matches = 0 if run is None else len(run.rows)
         self.stats["probes"] += 1
-        self.stats["results"] += len(outcome.results)
+        self.stats["results"] += matches
         key = (item.spanned_mask, item.done_mask)
         counters = self.signature_stats.get(key)
         if counters is None:
             counters = self.signature_stats[key] = [0, 0]
         counters[0] += 1
-        counters[1] += len(outcome.results)
-        if outcome.results:
+        counters[1] += matches
+        if matches:
             # n-ary SHJ discipline: once a probe produced concatenations, the
             # original tuple stops probing further SteMs; its extensions
             # carry the derivation forward (keeps derivations tree-shaped).
@@ -210,8 +212,8 @@ class SteMModule(Module):
             # has been probed into an access method on the target table
             # (ProbeCompletion constraint, paper section 3.4).
             item.probe_completion_alias = target
-        outcome.results.append(item)
-        return outcome.results
+        # The matches travel as one run, ahead of the probe, as they always did.
+        return [item] if run is None else [run, item]
 
     def _probe_target(self, item: QTuple) -> str | None:
         return None if self.alias in item.aliases else self.alias

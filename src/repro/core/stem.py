@@ -35,7 +35,7 @@ from repro.query.predicates import Predicate
 from repro.query.probeplan import ProbePlan
 from repro.storage.row import Row
 from repro.storage.schema import Schema
-from repro.core.tuples import EOTTuple, QTuple
+from repro.core.tuples import EOTTuple, MatchRun, QTuple
 
 
 class EvictionPolicy:
@@ -202,8 +202,9 @@ class ProbeOutcome:
     """Result of probing a SteM.
 
     Attributes:
-        results: concatenated result tuples (probe ⨝ matching stored rows)
-            that passed the predicates and the TimeStamp constraint.
+        run: the concatenations (probe ⨝ matching stored rows) that passed
+            the predicates and the TimeStamp constraint, as one
+            :class:`~repro.core.tuples.MatchRun`; None without a match.
         all_matches_known: True if the SteM is certain it holds every match
             for this probe (because of a covering EOT); when False the probe
             tuple may have to be bounced back for index-AM probing.
@@ -213,7 +214,7 @@ class ProbeOutcome:
     """
 
     __slots__ = (
-        "results",
+        "run",
         "all_matches_known",
         "candidates_examined",
         "suppressed_by_timestamp",
@@ -221,15 +222,21 @@ class ProbeOutcome:
 
     def __init__(
         self,
-        results: list[QTuple] | None = None,
+        run: MatchRun | None = None,
         all_matches_known: bool = False,
         candidates_examined: int = 0,
         suppressed_by_timestamp: int = 0,
     ):
-        self.results = [] if results is None else results
+        self.run = run
         self.all_matches_known = all_matches_known
         self.candidates_examined = candidates_examined
         self.suppressed_by_timestamp = suppressed_by_timestamp
+
+    @property
+    def results(self) -> list[QTuple]:
+        """The matches as QTuples, materialised from :attr:`run` on each read
+        (with the ids the run allocated)."""
+        return [] if self.run is None else self.run.tuples()
 
 
 class SteM:
@@ -490,14 +497,6 @@ class SteM:
         Returns:
             A :class:`ProbeOutcome` with concatenated results and coverage.
         """
-        if target_alias in probe.aliases:
-            raise ExecutionError(
-                f"probe already spans {target_alias!r}; cannot probe {self.name}"
-            )
-        if target_alias not in self.aliases:
-            raise ExecutionError(
-                f"alias {target_alias!r} is not served by {self.name}"
-            )
         return self.probe_with_plan(
             probe,
             ProbePlan.compile(
@@ -568,15 +567,12 @@ class SteM:
                         checks = unkeyed
         probe_timestamp = probe.timestamp
 
-        done_mask = plan.done_mask
-        results: list[QTuple] = []
-        extend = None  # the probe's extension template, taken at the first match
+        matched: list[Row] = []
+        stamps: list[float] = []
         suppressed = 0
         cmp_bound = plan.bind_checks(components, checks) if checks else ()
         in_bound = plan.bind_in_checks(components) if plan.in_checks else ()
         generic = plan.generic_predicates
-        hook = self._reference_hook
-        matched_rows: list[Row] | None = [] if hook is not None else None
         for row, row_timestamp in candidates.items():
             values = row.values
             passed = True
@@ -609,24 +605,22 @@ class SteM:
             if enforce_timestamp and not probe_timestamp > row_timestamp:
                 suppressed += 1
                 continue
-            if extend is None:
-                extend = probe.extender(target_alias, done_mask)
-            results.append(extend(row, row_timestamp))
-            if matched_rows is not None:
-                matched_rows.append(row)
-        if matched_rows:
+            matched.append(row)
+            stamps.append(row_timestamp)
+        hook = self._reference_hook
+        if hook is not None:
             # Reference hooks may reorder the row store, so they run only
             # after candidate iteration (candidates can alias ``_rows``).
-            for row in matched_rows:
+            for row in matched:
                 hook.on_match(self, row)
         # Stats commit only once the whole candidate loop has survived: a
         # raising generic predicate must leave the counters untouched so the
         # quarantine path can retry or drop the probe without skew.
         stats = self.stats
         stats["probes"] += 1
-        stats["matches"] += len(results)
+        stats["matches"] += len(matched)
         return ProbeOutcome(
-            results,
+            MatchRun(probe, target_alias, matched, stamps, plan.done_mask) if matched else None,
             bool(self._scan_complete)
             or self.covers(plan.bindings_mapping(binding_values)),
             len(candidates),

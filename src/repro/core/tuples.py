@@ -63,10 +63,10 @@ class TupleIdAllocator:
     def __init__(self, start: int = 1):
         self._next = start
 
-    def allocate(self) -> int:
-        """The next tuple id."""
+    def allocate(self, count: int = 1) -> int:
+        """The next tuple id, or the first of ``count`` consecutive ones."""
         value = self._next
-        self._next += 1
+        self._next += count
         return value
 
 
@@ -476,65 +476,6 @@ class QTuple(Result):
 
     # -- derivation -------------------------------------------------------------
 
-    def extender(self, alias: str, extra_done: int = 0, created_at: float | None = None):
-        """The extension template of one probe: ``extend(row, row_timestamp)``.
-
-        Every match of a probe extends this tuple by the same alias, so the
-        alias check, the child masks, the child's alias, head-row and head
-        build-timestamp tuples (shared by the siblings) and the child's routing
-        signature (as :meth:`routing_signature` builds it; shared by the
-        siblings until a mutation clears it on one) are worked out once.
-        ``extend`` sets every slot itself and allocates no container: it is
-        the per-result path of every probe.  Done bits (plus
-        ``extra_done``), priority, source and layout are inherited; visit
-        bits and resolution state start fresh (a new unit of routing work).
-        """
-        if alias in self._aliases:
-            raise ExecutionError(f"tuple already spans alias {alias!r}")
-        layout = self.layout
-        bit = layout.bit_of(alias)
-        query_id = self.query_id
-        aliases = (*self._aliases, alias)
-        head = self.rows
-        head_ts = self.build_timestamps
-        done_mask = self.done_mask | extra_done
-        source = self.source
-        priority = self._priority
-        spanned_mask = self.spanned_mask | bit
-        built_mask = self.built_mask | bit
-        if created_at is None:
-            created_at = self.created_at
-        signature = (spanned_mask, done_mask, 0, built_mask, 0, 0, False, None, priority > 0.0)
-        allocate = _id_allocator.allocate
-        new = object.__new__
-
-        def extend(row: Row, row_timestamp: float) -> "QTuple":
-            result = new(QTuple)
-            result.tuple_id = allocate()
-            result.query_id = query_id
-            result._aliases = aliases
-            result._head = head
-            result._row = row
-            result._head_ts = head_ts
-            result._row_ts = row_timestamp
-            result.done_mask = done_mask
-            result.source = source
-            result._priority = priority
-            result.visits_token = 0
-            result.layout = layout
-            result.spanned_mask = spanned_mask
-            result.built_mask = built_mask
-            result.resolved_mask = 0
-            result.exhausted_mask = 0
-            result._stop_stem_probes = False
-            result._probe_completion_alias = None
-            result.created_at = created_at
-            result.failed = False
-            result._signature = signature
-            return result
-
-        return extend
-
     def extended(
         self,
         alias: str,
@@ -543,8 +484,126 @@ class QTuple(Result):
         extra_done: int = 0,
         created_at: float | None = None,
     ) -> "QTuple":
-        """A new tuple with one more base-table component (see :meth:`extender`)."""
-        return self.extender(alias, extra_done, created_at)(row, row_timestamp)
+        """A new tuple with one more base-table component: the one match of
+        a :class:`MatchRun`."""
+        return MatchRun(self, alias, [row], [row_timestamp], extra_done, created_at).first()
+
+
+class MatchRun:
+    """One probe's matches as one dataflow entry (paper §2.1.2: a probe
+    returns the *set* of its matches).
+
+    A run is the probe's extension template — the aliases, head rows and
+    head build timestamps every match shares, the child masks and routing
+    signature, query id, source, priority and ``created_at`` — plus the
+    matched rows, their build timestamps and :attr:`tuple_id`, the first
+    of a block of consecutive ids allocated with the run: match ``i`` is
+    tuple ``tuple_id + i``, the id sequential extension would have drawn.
+    Done bits (plus ``extra_done``), priority, source and layout are
+    inherited from the probe; visit bits and resolution state start fresh
+    (a new unit of routing work).  :meth:`tuples` materialises the run into
+    the QTuples its matches stand for.
+    """
+
+    __slots__ = (
+        "tuple_id", "query_id", "_aliases", "_head", "_head_ts", "_priority", "done_mask",
+        "source", "layout", "spanned_mask", "built_mask", "created_at", "_signature",
+        "rows", "row_ts",
+    )
+
+    #: Matches passed the probe's predicates: a run never failed one.
+    failed = False
+
+    def __init__(
+        self,
+        probe: QTuple,
+        alias: str,
+        rows: list[Row],
+        row_ts: list[float],
+        extra_done: int = 0,
+        created_at: float | None = None,
+    ):
+        if alias in probe._aliases:
+            raise ExecutionError(f"tuple already spans alias {alias!r}")
+        bit = probe.layout.bit_of(alias)
+        self.query_id = probe.query_id
+        self._aliases = (*probe._aliases, alias)
+        self._head = probe.rows
+        self._head_ts = probe.build_timestamps
+        self._priority = probe._priority
+        self.done_mask = probe.done_mask | extra_done
+        self.source = probe.source
+        self.layout = probe.layout
+        self.spanned_mask = probe.spanned_mask | bit
+        self.built_mask = probe.built_mask | bit
+        self.created_at = probe.created_at if created_at is None else created_at
+        #: As :meth:`QTuple.routing_signature` builds it, shared by the matches.
+        self._signature = (
+            self.spanned_mask, self.done_mask, 0, self.built_mask, 0, 0, False, None,
+            self._priority > 0.0,
+        )
+        self.rows, self.row_ts = rows, row_ts
+        self.tuple_id = _id_allocator.allocate(len(rows))
+
+    def routing_signature(self) -> tuple:
+        """The routing signature every match of the run has."""
+        return self._signature
+
+    def extension(self, row: Row, row_timestamp: float, tuple_id: int) -> QTuple:
+        """One match as a QTuple: every slot set here, no container
+        allocated, ``__init__`` never run."""
+        result = object.__new__(QTuple)
+        result.tuple_id = tuple_id
+        result.query_id = self.query_id
+        result._aliases = self._aliases
+        result._head = self._head
+        result._row = row
+        result._head_ts = self._head_ts
+        result._row_ts = row_timestamp
+        result.done_mask = self.done_mask
+        result.source = self.source
+        result._priority = self._priority
+        result.visits_token = 0
+        result.layout = self.layout
+        result.spanned_mask = self.spanned_mask
+        result.built_mask = self.built_mask
+        result.resolved_mask = 0
+        result.exhausted_mask = 0
+        result._stop_stem_probes = False
+        result._probe_completion_alias = None
+        result.created_at = self.created_at
+        result.failed = False
+        result._signature = self._signature
+        return result
+
+    def first(self) -> QTuple:
+        """The first match as a QTuple: an exemplar of the run's signature."""
+        return self.extension(self.rows[0], self.row_ts[0], self.tuple_id)
+
+    def tuples(self) -> list[QTuple]:
+        """Every match as a QTuple, in match order."""
+        extension, first = self.extension, self.tuple_id
+        return [
+            extension(row, row_timestamp, first + offset)
+            for offset, (row, row_timestamp) in enumerate(zip(self.rows, self.row_ts))
+        ]
+
+    def take(self, count: int) -> "MatchRun":
+        """Split off the first ``count`` matches as a run of their own; this
+        run keeps the rest (and the ids after them)."""
+        head = object.__new__(MatchRun)
+        head.tuple_id, head.query_id, head._aliases = self.tuple_id, self.query_id, self._aliases
+        head._head, head._head_ts, head._priority = self._head, self._head_ts, self._priority
+        head.done_mask, head.source, head.layout = self.done_mask, self.source, self.layout
+        head.spanned_mask, head.built_mask = self.spanned_mask, self.built_mask
+        head.created_at, head._signature = self.created_at, self._signature
+        head.rows, self.rows = self.rows[:count], self.rows[count:]
+        head.row_ts, self.row_ts = self.row_ts[:count], self.row_ts[count:]
+        self.tuple_id += count
+        return head
+
+    def __repr__(self) -> str:
+        return f"MatchRun#{self.tuple_id}+{len(self.rows)}[{','.join(sorted(self._aliases))}]"
 
 
 @dataclass(frozen=True)
@@ -591,7 +650,7 @@ def singleton_maker(alias: str, source: str, layout: PlanLayout):
 
     Every row an access method delivers becomes a singleton on the same
     alias, source and layout, so the alias bit is worked out once.  Like
-    :meth:`QTuple.extender`, ``make`` sets every slot itself, to exactly
+    :meth:`MatchRun.extension`, ``make`` sets every slot itself, to exactly
     what ``QTuple({alias: row}, source=..., created_at=..., layout=...)``
     gives, and allocates the tuple id first.
     """

@@ -51,8 +51,9 @@ def execute(
             :func:`~repro.engine.joins_engine.choose_join_order`, routed by
             the naive policy whatever ``policy`` says).
         policy: routing policy name or instance (``stems`` and
-            ``eddy-joins``).
-        plan: explicit join-module plan (``eddy-joins`` engine only).
+            ``eddy-joins``; ``static`` refuses anything but the default).
+        plan: explicit join-module plan (``eddy-joins`` engine only;
+            ``static`` refuses one).
         until: stop the simulation at this virtual time.
         trace: optional :class:`~repro.sim.tracing.TraceLog` recording the
             engine's route/output/retire events.  Identical calls produce
@@ -68,9 +69,9 @@ def execute(
     Raises:
         QueryError: when :func:`~repro.query.binding.check_query` rejects
             the query, before virtual time 0.
-        ExecutionError: on an unknown engine or option, or when a
+        ExecutionError: on an unknown engine or option, when a
             ``stems``-only option is set to a non-default value on another
-            engine.
+            engine, or when ``static`` is given a plan or a policy.
     """
     config = EngineConfig.from_options(
         "execute", options, ("engine", "policy", "plan", "until", "trace")
@@ -96,6 +97,11 @@ def execute(
             config=config, trace=trace,
         )
     elif engine == "static":
+        if plan is not None or policy != "benefit":
+            raise ExecutionError(
+                "engine 'static' chooses its own plan and routes it with the naive "
+                f"policy; it does not take {'plan' if plan is not None else 'policy'}="
+            )
         baseline = EddyJoinsEngine(
             parsed, catalog, plan=choose_join_order(parsed, catalog),
             config=config, trace=trace,

@@ -38,6 +38,7 @@ from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.probeplan import compile_bind_sources
 from repro.query.query import Query
+from repro.sim.latency import index_latency
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
 from repro.storage.catalog import Catalog, IndexSpec
@@ -56,7 +57,9 @@ class JoinSpec:
         right: the alias joined in by this module.
         index_columns: bind columns of the inner index (``kind="index"``;
             empty takes the first index the step binds).
-        lookup_latency: per-lookup latency of the inner index.
+        lookup_latency: per-lookup latency of the inner index (the mean:
+            the catalog index the step binds gives its latency model and
+            seed).
         queue_capacity: bound on the module's input queue.
     """
 
@@ -368,6 +371,10 @@ class EddyJoinsEngine:
                         f"the index join of {spec.right!r} cannot bind index columns "
                         f"{list(columns)} from {list(spec.left)} or constants"
                     )
+                index = next((i for i in catalog.indexes(table.name) if i.columns == columns), None)
+                if index is not None:
+                    # The index the step binds draws its lookups around the mean.
+                    latency = index_latency(latency, index.latency_model, index.latency_seed)
                 module = IndexJoinModule(
                     name=f"join:index:{position}:{spec.right}",
                     predicates=predicates,

@@ -90,19 +90,10 @@ def _repr_stable(value) -> bool:
     Ints and strs repr deterministically and injectively; nested tuples of
     them inherit both properties.  Everything else (floats with NaN/-0.0,
     bool-vs-int shadowing, bytes) must take the tagged-JSON path.
+    (``type(True)`` is bool, never int: bools cannot slip in.)
     """
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is int or kind is str:
-            # type(True) is bool, never int — bools can't slip in here.
-            continue
-        if kind is tuple:
-            stack.extend(item)
-            continue
-        return False
-    return True
+    kind = type(value)
+    return kind is int or kind is str or (kind is tuple and all(map(_repr_stable, value)))
 
 
 def identity_key(tuple_) -> str:
@@ -114,22 +105,33 @@ def identity_key(tuple_) -> str:
     Identities built purely from ints/strs — the overwhelmingly common case,
     and this runs once per emitted result — take a ``repr`` fast path; the
     two key families cannot collide because an identity is always a tuple,
-    so fast keys start with ``(`` and encoded ones with ``[``.
+    so fast keys start with ``(`` and encoded ones with ``[``.  Aliases and
+    table names are strs, so only the components' values are checked, flat,
+    down to a value that is itself a tuple.
     """
     identity = tuple_.identity()
-    if _repr_stable(identity):
-        return repr(identity)
-    return canonical_json(encode_value(identity))
+    for _, _, values in identity:
+        for value in values:
+            kind = type(value)
+            if kind is not int and kind is not str and not _repr_stable(value):
+                return canonical_json(encode_value(identity))
+    return repr(identity)
 
 
-def _make_emit_filter(remaining: dict[str, int]):
-    """An ``Eddy.emit_filter`` suppressing each acked identity N times."""
+def _make_emit_filter(remaining: dict[str, int], eddy):
+    """An ``Eddy.emit_filter`` suppressing each acked identity N times, that
+    takes itself off ``eddy`` once it has suppressed every one of them."""
+    left = sum(remaining.values())
 
     def emit_filter(tuple_) -> bool:
+        nonlocal left
         key = identity_key(tuple_)
         count = remaining.get(key, 0)
         if count > 0:
             remaining[key] = count - 1
+            left -= 1
+            if not left:
+                eddy.emit_filter = None
             return False
         return True
 
@@ -734,7 +736,7 @@ def restore_engine(
         # (a bounded SteM may legitimately emit an equal identity anew).
         acked = state.tail_acks.get(query_id)
         if acked:
-            eddy.emit_filter = _make_emit_filter(dict(acked))
+            eddy.emit_filter = _make_emit_filter(dict(acked), eddy)
 
     engine.add_admission_listener(arm_emit_filter)
     # The restore holds every recovered table under its own owner until the

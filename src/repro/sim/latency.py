@@ -59,6 +59,14 @@ class ExponentialLatency(LatencyModel):
         return self._mean
 
 
+def index_latency(mean: float, kind: str = "constant", seed: int = 0) -> LatencyModel:
+    """The lookup latency an index's ``latency_model`` names, around ``mean``:
+    exponential draws seeded by ``seed``, or constant."""
+    if kind == "exponential":
+        return ExponentialLatency(mean, seed=seed)
+    return ConstantLatency(mean)
+
+
 @dataclass(frozen=True)
 class StallWindow:
     """A half-open interval of virtual time during which a source is stalled."""

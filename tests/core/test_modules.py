@@ -264,10 +264,12 @@ class TestSteMModule:
         module.process(singleton_tuple("S", make_source_s(10).rows[4], layout=LAYOUT))  # x = 4
         probe = r_tuple(a=4)
         probe.mark_built("R", 100.0)
-        outputs = module.process(probe)
-        results = [t for t in outputs if t is not probe]
-        assert len(results) == 1 and results[0].aliases == {"R", "S"}
-        assert probe in outputs  # the probe is bounced back for further routing
+        run, bounced = module.process(probe)
+        # The matches travel as one run, ahead of the probe, which is
+        # bounced back for further routing.
+        assert bounced is probe
+        (result,) = run.tuples()
+        assert result.aliases == {"R", "S"}
         assert probe.is_resolved("S")  # S has a scan AM in this runtime
         assert probe.stop_stem_probes
 

@@ -13,6 +13,7 @@ from repro.core.eddy import OutputRecord
 from repro.core.modules.access import IndexAMModule, ScanAMModule
 from repro.core.tuples import (
     EOTTuple,
+    MatchRun,
     QTuple,
     Result,
     TupleIdAllocator,
@@ -176,12 +177,12 @@ class TestExtension:
 
 
 class TestExtensionMatchesConstructor:
-    """The extension template (``extender``; ``extended`` is its one-match
-    spelling) sets every slot itself instead of going through ``__init__``;
-    this holds every sibling, slot for slot, to what the constructor plus
-    the documented inheritance rules give — the precomputed routing
-    signature included.  A slot added to ``QTuple`` and forgotten in the
-    template fails here (``getattr`` on an unset slot)."""
+    """The extension template (a ``MatchRun``; ``extended`` is its
+    one-match spelling) sets every slot itself instead of going through
+    ``__init__``; this holds every sibling, slot for slot, to what the
+    constructor plus the documented inheritance rules give — the
+    precomputed routing signature included.  A slot added to ``QTuple`` and
+    forgotten in the template fails here (``getattr`` on an unset slot)."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -234,8 +235,7 @@ class TestExtensionMatchesConstructor:
         extra_mask = done_mask_of(extra_done)
         install_id_allocator(TupleIdAllocator(start=50))
         try:
-            extend = parent.extender("T", extra_mask, created_at)
-            siblings = [extend(row, ts) for row, ts in zip(rows, matches)]
+            siblings = MatchRun(parent, "T", rows, matches, extra_mask, created_at).tuples()
             single = parent.extended("T", rows[0], matches[0], extra_mask, created_at)
             ids = [sibling.tuple_id for sibling in siblings] + [single.tuple_id]
             assert ids == list(range(50, 50 + len(ids)))  # match order
@@ -283,9 +283,9 @@ class TestExtensionMatchesConstructor:
         assert fresh != shared or (mutation == "priority" and priority > 0.0)
         assert all(sibling._signature is shared for sibling in siblings[1:])
         with pytest.raises(ExecutionError):
-            siblings[-1].extender("T")
+            MatchRun(siblings[-1], "T", [], [])
         with pytest.raises(ExecutionError):
-            parent.extender("R")
+            MatchRun(parent, "R", [], [])
         with pytest.raises(ExecutionError):
             parent.extended("R", r_row(), 9.0)
 
@@ -408,7 +408,7 @@ build_times = st.floats(0.0, 9.0) | st.just(UNBUILT)
 class TestFactorisedChainsMatchTheDict:
     """A tuple keeps its components factorised: alias and head tuples
     shared with its siblings, its own last row and build timestamp.  Every
-    read of a derivation chain — made by ``singleton_maker``, ``extender``
+    read of a derivation chain — made by ``singleton_maker``, ``MatchRun``
     and ``extended``, with ``mark_built`` on any alias along the way — must
     equal that of the constructor given the same alias -> row dict."""
 
@@ -434,10 +434,10 @@ class TestFactorisedChainsMatchTheDict:
                 built.add(target)
             timestamp = data.draw(build_times)
             if data.draw(st.booleans()):
-                extend = chain.extender(alias)
-                sibling = extend(Row(alias, K_SCHEMA, (9, 9)), 0.0)
+                sibling, chain = MatchRun(
+                    chain, alias, [Row(alias, K_SCHEMA, (9, 9)), rows[alias]], [0.0, timestamp]
+                ).tuples()
                 siblings.append((sibling, {**model, alias: 0.0}))
-                chain = extend(rows[alias], timestamp)
                 for slot in ("_aliases", "_head", "_head_ts"):
                     assert getattr(chain, slot) is getattr(sibling, slot)
             else:
@@ -611,18 +611,29 @@ class TestHotObjectsAreLean:
             assert {type(t) for t in held} == {Result}, engine
 
     def test_a_kept_result_is_the_emitted_tuple_s_data(self):
-        """The eddy's output loop copies every ``Result`` slot of the tuple
-        it emits: the kept result holds the very same objects."""
+        """The eddy's output loop builds each ``Result`` from the entry it
+        emits — here every result is a match of a run — holding the very
+        objects the match's materialised QTuple would hold; the emission
+        hook receives the kept ``Result`` itself."""
         engine = self._fanout_engine(distinct=12)
         eddy = engine.eddy_of("q0")
-        emitted = []
+        emitted, matches = [], {}
+
+        def recording(items, source=None, deliver=eddy.to_eddy_all):
+            for item in items:
+                if type(item) is MatchRun:
+                    matches.update((match.tuple_id, match) for match in item.tuples())
+            deliver(items, source)
+
+        eddy.to_eddy_all = recording
         eddy.on_emit = emitted.append
         engine.run()
-        assert len(emitted) == len(eddy.output_tuples) == 300
-        for routed, kept in zip(emitted, eddy.output_tuples):
-            assert type(routed) is QTuple and type(kept) is Result
-            for slot in Result.__slots__:
-                assert getattr(kept, slot) is getattr(routed, slot), slot
+        assert len(emitted) == len(eddy.output_tuples) == len(matches) == 300
+        for hooked, kept in zip(emitted, eddy.output_tuples):
+            assert hooked is kept and type(kept) is Result
+            match = matches[kept.tuple_id]
+            for slot in Result.__slots__[1:]:  # all but the (equal) tuple id
+                assert getattr(kept, slot) is getattr(match, slot), slot
 
     def test_collecting_a_result_allocates_no_per_point_tuple(self):
         """The output and partial-result series keep their times, not a

@@ -9,8 +9,9 @@ reads the clock and each live query's output list between events.
 At every event:
 
 * virtual time never decreases;
-* every tuple waiting in a live query's ready queue or module queues is on
-  that query's layout (tuples are born on it and never re-encoded);
+* every tuple or match run waiting in a live query's ready queue or module
+  queues is on that query's layout (tuples are born on it and never
+  re-encoded);
 * a time-windowed SteM holds only rows built inside its window;
 * no output appended since the previous event repeats an identity the
   query already emitted.  Over bounded SteMs a row that left the window
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bench import workloads
-from repro.core.tuples import QTuple
+from repro.core.tuples import MatchRun, QTuple
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from tests.conftest import oracle_identities
 from tests.helpers import dashboard_workload, shared_tables_mixed_workload
@@ -150,6 +151,8 @@ class InvariantChecker:
         self.repeats: dict[str, int] = defaultdict(int)
         #: Queued tuples whose layout was checked (so the check is not vacuous).
         self.layout_checks = 0
+        #: How many of them were match runs.
+        self.run_checks = 0
         engine.simulator.after_event_hook = self.after_event
 
     def after_event(self, event) -> None:
@@ -169,11 +172,13 @@ class InvariantChecker:
             queued = [eddy._ready, *(module.queue.items for module in eddy.modules.values())]
             for items in queued:
                 for item in items:
-                    if isinstance(item, QTuple):
+                    # A match run waits as one ready entry, on its probe's layout.
+                    if isinstance(item, (QTuple, MatchRun)):
                         assert item.layout is eddy.layout, (
                             f"{query_id}: {item} is on {item.layout}, not {eddy.layout}"
                         )
                         self.layout_checks += 1
+                        self.run_checks += type(item) is MatchRun
             outputs = eddy.output_tuples
             start = self.seen_outputs[query_id]
             if start == len(outputs):
@@ -246,3 +251,9 @@ def test_invariants_hold_at_every_event_and_at_quiesce(builder, policy):
             assert sorted(identities) == expected, query_id
             joins += bool(expected)
     assert checker.bounded or joins, "no join query of this builder produced a result"
+    # A feedback-free policy keeps output-ready matches as runs, unless the
+    # query has preferences (they act per tuple).
+    if policy == "naive" and joins:
+        assert checker.run_checks > 0 or any(
+            run.engine.eddy_of(query_id).preferences for query_id in run.queries
+        )

@@ -189,3 +189,27 @@ def test_property_every_join_module_matches_the_oracle(left_keys, right_keys):
     for kind in KINDS:
         result, expected, _ = run_step("R.a = S.x", r_rows, s_rows, kind)
         assert sorted(result.identities()) == expected
+
+
+@pytest.mark.parametrize("model, gaps", [("constant", 1), ("exponential", None)])
+def test_an_index_join_draws_the_index_s_latency_model(model, gaps):
+    # A cache-free lookup per distinct key: each gap between two lookups is
+    # one draw of the catalog index's latency model, seeded by the index.
+    catalog = Catalog()
+    catalog.add_table(Table("R", R_SCHEMA, [(i, i) for i in range(12)]))
+    catalog.add_table(Table("S", S_SCHEMA, [(j, j) for j in range(12)]))
+    catalog.add_scan("R", rate=1000.0)
+    catalog.add_index("S", ["x"], latency=0.5, latency_model=model, latency_seed=7)
+    query = parse_query("SELECT * FROM R, S WHERE R.a = S.x")
+    step = JoinSpec(kind="index", left=("R",), right="S", index_columns=("x",),
+                    lookup_latency=0.5)
+    runs = [EddyJoinsEngine(query, catalog, plan=[step]).run() for _ in range(2)]
+    series = [run.index_probe_series["join:index:0:S"].points for run in runs]
+    assert series[0] == series[1]  # seeded: the same draws on every run
+    times = [time for time, _ in series[0]]
+    distinct = {round(b - a, 9) for a, b in zip(times, times[1:])}
+    assert len(times) == 12 and runs[0].row_count == 12
+    if gaps is None:
+        assert len(distinct) > 1
+    else:
+        assert len(distinct) == gaps

@@ -141,6 +141,24 @@ class TestStaticPlan:
         with pytest.raises(BindingError):
             execute(sql, catalog, engine="static")
 
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"plan": [JoinSpec(kind="mergesort", left=("R",), right="T")]},
+            {"plan": [JoinSpec(kind="shj", left=("R",), right="T")]},
+            {"policy": "lottery"},
+            {"policy": "naive"},
+        ],
+        ids=lambda argument: next(iter(argument)),
+    )
+    def test_a_plan_or_policy_is_refused_not_dropped(self, catalog, argument):
+        # The static engine picks its own plan and routes it naively: an
+        # argument it would ignore is an error naming the argument.
+        (name,) = argument
+        with pytest.raises(ExecutionError, match=f"does not take {name}="):
+            execute("SELECT * FROM R, T WHERE R.key = T.key", catalog, engine="static",
+                    **argument)
+
 
 class TestDefaultJoinPlan:
     def test_prefers_shj_when_scan_exists(self, catalog):

@@ -181,9 +181,17 @@ class TestEngineThreading:
         assert isinstance(layout, PlanLayout)
         assert engine.eddy_of("q0").layout is layout
         assert engine.eddy_of("q0").resolver.layout is layout
-        emitted = []
-        engine.eddy_of("q0").on_emit = emitted.append
+        eddy = engine.eddy_of("q0")
+        handed_off = []
+
+        def recording(items, source=None, deliver=eddy.to_eddy_all):
+            handed_off.extend(item for item in items if hasattr(item, "layout"))
+            deliver(items, source)
+
+        eddy.to_eddy_all = recording
         result = engine.run()["q0"]
-        # Every output tuple runs on the engine's layout, not the fallback.
-        assert len(emitted) == result.row_count > 0
-        assert all(t.layout is layout for t in emitted)
+        # Every tuple and match run entering the dataflow — every output's
+        # origin — runs on the engine's layout, not the fallback.
+        assert result.row_count > 0
+        assert {type(item).__name__ for item in handed_off} == {"QTuple", "MatchRun"}
+        assert all(item.layout is layout for item in handed_off)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.stem import SteM
+from repro.core.tuples import Result
 from repro.recovery.codec import (
     canonical_json,
     decode_row,
@@ -26,6 +28,7 @@ from repro.recovery.codec import (
     frame_record,
     parse_record,
 )
+from repro.recovery.manager import _make_emit_filter, identity_key
 from repro.recovery.snapshot import SnapshotStore
 from repro.recovery.wal import WriteAheadLog, replay_wal_file
 from repro.storage.row import Row
@@ -164,6 +167,51 @@ class TestWalAndSnapshotProperties:
         assert loaded is not None
         for wire, original in zip(loaded["rows"], ids):
             assert equivalent(decode_value(wire), original)
+
+
+def walked_identity_key(tuple_) -> str:
+    """The identity key as a stack walk over the whole identity wrote it:
+    the reference the flat check must agree with, byte for byte."""
+    identity = tuple_.identity()
+    stack = [identity]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            stack.extend(item)
+        elif type(item) is not int and type(item) is not str:
+            return canonical_json(encode_value(identity))
+    return repr(identity)
+
+
+class TestIdentityKeys:
+    @given(
+        rows=st.lists(st.tuples(values, values), min_size=1, max_size=3),
+        ints=st.lists(st.tuples(st.integers(), st.text(max_size=4)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_key_is_the_walked_key(self, rows, ints):
+        schema = Schema.of("c0:int", "c1:int")
+        for cells in (rows, ints):
+            result = Result(
+                {f"a{i}": Row(f"t{i}", schema, pair) for i, pair in enumerate(cells)}
+            )
+            assert identity_key(result) == walked_identity_key(result)
+
+    def test_the_filter_steps_aside_once_every_tail_ack_is_suppressed(self):
+        schema = Schema.of("c0:int", "c1:int")
+        results = [Result({"a": Row("t", schema, (i % 2, 0))}) for i in range(5)]
+        eddy = SimpleNamespace()
+        acked = {identity_key(results[0]): 2, identity_key(results[1]): 1}
+        eddy.emit_filter = _make_emit_filter(acked, eddy)
+        kept = []
+        for result in results:
+            if eddy.emit_filter is None:
+                kept.append(result)
+            elif eddy.emit_filter(result):
+                kept.append(result)
+        # Results 0, 1 and 2 are suppressed (0 and 2 share an identity);
+        # the filter is gone before result 3 is offered.
+        assert kept == results[3:] and eddy.emit_filter is None
 
 
 class TestStemStateRoundTrip:

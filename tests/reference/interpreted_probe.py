@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.stem import ProbeOutcome, SteM
-from repro.core.tuples import QTuple
+from repro.core.tuples import MatchRun, QTuple
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef
 from repro.query.layout import done_mask_of
@@ -69,10 +69,8 @@ def interpreted_probe(
     candidates = _candidate_rows(stem, bindings)
     probe_timestamp = probe.timestamp
 
-    done_mask = done_mask_of(predicates)
-    hook = stem._reference_hook
-    matched_rows: list[Row] | None = [] if hook is not None else None
-    extend = None  # the probe's extension template, taken at the first match
+    matched: list[Row] = []
+    stamps: list[float] = []
     for row in candidates:
         outcome.candidates_examined += 1
         row_timestamp = stem._rows[row]
@@ -83,21 +81,23 @@ def interpreted_probe(
         if enforce_timestamp and not probe_timestamp > row_timestamp:
             outcome.suppressed_by_timestamp += 1
             continue
-        if extend is None:
-            extend = probe.extender(target_alias, done_mask)
-        outcome.results.append(extend(row, row_timestamp))
-        if matched_rows is not None:
-            matched_rows.append(row)
-    if matched_rows:
+        matched.append(row)
+        stamps.append(row_timestamp)
+    hook = stem._reference_hook
+    if hook is not None:
         # Reference hooks may reorder the row store, so they run only
         # after candidate iteration (candidates can alias ``_rows``).
-        for row in matched_rows:
+        for row in matched:
             hook.on_match(stem, row)
     # Stats commit only once the whole candidate loop has survived: a
     # raising generic predicate must leave the counters untouched so the
     # quarantine path can retry or drop the probe without skew.
     stem.stats["probes"] += 1
-    stem.stats["matches"] += len(outcome.results)
+    stem.stats["matches"] += len(matched)
+    if matched:
+        outcome.run = MatchRun(
+            probe, target_alias, matched, stamps, done_mask_of(predicates)
+        )
     outcome.all_matches_known = stem.covers(bindings)
     return outcome
 
