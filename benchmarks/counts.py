@@ -11,10 +11,11 @@ construction and recovery included).  Per workload it reports the
 simulator events (every engine incarnation), calls into ``src/repro`` per
 event, result rows and the result digest of ``benchmarks/e2e/verify.py``.
 Beside them: the lines of ``src/``, the lines of ``src/`` that name an
-engine option, the lines of ``tests/`` and ``benchmarks/``, the test cases
-``pytest --collect-only`` finds there, the size of the definitions
-ratchet's ``ALLOWED`` list, and
-the checkout's commit and the Python version.  Nothing in the line is a
+engine option, the defaulted parameters of ``src/``'s public functions
+and ``__init__``s, the lines of ``tests/`` and ``benchmarks/``, the test
+cases ``pytest --collect-only`` finds there, the size of the definitions
+ratchet's ``ALLOWED`` list, and the checkout's commit (a fixed label when
+the checkout is not a git work tree) and the Python version.  Nothing in the line is a
 clock reading, so two lines compare across hosts; ``--append`` adds the
 line to a file (``BENCH_counts.jsonl`` at the repository root keeps one per
 change).
@@ -34,6 +35,9 @@ from pathlib import Path
 WORKLOADS = ("fleet_join", "fanout_join", "agg_window", "churn_window", "durable_crash")
 #: The engine options whose spelling ``option_lines`` counts in ``src/``.
 OPTION = re.compile(r"stem_max_size|stem_eviction|stem_window|strict_constraints|batch_size|cost_model")
+#: The commit label of a checkout that is not a git work tree (a ``git
+#: archive`` copy).
+NO_COMMIT = "not-a-git-checkout"
 
 
 def source_lines(root: Path) -> tuple[int, int]:
@@ -44,6 +48,22 @@ def source_lines(root: Path) -> tuple[int, int]:
         for line in path.read_text(encoding="utf-8").splitlines()
     ]
     return len(lines), sum(1 for line in lines if OPTION.search(line))
+
+
+def defaulted_params(root: Path) -> int:
+    """Parameters with a default value of the public functions and methods
+    and of the ``__init__``s in ``src/``: the values a caller may set, each
+    independently of the others."""
+    total = 0
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                not node.name.startswith("_") or node.name == "__init__"
+            ):
+                arguments = node.args
+                total += len(arguments.defaults)
+                total += sum(default is not None for default in arguments.kw_defaults)
+    return total
 
 
 def test_lines(root: Path) -> int:
@@ -79,11 +99,15 @@ def allowed_size(root: Path) -> int:
 
 
 def commit(root: Path) -> str:
-    """The checkout's commit, ``-dirty`` when its tree differs from it."""
-    return subprocess.run(
+    """The checkout's commit, ``-dirty`` when its tree differs from it, or
+    :data:`NO_COMMIT` when the checkout is not a git work tree (git looks
+    no further up than the checkout itself)."""
+    described = subprocess.run(
         ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-        cwd=root, capture_output=True, text=True, check=True,
-    ).stdout.strip()
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)},
+    )
+    return described.stdout.strip() if described.returncode == 0 else NO_COMMIT
 
 
 def main():
@@ -135,6 +159,7 @@ def main():
         "counter": "sys.setprofile calls into src/repro per simulator event",
         "src_lines": src_lines,
         "option_lines": option_lines,
+        "defaulted_params": defaulted_params(root),
         "test_lines": test_lines(root),
         "test_cases": collected_cases(root),
         "allowed": allowed_size(root),

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, Literal
@@ -738,31 +738,25 @@ class AggregateRegistry:
         query: Query,
         stem,
         owner: str,
-        make_module: Callable[[], AggregateModule] | None = None,
     ) -> AggregateModule:
         """The shared module for this query's signature, creating on demand.
 
-        ``make_module`` overrides construction (tests); the default builds
-        an :class:`AggregateModule` named after the signature's table and
-        reading ``stem``.
+        A new module is an :class:`AggregateModule` named after the
+        signature's table and reading ``stem``.
         """
         signature = aggregate_signature(query)
         entry = self._entries.get(signature)
         if entry is None:
-            if make_module is not None:
-                module = make_module()
-            else:
-                module = AggregateModule(
-                    # ``created`` never falls, so a reclaimed module's
-                    # name is never reused by a live one.
-                    name=f"aggregate:{query.tables[0].table}"
-                    f"#{self.stats['created']}",
-                    stem=stem,
-                    alias=query.aggregate_alias,
-                    group_by=query.group_by,
-                    aggregates=query.aggregates,
-                    predicates=query.predicates,
-                )
+            module = AggregateModule(
+                # ``created`` never falls, so a reclaimed module's name is
+                # never reused by a live one.
+                name=f"aggregate:{query.tables[0].table}#{self.stats['created']}",
+                stem=stem,
+                alias=query.aggregate_alias,
+                group_by=query.group_by,
+                aggregates=query.aggregates,
+                predicates=query.predicates,
+            )
             entry = self._entries[signature] = _RegistryEntry(module)
             self.stats["created"] += 1
         else:

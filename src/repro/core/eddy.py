@@ -102,13 +102,10 @@ class Eddy:
     Args:
         simulator: the discrete-event simulator driving execution.
         policy: the routing policy.
-        resolver: legal-destination resolver (ConstraintChecker for the SteM
-            architecture, a join-module resolver for the Figure 1(b) baseline).
         cost_model: per-operation virtual-time costs.
         strict_constraints: re-validate every policy choice and raise
             :class:`RoutingViolationError` on violations (useful for testing
             custom policies; adds overhead).
-        max_routing_steps: safety bound on total routing decisions.
         batch_size: maximum ready tuples drained per routing event.  With
             the default of 1 the eddy routes exactly like the paper's
             per-tuple eddy.  With a larger batch each ``eddy:route`` event
@@ -120,16 +117,21 @@ class Eddy:
             tuple rate under heavy traffic.
         layout: the query's compiled :class:`~repro.query.layout.PlanLayout`
             (required, keyword-only).
+
+    The legal-destination resolver (:attr:`resolver`) is attached once the
+    modules are registered: a ConstraintChecker for the SteM architecture,
+    a join-module resolver for the Figure 1(b) baseline.
     """
+
+    #: Safety bound on total routing decisions.
+    max_routing_steps = 10_000_000
 
     def __init__(
         self,
         simulator: Simulator,
         policy: RoutingPolicy,
-        resolver: DestinationResolver | None = None,
         cost_model: CostModel | None = None,
         strict_constraints: bool = False,
-        max_routing_steps: int = 10_000_000,
         trace: TraceLog | None = None,
         batch_size: int = 1,
         query_id: str = "",
@@ -145,10 +147,9 @@ class Eddy:
         #: (read once: a policy learning from neither costs no call).
         self._on_output = _feedback_hook(policy, "on_output")
         self._on_producer_output = _feedback_hook(policy, "on_producer_output")
-        self.set_resolver(resolver)
+        self.resolver: DestinationResolver | None = None
         self.costs = cost_model or CostModel()
         self.strict_constraints = strict_constraints
-        self.max_routing_steps = max_routing_steps
         self.trace = trace
         self.batch_size = batch_size
         #: The query's compiled :class:`~repro.query.layout.PlanLayout`.
@@ -275,10 +276,6 @@ class Eddy:
         self._register(module)
         self.join_modules.append(module)
 
-    def set_resolver(self, resolver: DestinationResolver | None) -> None:
-        """Attach the destination resolver (after modules are registered)."""
-        self.resolver = resolver
-
     # -- EddyRuntime interface (used by modules) -----------------------------------
 
     @property
@@ -341,8 +338,9 @@ class Eddy:
         of its matches (paper §2.1.2), as one :class:`MatchRun` — in order,
         in one hand-off: each item takes the steps of a single delivery, on
         admission state read once.  A run stays one ready entry only if it is
-        ready for output and nothing acts per tuple (policy feedback,
-        preferences); else its matches are handed off as QTuples."""
+        ready for output and no preference may raise a match's priority;
+        else its matches are handed off as QTuples.  Either way the policy's
+        production feedback sees the run once."""
         if not self.live:
             # The query was retired: whatever in-flight work still completes
             # (an outstanding index lookup, a busy module) has no dataflow
@@ -375,13 +373,15 @@ class Eddy:
                         entry = self._partial[item.spanned_mask] = (item.aliases, [])
                     entry[1].append(self.sim.now)
             elif item.__class__ is MatchRun:
+                if produced is not None:
+                    produced(source, item, self)
                 signature = item._signature
                 output = self._run_output.get(signature)
                 if output is None:
                     output = self.resolver.ready_for_output(item.first())
                     self._run_output[signature] = output
-                if not output or preferences or self._on_output or self._on_producer_output:
-                    self.to_eddy_all(item.tuples(), source)
+                if not output or preferences:
+                    self.to_eddy_all(item.tuples())
                     armed = True
                     continue
                 entry = self._partial.get(item.spanned_mask)

@@ -235,5 +235,6 @@ class IndexJoinModule(Module):
         self.stats["results"] += len(matched)
         if not matched:
             return []
-        run = MatchRun(item, self.inner_alias, matched, [0.0] * len(matched), done_mask_of(pending))
-        return run.tuples()
+        return [
+            MatchRun(item, self.inner_alias, matched, [0.0] * len(matched), done_mask_of(pending))
+        ]

@@ -284,17 +284,15 @@ class SteMModule(Module):
         """Number of rows currently stored in the SteM."""
         return len(self.stem)
 
-    def signature_match_rate(
-        self, spanned_mask: int, done_mask: int, min_probes: int = 5
-    ) -> float | None:
+    def signature_match_rate(self, spanned_mask: int, done_mask: int) -> float | None:
         """Observed matches-per-probe for one probe signature, or None.
 
-        Returns None until ``min_probes`` probes with this exact
-        (spanned_mask, done_mask) state have been observed, so callers fall
-        back to a coarser estimate instead of trusting noise.
+        Returns None until five probes with this exact (spanned_mask,
+        done_mask) state have been observed, so callers fall back to a
+        coarser estimate instead of trusting noise.
         """
         counters = self.signature_stats.get((spanned_mask, done_mask))
-        if counters is None or counters[0] < min_probes:
+        if counters is None or counters[0] < 5:
             return None
         return counters[1] / counters[0]
 

@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.constraints import Destination
-from repro.core.tuples import QTuple
+from repro.core.tuples import MatchRun, QTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.eddy import Eddy
@@ -54,8 +54,10 @@ class RoutingPolicy(ABC):
         subclass that overrides :meth:`choose` must override this too."""
         return None
 
-    def on_output(self, tuple_: QTuple, eddy: "Eddy") -> None:
-        """Hook called when a result tuple is emitted (for learning policies)."""
+    def on_output(self, tuple_: QTuple | MatchRun, eddy: "Eddy") -> None:
+        """Hook called once per emitted result (for learning policies), with
+        the routed entry it came from: a QTuple, or the :class:`MatchRun`
+        whose match it is (called once for each of its matches)."""
 
     def on_producer_output(self, module, item, eddy: "Eddy") -> None:
         """Hook called for every item a module hands back to the eddy.
@@ -65,7 +67,9 @@ class RoutingPolicy(ABC):
         consumption, this hook observes production, and the difference is
         the selectivity signal adaptive policies learn from.  ``module`` is
         the producing :class:`~repro.core.modules.base.Module`; ``item`` may
-        be a QTuple or an EOT.  Default: no-op.
+        be a QTuple, an EOT, or a :class:`~repro.core.tuples.MatchRun` — a
+        probe's matches, handed over once for the whole run.  Default:
+        no-op.
         """
 
     def on_retire(self, tuple_: QTuple, eddy: "Eddy") -> None:
@@ -84,12 +88,11 @@ def split_required(
     return required, optional
 
 
-def order_by_action(
-    destinations: Sequence[Destination],
-    action_order: Sequence[str] = DEFAULT_ACTION_ORDER,
-) -> list[Destination]:
-    """Stable-sort destinations by an action precedence list."""
-    ranking = {action: rank for rank, action in enumerate(action_order)}
+_ACTION_RANK = {action: rank for rank, action in enumerate(DEFAULT_ACTION_ORDER)}
+
+
+def order_by_action(destinations: Sequence[Destination]) -> list[Destination]:
+    """Stable-sort destinations by :data:`DEFAULT_ACTION_ORDER`."""
     return sorted(
-        destinations, key=lambda d: ranking.get(d.action, len(ranking))
+        destinations, key=lambda d: _ACTION_RANK.get(d.action, len(_ACTION_RANK))
     )

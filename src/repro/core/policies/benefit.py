@@ -34,6 +34,10 @@ from repro.core.modules.stem_module import SteMModule
 from repro.core.policies.base import RoutingPolicy, split_required
 from repro.core.tuples import QTuple
 
+#: Multiplier applied to the benefit of destinations processing
+#: prioritised tuples.
+_PRIORITY_BOOST = 10.0
+
 
 class BenefitPolicy(RoutingPolicy):
     """Benefit/cost routing with exploration (the paper's online policy).
@@ -44,11 +48,9 @@ class BenefitPolicy(RoutingPolicy):
             the cost model says it is not worthwhile (keeps alternatives
             calibrated; paper: "the eddy keeps sending a small fraction of
             the R tuples to probe into the T index throughout").
-        index_advantage_factor: an optional index probe is taken when its
-            expected response time is below this factor times the expected
-            wait for the scan to deliver the matching tuple.
-        priority_boost: multiplier applied to the benefit of destinations
-            processing prioritised tuples.
+
+    An optional index probe is taken when its expected response time is
+    below the expected wait for the scan to deliver the matching tuple.
     """
 
     name = "benefit"
@@ -57,20 +59,16 @@ class BenefitPolicy(RoutingPolicy):
         self,
         seed: int = 0,
         exploration: float = 0.05,
-        index_advantage_factor: float = 1.0,
-        priority_boost: float = 10.0,
     ):
         self._rng = random.Random(seed)
         self.exploration = exploration
-        self.index_advantage_factor = index_advantage_factor
-        self.priority_boost = priority_boost
 
     # -- scoring -------------------------------------------------------------------
 
     def _value(self, tuple_: QTuple) -> float:
         """The user value of results derived from this tuple."""
         if tuple_.priority > 0:
-            return 1.0 + self.priority_boost * tuple_.priority
+            return 1.0 + _PRIORITY_BOOST * tuple_.priority
         return 1.0
 
     def _score_required(self, tuple_: QTuple, destination: Destination, eddy) -> float:
@@ -126,7 +124,7 @@ class BenefitPolicy(RoutingPolicy):
         if time_via_scan is None:
             # No scan is going to deliver the match: the probe is the only way.
             return True
-        if time_via_index < self.index_advantage_factor * time_via_scan:
+        if time_via_index < time_via_scan:
             return True
         return self._rng.random() < self.exploration
 

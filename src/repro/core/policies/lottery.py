@@ -15,11 +15,14 @@ from typing import Sequence
 
 from repro.core.constraints import Destination
 from repro.core.policies.base import RoutingPolicy, split_required
-from repro.core.tuples import QTuple
+from repro.core.tuples import MatchRun, QTuple
 
 #: Module kinds whose outputs escrow tickets: the routed operators.  Scans
 #: are sources — their deliveries are new work, not returned work.
 _ESCROW_KINDS = frozenset({"selection", "stem", "index_am"})
+
+#: Chance of accepting optional destinations when no required ones remain.
+_TAKE_OPTIONAL_PROBABILITY = 0.25
 
 
 class LotteryPolicy(RoutingPolicy):
@@ -31,8 +34,6 @@ class LotteryPolicy(RoutingPolicy):
             keeping the policy responsive to changing module behaviour.
         exploration: minimum ticket mass every module keeps, so that no
             destination is starved entirely.
-        take_optional_probability: chance of accepting optional destinations
-            when no required ones remain.
     """
 
     name = "lottery"
@@ -42,12 +43,10 @@ class LotteryPolicy(RoutingPolicy):
         seed: int = 0,
         decay: float = 0.999,
         exploration: float = 1.0,
-        take_optional_probability: float = 0.25,
     ):
         self._rng = random.Random(seed)
         self.decay = decay
         self.exploration = exploration
-        self.take_optional_probability = take_optional_probability
         self._tickets: dict[str, float] = {}
 
     # -- ticket bookkeeping (fed by the eddy's feedback hooks) --------------------
@@ -81,7 +80,7 @@ class LotteryPolicy(RoutingPolicy):
         if not pool:
             if not optional:
                 return None
-            if self._rng.random() >= self.take_optional_probability:
+            if self._rng.random() >= _TAKE_OPTIONAL_PROBABILITY:
                 return None
             pool = optional
         self._decay_all()
@@ -97,7 +96,7 @@ class LotteryPolicy(RoutingPolicy):
         self.credit(pool[-1].module.name)
         return pool[-1]
 
-    def on_output(self, tuple_: QTuple, eddy) -> None:
+    def on_output(self, tuple_: QTuple | MatchRun, eddy) -> None:
         # Producing final results is good: reward the source module lightly.
         if tuple_.source:
             self.credit(tuple_.source, 0.1)
@@ -107,14 +106,17 @@ class LotteryPolicy(RoutingPolicy):
 
         This is the second half of lottery scheduling: ``choose`` credits a
         ticket on consumption, and every live tuple the module hands back
-        debits one.  A failed tuple (a selection drop) does *not* debit —
-        the drop is exactly the win the lottery rewards — so selective
-        modules run a ticket surplus proportional to their drop rate and
-        win more draws, while productive probes (many matches per input)
-        run a deficit and are deferred.
+        debits one — a probe's :class:`MatchRun` one per match, in match
+        order.  A failed tuple (a selection drop) does *not* debit — the
+        drop is exactly the win the lottery rewards — so selective modules
+        run a ticket surplus proportional to their drop rate and win more
+        draws, while productive probes (many matches per input) run a
+        deficit and are deferred.
         """
         if module.kind not in _ESCROW_KINDS:
             return
-        if not isinstance(item, QTuple) or item.failed:
-            return
-        self.debit(module.name, 1.0)
+        if item.__class__ is MatchRun:
+            for _ in item.rows:
+                self.debit(module.name, 1.0)
+        elif isinstance(item, QTuple) and not item.failed:
+            self.debit(module.name, 1.0)

@@ -14,6 +14,10 @@ from repro.core.policies.base import (
 )
 from repro.core.tuples import QTuple
 
+#: Chance that :class:`RandomPolicy` accepts an optional destination when
+#: no required ones remain.
+_TAKE_OPTIONAL_PROBABILITY = 0.5
+
 
 class NaivePolicy(RoutingPolicy):
     """Route by a fixed action precedence: build, select, SteM probe, AM probe.
@@ -53,15 +57,12 @@ class RandomPolicy(RoutingPolicy):
 
     Args:
         seed: RNG seed (runs are deterministic for a fixed seed).
-        take_optional_probability: chance of accepting an optional
-            destination when no required ones remain.
     """
 
     name = "random"
 
-    def __init__(self, seed: int = 0, take_optional_probability: float = 0.5):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self.take_optional_probability = take_optional_probability
 
     def choose(
         self, tuple_: QTuple, destinations: Sequence[Destination], eddy
@@ -69,7 +70,7 @@ class RandomPolicy(RoutingPolicy):
         required, optional = split_required(destinations)
         if required:
             return self._rng.choice(required)
-        if optional and self._rng.random() < self.take_optional_probability:
+        if optional and self._rng.random() < _TAKE_OPTIONAL_PROBABILITY:
             return self._rng.choice(optional)
         return None
 

@@ -476,7 +476,6 @@ class SteM:
         probe: QTuple,
         target_alias: str,
         predicates: Sequence[Predicate],
-        enforce_timestamp: bool = True,
     ) -> ProbeOutcome:
         """Find matches for ``probe`` among the stored rows.
 
@@ -484,15 +483,17 @@ class SteM:
         runs :meth:`probe_with_plan`; the engine's modules call
         :meth:`probe_with_plan` directly with plans memoized per situation.
 
+        The TimeStamp constraint (§3) always applies: a stored row matches
+        only if it was built before the probe was created.  The paper's
+        Figure 3 duplicate anomaly without it is shown on the interpreted
+        reference, ``tests/reference/interpreted_probe.py``.
+
         Args:
             probe: the probing tuple (must not already span ``target_alias``).
             target_alias: the query alias the stored rows will fill.
             predicates: the predicates to verify on the concatenation —
                 typically every query predicate evaluable over
                 ``probe.aliases | {target_alias}`` that is not yet done.
-            enforce_timestamp: apply the TimeStamp constraint (on by default;
-                switched off only in targeted unit tests demonstrating the
-                duplicate anomaly of paper Figure 3).
 
         Returns:
             A :class:`ProbeOutcome` with concatenated results and coverage.
@@ -505,14 +506,12 @@ class SteM:
                 probe.components,
                 target_schema=self._row_schema,
             ),
-            enforce_timestamp,
         )
 
     def probe_with_plan(
         self,
         probe: QTuple,
         plan: ProbePlan,
-        enforce_timestamp: bool = True,
     ) -> ProbeOutcome:
         """Find matches for ``probe`` through a compiled :class:`ProbePlan`.
 
@@ -602,7 +601,7 @@ class SteM:
                         break
             if not passed:
                 continue
-            if enforce_timestamp and not probe_timestamp > row_timestamp:
+            if not probe_timestamp > row_timestamp:
                 suppressed += 1
                 continue
             matched.append(row)
@@ -631,7 +630,6 @@ class SteM:
         self,
         probes: Sequence[QTuple],
         plan: ProbePlan,
-        enforce_timestamp: bool = True,
     ) -> list[ProbeOutcome]:
         """Probe a whole delivered batch through one compiled plan.
 
@@ -642,7 +640,7 @@ class SteM:
         Outcomes are positionally aligned with ``probes``.
         """
         probe = self.probe_with_plan
-        return [probe(item, plan, enforce_timestamp) for item in probes]
+        return [probe(item, plan) for item in probes]
 
     # -- EOT coverage -------------------------------------------------------------
 

@@ -106,7 +106,7 @@ def instantiate_stems_query(
         ],
         layout=layout,
     )
-    eddy.set_resolver(checker)
+    eddy.resolver = checker
     return checker
 
 

@@ -390,10 +390,9 @@ class EddyJoinsEngine:
             else:
                 raise ExecutionError(f"unknown join module kind {spec.kind!r}")
             self.eddy.register_join_module(module)
-        resolver = JoinPlanResolver(
+        self.eddy.resolver = JoinPlanResolver(
             query, self.eddy.join_modules, self.eddy.selections, layout=self.layout
         )
-        self.eddy.set_resolver(resolver)
 
     def run(self, until: float | None = None) -> ExecutionResult:
         """Execute the query and collect metrics."""

@@ -21,7 +21,7 @@ generation:
 
 Between checkpoints the :class:`~repro.recovery.wal.WriteAheadLog` records
 only what the cut cannot know about the time after it: results
-acknowledged (``emit``/``emits``) and queries admitted or retired.
+acknowledged (``emits``) and queries admitted or retired.
 
 :func:`recover_state` reads the latest valid snapshot (torn generations
 skipped) plus the WAL tail past its cut (torn tails truncated);
@@ -309,6 +309,10 @@ def _resume_query(engine: MultiQueryEngine, query_id: str, encoded: dict, catalo
 
 # -- the checkpoint manager --------------------------------------------------------
 
+#: The commit window in *virtual* seconds: an acknowledgement waits at most
+#: this long for the shared flush that makes it durable.
+COMMIT_LATENCY = 0.25
+
 
 class CheckpointManager:
     """Write-ahead + snapshot durability attached to one live engine.
@@ -323,12 +327,7 @@ class CheckpointManager:
         directory: str,
         interval: float | None = None,
         retain: int = 2,
-        commit_latency: float = 0.25,
     ):
-        if commit_latency < 0:
-            raise ExecutionError(
-                f"commit_latency must be >= 0, got {commit_latency}"
-            )
         if interval is not None and interval <= 0:
             raise ExecutionError(
                 f"checkpoint_interval must be > 0, got {interval}"
@@ -340,13 +339,9 @@ class CheckpointManager:
         generations = wal_generations(directory)
         self.generation = generations[-1][0] + 1 if generations else 1
         self.wal = WriteAheadLog(
-            os.path.join(directory, f"wal-{self.generation:06d}.log"),
-            group_commit=True,
+            os.path.join(directory, f"wal-{self.generation:06d}.log")
         )
-        #: Group-commit window in *virtual* seconds: durable records wait
-        #: at most this long before their shared flush (0 = same instant).
-        self.commit_latency = commit_latency
-        #: True while a group-commit event is queued.
+        #: True while a commit event is queued.
         self._commit_scheduled = False
         #: In-memory mirror of acknowledged identities (snapshot source).
         self._emitted: dict[str, dict[str, int]] = {}
@@ -371,7 +366,6 @@ class CheckpointManager:
         directory: str,
         interval: float | None = None,
         retain: int = 2,
-        commit_latency: float = 0.25,
     ) -> "CheckpointManager":
         """Create a manager and wire it onto the engine's hooks.
 
@@ -381,13 +375,7 @@ class CheckpointManager:
         incarnations' acks, and the queries retired before the cut (not
         admitted again), carry over into every later snapshot.
         """
-        manager = cls(
-            engine,
-            directory,
-            interval=interval,
-            retain=retain,
-            commit_latency=commit_latency,
-        )
+        manager = cls(engine, directory, interval=interval, retain=retain)
         if (state := engine.recovered_from) is not None:
             gone = {q: t for q, t in state.retired.items() if q not in state.retired_after_cut}
             manager._emitted = {q: dict(counts) for q, counts in state.emitted.items()}
@@ -487,10 +475,10 @@ class CheckpointManager:
         # away.
         self._commit_scheduled = True
         self.engine.simulator.schedule(
-            self.commit_latency, self._group_commit, label="recovery:commit"
+            COMMIT_LATENCY, self._commit, label="recovery:commit"
         )
 
-    def _group_commit(self) -> None:
+    def _commit(self) -> None:
         self._commit_scheduled = False
         if not self._closed:
             self.wal.flush()
@@ -673,6 +661,8 @@ def _apply_wal_record(state: RecoveredState, record: dict, after_cut: bool = Tru
         state.retired[record["q"]] = float(record["at"])
         state.retired_after_cut.add(record["q"])
     elif kind in ("emit", "emits"):
+        # ``emit`` (one ack per record) is only read: an older writer
+        # framed each ack alone.
         keys = record["ids"] if kind == "emits" else (record["id"],)
         for bucket in (
             state.emitted.setdefault(record["q"], {}),

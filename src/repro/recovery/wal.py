@@ -9,22 +9,23 @@ know about the time after it was taken:
 ==========  ===================================================================
 ``admit``   a query admitted (SQL text, policy name, arrival time)
 ``retire``  a query retired (virtual time)
-``emit``    a result durably acknowledged to a query's output (its identity)
-``emits``   a group-commit window's acknowledgements for one query, batched
-            (identity keys in ack order; written only under group commit)
+``emits``   one commit window's acknowledgements for one query, batched
+            (identity keys in ack order)
 ==========  ===================================================================
 
 Every record is *durable*: losing one would violate exactly-once (a
 re-emitted duplicate) or lose a query, so they define the ack frontier.
-``admit``/``retire`` flush inline.  Emits — the hot stream — either flush
-inline or, under ``group_commit``, wait for one shared flush per commit
-window (the owner schedules it; see
-:class:`~repro.recovery.manager.CheckpointManager.commit_latency`), batched
-into ``emits`` records.  "Acked" *is defined by the flushed WAL*, so the
-window never breaks exactness: a crash inside it un-acks the burst and
-recovery re-emits it.  The class keeps its own buffer (rather than relying
-on the file object's) so a simulated crash can honestly drop exactly the
-records a real crash would lose.
+``admit``/``retire`` flush inline.  Acks — the hot stream — wait for one
+shared flush per commit window (the owner schedules it; see
+:data:`~repro.recovery.manager.COMMIT_LATENCY`), batched into ``emits``
+records.  "Acked" *is defined by the flushed WAL*, so the window never
+breaks exactness: a crash inside it un-acks the burst and recovery
+re-emits it.  A WAL written before acks were always batched may also hold
+``emit`` records, one ack each (``{"q": query, "id": key}``); recovery
+still reads them (:func:`repro.recovery.manager.recover_state`).  The
+class keeps its own buffer (rather than relying on the file object's) so a
+simulated crash can honestly drop exactly the records a real crash would
+lose.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.recovery.codec import frame_record_bytes, parse_record
 __all__ = ["WriteAheadLog", "replay_wal_file", "wal_generations"]
 
 #: The record kinds :meth:`WriteAheadLog.append` takes; each flushes inline.
-DURABLE_KINDS = frozenset({"emit", "admit", "retire"})
+DURABLE_KINDS = frozenset({"admit", "retire"})
 
 
 def wal_generations(directory: str) -> list[tuple[int, str]]:
@@ -89,24 +90,23 @@ class WriteAheadLog:
     Args:
         path: the WAL file (created; appending to an existing incarnation's
             file is a protocol error — each restart opens a new generation).
-        group_commit: when True, :meth:`log_emit` does not flush inline; it
-            queues the ack and the owner flushes once per commit
-            point (the engine uses a virtual-time window, so every emit in
-            it shares one write).  Exactness is unaffected — "acked" is
-            *defined* by what the flushed WAL holds, so a crash before the
-            commit point simply un-acks the batch and recovery re-emits it.
+
+    :meth:`log_emit` does not flush: it queues the ack and the owner
+    flushes once per commit point (the engine uses a virtual-time window,
+    so every ack in it shares one write).  Exactness is unaffected —
+    "acked" is *defined* by what the flushed WAL holds, so a crash before
+    the commit point simply un-acks the batch and recovery re-emits it.
     """
 
-    def __init__(self, path: str, group_commit: bool = False):
+    def __init__(self, path: str):
         self.path = path
-        self.group_commit = group_commit
         # A raw descriptor: flushes are one os.write each, skipping the
         # TextIOWrapper/BufferedWriter layers on the durable hot path.
         self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         #: Records framed but not yet flushed — exactly what a crash loses.
         self._buffer: list[bytes] = []
         #: Unmaterialized acknowledgements ``(query_id, identity key)``
-        #: awaiting the group-commit flush (see :meth:`log_emit`).
+        #: awaiting the commit flush (see :meth:`log_emit`).
         self._pending_emits: list[tuple[str, str]] = []
         #: Count of records durably on disk (the snapshot's ``wal_position``).
         self.flushed_records = 0
@@ -138,22 +138,17 @@ class WriteAheadLog:
     def log_emit(self, query_id: str, key: str) -> None:
         """Log one acknowledged result identity.
 
-        Under group commit the ack is *not* framed per result: it queues
-        here and the next :meth:`flush` materializes one batched ``emits``
-        record per query for the whole commit window — emits are the
-        largest record class on shared-plan fleets, so this amortizes the
-        per-record framing the same way the commit window amortizes the
-        write.  Crash semantics are unchanged: a queued ack is not yet
-        flushed, hence not yet acked, and recovery re-emits it.  Without
-        group commit this is exactly ``append("emit", ...)``.
+        The ack is *not* framed per result: it queues here and the next
+        :meth:`flush` materializes one batched ``emits`` record per query
+        for the whole commit window — acks are the largest record class
+        on shared-plan fleets, so this amortizes the per-record framing
+        the same way the commit window amortizes the write.  A queued ack
+        is not yet flushed, hence not yet acked, and recovery re-emits it.
         """
-        if self.group_commit:
-            if self._closed:
-                raise ExecutionError(f"WAL {self.path!r} is closed")
-            self._pending_emits.append((query_id, key))
-            self.stats["durable_appends"] += 1
-        else:
-            self.append("emit", {"q": query_id, "id": key})
+        if self._closed:
+            raise ExecutionError(f"WAL {self.path!r} is closed")
+        self._pending_emits.append((query_id, key))
+        self.stats["durable_appends"] += 1
 
     def flush(self) -> None:
         """Write the buffered records out and flush to the OS."""

@@ -4,14 +4,16 @@ A :class:`~repro.core.tuples.MatchRun` must route exactly as the QTuples it
 stands for: the same drain (each match one of ``batch_size`` items), the same
 signature groups within EOT barriers, the same decisions, outputs, tuple
 ids, virtual times, partial series and trace.  Where a match must be a tuple
-of its own — a query with preferences, a policy that takes feedback, a
-checkpoint — the run is materialised into those very QTuples.
+of its own — a query with preferences, a run not ready for output, a
+checkpoint — the run is materialised into those very QTuples; a policy's
+feedback hooks take the run itself.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.policies import LotteryPolicy
 from repro.core.stem import SteM
 from repro.core.tuples import (
     EOTTuple,
@@ -161,20 +163,30 @@ class TestMaterialisedRuns:
             2.0 if row["key"] < 5 else 0.0 for row in run.rows
         ]
 
-    def test_a_feedback_policy_sees_every_match_as_a_tuple(self):
+    def test_a_feedback_policy_keeps_an_output_ready_run_whole(self, monkeypatch):
         eddy = fresh_eddy(8, policy="lottery")
-        seen = []
-        hook = eddy._on_producer_output
-
-        def recording(module, item, eddy):
-            seen.append(item)
-            hook(module, item, eddy)
-
-        eddy._on_producer_output = recording
         (run,) = runs(eddy, (3,))
-        eddy.to_eddy_all([run], eddy.stems["T"])
-        assert [type(item) for item in seen] == [QTuple] * 3
-        assert list(eddy._ready) == seen
+        stem = eddy.stems["T"]
+        # Off the exploration floor, so n debits of one differ in float
+        # from one debit of n.
+        eddy.policy._tickets = {stem.name: 10.3, run.source: 0.7}
+        replay = LotteryPolicy()
+        replay._tickets = dict(eddy.policy._tickets)
+
+        def materialised(self):
+            raise AssertionError("an output-ready run was materialised")
+
+        monkeypatch.setattr(MatchRun, "tuples", materialised)
+        ids = list(range(run.tuple_id, run.tuple_id + 3))
+        eddy.to_eddy_all([run], stem)
+        assert list(eddy._ready) == [run] and eddy._runs_waiting == 1
+        eddy.sim.run()
+        assert [kept.tuple_id for kept in eddy.output_tuples] == ids
+        for _ in run.rows:  # a debit per match on hand-off, a credit per output
+            replay.debit(stem.name, 1.0)
+        for _ in run.rows:
+            replay.credit(run.source, 0.1)
+        assert eddy.policy._tickets == replay._tickets
 
     def test_a_checkpoint_cuts_a_waiting_run_as_its_tuples(self, tmp_path):
         from repro.bench.workloads import staggered_fleet_workload

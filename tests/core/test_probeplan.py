@@ -53,8 +53,7 @@ def outcome_facts(outcome):
     )
 
 
-def both_paths(rows_with_ts, probe_maker, predicates, target="S",
-               enforce_timestamp=True, eots=()):
+def both_paths(rows_with_ts, probe_maker, predicates, target="S", eots=()):
     """Run interpreted and compiled probes on identically-built SteMs."""
     outcomes = []
     for compiled in (False, True):
@@ -68,16 +67,25 @@ def both_paths(rows_with_ts, probe_maker, predicates, target="S",
             plan = ProbePlan.compile(
                 predicates, target, probe.components, target_schema=stem.row_schema
             )
-            outcomes.append(
-                stem.probe_with_plan(probe, plan, enforce_timestamp=enforce_timestamp)
-            )
+            outcomes.append(stem.probe_with_plan(probe, plan))
         else:
-            outcomes.append(
-                interpreted_probe(
-                    stem, probe, target, predicates, enforce_timestamp=enforce_timestamp
-                )
-            )
+            outcomes.append(interpreted_probe(stem, probe, target, predicates))
     return outcomes
+
+
+def assert_timestamp_only_suppresses(rows_with_ts, probe_maker, predicates, guarded):
+    """The interpreted reference without TimeStamp (the engine's probe has
+    no switch) finds what ``guarded`` found plus exactly the matches it
+    suppressed: those built no earlier than the probe."""
+    stem = make_stem()
+    for row, ts in rows_with_ts:
+        stem.build(row, ts)
+    probe = probe_maker()
+    unguarded = interpreted_probe(stem, probe, "S", predicates, enforce_timestamp=False)
+    facts, known, examined, suppressed = outcome_facts(unguarded)
+    assert suppressed == 0
+    kept = [fact for fact in facts if probe.timestamp > fact[2]["S"]]
+    assert outcome_facts(guarded) == (kept, known, examined, len(facts) - len(kept))
 
 
 # -- value / predicate generators ------------------------------------------------
@@ -132,10 +140,10 @@ class TestPropertyEquivalence:
             probe.mark_built("R", probe_ts)
             return probe
 
-        interpreted, compiled = both_paths(
-            rows_with_ts, probe_maker, predicates, enforce_timestamp=enforce
-        )
+        interpreted, compiled = both_paths(rows_with_ts, probe_maker, predicates)
         assert outcome_facts(compiled) == outcome_facts(interpreted)
+        if not enforce:
+            assert_timestamp_only_suppresses(rows_with_ts, probe_maker, predicates, compiled)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -174,13 +182,10 @@ class TestConstraintEquivalence:
             probe.mark_built("R", 10.0)
             return probe
 
-        for enforce in (True, False):
-            interpreted, compiled = both_paths(
-                rows, probe_maker, predicates, enforce_timestamp=enforce
-            )
-            assert outcome_facts(compiled) == outcome_facts(interpreted)
-            if enforce:
-                assert interpreted.suppressed_by_timestamp == 1
+        interpreted, compiled = both_paths(rows, probe_maker, predicates)
+        assert outcome_facts(compiled) == outcome_facts(interpreted)
+        assert interpreted.suppressed_by_timestamp == 1
+        assert_timestamp_only_suppresses(rows, probe_maker, predicates, compiled)
 
     def test_eot_coverage_is_path_identical(self):
         from repro.core.tuples import EOTTuple

@@ -10,6 +10,7 @@ from repro.query.predicates import selection
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.helpers import equi_join, layout_over, singleton_tuple
+from tests.reference.interpreted_probe import interpreted_probe
 
 R_SCHEMA = Schema.of("key:int", "a:int")
 S_SCHEMA = Schema.of("x:int", "y:int")
@@ -102,11 +103,25 @@ class TestProbe:
         assert outcome.suppressed_by_timestamp == 1
 
     def test_timestamp_constraint_can_be_disabled(self):
-        stem = make_stem()
-        stem.build(s_row(4), 10.0)
-        probe = r_probe(0, 4, timestamp=5.0)
-        outcome = stem.probe(probe, "S", [JOIN], enforce_timestamp=False)
-        assert len(outcome.results) == 1
+        """Figure 3's anomaly, shown on the interpreted reference (the
+        engine's probe has no switch): R built at 5, S at 10, each probes
+        the other's SteM.  The S probe finds R either way; without
+        TimeStamp the R probe finds S too, and the pair is output twice."""
+        r_stem = SteM("R", aliases=("R",), join_columns=("a",))
+        r_stem.build(r_row(0, 4), 5.0)
+        s_stem = make_stem()
+        s_stem.build(s_row(4), 10.0)
+        s_probe = singleton_tuple("S", s_row(4), layout=LAYOUT)
+        s_probe.mark_built("S", 10.0)
+        r_probe_ = r_probe(0, 4, timestamp=5.0)
+        found_by_s = interpreted_probe(r_stem, s_probe, "R", [JOIN]).results
+        assert len(found_by_s) == 1
+        assert s_stem.probe(r_probe_, "S", [JOIN]).results == []
+        assert interpreted_probe(s_stem, r_probe_, "S", [JOIN]).results == []
+        unguarded = interpreted_probe(
+            s_stem, r_probe_, "S", [JOIN], enforce_timestamp=False
+        ).results
+        assert [t.components for t in unguarded] == [t.components for t in found_by_s]
 
     def test_probe_uses_secondary_index(self):
         stem = make_stem()

@@ -72,11 +72,11 @@ def matched_rows(outcome):
     return [result.components["S"] for result in outcome.results]
 
 
-def compiled_probe(stem, probe, predicates=(JOIN,), **options):
+def compiled_probe(stem, probe, predicates=(JOIN,)):
     plan = ProbePlan.compile(
         list(predicates), "S", probe.components, target_schema=stem.row_schema
     )
-    return stem.probe_with_plan(probe, plan, **options)
+    return stem.probe_with_plan(probe, plan)
 
 
 def nested_loop(entries, key, probe_timestamp):
@@ -597,10 +597,13 @@ def probe_facts(outcome):
 def three_ways(layout, entries, probe_row, probe_timestamp, pool,
                enforce_timestamp=True, evict=()):
     """Probe one SteM per path with the same situation; assert compiled ≡
-    interpreted ≡ reference and return the compiled outcome."""
+    interpreted ≡ reference under TimeStamp and return the compiled
+    outcome.  The engine's probe always applies TimeStamp, so with
+    ``enforce_timestamp`` False only the interpreted reference runs
+    without it, held to the reference without it."""
     predicates = [predicate for predicate, _ in pool]
-    outcomes = []
-    for path in ("compiled", "interpreted"):
+
+    def situation():
         stem = SteM("S", aliases=("S",), join_columns=LAYOUTS[layout])
         for row, timestamp in entries:
             stem.build(row, timestamp)
@@ -608,23 +611,25 @@ def three_ways(layout, entries, probe_row, probe_timestamp, pool,
             assert stem.evict(row)
         probe = singleton_tuple("R", probe_row, layout=TUPLES)
         probe.mark_built("R", probe_timestamp)
-        if path == "compiled":
-            outcome = compiled_probe(stem, probe, predicates,
-                                     enforce_timestamp=enforce_timestamp)
-        else:
-            outcome = interpreted_probe(stem, probe, "S", predicates,
-                                        enforce_timestamp=enforce_timestamp)
-        outcomes.append(outcome)
-    compiled, interpreted = outcomes
-    assert probe_facts(compiled) == probe_facts(interpreted)
+        return stem, probe
+
     resident = [(row, ts) for row, ts in distinct_entries_of(entries)
                 if row not in set(evict)]
-    results, suppressed = reference_probe(
-        resident, probe_row, probe_timestamp, [c for _, c in pool],
-        enforce_timestamp,
-    )
-    assert [(t.components["S"], t.timestamps["S"]) for t in compiled.results] == results
-    assert compiled.suppressed_by_timestamp == suppressed
+    checks = [c for _, c in pool]
+
+    def agrees_with_reference(outcome, enforce):
+        results, suppressed = reference_probe(
+            resident, probe_row, probe_timestamp, checks, enforce
+        )
+        assert [(t.components["S"], t.timestamps["S"]) for t in outcome.results] == results
+        assert outcome.suppressed_by_timestamp == suppressed
+
+    compiled = compiled_probe(*situation(), predicates)
+    assert probe_facts(compiled) == probe_facts(interpreted_probe(*situation(), "S", predicates))
+    agrees_with_reference(compiled, True)
+    if not enforce_timestamp:
+        unguarded = interpreted_probe(*situation(), "S", predicates, enforce_timestamp=False)
+        agrees_with_reference(unguarded, False)
     return compiled
 
 

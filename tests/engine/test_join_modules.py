@@ -9,6 +9,9 @@ exactly the brute-force oracle's multiset.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.modules.joinmodule import IndexJoinModule
+from repro.core.tuples import MatchRun
+from repro.engine.config import EngineConfig
 from repro.engine.joins_engine import EddyJoinsEngine, JoinSpec
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
@@ -213,3 +216,56 @@ def test_an_index_join_draws_the_index_s_latency_model(model, gaps):
         assert len(distinct) > 1
     else:
         assert len(distinct) == gaps
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_an_index_join_hands_over_one_run(monkeypatch, batch_size):
+    """An index probe's matches cross into the eddy as one MatchRun, and the
+    run gives what its QTuples handed over one by one gave: outputs, ids,
+    times, partial series and eddy stats.  The first step's runs are not
+    ready for output (the eddy materialises them), the second step's are."""
+    catalog = rs_catalog(
+        [(i, i % 3) for i in range(12)], [(j % 3, j % 4) for j in range(9)], s_index=("x",)
+    )
+    catalog.add_table(Table("T", T_SCHEMA, [(k % 4, k) for k in range(8)]))
+    catalog.add_index("T", ["key"], latency=0.01)
+    query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
+    plan = [
+        JoinSpec(kind="index", left=("R",), right="S", index_columns=("x",)),
+        JoinSpec(kind="index", left=("R", "S"), right="T", index_columns=("key",)),
+    ]
+    handed = []
+    process = IndexJoinModule.process
+
+    def recording(self, item):
+        items = process(self, item)
+        handed.extend(items)
+        return items
+
+    def one_by_one(self, item):
+        return [
+            routable
+            for produced in process(self, item)
+            for routable in (produced.tuples() if isinstance(produced, MatchRun) else (produced,))
+        ]
+
+    def facts():
+        result = EddyJoinsEngine(
+            query, catalog, plan=plan, config=EngineConfig(batch_size=batch_size)
+        ).run()
+        return (
+            [(kept.tuple_id, kept.identity()) for kept in result.tuples],
+            result.output_series.points,
+            {span: series.points for span, series in result.partial_series.items()},
+            result.eddy_stats,
+            result.final_time,
+        )
+
+    monkeypatch.setattr(IndexJoinModule, "process", recording)
+    as_runs = facts()
+    assert handed and all(item.__class__ is MatchRun for item in handed)
+    assert sum(len(run.rows) for run in handed) > len(handed)
+    monkeypatch.setattr(IndexJoinModule, "process", one_by_one)
+    assert as_runs == facts()
+    expected = oracle_identities(query, catalog)
+    assert expected and sorted(identity for _, identity in as_runs[0]) == expected

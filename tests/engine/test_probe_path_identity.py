@@ -45,12 +45,10 @@ def both_paths(monkeypatch):
     """
     calls = 0
 
-    def substitute(self, probe, plan, enforce_timestamp=True):
+    def substitute(self, probe, plan):
         nonlocal calls
         calls += 1
-        return interpreted_probe(
-            self, probe, plan.target_alias, plan.predicates, enforce_timestamp
-        )
+        return interpreted_probe(self, probe, plan.target_alias, plan.predicates)
 
     def run_both(run):
         compiled = run()

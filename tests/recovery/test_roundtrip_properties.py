@@ -132,11 +132,11 @@ class TestWalAndSnapshotProperties:
     def test_wal_replay_returns_exactly_what_was_flushed(
         self, tmp_path_factory, ids, window
     ):
-        # Hostile identities acked under group commit, the owner flushing
-        # every ``window`` acks: replay returns every key, in ack order.
+        # Hostile identities acked, the owner flushing every ``window``
+        # acks: replay returns every key, in ack order.
         path = str(tmp_path_factory.mktemp("wal") / "wal-000001.log")
         keys = [canonical_json(encode_value(identity)) for identity in ids]
-        with WriteAheadLog(path, group_commit=True) as wal:
+        with WriteAheadLog(path) as wal:
             for i, key in enumerate(keys, start=1):
                 wal.log_emit("q0", key)
                 if i % window == 0:

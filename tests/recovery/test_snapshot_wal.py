@@ -7,6 +7,8 @@ import os
 import pytest
 
 from repro.errors import ExecutionError
+from repro.recovery.codec import frame_record_bytes
+from repro.recovery.manager import recover_state
 from repro.recovery.snapshot import SnapshotStore
 from repro.recovery.wal import (
     DURABLE_KINDS,
@@ -70,22 +72,22 @@ class TestSnapshotStore:
 
 
 class TestWriteAheadLog:
-    def test_lifecycle_and_inline_emits_flush_immediately(self, tmp_path):
+    def test_lifecycle_flushes_inline_and_acks_wait_for_the_flush(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
         wal = WriteAheadLog(path)
         wal.append("admit", {"q": "q0"})
         assert wal.position == 1
-        wal.log_emit("q0", "k")  # no group commit: exactly append("emit")
-        assert wal.position == 2
+        wal.log_emit("q0", "k")  # queued for the owner's commit flush
+        assert wal.position == 1
         assert wal.stats["durable_appends"] == 2
         wal.close()
         records, torn = replay_wal_file(path)
         assert torn == 0
-        assert [r["k"] for r in records] == ["admit", "emit"]
+        assert [r["k"] for r in records] == ["admit", "emits"]
 
     def test_group_commit_batches_acks_until_the_owner_flushes(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        wal = WriteAheadLog(path, group_commit=True)
+        wal = WriteAheadLog(path)
         for key in ("a", "b"):
             wal.log_emit("q0", key)
         wal.log_emit("q1", "c")
@@ -101,7 +103,7 @@ class TestWriteAheadLog:
 
     def test_lifecycle_record_carries_queued_acks_with_it(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        wal = WriteAheadLog(path, group_commit=True)
+        wal = WriteAheadLog(path)
         wal.log_emit("q0", "a")
         wal.append("retire", {"q": "q0", "at": 1.0})  # flushes inline
         assert wal.position == 2 and not wal._pending_emits
@@ -110,7 +112,7 @@ class TestWriteAheadLog:
 
     def test_simulated_crash_drops_exactly_the_unflushed_acks(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        wal = WriteAheadLog(path, group_commit=True)
+        wal = WriteAheadLog(path)
         wal.append("admit", {"q": "q0"})  # durable
         for i in range(5):
             wal.log_emit("q0", str(i))  # waiting for the commit window
@@ -126,6 +128,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(path)
         for i in range(4):
             wal.log_emit("q0", str(i))
+            wal.flush()
         wal.close()
         with open(path, "r+", encoding="utf-8") as handle:
             content = handle.read()
@@ -134,7 +137,7 @@ class TestWriteAheadLog:
             handle.truncate()
         records, torn = replay_wal_file(path)
         assert torn == 1
-        assert [r["id"] for r in records] == ["0", "1", "2"]
+        assert [r["ids"] for r in records] == [["0"], ["1"], ["2"]]
 
     def test_generations_enumeration(self, tmp_path):
         for gen in (3, 1, 2):
@@ -147,16 +150,44 @@ class TestWriteAheadLog:
     def test_state_record_kinds_are_gone(self, tmp_path):
         # The snapshot is the state; the log is acks and lifecycle, all of
         # it durable.  A stray state record is a protocol error, not data.
-        assert DURABLE_KINDS == {"emit", "admit", "retire"}
+        # Acks are never appended one per record: they wait for the flush.
+        assert DURABLE_KINDS == {"admit", "retire"}
         with WriteAheadLog(str(tmp_path / "w.log")) as wal:
-            for kind in ("build", "evict", "eot", "stem", "schema"):
+            for kind in ("emit", "emits", "build", "evict", "eot", "stem", "schema"):
                 with pytest.raises(ExecutionError, match="unknown WAL record kind"):
                     wal.append(kind, {})
             assert wal.position == 0
 
     def test_context_manager_closes(self, tmp_path):
         path = str(tmp_path / "wal-000001.log")
-        with WriteAheadLog(path, group_commit=True) as wal:
+        with WriteAheadLog(path) as wal:
             wal.log_emit("q0", "a")
         records, _ = replay_wal_file(path)
         assert len(records) == 1
+
+
+class TestOlderWalFormat:
+    ACKS = [("q0", "a"), ("q1", "c"), ("q0", "b"), ("q0", "a")]
+
+    @staticmethod
+    def write(directory, bodies):
+        directory.mkdir()
+        with open(directory / "wal-000001.log", "wb") as handle:
+            handle.writelines(frame_record_bytes(body) for body in bodies)
+        return recover_state(str(directory))
+
+    def test_per_ack_emit_records_recover_as_their_emits_record(self, tmp_path):
+        # One record per ack, framed as a writer without the commit window
+        # framed them, recovers the same acks as the batched records.
+        per_ack = self.write(
+            tmp_path / "per-ack", [{"q": q, "id": key, "k": "emit"} for q, key in self.ACKS]
+        )
+        batched = self.write(
+            tmp_path / "batched",
+            [{"q": "q0", "ids": ["a", "b", "a"], "k": "emits"},
+             {"q": "q1", "ids": ["c"], "k": "emits"}],
+        )
+        expected = {"q0": {"a": 2, "b": 1}, "q1": {"c": 1}}
+        assert per_ack.emitted == batched.emitted == expected
+        assert per_ack.tail_acks == batched.tail_acks == expected
+        assert per_ack.torn_wal_records == batched.torn_wal_records == 0

@@ -48,8 +48,8 @@ def interpreted_probe(
         predicates: the predicates to verify on the concatenation —
             typically every query predicate evaluable over
             ``probe.aliases | {target_alias}`` that is not yet done.
-        enforce_timestamp: apply the TimeStamp constraint (on by default;
-            switched off only in targeted unit tests demonstrating the
+        enforce_timestamp: apply the TimeStamp constraint (on by default,
+            as the engine's probe always does; off only to demonstrate the
             duplicate anomaly of paper Figure 3).
 
     Returns:
