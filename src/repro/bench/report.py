@@ -37,9 +37,8 @@ def sampled_table(
     return "\n".join(lines)
 
 
-def sparkline(series: Series, times: Sequence[float], height: int = 1) -> str:
+def sparkline(series: Series, times: Sequence[float]) -> str:
     """A one-line ASCII sparkline of a cumulative series at sample times."""
-    del height
     values = [series.count_at(time) for time in times]
     peak = max(values) if values else 0
     if peak == 0:

@@ -136,10 +136,13 @@ def q4_workload(
 # Extension experiments (the paper's other "salient points").
 # ---------------------------------------------------------------------------
 
+#: Rows per virtual second of each competing scan (the flaky one and the
+#: healthy one run at the same rate; only the stall tells them apart).
+COMPETITIVE_SCAN_RATE = 50.0
+
+
 def competitive_ams_workload(
     rows: int = 600,
-    fast_rate: float = 50.0,
-    slow_rate: float = 50.0,
     slow_stall_at: float = 2.0,
     slow_stall_duration: float = 30.0,
     join_rows: int = 600,
@@ -154,9 +157,10 @@ def competitive_ams_workload(
     catalog = Catalog()
     catalog.add_table(make_source_r(rows, distinct_a=max(rows // 4, 1), seed=seed))
     catalog.add_table(make_source_t(join_rows, seed=seed + 1))
-    catalog.add_scan("R", name="R_scan_flaky", rate=slow_rate,
+    catalog.add_scan("R", name="R_scan_flaky", rate=COMPETITIVE_SCAN_RATE,
                      stall_at=slow_stall_at, stall_duration=slow_stall_duration)
-    catalog.add_scan("R", name="R_scan_healthy", rate=fast_rate, initial_delay=0.5)
+    catalog.add_scan("R", name="R_scan_healthy", rate=COMPETITIVE_SCAN_RATE,
+                     initial_delay=0.5)
     catalog.add_scan("T", rate=100.0)
     query = parse_query("SELECT * FROM R, T WHERE R.key = T.key", name="competitive-AMs")
     return Workload(
@@ -171,10 +175,13 @@ def competitive_ams_workload(
     )
 
 
+#: The table of the cyclic triangle whose scan stalls.
+CYCLIC_STALLED_SOURCE = "C"
+
+
 def cyclic_workload(
     rows: int = 200,
     match_fraction: float = 0.4,
-    stalled_source: str | None = "C",
     stall_at: float = 0.5,
     stall_duration: float = 20.0,
     seed: int = 0,
@@ -193,7 +200,7 @@ def cyclic_workload(
     catalog.add_table(table_b)
     catalog.add_table(table_c)
     for name in ("A", "B", "C"):
-        if name == stalled_source:
+        if name == CYCLIC_STALLED_SOURCE:
             catalog.add_scan(name, rate=100.0, stall_at=stall_at,
                              stall_duration=stall_duration)
         else:
@@ -210,7 +217,7 @@ def cyclic_workload(
         parameters={
             "rows": rows,
             "match_fraction": match_fraction,
-            "stalled_source": stalled_source,
+            "stalled_source": CYCLIC_STALLED_SOURCE,
             "stall_duration": stall_duration,
         },
     )
@@ -462,6 +469,15 @@ def churn_workload(
 #: misordered selection pipeline *cost* something, which is exactly what the
 #: regret metric measures.
 GAUNTLET_COST_SCALE = 50.0
+#: The skewed join's weak predicate passes this fraction of ``cold``'s range.
+SKEW_WEAK_FRACTION = 0.9
+#: The bursty join's outage period (virtual s), T index latency (virtual s),
+#: the share of ``R.a``'s values its strong predicate keeps, and its CPU
+#: cost scaling.
+BURST_PERIOD = 2.0
+BURST_INDEX_LATENCY = 0.05
+BURST_STRONG_FRACTION = 0.125
+BURST_COST_SCALE = 20.0
 
 
 def skewed_join_workload(
@@ -470,9 +486,7 @@ def skewed_join_workload(
     skew: float = 1.2,
     hot_range: int = 1000,
     strong_cutoff: int = 300,
-    weak_fraction: float = 0.9,
     scan_rate: float = 400.0,
-    cost_scale: float = GAUNTLET_COST_SCALE,
     seed: int = 0,
 ) -> Workload:
     """A fact/dimension join with Zipf-skewed keys and a mis-ordered filter.
@@ -496,7 +510,7 @@ def skewed_join_workload(
     catalog.add_table(dim)
     catalog.add_scan("F", rate=scan_rate)
     catalog.add_scan("D", rate=scan_rate)
-    weak_cutoff = int(hot_range * weak_fraction)
+    weak_cutoff = int(hot_range * SKEW_WEAK_FRACTION)
     query = parse_query(
         "SELECT * FROM F, D WHERE F.fk = D.id "
         f"AND F.cold < {weak_cutoff} AND F.hot > {strong_cutoff}",
@@ -512,10 +526,10 @@ def skewed_join_workload(
             "skew": skew,
             "strong_cutoff": strong_cutoff,
             "weak_cutoff": weak_cutoff,
-            "cost_scale": cost_scale,
+            "cost_scale": GAUNTLET_COST_SCALE,
             "seed": seed,
         },
-        cost_model=CostModel().scaled(cost_scale),
+        cost_model=CostModel().scaled(GAUNTLET_COST_SCALE),
     )
 
 
@@ -525,7 +539,6 @@ def phase_shift_workload(
     wide_range: int = 1000,
     narrow_range: int = 60,
     scan_rate: float = 400.0,
-    cost_scale: float = GAUNTLET_COST_SCALE,
     seed: int = 0,
 ) -> Workload:
     """Correlated predicates whose selectivities *swap* mid-run.
@@ -566,22 +579,18 @@ def phase_shift_workload(
             "phases": phases,
             "wide_range": wide_range,
             "narrow_range": narrow_range,
-            "cost_scale": cost_scale,
+            "cost_scale": GAUNTLET_COST_SCALE,
             "seed": seed,
         },
-        cost_model=CostModel().scaled(cost_scale),
+        cost_model=CostModel().scaled(GAUNTLET_COST_SCALE),
     )
 
 
 def bursty_join_workload(
     rows: int = 400,
     scan_rate: float = 100.0,
-    burst_period: float = 2.0,
     up_fraction: float = 0.5,
     jitter: float = 0.5,
-    index_latency: float = 0.05,
-    strong_fraction: float = 0.125,
-    cost_scale: float = 20.0,
     seed: int = 0,
 ) -> Workload:
     """A join whose sources stall, burst, and deliver out of order.
@@ -597,10 +606,10 @@ def bursty_join_workload(
     catalog = Catalog()
     catalog.add_table(make_source_r(rows, distinct_a=distinct_a, seed=seed))
     catalog.add_table(make_source_t(rows, seed=seed + 1))
-    horizon = 2.0 * rows / scan_rate + burst_period
+    horizon = 2.0 * rows / scan_rate + BURST_PERIOD
     stalls = tuple(
         (window.start, window.duration)
-        for window in burst_windows(burst_period, up_fraction, horizon)
+        for window in burst_windows(BURST_PERIOD, up_fraction, horizon)
     )
     catalog.add_scan("R", rate=scan_rate, stalls=stalls)
     catalog.add_scan(
@@ -609,11 +618,11 @@ def bursty_join_workload(
     catalog.add_index(
         "T",
         ["key"],
-        latency=index_latency,
+        latency=BURST_INDEX_LATENCY,
         latency_model="exponential",
         latency_seed=seed + 3,
     )
-    strong_cutoff = max(1, int(distinct_a * strong_fraction))
+    strong_cutoff = max(1, int(distinct_a * BURST_STRONG_FRACTION))
     query = parse_query(
         "SELECT * FROM R, T WHERE R.key = T.key "
         f"AND R.a < {distinct_a} AND R.a < {strong_cutoff}",
@@ -625,15 +634,15 @@ def bursty_join_workload(
         query=query,
         parameters={
             "rows": rows,
-            "burst_period": burst_period,
+            "burst_period": BURST_PERIOD,
             "up_fraction": up_fraction,
             "jitter": jitter,
-            "index_latency": index_latency,
+            "index_latency": BURST_INDEX_LATENCY,
             "strong_cutoff": strong_cutoff,
-            "cost_scale": cost_scale,
+            "cost_scale": BURST_COST_SCALE,
             "seed": seed,
         },
-        cost_model=CostModel().scaled(cost_scale),
+        cost_model=CostModel().scaled(BURST_COST_SCALE),
     )
 
 

@@ -135,7 +135,7 @@ class Eddy:
         trace: TraceLog | None = None,
         batch_size: int = 1,
         query_id: str = "",
-        timestamp_source: Iterator[int] | None = None,
+        timestamp_source: Iterator[float] | None = None,
         *,
         layout: PlanLayout,
     ):
@@ -181,17 +181,26 @@ class Eddy:
         self._runs_waiting = 0
         #: Routing signature -> ready for output, of the runs handed in.
         self._run_output: dict[tuple, bool] = {}
-        self._blocked: dict[str, deque[Routable]] = {}
+        #: Module name -> offers its full queue turned away, oldest first.
+        #: No deque is kept empty, so a module tests it for truth alone.
+        self.blocked: dict[str, deque[Routable]] = {}
         self._routing_scheduled = False
         #: Virtual time before which no routing event may fire: the routing
         #: CPU is considered busy until the last batch's per-decision charge
         #: has elapsed, even across moments when the ready queue runs dry.
         self._route_not_before = 0.0
-        #: Build-timestamp source.  Normally private; when SteMs are shared
-        #: across queries every participating eddy must draw from ONE source,
-        #: because the TimeStamp constraint needs a total order over builds
-        #: regardless of which query performed them.
-        self._timestamps = timestamp_source or itertools.count(1)
+        #: Modules schedule on the simulator itself, with no hop through here.
+        self.schedule = simulator.schedule
+        self.reserve = simulator.reserve
+        self.schedule_reserved = simulator.schedule_reserved
+        self.cancel = simulator.cancel
+        #: Next global build timestamp (a monotonically increasing integral
+        #: float), drawn straight from the source.  Normally a private
+        #: counter; when SteMs are shared across queries every participating
+        #: eddy must draw from ONE source, because the TimeStamp constraint
+        #: needs a total order over builds regardless of which query
+        #: performed them.
+        self.next_timestamp = (timestamp_source or itertools.count(1.0)).__next__
         #: User-interest preference predicates (paper §4.1): not filters,
         #: they only raise the priority of matching tuples so policies can
         #: favour them.
@@ -283,31 +292,6 @@ class Eddy:
         """Current virtual time."""
         return self.sim.now
 
-    def schedule(self, delay: float, callback, label: str = ""):
-        """Schedule a callback on the simulator; returns the Event handle."""
-        return self.sim.schedule(delay, callback, label)
-
-    def reserve(self, delays, base: float | None = None):
-        """Reserve the slots :meth:`schedule` would give these delays now
-        (or would have given them at ``base``)."""
-        return self.sim.reserve(delays, base)
-
-    def schedule_reserved(self, slot, callback, label: str = ""):
-        """Schedule a callback in a reserved slot; returns the Event handle.
-
-        Modules that must be cancellable on retirement (a scan's armed
-        delivery) keep the returned handle and pass it back to :meth:`cancel`.
-        """
-        return self.sim.schedule_reserved(slot, callback, label)
-
-    def cancel(self, event) -> None:
-        """Cancel a scheduled event (no-op once it has fired)."""
-        self.sim.cancel(event)
-
-    def next_timestamp(self) -> float:
-        """Next global build timestamp (a monotonically increasing integer)."""
-        return float(next(self._timestamps))
-
     def has_scan_am(self, alias: str) -> bool:
         """True if the alias is fed by at least one scan access method."""
         return bool(self.scan_ams.get(alias))
@@ -398,12 +382,16 @@ class Eddy:
 
     def notify_idle(self, module: Module) -> None:
         """Retry offers that were blocked on the module's full queue."""
-        blocked = self._blocked.get(module.name)
+        blocked = self.blocked.get(module.name)
+        if blocked is None:
+            return
         while blocked and not module.queue.is_full:
             item = blocked.popleft()
             if not module.offer(item):
                 blocked.appendleft(item)
                 break
+        if not blocked:
+            del self.blocked[module.name]
 
     def note_absorbed(self, tuple_: QTuple) -> None:
         """A module absorbed a tuple (e.g. a duplicate build ended at a SteM).
@@ -452,7 +440,7 @@ class Eddy:
                 for item in self._ready
                 for routable in (item.tuples() if item.__class__ is MatchRun else (item,))
             ],
-            "blocked": {name: list(items) for name, items in self._blocked.items() if items},
+            "blocked": {name: list(items) for name, items in self.blocked.items()},
             "modules": {name: module.cut() for name, module in self.modules.items()},
         }
 
@@ -469,7 +457,7 @@ class Eddy:
         for name, module in self.modules.items():
             module.restore(cut["modules"][name])
         for name, items in cut["blocked"].items():
-            self._blocked[name] = deque(items)
+            self.blocked[name] = deque(items)
         self._ready.extend(cut["ready"])
         self._schedule_routing()
 
@@ -490,7 +478,7 @@ class Eddy:
             module.queue.clear()
         self._ready.clear()
         self._runs_waiting = 0
-        self._blocked.clear()
+        self.blocked.clear()
 
     def run(self, until: float | None = None) -> float:
         """Start the query and run the simulator to completion (or ``until``)."""
@@ -611,8 +599,8 @@ class Eddy:
     def _route_eot(self, eot: EOTTuple) -> None:
         self.stats["eots_routed"] += 1
         stem = self.stems.get(eot.alias)
-        if stem is not None:
-            self._deliver(stem, eot)
+        if stem is not None and not stem.offer(eot):
+            self._block(stem, eot)
 
     def _route_group(self, signature: tuple, group: list[QTuple]) -> None:
         """Route one signature group by its route plan."""
@@ -691,12 +679,14 @@ class Eddy:
             if trace is not None:
                 trace.record(self.sim.now, "route", (tuple_.tuple_id, module.name))
             tuple_.record_visit(module.name)
-            self._deliver(module, tuple_)
+            if not module.offer(tuple_):
+                self._block(module, tuple_)
 
-    def _deliver(self, module: Module, item: Routable) -> None:
-        if not module.offer(item):
-            self.stats["blocked_offers"] += 1
-            self._blocked.setdefault(module.name, deque()).append(item)
+    def _block(self, module: Module, item: Routable) -> None:
+        """Hold an offer the module's full queue turned away, until
+        :meth:`notify_idle` finds it room."""
+        self.stats["blocked_offers"] += 1
+        self.blocked.setdefault(module.name, deque()).append(item)
 
     def _retire(self, tuple_: QTuple) -> None:
         self.stats["retired"] += 1

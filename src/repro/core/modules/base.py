@@ -44,6 +44,11 @@ class EddyRuntime(Protocol):
     def live(self) -> bool:
         """False once the query was retired: in-flight work is dropped."""
 
+    @property
+    def blocked(self) -> dict:
+        """Module name -> the offers its full queue turned away; empty while
+        no module holds one (no entry is ever empty)."""
+
     def schedule(self, delay: float, callback, label: str = ""):
         """Schedule a callback on the engine's simulator; returns the
         event handle :meth:`cancel` takes."""
@@ -133,26 +138,20 @@ class Module(ABC):
     # -- queueing and service ----------------------------------------------------
 
     def offer(self, item: Routable) -> bool:
-        """Accept an item from the eddy if the input queue has room."""
-        if not self.queue.offer(item):
-            return False
-        if not self.busy:
-            self._maybe_start()
-        return True
-
-    def _maybe_start(self) -> None:
-        runtime = self.runtime
-        if self.busy or not self.queue.items or runtime is None:
-            return
-        item = self._in_service = self.queue.pop()
+        """Accept an item from the eddy: an idle module (its queue is always
+        empty) starts serving it at once, a busy one queues it if the input
+        queue has room.  Returns whether the item was accepted."""
+        if self.busy:
+            return self.queue.offer(item)
+        self._in_service = item
         self.busy = True
         duration = self.service_time(item)
         self.stats["busy_time"] += duration
-        runtime.schedule(duration, self._complete, self._service_label)
+        self.runtime.schedule(duration, self._complete, self._service_label)
+        return True
 
     def _complete(self) -> None:
         runtime = self.runtime
-        assert runtime is not None
         item, self._in_service = self._in_service, None
         self.busy = False
         if not runtime.live:
@@ -165,8 +164,9 @@ class Module(ABC):
         if outputs:
             runtime.to_eddy_all(outputs, self)
         if self.queue.items:
-            self._maybe_start()
-        runtime.notify_idle(self)
+            self.offer(self.queue.items.popleft())
+        if runtime.blocked:
+            runtime.notify_idle(self)
 
     # -- checkpoints --------------------------------------------------------------
 
@@ -184,15 +184,18 @@ class Module(ABC):
     def restore(self, cut: dict) -> None:
         """Put :meth:`cut` back on the freshly wired module.
 
-        Queued items return to the queue itself, not to the eddy: they were
-        charged their visit when they were routed here, and routing them
-        again would trip BoundedRepetition.  The item in service heads the
-        queue, so its service restarts.
+        Queued items return to the module itself, not to the eddy: they
+        were charged their visit when they were routed here, and routing
+        them again would trip BoundedRepetition.  The item in service (else
+        the queue's head) is offered first, so its service restarts; the
+        rest wait in the queue.
         """
+        waiting = list(cut["queue"])
         if cut["in_service"] is not None:
-            self.queue.items.append(cut["in_service"])
-        self.queue.items.extend(cut["queue"])
-        self._maybe_start()
+            waiting.insert(0, cut["in_service"])
+        if waiting:
+            self.offer(waiting[0])
+            self.queue.items.extend(waiting[1:])
 
     # -- behaviour ----------------------------------------------------------------
 

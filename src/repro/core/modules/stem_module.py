@@ -262,8 +262,7 @@ class SteMModule(Module):
         """The carried set as build timestamps (every carried row is stored:
         the evict listener forgets the ones that left).  The SteM itself is
         the registry's, persisted once with the checkpoint's tables."""
-        timestamp_of = self.stem.timestamp_of
-        carried = tuple(sorted(int(timestamp_of(row)) for row in self._carried))
+        carried = tuple(sorted(map(int, map(self.stem.timestamp_of, self._carried))))
         return {**super().cut(), "state": carried}
 
     def restore(self, cut: dict) -> None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ExecutionError
@@ -86,6 +87,14 @@ def install_id_allocator(
     global _id_allocator
     _id_allocator = allocator or TupleIdAllocator()
     return _id_allocator
+
+
+@lru_cache(maxsize=1024)
+def _alias_order(aliases: tuple[str, ...]) -> tuple[int, ...]:
+    """The positions of a derivation order's aliases in alias order, sorted
+    once per distinct order.  A tuple spans each alias once, so this is the
+    order a sort of its (alias, table, values) triples would give."""
+    return tuple(sorted(range(len(aliases)), key=aliases.__getitem__))
 
 
 class Result:
@@ -226,12 +235,15 @@ class Result:
         return frozenset(aliases) <= self.aliases
 
     def identity(self) -> tuple:
-        """A hashable identity over (alias, table, values) of all components.
+        """A hashable identity over (alias, table, values) of all components,
+        in alias order.
 
-        Used by tests and by duplicate detection at the output.
+        Used by tests, by duplicate detection at the output and, once per
+        acknowledged result, by the write-ahead log's key.
         """
+        aliases, rows = self._aliases, (*self._head, self._row)
         return tuple(
-            sorted((alias, row.table, row.values) for alias, row in zip(self._aliases, self.rows))
+            [(aliases[i], rows[i].table, rows[i].values) for i in _alias_order(aliases)]
         )
 
     def __repr__(self) -> str:
@@ -453,7 +465,7 @@ class QTuple(Result):
             self._head_ts = head_ts[:position] + (timestamp,) + head_ts[position + 1 :]
         else:
             raise ExecutionError(f"tuple {self} does not span alias {alias!r}")
-        self.built_mask |= self.layout.bit_of(alias)
+        self.built_mask |= self.layout.alias_bits[alias]
         self._signature = None
 
     def has_built(self, alias: str) -> bool:

@@ -8,7 +8,8 @@ and check nothing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Iterable, Mapping
 
 from repro.core.costs import CostModel
@@ -46,6 +47,12 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {self.batch_size}")
+        for field in fields(self.cost_model):
+            cost = getattr(self.cost_model, field.name)
+            if not 0 <= cost < math.inf:  # also refuses NaN
+                raise ExecutionError(
+                    f"cost_model.{field.name} must be finite and >= 0, got {cost!r}"
+                )
 
     @classmethod
     def from_options(

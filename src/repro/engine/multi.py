@@ -154,10 +154,10 @@ class _AdmittedQuery:
 class _TimestampCounter:
     """The global build-timestamp source, peekable for durability.
 
-    Behaves like ``itertools.count(start)`` for the eddies drawing from it,
-    but exposes :attr:`next_value` so a checkpoint can persist *where the
-    counter is* — a restored engine continues the total order instead of
-    re-issuing timestamps already assigned to stored rows.
+    Behaves like ``itertools.count(float(start))`` for the eddies drawing
+    from it, but exposes :attr:`next_value` so a checkpoint can persist
+    *where the counter is* — a restored engine continues the total order
+    instead of re-issuing timestamps already assigned to stored rows.
     """
 
     __slots__ = ("next_value",)
@@ -168,10 +168,10 @@ class _TimestampCounter:
     def __iter__(self) -> "_TimestampCounter":
         return self
 
-    def __next__(self) -> int:
+    def __next__(self) -> float:
         value = self.next_value
         self.next_value = value + 1
-        return value
+        return float(value)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ class PlanLayout:
     Attributes:
         alias_order: aliases in FROM-clause order — alias ``i`` holds bit
             ``1 << i``.
+        alias_bits: alias -> its bit (treat as read-only).
         all_alias_mask: the mask spanning every alias (a finished tuple's
             ``spanned_mask``).
         adjacency: per-alias join-graph neighbour mask.
@@ -85,7 +86,7 @@ class PlanLayout:
         self.query = query
         self.join_graph = join_graph if join_graph is not None else JoinGraph.from_query(query)
         self.alias_order: tuple[str, ...] = query.alias_order
-        self._bits: dict[str, int] = {
+        self.alias_bits: dict[str, int] = {
             alias: 1 << position for position, alias in enumerate(self.alias_order)
         }
         self._decode_memo: dict[int, frozenset[str]] = {}
@@ -136,7 +137,7 @@ class PlanLayout:
 
     def bit_of(self, alias: str) -> int:
         """The single-bit mask assigned to an alias (QueryError if unknown)."""
-        bit = self._bits.get(alias)
+        bit = self.alias_bits.get(alias)
         if bit is None:
             raise QueryError(
                 f"alias {alias!r} is not part of query {self.query.name!r} "
@@ -146,11 +147,11 @@ class PlanLayout:
 
     def peek_bit(self, alias: str) -> int:
         """Like :meth:`bit_of`, but 0 for unknown aliases (read-side tests)."""
-        return self._bits.get(alias, 0)
+        return self.alias_bits.get(alias, 0)
 
     def mask_of(self, aliases: Iterable[str]) -> int:
         """The OR of the bits of every alias given."""
-        bits = self._bits
+        bits = self.alias_bits
         mask = 0
         for alias in aliases:
             bit = bits.get(alias)
@@ -167,11 +168,6 @@ class PlanLayout:
             cached = frozenset(names[position] for position in bit_positions(mask))
             self._decode_memo[mask] = cached
         return cached
-
-    @property
-    def alias_bits(self) -> dict[str, int]:
-        """The alias -> bit assignment (treat as read-only)."""
-        return self._bits
 
     # -- adjacency --------------------------------------------------------------
 

@@ -1,6 +1,5 @@
-"""Discrete-event simulation substrate: events, latency models, queues."""
+"""Discrete-event simulation substrate: the simulator, latency models, queues."""
 
-from repro.sim.events import Event, EventQueue
 from repro.sim.latency import (
     AvailabilityModel,
     ConstantLatency,
@@ -9,7 +8,7 @@ from repro.sim.latency import (
     StallWindow,
 )
 from repro.sim.queues import BoundedQueue
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Event, Simulator
 from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "BoundedQueue",
     "ConstantLatency",
     "Event",
-    "EventQueue",
     "ExponentialLatency",
     "LatencyModel",
     "Simulator",

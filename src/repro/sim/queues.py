@@ -28,15 +28,10 @@ class BoundedQueue(Generic[ItemT]):
             raise ValueError("capacity must be at least 1 (or None for unbounded)")
         self.capacity = capacity
         self.name = name
-        #: The queued items, oldest first.  Hot loops test it for emptiness
-        #: or length without a call; only the methods below mutate it.
+        #: The queued items, oldest first: only items that wait, since an
+        #: idle module serves an offered item at once.  The owning module
+        #: tests it and takes from it without a call.
         self.items: deque[ItemT] = deque()
-        #: Cumulative number of items ever enqueued (for statistics).
-        self.total_enqueued = 0
-        #: Number of enqueue attempts rejected because the queue was full.
-        self.rejected = 0
-        #: High-water mark of occupancy.
-        self.max_occupancy = 0
 
     @property
     def is_full(self) -> bool:
@@ -45,14 +40,9 @@ class BoundedQueue(Generic[ItemT]):
 
     def offer(self, item: ItemT) -> bool:
         """Enqueue ``item`` if there is room; return whether it was accepted."""
-        items = self.items
-        if self.capacity is not None and len(items) >= self.capacity:
-            self.rejected += 1
+        if self.capacity is not None and len(self.items) >= self.capacity:
             return False
-        items.append(item)
-        self.total_enqueued += 1
-        if len(items) > self.max_occupancy:
-            self.max_occupancy = len(items)
+        self.items.append(item)
         return True
 
     def pop(self) -> ItemT:

@@ -1,23 +1,55 @@
 """The discrete-event simulator that drives all query execution.
 
-The simulator owns the virtual time and an event queue.  Engine code
+The simulator owns the virtual time and the event heap.  Engine code
 schedules callbacks (``schedule``/``schedule_at``) and the simulator runs
 them in time order, advancing the clock.  Execution is single-threaded and
 fully deterministic; "asynchrony" in the paper's sense (concurrent module
 threads, outstanding index probes) is modelled by interleaving events.
+
+A heap entry is one list, ``[time, sequence, callback, label, state]``,
+and it is also the handle :meth:`Simulator.cancel` takes.  Ties in time are
+broken by a monotonically increasing sequence number, so events scheduled
+earlier run earlier; sequence numbers are unique, so the heap's C
+comparison never reaches the callback.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, NamedTuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
 from repro.sim.tracing import TraceLog
+
+#: The ``state`` of a heap entry: waiting (the one falsy state), cancelled,
+#: or popped and run.  Cancelling a popped entry is a no-op — a caller
+#: tearing down (e.g. a scan AM on query retirement) may cancel the handle
+#: it holds without tracking whether it already fired.
+_LIVE, _CANCELLED, _FIRED = 0, 1, 2
+#: Builds an :class:`Event` view from a 4-tuple without the Python-level
+#: ``__new__`` a ``NamedTuple`` call runs (once per event while a hook is set).
+_new_view = tuple.__new__
+
+
+class Event(NamedTuple):
+    """A read-only view of one scheduled callback, built only for
+    :attr:`Simulator.after_event_hook` and :meth:`Simulator.upcoming`."""
+
+    time: float
+    sequence: int
+    label: str
+    callback: Callable[[], None]
 
 
 class Simulator:
     """A deterministic discrete-event simulator.
+
+    Cancellation is lazy — a cancelled entry stays in the heap and is
+    skipped when it reaches the top — but not *unbounded*: once cancelled
+    entries outnumber live ones the heap is compacted in place, so
+    long-running simulations that cancel many events (multi-query runs
+    tearing down per-query timers) neither leak memory nor pay O(dead) on
+    every pop.
 
     Args:
         start_time: initial virtual time.
@@ -25,6 +57,9 @@ class Simulator:
         max_events: safety valve — raise after this many events (guards
             against accidental infinite routing loops in buggy policies).
     """
+
+    #: Don't bother compacting heaps smaller than this; the win is noise.
+    _COMPACT_THRESHOLD = 64
 
     def __init__(
         self,
@@ -35,37 +70,57 @@ class Simulator:
         #: Current virtual time.  Only the event loop moves it, and only
         #: forwards.
         self.now = float(start_time)
-        self._queue = EventQueue()
+        self._heap: list[list] = []
+        self._sequence = 0
+        self._live = 0
+        #: Cancelled entries still sitting in the heap.
+        self._dead = 0
+        #: One-shot: a reserved sequence number the next :meth:`schedule_at`
+        #: takes in place of a fresh one.  :meth:`schedule_reserved` sets it
+        #: around the single call it makes; it is None at all other times.
+        self._next_sequence: int | None = None
         self.trace = trace
         self.max_events = max_events
         self.executed_events = 0
         self._running = False
-        #: Fault hook: called after every executed event with the event
-        #: just completed.  The crash-injection harness raises from here to
-        #: kill the run at an exact event boundary — engine state is left
-        #: frozen mid-flight, exactly like a process crash between events.
+        #: Fault hook: called after every executed event with an
+        #: :class:`Event` view of it.  The crash-injection harness raises
+        #: from here to kill the run at an exact event boundary — engine
+        #: state is left frozen mid-flight, exactly like a process crash
+        #: between events.
         self.after_event_hook: Callable[[Event], None] | None = None
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], label: str = ""
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` virtual seconds from now."""
-        if delay < 0:
+    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> list:
+        """Schedule ``callback`` to run ``delay`` virtual seconds from now;
+        returns the handle :meth:`cancel` takes."""
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
-        return self._queue.push(self.now + delay, callback, label)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        entry = [self.now + delay, sequence, callback, label, _LIVE]
+        heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], None], label: str = ""
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> list:
         """Schedule ``callback`` at an absolute virtual time (>= now)."""
         now = self.now
-        if time < now - 1e-12:
+        if not time >= now - 1e-12:
             raise SimulationError(
                 f"cannot schedule in the past (now={now}, requested={time})"
             )
-        return self._queue.push(time if time > now else now, callback, label)
+        sequence = self._next_sequence
+        if sequence is None:
+            sequence = self._sequence
+            self._sequence = sequence + 1
+        else:
+            self._next_sequence = None
+        entry = [float(time) if time > now else now, sequence, callback, label, _LIVE]
+        heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
     def reserve(
         self, delays: Iterable[float], base: float | None = None
@@ -81,43 +136,63 @@ class Simulator:
         scheduling would have drawn, the heap order is the same.  ``base``
         stands in for "now": a scan restored from a checkpoint re-derives
         its instants from its original start time (the slots of instants
-        already past are simply never scheduled).
+        already past are simply never scheduled).  No later call is issued
+        a reserved number.
         """
         now = self.now if base is None else base
         times = []
         for delay in delays:
-            if delay < 0:
+            if not delay >= 0:
                 raise SimulationError(f"cannot schedule with negative delay {delay}")
             times.append(now + delay)
-        first = self._queue.reserve(len(times))
+        first = self._sequence
+        self._sequence = first + len(times)
         return list(zip(times, range(first, first + len(times))))
 
     def schedule_reserved(
         self, slot: tuple[float, int], callback: Callable[[], None], label: str = ""
-    ) -> Event:
+    ) -> list:
         """Schedule ``callback`` in a slot :meth:`reserve` returned (once).
 
         The event goes through :meth:`schedule_at` like any other — its
         guard, and whatever wraps it, see every event — so the slot's
-        sequence number travels as one-shot queue state that the push made
-        by this very call consumes.
+        sequence number travels as one-shot state that the call made here
+        consumes.
         """
-        time, sequence = slot
-        queue = self._queue
-        queue.next_sequence = sequence
+        time, self._next_sequence = slot
         try:
             return self.schedule_at(time, callback, label)
         finally:
-            queue.next_sequence = None
+            self._next_sequence = None
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
-        self._queue.cancel(event)
+    def cancel(self, event: list) -> None:
+        """Cancel a scheduled event (a no-op once it has fired or was cancelled)."""
+        if not event[4]:
+            event[4] = _CANCELLED
+            self._live -= 1
+            self._dead += 1
+            if self._dead >= self._COMPACT_THRESHOLD and self._dead * 2 > len(self._heap):
+                # In place (the event loop holds the list), O(live) —
+                # amortised O(1) per cancellation, because a compaction
+                # only fires after half the heap has died.
+                heap = self._heap
+                heap[:] = [entry for entry in heap if not entry[4]]
+                heapify(heap)
+                self._dead = 0
 
     @property
     def pending_events(self) -> int:
         """Number of events still scheduled."""
-        return len(self._queue)
+        return self._live
+
+    def upcoming(self) -> list[Event]:
+        """Every event still scheduled, in the order they will fire, as
+        read-only :class:`Event` views (cancelled ones are not listed)."""
+        return [
+            Event(time, sequence, label, callback)
+            for time, sequence, callback, label, state in sorted(self._heap)
+            if not state
+        ]
 
     # -- execution ------------------------------------------------------------
 
@@ -127,16 +202,23 @@ class Simulator:
         Runs one event (``single``) or every event up to ``until``; returns
         whether an event ran.
         """
-        pop = self._queue.pop
-        while True:
-            event = pop(until)
-            if event is None:
-                # Drained, or the next event lies beyond ``until``: only
-                # then does the clock move to ``until`` — and never back.
-                if until is not None and until > self.now and self._queue:
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[4]:
+                heappop(heap)
+                self._dead -= 1
+                continue
+            time = entry[0]
+            if until is not None and time > until:
+                # The next event lies beyond ``until``: only then does the
+                # clock move to ``until`` — and never back.
+                if until > self.now:
                     self.now = float(until)
                 return False
-            time = event.time
+            heappop(heap)
+            entry[4] = _FIRED
+            self._live -= 1
             if time > self.now:
                 self.now = time
             elif time < self.now - 1e-12:
@@ -150,19 +232,20 @@ class Simulator:
                     "likely an infinite routing loop"
                 )
             if self.trace is not None:
-                self.trace.record(self.now, "event", event.label)
-            event.callback()
+                self.trace.record(self.now, "event", entry[3])
+            entry[2]()
             if self.after_event_hook is not None:
-                self.after_event_hook(event)
+                self.after_event_hook(_new_view(Event, (time, entry[1], entry[3], entry[2])))
             if single:
                 return True
+        return False
 
     def step(self) -> bool:
-        """Execute the next event; return False if the queue is empty."""
+        """Execute the next event; return False if none is scheduled."""
         return self._execute(None, True)
 
     def run(self, until: float | None = None) -> float:
-        """Run events until the queue drains (or virtual time ``until``).
+        """Run events until none is left (or virtual time ``until``).
 
         Returns the final virtual time.  An ``until`` behind the clock runs
         nothing and leaves the time unchanged.

@@ -131,8 +131,6 @@ def make_skewed_pair(
     skew: float = 1.2,
     hot_range: int = 1000,
     seed: int = 0,
-    fact_name: str = "F",
-    dim_name: str = "D",
 ) -> tuple[Table, Table]:
     """A fact/dimension pair with Zipf-skewed join keys and a skewed column.
 
@@ -149,11 +147,11 @@ def make_skewed_pair(
     hot_draw = ZipfDraw(hot_range, skew, seed=seed + 1)
     rng = random.Random(seed + 2)
     fact_schema = Schema.of("id:int", "fk:int", "hot:int", "cold:int", key=["id"])
-    fact = Table(fact_name, fact_schema)
+    fact = Table("F", fact_schema)
     for row_id in range(fact_rows):
         fact.insert((row_id, fk_draw(), hot_draw(), rng.randrange(hot_range)))
     dim_schema = Schema.of("id:int", "tag:int", key=["id"])
-    dim = Table(dim_name, dim_schema)
+    dim = Table("D", dim_schema)
     for row_id in range(dim_rows):
         dim.insert((row_id, row_id % 7))
     return fact, dim
@@ -166,7 +164,6 @@ def make_phase_shift_table(
     wide_range: int = 1000,
     narrow_range: int = 60,
     seed: int = 0,
-    extra_key_column: bool = True,
 ) -> Table:
     """A table whose column distributions *shift* across physical row order.
 
@@ -183,8 +180,7 @@ def make_phase_shift_table(
     if phases < 1:
         raise ValueError(f"phases must be >= 1, got {phases}")
     rng = random.Random(seed)
-    columns = ["id:int", "fk:int", "a:int", "b:int"]
-    schema = Schema.of(*columns, key=["id"] if extra_key_column else [])
+    schema = Schema.of("id:int", "fk:int", "a:int", "b:int", key=["id"])
     table = Table(name, schema)
     block = max(1, cardinality // phases)
     for row_id in range(cardinality):

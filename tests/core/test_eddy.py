@@ -273,7 +273,7 @@ class TestBulkHandOff:
             "hook calls": calls,
             "ready": [getattr(item, "tuple_id", item) for item in eddy._ready],
             "partial": eddy.partial_series,
-            "wake-ups": [(e[0], e[1], e[2].label) for e in eddy.sim._queue._heap],
+            "wake-ups": [(e.time, e.sequence, e.label) for e in eddy.sim.upcoming()],
             "state": [
                 (item.query_id, item.priority, item.layout is eddy.layout)
                 for item in eddy._ready
@@ -296,14 +296,14 @@ class TestBulkHandOff:
         assert {priority for _, priority, _ in expected["state"]} == {0.0, 3.0}
         # An eddy whose routing is already armed arms nothing more.
         bulk.to_eddy_all(self._items(bulk.layout), source)
-        assert len(bulk.sim._queue._heap) == 1
+        assert len(bulk.sim.upcoming()) == 1
 
     def test_no_op_on_a_retired_eddy(self):
         eddy, source, calls = self._eddy("lottery")
         eddy.shutdown()
         eddy.to_eddy_all(self._items(eddy.layout), source)
         eddy.to_eddy(self._items(eddy.layout)[0], source)
-        assert not calls and not eddy._ready and not eddy.sim._queue._heap
+        assert not calls and not eddy._ready and not eddy.sim.upcoming()
         assert eddy.partial_series == {}
 
 

@@ -109,10 +109,9 @@ class Runtime(FakeRuntime):
         self._inbox = []
         for scan in self.scans:
             pending = [
-                entry
-                for entry in self.sim._queue._heap
-                if not entry[2].cancelled
-                and getattr(entry[2].callback, "__self__", None) is scan
+                event
+                for event in self.sim.upcoming()
+                if getattr(event.callback, "__self__", None) is scan
             ]
             assert len(pending) <= 1, f"{scan.name} holds {len(pending)} events"
 

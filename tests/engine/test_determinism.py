@@ -103,15 +103,21 @@ class TestVisitTokens:
         def routed_tokens(sql):
             engine = single_query_engine(sql, build_catalog(), policy="naive")
             eddy = engine.eddy_of("q0")
-            tokens, names, deliver = [], [], eddy._deliver
+            tokens, names = [], []
 
-            def recording(module, item):
-                if isinstance(item, QTuple):
-                    tokens.append(item.visits_token)
-                    names.append(module.name)
-                deliver(module, item)
+            def recording(module):
+                offer = module.offer
 
-            eddy._deliver = recording
+                def record(item):
+                    if isinstance(item, QTuple):
+                        tokens.append(item.visits_token)
+                        names.append(module.name)
+                    return offer(item)
+
+                return record
+
+            for module in eddy.modules.values():
+                module.offer = recording(module)
             engine.run()
             return tokens, names
 

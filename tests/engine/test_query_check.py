@@ -9,9 +9,12 @@ construction.  A query it rejects is a ``QueryError`` everywhere, never
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cli import main
+from repro.core.costs import CostModel
 from repro.engine.api import ENGINES, execute
 from repro.engine.config import EngineConfig
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
@@ -95,6 +98,29 @@ def test_the_config_is_checked_before_the_first_admission():
     with pytest.raises(ExecutionError, match="a config or engine options, not both"):
         MultiQueryEngine([], typed_catalog(), continuous=True,
                          config=EngineConfig(), batch_size=8)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "field, cost",
+    [
+        ("stem_build_cost", math.nan),
+        ("route_cost", math.nan),
+        ("stem_probe_cost", -1.0),
+        ("route_cost", math.inf),
+        ("index_lookup_latency", -math.inf),
+    ],
+)
+def test_a_bad_cost_is_refused_before_virtual_time_zero(engine, field, cost):
+    # These used to die mid-run ("cannot move the clock backwards", a
+    # negative delay), run as if the cost were zero (NaN route cost) or end
+    # at virtual time inf.
+    bad = CostModel(**{field: cost})
+    with pytest.raises(ExecutionError, match=f"cost_model.{field} must be finite and >= 0"):
+        execute("SELECT * FROM R, S WHERE R.key = S.x", indexed_catalog(), engine=engine,
+                policy="naive", cost_model=bad)
+    with pytest.raises(ExecutionError, match=f"cost_model.{field}"):
+        MultiQueryEngine([], typed_catalog(), continuous=True, cost_model=bad)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -75,6 +75,7 @@ class FakeRuntime:
         self.sim = Simulator()
         self.layout = layout
         self.live = True
+        self.blocked: dict = {}
         self.scan_aliases = set(scan_aliases)
         self.delivered: list = []
         self.trapped: list = []

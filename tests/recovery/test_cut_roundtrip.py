@@ -320,7 +320,7 @@ class TestBlockedOffers:
             if any(
                 items
                 for query_id in engine.active
-                for items in engine.eddy_of(query_id)._blocked.values()
+                for items in engine.eddy_of(query_id).blocked.values()
             ):
                 raise Stop
 

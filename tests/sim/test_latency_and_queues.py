@@ -77,22 +77,12 @@ class TestBoundedQueue:
         assert queue.offer(1) and queue.offer(2)
         assert queue.is_full
         assert not queue.offer(3)
-        assert queue.rejected == 1
         queue.pop()
         assert queue.offer(3)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BoundedQueue(capacity=0)
-
-    def test_statistics(self):
-        queue = BoundedQueue[int](capacity=3)
-        for value in range(3):
-            queue.offer(value)
-        queue.pop()
-        queue.offer(9)
-        assert queue.total_enqueued == 4
-        assert queue.max_occupancy == 3
 
     def test_clear_drops_everything_and_counts_it(self):
         queue = BoundedQueue[int](capacity=4, name="q")
@@ -102,7 +92,6 @@ class TestBoundedQueue:
         assert repr(queue) == "BoundedQueue(q, 3/4)"
         assert queue.clear() == 3
         assert len(queue) == 0 and queue.clear() == 0
-        assert queue.total_enqueued == 3  # history survives the teardown
 
     def test_peek_and_empty(self):
         queue = BoundedQueue[int]()

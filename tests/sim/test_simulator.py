@@ -1,107 +1,151 @@
 """Tests for the discrete-event simulation substrate."""
 
+import gc
+import math
+import weakref
+from heapq import heappush
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Event, Simulator
 from repro.sim.tracing import TraceLog
 
 
-class TestEventQueue:
+def _cancel(sim, handles) -> None:
+    """Cancel every handle (the loop variable dies with the call)."""
+    for handle in handles:
+        sim.cancel(handle)
+
+
+def _collected(refs) -> int:
+    """How many of the weakly referenced callbacks are still alive."""
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
+class TestEventOrder:
     def test_time_ordering(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(3.0, lambda: fired.append("c"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(2.0, lambda: fired.append("b"))
-        while queue:
-            event = queue.pop()
-            event.callback()
+        sim.schedule(3.0, lambda: fired.append("c"))
+        sim.schedule(1.0, lambda: fired.append("a"))
+        sim.schedule(2.0, lambda: fired.append("b"))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_fifo_tie_break(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
         for name in "abc":
-            queue.push(1.0, lambda name=name: fired.append(name))
-        while queue:
-            queue.pop().callback()
+            sim.schedule(1.0, lambda name=name: fired.append(name))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_cancellation(self):
-        queue = EventQueue()
-        keep = queue.push(1.0, lambda: None, label="keep")
-        drop = queue.push(0.5, lambda: None, label="drop")
-        queue.cancel(drop)
-        assert len(queue) == 1
-        assert queue.pop() is keep
-        assert queue.pop() is None
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("keep"), label="keep")
+        drop = sim.schedule(0.5, lambda: fired.append("drop"), label="drop")
+        sim.cancel(drop)
+        assert sim.pending_events == 1
+        assert [event.label for event in sim.upcoming()] == ["keep"]
+        assert sim.step() and fired == ["keep"]
+        assert not sim.step()
+
+    def test_upcoming_lists_live_events_in_firing_order(self):
+        sim = Simulator(start_time=1.0)
+        callbacks = [lambda: None for _ in range(4)]
+        for delay, callback, label in zip((2.0, 0.0, 2.0, 1.0), callbacks, "abcd"):
+            sim.schedule(delay, callback, label)
+        assert sim.upcoming() == [
+            Event(1.0, 1, "b", callbacks[1]),
+            Event(2.0, 3, "d", callbacks[3]),
+            Event(3.0, 0, "a", callbacks[0]),
+            Event(3.0, 2, "c", callbacks[2]),
+        ]
 
 
 class TestEventHeapCompaction:
-    """Cancelled events are evicted once they dominate the heap."""
+    """Cancelled events are evicted once they dominate the heap: the
+    callbacks of cancelled events, once their handles are dropped, are not
+    kept alive for long."""
 
-    def test_mass_cancellation_compacts_the_heap(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(500)]
+    def test_mass_cancellation_releases_the_cancelled_callbacks(self):
+        sim = Simulator()
+        callbacks = [lambda: None for _ in range(500)]
+        refs = [weakref.ref(callback) for callback in callbacks]
+        events = [sim.schedule(float(i), callback) for i, callback in enumerate(callbacks)]
+        del callbacks
         # Cancel everything but the last few: without compaction the dead
         # entries would sit in the heap until popped.
-        for event in events[:-5]:
-            queue.cancel(event)
-        assert len(queue) == 5
-        assert len(queue._heap) <= len(queue) + EventQueue._COMPACT_THRESHOLD
+        _cancel(sim, events[:-5])
+        del events[:-5]
+        assert sim.pending_events == 5
+        assert _collected(refs[:-5]) <= Simulator._COMPACT_THRESHOLD
 
     def test_compaction_preserves_order_and_liveness(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda i=i: i) for i in range(300)]
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule(float(i), lambda i=i: fired.append(i)) for i in range(300)]
         for i, event in enumerate(events):
             if i % 3:  # cancel two thirds, triggering compaction en route
-                queue.cancel(event)
-        survivors = []
-        while queue:
-            survivors.append(queue.pop().time)
-        assert survivors == [float(i) for i in range(300) if not i % 3]
-        assert queue.pop() is None  # sweeps any trailing cancelled entries
-        assert queue._dead == 0 and not queue._heap
+                sim.cancel(event)
+        assert [event.time for event in sim.upcoming()] == [
+            float(i) for i in range(300) if not i % 3
+        ]
+        sim.run()
+        assert fired == [i for i in range(300) if not i % 3]
+        assert sim.pending_events == 0 and sim.upcoming() == []
 
     def test_small_heaps_are_not_compacted(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(10)]
-        for event in events[:8]:
-            queue.cancel(event)
+        sim = Simulator()
+        callbacks = [lambda: None for _ in range(10)]
+        refs = [weakref.ref(callback) for callback in callbacks]
+        events = [sim.schedule(float(i), callback) for i, callback in enumerate(callbacks)]
+        del callbacks
+        _cancel(sim, events[:8])
+        del events[:8]
         # Below the threshold: lazy cancellation only, no rebuild churn.
-        assert len(queue._heap) == 10
-        assert queue.pop().time == 8.0
+        assert _collected(refs[:8]) == 8
+        assert sim.step() and sim.now == 8.0
+        # The step swept the dead entries ahead of the one it ran.
+        assert _collected(refs[:8]) == 0
 
     def test_handles_from_before_a_compaction_still_cancel_after_it(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(200)]
-        for event in events[:150]:
-            queue.cancel(event)
-        assert queue._dead < 150  # at least one compaction happened
-        survivor, doomed = events[150], events[151]
-        queue.cancel(doomed)
-        queue.cancel(doomed)  # idempotent
-        queue.cancel(events[0])  # compacted away long ago: still a no-op
-        assert len(queue) == 49
-        assert queue.pop() is survivor
-        assert queue.pop() is events[152]
-        queue.cancel(survivor)  # already fired: no-op
-        assert len(queue) == 47
+        sim = Simulator()
+        fired = []
+        callbacks = [lambda i=i: fired.append(i) for i in range(200)]
+        refs = [weakref.ref(callback) for callback in callbacks]
+        events = [sim.schedule(float(i), callback) for i, callback in enumerate(callbacks)]
+        del callbacks
+        _cancel(sim, events[1:150])
+        gone, survivor, doomed = events[1], events[150], events[151]
+        del events[2:150]
+        assert _collected(refs[2:150]) < 148  # at least one compaction happened
+        sim.cancel(events[0])  # live across the compaction: cancels all the same
+        sim.cancel(doomed)
+        sim.cancel(doomed)  # idempotent
+        sim.cancel(gone)  # compacted away long ago: still a no-op
+        assert sim.pending_events == 49
+        assert sim.step() and fired == [150]
+        assert sim.step() and fired == [150, 152]
+        sim.cancel(survivor)  # already fired: no-op
+        assert sim.pending_events == 47
 
-    def test_bounded_and_plain_pops_keep_the_dead_count_exact(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        second = queue.push(2.0, lambda: None)
-        queue.cancel(first)
-        # Sweeps the cancelled head; the later event stays queued.
-        assert queue.pop(until=1.5) is None
-        assert queue._dead == 0 and len(queue) == 1
-        queue.cancel(second)
-        assert queue.pop() is None
-        assert queue._dead == 0
+    def test_bounded_and_plain_runs_sweep_cancelled_heads(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, lambda: fired.append(1))
+        second = sim.schedule(2.0, lambda: fired.append(2))
+        sim.cancel(first)
+        # Sweeps the cancelled head; the later event stays scheduled.
+        assert sim.run(until=1.5) == 1.5
+        assert sim.pending_events == 1 and fired == []
+        sim.cancel(second)
+        assert sim.run() == 1.5  # nothing live: the clock stays put
+        assert sim.pending_events == 0 and sim.upcoming() == [] and fired == []
 
 
 class TestSimulator:
@@ -151,7 +195,9 @@ class TestSimulator:
 
     def test_clock_never_moves_backwards(self):
         sim = Simulator(start_time=10.0)
-        sim._queue.push(4.0, lambda: None)  # bypasses schedule_at's check
+        # No public call can schedule behind the clock; a raw heap entry
+        # stands in for a guard that let one through.
+        heappush(sim._heap, [4.0, 0, lambda: None, "", 0])
         with pytest.raises(SimulationError, match="backwards"):
             sim.run()
 
@@ -171,6 +217,18 @@ class TestSimulator:
             sim.schedule(-1.0, lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_at(-5.0, lambda: None)
+
+    def test_nan_times_are_rejected(self):
+        # A NaN delay or time used to enter the heap, where it breaks the
+        # order every later event is popped in.
+        sim = Simulator(start_time=1.0)
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.schedule(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.schedule_at(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.reserve([0.5, math.nan])
+        assert sim.pending_events == 0 and sim.upcoming() == []
 
     def test_cancel(self):
         sim = Simulator()
@@ -233,13 +291,24 @@ class TestReservedSlots:
         delays = [0.5, 0.25, 0.5, 0.0]
         for sim in (eager, lazy):
             sim.schedule(0.5, lambda: None, label="before")
-        handles = [eager.schedule(delay, lambda: None) for delay in delays]
+        for delay in delays:
+            eager.schedule(delay, lambda: None, label="series")
         slots = lazy.reserve(delays)
-        assert slots == [(event.time, event.sequence) for event in handles]
+        series = [event for event in eager.upcoming() if event.label == "series"]
+        assert slots == sorted(
+            ((event.time, event.sequence) for event in series), key=lambda slot: slot[1]
+        )
         assert lazy.pending_events == 1  # reserving schedules nothing
         # A push after the reservation draws past the reserved block.
-        after = [sim.schedule(0.5, lambda: None, label="after") for sim in (eager, lazy)]
-        assert after[0].sequence == after[1].sequence == handles[-1].sequence + 1
+        for sim in (eager, lazy):
+            sim.schedule(0.5, lambda: None, label="after")
+        after = [
+            event.sequence
+            for sim in (eager, lazy)
+            for event in sim.upcoming()
+            if event.label == "after"
+        ]
+        assert after == [slots[-1][1] + 1] * 2
 
     def test_series_fires_in_the_eager_order_with_one_event_pending(self):
         def run(streamed: bool):
@@ -279,12 +348,13 @@ class TestReservedSlots:
     def test_reserved_number_is_used_once_and_never_reissued(self):
         sim = Simulator()
         (slot,) = sim.reserve([1.0])
-        event = sim.schedule_reserved(slot, lambda: None)
-        assert (event.time, event.sequence) == slot
-        assert sim._queue.next_sequence is None  # consumed by that push
-        later = [sim.schedule(1.0, lambda: None) for _ in range(3)]
-        assert slot[1] not in [other.sequence for other in later]
-        assert len({event.sequence, *(other.sequence for other in later)}) == 4
+        sim.schedule_reserved(slot, lambda: None, label="reserved")
+        assert [(event.time, event.sequence) for event in sim.upcoming()] == [slot]
+        for _ in range(3):
+            sim.schedule(1.0, lambda: None, label="later")
+        upcoming = sim.upcoming()
+        assert [event.label for event in upcoming] == ["reserved"] + ["later"] * 3
+        assert len({event.sequence for event in upcoming}) == 4
 
     def test_guards_still_apply_and_leave_no_claim_behind(self):
         sim = Simulator(start_time=5.0)
@@ -295,8 +365,8 @@ class TestReservedSlots:
         sim.run()  # the clock passes the reserved instant
         with pytest.raises(SimulationError, match="in the past"):
             sim.schedule_reserved(slot, lambda: None)
-        assert sim._queue.next_sequence is None
-        assert sim.schedule(0.0, lambda: None).sequence != slot[1]
+        sim.schedule(0.0, lambda: None)
+        assert [event.sequence for event in sim.upcoming()] != [slot[1]]
 
     def test_cancel_of_the_armed_event(self):
         sim = Simulator()
@@ -316,16 +386,19 @@ class TestReservedSlots:
         sim = Simulator()
         fired = []
         slots = sim.reserve([1.0, 1.0])
-        doomed = [sim.schedule(1.0, lambda: fired.append("dead")) for _ in range(200)]
+        callbacks = [lambda: fired.append("dead") for _ in range(200)]
+        refs = [weakref.ref(callback) for callback in callbacks]
+        doomed = [sim.schedule(1.0, callback) for callback in callbacks]
+        del callbacks
         sim.schedule_reserved(slots[0], lambda: (
             fired.append("first"),
             sim.schedule_reserved(slots[1], lambda: fired.append("second")),
         ))
         sim.schedule(1.0, lambda: fired.append("tail"))
-        for event in doomed:
-            sim.cancel(event)  # crosses the compaction threshold
+        _cancel(sim, doomed)  # crosses the compaction threshold
+        del doomed
         assert sim.pending_events == 2
-        assert len(sim._queue._heap) < 100  # compacted at least once
+        assert _collected(refs) < 100  # compacted at least once
         sim.run()
         # Both reserved numbers precede the tail's, though one was armed
         # after the compaction and after the tail was pushed.
@@ -362,12 +435,12 @@ def test_events_always_fire_in_time_order(delays):
 
 
 #: push at one of a few times (so ties are common), cancel the k-th handle
-#: ever returned (live, fired or already cancelled), or pop.
+#: ever returned (live, fired or already cancelled), or step.
 _QUEUE_OPERATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.sampled_from([0.0, 1.0, 1.0, 2.5, 7.0])),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=400)),
-        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("step"), st.none()),
     ),
     max_size=120,
 )
@@ -375,44 +448,47 @@ _QUEUE_OPERATIONS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(operations=_QUEUE_OPERATIONS, mass_cancel=st.booleans())
-def test_event_queue_matches_a_sorted_list_model(operations, mass_cancel):
+def test_event_heap_matches_a_sorted_list_model(operations, mass_cancel):
     """Property: the heap behaves like a sorted list of live (time, seq)."""
-    queue = EventQueue()
+    sim = Simulator()
+    fired = []
+    sim.after_event_hook = lambda event: fired.append((event.time, event.sequence))
     handles = []
     model = []  # live (time, sequence) pairs
 
     def push(time):
-        handles.append(queue.push(time, lambda: None))
+        # A time the steps have passed is scheduled at the clock instead.
+        time = max(time, sim.now)
+        handles.append((sim.schedule_at(time, lambda: None), len(handles)))
         model.append((time, len(handles) - 1))
 
-    def cancel(handle):
-        queue.cancel(handle)
-        if (handle.time, handle.sequence) in model:
-            model.remove((handle.time, handle.sequence))
+    def cancel(handle, sequence):
+        sim.cancel(handle)
+        for entry in model:
+            if entry[1] == sequence:
+                model.remove(entry)
+                break
 
     if mass_cancel:
         # Enough dead entries to force compactions under the operations.
-        for position in range(3 * EventQueue._COMPACT_THRESHOLD):
+        for position in range(3 * Simulator._COMPACT_THRESHOLD):
             push(float(position % 5))
-        for handle in handles[: 2 * EventQueue._COMPACT_THRESHOLD + 8]:
-            cancel(handle)
+        for handle in handles[: 2 * Simulator._COMPACT_THRESHOLD + 8]:
+            cancel(*handle)
     for action, argument in operations:
         if action == "push":
             push(argument)
         elif action == "cancel" and handles:
-            cancel(handles[argument % len(handles)])
-        elif action == "pop":
-            event = queue.pop()
+            cancel(*handles[argument % len(handles)])
+        elif action == "step":
             expected = min(model) if model else None
-            assert (event and (event.time, event.sequence)) == expected
-            if event is not None:
+            assert sim.step() == (expected is not None)
+            if expected is not None:
+                assert fired[-1] == expected
                 model.remove(expected)
-                assert event.popped and not event.cancelled
-        assert len(queue) == len(model) and bool(queue) == bool(model)
-        assert queue._dead == len(queue._heap) - len(model)
-    drained = []
-    while queue:
-        event = queue.pop()
-        drained.append((event.time, event.sequence))
-    assert drained == sorted(model)
-    assert queue.pop() is None and not queue._heap
+        assert sim.pending_events == len(model)
+        assert [(event.time, event.sequence) for event in sim.upcoming()] == sorted(model)
+    done = len(fired)
+    sim.run()
+    assert fired[done:] == sorted(model)
+    assert sim.pending_events == 0 and not sim.step()

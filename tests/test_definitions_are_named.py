@@ -45,6 +45,8 @@ ALLOWED = {
     "admitted": "MultiQueryEngine.admitted: benchmarks/result_path_counts.py reads it",
     "simulate_crash": "CheckpointManager.simulate_crash: benchmarks/e2e/workloads.py "
     "kills durable_crash with it",
+    "upcoming": "Simulator.upcoming: the one read-only view of the scheduled events, "
+    "which tests read in place of the heap",
 }
 
 
