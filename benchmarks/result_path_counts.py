@@ -141,9 +141,9 @@ def main():
 
     passes, seconds, started = [0, 0, 0], [0.0], [None]
     passes_at_collect, collecting = [0, 0, 0], [False]
-    collect = multi.collect_stems_result
+    collect = multi.collect_result
 
-    def collect_stems_result(*args, **kwargs):
+    def collect_result(*args, **kwargs):
         collecting[0] = True
         try:
             return collect(*args, **kwargs)
@@ -172,11 +172,11 @@ def main():
 
     in_repetition = False
     gc.callbacks.append(on_collection)
-    multi.collect_stems_result = collect_stems_result
+    multi.collect_result = collect_result
     try:
         walls = timed(args.repetitions)
     finally:
-        multi.collect_stems_result = collect
+        multi.collect_result = collect
         gc.callbacks.remove(on_collection)
     counts["collector_passes_per_repetition"] = [
         round(n / args.repetitions, 1) for n in passes

@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench.workloads import q1_workload
 from repro.engine.api import execute
-from repro.engine.joins_engine import JoinSpec, run_eddy_joins
+from repro.engine.joins_engine import JoinSpec
 
 SCALE = dict(r_rows=400, distinct_a=100, r_scan_rate=50.0, s_index_latency=0.8)
 CAPACITIES = [1, 5, 20, None]
@@ -33,7 +33,7 @@ def run_index_join_with_capacity(capacity):
             queue_capacity=capacity,
         )
     ]
-    return run_eddy_joins(workload.query, workload.catalog, plan=plan)
+    return execute(workload.query, workload.catalog, engine="eddy-joins", plan=plan)
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES, ids=lambda c: f"capacity={c}")

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.policies import BenefitPolicy, NaivePolicy
 from repro.engine.api import execute
-from repro.engine.config import EngineConfig
-from repro.engine.joins_engine import JoinSpec, run_eddy_joins
+from repro.engine.joins_engine import JoinSpec
 from repro.engine.multi import MultiQueryEngine, QueryAdmission
 from repro.engine.results import ExecutionResult, Series
 from repro.bench.workloads import (
@@ -76,11 +75,12 @@ def run_figure7(
             lookup_latency=s_index_latency,
         )
     ]
-    report.results["index-join"] = run_eddy_joins(
+    report.results["index-join"] = execute(
         baseline_workload.query,
         baseline_workload.catalog,
+        engine="eddy-joins",
         plan=baseline_plan,
-        config=EngineConfig(batch_size=batch_size),
+        batch_size=batch_size,
     )
 
     stems_workload = make()
@@ -137,9 +137,10 @@ def run_figure8(
     report = ExperimentReport("figure8", make())
 
     index_workload = make()
-    report.results["index-join"] = run_eddy_joins(
+    report.results["index-join"] = execute(
         index_workload.query,
         index_workload.catalog,
+        engine="eddy-joins",
         plan=[
             JoinSpec(
                 kind="index",
@@ -149,15 +150,16 @@ def run_figure8(
                 lookup_latency=t_index_latency,
             )
         ],
-        config=EngineConfig(batch_size=batch_size),
+        batch_size=batch_size,
     )
 
     hash_workload = make()
-    report.results["hash-join"] = run_eddy_joins(
+    report.results["hash-join"] = execute(
         hash_workload.query,
         hash_workload.catalog,
+        engine="eddy-joins",
         plan=[JoinSpec(kind="shj", left=("R",), right="T")],
-        config=EngineConfig(batch_size=batch_size),
+        batch_size=batch_size,
     )
 
     hybrid_workload = make()
@@ -255,8 +257,8 @@ def run_spanning_tree(
         JoinSpec(kind="shj", left=("A",), right="C"),
         JoinSpec(kind="shj", left=("A", "C"), right="B"),
     ]
-    report.results["static-tree-through-C"] = run_eddy_joins(
-        tree_workload.query, tree_workload.catalog, plan=plan
+    report.results["static-tree-through-C"] = execute(
+        tree_workload.query, tree_workload.catalog, engine="eddy-joins", plan=plan
     )
     return report
 

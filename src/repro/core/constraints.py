@@ -44,9 +44,7 @@ from repro.core.modules.base import Module
 from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
 from repro.core.tuples import MatchRun, QTuple
-from repro.query.joingraph import JoinGraph
 from repro.query.layout import PlanLayout
-from repro.query.query import Query
 
 
 @dataclass(frozen=True)
@@ -97,34 +95,27 @@ class ConstraintChecker:
     """Computes the legal destinations of a tuple under the Table 2 rules.
 
     Args:
-        query: the query being executed.
-        join_graph: the query's join graph (adjacency drives probe targets).
+        layout: the query's compiled :class:`PlanLayout`, shared with its
+            eddy (its adjacency drives probe targets).
         stems: SteM modules keyed by alias.
         selections: selection modules, one per selection predicate.
         index_ams: index access modules keyed by alias.
         scan_aliases: aliases whose table has at least one scan AM.
-        layout: the query's compiled :class:`PlanLayout`; derived from the
-            query and join graph when not supplied (engines pass the one
-            they already share with their eddy).
     """
 
     def __init__(
         self,
-        query: Query,
-        join_graph: JoinGraph,
+        layout: PlanLayout,
         stems: Mapping[str, SteMModule],
         selections: Sequence[SelectionModule],
         index_ams: Mapping[str, Sequence[IndexAMModule]],
         scan_aliases: Iterable[str],
-        layout: PlanLayout | None = None,
     ):
-        self.query = query
-        self.join_graph = join_graph
+        self.layout = layout
         self.stems = dict(stems)
         self.selections = tuple(selections)
         self.index_ams = {alias: tuple(ams) for alias, ams in index_ams.items()}
         self.scan_aliases = frozenset(scan_aliases)
-        self.layout = layout if layout is not None else PlanLayout(query, join_graph)
         #: Precomputed bitwise evaluation tables over the layout (see
         #: :meth:`PlanLayout.selection_entries` for the eligibility rule).
         self._alias_bits = self.layout.alias_bits
@@ -132,8 +123,9 @@ class ConstraintChecker:
         #: For GROUP BY queries the SteM build *is* the aggregate
         #: maintenance source, so a singleton may not short-circuit to
         #: output before building — BuildFirst extends to output readiness.
+        query = layout.query
         self._aggregate_build_mask = (
-            self.layout.bit_of(query.aggregate_alias) if query.is_aggregate else 0
+            layout.bit_of(query.aggregate_alias) if query.is_aggregate else 0
         )
         #: Route-plan cache: routing signature -> :class:`RoutePlan`, kept
         #: for the query's life.  Valid because output readiness and

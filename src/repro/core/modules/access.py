@@ -426,7 +426,6 @@ class IndexAMModule(Module):
         self.stats["lookups_abandoned"] += 1
         self._release(key)
         self._start_lookups()
-        self.runtime.notify_idle(self)
 
     def stop(self) -> None:
         """Abandon queued lookups (query retirement).
@@ -460,7 +459,6 @@ class IndexAMModule(Module):
         )
         self.runtime.to_eddy_all([*tuples, eot], self)
         self._start_lookups()
-        self.runtime.notify_idle(self)
 
     # -- checkpoints ------------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from repro.engine.joins_engine import (
     JoinSpec,
     choose_join_order,
     default_join_plan,
-    run_eddy_joins,
 )
 from repro.engine.multi import (
     MultiQueryEngine,
@@ -36,6 +35,5 @@ __all__ = [
     "choose_join_order",
     "default_join_plan",
     "execute",
-    "run_eddy_joins",
     "run_multi",
 ]

@@ -27,7 +27,7 @@ from repro.core.modules.selection import SelectionModule
 from repro.core.policies import NaivePolicy, RoutingPolicy, make_policy
 from repro.core.tuples import QTuple, install_id_allocator
 from repro.engine.config import EngineConfig
-from repro.engine.results import ExecutionResult, Series, span_series
+from repro.engine.results import ExecutionResult, collect_result
 from repro.query.binding import (
     check_query,
     constant_bound_columns,
@@ -218,15 +218,13 @@ class JoinPlanResolver:
 
     def __init__(
         self,
-        query: Query,
+        layout: PlanLayout,
         join_modules: Sequence[Module],
         selections: Sequence[SelectionModule],
-        layout: PlanLayout | None = None,
     ):
-        self.query = query
+        self.layout = layout
         self.join_modules = list(join_modules)
         self.selections = list(selections)
-        self.layout = layout if layout is not None else PlanLayout(query)
         self._selection_table = self.layout.selection_entries(self.selections)
 
     def destinations(self, tuple_: QTuple) -> list[Destination]:
@@ -316,7 +314,6 @@ class EddyJoinsEngine:
             trace=trace,
             layout=self.layout,
         )
-        self._index_join_modules: list[IndexJoinModule] = []
         self._build_modules()
 
     def _build_modules(self) -> None:
@@ -386,50 +383,15 @@ class EddyJoinsEngine:
                     cache_hit_cost=self.costs.join_probe_cost,
                     queue_capacity=spec.queue_capacity,
                 )
-                self._index_join_modules.append(module)
             else:
                 raise ExecutionError(f"unknown join module kind {spec.kind!r}")
             self.eddy.register_join_module(module)
         self.eddy.resolver = JoinPlanResolver(
-            query, self.eddy.join_modules, self.eddy.selections, layout=self.layout
+            self.layout, self.eddy.join_modules, self.eddy.selections
         )
 
     def run(self, until: float | None = None) -> ExecutionResult:
         """Execute the query and collect metrics."""
         install_id_allocator()
         final_time = self.eddy.run(until=until)
-        index_series = {
-            module.name: Series.from_points(module.lookup_series, name=module.name)
-            for module in self._index_join_modules
-        }
-        module_stats = {
-            name: dict(module.stats) for name, module in self.eddy.modules.items()
-        }
-        return ExecutionResult(
-            engine="eddy-joins",
-            query_name=self.query.name,
-            tuples=self.eddy.result_tuples,
-            output_series=Series(self.eddy.output_times, name="results"),
-            completion_time=self.eddy.completion_time,
-            final_time=final_time,
-            index_probe_series=index_series,
-            partial_series=span_series(self.eddy.partial_series),
-            module_stats=module_stats,
-            eddy_stats=dict(self.eddy.stats),
-        )
-
-
-def run_eddy_joins(
-    query: Query | str,
-    catalog: Catalog,
-    plan: Sequence[JoinSpec] | None = None,
-    policy: RoutingPolicy | str | None = None,
-    config: EngineConfig = EngineConfig(),
-    until: float | None = None,
-    trace: TraceLog | None = None,
-) -> ExecutionResult:
-    """Convenience wrapper: build an :class:`EddyJoinsEngine` and run it."""
-    engine = EddyJoinsEngine(
-        query, catalog, plan=plan, policy=policy, config=config, trace=trace
-    )
-    return engine.run(until=until)
+        return collect_result(self.eddy, "eddy-joins", final_time)

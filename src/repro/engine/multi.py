@@ -90,25 +90,29 @@ state and throughput under sustained admission/retirement).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import ExecutionError
-from repro.core.aggregates import AggregateModule, AggregateRegistry
+from repro.core.aggregates import AggregateRegistry
+from repro.core.constraints import ConstraintChecker
 from repro.core.eddy import Eddy
+from repro.core.modules.access import IndexAMModule, ScanAMModule
+from repro.core.modules.selection import SelectionModule
 from repro.core.modules.stem_module import SteMModule
 from repro.core.policies import RoutingPolicy, make_policy
 from repro.core.stem_registry import SteMRegistry, stem_build_totals
 from repro.core.tuples import install_id_allocator
 from repro.engine.config import EngineConfig
-from repro.engine.results import ExecutionResult, MultiQueryResult
-from repro.engine.instantiate import collect_stems_result, instantiate_stems_query
-from repro.query.binding import check_query
+from repro.engine.results import ExecutionResult, MultiQueryResult, collect_result
+from repro.query.binding import BindingPlan, check_query
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
-from repro.query.query import Query, TableRef
+from repro.query.query import Query
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import TraceLog
+from repro.storage.catalog import IndexSpec, ScanSpec
 
 #: What :func:`run_multi` and :func:`run_churn` take besides the engine
 #: options (a checkpoint directory makes the run durable, see repro.recovery).
@@ -329,9 +333,9 @@ class MultiQueryEngine:
         query_id = admission.query_id or f"q{position}"
         if query_id in self._all_ids:
             raise ExecutionError(f"duplicate query id {query_id!r}")
-        if admission.arrival_time < 0:
+        if not 0 <= admission.arrival_time < math.inf:
             raise ExecutionError(
-                f"arrival_time must be >= 0, got {admission.arrival_time}"
+                f"arrival_time must be finite and >= 0, got {admission.arrival_time}"
             )
         start_time = at_time if at_time is not None else admission.arrival_time
         if self._started:
@@ -359,14 +363,7 @@ class MultiQueryEngine:
             layout=PlanLayout(query),
         )
         eddy.preferences = list(admission.preferences)
-        instantiate_stems_query(
-            query,
-            binding_plan,
-            self.catalog,
-            eddy,
-            self._make_stem_module,
-            self._make_aggregate_module,
-        )
+        self._wire(eddy, query, binding_plan)
         ctx = _AdmittedQuery(query_id, query, start_time, eddy)
         self._queries.append(ctx)
         self._order.append(query_id)
@@ -408,38 +405,62 @@ class MultiQueryEngine:
         """The next value the global build-timestamp counter will issue."""
         return self._timestamps.next_value
 
-    def _make_stem_module(
-        self, ref: TableRef, query: Query, owner: str
-    ) -> SteMModule:
-        """One FROM-clause entry's module over a registry SteM: the table's
-        shared SteM, or one of its own for a self-join alias."""
-        costs = self.config.cost_model
-        name = (
-            None
-            if len(query.aliases_of_table(ref.table)) == 1
-            else f"{owner}:stem:{ref.alias}"
-        )
-        stem = self.registry.stem_for(
-            ref.table, ref.alias, query.join_columns_of(ref.alias), owner=owner, name=name
-        )
-        return SteMModule(
-            stem,
-            ref.alias,
-            query.predicates,
-            build_cost=costs.stem_build_cost,
-            probe_cost=costs.stem_probe_cost,
-        )
+    def _wire(self, eddy: Eddy, query: Query, binding_plan: BindingPlan) -> None:
+        """Wire one checked query's modules onto its eddy: paper §2.2's
+        steps 2-5, after ``check_query`` (step 1) produced ``binding_plan``.
 
-    def _make_aggregate_module(
-        self, query: Query, stem_module: SteMModule, owner: str
-    ) -> AggregateModule:
-        """The shared aggregate module of the query's grouping signature.
-
-        Queries with the same signature (table, group columns, aggregate
-        specs, canonical predicates) maintain **one** module over the
-        table's shared SteM (every GROUP BY query is single-table).
+        Every FROM-clause entry gets a SteM module over a registry SteM (the
+        table's shared SteM, or one of its own for a self-join alias); a
+        GROUP BY query also reads its SteM's pending delta through the
+        shared aggregate module of its grouping signature, which runs above
+        the eddy, so it needs no routing constraints and no done-bits.  Then
+        one selection module per selection predicate, an access module for
+        *every* access method usable for every alias (they run
+        competitively), and the :class:`ConstraintChecker` as the eddy's
+        destination resolver.
         """
-        return self.aggregate_registry.module_for(query, stem_module.stem, owner=owner)
+        costs = self.config.cost_model
+        owner = eddy.query_id
+        for ref in query.tables:
+            name = (
+                None
+                if len(query.aliases_of_table(ref.table)) == 1
+                else f"{owner}:stem:{ref.alias}"
+            )
+            stem = self.registry.stem_for(
+                ref.table, ref.alias, query.join_columns_of(ref.alias),
+                owner=owner, name=name,
+            )
+            eddy.register_stem(ref.alias, SteMModule(
+                stem,
+                ref.alias,
+                query.predicates,
+                build_cost=costs.stem_build_cost,
+                probe_cost=costs.stem_probe_cost,
+            ))
+        if query.is_aggregate:
+            eddy.aggregate_module = self.aggregate_registry.module_for(
+                query, eddy.stems[query.aggregate_alias].stem, owner=owner
+            )
+        for predicate in query.selection_predicates:
+            eddy.register_selection(SelectionModule(predicate, cost=costs.selection_cost))
+        for ref in query.tables:
+            table = self.catalog.table(ref.table)
+            for spec in binding_plan.methods_for(ref.alias):
+                if isinstance(spec, ScanSpec):
+                    eddy.register_scan_am(ref.alias, ScanAMModule(spec, table, ref.alias))
+                elif isinstance(spec, IndexSpec):
+                    eddy.register_index_am(ref.alias, IndexAMModule(
+                        spec, table, ref.alias, query.predicates,
+                        handle_cost=costs.am_handle_cost,
+                    ))
+        eddy.resolver = ConstraintChecker(
+            eddy.layout,
+            stems=eddy.stems,
+            selections=eddy.selections,
+            index_ams=eddy.index_ams,
+            scan_aliases=[alias for alias in query.alias_order if eddy.has_scan_am(alias)],
+        )
 
     # -- retirement --------------------------------------------------------------
 
@@ -459,7 +480,7 @@ class MultiQueryEngine:
         """
         ctx = self._ctx(query_id)
         now = self.simulator.now
-        result = collect_stems_result(ctx.eddy, ctx.query, now)
+        result = self._result_of(ctx.eddy, now)
         result.retired_at = now
         for module in ctx.eddy.stems.values():
             module.detach()
@@ -571,6 +592,19 @@ class MultiQueryEngine:
 
     # -- collection --------------------------------------------------------------
 
+    @staticmethod
+    def _result_of(eddy: Eddy, final_time: float) -> ExecutionResult:
+        """One query's result: the shared collector's, plus its destination
+        cache's counters and, for a GROUP BY query, the aggregate output."""
+        result = collect_result(eddy, "stems", final_time)
+        result.module_stats["destination-cache"] = dict(eddy.resolver.cache_stats)
+        aggregate = eddy.aggregate_module
+        if aggregate is not None:
+            result.aggregate_rows = tuple(aggregate.result_rows())
+            result.aggregate_labels = eddy.layout.query.aggregate_labels
+            result.module_stats[aggregate.name] = aggregate.stats_snapshot()
+        return result
+
     def _collect(self, final_time: float) -> MultiQueryResult:
         live = {ctx.query_id: ctx for ctx in self._queries}
         results: dict[str, ExecutionResult] = {}
@@ -578,8 +612,7 @@ class MultiQueryEngine:
             if query_id in self._retired:
                 results[query_id] = self._retired[query_id]
             else:
-                ctx = live[query_id]
-                results[query_id] = collect_stems_result(ctx.eddy, ctx.query, final_time)
+                results[query_id] = self._result_of(live[query_id].eddy, final_time)
         # Every SteM is the registry's: the live ones, and the counters of
         # those reclaimed when their last query retired.
         stem_stats = {stem.name: dict(stem.stats) for stem in self.registry.stems.values()}

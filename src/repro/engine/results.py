@@ -201,6 +201,34 @@ class ExecutionResult:
         )
 
 
+def collect_result(eddy, engine: str, final_time: float) -> ExecutionResult:
+    """One eddy's outputs and metrics as an :class:`ExecutionResult`.
+
+    Both engines read back through here: the index-lookup series come from
+    every module that keeps a ``lookup_series`` (index AMs, index joins),
+    the per-module stats from every registered module, in registration
+    order.
+    """
+    modules = eddy.modules
+    return ExecutionResult(
+        engine=engine,
+        query_name=eddy.layout.query.name,
+        query_id=eddy.query_id,
+        tuples=eddy.result_tuples,
+        output_series=Series(eddy.output_times, name="results"),
+        completion_time=eddy.completion_time,
+        final_time=final_time,
+        index_probe_series={
+            name: Series.from_points(module.lookup_series, name=name)
+            for name, module in modules.items()
+            if hasattr(module, "lookup_series")
+        },
+        partial_series=span_series(eddy.partial_series),
+        module_stats={name: dict(module.stats) for name, module in modules.items()},
+        eddy_stats=dict(eddy.stats),
+    )
+
+
 @dataclass
 class MultiQueryResult:
     """Everything a multi-query run reports: one result per admitted query.

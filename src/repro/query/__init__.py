@@ -1,8 +1,7 @@
-"""Query substrate: expressions, predicates, queries, parsing, join graphs."""
+"""Query substrate: expressions, predicates, queries, parsing, plan layouts."""
 
 from repro.query.binding import BindingPlan, validate_bindings
 from repro.query.expressions import ColumnRef, Expression, Literal, as_expression
-from repro.query.joingraph import JoinEdge, JoinGraph
 from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.predicates import (
@@ -20,8 +19,6 @@ __all__ = [
     "Comparison",
     "Expression",
     "InList",
-    "JoinEdge",
-    "JoinGraph",
     "Literal",
     "PlanLayout",
     "Predicate",

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.errors import QueryError
-from repro.query.joingraph import JoinGraph
 from repro.query.predicates import Predicate
 from repro.query.query import Query
 
@@ -61,8 +60,6 @@ class PlanLayout:
 
     Args:
         query: the query to compile.
-        join_graph: the query's join graph; derived from the query when not
-            supplied (engines pass the one they already built).
 
     Attributes:
         alias_order: aliases in FROM-clause order — alias ``i`` holds bit
@@ -70,7 +67,8 @@ class PlanLayout:
         alias_bits: alias -> its bit (treat as read-only).
         all_alias_mask: the mask spanning every alias (a finished tuple's
             ``spanned_mask``).
-        adjacency: per-alias join-graph neighbour mask.
+        adjacency: per-alias join-graph neighbour mask: two aliases are
+            neighbours when a join predicate references exactly those two.
         predicate_bits: predicate id -> done-bit mask (``1 << predicate_id``).
         all_predicate_mask: the done mask of a tuple that passed everything.
         module_bits: module name -> its bit in a tuple's ``visits_token``
@@ -82,19 +80,21 @@ class PlanLayout:
     after warm-up.
     """
 
-    def __init__(self, query: Query, join_graph: JoinGraph | None = None):
+    def __init__(self, query: Query):
         self.query = query
-        self.join_graph = join_graph if join_graph is not None else JoinGraph.from_query(query)
         self.alias_order: tuple[str, ...] = query.alias_order
         self.alias_bits: dict[str, int] = {
             alias: 1 << position for position, alias in enumerate(self.alias_order)
         }
         self._decode_memo: dict[int, frozenset[str]] = {}
         self.all_alias_mask: int = (1 << len(self.alias_order)) - 1
-        self.adjacency: dict[str, int] = {
-            alias: self.mask_of(self.join_graph.neighbors(alias))
-            for alias in self.alias_order
-        }
+        self.adjacency: dict[str, int] = dict.fromkeys(self.alias_order, 0)
+        for predicate in query.join_predicates:
+            ends = predicate.aliases()
+            if len(ends) == 2:
+                left, right = ends
+                self.adjacency[left] |= self.alias_bits[right]
+                self.adjacency[right] |= self.alias_bits[left]
         self._adjacency_by_position: tuple[int, ...] = tuple(
             self.adjacency[alias] for alias in self.alias_order
         )
@@ -119,19 +119,6 @@ class PlanLayout:
         #: :meth:`~repro.core.modules.stem_module.SteMModule.probe_plan_for`.
         self.probe_plans: dict[tuple, object] = {}
         self.module_bits: dict[str, int] = {}
-        #: Aggregate output layout: the labels of the aggregate result
-        #: columns, and the half-open index spans slicing one output tuple
-        #: into its group-column part and its aggregate part.  Empty/zero
-        #: for non-aggregate queries.
-        self.aggregate_labels: tuple[str, ...] = (
-            query.aggregate_labels if query.is_aggregate else ()
-        )
-        group_width = len(query.group_by)
-        self.group_span: tuple[int, int] = (0, group_width)
-        self.aggregate_span: tuple[int, int] = (
-            group_width,
-            group_width + len(query.aggregates),
-        )
 
     # -- encoding ---------------------------------------------------------------
 

@@ -5,9 +5,7 @@ from repro.storage.indexes import HashIndex
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.statistics import (
-    ColumnStatistics,
     TableStatistics,
-    analyze_column,
     analyze_table,
     estimate_join_cardinality,
     estimate_join_selectivity,
@@ -19,7 +17,6 @@ __all__ = [
     "AccessMethodSpec",
     "Catalog",
     "Column",
-    "ColumnStatistics",
     "DataType",
     "HashIndex",
     "IndexSpec",
@@ -28,7 +25,6 @@ __all__ = [
     "Schema",
     "Table",
     "TableStatistics",
-    "analyze_column",
     "analyze_table",
     "estimate_join_cardinality",
     "estimate_join_selectivity",

@@ -47,13 +47,16 @@ class TestWorkloads:
         assert len(stalling) == 1
 
     def test_cyclic_workload_is_cyclic(self):
-        from repro.query.joingraph import JoinGraph
+        from repro.query.layout import PlanLayout
 
         workload = cyclic_workload(rows=50)
-        graph = JoinGraph.from_query(workload.query)
+        layout = PlanLayout(workload.query)
         # Three aliases, each joined to both others: a triangle.
-        assert len(graph.nodes) == 3
-        assert all(len(graph.neighbors(alias)) == 2 for alias in graph.nodes)
+        assert len(layout.alias_order) == 3
+        assert all(
+            layout.adjacency[alias] == layout.all_alias_mask & ~layout.bit_of(alias)
+            for alias in layout.alias_order
+        )
         stalled = [
             s for s in workload.catalog.scans("C") if s.stall_at is not None
         ]

@@ -60,7 +60,7 @@ def runs(eddy, sizes):
     install_id_allocator(TupleIdAllocator(start=100))
     try:
         make = singleton_maker("R", "am:R_scan:R", eddy.layout)
-        done = done_mask_of(eddy.resolver.query.predicates)
+        done = done_mask_of(eddy.layout.query.predicates)
         made, start = [], 0
         for position, size in enumerate(sizes):
             probe = make(R_ROWS[position])

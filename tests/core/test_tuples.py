@@ -639,7 +639,7 @@ class TestHotObjectsAreLean:
         """The output and partial-result series keep their times, not a
         ``(time, count)`` pair per point: collecting a run makes no
         container per result."""
-        from repro.engine.instantiate import collect_stems_result
+        from repro.engine.results import collect_result
 
         engine = self._fanout_engine(distinct=3)
         result = engine.run()["q0"]
@@ -648,7 +648,7 @@ class TestHotObjectsAreLean:
         gc.disable()
         try:
             before = len(gc.get_objects())
-            collected = collect_stems_result(eddy, eddy.layout.query, result.final_time)
+            collected = collect_result(eddy, "stems", result.final_time)
             made = len(gc.get_objects()) - before
         finally:
             gc.enable()

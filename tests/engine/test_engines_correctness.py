@@ -16,7 +16,6 @@ from repro.engine.joins_engine import (
     EddyJoinsEngine,
     JoinSpec,
     choose_join_order,
-    run_eddy_joins,
 )
 from repro.errors import ExecutionError
 from repro.query.parser import parse_query
@@ -71,7 +70,7 @@ def test_stems_engine_matches_oracle(sql, policy):
 def test_eddy_joins_engine_matches_oracle(sql):
     catalog = rst_catalog()
     query = parse_query(sql)
-    result = run_eddy_joins(query, catalog)
+    result = execute(query, catalog, engine="eddy-joins")
     assert not has_duplicates(result)
     assert sorted(result.identities()) == oracle_identities(query, catalog)
 
@@ -147,7 +146,7 @@ def test_explicit_join_plan_variants(small_rt_catalog, q4_query):
                            index_columns=("key",), lookup_latency=0.05)]
     shj_plan = [JoinSpec(kind="shj", left=("R",), right="T")]
     for plan in (index_plan, shj_plan):
-        result = run_eddy_joins(q4_query, small_rt_catalog, plan=plan)
+        result = execute(q4_query, small_rt_catalog, engine="eddy-joins", plan=plan)
         assert result.row_count == 60
         assert not has_duplicates(result)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
@@ -67,6 +68,28 @@ class TestAdmission:
         with pytest.raises(ExecutionError, match="arrival_time"):
             MultiQueryEngine(
                 [QueryAdmission(JOIN_SQL, arrival_time=-1.0)], build_catalog()
+            )
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_arrival_is_refused_before_any_state_changes(self, arrival):
+        refused = "arrival_time must be finite and >= 0"
+        with pytest.raises(ExecutionError, match=refused):
+            MultiQueryEngine([QueryAdmission(JOIN_SQL, arrival_time=arrival)], build_catalog())
+        # On the live run: the engine is left as it was and runs on.
+        engine = MultiQueryEngine([JOIN_SQL], build_catalog())
+        engine.run(until=0.2)
+        stems = dict(engine.registry.stems)
+        with pytest.raises(ExecutionError, match=refused):
+            engine.admit(QueryAdmission(JOIN_SQL, arrival_time=arrival))
+        assert engine.admitted == ("q0",)
+        assert engine.registry.stems == stems
+        assert engine.admit(JOIN_SQL) == "q1"
+        assert engine.run().final_time < math.inf
+        # As a churn schedule's admit event.
+        with pytest.raises(ExecutionError, match=refused):
+            run_churn(
+                [ChurnEvent(1.0, "admit", QueryAdmission(JOIN_SQL, arrival_time=arrival))],
+                build_catalog(),
             )
 
     def test_empty_admissions_rejected(self):

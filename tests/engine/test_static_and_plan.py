@@ -9,7 +9,6 @@ from repro.engine.joins_engine import (
     JoinSpec,
     choose_join_order,
     default_join_plan,
-    run_eddy_joins,
 )
 from repro.errors import BindingError, ExecutionError, QueryError
 from repro.query.parser import parse_query
@@ -92,7 +91,9 @@ class TestStaticPlan:
     def test_is_the_eddy_joins_engine_over_the_chosen_plan(self, catalog):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
         result = execute(query, catalog, engine="static")
-        fixed = run_eddy_joins(query, catalog, plan=choose_join_order(query, catalog))
+        fixed = execute(
+            query, catalog, engine="eddy-joins", plan=choose_join_order(query, catalog)
+        )
         assert (result.engine, fixed.engine) == ("static", "eddy-joins")
         assert result.identities() == fixed.identities()
         assert result.output_series == fixed.output_series

@@ -12,7 +12,6 @@ import pytest
 from repro.core.costs import CostModel
 from repro.core.policies import RandomPolicy
 from repro.engine.api import execute
-from repro.engine.joins_engine import run_eddy_joins
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.datagen import make_source_r, make_source_s, make_source_t
@@ -84,7 +83,7 @@ class TestSourceStalls:
     def test_eddy_joins_with_stalled_source_still_correct(self):
         catalog = catalog_with_stall(stall_duration=5.0)
         query = parse_query("SELECT * FROM R, T WHERE R.key = T.key")
-        result = run_eddy_joins(query, catalog)
+        result = execute(query, catalog, engine="eddy-joins")
         assert result.row_count == 60
 
 

@@ -5,7 +5,8 @@ Pins the three guarantees the bitmask TupleState rests on:
 * bit assignment is **deterministic across runs** — compiling two
   independently parsed copies of the same query text yields identical
   alias and predicate bit positions;
-* the precomputed **adjacency masks** agree with ``JoinGraph.neighbors``;
+* the precomputed **adjacency masks** join two aliases exactly when a
+  predicate references just those two;
 * the **frozenset-view properties** on QTuple round-trip the masks, so
   traces and tests read names while the dataflow runs on ints.
 """
@@ -16,9 +17,10 @@ import pytest
 
 from repro.core.tuples import QTuple, singleton_maker
 from repro.errors import QueryError
-from repro.query.joingraph import JoinGraph
 from repro.query.layout import PlanLayout, bit_positions
 from repro.query.parser import parse_query
+from repro.query.predicates import Predicate
+from repro.query.query import Query
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 from tests.helpers import singleton_tuple
@@ -63,28 +65,57 @@ class TestBitAssignment:
         assert layout.peek_bit("Z") == 0  # read-side lookups stay permissive
 
 
+class _ThreeWay(Predicate):
+    """A predicate over three aliases at once (no parsed predicate is)."""
+
+    def aliases(self):
+        return frozenset({"R", "S", "T"})
+
+
 class TestAdjacencyMasks:
-    def test_adjacency_matches_join_graph_neighbors(self):
-        query = parse_query(THREE_WAY_SQL)
-        graph = JoinGraph.from_query(query)
-        layout = PlanLayout(query, graph)
-        for alias in query.alias_order:
-            expected = layout.mask_of(graph.neighbors(alias))
-            assert layout.adjacency[alias] == expected
+    #: THREE_WAY_SQL's join graph, as neighbour names.
+    NEIGHBOURS = {"R": {"S", "T"}, "S": {"R"}, "T": {"R"}}
+
+    def test_adjacency_joins_the_aliases_of_each_join_predicate(self):
+        layout = PlanLayout(parse_query(THREE_WAY_SQL))
+        for alias, neighbours in self.NEIGHBOURS.items():
+            assert layout.adjacency[alias] == layout.mask_of(neighbours)
+
+    def test_a_chain_s_middle_alias_has_both_ends(self):
+        layout = PlanLayout(
+            parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
+        )
+        assert layout.adjacency == {"R": 0b010, "S": 0b101, "T": 0b010}
+
+    def test_parallel_predicates_are_one_neighbour(self):
+        layout = PlanLayout(
+            parse_query("SELECT * FROM R, S WHERE R.a = S.x AND R.key = S.y")
+        )
+        assert layout.adjacency == {"R": 0b10, "S": 0b01}
+
+    def test_only_predicates_over_exactly_two_aliases_make_edges(self):
+        # A selection references one alias, the custom predicate three:
+        # neither joins anything, so only R.a = S.x is an edge.
+        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND R.a < 5")
+        three_way = _ThreeWay()
+        three_way.predicate_id = len(query.predicates) + 1
+        query = Query(query.tables, [*query.predicates, three_way])
+        assert three_way in query.join_predicates
+        layout = PlanLayout(query)
+        assert layout.adjacency == {"R": 0b010, "S": 0b001, "T": 0}
+        assert layout.adjacent_unspanned(0b001) == ("S",)
+        assert layout.adjacent_unspanned(0b100) == ()
 
     def test_adjacent_unspanned_equals_set_algebra(self):
-        query = parse_query(THREE_WAY_SQL)
-        graph = JoinGraph.from_query(query)
-        layout = PlanLayout(query, graph)
-        aliases = list(query.alias_order)
+        layout = PlanLayout(parse_query(THREE_WAY_SQL))
         # Every possible span: the bitwise rule must equal the frozenset rule.
-        for spanned_mask in range(1, 1 << len(aliases)):
+        for spanned_mask in range(1, 1 << len(layout.alias_order)):
             spanned = layout.aliases_of_mask(spanned_mask)
             expected = sorted(
                 {
                     neighbour
                     for alias in spanned
-                    for neighbour in graph.neighbors(alias)
+                    for neighbour in self.NEIGHBOURS[alias]
                 }
                 - set(spanned)
             )

@@ -1,9 +1,9 @@
-"""Tests for the Query object and the join graph."""
+"""Tests for the Query object."""
 
 import pytest
 
 from repro.errors import QueryError, UnknownTableError
-from repro.query.joingraph import JoinEdge, JoinGraph
+from repro.query.layout import PlanLayout
 from repro.query.parser import parse_query
 from repro.query.expressions import ColumnRef
 from repro.query.query import AggregateSpec, Query, TableRef
@@ -48,9 +48,8 @@ class TestQuery:
 
     def test_join_partners_and_columns(self):
         query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND R.key = T.key")
-        graph = JoinGraph.from_query(query)
-        assert graph.neighbors("R") == ["S", "T"]
-        assert graph.neighbors("S") == ["R"]
+        adjacency = PlanLayout(query).adjacency
+        assert adjacency == {"R": 0b110, "S": 0b001, "T": 0b001}
         assert query.join_columns_of("R") == ("a", "key")
 
     def test_table_of_unknown_alias_raises(self):
@@ -78,31 +77,3 @@ class TestQuery:
         assert str(TableRef.of("R")) == "R"
         assert str(TableRef.of("R", "r1")) == "R AS r1"
 
-
-class TestJoinGraph:
-    def test_chain_neighbors(self):
-        query = parse_query("SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.key")
-        graph = JoinGraph.from_query(query)
-        assert graph.neighbors("S") == ["R", "T"]
-        assert graph.neighbors("R") == ["S"]
-
-    def test_parallel_edges_are_one_neighbor(self):
-        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x AND R.key = S.y")
-        graph = JoinGraph.from_query(query)
-        assert len(graph.edges) == 2
-        assert graph.neighbors("R") == ["S"]
-        edge = graph.edges[0]
-        assert edge.other("R") == "S"
-        with pytest.raises(QueryError):
-            edge.other("Z")
-
-    def test_only_binary_predicates_make_edges(self):
-        query = parse_query("SELECT * FROM R, S WHERE R.a = S.x AND R.a < 5")
-        graph = JoinGraph.from_query(query)
-        assert [edge.aliases for edge in graph.edges] == [frozenset({"R", "S"})]
-        assert repr(graph) == "JoinGraph(nodes=['R', 'S'], edges=[R--S [R.a = S.x]])"
-
-    def test_edge_on_an_unknown_alias_is_rejected(self):
-        edge = JoinEdge("R", "Z", parse_query("SELECT * FROM R, Z WHERE R.a = Z.b").predicates[0])
-        with pytest.raises(QueryError):
-            JoinGraph(["R", "S"], [edge])
