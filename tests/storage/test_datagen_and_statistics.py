@@ -20,8 +20,10 @@ from repro.storage.statistics import (
     estimate_join_cardinality,
     estimate_join_selectivity,
 )
-from repro.storage.schema import Schema
+from repro.storage.row import Row
+from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from repro.storage.types import DataType
 from tests.helpers import make_foreign_key_table, make_uniform_table, make_zipfian_table
 
 
@@ -167,6 +169,26 @@ class TestStatistics:
         assert stats.cardinality == 200
         assert stats.distinct["a"] == len({row["a"] for row in table})
 
+    def test_null_counting(self):
+        table = Table("N", Schema.of("a:int"))
+        table.insert((None,))
+        table.insert((1,))
+        stats = analyze_table(table)
+        assert stats.cardinality == 2
+        assert stats.distinct == {"a": 1}  # a null is not a distinct value
+
+    def test_empty_column(self):
+        stats = analyze_table(Table("E", Schema.of("a:int", "b:text")))
+        assert stats.cardinality == 0
+        assert stats.distinct == {"a": 0, "b": 0}
+
+    def test_mixed_type_column_counts_every_distinct_value(self):
+        table = Table("M", Schema([Column("v", DataType.STRING)]))
+        for value in ("b", "a", "c"):
+            table.insert((value,))
+        table.insert(Row("M", table.schema, (5,)))  # unvalidated: a stray int
+        assert analyze_table(table).distinct == {"v": 4}
+
     def test_distinct_count(self):
         table = make_source_r(100, 25, seed=1)
         stats = analyze_table(table)
@@ -184,3 +206,12 @@ class TestStatistics:
         empty = analyze_table(Table("E", Schema.of("k:int")))
         assert estimate_join_selectivity(empty, "k", empty, "k") == 0.0
         assert estimate_join_cardinality(empty, "k", empty, "k") == 0.0
+
+    def test_join_estimate_over_an_all_null_column_is_zero(self):
+        table = Table("N", Schema.of("k:int"))
+        for _ in range(3):
+            table.insert((None,))
+        stats = analyze_table(table)
+        assert stats.cardinality == 3
+        assert estimate_join_selectivity(stats, "k", stats, "k") == 0.0
+        assert estimate_join_cardinality(stats, "k", stats, "k") == 0.0
